@@ -119,10 +119,8 @@ PRESETS: Dict[str, BenchScenario] = {
         ceiling_mb=1792.0),
 }
 
-#: Codec configurations the A/B comparison flips between: the wire
-#: codec (packed schema ids vs named fields) and the checkpoint value
-#: codec (schema vs pickle) move together -- "named" is the complete
-#: pre-PR serialization stack.
+#: Wire codecs the A/B comparison flips between: packed schema ids vs
+#: named (self-describing) fields.
 CODECS = ("packed", "named")
 
 
@@ -245,11 +243,7 @@ def run_scenario(scenario: BenchScenario, codec: str = "packed",
     reset_xid_counter()
     reset_packet_ids()
 
-    runtime_kwargs = {"checkpoint_interval": scenario.checkpoint_interval}
-    if codec == "named":
-        runtime_kwargs["checkpoint_codec"] = "pickle"
-
-    with wire_codec("packed" if codec == "packed" else "named"):
+    with wire_codec(codec):
         topo = tree_topology(scenario.tree_depth, scenario.tree_fanout,
                              hosts_per_leaf=1)
         net = Network(topo, seed=scenario.seed)
@@ -261,7 +255,8 @@ def run_scenario(scenario: BenchScenario, codec: str = "packed",
             service_time=scenario.service_time,
             telemetry_enabled=True,
             seed=scenario.seed,
-            runtime_kwargs=runtime_kwargs,
+            runtime_kwargs={
+                "checkpoint_interval": scenario.checkpoint_interval},
             telemetry_kwargs={"metrics_max_samples": 4096,
                               "max_spans": 60_000},
         )

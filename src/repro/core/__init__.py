@@ -11,6 +11,6 @@
   use cases: N-version execution and controller upgrade survival.
 """
 
-from repro.core.runtime import LegoSDNRuntime
+from repro.core.runtime import LegoSDNRuntime, RuntimeConfig
 
-__all__ = ["LegoSDNRuntime"]
+__all__ = ["LegoSDNRuntime", "RuntimeConfig"]

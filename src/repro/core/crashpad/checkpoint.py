@@ -30,9 +30,9 @@ events" -- we go further and make each checkpoint itself cheap):
 
 Two further layers move the take itself off the event critical path:
 
-**Dirty-key tracking** (``use_versions``, on by default): apps that
-opt into :meth:`~repro.apps.base.SDNApp.mark_dirty` expose a per-key
-version map; a key whose version has not moved since the previous take
+**Dirty-key tracking**: apps that opt into
+:meth:`~repro.apps.base.SDNApp.mark_dirty` expose a per-key version
+map; a key whose version has not moved since the previous take
 is *never re-encoded* -- its previous buffer is reused and
 ``encodes_skipped`` counts the skip.  The modelled hash/verify cost
 then covers only the re-encoded (dirty) bytes plus a per-key version
@@ -42,10 +42,10 @@ unchanged short-circuits to a dedup entry without touching a single
 value.  Apps without version tracking keep the conservative
 encode-everything path, bit-for-bit as before.
 
-**Deferred encoding** (``deferred``, off by default at the store,
-enabled by the runtime): with version tracking available, ``take()``
-only *captures* -- clean keys as references to the previous entry's
-buffers, dirty keys as one-level shallow copies -- and appends a
+**Deferred encoding** (``deferred``; the runtime ships it on, a bare
+store defaults to synchronous takes): with version tracking available,
+``take()`` only *captures* -- clean keys as references to the previous
+entry's buffers, dirty keys as one-level shallow copies -- and appends a
 *pending* entry whose encode happens later in :meth:`drain` (wired
 into the stub's heartbeat tick).  The event path pays only the capture
 cost; the encode/hash/write cost accrues to ``deferred_cost`` and a
@@ -62,18 +62,14 @@ Every state value is serialised **once** per take: the blake2b dedup
 hash, the delta diff, and the stored blob all read the same per-key
 encoded buffer (a full image stores the buffers themselves, keyed --
 the ``"keymap"`` layout -- rather than re-encoding the whole state).
-The buffers are produced by a pluggable value codec:
-
-- ``codec="pickle"`` (the default): ``pickle.dumps`` per value, the
-  original format, with the original CRIU-style cost model;
-- ``codec="schema"``: the packed wire codec from
-  :mod:`repro.openflow.serialization` (schema-interned field names,
-  varint ints; unrepresentable values fall back to pickle per value).
-  Because encoding is an in-process, per-key userspace pass -- not a
-  freeze-the-world incremental dump -- delta takes charge
-  ``encode_per_byte_cost`` over the *changed* bytes instead of the
-  fixed ``delta_base_cost`` freeze, which is what makes per-event
-  checkpointing cheap enough for the E19 load envelope.
+The buffers come from the packed wire codec in
+:mod:`repro.openflow.serialization` (schema-interned field names,
+varint ints; unrepresentable values fall back to pickle per value).
+Because encoding is an in-process, per-key userspace pass -- not a
+freeze-the-world incremental dump -- delta takes charge
+``encode_per_byte_cost`` over the *changed* bytes and no fixed freeze
+constant, which is what makes per-event checkpointing cheap enough for
+the E19 load envelope.
 
 A checkpoint taken *before* event ``seq`` is keyed by ``before_seq``:
 it captures the state produced by events ``1 .. seq-1``.
@@ -185,11 +181,9 @@ class CheckpointStore:
 
     ``base_cost`` models CRIU's fixed freeze/dump overhead for a full
     image and ``per_byte_cost`` the image-size-proportional part;
-    ``delta_base_cost`` is the (much smaller) freeze overhead of an
-    incremental dump, and ``hash_per_byte_cost`` what the dedup hash
-    pass charges per state byte.  With ``codec="schema"`` deltas are
-    charged ``encode_per_byte_cost`` over the changed bytes instead of
-    ``delta_base_cost`` (userspace incremental encode, no freeze).
+    ``hash_per_byte_cost`` is what the dedup hash pass charges per
+    state byte, and deltas are charged ``encode_per_byte_cost`` over
+    the changed bytes (userspace incremental encode, no freeze).
     With version tracking the hash pass covers only the re-encoded
     bytes plus ``version_check_per_key_cost`` per key.  Deferred takes
     charge ``capture_base_cost`` + ``capture_per_key_cost`` per dirty
@@ -207,12 +201,8 @@ class CheckpointStore:
     def __init__(self, keep: int = 16, base_cost: float = 0.010,
                  per_byte_cost: float = 1e-7,
                  full_every: int = 8,
-                 delta_base_cost: float = 0.002,
                  hash_per_byte_cost: float = 2e-9,
-                 dedup: bool = True,
-                 codec: str = "pickle",
                  encode_per_byte_cost: float = 5e-9,
-                 use_versions: bool = True,
                  deferred: bool = False,
                  capture_base_cost: float = 2e-5,
                  capture_per_key_cost: float = 1e-6,
@@ -222,21 +212,12 @@ class CheckpointStore:
             raise ValueError("keep must be >= 1")
         if full_every < 1:
             raise ValueError("full_every must be >= 1")
-        if codec not in ("pickle", "schema"):
-            raise ValueError(f"unknown checkpoint codec: {codec!r}")
         self.keep = keep
         self.base_cost = base_cost
         self.per_byte_cost = per_byte_cost
         self.full_every = full_every
-        self.delta_base_cost = delta_base_cost
         self.hash_per_byte_cost = hash_per_byte_cost
-        self.dedup = dedup
-        self.codec = codec
         self.encode_per_byte_cost = encode_per_byte_cost
-        #: Consult the app's per-key version map (when it has one) to
-        #: skip encoding unchanged keys.  Off = the conservative
-        #: pre-dirty-tracking behaviour, every key re-encoded per take.
-        self.use_versions = use_versions
         #: Defer encoding to :meth:`drain` (needs version tracking on
         #: the app; falls back to synchronous takes without it).
         self.deferred = deferred
@@ -296,22 +277,17 @@ class CheckpointStore:
 
     def _encode_val(self, value) -> bytes:
         self.value_encodes += 1
-        if self.codec == "schema":
-            return encode_state_value(value)
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        return encode_state_value(value)
 
     def _decode_val(self, buf: bytes):
         self.value_decodes += 1
-        if self.codec == "schema":
-            return decode_state_value(buf)
-        return pickle.loads(buf)
+        return decode_state_value(buf)
 
     # -- snapshot --------------------------------------------------------
 
-    def _versions_of(self, app) -> Optional[Dict[object, int]]:
+    @staticmethod
+    def _versions_of(app) -> Optional[Dict[object, int]]:
         """The app's live version map, or None (conservative path)."""
-        if not self.use_versions:
-            return None
         source = getattr(app, "state_versions", None)
         if source is None:
             return None
@@ -418,7 +394,7 @@ class CheckpointStore:
                    versions: Optional[Dict[object, int]]) -> Checkpoint:
         """The synchronous (encode-now) take path."""
         version_cost = 0.0
-        if (versions is not None and self.dedup
+        if (versions is not None
                 and self._versions_unchanged(state, versions)):
             # The whole version map is where it was: nothing to encode,
             # nothing to hash -- record the position, share the
@@ -433,15 +409,14 @@ class CheckpointStore:
             ))
         if versions is not None:
             version_cost = len(state) * self.version_check_per_key_cost
+        # The verify pass reads what was (re-)encoded: the dirty bytes
+        # with version tracking, the whole image without it.
         key_blobs, encoded_bytes = self._key_blobs(state, versions)
-        state_size = sum(len(b) for b in key_blobs.values())
-        state_hash = self._hash_of(key_blobs)
-        # With version tracking the verify pass only reads the dirty
-        # bytes; without it, the whole image (the pre-tracking model).
-        hashed_bytes = encoded_bytes if versions is not None else state_size
-        hash_cost = hashed_bytes * self.hash_per_byte_cost + version_cost
-        checkpoint = self._take_incremental(
-            before_seq, now, key_blobs, state_hash, state_size, hash_cost)
+        hash_cost = encoded_bytes * self.hash_per_byte_cost + version_cost
+        checkpoint = Checkpoint(before_seq=before_seq, taken_at=now,
+                                blob=b"")
+        checkpoint.cost = self._classify(checkpoint, key_blobs, hash_cost)
+        self._append(checkpoint)
         self._prev_versions = dict(versions) if versions is not None else None
         self._prev_state_keys = (frozenset(state) if versions is not None
                                  else None)
@@ -516,48 +491,13 @@ class CheckpointStore:
         entry.capture = None
         entry.pending = False
         self._pending.remove(entry)
-        state_size = sum(len(b) for b in key_blobs.values())
-        state_hash = self._hash_of(key_blobs)
-        hash_cost = encoded_bytes * self.hash_per_byte_cost
-        entry.state_size = state_size
-        entry.state_hash = state_hash
-        if self.dedup and state_hash == self._prev_hash:
-            entry.kind = DEDUP
-            entry.blob = b""
-            self.dedup_hits += 1
-            bg_cost = hash_cost
-        elif self._chain_len < self.full_every:
-            changed = {k: b for k, b in key_blobs.items()
-                       if prev.get(k) != b}
-            removed = tuple(k for k in prev if k not in key_blobs)
-            blob = pickle.dumps((changed, removed),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            changed_bytes = sum(len(b) for b in changed.values())
-            entry.kind = DELTA
-            entry.blob = blob
-            self._chain_len += 1
-            self.delta_count += 1
-            bg_cost = self._delta_cost(hash_cost, changed_bytes, len(blob))
-        else:
-            blob = self._keymap_blob(key_blobs)
-            entry.kind = FULL
-            entry.layout = KEYMAP
-            entry.blob = blob
-            self._chain_len = 1
-            self.full_count += 1
-            bg_cost = (hash_cost + self.base_cost
-                       + len(blob) * self.per_byte_cost)
+        bg_cost = self._classify(
+            entry, key_blobs, encoded_bytes * self.hash_per_byte_cost)
+        self._record_durable(entry)
         entry.encode_cost = bg_cost
-        self.total_bytes += entry.size
-        self.bytes_written += entry.size
         self.total_cost += bg_cost
         self.deferred_cost += bg_cost
         self.deferred_drains += 1
-        self._prev_key_blobs = key_blobs
-        self._prev_hash = state_hash
-        self._prev_size = state_size
-        if self.metrics is not None and entry.size:
-            self.metrics.inc("checkpoint.bytes_written", entry.size)
         return bg_cost
 
     def drain(self, budget: Optional[int] = None,
@@ -607,79 +547,75 @@ class CheckpointStore:
         the already-encoded buffers (no per-value re-serialization)."""
         return pickle.dumps(key_blobs, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _delta_cost(self, hash_cost: float, changed_bytes: int,
-                    blob_len: int) -> float:
-        if self.codec == "schema":
-            # Userspace incremental encode: pay per changed byte, no
-            # freeze-the-world constant.
-            return (hash_cost + changed_bytes * self.encode_per_byte_cost
-                    + blob_len * self.per_byte_cost)
-        return (hash_cost + self.delta_base_cost
-                + blob_len * self.per_byte_cost)
-
-    def _take_incremental(self, before_seq: int, now: float,
-                          key_blobs: Dict[object, bytes],
-                          state_hash: bytes, state_size: int,
-                          hash_cost: float) -> Checkpoint:
-        if (self.dedup and self._checkpoints
-                and state_hash == self._prev_hash):
+    def _classify(self, entry: Checkpoint,
+                  key_blobs: Dict[object, bytes],
+                  hash_cost: float) -> float:
+        """Decide dedup / delta / full for ``entry`` from its per-key
+        buffers and fill in its image -- the one classification both
+        synchronous takes and drained deferred ones go through.
+        Returns the modelled cost (``hash_cost`` plus the write)."""
+        prev = self._prev_key_blobs
+        # A deferred entry is already in the store when it classifies.
+        has_base = (bool(self._checkpoints)
+                    and self._checkpoints[0] is not entry)
+        entry.state_hash = self._hash_of(key_blobs)
+        entry.state_size = sum(len(b) for b in key_blobs.values())
+        if has_base and entry.state_hash == self._prev_hash:
             # Unchanged since the last checkpoint: record the position,
             # share the predecessor's image, charge only the hash pass.
+            entry.kind = DEDUP
             self.dedup_hits += 1
-            return self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=b"",
-                kind=DEDUP, state_hash=state_hash, state_size=state_size,
-                cost=hash_cost,
-            ))
-        prev = self._prev_key_blobs
-        if (prev is not None and self._checkpoints
+            cost = hash_cost
+        elif (has_base and prev is not None
                 and self._chain_len < self.full_every):
             changed = {k: b for k, b in key_blobs.items()
                        if prev.get(k) != b}
             removed = tuple(k for k in prev if k not in key_blobs)
-            blob = pickle.dumps((changed, removed),
-                                protocol=pickle.HIGHEST_PROTOCOL)
+            entry.kind = DELTA
+            entry.blob = pickle.dumps((changed, removed),
+                                      protocol=pickle.HIGHEST_PROTOCOL)
+            # Userspace incremental encode: pay per changed byte, no
+            # freeze-the-world constant.
             changed_bytes = sum(len(b) for b in changed.values())
-            checkpoint = self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=blob,
-                kind=DELTA, state_hash=state_hash, state_size=state_size,
-                cost=self._delta_cost(hash_cost, changed_bytes, len(blob)),
-            ))
+            cost = (hash_cost + changed_bytes * self.encode_per_byte_cost
+                    + len(entry.blob) * self.per_byte_cost)
         else:
-            blob = self._keymap_blob(key_blobs)
-            checkpoint = self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=blob,
-                kind=FULL, state_hash=state_hash, state_size=state_size,
-                cost=(hash_cost + self.base_cost
-                      + len(blob) * self.per_byte_cost),
-                layout=KEYMAP,
-            ))
+            entry.kind = FULL
+            entry.layout = KEYMAP
+            entry.blob = self._keymap_blob(key_blobs)
+            cost = (hash_cost + self.base_cost
+                    + len(entry.blob) * self.per_byte_cost)
         self._prev_key_blobs = key_blobs
-        self._prev_hash = state_hash
-        self._prev_size = state_size
-        return checkpoint
+        self._prev_hash = entry.state_hash
+        self._prev_size = entry.state_size
+        return cost
 
     def _append(self, checkpoint: Checkpoint) -> Checkpoint:
         if checkpoint.pending:
             self._pending.append(checkpoint)
-        elif checkpoint.kind == FULL:
-            self._chain_len = 1
-            self.full_count += 1
-        elif checkpoint.kind == DELTA:
-            self._chain_len += 1
-            self.delta_count += 1
+        else:
+            self._record_durable(checkpoint)
         self._checkpoints.append(checkpoint)
-        self.total_bytes += checkpoint.size
-        self.bytes_written += checkpoint.size
-        if (self.metrics is not None and checkpoint.size
-                and not checkpoint.pending):
-            self.metrics.inc("checkpoint.bytes_written", checkpoint.size)
         if len(self._checkpoints) > self.keep:
             # Eviction promotes the survivor through the dropped
             # entries, which needs every image final.
             self.flush()
             self._evict(len(self._checkpoints) - self.keep)
         return checkpoint
+
+    def _record_durable(self, entry: Checkpoint) -> None:
+        """Chain and byte accounting for an entry whose image now
+        exists (a synchronous take, or a deferred one just drained)."""
+        if entry.kind == FULL:
+            self._chain_len = 1
+            self.full_count += 1
+        elif entry.kind == DELTA:
+            self._chain_len += 1
+            self.delta_count += 1
+        self.total_bytes += entry.size
+        self.bytes_written += entry.size
+        if self.metrics is not None and entry.size:
+            self.metrics.inc("checkpoint.bytes_written", entry.size)
 
     def _evict(self, count: int) -> None:
         """Drop the ``count`` oldest entries, keeping chains restorable.
@@ -937,7 +873,9 @@ class CheckpointStore:
             "retained_bytes": self.total_bytes,
             "bytes_written": self.bytes_written,
             "total_cost": self.total_cost,
-            "codec": self.codec,
+            # Constant; kept so committed bench reports regenerate
+            # byte-identically.
+            "codec": "schema",
             "value_encodes": self.value_encodes,
             "value_decodes": self.value_decodes,
             "encodes_skipped": self.encodes_skipped,

@@ -14,6 +14,7 @@ unchanged.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.apps.base import SDNApp
@@ -28,97 +29,73 @@ from repro.core.crashpad.recovery import CrashPad
 from repro.core.crashpad.ticket import TicketStore
 
 
-class LegoSDNRuntime:
-    """Hosts SDN-Apps in isolated, recoverable sandboxes."""
+@dataclass(frozen=True)
+class RuntimeConfig:
+    """Everything that configures a :class:`LegoSDNRuntime`, as one value.
 
-    def __init__(self, controller, mode: str = "netlog",
-                 policy_table: Optional[PolicyTable] = None,
-                 byzantine_check: bool = False,
-                 shutdown_on_critical: bool = False,
-                 checkpoint_interval: int = 1,
-                 heartbeat_interval: float = 0.1,
-                 channel_base_delay: float = 0.0002,
-                 channel_per_byte_delay: float = 2e-8,
-                 channel_loss: float = 0.0,
-                 channel_batch: bool = True,
-                 channel_reliable: bool = True,
-                 channel_retry_budget: int = 8,
-                 chaos=None,
-                 checkpoint_base_cost: float = 0.010,
-                 checkpoint_per_byte_cost: float = 1e-7,
-                 checkpoint_full_every: int = 8,
-                 checkpoint_delta_cost: float = 0.002,
-                 checkpoint_dedup: bool = True,
-                 checkpoint_codec: str = "schema",
-                 checkpoint_encode_per_byte_cost: float = 5e-9,
-                 checkpoint_dirty_tracking: bool = True,
-                 checkpoint_deferred: bool = True,
-                 checkpoint_adaptive: bool = False,
-                 checkpoint_max_tail: int = 64,
-                 parallel_lanes: bool = False,
-                 seed: int = 0):
+    A promoted replica is configured by handing it the failed primary's
+    config object, so a field added here reaches failover, shards and
+    replay without further plumbing.
+    """
+
+    mode: str = "netlog"
+    policy_table: Optional[PolicyTable] = None
+    byzantine_check: bool = False
+    shutdown_on_critical: bool = False
+    #: Events between checkpoints (1 = the paper's per-event mode).
+    checkpoint_interval: int = 1
+    heartbeat_interval: float = 0.1
+    channel_loss: float = 0.0
+    #: Batched RPC: coalesce same-instant proxy<->stub frames into one
+    #: datagram per tick (one base_delay, one loss roll).  Off = the
+    #: per-frame streaming the consistency-window ablation measures.
+    channel_batch: bool = True
+    channel_retry_budget: int = 8
+    #: Optional chaos injection: a ChaosProfile applied to every app
+    #: channel, or a callable ``app_name -> profile-or-None`` for
+    #: per-app profiles.
+    chaos: object = None
+    checkpoint_base_cost: float = 0.010
+    checkpoint_per_byte_cost: float = 1e-7
+    #: Move checkpoint encoding off the event path: takes capture cheap
+    #: references, the stub heartbeat drains the encodes.
+    checkpoint_deferred: bool = True
+    #: Adaptive interval policy: tighten to per-event durable
+    #: checkpoints while HealthWatchdog (when attached) or a recent
+    #: crash signals elevated risk.
+    checkpoint_adaptive: bool = False
+    #: Hard bound on events since the last durable image.
+    checkpoint_max_tail: int = 64
+    parallel_lanes: bool = False
+    seed: int = 0
+
+
+class LegoSDNRuntime:
+    """Hosts SDN-Apps in isolated, recoverable sandboxes.
+
+    Configure with a :class:`RuntimeConfig`, or with its fields as
+    keywords (``LegoSDNRuntime(controller, checkpoint_interval=8)``).
+    """
+
+    def __init__(self, controller, config: Optional[RuntimeConfig] = None,
+                 **fields):
+        if config is None:
+            config = RuntimeConfig(**fields)
+        elif fields:
+            raise TypeError("pass either config= or RuntimeConfig fields "
+                            f"as keywords, not both (got {sorted(fields)})")
         self.controller = controller
         self.sim = controller.sim
-        self.mode = mode
-        self.checkpoint_interval = checkpoint_interval
-        self.heartbeat_interval = heartbeat_interval
-        self.channel_base_delay = channel_base_delay
-        self.channel_per_byte_delay = channel_per_byte_delay
-        self.channel_loss = channel_loss
-        #: Batched RPC: coalesce same-instant proxy<->stub frames into
-        #: one datagram per tick (one base_delay, one loss roll).  On
-        #: by default at the runtime level; raw UdpChannel construction
-        #: stays unbatched.
-        self.channel_batch = channel_batch
-        #: Reliable RPC: seq/ack/retransmit/dedup on every proxy<->stub
-        #: channel, so loss, duplication, and reordering degrade into
-        #: latency instead of wedged event loops.  On by default -- at
-        #: 0% loss the only cost is the envelope bytes and the ack
-        #: datagrams, neither on the event critical path.
-        self.channel_reliable = channel_reliable
-        self.channel_retry_budget = channel_retry_budget
-        #: Optional chaos injection: a ChaosProfile applied to every
-        #: app channel, or a callable ``app_name -> profile-or-None``
-        #: for per-app profiles.
-        self.chaos = chaos
-        self.checkpoint_base_cost = checkpoint_base_cost
-        self.checkpoint_per_byte_cost = checkpoint_per_byte_cost
-        #: Incremental checkpointing knobs: a full image every
-        #: ``checkpoint_full_every`` takes with per-key deltas between
-        #: (1 = every checkpoint full, the pre-incremental behaviour),
-        #: ``checkpoint_delta_cost`` as the delta freeze overhead, and
-        #: hash-based skip of unchanged states when ``checkpoint_dedup``.
-        self.checkpoint_full_every = checkpoint_full_every
-        self.checkpoint_delta_cost = checkpoint_delta_cost
-        self.checkpoint_dedup = checkpoint_dedup
-        #: Value codec for checkpoint images: ``"schema"`` (packed wire
-        #: codec, per-changed-byte delta costs) or ``"pickle"`` (the
-        #: legacy format with CRIU-style fixed delta freeze costs).
-        self.checkpoint_codec = checkpoint_codec
-        self.checkpoint_encode_per_byte_cost = checkpoint_encode_per_byte_cost
-        #: Consult app-side per-key version counters (``mark_dirty``) to
-        #: skip re-encoding unchanged keys on every take; apps without
-        #: tracking keep the conservative encode-everything path.
-        self.checkpoint_dirty_tracking = checkpoint_dirty_tracking
-        #: Move checkpoint encoding off the event path: takes capture
-        #: cheap references, the stub heartbeat drains the encodes.
-        self.checkpoint_deferred = checkpoint_deferred
-        #: Adaptive interval policy: tighten to per-event durable
-        #: checkpoints while HealthWatchdog (when attached) or a recent
-        #: crash signals elevated risk.
-        self.checkpoint_adaptive = checkpoint_adaptive
-        #: Hard bound on events since the last durable image.
-        self.checkpoint_max_tail = checkpoint_max_tail
-        self.seed = seed
-        self.crashpad = CrashPad(policy_table=policy_table,
+        self.config = config
+        self.crashpad = CrashPad(policy_table=config.policy_table,
                                  tickets=TicketStore())
         self.proxy = AppVisorProxy(
             controller,
-            mode=mode,
+            mode=config.mode,
             crashpad=self.crashpad,
-            byzantine_check=byzantine_check,
-            shutdown_on_critical=shutdown_on_critical,
-            parallel_lanes=parallel_lanes,
+            byzantine_check=config.byzantine_check,
+            shutdown_on_critical=config.shutdown_on_critical,
+            parallel_lanes=config.parallel_lanes,
         )
         self.stubs: Dict[str, AppVisorStub] = {}
         self.channels: Dict[str, UdpChannel] = {}
@@ -155,45 +132,44 @@ class LegoSDNRuntime:
                 replica_factory = app_or_factory
         if app.name in self.stubs:
             raise ValueError(f"app {app.name!r} already launched")
+        config = self.config
+        interval = checkpoint_interval or config.checkpoint_interval
         store = CheckpointStore(
-            base_cost=self.checkpoint_base_cost,
-            per_byte_cost=self.checkpoint_per_byte_cost,
-            full_every=self.checkpoint_full_every,
-            delta_base_cost=self.checkpoint_delta_cost,
-            dedup=self.checkpoint_dedup,
-            codec=self.checkpoint_codec,
-            encode_per_byte_cost=self.checkpoint_encode_per_byte_cost,
-            use_versions=self.checkpoint_dirty_tracking,
-            deferred=self.checkpoint_deferred,
+            base_cost=config.checkpoint_base_cost,
+            per_byte_cost=config.checkpoint_per_byte_cost,
+            deferred=config.checkpoint_deferred,
             metrics=self.controller.telemetry.metrics
             if self.controller.telemetry is not None else None,
         )
         policy = CheckpointPolicy(
-            interval=checkpoint_interval or self.checkpoint_interval,
-            adaptive=self.checkpoint_adaptive,
-            max_tail=self.checkpoint_max_tail,
+            interval=interval,
+            adaptive=config.checkpoint_adaptive,
+            max_tail=config.checkpoint_max_tail,
         )
         stub = AppVisorStub(
             self.sim, app,
             checkpoint_store=store,
-            checkpoint_interval=(checkpoint_interval
-                                 or self.checkpoint_interval),
-            heartbeat_interval=self.heartbeat_interval,
+            checkpoint_interval=interval,
+            heartbeat_interval=config.heartbeat_interval,
             limits=limits,
             replica_factory=replica_factory,
             telemetry=self.controller.telemetry,
             checkpoint_policy=policy,
         )
-        chaos = self.chaos(app.name) if callable(self.chaos) else self.chaos
+        chaos = config.chaos
+        if callable(chaos):
+            chaos = chaos(app.name)
+        # Reliable RPC (seq/ack/retransmit/dedup) on every proxy<->stub
+        # channel, so loss, duplication and reordering degrade into
+        # latency instead of wedged event loops; at 0% loss it costs
+        # envelope bytes and ack datagrams, neither on the event path.
         channel = UdpChannel(
             self.sim,
-            base_delay=self.channel_base_delay,
-            per_byte_delay=self.channel_per_byte_delay,
-            loss=self.channel_loss,
-            seed=self.seed + len(self.stubs),
-            batch=self.channel_batch,
-            reliable=self.channel_reliable,
-            retry_budget=self.channel_retry_budget,
+            loss=config.channel_loss,
+            seed=config.seed + len(self.stubs),
+            batch=config.channel_batch,
+            reliable=True,
+            retry_budget=config.channel_retry_budget,
             chaos=chaos,
             telemetry=self.controller.telemetry,
         )
@@ -207,21 +183,22 @@ class LegoSDNRuntime:
         self.channels[app.name] = channel
         return stub
 
-    def adopt_app(self, stub: AppVisorStub, channel: UdpChannel) -> AppVisorStub:
-        """Adopt an already-running stub after a controller failover.
+    def adopt_apps(self, other: "LegoSDNRuntime") -> None:
+        """Adopt ``other``'s already-running stubs after a controller
+        failover.
 
-        The app inside the stub keeps its state and checkpoint history;
-        only the proxy side is new.  Used by
-        :class:`repro.replication.ReplicaSet` when a promoted backup's
-        runtime takes over the old primary's apps.
+        The app inside each stub keeps its state and checkpoint
+        history, and the stub keeps its channel; only the proxy side is
+        new.  Used by :class:`repro.replication.ReplicaSet` when a
+        promoted backup's runtime takes over the old primary's apps.
         """
-        name = stub.app.name
-        if name in self.stubs:
-            raise ValueError(f"app {name!r} already hosted here")
-        self.proxy.adopt_stub(stub, channel)
-        self.stubs[name] = stub
-        self.channels[name] = channel
-        return stub
+        for name, stub in other.stubs.items():
+            if name in self.stubs:
+                raise ValueError(f"app {name!r} already hosted here")
+            channel = other.channels[name]
+            self.proxy.adopt_stub(stub, channel)
+            self.stubs[name] = stub
+            self.channels[name] = channel
 
     # -- accessors ------------------------------------------------------------
 

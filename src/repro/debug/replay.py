@@ -23,9 +23,11 @@ be detected and ticketed before the signature is read.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro.core.runtime import LegoSDNRuntime, RuntimeConfig
 from repro.debug.capture import CapturedEvent, EventCapture
 from repro.debug.signature import FailureSignature
 
@@ -102,6 +104,12 @@ class ReplayHarness:
         self.seed = seed
         self.chaos = dict(chaos) if chaos else None
         self.runtime_opts = dict(runtime_opts) if runtime_opts else {}
+        # Validated here, so a mistyped option fails where the harness
+        # is declared rather than at the first build().  ``seed`` and
+        # ``chaos`` are the harness's own: naming either in
+        # ``runtime_opts`` is a duplicate-keyword TypeError.
+        self._runtime_config = RuntimeConfig(seed=seed, chaos=None,
+                                             **self.runtime_opts)
         self.apps = tuple(apps)
         self.flight_capacity = flight_capacity
         self.warmup = warmup
@@ -148,7 +156,6 @@ class ReplayHarness:
     def build(self) -> ReplayStack:
         """A fresh deployment under this config, capture attached."""
         from repro.cli import _build_topology
-        from repro.core.runtime import LegoSDNRuntime
         from repro.faults.netfaults import ChaosProfile
         from repro.network.net import Network
         from repro.telemetry import Telemetry
@@ -162,8 +169,8 @@ class ReplayHarness:
             kwargs = dict(self.chaos)
             chaos_seed = kwargs.pop("seed", self.seed)
             profile = ChaosProfile(seed=chaos_seed, **kwargs)
-        runtime = LegoSDNRuntime(net.controller, seed=self.seed,
-                                 chaos=profile, **self.runtime_opts)
+        runtime = LegoSDNRuntime(net.controller, dataclasses.replace(
+            self._runtime_config, chaos=profile))
         names = []
         for factory in self.apps:
             stub = runtime.launch_app(factory)

@@ -1375,33 +1375,7 @@ class ReplicaSet:
         # 3. A fresh runtime with the old deployment's configuration,
         # seeded with the replicated shadow so post-failover inversions
         # see the same pre-state the old primary saw.
-        runtime = LegoSDNRuntime(
-            candidate.controller,
-            mode=old_runtime.mode,
-            policy_table=old_runtime.crashpad.policy_table,
-            byzantine_check=old_runtime.proxy.byzantine_check,
-            shutdown_on_critical=old_runtime.proxy.shutdown_on_critical,
-            checkpoint_interval=old_runtime.checkpoint_interval,
-            heartbeat_interval=old_runtime.heartbeat_interval,
-            channel_base_delay=old_runtime.channel_base_delay,
-            channel_per_byte_delay=old_runtime.channel_per_byte_delay,
-            channel_loss=old_runtime.channel_loss,
-            channel_batch=old_runtime.channel_batch,
-            checkpoint_base_cost=old_runtime.checkpoint_base_cost,
-            checkpoint_per_byte_cost=old_runtime.checkpoint_per_byte_cost,
-            checkpoint_full_every=old_runtime.checkpoint_full_every,
-            checkpoint_delta_cost=old_runtime.checkpoint_delta_cost,
-            checkpoint_dedup=old_runtime.checkpoint_dedup,
-            checkpoint_codec=old_runtime.checkpoint_codec,
-            checkpoint_encode_per_byte_cost=(
-                old_runtime.checkpoint_encode_per_byte_cost),
-            checkpoint_dirty_tracking=old_runtime.checkpoint_dirty_tracking,
-            checkpoint_deferred=old_runtime.checkpoint_deferred,
-            checkpoint_adaptive=old_runtime.checkpoint_adaptive,
-            checkpoint_max_tail=old_runtime.checkpoint_max_tail,
-            parallel_lanes=old_runtime.proxy.parallel_lanes,
-            seed=old_runtime.seed,
-        )
+        runtime = LegoSDNRuntime(candidate.controller, old_runtime.config)
         candidate.runtime = runtime
         manager = runtime.proxy.manager
         manager.adopt_shadow(candidate.shadow)
@@ -1432,8 +1406,7 @@ class ReplicaSet:
         # 5. The stubs survived; adopt them.  Each re-registers with
         # the new proxy over its existing channel, resuming its seq
         # numbering so checkpoints and journals stay coherent.
-        for name, stub in old_runtime.stubs.items():
-            runtime.adopt_app(stub, old_runtime.channels[name])
+        runtime.adopt_apps(old_runtime)
 
         # 6. Resume dispatch (discovery + SwitchJoin announcements) and
         # become the shipping source for the surviving backups.

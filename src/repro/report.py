@@ -91,8 +91,8 @@ def render_report(net, runtime, title: str = "LegoSDN deployment report",
         "",
         f"- topology: `{net.topology.name}` "
         f"({len(net.switches)} switches, {len(net.hosts)} hosts)",
-        f"- runtime: LegoSDN, mode `{runtime.mode}`, "
-        f"checkpoint interval {runtime.checkpoint_interval}",
+        f"- runtime: LegoSDN, mode `{runtime.config.mode}`, "
+        f"checkpoint interval {runtime.config.checkpoint_interval}",
         f"- observation window: {start:.2f}s .. {end:.2f}s "
         f"(simulated)",
         "",

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.controller.core import Controller
-from repro.core.runtime import LegoSDNRuntime
+from repro.core.runtime import LegoSDNRuntime, RuntimeConfig
 from repro.replication.replicaset import ControllerReplica, ReplicaSet
 from repro.shard.router import ShardRouter
 from repro.telemetry import Telemetry
@@ -120,6 +120,9 @@ class ShardCoordinator:
         self.shards: Dict[int, ShardHandle] = {}
         self.rebalances = 0
         self.dpids_moved = 0
+        # One config value for every shard's runtime (and, through
+        # failover, for every replica promoted inside a shard).
+        runtime_config = RuntimeConfig(**(runtime_kwargs or {}))
         assignment = self.router.partition(net.switches)
         for shard_id in sorted(assignment):
             dpids = assignment[shard_id]
@@ -134,8 +137,7 @@ class ShardCoordinator:
                 telemetry=telemetry,
                 service_time=service_time,
             )
-            runtime = LegoSDNRuntime(controller,
-                                     **dict(runtime_kwargs or {}))
+            runtime = LegoSDNRuntime(controller, runtime_config)
             for factory in apps:
                 runtime.launch_app(factory)
             replicas = ReplicaSet(

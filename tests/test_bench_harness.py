@@ -44,11 +44,9 @@ def test_tiny_run_produces_a_complete_report():
     assert report.environment["peak_rss_mb"] > 0
 
 
-def test_named_codec_run_uses_pickle_checkpoints_and_more_bytes():
+def test_named_codec_run_sends_more_wire_bytes():
     packed = run_scenario(TINY, codec="packed")
     named = run_scenario(TINY, codec="named")
-    assert named.results["checkpoint"]["codec"] == "pickle"
-    assert packed.results["checkpoint"]["codec"] == "schema"
     # The headline wire effect: interned schemas shrink bytes/event.
     assert packed.results["bytes_per_event"] < named.results["bytes_per_event"]
 

@@ -6,9 +6,9 @@ each key exactly once per take and reuses those buffers for hashing,
 diffing, *and* the stored blob; ``value_encodes``/``value_decodes``
 count codec invocations so the property is pinned, not assumed.
 
-Also covers the ``codec="schema"`` mode: restore-equivalence with the
-pickle store, the packed-with-pickle-fallback state-value codec, and
-the cheaper delta cost model it unlocks.
+Also covers the value codec itself: restore-equivalence with a
+reference copy of the state, the packed-with-pickle-fallback
+state-value codec, and the per-changed-byte delta cost model.
 """
 
 import copy
@@ -41,12 +41,11 @@ class DictApp:
         self.state = dict(state)
 
 
-@pytest.mark.parametrize("codec", ["pickle", "schema"])
-def test_take_encodes_each_key_exactly_once(codec):
+def test_take_encodes_each_key_exactly_once():
     """N takes of a K-key state = N*K encodes, zero decodes -- the
     double-serialization regression pin."""
     app = DictApp()
-    store = CheckpointStore(codec=codec)
+    store = CheckpointStore()
     keys = len(app.get_state())
     takes = 6
     for seq in range(1, takes + 1):
@@ -56,12 +55,11 @@ def test_take_encodes_each_key_exactly_once(codec):
     assert store.value_decodes == 0
 
 
-@pytest.mark.parametrize("codec", ["pickle", "schema"])
-def test_dedup_take_still_encodes_once(codec):
+def test_dedup_take_still_encodes_once():
     """A dedup'd take must hash (hence encode) but store nothing --
     and still never encode a key twice."""
     app = DictApp()
-    store = CheckpointStore(codec=codec)
+    store = CheckpointStore()
     keys = len(app.get_state())
     store.take(app, before_seq=1, now=1.0)
     second = store.take(app, before_seq=2, now=2.0)  # unchanged state
@@ -70,13 +68,11 @@ def test_dedup_take_still_encodes_once(codec):
     assert store.value_decodes == 0
 
 
-@pytest.mark.parametrize("codec", ["pickle", "schema"])
-def test_restore_equivalence_across_codecs(codec):
-    """materialize() yields the same monolithic pickle contract and
-    restore() reinstates the same state, whichever value codec the
-    store uses internally."""
+def test_restore_equivalence_with_reference_state():
+    """materialize() yields the monolithic pickle contract and
+    restore() reinstates the same state a plain deep copy recorded."""
     app = DictApp()
-    store = CheckpointStore(codec=codec, full_every=3)
+    store = CheckpointStore(full_every=3)
     snapshots = []
     for seq in range(1, 8):
         app.state["macs"][f"02:00:00:00:00:{seq:02x}"] = seq
@@ -90,20 +86,22 @@ def test_restore_equivalence_across_codecs(codec):
     assert app.get_state() == snapshots[0]
 
 
-def test_schema_delta_cheaper_than_pickle_delta():
-    """The schema codec's cost model drops the per-delta freeze
-    constant -- the source of the appvisor.event speedup the span-diff
-    gate pins -- so a small delta must cost less than pickle's."""
-    costs = {}
-    for codec in ("pickle", "schema"):
-        app = DictApp()
-        store = CheckpointStore(codec=codec)
-        store.take(app, before_seq=1, now=1.0)
-        app.state["count"] = 1
-        delta = store.take(app, before_seq=2, now=2.0)
-        assert delta.kind == DELTA
-        costs[codec] = delta.cost
-    assert costs["schema"] < costs["pickle"]
+def test_delta_cost_is_per_changed_byte_with_no_freeze_constant():
+    """A delta pays the hash pass, the changed bytes' encode and the
+    blob write -- no fixed per-delta freeze -- the source of the
+    appvisor.event speedup the span-diff gate pins."""
+    app = DictApp()
+    store = CheckpointStore()
+    store.take(app, before_seq=1, now=1.0)
+    app.state["count"] = 1
+    delta = store.take(app, before_seq=2, now=2.0)
+    assert delta.kind == DELTA
+    changed_bytes = len(encode_state_value(1))
+    assert delta.cost == pytest.approx(
+        delta.state_size * store.hash_per_byte_cost
+        + changed_bytes * store.encode_per_byte_cost
+        + delta.size * store.per_byte_cost)
+    assert delta.cost < 1e-4      # the pickle model charged a 2 ms freeze
 
 
 def test_state_value_codec_round_trip_and_fallback():
@@ -122,7 +120,7 @@ def test_state_value_codec_round_trip_and_fallback():
 
 def test_stats_reports_codec_and_counts():
     app = DictApp()
-    store = CheckpointStore(codec="schema")
+    store = CheckpointStore()
     store.take(app, before_seq=1, now=1.0)
     stats = store.stats()
     assert stats["codec"] == "schema"
@@ -136,7 +134,7 @@ def test_full_promotion_on_eviction_reuses_buffers():
     value decode, and one re-encode only for keys the promotion has to
     rewrite -- here, none."""
     app = DictApp()
-    store = CheckpointStore(codec="schema", keep=2, full_every=10)
+    store = CheckpointStore(keep=2, full_every=10)
     for seq in range(1, 6):
         app.state["count"] = seq
         store.take(app, before_seq=seq, now=float(seq))

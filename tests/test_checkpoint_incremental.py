@@ -82,7 +82,8 @@ class TestDeltaChains:
 
     def test_full_image_cadence(self):
         app = DictApp()
-        store = CheckpointStore(keep=64, full_every=3, dedup=False)
+        store = CheckpointStore(keep=64, full_every=3)
+        # Every take sees a changed state, so none dedups.
         mutations = [lambda s, i=i: s.__setitem__("k", i) for i in range(9)]
         taken = [cp for cp, _ in drive(app, store, mutations)]
         assert [cp.kind for cp in taken] == [
@@ -140,12 +141,13 @@ class TestDedup:
         store.restore(replica, repeat)
         assert replica.get_state() == app.get_state()
 
-    def test_dedup_disabled_writes_deltas(self):
+    def test_changed_state_writes_a_delta_not_a_dedup(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, dedup=False)
+        store = CheckpointStore(full_every=8)
         store.take(app, before_seq=1, now=0.0)
-        repeat = store.take(app, before_seq=2, now=0.0)
-        assert repeat.kind == DELTA
+        app.state["a"] += 1
+        changed = store.take(app, before_seq=2, now=0.0)
+        assert changed.kind == DELTA
         assert store.dedup_hits == 0
 
 

@@ -183,7 +183,7 @@ class DictApp:
 class TestDirtyKeyStore:
     def test_clean_keys_skip_re_encoding(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True)
+        store = CheckpointStore(full_every=8)
         store.take(app, before_seq=1, now=0.0)
         baseline = store.value_encodes
         app.touch("a", 1)  # "b" untouched
@@ -194,7 +194,7 @@ class TestDirtyKeyStore:
 
     def test_version_identity_dedups_without_hashing_state(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True)
+        store = CheckpointStore(full_every=8)
         store.take(app, before_seq=1, now=0.0)
         repeat = store.take(app, before_seq=2, now=1.0)
         assert repeat.kind == DEDUP
@@ -204,8 +204,7 @@ class TestDirtyKeyStore:
         # drop_pending() invalidates the baseline; the next take must
         # re-encode everything rather than trust stale versions.
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True,
-                                deferred=True)
+        store = CheckpointStore(full_every=8, deferred=True)
         store.take(app, before_seq=1, now=0.0)
         app.touch("a", 1)
         cp = store.take(app, before_seq=2, now=1.0, defer=True)
@@ -219,8 +218,7 @@ class TestDirtyKeyStore:
 
     def test_deferred_roundtrip_through_drain(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True,
-                                deferred=True)
+        store = CheckpointStore(full_every=8, deferred=True)
         store.take(app, before_seq=1, now=0.0)
         references = []
         for seq in range(2, 6):
@@ -238,8 +236,7 @@ class TestDirtyKeyStore:
 
     def test_flush_is_a_durability_barrier(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, use_versions=True,
-                                deferred=True)
+        store = CheckpointStore(full_every=8, deferred=True)
         store.take(app, before_seq=1, now=0.0)
         app.touch("a", 1)
         store.take(app, before_seq=2, now=1.0, defer=True)

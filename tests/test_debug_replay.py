@@ -98,6 +98,19 @@ class TestRecord:
         assert recording.config["chaos"]["loss"] == 0.2
 
 
+    def test_runtime_opts_are_validated_at_construction(self):
+        with pytest.raises(TypeError):
+            ReplayHarness(runtime_opts={"checkpoint_intervall": 4})
+        # seed and chaos are the harness's own parameters.
+        with pytest.raises(TypeError):
+            ReplayHarness(runtime_opts={"seed": 3})
+        harness = ReplayHarness(runtime_opts={"checkpoint_interval": 4,
+                                              "byzantine_check": True})
+        assert harness.config_dict()["runtime"] == {
+            "byzantine_check": True, "checkpoint_interval": 4}
+        assert harness.build().runtime.config.checkpoint_interval == 4
+
+
 class TestReplay:
     def test_full_sequence_replays_byte_identical_3x(self, planted):
         harness, recording = planted
