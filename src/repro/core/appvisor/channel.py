@@ -469,9 +469,10 @@ class UdpChannel:
         dest_side = "stub" if from_side == "proxy" else "proxy"
         try:
             frame = decode_frame(data)
-        except Exception:
+        except SerializationError:
             # Corruption can break any layer of the codec (framing,
-            # type tags, struct unpacks); every parse failure is one
+            # type tags, struct unpacks); the decoder reports all of it
+            # as this one error, and every parse failure is one
             # rejected datagram, never a crash in the receive path.
             self._note_corrupt(dest_side)
             return

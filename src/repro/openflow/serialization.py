@@ -28,7 +28,8 @@ Two codecs share this layout:
   class name and each field name as a length-prefixed string, ints are
   fixed 8 bytes.  Self-describing but wasteful -- a ``Packet`` spends
   more bytes on the strings ``"src_mac"``, ``"dst_mac"``, ... than on
-  the values.
+  the values.  Its encoder is one recursive ``isinstance`` ladder
+  (:func:`_write_value`), kept only for A/B runs.
 - **packed** (the default): class and enum names are interned once at
   registration into small integer *schema ids*; frames carry
   ``schema_id + field count + packed values``, field order is the
@@ -36,6 +37,24 @@ Two codecs share this layout:
   LEB128 varints.  Decoding tolerates *trailing* missing fields (they
   take their dataclass defaults), so adding a defaulted field keeps
   old captures readable.
+
+The packed codec is *compiled*: nothing walks a value generically.
+
+- **Encode** appends to one ``bytearray`` through a ``type -> encoder``
+  table keyed on each value's exact runtime class (never on field
+  annotations -- nothing enforces those).  :func:`register_dataclass`
+  builds a schema's encoder once: its ``tag + schema id + field count``
+  prefix as ready bytes and an ``attrgetter`` over the declared field
+  names.  A class met for the first time (an ``IntEnum``, a
+  ``defaultdict``, a namedtuple, a ``str`` subclass) is resolved once
+  through the precedence ladder -- ``bool`` before ``Enum`` before
+  ``int`` ... -- and cached in the table.
+- **Decode** is one table of ``(data, pos) -> (value, pos)`` readers
+  indexed by tag byte, named tags included, with one reader per
+  registered schema behind ``_T_SCHEMA``.  Lengths are checked against
+  the bytes that remain before anything loops over them, and any
+  undecodable buffer raises :class:`SerializationError` and nothing
+  else.
 
 The active codec is a module-level switch (:func:`set_wire_codec`);
 the decoder accepts both formats unconditionally -- packed message
@@ -48,9 +67,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import pickle
 import struct
-from typing import Dict, List, Tuple, Type
+from operator import attrgetter
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.openflow import actions as _actions
 from repro.openflow import messages as _messages
@@ -83,17 +104,27 @@ _HEADER = struct.Struct("!BII")
 #: High bit of the header type id: body is packed (positional) format.
 _PACKED_FLAG = 0x80
 
-#: Registered dataclasses encodable as values (name -> class).
+_U32 = struct.Struct("!I")
+_I64 = struct.Struct("!q")
+_F64 = struct.Struct("!d")
+_pack_u32, _unpack_u32 = _U32.pack, _U32.unpack_from
+_pack_i64, _unpack_i64 = _I64.pack, _I64.unpack_from
+_pack_f64, _unpack_f64 = _F64.pack, _F64.unpack_from
+
+_Encoder = Callable[[bytearray, object], None]
+#: ``(data, pos just past the tag) -> (value, pos past the value)``.
+_Decoder = Callable[[bytes, int], Tuple[object, int]]
+
+#: Registered dataclasses (name -> class); the named format's lookup.
 _dataclass_registry: Dict[str, type] = {}
 #: Registered enums (name -> class).
 _enum_registry: Dict[str, Type[enum.Enum]] = {}
-#: Schema interning: class name -> small integer id, assigned in
-#: registration order (import order is identical on both ends of the
-#: simulated wire, so ids agree without a handshake).
-_schema_ids: Dict[str, int] = {}
+#: Schema interning: a class's index here is its schema id, assigned
+#: in registration order (import order is identical on both ends of
+#: the simulated wire, so ids agree without a handshake).
 _schema_classes: List[type] = []
-_schema_fields: List[Tuple[dataclasses.Field, ...]] = []
-_enum_ids: Dict[str, int] = {}
+#: Schema id -> the reader compiled for that class.
+_schema_decoders: List[_Decoder] = []
 _enum_classes: List[Type[enum.Enum]] = []
 
 
@@ -101,35 +132,80 @@ class SerializationError(ValueError):
     """Raised when a value or buffer cannot be (de)serialised."""
 
 
+class _EncoderTable(dict):
+    """Packed encoders by exact runtime class.
+
+    Schemas and enums are entered at registration.  Any other class is
+    resolved the first time a value of it is encoded -- its first base
+    on ``_LADDER`` -- and remembered under the class itself.
+    """
+
+    def __missing__(self, cls: type) -> _Encoder:
+        for base, encode in _LADDER:
+            if issubclass(cls, base):
+                self[cls] = encode
+                return encode
+        if dataclasses.is_dataclass(cls):
+            raise SerializationError(
+                f"unregistered dataclass on wire: {cls.__name__}")
+        raise SerializationError(
+            f"unserialisable value of type {cls.__name__}")
+
+
+_encoders = _EncoderTable()
+
+
 def register_dataclass(cls: type) -> type:
     """Register a dataclass so it can cross the RPC boundary.
 
     Used by the packet model and any custom app payloads.  Returns the
-    class so it can be used as a decorator.  Registration also interns
-    the class into the packed codec's schema table.
+    class so it can be used as a decorator.  Registration interns the
+    class into the packed codec's schema table and compiles its encoder
+    and decoder.  Registering the same class again is a no-op; a
+    *different* class under a taken name is an error (the wire
+    identifies schemas by name and by the id derived from it).
     """
     if not dataclasses.is_dataclass(cls):
         raise SerializationError(f"{cls.__name__} is not a dataclass")
-    _dataclass_registry[cls.__name__] = cls
-    if cls.__name__ not in _schema_ids:
-        _schema_ids[cls.__name__] = len(_schema_classes)
+    if _claim_name(_dataclass_registry, cls):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        prefix = (bytes((_T_SCHEMA,)) + _varint(len(_schema_classes))
+                  + bytes((len(names),)))
         _schema_classes.append(cls)
-        _schema_fields.append(tuple(dataclasses.fields(cls)))
+        _encoders[cls] = _fields_encoder(prefix, names)
+        _schema_decoders.append(_fields_decoder(cls, names))
     return cls
 
 
 def register_enum(cls: Type[enum.Enum]) -> Type[enum.Enum]:
     """Register an enum for wire transport (also interns an enum id)."""
-    _enum_registry[cls.__name__] = cls
-    if cls.__name__ not in _enum_ids:
-        _enum_ids[cls.__name__] = len(_enum_classes)
+    if _claim_name(_enum_registry, cls):
+        prefix = bytes((_T_ENUM_ID,)) + _varint(len(_enum_classes))
         _enum_classes.append(cls)
+
+        def encode(buf: bytearray, value) -> None:
+            buf += prefix
+            buf += _varint(int(value.value))
+        _encoders[cls] = encode
     return cls
+
+
+def _claim_name(registry: Dict[str, type], cls: type) -> bool:
+    """Enter ``cls`` under its name; False if it already holds it."""
+    known = registry.get(cls.__name__)
+    if known is None:
+        registry[cls.__name__] = cls
+        return True
+    if known is not cls:
+        raise SerializationError(
+            f"wire name {cls.__name__!r} is already registered by "
+            f"{known.__module__}.{known.__qualname__}")
+    return False
 
 
 def schema_table() -> Dict[str, int]:
     """The interned schema ids (class name -> id), for diagnostics."""
-    return dict(_schema_ids)
+    return {cls.__name__: sid for sid, cls in enumerate(_schema_classes)}
 
 
 # -- codec switch -----------------------------------------------------
@@ -165,87 +241,17 @@ def wire_codec(name: str):
         set_wire_codec(prev)
 
 
-class _Writer:
-    """Append-only binary buffer."""
+# -- shared pieces ----------------------------------------------------
 
-    def __init__(self):
-        self._chunks = []
-
-    def u8(self, v: int):
-        self._chunks.append(struct.pack("!B", v))
-
-    def i64(self, v: int):
-        self._chunks.append(struct.pack("!q", v))
-
-    def f64(self, v: float):
-        self._chunks.append(struct.pack("!d", v))
-
-    def varint(self, v: int):
-        # Zigzag so small negatives stay small, then LEB128.
-        z = v * 2 if v >= 0 else -v * 2 - 1
-        out = bytearray()
-        while z > 0x7F:
-            out.append((z & 0x7F) | 0x80)
-            z >>= 7
-        out.append(z)
-        self._chunks.append(bytes(out))
-
-    def raw(self, b: bytes):
-        self._chunks.append(struct.pack("!I", len(b)))
-        self._chunks.append(b)
-
-    def string(self, s: str):
-        self.raw(s.encode("utf-8"))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
-
-
-class _Reader:
-    """Sequential binary reader over a buffer."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise SerializationError("truncated buffer")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return struct.unpack("!B", self._take(1))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("!q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("!d", self._take(8))[0]
-
-    def varint(self) -> int:
-        z = 0
-        shift = 0
-        while True:
-            b = self._take(1)[0]
-            z |= (b & 0x7F) << shift
-            if not b & 0x80:
-                break
-            shift += 7
-            if shift > 70:
-                raise SerializationError("varint too long")
-        return z >> 1 if z % 2 == 0 else -(z >> 1) - 1
-
-    def raw(self) -> bytes:
-        (n,) = struct.unpack("!I", self._take(4))
-        return self._take(n)
-
-    def string(self) -> str:
-        return self.raw().decode("utf-8")
-
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._data)
+def _varint(v: int) -> bytes:
+    # Zigzag so small negatives stay small, then LEB128.
+    z = v * 2 if v >= 0 else -v * 2 - 1
+    out = bytearray()
+    while z > 0x7F:
+        out.append((z & 0x7F) | 0x80)
+        z >>= 7
+    out.append(z)
+    return bytes(out)
 
 
 def _sorted_members(value):
@@ -255,156 +261,425 @@ def _sorted_members(value):
         return sorted(value, key=repr)
 
 
-def _write_value(w: _Writer, value, packed: bool) -> None:
+def _put_str(buf: bytearray, s: str) -> None:
+    raw = s.encode("utf-8")
+    buf += _pack_u32(len(raw))
+    buf += raw
+
+
+def _put_named_enum(buf: bytearray, value) -> None:
+    buf.append(_T_ENUM)
+    _put_str(buf, type(value).__name__)
+    buf += _pack_i64(int(value.value))
+
+
+# -- packed encoders --------------------------------------------------
+
+def _put_items(buf: bytearray, items) -> None:
+    """Append each item through its class's encoder."""
+    encoders = _encoders
+    for item in items:
+        encoders[type(item)](buf, item)
+
+
+def _enc_none(buf, value):
+    buf.append(_T_NONE)
+
+
+def _enc_bool(buf, value):
+    buf += b"\x01\x01" if value else b"\x01\x00"
+
+
+#: Tag + varint of every int below 4096 (ports, dpids, counters).
+_SMALL_INTS = tuple(bytes((_T_VARINT,)) + _varint(i) for i in range(4096))
+
+
+def _enc_int(buf, value):
+    if 0 <= value < 4096:
+        buf += _SMALL_INTS[value]
+        return
+    buf.append(_T_VARINT)
+    z = value * 2 if value >= 0 else -value * 2 - 1
+    while z > 0x7F:
+        buf.append((z & 0x7F) | 0x80)
+        z >>= 7
+    buf.append(z)
+
+
+def _enc_float(buf, value):
+    buf.append(_T_FLOAT)
+    buf += _pack_f64(value)
+
+
+def _enc_str(buf, value):
+    raw = value.encode("utf-8")
+    buf.append(_T_STR)
+    buf += _pack_u32(len(raw))
+    buf += raw
+
+
+def _enc_bytes(buf, value):
+    buf.append(_T_BYTES)
+    buf += _pack_u32(len(value))
+    buf += value
+
+
+def _enc_list(buf, value):
+    buf.append(_T_LIST)
+    buf += _pack_i64(len(value))
+    _put_items(buf, value)
+
+
+def _enc_tuple(buf, value):
+    buf.append(_T_TUPLE)
+    buf += _pack_i64(len(value))
+    _put_items(buf, value)
+
+
+def _enc_dict(buf, value):
+    buf.append(_T_DICT)
+    buf += _varint(len(value))
+    encoders = _encoders
+    small = _SMALL_INTS
+    # Checkpointed state is mostly ``{mac: port}`` tables of thousands
+    # of entries: write those two kinds of entry without a call each.
+    for k, v in value.items():
+        if type(k) is str:
+            raw = k.encode("utf-8")
+            buf.append(_T_STR)
+            buf += _pack_u32(len(raw))
+            buf += raw
+        else:
+            encoders[type(k)](buf, k)
+        if type(v) is int and 0 <= v < 4096:
+            buf += small[v]
+        else:
+            encoders[type(v)](buf, v)
+
+
+def _enc_set(buf, value):
+    buf.append(_T_SET)
+    buf += _varint(len(value))
+    _put_items(buf, _sorted_members(value))
+
+
+def _enc_frozenset(buf, value):
+    buf.append(_T_FROZENSET)
+    buf += _varint(len(value))
+    _put_items(buf, _sorted_members(value))
+
+
+#: Subclass precedence, first match wins: ``bool`` is an ``int`` and an
+#: ``IntEnum`` is both an ``Enum`` and an ``int``, so the order is part
+#: of the wire format.
+_LADDER: Tuple[Tuple[type, _Encoder], ...] = (
+    (type(None), _enc_none),
+    (bool, _enc_bool),
+    # Only unregistered enums get this far; they ride in named form.
+    (enum.Enum, _put_named_enum),
+    (int, _enc_int),
+    (float, _enc_float),
+    (str, _enc_str),
+    (bytes, _enc_bytes),
+    (list, _enc_list),
+    (tuple, _enc_tuple),
+    (dict, _enc_dict),
+    (frozenset, _enc_frozenset),
+    (set, _enc_set),
+)
+
+
+def _fields_encoder(prefix: bytes, names: Tuple[str, ...]) -> _Encoder:
+    """Compile an encoder: ``prefix``, then the named attributes."""
+    if len(names) > 1:
+        get = attrgetter(*names)
+    else:       # attrgetter gives a tuple only for two names or more
+        def get(value):
+            return tuple(getattr(value, name) for name in names)
+
+    def encode(buf: bytearray, value) -> None:
+        buf += prefix
+        _put_items(buf, get(value))
+    return encode
+
+
+def _encode_packed(value, start: bytes = b"") -> bytes:
+    buf = bytearray(start)
+    _encoders[type(value)](buf, value)
+    return bytes(buf)
+
+
+# -- named encoder ----------------------------------------------------
+
+def _write_value(buf: bytearray, value) -> None:
+    """The named format: every class and field name spelt out."""
     if value is None:
-        w.u8(_T_NONE)
+        buf.append(_T_NONE)
     elif isinstance(value, bool):
-        w.u8(_T_BOOL)
-        w.u8(1 if value else 0)
+        buf.append(_T_BOOL)
+        buf.append(1 if value else 0)
     elif isinstance(value, enum.Enum):
-        name = type(value).__name__
-        if packed and name in _enum_ids:
-            w.u8(_T_ENUM_ID)
-            w.varint(_enum_ids[name])
-            w.varint(int(value.value))
-        else:
-            w.u8(_T_ENUM)
-            w.string(name)
-            w.i64(int(value.value))
+        _put_named_enum(buf, value)
     elif isinstance(value, int):
-        if packed:
-            w.u8(_T_VARINT)
-            w.varint(value)
-        else:
-            w.u8(_T_INT)
-            w.i64(value)
+        buf.append(_T_INT)
+        buf += _pack_i64(value)
     elif isinstance(value, float):
-        w.u8(_T_FLOAT)
-        w.f64(value)
+        buf.append(_T_FLOAT)
+        buf += _pack_f64(value)
     elif isinstance(value, str):
-        w.u8(_T_STR)
-        w.string(value)
+        buf.append(_T_STR)
+        _put_str(buf, value)
     elif isinstance(value, bytes):
-        w.u8(_T_BYTES)
-        w.raw(value)
+        buf.append(_T_BYTES)
+        buf += _pack_u32(len(value))
+        buf += value
     elif isinstance(value, list):
-        w.u8(_T_LIST)
-        w.i64(len(value))
+        buf.append(_T_LIST)
+        buf += _pack_i64(len(value))
         for item in value:
-            _write_value(w, item, packed)
+            _write_value(buf, item)
     elif isinstance(value, tuple):
-        w.u8(_T_TUPLE)
-        w.i64(len(value))
+        buf.append(_T_TUPLE)
+        buf += _pack_i64(len(value))
         for item in value:
-            _write_value(w, item, packed)
+            _write_value(buf, item)
     elif isinstance(value, dict):
-        w.u8(_T_DICT)
-        w.varint(len(value))
+        buf.append(_T_DICT)
+        buf += _varint(len(value))
         for k, v in value.items():
-            _write_value(w, k, packed)
-            _write_value(w, v, packed)
+            _write_value(buf, k)
+            _write_value(buf, v)
     elif isinstance(value, frozenset):
-        w.u8(_T_FROZENSET)
-        w.varint(len(value))
+        buf.append(_T_FROZENSET)
+        buf += _varint(len(value))
         for item in _sorted_members(value):
-            _write_value(w, item, packed)
+            _write_value(buf, item)
     elif isinstance(value, set):
-        w.u8(_T_SET)
-        w.varint(len(value))
+        buf.append(_T_SET)
+        buf += _varint(len(value))
         for item in _sorted_members(value):
-            _write_value(w, item, packed)
+            _write_value(buf, item)
     elif dataclasses.is_dataclass(value):
         name = type(value).__name__
-        if name not in _dataclass_registry:
+        if _dataclass_registry.get(name) is not type(value):
             raise SerializationError(f"unregistered dataclass on wire: {name}")
-        if packed:
-            sid = _schema_ids[name]
-            w.u8(_T_SCHEMA)
-            w.varint(sid)
-            flds = _schema_fields[sid]
-            w.u8(len(flds))
-            for f in flds:
-                _write_value(w, getattr(value, f.name), packed)
-        else:
-            w.u8(_T_DATACLASS)
-            w.string(name)
-            flds = dataclasses.fields(value)
-            w.u8(len(flds))
-            for f in flds:
-                w.string(f.name)
-                _write_value(w, getattr(value, f.name), packed)
+        buf.append(_T_DATACLASS)
+        _put_str(buf, name)
+        _write_named_fields(
+            buf, value, [f.name for f in dataclasses.fields(value)])
     else:
         raise SerializationError(f"unserialisable value: {value!r}")
 
 
-def _read_value(r: _Reader):
-    tag = r.u8()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_BOOL:
-        return bool(r.u8())
-    if tag == _T_ENUM:
-        name = r.string()
-        value = r.i64()
-        cls = _enum_registry.get(name)
-        return cls(value) if cls is not None else value
-    if tag == _T_ENUM_ID:
-        eid = r.varint()
-        value = r.varint()
-        if eid >= len(_enum_classes):
-            raise SerializationError(f"unknown enum id on wire: {eid}")
-        return _enum_classes[eid](value)
-    if tag == _T_INT:
-        return r.i64()
-    if tag == _T_VARINT:
-        return r.varint()
-    if tag == _T_FLOAT:
-        return r.f64()
-    if tag == _T_STR:
-        return r.string()
-    if tag == _T_BYTES:
-        return r.raw()
-    if tag == _T_LIST:
-        return [_read_value(r) for _ in range(r.i64())]
-    if tag == _T_TUPLE:
-        return tuple(_read_value(r) for _ in range(r.i64()))
-    if tag == _T_DICT:
-        n = r.varint()
-        out = {}
-        for _ in range(n):
-            k = _read_value(r)
-            out[k] = _read_value(r)
-        return out
-    if tag == _T_SET:
-        return {_read_value(r) for _ in range(r.varint())}
-    if tag == _T_FROZENSET:
-        return frozenset(_read_value(r) for _ in range(r.varint()))
-    if tag == _T_DATACLASS:
-        name = r.string()
-        cls = _dataclass_registry.get(name)
-        if cls is None:
-            raise SerializationError(f"unknown dataclass on wire: {name}")
-        values = {}
-        for _ in range(r.u8()):
-            fname = r.string()
-            values[fname] = _read_value(r)
-        return cls(**values)
-    if tag == _T_SCHEMA:
-        sid = r.varint()
-        if sid >= len(_schema_classes):
-            raise SerializationError(f"unknown schema id on wire: {sid}")
-        cls = _schema_classes[sid]
-        flds = _schema_fields[sid]
-        n = r.u8()
-        if n > len(flds):
+def _write_named_fields(buf: bytearray, value, names) -> None:
+    buf.append(len(names))
+    for name in names:
+        _put_str(buf, name)
+        _write_value(buf, getattr(value, name))
+
+
+# -- decoders (both formats) ------------------------------------------
+
+def _read_varint(data, pos):
+    b = data[pos]
+    pos += 1
+    z = b & 0x7F
+    shift = 7
+    while b & 0x80:
+        if shift > 70:
+            raise SerializationError("varint too long")
+        b = data[pos]
+        pos += 1
+        z |= (b & 0x7F) << shift
+        shift += 7
+    return (-(z >> 1) - 1 if z & 1 else z >> 1), pos
+
+
+def _read_items(data, pos, n):
+    """``n`` values in a row.  Every value is at least its tag byte, so
+    a length beyond the remaining bytes is forged or truncated: reject
+    it before looping (a flipped bit must not buy a 2^63-step loop)."""
+    if n > len(data) - pos:
+        raise SerializationError("truncated buffer")
+    decoders = _decoders
+    items = []
+    for _ in range(n):
+        item, pos = decoders[data[pos]](data, pos + 1)
+        items.append(item)
+    return items, pos
+
+
+def _dec_none(data, pos):
+    return None, pos
+
+
+def _dec_bool(data, pos):
+    return bool(data[pos]), pos + 1
+
+
+def _dec_int(data, pos):
+    return _unpack_i64(data, pos)[0], pos + 8
+
+
+def _dec_float(data, pos):
+    return _unpack_f64(data, pos)[0], pos + 8
+
+
+def _dec_bytes(data, pos):
+    start = pos + 4
+    end = start + _unpack_u32(data, pos)[0]
+    if end > len(data):
+        raise SerializationError("truncated buffer")
+    return data[start:end], end
+
+
+def _dec_str(data, pos):
+    raw, pos = _dec_bytes(data, pos)
+    return raw.decode("utf-8"), pos
+
+
+def _dec_list(data, pos):
+    return _read_items(data, pos + 8, _unpack_i64(data, pos)[0])
+
+
+def _dec_tuple(data, pos):
+    items, pos = _read_items(data, pos + 8, _unpack_i64(data, pos)[0])
+    return tuple(items), pos
+
+
+def _dec_dict(data, pos):
+    n, pos = _read_varint(data, pos)
+    if n > len(data) - pos:
+        raise SerializationError("truncated buffer")
+    decoders = _decoders
+    out = {}
+    for _ in range(n):
+        k, pos = decoders[data[pos]](data, pos + 1)
+        out[k], pos = decoders[data[pos]](data, pos + 1)
+    return out, pos
+
+
+def _dec_set(data, pos):
+    n, pos = _read_varint(data, pos)
+    items, pos = _read_items(data, pos, n)
+    return set(items), pos
+
+
+def _dec_frozenset(data, pos):
+    n, pos = _read_varint(data, pos)
+    items, pos = _read_items(data, pos, n)
+    return frozenset(items), pos
+
+
+def _dec_named_enum(data, pos):
+    name, pos = _dec_str(data, pos)
+    value = _unpack_i64(data, pos)[0]
+    cls = _enum_registry.get(name)
+    return (cls(value) if cls is not None else value), pos + 8
+
+
+def _dec_enum_id(data, pos):
+    eid, pos = _read_varint(data, pos)
+    value, pos = _read_varint(data, pos)
+    if eid >= len(_enum_classes):
+        raise SerializationError(f"unknown enum id on wire: {eid}")
+    return _enum_classes[eid](value), pos
+
+
+def _read_named_fields(data, pos):
+    """``count``, then ``name | value`` pairs, as constructor keywords."""
+    decoders = _decoders
+    n = data[pos]
+    pos += 1
+    values = {}
+    for _ in range(n):
+        name, pos = _dec_str(data, pos)
+        values[name], pos = decoders[data[pos]](data, pos + 1)
+    return values, pos
+
+
+def _dec_named_dataclass(data, pos):
+    name, pos = _dec_str(data, pos)
+    cls = _dataclass_registry.get(name)
+    if cls is None:
+        raise SerializationError(f"unknown dataclass on wire: {name}")
+    values, pos = _read_named_fields(data, pos)
+    return cls(**values), pos
+
+
+def _dec_schema(data, pos):
+    sid, pos = _read_varint(data, pos)
+    if sid >= len(_schema_decoders):
+        raise SerializationError(f"unknown schema id on wire: {sid}")
+    return _schema_decoders[sid](data, pos)
+
+
+def _fields_decoder(cls: type, names: Tuple[str, ...]) -> _Decoder:
+    """Compile a reader: ``count``, then that many of ``names``' values
+    in order, built into ``cls`` by keyword (messages have keyword-only
+    fields).  Trailing fields absent on the wire take their declared
+    defaults -- adding a defaulted field is a compatible change."""
+    known = len(names)
+
+    def decode(data, pos):
+        n = data[pos]
+        if n > known:
             raise SerializationError(
                 f"schema {cls.__name__}: wire has {n} fields, "
-                f"decoder knows {len(flds)}")
-        # Trailing fields absent on the wire take their declared
-        # defaults -- adding a defaulted field is a compatible change.
-        values = {flds[i].name: _read_value(r) for i in range(n)}
-        return cls(**values)
-    raise SerializationError(f"unknown value tag: {tag}")
+                f"decoder knows {known}")
+        pos += 1
+        decoders = _decoders
+        values = {}
+        for name in names if n == known else names[:n]:
+            values[name], pos = decoders[data[pos]](data, pos + 1)
+        return cls(**values), pos
+    return decode
+
+
+def _dec_unknown(data, pos):
+    raise SerializationError(f"unknown value tag: {data[pos - 1]}")
+
+
+#: The reader for each tag byte.
+_decoders: List[_Decoder] = [_dec_unknown] * 256
+_decoders[_T_NONE] = _dec_none
+_decoders[_T_BOOL] = _dec_bool
+_decoders[_T_INT] = _dec_int
+_decoders[_T_FLOAT] = _dec_float
+_decoders[_T_STR] = _dec_str
+_decoders[_T_BYTES] = _dec_bytes
+_decoders[_T_LIST] = _dec_list
+_decoders[_T_TUPLE] = _dec_tuple
+_decoders[_T_DATACLASS] = _dec_named_dataclass
+_decoders[_T_ENUM] = _dec_named_enum
+_decoders[_T_DICT] = _dec_dict
+_decoders[_T_SET] = _dec_set
+_decoders[_T_FROZENSET] = _dec_frozenset
+_decoders[_T_SCHEMA] = _dec_schema
+_decoders[_T_ENUM_ID] = _dec_enum_id
+_decoders[_T_VARINT] = _read_varint
+
+#: What a malformed buffer can make the readers or a constructor raise:
+#: running off the end (``IndexError``, ``struct.error``), bad UTF-8 or
+#: an unknown enum member (``ValueError``), wrong or missing constructor
+#: arguments and unhashable keys (``TypeError``), forged nesting depth.
+_MALFORMED = (IndexError, struct.error, ValueError, TypeError,
+              RecursionError)
+
+
+def _typed_errors(decode):
+    """The decoder's contract, applied once at each public entry: an
+    undecodable buffer raises :class:`SerializationError`, nothing else."""
+    @functools.wraps(decode)
+    def guarded(data):
+        try:
+            return decode(data)
+        except SerializationError:
+            raise
+        except _MALFORMED as exc:
+            raise SerializationError(
+                f"undecodable buffer: {exc!r}") from exc
+    return guarded
 
 
 # -- message registry -------------------------------------------------
@@ -426,8 +701,6 @@ _MESSAGE_TYPES = (
     _messages.FlowRemoved,
     _messages.PortStatus,
 )
-_type_to_id = {cls: i for i, cls in enumerate(_MESSAGE_TYPES)}
-_id_to_type = dict(enumerate(_MESSAGE_TYPES))
 
 # Register the protocol's own dataclasses and enums.
 register_dataclass(Match)
@@ -458,53 +731,53 @@ for _enum_cls in (
     register_enum(_enum_cls)
 
 
+_type_to_id = {cls: i for i, cls in enumerate(_MESSAGE_TYPES)}
+#: Per message type id: the body's field names -- every field but
+#: ``xid``, which the header carries -- and the packed body's compiled
+#: encoder and reader.
+_body_names = [tuple(f.name for f in dataclasses.fields(cls)
+                     if f.name != "xid") for cls in _MESSAGE_TYPES]
+_body_encoders = [_fields_encoder(bytes((len(names),)), names)
+                  for names in _body_names]
+_body_decoders = [_fields_decoder(cls, names)
+                  for cls, names in zip(_MESSAGE_TYPES, _body_names)]
+
+
 def encode_message(msg: _messages.Message) -> bytes:
     """Serialise ``msg`` to bytes (header + typed body)."""
     cls = type(msg)
-    if cls not in _type_to_id:
+    type_id = _type_to_id.get(cls)
+    if type_id is None:
         raise SerializationError(f"unregistered message type: {cls.__name__}")
-    packed = _wire_codec == "packed"
-    w = _Writer()
-    flds = [f for f in dataclasses.fields(msg) if f.name != "xid"]
-    w.u8(len(flds))
-    for f in flds:
-        if not packed:
-            w.string(f.name)
-        _write_value(w, getattr(msg, f.name), packed)
-    body = w.getvalue()
-    type_id = _type_to_id[cls] | (_PACKED_FLAG if packed else 0)
-    return _HEADER.pack(type_id, msg.xid & 0xFFFFFFFF, len(body)) + body
+    buf = bytearray(_HEADER.size)
+    if _wire_codec == "packed":
+        _body_encoders[type_id](buf, msg)
+        type_id |= _PACKED_FLAG
+    else:
+        _write_named_fields(buf, msg, _body_names[type_id])
+    _HEADER.pack_into(buf, 0, type_id, msg.xid & 0xFFFFFFFF,
+                      len(buf) - _HEADER.size)
+    return bytes(buf)
 
 
+@_typed_errors
 def decode_message(data: bytes) -> _messages.Message:
     """Parse one message from ``data`` (must contain exactly one frame)."""
     if len(data) < _HEADER.size:
         raise SerializationError("buffer shorter than header")
     type_id, xid, body_len = _HEADER.unpack_from(data)
-    packed = bool(type_id & _PACKED_FLAG)
-    type_id &= ~_PACKED_FLAG
     body = data[_HEADER.size : _HEADER.size + body_len]
     if len(body) != body_len:
         raise SerializationError("truncated body")
-    cls = _id_to_type.get(type_id)
-    if cls is None:
+    packed = type_id & _PACKED_FLAG
+    type_id &= ~_PACKED_FLAG
+    if type_id >= len(_MESSAGE_TYPES):
         raise SerializationError(f"unknown message type id: {type_id}")
-    r = _Reader(body)
-    values = {}
     if packed:
-        flds = [f for f in dataclasses.fields(cls) if f.name != "xid"]
-        n = r.u8()
-        if n > len(flds):
-            raise SerializationError(
-                f"{cls.__name__}: wire has {n} fields, "
-                f"decoder knows {len(flds)}")
-        for i in range(n):
-            values[flds[i].name] = _read_value(r)
+        msg, _ = _body_decoders[type_id](body, 0)
     else:
-        for _ in range(r.u8()):
-            fname = r.string()
-            values[fname] = _read_value(r)
-    msg = cls(**values)
+        values, _ = _read_named_fields(body, 0)
+        msg = _MESSAGE_TYPES[type_id](**values)
     msg.xid = xid
     return msg
 
@@ -523,14 +796,20 @@ def encode_value(value, codec: str = None) -> bytes:
         codec = _wire_codec
     elif codec not in _VALID_CODECS:
         raise ValueError(f"unknown wire codec: {codec!r}")
-    w = _Writer()
-    _write_value(w, value, codec == "packed")
-    return w.getvalue()
+    if codec == "packed":
+        return _encode_packed(value)
+    buf = bytearray()
+    _write_value(buf, value)
+    return bytes(buf)
 
 
+@_typed_errors
 def decode_value(data: bytes):
-    """Parse a value produced by :func:`encode_value` (either codec)."""
-    return _read_value(_Reader(data))
+    """Parse a value produced by :func:`encode_value` (either codec).
+
+    Bytes after the one complete value are ignored.
+    """
+    return _decoders[data[0]](data, 1)[0]
 
 
 # -- checkpoint value codec -------------------------------------------
@@ -549,15 +828,16 @@ def encode_state_value(value) -> bytes:
     so :func:`decode_state_value` needs no out-of-band flag.
     """
     try:
-        return _B_PACKED + encode_value(value, codec="packed")
+        return _encode_packed(value, _B_PACKED)
     except (SerializationError, ValueError, TypeError):
         return _B_PICKLE + pickle.dumps(value)
 
 
+@_typed_errors
 def decode_state_value(buf: bytes):
     """Inverse of :func:`encode_state_value`."""
     if not buf:
         raise SerializationError("empty state-value buffer")
     if buf[:1] == _B_PACKED:
-        return decode_value(buf[1:])
+        return _decoders[buf[1]](buf, 2)[0]
     return pickle.loads(buf[1:])

@@ -15,6 +15,7 @@ Three contracts, checked with hypothesis over every RPC frame type:
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -27,17 +28,14 @@ from repro.openflow import messages as ofmsg
 from repro.openflow.actions import Drop, Flood, Output
 from repro.openflow.match import Match
 from repro.openflow.serialization import (
-    _schema_fields,
-    _schema_ids,
-    _T_SCHEMA,
-    _Writer,
-    _write_value,
+    SerializationError,
     decode_message,
     decode_value,
     encode_message,
     encode_value,
     wire_codec,
 )
+from wire_cases import GOLDEN_PATH
 
 # -- strategies -------------------------------------------------------
 
@@ -215,21 +213,30 @@ def test_openflow_message_round_trip_both_codecs(msg, xid):
 def test_trailing_default_trace_id(frame):
     """A packed frame from an older peer that never learned the
     trailing ``trace_id`` field decodes with the default (0)."""
-    cls = type(frame)
-    flds = dataclasses.fields(cls)
+    flds = dataclasses.fields(frame)
     assert flds[-1].name == "trace_id"
-    # Hand-encode what an older peer would send: same schema id, one
-    # fewer field on the wire (white-box: uses the codec's internals).
-    sid = _schema_ids[cls.__name__]
-    assert _schema_fields[sid] == flds
-    w = _Writer()
-    w.u8(_T_SCHEMA)
-    w.varint(sid)
-    w.u8(len(flds) - 1)
-    for f in flds[:-1]:
-        _write_value(w, getattr(frame, f.name), packed=True)
-    decoded = decode_value(w.getvalue())
-    assert decoded == dataclasses.replace(frame, trace_id=0)
+    # What an older peer would send: the same frame with one field
+    # fewer -- the count byte (after the tag and the one-byte schema
+    # id) decremented, the last value's bytes dropped.
+    data = encode_value(frame, codec="packed")
+    last = encode_value(frame.trace_id, codec="packed")
+    assert data.endswith(last) and data[2] == len(flds)
+    older = data[:2] + bytes([len(flds) - 1]) + data[3:-len(last)]
+    assert decode_value(older) == dataclasses.replace(frame, trace_id=0)
+
+
+def test_trailing_default_on_golden_vector():
+    """The same compatibility rule, on bytes no current encoder made."""
+    golden = json.loads(GOLDEN_PATH.read_text())["value"]
+    data = bytes.fromhex(golden["schema:EventComplete"]["packed"])
+    frame = decode_value(data)
+    last = encode_value(frame.trace_id, codec="packed")
+    older = data[:2] + bytes([data[2] - 1]) + data[3:-len(last)]
+    assert decode_value(older) == dataclasses.replace(frame, trace_id=0)
+    # More fields than the decoder knows is an error, not a guess.
+    newer = data[:2] + bytes([data[2] + 1]) + data[3:] + last
+    with pytest.raises(SerializationError):
+        decode_value(newer)
 
 
 def test_packed_is_smaller_on_real_frames():
