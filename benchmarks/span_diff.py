@@ -11,7 +11,7 @@ Runs one fixed, telemetry-enabled workload under two configurations --
 segments: dispatch, RPC, checkpoint, NetLog commit) for each and
 reports per-segment deltas.  All durations are *simulated* seconds, so
 captures are deterministic and diffable across commits.  The
-pre-overhaul "legacy" arm of ``BENCH_PR3.json`` / ``BENCH_PR8.json``
+pre-overhaul "legacy" arm of ``BENCH_PR8.json``
 can no longer be produced; its ratios are frozen in EXPERIMENTS.md.
 
 Usage::
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check",
                              help="gate HEAD against a committed capture")
     p_check.add_argument("--baseline", required=True,
-                         help="committed capture (e.g. BENCH_PR3.json)")
+                         help="committed capture (e.g. BENCH_PR8.json)")
     p_check.add_argument("--span", default="appvisor.event")
     p_check.add_argument("--threshold", type=float, default=0.20)
     p_check.add_argument("--seed", type=int, default=0)

@@ -8,7 +8,8 @@ at startup -- never by touching the controller directly -- which is
 what lets LegoSDN host them unmodified inside a stub.
 
 The checkpoint contract: :meth:`get_state` returns everything mutable
-as a picklable dict and :meth:`set_state` restores it.  The default
+as a dict of wire-encodable values (see :meth:`SDNApp.get_state`) and
+:meth:`set_state` restores it.  The default
 implementation snapshots ``__dict__`` (minus the API handle), which is
 the Python analogue of CRIU checkpointing a whole process image.
 
@@ -123,7 +124,20 @@ class SDNApp:
     # -- checkpoint contract ---------------------------------------------------
 
     def get_state(self) -> dict:
-        """Everything needed to reconstruct this app's progress."""
+        """Everything needed to reconstruct this app's progress.
+
+        The contract: a ``dict`` whose values are built from ``None``,
+        ``bool``, ``int``, ``float``, ``str``, ``bytes``, ``list``,
+        ``tuple``, ``dict``, ``set``, ``frozenset``, dataclasses
+        registered with :func:`~repro.openflow.serialization.
+        register_dataclass` and enums registered with
+        :func:`~repro.openflow.serialization.register_enum` -- what the
+        wire codec can carry, since that is the one encoding a
+        checkpoint uses.  Anything else (a non-dict, an arbitrary
+        object, or this method raising) is a fault of the app: its
+        process is killed and Crash-Pad files a ticket naming the app
+        and the offending key.
+        """
         return {
             key: value
             for key, value in self.__dict__.items()

@@ -16,7 +16,6 @@ CLI: ``repro bench --preset e19-100k`` (see ``repro bench --help``).
 """
 
 from repro.bench.harness import (
-    CODECS,
     PRESETS,
     BenchReport,
     BenchScenario,
@@ -29,7 +28,6 @@ from repro.bench.loadgen import LoadGenerator
 from repro.bench.synth import HostRef, HostUniverse, TrafficMix
 
 __all__ = [
-    "CODECS",
     "PRESETS",
     "BenchReport",
     "BenchScenario",

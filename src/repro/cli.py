@@ -830,10 +830,10 @@ def cmd_bench(args) -> int:
         scenario = _dc.replace(scenario, **overrides)
     print(f"bench {scenario.name}: {scenario.hosts:,} hosts, "
           f"rate {scenario.rate:g}/s, {scenario.sim_seconds:g}s sim, "
-          f"K={scenario.shards}, codec={args.codec}, "
+          f"K={scenario.shards}, "
           f"interval={scenario.checkpoint_interval}, "
           f"ceiling {scenario.ceiling_mb:g} MB")
-    report = run_scenario(scenario, codec=args.codec, log=print)
+    report = run_scenario(scenario, log=print)
     results = report.results
     latency = results.get("latency_ms") or {}
     print(f"  events: {results['events_completed']:,} completed "
@@ -867,13 +867,15 @@ def cmd_bench(args) -> int:
         with open(args.check) as fh:
             doc = json.load(fh)
         runs = doc.get("runs", [doc])
+        # Baselines committed before the named wire format was deleted
+        # (PR 17) hold a row per codec: the packed row is this run's.
         baseline = next(
             (run for run in runs
              if run.get("scenario", {}).get("name") == scenario.name
-             and run.get("codec") == args.codec), None)
+             and run.get("codec", "packed") == "packed"), None)
         if baseline is None:
-            print(f"check: no baseline for ({scenario.name}, "
-                  f"{args.codec}) in {args.check}", file=sys.stderr)
+            print(f"check: no baseline for {scenario.name} "
+                  f"in {args.check}", file=sys.stderr)
             return 1
         ok, lines = check_report(baseline, report,
                                  threshold=args.threshold)
@@ -1131,13 +1133,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_topo_args(p_topo)
     p_topo.set_defaults(func=cmd_show_topology)
 
-    from repro.bench import CODECS as _bench_codecs
     from repro.bench import PRESETS as _bench_presets
     p_bench = sub.add_parser("bench", help=cmd_bench.__doc__)
     p_bench.add_argument("--preset", choices=sorted(_bench_presets),
                          default="smoke")
-    p_bench.add_argument("--codec", choices=_bench_codecs,
-                         default="packed")
     p_bench.add_argument("--hosts", type=_positive_int, default=None)
     p_bench.add_argument("--rate", type=float, default=None,
                          help="injected flows per simulated second")

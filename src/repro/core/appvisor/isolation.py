@@ -83,9 +83,7 @@ class SandboxProcess:
                                    error=f"process is {self.state.value}")
         if (self.limits.max_events is not None
                 and self.events_delivered >= self.limits.max_events):
-            self.state = ProcessState.CRASHED
-            self.crash_count += 1
-            self.last_error = "resource limit: max_events exceeded"
+            self.kill("resource limit: max_events exceeded")
             return DeliveryOutcome(status="crashed", error=self.last_error)
         try:
             command = self.app.handle(event)
@@ -95,9 +93,7 @@ class SandboxProcess:
             self.last_error = f"hang: {exc}"
             return DeliveryOutcome(status="hung", error=self.last_error)
         except Exception as exc:  # noqa: BLE001 - this IS the fault boundary
-            self.state = ProcessState.CRASHED
-            self.crash_count += 1
-            self.last_error = f"{type(exc).__name__}: {exc}"
+            self.kill(f"{type(exc).__name__}: {exc}")
             return DeliveryOutcome(
                 status="crashed",
                 error=self.last_error,
@@ -112,13 +108,17 @@ class SandboxProcess:
         """Enforce the memory cap against a fresh checkpoint size."""
         if (self.limits.max_state_bytes is not None
                 and nbytes > self.limits.max_state_bytes):
-            self.state = ProcessState.CRASHED
-            self.crash_count += 1
-            self.last_error = (
-                f"resource limit: state {nbytes}B > "
-                f"{self.limits.max_state_bytes}B cap"
-            )
+            self.kill(f"resource limit: state {nbytes}B > "
+                      f"{self.limits.max_state_bytes}B cap")
             raise ResourceLimitExceeded(self.last_error)
+
+    def kill(self, error: str) -> None:
+        """The process dies of ``error`` -- raised by a handler, a
+        breached limit, or (the stub's call) a state that could not be
+        checkpointed."""
+        self.state = ProcessState.CRASHED
+        self.crash_count += 1
+        self.last_error = error
 
     def revive(self) -> None:
         """Bring the process back after a checkpoint restore."""

@@ -27,7 +27,7 @@ from repro.core.appvisor.isolation import (
     ResourceLimits,
     SandboxProcess,
 )
-from repro.core.crashpad.checkpoint import CheckpointStore
+from repro.core.crashpad.checkpoint import CheckpointError, CheckpointStore
 from repro.core.crashpad.interval import CheckpointPolicy
 from repro.core.crashpad.replay import EventJournal
 
@@ -227,7 +227,14 @@ class AppVisorStub:
         if self.checkpoints.pending_count == 0:
             self._update_lag_gauge()
             return
-        entries, cost = self.checkpoints.drain()
+        try:
+            entries, cost = self.checkpoints.drain()
+        except CheckpointError as exc:
+            # No event is in the sandbox; the state that would not
+            # encode is the one the last completed event left behind.
+            self._snapshot_failed(self.last_seq_done, exc,
+                                  self._current_trace)
+            return
         self.drains_done += 1
         self._record_encode_span(len(entries), cost)
         self._update_lag_gauge()
@@ -298,12 +305,8 @@ class AppVisorStub:
                 checkpoint = self.checkpoints.take(
                     self.app, seq, self.sim.now, defer=defer)
                 self.sandbox.check_state_size(checkpoint.state_size)
-            except ResourceLimitExceeded as exc:
-                self.policy.note_crash(self.sim.now)
-                self.endpoint.send(rpc.CrashReport(
-                    app_name=self.app.name, seq=seq, error=str(exc),
-                    trace_id=frame.trace_id,
-                ))
+            except (CheckpointError, ResourceLimitExceeded) as exc:
+                self._snapshot_failed(seq, exc, frame.trace_id)
                 return
             checkpoint_cost = self.checkpoints.cost_of(checkpoint)
             checkpoint_kind = checkpoint.kind
@@ -325,6 +328,20 @@ class AppVisorStub:
         # most freezes delta- or hash-priced rather than full dumps).
         self.sim.schedule(checkpoint_cost, self._process, seq, frame.event,
                           self.sim.now, checkpoint_kind, frame.trace_id)
+
+    def _snapshot_failed(self, seq: int, exc: Exception,
+                         trace_id: int) -> None:
+        """The app's state could not be imaged: it broke the
+        ``get_state`` contract or a resource cap.  That is the app's
+        failure, not the controller's -- the process dies and Crash-Pad
+        hears of it like any other crash."""
+        if self.sandbox.alive:      # a breached cap already killed it
+            self.sandbox.kill(str(exc))
+        self.policy.note_crash(self.sim.now)
+        self.endpoint.send(rpc.CrashReport(
+            app_name=self.app.name, seq=seq, error=str(exc),
+            trace_id=trace_id,
+        ))
 
     def _checkpoint_due(self, seq: int) -> bool:
         latest = self.checkpoints.latest()

@@ -60,11 +60,14 @@ immutable or replaced (never mutated) in place.
 
 Every state value is serialised **once** per take: the blake2b dedup
 hash, the delta diff, and the stored blob all read the same per-key
-encoded buffer (a full image stores the buffers themselves, keyed --
-the ``"keymap"`` layout -- rather than re-encoding the whole state).
-The buffers come from the packed wire codec in
+encoded buffer (a full image stores the buffers themselves, keyed,
+rather than re-encoding the whole state).
+The buffers come from the wire codec in
 :mod:`repro.openflow.serialization` (schema-interned field names,
-varint ints; unrepresentable values fall back to pickle per value).
+varint ints).  That codec is the only state encoding: a state that is
+not a dict, or holds a value the codec has no tag for, breaks the
+:meth:`~repro.apps.base.SDNApp.get_state` contract and the take raises
+:class:`CheckpointError` naming the app and the key.
 Because encoding is an in-process, per-key userspace pass -- not a
 freeze-the-world incremental dump -- delta takes charge
 ``encode_per_byte_cost`` over the *changed* bytes and no fixed freeze
@@ -83,6 +86,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.openflow.serialization import (
+    SerializationError,
     decode_state_value,
     encode_state_value,
 )
@@ -97,11 +101,6 @@ class CheckpointError(RuntimeError):
 FULL = "full"
 DELTA = "delta"
 DEDUP = "dedup"
-
-#: Blob layouts for FULL entries: a monolithic pickled state (non-dict
-#: fallback) or a pickled ``{key: encoded-value-buffer}`` map.
-STATE = "state"
-KEYMAP = "keymap"
 
 
 class _Same:
@@ -136,8 +135,7 @@ def _shallow_copy(value):
 class Checkpoint:
     """One snapshot of an app's state.
 
-    ``blob`` holds the image for ``kind == "full"`` (layout ``"state"``:
-    the whole state pickled; layout ``"keymap"``: a pickled map of
+    ``blob`` holds the image for ``kind == "full"`` (a pickled map of
     per-key encoded buffers), the pickled ``(changed, removed)`` diff
     for ``"delta"``, and is empty for ``"dedup"`` entries (the state
     equals the previous entry's).
@@ -160,8 +158,6 @@ class Checkpoint:
     #: Modelled sim-time cost charged on the event path when this
     #: checkpoint was taken (for deferred takes: the capture only).
     cost: float = 0.0
-    #: Blob layout for FULL entries (STATE or KEYMAP).
-    layout: str = STATE
     #: True until a deferred take's encode has been drained.
     pending: bool = False
     #: Deferred capture: key -> ``_SAME`` | shallow-copied value.
@@ -239,6 +235,9 @@ class CheckpointStore:
         #: (pending included), the clean/dirty baseline for the next.
         self._prev_versions: Optional[Dict[object, int]] = None
         self._prev_state_keys: Optional[frozenset] = None
+        #: Whose state this is (learnt at :meth:`take`), so an encode
+        #: that fails later, in :meth:`drain`, can still name the app.
+        self._app_name = ""
         #: Entries since (and including) the last full image; resets
         #: the delta chain when it reaches ``full_every``.  Advanced at
         #: finalise time so deferred entries classify in FIFO order.
@@ -275,9 +274,16 @@ class CheckpointStore:
 
     # -- value codec -----------------------------------------------------
 
-    def _encode_val(self, value) -> bytes:
+    def _encode_val(self, key, value) -> bytes:
         self.value_encodes += 1
-        return encode_state_value(value)
+        try:
+            return encode_state_value(value)
+        except (SerializationError, UnicodeEncodeError,
+                RecursionError) as exc:
+            raise CheckpointError(
+                f"cannot snapshot {self._app_name}: state key {key!r} "
+                f"({type(value).__name__}) is outside the get_state "
+                f"contract: {exc}") from exc
 
     def _decode_val(self, buf: bytes):
         self.value_decodes += 1
@@ -303,7 +309,7 @@ class CheckpointStore:
         prev_versions = self._prev_versions
         if (versions is None or prev_blobs is None
                 or prev_versions is None):
-            blobs = {key: self._encode_val(value)
+            blobs = {key: self._encode_val(key, value)
                      for key, value in state.items()}
             return blobs, sum(len(b) for b in blobs.values())
         blobs: Dict[object, bytes] = {}
@@ -316,7 +322,7 @@ class CheckpointStore:
                 blobs[key] = prev
                 skipped += 1
             else:
-                blob = self._encode_val(value)
+                blob = self._encode_val(key, value)
                 blobs[key] = blob
                 encoded_bytes += len(blob)
         self.encodes_skipped += skipped
@@ -348,35 +354,19 @@ class CheckpointStore:
         exact image size).
         """
         self.note_seq(before_seq)
+        self._app_name = app.name
         try:
             state = app.get_state()
-            if isinstance(state, dict):
-                versions = self._versions_of(app)
-                full_blob = None
-            else:
-                # Non-dict states fall back to monolithic snapshots.
-                versions = None
-                self.value_encodes += 1
-                full_blob = pickle.dumps(state,
-                                         protocol=pickle.HIGHEST_PROTOCOL)
+            versions = self._versions_of(app)
         except Exception as exc:
             raise CheckpointError(f"cannot snapshot {app.name}: {exc}") from exc
+        if not isinstance(state, dict):
+            raise CheckpointError(
+                f"cannot snapshot {app.name}: get_state() returned "
+                f"{type(state).__name__}, not a dict")
 
         defer = self.deferred if defer is None else defer
-        if full_blob is not None:
-            self.flush()
-            checkpoint = self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=full_blob,
-                kind=FULL, state_hash=b"", state_size=len(full_blob),
-                cost=self.base_cost + len(full_blob) * self.per_byte_cost,
-                layout=STATE,
-            ))
-            self._prev_key_blobs = None
-            self._prev_hash = b""
-            self._prev_size = len(full_blob)
-            self._prev_versions = None
-            self._prev_state_keys = None
-        elif (defer and versions is not None and self._checkpoints
+        if (defer and versions is not None and self._checkpoints
                 and self._prev_versions is not None
                 and self._prev_key_blobs is not None):
             checkpoint = self._take_deferred(before_seq, now, state,
@@ -484,7 +474,7 @@ class CheckpointStore:
                         "predecessor buffer") from None
                 skipped += 1
             else:
-                blob = self._encode_val(marker)
+                blob = self._encode_val(key, marker)
                 key_blobs[key] = blob
                 encoded_bytes += len(blob)
         self.encodes_skipped += skipped
@@ -581,7 +571,6 @@ class CheckpointStore:
                     + len(entry.blob) * self.per_byte_cost)
         else:
             entry.kind = FULL
-            entry.layout = KEYMAP
             entry.blob = self._keymap_blob(key_blobs)
             cost = (hash_cost + self.base_cost
                     + len(entry.blob) * self.per_byte_cost)
@@ -634,7 +623,6 @@ class CheckpointStore:
             self.bytes_written += len(blob)
             survivor.blob = blob
             survivor.kind = FULL
-            survivor.layout = KEYMAP
         for old in self._checkpoints[:count]:
             self.total_bytes -= old.size
         self.evicted_count += count
@@ -697,10 +685,6 @@ class CheckpointStore:
         if checkpoint.pending:
             self.flush()
         if checkpoint.kind == FULL:
-            if checkpoint.layout != KEYMAP:
-                raise CheckpointError(
-                    f"checkpoint before_seq={checkpoint.before_seq} "
-                    "has a monolithic image, not per-key buffers")
             return dict(pickle.loads(checkpoint.blob))
         idx = self._index_of(checkpoint)
         chain: List[Checkpoint] = []
@@ -714,7 +698,7 @@ class CheckpointStore:
                 base = entry
                 break
             chain.append(entry)
-        if base is None or base.layout != KEYMAP:
+        if base is None:
             raise CheckpointError(
                 f"delta chain for before_seq={checkpoint.before_seq} "
                 "has no full image")
@@ -739,8 +723,6 @@ class CheckpointStore:
         """The full pickled state at ``checkpoint``, reconstructing
         delta/dedup entries from their chain (restore-equivalent to a
         full image taken at the same point)."""
-        if checkpoint.kind == FULL and checkpoint.layout == STATE:
-            return checkpoint.blob
         blobs = self._materialize_blobs(checkpoint)
         try:
             state = {key: self._decode_val(buf)
@@ -765,14 +747,10 @@ class CheckpointStore:
         picking its target, so this flush is a no-op there.)
         """
         self.flush()
-        blobs: Optional[Dict[object, bytes]] = None
         try:
-            if checkpoint.kind == FULL and checkpoint.layout == STATE:
-                state = pickle.loads(checkpoint.blob)
-            else:
-                blobs = self._materialize_blobs(checkpoint)
-                state = {key: self._decode_val(buf)
-                         for key, buf in blobs.items()}
+            blobs = self._materialize_blobs(checkpoint)
+            state = {key: self._decode_val(buf)
+                     for key, buf in blobs.items()}
         except CheckpointError:
             raise
         except Exception as exc:
@@ -789,25 +767,16 @@ class CheckpointStore:
         # state an unchanged take would re-capture.  The materialised
         # buffers *are* the encoded form of the restored state, so
         # they seed the diff base with no re-encode.
-        if blobs is not None:
-            self._prev_key_blobs = blobs
-            self._prev_hash = self._hash_of(blobs)
-        elif isinstance(state, dict):
-            self._prev_key_blobs = self._key_blobs(state, None)[0]
-            self._prev_hash = self._hash_of(self._prev_key_blobs)
-        else:
-            self._prev_key_blobs = None
-            self._prev_hash = b""
-        self._prev_size = (sum(len(b) for b in self._prev_key_blobs.values())
-                           if self._prev_key_blobs is not None else 0)
+        self._prev_key_blobs = blobs
+        self._prev_hash = self._hash_of(blobs)
+        self._prev_size = sum(len(b) for b in blobs.values())
         # Re-pair the version baseline with the restored buffers: the
         # version map survives set_state untouched (it is bookkeeping
         # about the state, not state), so pairing it with the restored
         # buffers *now* absorbs any version bumped by the handler that
         # crashed mid-run.  Replay bumps versions for every key it
         # touches, forcing their re-encode at the next take.
-        versions = (self._versions_of(app)
-                    if isinstance(state, dict) else None)
+        versions = self._versions_of(app)
         if versions is not None:
             self._prev_versions = dict(versions)
             self._prev_state_keys = frozenset(state)
@@ -873,9 +842,6 @@ class CheckpointStore:
             "retained_bytes": self.total_bytes,
             "bytes_written": self.bytes_written,
             "total_cost": self.total_cost,
-            # Constant; kept so committed bench reports regenerate
-            # byte-identically.
-            "codec": "schema",
             "value_encodes": self.value_encodes,
             "value_decodes": self.value_decodes,
             "encodes_skipped": self.encodes_skipped,

@@ -15,60 +15,50 @@ encoded byte.
 
 Layout::
 
-    header:  type_id (u8) | xid (u32) | body_len (u32)
-    body:    field_count (u8), then per field: name (str) | value (tagged)
+    header:  type_id | 0x80 (u8) | xid (u32) | body_len (u32)
+    body:    field_count (u8), then the fields' tagged values in the
+             message class's declaration order (``xid`` rides the header)
 
 Tagged values: a tag byte followed by a type-specific payload.  Lists,
 tuples, dicts, sets, enums, and registered dataclasses (Match, every
 Action, packet classes, stats entries) nest recursively.
 
-Two codecs share this layout:
+There is one format.  Class and enum names are interned once at
+registration into small integer *schema ids*; a dataclass value is
+``schema id + field count + values``, field order is the declaration
+order on both sides, and ints are zigzag LEB128 varints.  Decoding
+tolerates *trailing* missing fields (they take their dataclass
+defaults), so adding a defaulted field keeps old captures readable.  A
+dataclass or enum that was never registered has no id and cannot be
+encoded: that is a :class:`SerializationError`, not a second
+representation.
 
-- **named** (the legacy format): every dataclass value spells out its
-  class name and each field name as a length-prefixed string, ints are
-  fixed 8 bytes.  Self-describing but wasteful -- a ``Packet`` spends
-  more bytes on the strings ``"src_mac"``, ``"dst_mac"``, ... than on
-  the values.  Its encoder is one recursive ``isinstance`` ladder
-  (:func:`_write_value`), kept only for A/B runs.
-- **packed** (the default): class and enum names are interned once at
-  registration into small integer *schema ids*; frames carry
-  ``schema_id + field count + packed values``, field order is the
-  dataclass declaration order on both sides, and ints are zigzag
-  LEB128 varints.  Decoding tolerates *trailing* missing fields (they
-  take their dataclass defaults), so adding a defaulted field keeps
-  old captures readable.
-
-The packed codec is *compiled*: nothing walks a value generically.
+The codec is *compiled*: nothing walks a value generically.
 
 - **Encode** appends to one ``bytearray`` through a ``type -> encoder``
   table keyed on each value's exact runtime class (never on field
   annotations -- nothing enforces those).  :func:`register_dataclass`
   builds a schema's encoder once: its ``tag + schema id + field count``
   prefix as ready bytes and an ``attrgetter`` over the declared field
-  names.  A class met for the first time (an ``IntEnum``, a
-  ``defaultdict``, a namedtuple, a ``str`` subclass) is resolved once
-  through the precedence ladder -- ``bool`` before ``Enum`` before
-  ``int`` ... -- and cached in the table.
+  names.  A class met for the first time (a ``defaultdict``, a
+  namedtuple, a ``str`` subclass) is resolved once through the
+  precedence ladder -- ``bool`` before ``int`` ... -- and cached in the
+  table.
 - **Decode** is one table of ``(data, pos) -> (value, pos)`` readers
-  indexed by tag byte, named tags included, with one reader per
-  registered schema behind ``_T_SCHEMA``.  Lengths are checked against
-  the bytes that remain before anything loops over them, and any
-  undecodable buffer raises :class:`SerializationError` and nothing
-  else.
+  indexed by tag byte, with one reader per registered schema behind
+  ``_T_SCHEMA``.  Lengths are checked against the bytes that remain
+  before anything loops over them, and any undecodable buffer raises
+  :class:`SerializationError` and nothing else.
 
-The active codec is a module-level switch (:func:`set_wire_codec`);
-the decoder accepts both formats unconditionally -- packed message
-frames flag themselves with the high bit of the header type id -- so
-mixed-codec runs (A/B benchmarks) interoperate.
+Checkpointed app state uses the same value encoding behind a one-byte
+marker (:func:`encode_state_value`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import enum
 import functools
-import pickle
 import struct
 from operator import attrgetter
 from typing import Callable, Dict, List, Tuple, Type
@@ -81,27 +71,25 @@ from repro.openflow.match import Match
 
 _T_NONE = 0
 _T_BOOL = 1
-_T_INT = 2
 _T_FLOAT = 3
 _T_STR = 4
 _T_BYTES = 5
 _T_LIST = 6
 _T_TUPLE = 7
-_T_DATACLASS = 8
-_T_ENUM = 9
 _T_DICT = 10
 _T_SET = 11
 _T_FROZENSET = 12
-#: Packed dataclass: varint schema id + u8 field count + values in
+#: Dataclass: varint schema id + u8 field count + values in
 #: declaration order (no field names on the wire).
 _T_SCHEMA = 13
-#: Packed enum: varint enum id + varint member value.
+#: Enum: varint enum id + varint member value.
 _T_ENUM_ID = 14
-#: Zigzag LEB128 integer (1 byte for small ints vs 8 for ``_T_INT``).
+#: Zigzag LEB128 integer.
 _T_VARINT = 15
 
 _HEADER = struct.Struct("!BII")
-#: High bit of the header type id: body is packed (positional) format.
+#: High bit of the header type id: set on every frame, and a header
+#: without it is not one.
 _PACKED_FLAG = 0x80
 
 _U32 = struct.Struct("!I")
@@ -115,7 +103,7 @@ _Encoder = Callable[[bytearray, object], None]
 #: ``(data, pos just past the tag) -> (value, pos past the value)``.
 _Decoder = Callable[[bytes, int], Tuple[object, int]]
 
-#: Registered dataclasses (name -> class); the named format's lookup.
+#: Registered dataclasses (name -> class).
 _dataclass_registry: Dict[str, type] = {}
 #: Registered enums (name -> class).
 _enum_registry: Dict[str, Type[enum.Enum]] = {}
@@ -133,7 +121,7 @@ class SerializationError(ValueError):
 
 
 class _EncoderTable(dict):
-    """Packed encoders by exact runtime class.
+    """Encoders by exact runtime class.
 
     Schemas and enums are entered at registration.  Any other class is
     resolved the first time a value of it is encoded -- its first base
@@ -141,6 +129,11 @@ class _EncoderTable(dict):
     """
 
     def __missing__(self, cls: type) -> _Encoder:
+        # Before the ladder: an ``IntEnum`` is an ``int``, and must not
+        # pass for one.
+        if issubclass(cls, enum.Enum):
+            raise SerializationError(
+                f"unregistered enum on wire: {cls.__name__}")
         for base, encode in _LADDER:
             if issubclass(cls, base):
                 self[cls] = encode
@@ -160,7 +153,7 @@ def register_dataclass(cls: type) -> type:
 
     Used by the packet model and any custom app payloads.  Returns the
     class so it can be used as a decorator.  Registration interns the
-    class into the packed codec's schema table and compiles its encoder
+    class into the codec's schema table and compiles its encoder
     and decoder.  Registering the same class again is a no-op; a
     *different* class under a taken name is an error (the wire
     identifies schemas by name and by the id derived from it).
@@ -208,39 +201,6 @@ def schema_table() -> Dict[str, int]:
     return {cls.__name__: sid for sid, cls in enumerate(_schema_classes)}
 
 
-# -- codec switch -----------------------------------------------------
-
-_VALID_CODECS = ("packed", "named")
-_wire_codec = "packed"
-
-
-def set_wire_codec(name: str) -> None:
-    """Select the encoder: ``"packed"`` (default) or ``"named"``.
-
-    Decoding always accepts both formats; this only controls what new
-    frames look like, so A/B comparisons can flip it per run.
-    """
-    global _wire_codec
-    if name not in _VALID_CODECS:
-        raise ValueError(f"unknown wire codec: {name!r}")
-    _wire_codec = name
-
-
-def get_wire_codec() -> str:
-    return _wire_codec
-
-
-@contextlib.contextmanager
-def wire_codec(name: str):
-    """Context manager: temporarily switch the wire codec."""
-    prev = get_wire_codec()
-    set_wire_codec(name)
-    try:
-        yield
-    finally:
-        set_wire_codec(prev)
-
-
 # -- shared pieces ----------------------------------------------------
 
 def _varint(v: int) -> bytes:
@@ -261,19 +221,7 @@ def _sorted_members(value):
         return sorted(value, key=repr)
 
 
-def _put_str(buf: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    buf += _pack_u32(len(raw))
-    buf += raw
-
-
-def _put_named_enum(buf: bytearray, value) -> None:
-    buf.append(_T_ENUM)
-    _put_str(buf, type(value).__name__)
-    buf += _pack_i64(int(value.value))
-
-
-# -- packed encoders --------------------------------------------------
+# -- encoders ---------------------------------------------------------
 
 def _put_items(buf: bytearray, items) -> None:
     """Append each item through its class's encoder."""
@@ -369,14 +317,11 @@ def _enc_frozenset(buf, value):
     _put_items(buf, _sorted_members(value))
 
 
-#: Subclass precedence, first match wins: ``bool`` is an ``int`` and an
-#: ``IntEnum`` is both an ``Enum`` and an ``int``, so the order is part
-#: of the wire format.
+#: Subclass precedence, first match wins: ``bool`` is an ``int``, so the
+#: order is part of the wire format.
 _LADDER: Tuple[Tuple[type, _Encoder], ...] = (
     (type(None), _enc_none),
     (bool, _enc_bool),
-    # Only unregistered enums get this far; they ride in named form.
-    (enum.Enum, _put_named_enum),
     (int, _enc_int),
     (float, _enc_float),
     (str, _enc_str),
@@ -403,82 +348,7 @@ def _fields_encoder(prefix: bytes, names: Tuple[str, ...]) -> _Encoder:
     return encode
 
 
-def _encode_packed(value, start: bytes = b"") -> bytes:
-    buf = bytearray(start)
-    _encoders[type(value)](buf, value)
-    return bytes(buf)
-
-
-# -- named encoder ----------------------------------------------------
-
-def _write_value(buf: bytearray, value) -> None:
-    """The named format: every class and field name spelt out."""
-    if value is None:
-        buf.append(_T_NONE)
-    elif isinstance(value, bool):
-        buf.append(_T_BOOL)
-        buf.append(1 if value else 0)
-    elif isinstance(value, enum.Enum):
-        _put_named_enum(buf, value)
-    elif isinstance(value, int):
-        buf.append(_T_INT)
-        buf += _pack_i64(value)
-    elif isinstance(value, float):
-        buf.append(_T_FLOAT)
-        buf += _pack_f64(value)
-    elif isinstance(value, str):
-        buf.append(_T_STR)
-        _put_str(buf, value)
-    elif isinstance(value, bytes):
-        buf.append(_T_BYTES)
-        buf += _pack_u32(len(value))
-        buf += value
-    elif isinstance(value, list):
-        buf.append(_T_LIST)
-        buf += _pack_i64(len(value))
-        for item in value:
-            _write_value(buf, item)
-    elif isinstance(value, tuple):
-        buf.append(_T_TUPLE)
-        buf += _pack_i64(len(value))
-        for item in value:
-            _write_value(buf, item)
-    elif isinstance(value, dict):
-        buf.append(_T_DICT)
-        buf += _varint(len(value))
-        for k, v in value.items():
-            _write_value(buf, k)
-            _write_value(buf, v)
-    elif isinstance(value, frozenset):
-        buf.append(_T_FROZENSET)
-        buf += _varint(len(value))
-        for item in _sorted_members(value):
-            _write_value(buf, item)
-    elif isinstance(value, set):
-        buf.append(_T_SET)
-        buf += _varint(len(value))
-        for item in _sorted_members(value):
-            _write_value(buf, item)
-    elif dataclasses.is_dataclass(value):
-        name = type(value).__name__
-        if _dataclass_registry.get(name) is not type(value):
-            raise SerializationError(f"unregistered dataclass on wire: {name}")
-        buf.append(_T_DATACLASS)
-        _put_str(buf, name)
-        _write_named_fields(
-            buf, value, [f.name for f in dataclasses.fields(value)])
-    else:
-        raise SerializationError(f"unserialisable value: {value!r}")
-
-
-def _write_named_fields(buf: bytearray, value, names) -> None:
-    buf.append(len(names))
-    for name in names:
-        _put_str(buf, name)
-        _write_value(buf, getattr(value, name))
-
-
-# -- decoders (both formats) ------------------------------------------
+# -- decoders ---------------------------------------------------------
 
 def _read_varint(data, pos):
     b = data[pos]
@@ -515,10 +385,6 @@ def _dec_none(data, pos):
 
 def _dec_bool(data, pos):
     return bool(data[pos]), pos + 1
-
-
-def _dec_int(data, pos):
-    return _unpack_i64(data, pos)[0], pos + 8
 
 
 def _dec_float(data, pos):
@@ -571,40 +437,12 @@ def _dec_frozenset(data, pos):
     return frozenset(items), pos
 
 
-def _dec_named_enum(data, pos):
-    name, pos = _dec_str(data, pos)
-    value = _unpack_i64(data, pos)[0]
-    cls = _enum_registry.get(name)
-    return (cls(value) if cls is not None else value), pos + 8
-
-
 def _dec_enum_id(data, pos):
     eid, pos = _read_varint(data, pos)
     value, pos = _read_varint(data, pos)
     if eid >= len(_enum_classes):
         raise SerializationError(f"unknown enum id on wire: {eid}")
     return _enum_classes[eid](value), pos
-
-
-def _read_named_fields(data, pos):
-    """``count``, then ``name | value`` pairs, as constructor keywords."""
-    decoders = _decoders
-    n = data[pos]
-    pos += 1
-    values = {}
-    for _ in range(n):
-        name, pos = _dec_str(data, pos)
-        values[name], pos = decoders[data[pos]](data, pos + 1)
-    return values, pos
-
-
-def _dec_named_dataclass(data, pos):
-    name, pos = _dec_str(data, pos)
-    cls = _dataclass_registry.get(name)
-    if cls is None:
-        raise SerializationError(f"unknown dataclass on wire: {name}")
-    values, pos = _read_named_fields(data, pos)
-    return cls(**values), pos
 
 
 def _dec_schema(data, pos):
@@ -644,14 +482,11 @@ def _dec_unknown(data, pos):
 _decoders: List[_Decoder] = [_dec_unknown] * 256
 _decoders[_T_NONE] = _dec_none
 _decoders[_T_BOOL] = _dec_bool
-_decoders[_T_INT] = _dec_int
 _decoders[_T_FLOAT] = _dec_float
 _decoders[_T_STR] = _dec_str
 _decoders[_T_BYTES] = _dec_bytes
 _decoders[_T_LIST] = _dec_list
 _decoders[_T_TUPLE] = _dec_tuple
-_decoders[_T_DATACLASS] = _dec_named_dataclass
-_decoders[_T_ENUM] = _dec_named_enum
 _decoders[_T_DICT] = _dec_dict
 _decoders[_T_SET] = _dec_set
 _decoders[_T_FROZENSET] = _dec_frozenset
@@ -733,8 +568,8 @@ for _enum_cls in (
 
 _type_to_id = {cls: i for i, cls in enumerate(_MESSAGE_TYPES)}
 #: Per message type id: the body's field names -- every field but
-#: ``xid``, which the header carries -- and the packed body's compiled
-#: encoder and reader.
+#: ``xid``, which the header carries -- and the body's compiled encoder
+#: and reader.
 _body_names = [tuple(f.name for f in dataclasses.fields(cls)
                      if f.name != "xid") for cls in _MESSAGE_TYPES]
 _body_encoders = [_fields_encoder(bytes((len(names),)), names)
@@ -750,12 +585,8 @@ def encode_message(msg: _messages.Message) -> bytes:
     if type_id is None:
         raise SerializationError(f"unregistered message type: {cls.__name__}")
     buf = bytearray(_HEADER.size)
-    if _wire_codec == "packed":
-        _body_encoders[type_id](buf, msg)
-        type_id |= _PACKED_FLAG
-    else:
-        _write_named_fields(buf, msg, _body_names[type_id])
-    _HEADER.pack_into(buf, 0, type_id, msg.xid & 0xFFFFFFFF,
+    _body_encoders[type_id](buf, msg)
+    _HEADER.pack_into(buf, 0, type_id | _PACKED_FLAG, msg.xid & 0xFFFFFFFF,
                       len(buf) - _HEADER.size)
     return bytes(buf)
 
@@ -769,15 +600,12 @@ def decode_message(data: bytes) -> _messages.Message:
     body = data[_HEADER.size : _HEADER.size + body_len]
     if len(body) != body_len:
         raise SerializationError("truncated body")
-    packed = type_id & _PACKED_FLAG
+    if not type_id & _PACKED_FLAG:
+        raise SerializationError("header lacks the format flag")
     type_id &= ~_PACKED_FLAG
     if type_id >= len(_MESSAGE_TYPES):
         raise SerializationError(f"unknown message type id: {type_id}")
-    if packed:
-        msg, _ = _body_decoders[type_id](body, 0)
-    else:
-        values, _ = _read_named_fields(body, 0)
-        msg = _MESSAGE_TYPES[type_id](**values)
+    msg, _ = _body_decoders[type_id](body, 0)
     msg.xid = xid
     return msg
 
@@ -787,25 +615,16 @@ def encoded_size(msg: _messages.Message) -> int:
     return len(encode_message(msg))
 
 
-def encode_value(value, codec: str = None) -> bytes:
-    """Serialise any supported value (the RPC payload codec).
-
-    ``codec`` overrides the module-level switch for this one call.
-    """
-    if codec is None:
-        codec = _wire_codec
-    elif codec not in _VALID_CODECS:
-        raise ValueError(f"unknown wire codec: {codec!r}")
-    if codec == "packed":
-        return _encode_packed(value)
+def encode_value(value) -> bytes:
+    """Serialise any supported value (the RPC payload codec)."""
     buf = bytearray()
-    _write_value(buf, value)
+    _encoders[type(value)](buf, value)
     return bytes(buf)
 
 
 @_typed_errors
 def decode_value(data: bytes):
-    """Parse a value produced by :func:`encode_value` (either codec).
+    """Parse a value produced by :func:`encode_value`.
 
     Bytes after the one complete value are ignored.
     """
@@ -814,30 +633,22 @@ def decode_value(data: bytes):
 
 # -- checkpoint value codec -------------------------------------------
 
-#: First byte of a checkpoint value buffer: which codec follows.
+#: First byte of a checkpoint value buffer (format byte).
 _B_PACKED = b"\x01"
-_B_PICKLE = b"\x00"
 
 
 def encode_state_value(value) -> bytes:
-    """Encode one checkpoint state value to a self-describing buffer.
-
-    Prefers the packed wire codec (compact, field names interned);
-    values the codec cannot express -- arbitrary app objects -- fall
-    back to pickle.  The one-byte prefix records which path was taken
-    so :func:`decode_state_value` needs no out-of-band flag.
-    """
-    try:
-        return _encode_packed(value, _B_PACKED)
-    except (SerializationError, ValueError, TypeError):
-        return _B_PICKLE + pickle.dumps(value)
+    """Encode one checkpoint state value: the marker byte, then the
+    value as :func:`encode_value` writes it.  A value the codec has no
+    tag for raises :class:`SerializationError`."""
+    buf = bytearray(_B_PACKED)
+    _encoders[type(value)](buf, value)
+    return bytes(buf)
 
 
 @_typed_errors
 def decode_state_value(buf: bytes):
     """Inverse of :func:`encode_state_value`."""
-    if not buf:
-        raise SerializationError("empty state-value buffer")
-    if buf[:1] == _B_PACKED:
-        return _decoders[buf[1]](buf, 2)[0]
-    return pickle.loads(buf[1:])
+    if buf[:1] != _B_PACKED:
+        raise SerializationError("state-value buffer lacks its marker byte")
+    return _decoders[buf[1]](buf, 2)[0]

@@ -228,7 +228,6 @@ class ReplicaSet:
                  vote_timeout: float = 0.25,
                  quarantine_threshold: int = 2,
                  auth_fault_threshold: int = 3,
-                 signed: bool = True,
                  byzantine=None,
                  secret=None):
         if backups < 1:
@@ -281,10 +280,7 @@ class ReplicaSet:
         self.resync_cooldown = resync_cooldown
         self.seed = seed
         #: Authenticated shipping: every replication frame carries a
-        #: pair-keyed HMAC stamp, verified on receipt.  On by default;
-        #: ``signed=False`` is the codec A/B knob for the E20 overhead
-        #: measurement.
-        self.signed = signed
+        #: pair-keyed HMAC stamp, verified on receipt.
         self.keyring = ReplicaKeyring(secret if secret is not None else seed)
         #: Byzantine *replica* fault injection: a
         #: :class:`~repro.faults.byzfaults.ByzantineProfile` per replica
@@ -577,12 +573,11 @@ class ReplicaSet:
         """
         sender = self._primary_id()
         receiver = replica.replica_id
-        if self.signed:
-            frame = self.keyring.stamp(frame, sender, receiver)
+        frame = self.keyring.stamp(frame, sender, receiver)
         profile = self._byz_profile(sender)
         if profile is not None:
-            signer = ((lambda f: self.keyring.stamp(f, sender, receiver))
-                      if self.signed else (lambda f: f))
+            def signer(f):
+                return self.keyring.stamp(f, sender, receiver)
             frames = profile.perturb_primary(self.sim.now, frame,
                                              receiver, signer)
         else:
@@ -594,12 +589,11 @@ class ReplicaSet:
         """Stamp and transmit one backup->primary frame (acks, resyncs)."""
         sender = replica.replica_id
         receiver = self._primary_id()
-        if self.signed:
-            frame = self.keyring.stamp(frame, sender, receiver)
+        frame = self.keyring.stamp(frame, sender, receiver)
         profile = self._byz_profile(sender)
         if profile is not None:
-            signer = ((lambda f: self.keyring.stamp(f, sender, receiver))
-                      if self.signed else (lambda f: f))
+            def signer(f):
+                return self.keyring.stamp(f, sender, receiver)
             frames = profile.perturb_backup(self.sim.now, frame, signer)
         else:
             frames = (frame,)
@@ -750,7 +744,7 @@ class ReplicaSet:
         if replica.quarantined:
             replica.stale_frames += 1
             return
-        if self.signed and not self.keyring.verify(
+        if not self.keyring.verify(
                 frame, replica.replica_id, self._primary_id()):
             self._note_sig_rejected(replica, frame)
             return
@@ -1047,7 +1041,7 @@ class ReplicaSet:
         if replica.quarantined:
             replica.stale_frames += 1
             return
-        if self.signed and not self.keyring.verify(
+        if not self.keyring.verify(
                 frame, self._primary_id(), replica.replica_id):
             # Suspicion falls on the *sender*: a primary->backup frame
             # that fails the pair MAC was tampered by (or en route from)

@@ -11,7 +11,7 @@ Consumed two ways:
 - ``repro trace diff A.json B.json`` (and ``benchmarks/span_diff.py``)
   render the human table;
 - CI feeds a freshly captured trace and a committed baseline
-  (``BENCH_PR3.json``) into :func:`check_regression` and fails the
+  (``BENCH_PR8.json``) into :func:`check_regression` and fails the
   build when the median ``appvisor.event`` duration regresses.
 """
 

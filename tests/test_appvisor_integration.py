@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import Flooder, FlowMonitor, Hub, LearningSwitch
+from repro.apps.base import SDNApp
 from repro.core.appvisor.isolation import ResourceLimits
 from repro.core.appvisor.proxy import AppStatus
 from repro.core.crashpad.policy_lang import PolicyTable
@@ -177,6 +178,73 @@ class TestCrashContainment:
         inject_marker_packet(net, "h1", "h2", "more")
         net.run_for(1.0)
         assert runtime.record("bad").events_dispatched == dispatched
+
+
+class _Tally(SDNApp):
+    """Counts PacketIns, with dirty tracking (so takes can defer)."""
+
+    subscriptions = ("PacketIn",)
+
+    def __init__(self):
+        super().__init__()
+        self.seen = 0
+        self.enable_dirty_tracking()
+
+    def on_packet_in(self, event):
+        self.seen += 1
+        self.mark_dirty("seen")
+
+
+class RaisingGetState(_Tally):
+    name = "raising_get_state"
+
+    def get_state(self):
+        if self.seen >= 3:
+            raise RuntimeError("state went missing")
+        return super().get_state()
+
+
+class ComplexInState(_Tally):
+    name = "complex_in_state"
+
+    def on_packet_in(self, event):
+        super().on_packet_in(event)
+        if self.seen == 3:
+            self.weights = {"w": complex(1, 2)}    # no wire tag
+            self.mark_dirty("weights")
+
+
+class TestStateFaults:
+    """A state that cannot be checkpointed is the app's failure: it
+    must end in a ticket, not in an exception out of the simulator."""
+
+    @pytest.mark.parametrize("runtime_kwargs", [
+        {"checkpoint_interval": 1, "checkpoint_deferred": False},
+        {},     # deferred encoding: the stub's heartbeat drains it
+    ], ids=["take", "drain"])
+    @pytest.mark.parametrize("bad,names", [
+        (RaisingGetState, ("raising_get_state", "state went missing")),
+        (ComplexInState, ("complex_in_state", "'weights'", "dict",
+                          "complex")),
+    ], ids=["raises", "unencodable"])
+    def test_ticketed(self, bad, names, runtime_kwargs):
+        net, runtime = build([LearningSwitch(), bad()],
+                             runtime_kwargs=runtime_kwargs)
+        healthy = runtime.record("learning_switch")
+        for round_ in range(4):
+            inject_marker_packet(net, "h1", "h3", f"round-{round_}")
+            net.run_for(0.5)
+        assert runtime.total_crashes() > 0
+        assert runtime.record(bad.name).crash_count > 0
+        before = healthy.events_completed
+        inject_marker_packet(net, "h2", "h3", "after")
+        net.run_for(1.0)
+        assert runtime.is_up and net.controller.crash_records == []
+        assert healthy.events_completed > before
+        assert healthy.crash_count == 0
+        ticket = runtime.tickets.for_app(bad.name)[0]
+        for name in names:
+            assert name in ticket.exception
 
 
 class TestResourceLimits:

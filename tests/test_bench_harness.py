@@ -8,8 +8,6 @@ end to end in test time.
 
 import json
 
-import pytest
-
 from repro.bench import (
     PRESETS,
     BenchScenario,
@@ -31,7 +29,7 @@ TINY = BenchScenario(
 # -- the run loop -----------------------------------------------------
 
 def test_tiny_run_produces_a_complete_report():
-    report = run_scenario(TINY, codec="packed")
+    report = run_scenario(TINY)
     assert report.completed and report.aborted is None
     results = report.results
     assert results["events_completed"] > 0
@@ -40,20 +38,12 @@ def test_tiny_run_produces_a_complete_report():
     assert results["bytes_per_event"] > 0
     assert results["latency_ms"]["p99"] >= results["latency_ms"]["p50"]
     assert results["checkpoint"]["taken"] > 0
-    assert results["checkpoint"]["codec"] == "schema"
     assert report.environment["peak_rss_mb"] > 0
 
 
-def test_named_codec_run_sends_more_wire_bytes():
-    packed = run_scenario(TINY, codec="packed")
-    named = run_scenario(TINY, codec="named")
-    # The headline wire effect: interned schemas shrink bytes/event.
-    assert packed.results["bytes_per_event"] < named.results["bytes_per_event"]
-
-
 def test_seeded_runs_are_byte_identical():
-    first = run_scenario(TINY, codec="packed")
-    second = run_scenario(TINY, codec="packed")
+    first = run_scenario(TINY)
+    second = run_scenario(TINY)
     assert first.deterministic_json() == second.deterministic_json()
 
 
@@ -69,18 +59,13 @@ def test_memory_ceiling_aborts_cleanly_with_partial_report():
         name="tiny-ceiling", hosts=200, rate=20.0, sim_seconds=5.0,
         warmup_seconds=0.5, tree_fanout=2, ceiling_mb=50.0,
         chunk_seconds=0.25, seed=3)
-    report = run_scenario(scenario, codec="packed", memory_probe=probe)
+    report = run_scenario(scenario, memory_probe=probe)
     assert report.aborted == "memory-ceiling"
     assert not report.completed
     # Partial results are still structurally complete.
     assert report.results["sim_seconds_measured"] < scenario.sim_seconds
     assert "latency_ms" in report.results
     assert report.deterministic_dict()["aborted"] == "memory-ceiling"
-
-
-def test_unknown_codec_rejected():
-    with pytest.raises(ValueError):
-        run_scenario(TINY, codec="json")
 
 
 # -- the regression gate ----------------------------------------------
@@ -90,13 +75,13 @@ def _baseline_doc(report):
 
 
 def test_check_passes_against_itself():
-    report = run_scenario(TINY, codec="packed")
+    report = run_scenario(TINY)
     ok, lines = check_report(report.to_dict(), report, threshold=0.15)
     assert ok, lines
 
 
 def test_check_fails_on_planted_regression():
-    report = run_scenario(TINY, codec="packed")
+    report = run_scenario(TINY)
     baseline = report.to_dict()
     # Plant a baseline that was twice as fast and half the bytes: the
     # fresh run is then a >threshold regression on both axes.
@@ -111,7 +96,7 @@ def test_check_fails_on_planted_regression():
 
 
 def test_check_fails_on_aborted_run():
-    report = run_scenario(TINY, codec="packed")
+    report = run_scenario(TINY)
     baseline = report.to_dict()
     report.aborted = "memory-ceiling"
     ok, lines = check_report(baseline, report)
@@ -154,6 +139,24 @@ def test_cli_bench_check_exits_nonzero_on_regression(tmp_path, capsys):
     assert cli_main(_bench_args(["--check", str(baseline),
                                  "--threshold", "0.1"])) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_bench_check_reads_the_packed_row_of_an_old_baseline(tmp_path):
+    """Committed baselines from before the named format was deleted
+    hold a ``named`` row beside the ``packed`` one; only the latter is
+    this run's baseline (the planted ``named`` row would fail it)."""
+    out = tmp_path / "report.json"
+    assert cli_main(_bench_args(["--out", str(out)])) == 0
+    doc = json.loads(out.read_text())
+    named = dict(doc, codec="named", results=dict(
+        doc["results"],
+        events_per_sim_sec=doc["results"]["events_per_sim_sec"] * 2))
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(
+        {"runs": [named, dict(doc, codec="packed")]}))
+    assert cli_main(_bench_args(["--check", str(baseline)])) == 0
+    baseline.write_text(json.dumps({"runs": [named]}))
+    assert cli_main(_bench_args(["--check", str(baseline)])) == 1
 
 
 def test_cli_bench_check_missing_baseline_entry(tmp_path, capsys):

@@ -251,12 +251,6 @@ class TestHonestRuns:
         assert replicas.mode_policy.mode_switches == 0
         assert not replicas.voting
 
-    def test_unsigned_optout_still_replicates(self):
-        net, runtime, replicas = build(signed=False)
-        drive(net, duration=1.0)
-        assert replicas.keyring.stamps == 0
-        assert replicas.replica("r1").ships_received > 0
-
 
 # -- integration: liars -------------------------------------------------------
 

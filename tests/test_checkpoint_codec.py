@@ -23,6 +23,7 @@ from repro.core.crashpad.checkpoint import (
     CheckpointStore,
 )
 from repro.openflow.serialization import (
+    SerializationError,
     decode_state_value,
     encode_state_value,
 )
@@ -104,18 +105,17 @@ def test_delta_cost_is_per_changed_byte_with_no_freeze_constant():
     assert delta.cost < 1e-4      # the pickle model charged a 2 ms freeze
 
 
-def test_state_value_codec_round_trip_and_fallback():
-    """encode_state_value prefers the packed codec and falls back to
-    pickle for values the wire format cannot express."""
+def test_state_value_codec_round_trip_and_rejection():
+    """encode_state_value is the wire codec behind a marker byte; a
+    value the wire format cannot express has no other encoding."""
     packable = {"a": [1, 2.5, "x"], "b": (None, True)}
     buf = encode_state_value(packable)
     assert buf[:1] == b"\x01"
     assert decode_state_value(buf) == packable
 
     unpackable = {"cls": DictApp}      # a class object: not wire-safe
-    buf = encode_state_value(unpackable)
-    assert buf[:1] == b"\x00"
-    assert decode_state_value(buf) == unpackable
+    with pytest.raises(SerializationError, match="type"):
+        encode_state_value(unpackable)
 
 
 def test_stats_reports_codec_and_counts():
@@ -123,7 +123,6 @@ def test_stats_reports_codec_and_counts():
     store = CheckpointStore()
     store.take(app, before_seq=1, now=1.0)
     stats = store.stats()
-    assert stats["codec"] == "schema"
     assert stats["value_encodes"] == len(app.get_state())
     assert stats["value_decodes"] == 0
     assert stats["taken"] == 1

@@ -101,27 +101,26 @@ class TestDeltaChains:
         assert after.kind == FULL
         assert pickle.loads(store.materialize(after)) == app.get_state()
 
-    def test_non_dict_state_falls_back_to_monolithic_fulls(self):
+    def test_non_dict_state_is_a_checkpoint_error(self):
         class TupleApp:
             name = "tup"
 
-            def __init__(self):
-                self.value = (1, 2)
-
             def get_state(self):
-                return self.value
+                return (1, 2)
 
-            def set_state(self, state):
-                self.value = state
-
-        app = TupleApp()
         store = CheckpointStore(full_every=8)
-        first = store.take(app, before_seq=1, now=0.0)
-        app.value = (3, 4)
-        second = store.take(app, before_seq=2, now=0.0)
-        assert first.kind == FULL and second.kind == FULL
-        store.restore(app, first)
-        assert app.value == (1, 2)
+        with pytest.raises(CheckpointError, match="tup.*tuple, not a dict"):
+            store.take(TupleApp(), before_seq=1, now=0.0)
+        assert store.count == 0
+
+    def test_unencodable_value_names_the_app_and_key(self):
+        app = DictApp()
+        app.state["weights"] = {"w": complex(1, 2)}
+        store = CheckpointStore(full_every=8)
+        with pytest.raises(CheckpointError,
+                           match="dictapp.*'weights'.*complex"):
+            store.take(app, before_seq=1, now=0.0)
+        assert store.count == 0
 
 
 class TestDedup:

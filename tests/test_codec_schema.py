@@ -1,13 +1,10 @@
-"""Property tests for the schema-interned packed wire codec.
+"""Property tests for the schema-interned wire codec.
 
-Three contracts, checked with hypothesis over every RPC frame type:
+Two contracts, checked with hypothesis over every RPC frame type:
 
-1. **round trip** -- decode(encode(frame)) == frame under the packed
-   codec, including FrameBatch nesting and OpenFlow payloads;
-2. **codec equivalence** -- the packed and named encodings of one frame
-   decode to the *same* value (the A/B benchmark flag cannot change
-   semantics), and the packed form is never larger on real frames;
-3. **trailing-default compatibility** -- a packed frame written by an
+1. **round trip** -- decode(encode(frame)) == frame, including
+   FrameBatch nesting and OpenFlow payloads;
+2. **trailing-default compatibility** -- a frame written by an
    older peer that doesn't know a trailing defaulted field (e.g.
    ``trace_id``) still decodes, with the default filled in.
 """
@@ -33,13 +30,11 @@ from repro.openflow.serialization import (
     decode_value,
     encode_message,
     encode_value,
-    wire_codec,
 )
 from wire_cases import GOLDEN_PATH
 
 # -- strategies -------------------------------------------------------
 
-# The named codec stores ints as i64, so stay inside that range.
 ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 small = st.integers(min_value=0, max_value=2**31)
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -181,29 +176,18 @@ def test_packed_round_trip(frame):
 
 
 @settings(max_examples=60, deadline=None)
-@given(frame=any_frame)
-def test_packed_and_named_decode_identically(frame):
-    packed = encode_value(frame, codec="packed")
-    named = encode_value(frame, codec="named")
-    assert decode_value(packed) == decode_value(named) == frame
-
-
-@settings(max_examples=60, deadline=None)
 @given(value=values)
-def test_plain_value_round_trip_both_codecs(value):
-    for codec in ("packed", "named"):
-        assert decode_value(encode_value(value, codec=codec)) == value
+def test_plain_value_round_trip(value):
+    assert decode_value(encode_value(value)) == value
 
 
 @settings(max_examples=40, deadline=None)
 @given(msg=payload_messages, xid=small)
-def test_openflow_message_round_trip_both_codecs(msg, xid):
+def test_openflow_message_round_trip(msg, xid):
     msg.xid = xid
-    for codec in ("packed", "named"):
-        with wire_codec(codec):
-            decoded = decode_message(encode_message(msg))
-        assert decoded == msg
-        assert decoded.xid == xid
+    decoded = decode_message(encode_message(msg))
+    assert decoded == msg
+    assert decoded.xid == xid
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,8 +202,8 @@ def test_trailing_default_trace_id(frame):
     # What an older peer would send: the same frame with one field
     # fewer -- the count byte (after the tag and the one-byte schema
     # id) decremented, the last value's bytes dropped.
-    data = encode_value(frame, codec="packed")
-    last = encode_value(frame.trace_id, codec="packed")
+    data = encode_value(frame)
+    last = encode_value(frame.trace_id)
     assert data.endswith(last) and data[2] == len(flds)
     older = data[:2] + bytes([len(flds) - 1]) + data[3:-len(last)]
     assert decode_value(older) == dataclasses.replace(frame, trace_id=0)
@@ -228,36 +212,12 @@ def test_trailing_default_trace_id(frame):
 def test_trailing_default_on_golden_vector():
     """The same compatibility rule, on bytes no current encoder made."""
     golden = json.loads(GOLDEN_PATH.read_text())["value"]
-    data = bytes.fromhex(golden["schema:EventComplete"]["packed"])
+    data = bytes.fromhex(golden["schema:EventComplete"])
     frame = decode_value(data)
-    last = encode_value(frame.trace_id, codec="packed")
+    last = encode_value(frame.trace_id)
     older = data[:2] + bytes([data[2] - 1]) + data[3:-len(last)]
     assert decode_value(older) == dataclasses.replace(frame, trace_id=0)
     # More fields than the decoder knows is an error, not a guess.
     newer = data[:2] + bytes([data[2] + 1]) + data[3:] + last
     with pytest.raises(SerializationError):
         decode_value(newer)
-
-
-def test_packed_is_smaller_on_real_frames():
-    """The headline property: interning field names shrinks real
-    control-plane frames."""
-    frames = [
-        rpc.EventDeliver(app_name="learning_switch", seq=7,
-                         event=ofmsg.PacketIn(dpid=3, in_port=2,
-                                              packet=Packet(pkt_id=9)),
-                         trace_id=41),
-        rpc.EventComplete(app_name="learning_switch", seq=7,
-                          output_count=2, trace_id=41),
-        rpc.Heartbeat(app_name="firewall", stub_time=1.5,
-                      last_seq_done=12),
-    ]
-    for frame in frames:
-        packed = len(encode_value(frame, codec="packed"))
-        named = len(encode_value(frame, codec="named"))
-        assert packed < named, (frame, packed, named)
-
-
-def test_unknown_codec_rejected():
-    with pytest.raises(ValueError):
-        encode_value(1, codec="msgpack")

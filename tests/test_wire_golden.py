@@ -2,22 +2,32 @@
 registration and error contracts.
 
 ``tests/data/wire_golden.json`` holds the bytes the codec produced
-before it was compiled (see ``wire_cases.py``).  The packed codec may be
+before it was compiled (see ``wire_cases.py``).  The codec may be
 rebuilt for speed as often as anyone likes; these bytes may not move,
 because ``sim_digest``, the committed bench reports and every HMAC stamp
 are functions of them.
+
+``tests/data/wire_retired.json`` holds the bytes of the formats that
+were deleted -- the ``named`` encoding, the named-enum form an
+unregistered enum rode in, the pickle state fallback.  The vector tests
+keep a ``named`` column for them with the opposite expectation: the
+decoder refuses those bytes (it must never take them for the wire
+format and hand back something else), and they stay in the fuzz corpus.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import enum
 import json
+import pathlib
 import pickle
 import random
 
 import pytest
 
+import repro
 import wire_cases
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowModCommand
@@ -32,11 +42,15 @@ from repro.openflow.serialization import (
     register_dataclass,
     register_enum,
     schema_table,
-    wire_codec,
 )
+from wire_cases import UNENCODABLE
 
 GOLDEN = json.loads(wire_cases.GOLDEN_PATH.read_text())
-CODECS = ("packed", "named")
+RETIRED = {label: bytes.fromhex(hexed) for label, hexed in
+           json.loads(wire_cases.RETIRED_PATH.read_text()).items()}
+#: ``packed`` is the wire format; ``named`` is the deleted one, whose
+#: frozen bytes must now be refused.
+FORMATS = ("packed", "named")
 VALUE_CASES = wire_cases.value_cases()
 MESSAGE_CASES = wire_cases.message_cases()
 STATE_CASES = wire_cases.state_cases()
@@ -52,17 +66,39 @@ def test_golden_covers_every_schema_and_message_type():
     schemas = {f"schema:{name}" for name in schema_table()}
     assert schemas <= set(GOLDEN["value"])
     assert len(GOLDEN["message"]) == 15
-    assert set(GOLDEN["value"]) == set(_ids(VALUE_CASES))
+    assert set(GOLDEN["value"]) == _encodable(VALUE_CASES)
     assert set(GOLDEN["message"]) == set(_ids(MESSAGE_CASES))
-    assert set(GOLDEN["state"]) == set(_ids(STATE_CASES))
+    assert set(GOLDEN["state"]) == _encodable(STATE_CASES)
 
 
-@pytest.mark.parametrize("codec", CODECS)
+def _encodable(cases):
+    return {name for name, _, decoded in cases if decoded is not UNENCODABLE}
+
+
+def _refused(decode, retired: bytes, golden: bytes = None) -> None:
+    """Retired bytes never decode -- unless the two formats happened to
+    agree on them (``None``, a ``str``...), and then they *are* the
+    wire format's bytes."""
+    if retired == golden:
+        return
+    with pytest.raises(SerializationError):
+        decode(retired)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name,value,decoded", VALUE_CASES,
                          ids=_ids(VALUE_CASES))
-def test_value_vectors(name, value, decoded, codec):
-    golden = bytes.fromhex(GOLDEN["value"][name][codec])
-    assert encode_value(value, codec=codec) == golden
+def test_value_vectors(name, value, decoded, fmt):
+    if decoded is UNENCODABLE:
+        with pytest.raises(SerializationError, match="unregistered enum"):
+            encode_value(value)
+        _refused(decode_value, RETIRED[f"{name}:{fmt}"])
+        return
+    golden = bytes.fromhex(GOLDEN["value"][name])
+    if fmt == "named":
+        _refused(decode_value, RETIRED[f"{name}:named"], golden)
+        return
+    assert encode_value(value) == golden
     out = decode_value(golden)
     assert out == decoded
     # ``True == 1`` and ``(1,) != [1]`` but ``defaultdict == dict``:
@@ -92,29 +128,77 @@ def _kinds(value):
     return type(value).__name__
 
 
-@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name,msg", MESSAGE_CASES, ids=_ids(MESSAGE_CASES))
-def test_message_vectors(name, msg, codec):
-    golden = bytes.fromhex(GOLDEN["message"][name][codec])
-    with wire_codec(codec):
-        assert encode_message(msg) == golden
+def test_message_vectors(name, msg, fmt):
+    if fmt == "named":
+        # No format flag in the header: not a frame at all.
+        _refused(decode_message, RETIRED[f"msg:{name}:named"])
+        return
+    golden = bytes.fromhex(GOLDEN["message"][name])
+    assert encode_message(msg) == golden
     out = decode_message(golden)
     assert out == msg
     assert out.xid == msg.xid
 
 
-@pytest.mark.parametrize("name,value", STATE_CASES, ids=_ids(STATE_CASES))
-def test_state_vectors(name, value):
+@pytest.mark.parametrize("name,value,decoded", STATE_CASES,
+                         ids=_ids(STATE_CASES))
+def test_state_vectors(name, value, decoded):
+    if decoded is UNENCODABLE:
+        with pytest.raises(SerializationError, match="complex"):
+            encode_state_value(value)
+        _refused(decode_state_value, RETIRED[f"state:{name}"])
+        return
     golden = bytes.fromhex(GOLDEN["state"][name])
-    assert decode_state_value(golden) == value
-    encoded = encode_state_value(value)
-    if name == "pickle_fallback":
-        # Pickle's own bytes vary with the interpreter's protocol;
-        # the marker and the round trip are what the store relies on.
-        assert encoded[:1] == golden[:1] == b"\x00"
-        assert pickle.loads(encoded[1:]) == value
-    else:
-        assert encoded == golden
+    assert decode_state_value(golden) == decoded
+    assert encode_state_value(value) == golden
+
+
+UNPICKLED = []
+
+
+def _plant():
+    UNPICKLED.append(True)
+
+
+class _Planted:
+    """Unpickling this calls :func:`_plant`."""
+
+    def __reduce__(self):
+        return (_plant, ())
+
+
+def test_state_decoder_never_unpickles():
+    """``b"\\x00" + pickle`` was a state-value format until PR 17, and
+    decoding it ran whatever the pickle said."""
+    payload = pickle.dumps(_Planted())
+    for marker in (b"\x00", b"\x01", b""):
+        with pytest.raises(SerializationError):
+            decode_state_value(marker + payload)
+    assert not UNPICKLED
+    pickle.loads(payload)
+    assert UNPICKLED            # the vector was live
+
+
+def test_no_channel_adjacent_module_imports_pickle():
+    """A second format cannot come back to a path that decodes bytes
+    off a channel without this noticing."""
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for package in ("openflow", "core/appvisor", "replication"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] in ("pickle", "cPickle", "_pickle")
+                       for m in modules):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_decoded_bytes_fields_are_bytes():
@@ -152,12 +236,11 @@ def test_a_different_class_under_a_taken_name_is_rejected():
         register_dataclass(Match)
     # Nothing moved: the original still encodes and decodes as itself,
     # and the impostor is an unregistered dataclass.
-    for codec in CODECS:
-        golden = bytes.fromhex(GOLDEN["value"]["schema:Match"][codec])
-        assert encode_value(original, codec=codec) == golden
-        assert decode_value(golden) == original
-        with pytest.raises(SerializationError, match="unregistered"):
-            encode_value(Match(), codec=codec)
+    golden = bytes.fromhex(GOLDEN["value"]["schema:Match"])
+    assert encode_value(original) == golden
+    assert decode_value(golden) == original
+    with pytest.raises(SerializationError, match="unregistered"):
+        encode_value(Match())
 
 
 def test_a_different_enum_under_a_taken_name_is_rejected():
@@ -166,7 +249,7 @@ def test_a_different_enum_under_a_taken_name_is_rejected():
 
     with pytest.raises(SerializationError, match="already registered"):
         register_enum(FlowModCommand)
-    golden = GOLDEN["value"]["edge:registered_intenum"]["packed"]
+    golden = GOLDEN["value"]["edge:registered_intenum"]
     assert type(decode_value(bytes.fromhex(golden))).__module__ == \
         "repro.openflow.messages"
 
@@ -201,7 +284,7 @@ def test_malformed_buffers_raise_serialization_error(data):
 
 
 def test_malformed_message_bodies_raise_serialization_error():
-    good = bytes.fromhex(GOLDEN["message"]["FlowMod"]["packed"])
+    good = bytes.fromhex(GOLDEN["message"]["FlowMod"])
     for cut in range(len(good)):
         with pytest.raises(SerializationError):
             decode_message(good[:cut])
@@ -214,23 +297,18 @@ def test_malformed_message_bodies_raise_serialization_error():
 
 # -- decoder fuzz -----------------------------------------------------
 
-def _decode_packed_state(body):
-    return decode_state_value(b"\x01" + body)
-
-
 def _vectors():
-    for name, by_codec in GOLDEN["value"].items():
-        for codec, hexed in by_codec.items():
-            yield f"{name}:{codec}", bytes.fromhex(hexed), decode_value
-    for name, by_codec in GOLDEN["message"].items():
-        for codec, hexed in by_codec.items():
-            yield f"msg:{name}:{codec}", bytes.fromhex(hexed), decode_message
+    for name, hexed in GOLDEN["value"].items():
+        yield f"{name}:packed", bytes.fromhex(hexed), decode_value
+    for name, hexed in GOLDEN["message"].items():
+        yield f"msg:{name}:packed", bytes.fromhex(hexed), decode_message
     for name, hexed in GOLDEN["state"].items():
-        # Behind the other marker byte is pickle, which is not this
-        # codec and never crosses the wire: keep the marker, fuzz the rest.
-        if name != "pickle_fallback":
-            yield (f"state:{name}", bytes.fromhex(hexed)[1:],
-                   _decode_packed_state)
+        # The whole buffer, marker byte included: nothing behind any
+        # marker is exempt.
+        yield f"state:{name}", bytes.fromhex(hexed), decode_state_value
+    by_group = {"msg": decode_message, "state": decode_state_value}
+    for label, data in RETIRED.items():
+        yield label, data, by_group.get(label.split(":")[0], decode_value)
 
 
 VECTORS = list(_vectors())

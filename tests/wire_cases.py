@@ -1,22 +1,30 @@
 """The values behind ``tests/data/wire_golden.json``.
 
 The JSON file holds the bytes the codec produced for these values at
-the commit *before* the packed codec was compiled (PR 15); the tests in
+the commit *before* the codec was compiled (PR 15); the tests in
 ``test_wire_golden.py`` hold every later codec to them.  Running this
 file (``PYTHONPATH=src python tests/wire_cases.py``) rewrites the JSON
 from the checked-out codec -- only ever do that on purpose, when the
 wire format is meant to change.
 
-Three groups:
+Three groups, ``name -> hex``:
 
-- ``value``: ``encode_value`` under both codecs -- one populated
-  instance of every registered schema (which covers every ``rpc`` and
+- ``value``: ``encode_value`` -- one populated instance of every
+  registered schema (which covers every ``rpc`` and
   ``replication.frames`` frame type) plus the container and precedence
   edge cases that are observable on the wire;
-- ``message``: ``encode_message`` under both codecs, one per message
-  type;
-- ``state``: ``encode_state_value`` (always packed, or the pickle
-  fallback).
+- ``message``: ``encode_message``, one per message type;
+- ``state``: ``encode_state_value``.
+
+A case whose expected decoding is :data:`UNENCODABLE` has no bytes: the
+encoder must refuse it.
+
+``tests/data/wire_retired.json`` is the other half of the record and is
+never regenerated: the vectors the golden file held when PR 17 deleted
+the ``named`` format, the named-enum form of unregistered enums and the
+pickle state fallback -- ``<case>:named``, the three
+``edge:unregistered_*:packed`` and ``state:pickle_fallback``.  No
+encoder writes those bytes any more, and the decoder must refuse them.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ from repro.openflow.actions import Drop, Flood, Output, SetEthDst
 from repro.openflow.messages import FlowModCommand, Message, PacketInReason
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "wire_golden.json"
+RETIRED_PATH = GOLDEN_PATH.with_name("wire_retired.json")
+
+#: In place of a case's decoded value: encoding it must raise.
+UNENCODABLE = object()
 
 
 def import_every_schema() -> None:
@@ -154,13 +166,13 @@ def schema_instances() -> Dict[str, object]:
 # -- container and precedence edge cases ------------------------------
 
 class Colour(enum.Enum):
-    """Never registered: rides as a named ``_T_ENUM`` inside packed
-    frames and decodes to its raw value."""
+    """Never registered: has no enum id, so it cannot be encoded."""
     RED = 3
 
 
 class Level(enum.IntEnum):
-    """Unregistered IntEnum: must take the Enum branch, not ``int``."""
+    """Unregistered IntEnum: must be refused as an enum, not pass for
+    the ``int`` it also is."""
     HIGH = 9
 
 
@@ -173,7 +185,7 @@ Pair = collections.namedtuple("Pair", "left right")
 
 def edge_cases() -> List[Tuple[str, object, object]]:
     """``(name, value, decoded)`` -- ``decoded`` is what the bytes parse
-    back to (equal to ``value`` unless the wire cannot say)."""
+    back to (equal to ``value``), or :data:`UNENCODABLE`."""
     counts = collections.defaultdict(int, {"a": 1, "b": -2})
     ordered = collections.OrderedDict([("z", 1), ("a", 2)])
     same = [
@@ -220,10 +232,10 @@ def edge_cases() -> List[Tuple[str, object, object]]:
     ]
     cases = [(name, value, value) for name, value in same]
     cases += [
-        ("unregistered_enum", Colour.RED, 3),
-        ("unregistered_intenum", Level.HIGH, 9),
+        ("unregistered_enum", Colour.RED, UNENCODABLE),
+        ("unregistered_intenum", Level.HIGH, UNENCODABLE),
         ("unregistered_enum_nested", {"c": (Colour.RED, Level.HIGH)},
-         {"c": (3, 9)}),
+         UNENCODABLE),
     ]
     return cases
 
@@ -243,33 +255,31 @@ def message_cases() -> List[Tuple[str, object]]:
             if cls.__module__ == Message.__module__]
 
 
-def state_cases() -> List[Tuple[str, object]]:
+def state_cases() -> List[Tuple[str, object, object]]:
     mac_table = {f"00:00:00:00:{i >> 8:02x}:{i & 0xff:02x}": i % 48
                  for i in range(2000)}
+    nested = {"hosts": {"a": (1, 2)}, "seen": {3, 1, 2},
+              "rules": [Output(port=1)], "t": 0.5}
     return [
-        ("mac_table_2000", mac_table),
-        ("nested_state", {"hosts": {"a": (1, 2)}, "seen": {3, 1, 2},
-                          "rules": [Output(port=1)], "t": 0.5}),
-        # No tag for complex: the whole value falls back to pickle.
-        ("pickle_fallback", {"opaque": complex(1, 2)}),
+        ("mac_table_2000", mac_table, mac_table),
+        ("nested_state", nested, nested),
+        # No tag for complex (the case is named for what used to
+        # happen to such a value).
+        ("pickle_fallback", {"opaque": complex(1, 2)}, UNENCODABLE),
     ]
 
 
 def generate() -> dict:
-    golden = {"value": {}, "message": {}, "state": {}}
-    for name, value, _ in value_cases():
-        golden["value"][name] = {
-            codec: serialization.encode_value(value, codec=codec).hex()
-            for codec in ("packed", "named")}
-    for name, msg in message_cases():
-        golden["message"][name] = {}
-        for codec in ("packed", "named"):
-            with serialization.wire_codec(codec):
-                golden["message"][name][codec] = \
-                    serialization.encode_message(msg).hex()
-    for name, value in state_cases():
-        golden["state"][name] = serialization.encode_state_value(value).hex()
-    return golden
+    return {
+        "value": {name: serialization.encode_value(value).hex()
+                  for name, value, decoded in value_cases()
+                  if decoded is not UNENCODABLE},
+        "message": {name: serialization.encode_message(msg).hex()
+                    for name, msg in message_cases()},
+        "state": {name: serialization.encode_state_value(value).hex()
+                  for name, value, decoded in state_cases()
+                  if decoded is not UNENCODABLE},
+    }
 
 
 if __name__ == "__main__":
