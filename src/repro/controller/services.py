@@ -190,12 +190,24 @@ class DeviceManager:
 
     Hosts are only learned on edge ports; packets entering on a known
     inter-switch port are transit traffic, not evidence of a host.
+
+    ``version`` counts changes, and the manager remembers at which
+    version each MAC last changed, so a mirror holding the table as of
+    version ``v`` can be brought up to date with
+    :meth:`changes_since` instead of a copy of everything.
     """
 
     def __init__(self, controller):
         self.controller = controller
         self._hosts: Dict[str, HostEntry] = {}
         self.version = 0
+        #: mac -> version of its last change, oldest change first.  One
+        #: slot per MAC: a host that flaps moves its slot to the end, so
+        #: the log is bounded by the table, not by time.
+        self._changed_at: Dict[str, int] = {}
+        #: Version of the last :meth:`reset`; entries vanished there,
+        #: which no list of changed entries can say.
+        self._reset_at = 0
 
     def learn(self, dpid: int, msg: PacketIn) -> None:
         packet = msg.packet
@@ -208,6 +220,8 @@ class DeviceManager:
         if self._hosts.get(packet.eth_src) != entry:
             self._hosts[packet.eth_src] = entry
             self.version += 1
+            self._changed_at.pop(entry.mac, None)
+            self._changed_at[entry.mac] = self.version
 
     def location(self, mac: str) -> Optional[HostEntry]:
         return self._hosts.get(mac)
@@ -215,9 +229,30 @@ class DeviceManager:
     def all(self) -> Dict[str, HostEntry]:
         return dict(self._hosts)
 
+    def entries(self) -> Tuple[HostEntry, ...]:
+        """Every learned host (what a full mirror refresh carries)."""
+        return tuple(self._hosts.values())
+
+    def changes_since(self, version: int) -> Optional[Tuple[HostEntry, ...]]:
+        """The current entry of every MAC that changed after
+        ``version``, oldest change first -- empty when nothing did.
+        None when the table was :meth:`reset` since (or ``version`` is
+        none this manager ever had): only :meth:`entries` will do."""
+        if version < self._reset_at or version > self.version:
+            return None
+        changed = []
+        for mac, at in reversed(self._changed_at.items()):
+            if at <= version:
+                break
+            changed.append(self._hosts[mac])
+        changed.reverse()
+        return tuple(changed)
+
     def reset(self) -> None:
         self._hosts.clear()
+        self._changed_at.clear()
         self.version += 1
+        self._reset_at = self.version
 
 
 class CounterStore:

@@ -2,62 +2,124 @@
 
 "The proxy and stub communicate with each other using UDP."  (§4.1)
 
-Datagrams are serialised frames; delivery takes ``base_delay`` plus a
-per-byte transmission cost (this is where the paper's §3.1 caveat --
-"serialization and de-serialization of messages, and the communication
-protocol overhead introduce additional latency into the control-loop"
--- becomes measurable: the E2 experiment reads these costs straight
-off the channel).  UDP is unreliable, so a ``loss`` probability can be
-configured; heartbeats tolerate loss, and lost event traffic surfaces
-as an event-timeout in the failure detector.
+A frame is encoded exactly once, in :meth:`ChannelEndpoint.send`.  What
+travels is a *datagram*: a fixed header followed by the encodings of
+the frames aboard, each behind its length.  With ``batch=True`` every
+frame a side sends at one sim instant rides one datagram, flushed on
+the tick boundary (``batch_window`` past the first send; one
+``base_delay`` and one loss roll for the lot); unbatched, a datagram
+carries one frame; an acknowledgement is a header and nothing else.
+The byte counters, the CRC, the retransmit buffer and the wire all use
+that one buffer of frame records.
 
-With ``batch=True`` the channel coalesces every frame a side sends at
-the same sim instant into one :class:`~repro.core.appvisor.rpc.FrameBatch`
-datagram, flushed on the tick boundary (``batch_window`` past the first
-send).  One ``base_delay`` and one loss roll per batch instead of per
-frame; delivery unpacks in order, so FIFO per direction is preserved
-exactly.  Direct constructions default to unbatched -- the runtime and
-the replication layer opt in.
+========  =====  =====================================================
+field     bytes  meaning (network byte order)
+========  =====  =====================================================
+crc       4      CRC-32 of every byte after it, header fields included
+kind      1      1 = data, 2 = ack
+seq       4      data: this datagram's number, per direction (0 on an
+                 unreliable channel); ack: cumulative -- every data
+                 seq at or below it was delivered, or skipped under
+                 an advanced floor
+floor     4      data: the lowest seq the sender still guarantees to
+                 deliver (it gave up on everything below); ack: 0
+records   rest   data only, once per frame: u32 length, then that many
+                 bytes of the frame's encoding
+========  =====  =====================================================
 
-With ``reliable=True`` the channel adds a TCP-like reliability layer
-on top of the datagrams: per-side sequence numbers
-(:class:`~repro.core.appvisor.rpc.SeqEnvelope`), cumulative acks,
-retransmission with exponential backoff + seeded jitter under a
-``retry_budget``, receiver-side dedup, and an in-order reorder buffer
--- so loss, duplication, reordering, and corruption (CRC-checked)
-degrade into latency instead of lost or doubled frames: every frame is
-delivered to the handler exactly once, in send order.  A datagram that
-exhausts its retry budget is *abandoned*: the sender advances its
-``floor`` past the gap (receivers stop waiting for it) and raises a
+Delivery takes ``base_delay`` plus a per-byte transmission cost (the
+paper's §3.1 caveat -- "serialization and de-serialization of
+messages, and the communication protocol overhead introduce additional
+latency into the control-loop" -- made measurable: E2 reads these costs
+off the channel).  ``loss`` drops datagrams at random, and a
+:class:`~repro.faults.netfaults.ChaosProfile` on ``channel.chaos``
+perturbs every datagram put on the wire (burst loss, duplication,
+reordering, jitter, corruption, timed partitions), identically for
+data and acks.
+
+With ``reliable=True`` the datagrams carry a TCP-like reliability
+layer: cumulative acks, retransmission with exponential backoff +
+seeded jitter under a ``retry_budget``, receiver-side dedup and an
+in-order reorder buffer, so loss, duplication, reordering and
+corruption degrade into latency: every frame reaches the handler
+exactly once, in send order.  A datagram that exhausts its budget is
+*abandoned*: the sender advances ``floor`` past the gap and raises a
 :class:`ChannelFault` through ``on_fault`` -- the signal the crashpad
 FailureDetector uses to tell "channel lossy" apart from "app dead".
 
-Chaos injection composes underneath either mode: assign a
-:class:`~repro.faults.netfaults.ChaosProfile` to ``channel.chaos`` and
-every datagram put on the wire is subject to its seeded burst loss,
-duplication, reordering, delay jitter, payload corruption, and timed
-partitions.
+What a receiver refuses, and the counter it lands in:
+
+=====================================  ===========================
+received                               counted as
+=====================================  ===========================
+shorter than a header; CRC mismatch    ``corrupt_rejected`` (no ack:
+(any flipped bit, header or records);  the sender's retransmission
+unknown kind; a record running past    delivers a clean copy)
+the datagram; an undecodable frame
+data seq already delivered or held     ``dup_datagrams_dropped``
+                                       (re-acked)
+data seq below the sender's floor      nothing: the gap is skipped,
+                                       the cursor moves past it
+=====================================  ===========================
 """
 
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.appvisor.rpc import (
-    ChannelAck,
-    FrameBatch,
-    SeqEnvelope,
-    ack_for,
-    ack_intact,
     decode_frame,
     encode_frame,
-    envelope_for,
-    envelope_intact,
     frame_trace_ids,
 )
 from repro.openflow.serialization import SerializationError
+
+_CRC = struct.Struct("!I")
+#: The header fields the CRC covers: kind, seq, floor.
+_FIELDS = struct.Struct("!BII")
+HEADER_SIZE = _CRC.size + _FIELDS.size
+_LENGTH = struct.Struct("!I")
+_DATA, _ACK = 1, 2
+
+
+def pack_datagram(kind: int, seq: int, floor: int,
+                  records: bytes = b"") -> bytes:
+    """Header + ``records``, checksummed (the module docstring's table)."""
+    rest = _FIELDS.pack(kind, seq, floor) + records
+    return _CRC.pack(zlib.crc32(rest)) + rest
+
+
+def pack_records(encodings) -> bytes:
+    """Each frame encoding behind its u32 length."""
+    return b"".join([_LENGTH.pack(len(data)) + data for data in encodings])
+
+
+def unpack_datagram(data: bytes):
+    """``(kind, seq, floor, [frame encoding, ...])`` of an intact
+    datagram; anything else -- truncated, a flipped bit anywhere, an
+    unknown kind, a record overrunning the buffer -- is a
+    :class:`SerializationError`."""
+    if len(data) < HEADER_SIZE:
+        raise SerializationError("datagram shorter than its header")
+    if _CRC.unpack_from(data)[0] != zlib.crc32(memoryview(data)[_CRC.size:]):
+        raise SerializationError("datagram checksum mismatch")
+    kind, seq, floor = _FIELDS.unpack_from(data, _CRC.size)
+    if kind not in (_DATA, _ACK):
+        raise SerializationError(f"unknown datagram kind {kind}")
+    records, pos, end = [], HEADER_SIZE, len(data)
+    while pos < end:
+        if end - pos < _LENGTH.size:
+            raise SerializationError("truncated frame record")
+        start = pos + _LENGTH.size
+        pos = start + _LENGTH.unpack_from(data, pos)[0]
+        if pos > end:
+            raise SerializationError("frame record overruns the datagram")
+        records.append(data[start:pos])
+    return kind, seq, floor, records
 
 
 @dataclass(frozen=True)
@@ -81,8 +143,9 @@ class ChannelFault:
 class _Unacked:
     """One reliable datagram awaiting acknowledgement."""
 
+    #: The datagram's frame records: what ``bytes_sent`` counted and
+    #: what every (re)transmission puts behind a fresh header.
     payload: bytes
-    frames: int
     attempts: int = 0
     next_at: float = 0.0
     #: Trace ids of the events whose frames this datagram carries --
@@ -115,7 +178,7 @@ class _RecvState:
     #: Highest seq delivered (or skipped under an advanced floor).
     cursor: int = 0
     #: Out-of-order datagrams held until the gap below them fills:
-    #: seq -> (payload bytes, frame count, sent_at, wire bytes).
+    #: seq -> (frame encodings, payload bytes, sent_at).
     buffer: Dict[int, tuple] = field(default_factory=dict)
 
 
@@ -126,6 +189,10 @@ class ChannelEndpoint:
         self._channel = channel
         self._side = side
         self.handler: Optional[Callable] = None
+        #: Hand the handler each frame's received encoding as well
+        #: (``handler(frame, raw=...)``): the replication layer verifies
+        #: its MACs over the bytes that arrived, not over a re-encoding.
+        self.raw_frames = False
         self.frames_sent = 0
         self.bytes_sent = 0
         self.frames_recv = 0
@@ -140,25 +207,24 @@ class ChannelEndpoint:
         """Install the receive handler for this endpoint."""
         self.handler = handler
 
-    def send(self, frame) -> None:
+    def send(self, frame, *, seal=None) -> None:
         """Serialise and transmit ``frame`` to the peer endpoint.
 
-        There is deliberately no return value: on a reliable channel a
-        send either arrives exactly once or surfaces as a
-        :class:`ChannelFault`; on a plain channel a loss is logged as a
-        ``channel.loss`` flight-recorder event.  (The old boolean was
-        ignored by every call site -- silent loss by API design.)
+        This is the frame's one encoding; ``seal``, when given, maps
+        those bytes to the ones that travel (the replication layer
+        stamps its MAC there).  There is deliberately no return value:
+        on a reliable channel a send either arrives exactly once or
+        surfaces as a :class:`ChannelFault`; on a plain channel a loss
+        is logged as a ``channel.loss`` flight-recorder event.
         """
+        data = encode_frame(frame)
+        if seal is not None:
+            data = seal(data)
         self.frames_sent += 1
         if self._channel.batch:
-            self._channel._enqueue(self._side, frame)
-            return
-        data = encode_frame(frame)
-        self.bytes_sent += len(data)
-        self._channel._note_sent(len(data))
-        self._channel._transmit(self._side, data, frames=1,
-                                trace_ids=self._channel._trace_ids_of(frame),
-                                kinds=self._channel._frame_kinds_of(frame))
+            self._channel._enqueue(self._side, (data, frame))
+        else:
+            self._channel._ship(self._side, [(data, frame)])
 
     def drop_pending(self) -> int:
         """Discard this side's unflushed frames (its process died)."""
@@ -243,8 +309,8 @@ class UdpChannel:
 
     # -- batching ---------------------------------------------------------
 
-    def _enqueue(self, from_side: str, frame) -> None:
-        self._pending[from_side].append(frame)
+    def _enqueue(self, from_side: str, sent: tuple) -> None:
+        self._pending[from_side].append(sent)
         if not self._flush_scheduled[from_side]:
             self._flush_scheduled[from_side] = True
             self.sim.schedule(self.batch_window,
@@ -257,18 +323,31 @@ class UdpChannel:
         if not pending:
             return
         self._pending[from_side] = []
-        if len(pending) == 1:
-            frame = pending[0]
-        else:
-            frame = FrameBatch(frames=tuple(pending))
-        data = encode_frame(frame)
-        self._endpoint(from_side).bytes_sent += len(data)
-        self._note_sent(len(data))
         self.batches_flushed += 1
         self.frames_batched += len(pending)
-        self._transmit(from_side, data, frames=len(pending),
-                       trace_ids=self._trace_ids_of(frame),
-                       kinds=self._frame_kinds_of(frame))
+        self._ship(from_side, pending)
+
+    def _ship(self, from_side: str, sent: List[tuple]) -> None:
+        """One datagram's worth of ``(encoding, frame)`` leaves."""
+        records = pack_records([data for data, _ in sent])
+        self._endpoint(from_side).bytes_sent += len(records)
+        trace_ids = kinds = ()
+        if self.telemetry is not None and self.telemetry.enabled:
+            # Only when anyone is looking: the ids and type names feed
+            # retransmission and delivery spans.
+            self.telemetry.metrics.inc("channel.bytes_sent", len(records))
+            frames = [frame for _, frame in sent]
+            trace_ids = frame_trace_ids(frames)
+            kinds = tuple(sorted({type(f).__name__ for f in frames}))
+        if not self.reliable:
+            self._put_on_wire(from_side, pack_datagram(_DATA, 0, 0, records),
+                              kind="data")
+            return
+        state = self._send_state[from_side]
+        state.next_seq += 1
+        state.unacked[state.next_seq] = _Unacked(
+            payload=records, trace_ids=trace_ids, kinds=kinds)
+        self._send_seq(from_side, state.next_seq)
 
     def drop_pending(self, side: str) -> int:
         """Discard a side's unflushed frames (its process just died).
@@ -293,37 +372,6 @@ class UdpChannel:
 
     # -- the wire ---------------------------------------------------------
 
-    def _trace_ids_of(self, frame) -> tuple:
-        """Trace ids a datagram will carry, when anyone is looking.
-
-        Computed only with telemetry on (the ids feed retransmission
-        and delivery spans), so the disabled hot path stays unchanged.
-        """
-        if self.telemetry is not None and self.telemetry.enabled:
-            return frame_trace_ids(frame)
-        return ()
-
-    def _frame_kinds_of(self, frame) -> tuple:
-        """Distinct frame type names a datagram carries (telemetry on)."""
-        if self.telemetry is not None and self.telemetry.enabled:
-            if isinstance(frame, FrameBatch):
-                return tuple(sorted({type(f).__name__
-                                     for f in frame.frames}))
-            return (type(frame).__name__,)
-        return ()
-
-    def _transmit(self, from_side: str, data: bytes, frames: int = 1,
-                  trace_ids: tuple = (), kinds: tuple = ()) -> None:
-        if not self.reliable:
-            self._put_on_wire(from_side, data, frames, kind="data")
-            return
-        state = self._send_state[from_side]
-        state.next_seq += 1
-        seq = state.next_seq
-        state.unacked[seq] = _Unacked(payload=data, frames=frames,
-                                      trace_ids=trace_ids, kinds=kinds)
-        self._send_seq(from_side, seq)
-
     def _send_seq(self, from_side: str, seq: int) -> None:
         """(Re)transmit one reliable datagram and arm its backoff."""
         state = self._send_state[from_side]
@@ -332,9 +380,9 @@ class UdpChannel:
             return
         record.attempts += 1
         record.last_sent_at = self.sim.now
-        env = envelope_for(seq, state.floor, record.payload)
-        self._put_on_wire(from_side, encode_frame(env), record.frames,
-                          kind="data")
+        self._put_on_wire(
+            from_side, pack_datagram(_DATA, seq, state.floor, record.payload),
+            kind="data")
         rto = min(self.rto_initial * (2 ** (record.attempts - 1)),
                   self.rto_max)
         if self.rto_jitter > 0:
@@ -411,13 +459,6 @@ class UdpChannel:
         for callback in list(self.on_fault):
             callback(fault)
 
-    def _note_sent(self, nbytes: int) -> None:
-        """Account payload bytes a side handed to the wire (pre-loss,
-        pre-envelope: the application-level send volume that the
-        ``bytes/event`` derived metric divides by events)."""
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.metrics.inc("channel.bytes_sent", nbytes)
-
     def _note_loss(self, from_side: str, kind: str) -> None:
         """A datagram died on the wire: count it, leave a trace.
 
@@ -433,13 +474,12 @@ class UdpChannel:
                 self.telemetry.tracer.event(
                     "channel.loss", direction=from_side)
 
-    def _put_on_wire(self, from_side: str, data: bytes, frames: int,
-                     kind: str) -> None:
+    def _put_on_wire(self, from_side: str, data: bytes, kind: str) -> None:
         """Charge transmission and schedule delivery of one datagram.
 
         The chaos hook runs here -- after the sender's NIC, before the
         receiver -- so its drops/dups/delays model the network itself,
-        identically for plain datagrams, reliable envelopes, and acks.
+        identically for data and acks.
         """
         if self.loss > 0 and self.rng.random() < self.loss:
             self._note_loss(from_side, kind)
@@ -459,139 +499,107 @@ class UdpChannel:
             deliveries = ((0.0, data),)
         for extra_delay, payload in deliveries:
             self.sim.schedule_at(tx_end + self.base_delay + extra_delay,
-                                 self._deliver, from_side, payload,
-                                 frames, kind, sent_at)
+                                 self._deliver, from_side, payload, sent_at)
 
     # -- receive path -----------------------------------------------------
 
-    def _deliver(self, from_side: str, data: bytes, frames: int,
-                 kind: str, sent_at: float) -> None:
+    def _deliver(self, from_side: str, data: bytes, sent_at: float) -> None:
         dest_side = "stub" if from_side == "proxy" else "proxy"
         try:
-            frame = decode_frame(data)
+            kind, seq, floor, records = unpack_datagram(data)
         except SerializationError:
-            # Corruption can break any layer of the codec (framing,
-            # type tags, struct unpacks); the decoder reports all of it
-            # as this one error, and every parse failure is one
-            # rejected datagram, never a crash in the receive path.
+            # Whatever corruption did -- to the header, the checksum, a
+            # length, a frame -- it is one rejected datagram, never a
+            # crash in the receive path, and never an ack: the sender's
+            # retransmission delivers a clean copy.
             self._note_corrupt(dest_side)
             return
-        if self.reliable and isinstance(frame, ChannelAck):
-            if not ack_intact(frame):
-                # A flipped ``cumulative`` would falsely acknowledge
-                # data the receiver never saw; the next genuine ack
-                # covers whatever this one carried.
-                self._note_corrupt(dest_side)
-                return
-            self._handle_ack(dest_side, frame)
-            return
-        if self.reliable and isinstance(frame, SeqEnvelope):
-            self._handle_envelope(dest_side, frame, sent_at)
-            return
-        if self.reliable and kind == "data":
-            # A reliable peer only ever puts envelopes on the wire; a
-            # decodable-but-wrong type means corruption rewrote the
-            # frame tag.  Dropping it lets retransmission heal.
-            self._note_corrupt(dest_side)
-            return
-        # Plain (unreliable) datagram: deliver as-is.
-        self._count_delivery(from_side, frames, len(data), sent_at,
-                             frame=frame)
-        self._dispatch(dest_side, frame)
+        nbytes = len(data) - HEADER_SIZE
+        if not self.reliable:
+            if kind == _DATA:
+                self._hand_over(dest_side, records, nbytes, sent_at)
+        elif kind == _ACK:
+            self._handle_ack(dest_side, seq)
+        else:
+            self._handle_data(dest_side, seq, floor, records, nbytes,
+                              sent_at)
 
     def _note_corrupt(self, dest_side: str) -> None:
         self.corrupt_rejected += 1
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.metrics.inc("channel.corrupt_rejected")
 
-    def _count_delivery(self, from_side: str, frames: int, nbytes: int,
-                        sent_at: float, frame=None) -> None:
+    def _hand_over(self, dest_side: str, records: List[bytes], nbytes: int,
+                   sent_at: float) -> None:
+        """Decode a delivered datagram's frames -- each exactly once --
+        and give them to the receiver's handler, in order."""
+        try:
+            frames = [decode_frame(record) for record in records]
+        except SerializationError:
+            self._note_corrupt(dest_side)
+            return
         self.datagrams_delivered += 1
-        dest = self._endpoint("stub" if from_side == "proxy" else "proxy")
-        dest.frames_recv += frames
+        dest = self._endpoint(dest_side)
+        dest.frames_recv += len(frames)
         dest.bytes_recv += nbytes
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.metrics.inc("channel.bytes_recv", nbytes)
-            tids = frame_trace_ids(frame) if frame is not None else ()
+            tids = frame_trace_ids(frames)
             self.telemetry.tracer.record_span(
                 self.span_name, start=sent_at,
                 trace_id=tids[0] if tids else None,
-                direction=from_side, frames=frames, nbytes=nbytes)
-
-    def _dispatch(self, dest_side: str, frame) -> None:
-        dest = self._endpoint(dest_side)
-        if dest.handler is None:
-            return
-        if isinstance(frame, FrameBatch):
-            for inner in frame.frames:
-                if dest.handler is None:
-                    break  # receiver detached mid-batch
-                dest.handler(inner)
-        else:
-            dest.handler(frame)
+                direction="proxy" if dest_side == "stub" else "stub",
+                frames=len(frames), nbytes=nbytes)
+        for frame, record in zip(frames, records):
+            if dest.handler is None:
+                break  # no receiver, or it detached mid-datagram
+            if dest.raw_frames:
+                dest.handler(frame, raw=record)
+            else:
+                dest.handler(frame)
 
     # -- reliability: receiver side ---------------------------------------
 
-    def _handle_envelope(self, dest_side: str, env: SeqEnvelope,
-                         sent_at: float) -> None:
-        from_side = "proxy" if dest_side == "stub" else "stub"
-        if not envelope_intact(env):
-            # Bit-flipped payload: reject, send no ack -- the sender's
-            # retransmission delivers a clean copy.
-            self._note_corrupt(dest_side)
-            return
+    def _handle_data(self, dest_side: str, seq: int, floor: int,
+                     records: List[bytes], nbytes: int,
+                     sent_at: float) -> None:
         recv = self._recv_state[dest_side]
-        if env.seq <= recv.cursor or env.seq in recv.buffer:
+        if seq <= recv.cursor or seq in recv.buffer:
             # Duplicate (network dup, or a retransmit racing the ack).
             self.dup_datagrams_dropped += 1
             if self.telemetry is not None and self.telemetry.enabled:
                 self.telemetry.metrics.inc("channel.dups_dropped")
             self._send_ack(dest_side)
             return
-        recv.buffer[env.seq] = (env.payload, sent_at)
-        # The sender's floor may have moved past datagrams it abandoned:
-        # stop waiting for them so in-order delivery cannot wedge.
-        self._drain(dest_side, from_side, floor=env.floor)
-        self._send_ack(dest_side)
-
-    def _drain(self, dest_side: str, from_side: str, floor: int) -> None:
-        recv = self._recv_state[dest_side]
+        recv.buffer[seq] = (records, nbytes, sent_at)
         while True:
             nxt = recv.cursor + 1
             if nxt in recv.buffer:
-                payload, sent_at = recv.buffer.pop(nxt)
                 recv.cursor = nxt
-                try:
-                    frame = decode_frame(payload)
-                except SerializationError:
-                    self._note_corrupt(dest_side)
-                    continue
-                self._count_delivery(from_side, self._frames_in(frame),
-                                     len(payload), sent_at, frame=frame)
-                self._dispatch(dest_side, frame)
+                self._hand_over(dest_side, *recv.buffer.pop(nxt))
             elif nxt < floor:
-                # Abandoned by the sender: skip the gap.
+                # The sender's floor moved past datagrams it abandoned:
+                # stop waiting for them so in-order delivery cannot
+                # wedge.
                 recv.cursor = nxt
             else:
                 break
-
-    @staticmethod
-    def _frames_in(frame) -> int:
-        return len(frame.frames) if isinstance(frame, FrameBatch) else 1
+        self._send_ack(dest_side)
 
     def _send_ack(self, dest_side: str) -> None:
-        recv = self._recv_state[dest_side]
         self.acks_sent += 1
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.metrics.inc("channel.acks_sent")
-        data = encode_frame(ack_for(recv.cursor))
-        self._put_on_wire(dest_side, data, frames=0, kind="ack")
+        self._put_on_wire(
+            dest_side,
+            pack_datagram(_ACK, self._recv_state[dest_side].cursor, 0),
+            kind="ack")
 
     # -- reliability: sender side -----------------------------------------
 
-    def _handle_ack(self, sender_side: str, ack: ChannelAck) -> None:
+    def _handle_ack(self, sender_side: str, cumulative: int) -> None:
         state = self._send_state[sender_side]
-        acked = [s for s in state.unacked if s <= ack.cumulative]
+        acked = [s for s in state.unacked if s <= cumulative]
         for seq in acked:
             del state.unacked[seq]
         if not state.unacked and state.timer_id is not None:

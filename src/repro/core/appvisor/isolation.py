@@ -16,11 +16,19 @@ process boundary does.  The sandbox also enforces the paper's §3.4
 from __future__ import annotations
 
 import enum
+import inspect
+import os
 import traceback
 from dataclasses import dataclass
 from typing import Optional
 
+import repro
 from repro.faults.bugs import AppHang
+
+#: Directory the ``repro`` package sits in: file names in a crash
+#: report are written relative to it.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(
+    os.path.abspath(repro.__file__))) + os.sep
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -97,12 +105,33 @@ class SandboxProcess:
             return DeliveryOutcome(
                 status="crashed",
                 error=self.last_error,
-                traceback_text="".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ),
+                traceback_text=self._app_traceback(exc),
             )
         self.events_delivered += 1
         return DeliveryOutcome(status="ok", command=command)
+
+    def _app_traceback(self, exc: BaseException) -> str:
+        """The crash's traceback as the *app* produced it: the frames at
+        and below ``app.handle`` (not this sandbox's, nor any wrapper a
+        tool patched around the handler), file names relative to the
+        package root.  The text ships in a CrashReport, and what the
+        simulation does must not depend on where the checkout lives."""
+        handle = getattr(inspect.unwrap(self.app.handle), "__code__", None)
+        above, tb = 0, exc.__traceback__
+        while tb is not None and tb.tb_frame.f_code is not handle:
+            above, tb = above + 1, tb.tb_next
+        report = traceback.TracebackException.from_exception(exc)
+        # A handler that cannot be found keeps everything below deliver().
+        del report.stack[:above if tb is not None else 1]
+        chained = report
+        while chained is not None:
+            for frame in chained.stack:
+                if frame.filename.startswith(_PACKAGE_ROOT):
+                    frame.filename = frame.filename[len(_PACKAGE_ROOT):]
+                else:
+                    frame.filename = os.path.basename(frame.filename)
+            chained = chained.__cause__ or chained.__context__
+        return "".join(report.format())
 
     def check_state_size(self, nbytes: int) -> None:
         """Enforce the memory cap against a fresh checkpoint size."""

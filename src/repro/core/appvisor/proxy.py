@@ -102,8 +102,12 @@ class AppRecord:
     #: the crashpad.recovery span (recorded split-phase at the
     #: RestoreAck) attaches to the offending event's causal tree.
     recovery_trace_id: int = 0
+    #: The topology and device-table versions the stub was last sent
+    #: (-1 = it holds nothing: the next ContextPush is a full one).
     pushed_topo_version: int = -1
     pushed_device_version: int = -1
+    #: ContextPushes that carried the whole host table.
+    full_pushes: int = 0
 
 
 class ProxyShutdown(RuntimeError):
@@ -269,6 +273,10 @@ class AppVisorProxy:
             return
         if isinstance(frame, rpc.Heartbeat):
             self.detector.record_heartbeat(record.name, self.sim.now)
+            if frame.needs_context:
+                # A push the stub's mirror builds on never reached it;
+                # the next tick sends the whole table.
+                record.pushed_device_version = -1
         elif isinstance(frame, rpc.AppOutput):
             self._on_output(record, frame)
         elif isinstance(frame, rpc.EventComplete):
@@ -293,7 +301,7 @@ class AppVisorProxy:
         self.apps[frame.app_name] = record
         self.detector.register(frame.app_name, self.sim.now)
         self._register_listener()
-        self._push_context(record, force=True)
+        self._push_context(record)
         # Late joiners still learn the current switch set: synthesize
         # SwitchJoin for every switch already connected (FloodLight
         # apps similarly receive switchAdded callbacks on registration).
@@ -418,12 +426,12 @@ class AppVisorProxy:
         the failure, but with several apps in flight the proxy must not
         cross-attribute.
         """
-        topo = self.controller.topology.view()
-        hosts = self.controller.devices.all()
         if self.mode == "netlog":
             if not (self.byzantine_check and inflight.txn.records):
                 self.manager.commit(inflight.txn)
                 return []
+            topo = self.controller.topology.view()
+            hosts = self.controller.devices.all()
             violations = self.crashpad.check_byzantine(
                 self.manager.current_tables(), topo, hosts
             )
@@ -451,6 +459,8 @@ class AppVisorProxy:
         # buffer mode: vet the preview BEFORE anything touches a switch.
         pending = self.buffer.pending(record.name, frame.seq)
         if self.byzantine_check and pending:
+            topo = self.controller.topology.view()
+            hosts = self.controller.devices.all()
             preview = self.manager.preview_tables(pending)
             violations = self.crashpad.check_byzantine(preview, topo, hosts)
             if violations:
@@ -706,6 +716,12 @@ class AppVisorProxy:
         app's silence to the link instead of declaring it dead.
         """
         self.detector.record_channel_fault(app_name, self.sim.now)
+        record = self.apps.get(app_name)
+        if record is not None and fault.side == "proxy":
+            # Something this proxy sent was given up on, perhaps a
+            # ContextPush -- and a stub cannot miss what nothing
+            # follows.  Assume its mirror is behind: send the table.
+            record.pushed_device_version = -1
         if self.telemetry.enabled:
             self.telemetry.tracer.event(
                 "appvisor.channel_fault", app=app_name,
@@ -739,18 +755,28 @@ class AppVisorProxy:
         for record in self.apps.values():
             self._push_context(record)
 
-    def _push_context(self, record: AppRecord, force: bool = False) -> None:
-        topo_version = self.controller.topology.version
-        device_version = self.controller.devices.version
-        if (not force and topo_version == record.pushed_topo_version
-                and device_version == record.pushed_device_version):
+    def _push_context(self, record: AppRecord) -> None:
+        """Bring the stub's topology/host mirror up to date: what
+        changed since its last push, or the whole table when no delta
+        can say it -- a stub that just (re-)registered, a device-table
+        reset, a stub whose heartbeat reported a gap."""
+        topology = self.controller.topology
+        devices = self.controller.devices
+        topo_moved = topology.version != record.pushed_topo_version
+        if not topo_moved and devices.version == record.pushed_device_version:
             return
-        record.pushed_topo_version = topo_version
-        record.pushed_device_version = device_version
+        changed = devices.changes_since(record.pushed_device_version)
+        full = changed is None
         push = rpc.ContextPush(
-            topo=self.controller.topology.view(),
-            hosts=tuple(self.controller.devices.all().values()),
+            topo=topology.view() if full or topo_moved else None,
+            hosts=devices.entries() if full else changed,
+            base_version=-1 if full else record.pushed_device_version,
+            device_version=devices.version,
+            topo_version=topology.version,
         )
+        record.full_pushes += full
+        record.pushed_topo_version = topology.version
+        record.pushed_device_version = devices.version
         rpc.trace_frame(self.telemetry, "send", push)
         record.endpoint.send(push)
 

@@ -28,18 +28,24 @@ EventDeliver        proxy->stub  deliver one subscribed event
 AppOutput           stub->proxy  one message the app emitted (streamed)
 EventComplete       stub->proxy  the event was handled successfully
 CrashReport         stub->proxy  the app raised; diagnostics attached
-Heartbeat           stub->proxy  periodic liveness beacon
+Heartbeat           stub->proxy  periodic liveness beacon; also where the
+                                 stub says it needs a full ContextPush
 RestoreCommand      proxy->stub  restore to pre-event checkpoint
+DeepRestoreCommand  proxy->stub  STS-guided restore (cumulative bugs)
 RestoreAck          stub->proxy  restore finished (replay stats attached)
-ContextPush         proxy->stub  topology/host cache refresh
+ContextPush         proxy->stub  what changed in the host table and the
+                                 topology since the stub's last push
 ==================  ===========  =========================================
+
+How frames are laid into datagrams (one frame or a tick's batch, the
+sequence/ack/CRC header) is the channel's business:
+:mod:`repro.core.appvisor.channel`.
 """
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Tuple
 
 from repro.controller.api import HostEntry, TopoView
 from repro.openflow.serialization import (
@@ -121,6 +127,10 @@ class Heartbeat:
     app_name: str
     stub_time: float
     last_seq_done: int
+    #: The stub holds no version a :class:`ContextPush` delta could be
+    #: laid over (it just re-attached, or had to drop a delta cut
+    #: against a push the channel abandoned): send it the full table.
+    needs_context: bool = False
 
 
 @register_dataclass
@@ -176,104 +186,28 @@ class RestoreAck:
 @register_dataclass
 @dataclass(frozen=True)
 class ContextPush:
-    topo: TopoView
+    """The controller's host table and topology, as of ``device_version``
+    / ``topo_version`` -- in full, or as what changed.
+
+    A *full* push (``base_version`` < 0) replaces the stub's host cache
+    with ``hosts``; the proxy sends one when a stub registers (launch,
+    re-attach after a controller failover), after the device table was
+    reset, when the channel reports it gave up on a datagram, and when
+    a heartbeat says the stub needs one.  Otherwise the
+    push is a *delta*: ``hosts`` holds the newest entry of every MAC
+    that changed after device version ``base_version``, to be laid over
+    exactly that version; ``topo`` rides along only when the topology's
+    version moved (None = still ``topo_version``).  A stub that does
+    not hold the base -- the channel abandoned an earlier push -- drops
+    the delta and asks for a full table on its next heartbeat, so what
+    is sent is decided by what the receiver observably holds.
+    """
+
+    topo: Optional[TopoView]
     hosts: Tuple[HostEntry, ...]
-
-
-@register_dataclass
-@dataclass(frozen=True)
-class FrameBatch:
-    """Several frames coalesced into one datagram (batched RPC).
-
-    A batching channel collects every frame sent at the same sim
-    instant and ships them as one ``FrameBatch``, paying ``base_delay``
-    and the codec's framing once instead of per frame.  The receiver
-    unpacks in order, so per-lane FIFO is exactly what single-frame
-    delivery gave -- and a loss (or a crash before the flush) drops the
-    whole tail at once, never a random subset out of the middle.
-    """
-
-    frames: Tuple[object, ...]
-
-
-@register_dataclass
-@dataclass(frozen=True)
-class SeqEnvelope:
-    """Reliable-delivery wrapper around one datagram's payload.
-
-    A reliable channel numbers every data datagram per direction
-    (``seq``), carries the already-encoded frame bytes as ``payload``
-    (checksummed with ``crc`` so injected corruption is *detected*, not
-    silently parsed into a wrong frame), and advertises ``floor`` --
-    the lowest seq the sender still guarantees to deliver.  A receiver
-    seeing ``floor`` jump past a gap knows the sender has exhausted its
-    retry budget on the missing datagrams and stops waiting for them
-    (otherwise in-order delivery would wedge forever behind a datagram
-    that will never come).
-    """
-
-    seq: int
-    floor: int
-    crc: int
-    payload: bytes
-
-
-@register_dataclass
-@dataclass(frozen=True)
-class ChannelAck:
-    """Cumulative acknowledgement: every data seq <= ``cumulative`` has
-    been delivered (or intentionally skipped under an advanced floor).
-
-    Acks are fire-and-forget -- never numbered, never retransmitted.
-    Losing one is harmless because the next ack covers it.  They *are*
-    checksummed: a bit-flip in ``cumulative`` could otherwise falsely
-    acknowledge data the receiver never saw, turning corruption into
-    silent loss.
-    """
-
-    cumulative: int
-    crc: int = 0
-
-
-def _header_crc(seq: int, floor: int, payload: bytes) -> int:
-    """CRC over the envelope's header *and* payload.
-
-    Covering ``seq``/``floor`` too means a flip in the header -- which
-    would otherwise re-file an intact payload under the wrong sequence
-    number -- is rejected just like a mangled payload.
-    """
-    return zlib.crc32(payload, zlib.crc32(b"%d|%d|" % (seq, floor)))
-
-
-def envelope_for(seq: int, floor: int, payload: bytes) -> SeqEnvelope:
-    """Build a checksummed reliable-delivery envelope."""
-    return SeqEnvelope(seq=seq, floor=floor,
-                       crc=_header_crc(seq, floor, payload),
-                       payload=payload)
-
-
-def envelope_intact(env: SeqEnvelope) -> bool:
-    """Whether header and payload survived the wire unmodified."""
-    try:
-        return _header_crc(env.seq, env.floor, env.payload) == env.crc
-    except (TypeError, ValueError):
-        # A bit-flip can mutate a field's *type tag* so the payload
-        # decodes as a non-bytes value; that is corruption too.
-        return False
-
-
-def ack_for(cumulative: int) -> ChannelAck:
-    """Build a checksummed cumulative acknowledgement."""
-    return ChannelAck(cumulative=cumulative,
-                      crc=zlib.crc32(b"%d" % cumulative))
-
-
-def ack_intact(ack: ChannelAck) -> bool:
-    """Whether the ack's cumulative field survived the wire."""
-    try:
-        return zlib.crc32(b"%d" % ack.cumulative) == ack.crc
-    except (TypeError, ValueError):
-        return False
+    base_version: int = -1
+    device_version: int = 0
+    topo_version: int = 0
 
 
 def encode_frame(frame) -> bytes:
@@ -311,19 +245,16 @@ def trace_frame(telemetry, direction: str, frame) -> None:
     telemetry.metrics.inc(f"rpc.{direction}.{label}")
 
 
-def frame_trace_ids(frame) -> Tuple[int, ...]:
-    """Distinct non-zero trace ids carried by a frame (or batch).
+def frame_trace_ids(frames: Iterable) -> Tuple[int, ...]:
+    """Distinct non-zero trace ids carried by one datagram's frames.
 
     The reliability layer stores these per datagram so retransmissions
     attach to the event(s) whose frames the datagram carries -- a
     retransmit never mints a trace id of its own.
     """
-    if isinstance(frame, FrameBatch):
-        seen = []
-        for inner in frame.frames:
-            tid = getattr(inner, "trace_id", 0)
-            if tid and tid not in seen:
-                seen.append(tid)
-        return tuple(seen)
-    tid = getattr(frame, "trace_id", 0)
-    return (tid,) if tid else ()
+    seen = []
+    for frame in frames:
+        tid = getattr(frame, "trace_id", 0)
+        if tid and tid not in seen:
+            seen.append(tid)
+    return tuple(seen)

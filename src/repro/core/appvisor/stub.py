@@ -110,6 +110,15 @@ class AppVisorStub:
         self.endpoint = None
         self.topo_cache = TopoView()
         self.host_cache: Dict[str, HostEntry] = {}
+        #: The controller device-table version ``host_cache`` mirrors:
+        #: the only base a ContextPush delta may be laid over.  -1 = no
+        #: usable base (nothing pushed yet, a new proxy whose versions
+        #: mean something else, a delta that had to be dropped); the
+        #: cache keeps serving reads, and every heartbeat asks for a
+        #: full table until one arrives.
+        self.device_version = -1
+        #: Deltas dropped because their base was not the one held.
+        self.context_gaps = 0
         self.pending_counters: Dict[str, int] = {}
         self.pending_logs: List[str] = []
         self.app_log: List[str] = []
@@ -177,10 +186,9 @@ class AppVisorStub:
         """
         self.endpoint = endpoint
         endpoint.on_frame(self._on_frame)
-        # Promotion is a durability point: whatever follower state the
-        # new primary builds from this stub must reflect a real image,
-        # so deferred encodes are force-flushed before re-registering.
-        self.checkpoints.flush()
+        # The new proxy mirrors another controller's tables: its
+        # version numbers are not the old one's.
+        self.device_version = -1
         # Resume past every seq this stub has ever seen, including
         # events still waiting out a checkpoint freeze.
         resume = max(self.current_seq, self.last_seq_done,
@@ -191,14 +199,29 @@ class AppVisorStub:
             supports_deep_restore=self.replica_factory is not None,
             resume_from_seq=resume,
         ))
+        # Promotion is a durability point: whatever follower state the
+        # new primary builds from this stub must reflect a real image,
+        # so deferred encodes are force-flushed -- after the Register,
+        # so a state that will not encode is reported to a proxy that
+        # knows the app.
+        self._flush_checkpoints()
 
     def shutdown(self) -> None:
         if self._stop_heartbeat is not None:
             self._stop_heartbeat()
             self._stop_heartbeat = None
         if self.sandbox.alive:
-            self.checkpoints.flush()
+            self._flush_checkpoints()
         self.sandbox.stop()
+
+    def _flush_checkpoints(self) -> None:
+        """Force pending encodes durable; a capture that cannot be
+        encoded is the app's failure, exactly as in the heartbeat drain."""
+        try:
+            self.checkpoints.flush()
+        except CheckpointError as exc:
+            self._snapshot_failed(self.last_seq_done, exc,
+                                  self._current_trace)
 
     def _heartbeat(self) -> None:
         """Periodic liveness beacon -- stops the moment the process dies.
@@ -215,6 +238,7 @@ class AppVisorStub:
             app_name=self.app.name,
             stub_time=self.sim.now,
             last_seq_done=self.last_seq_done,
+            needs_context=self.device_version < 0,
         ))
 
     def _drain_checkpoints(self) -> None:
@@ -275,8 +299,29 @@ class AppVisorStub:
         elif isinstance(frame, rpc.RestoreCommand):
             self._on_restore(frame)
         elif isinstance(frame, rpc.ContextPush):
-            self.topo_cache = frame.topo
-            self.host_cache = {h.mac: h for h in frame.hosts}
+            self._on_context(frame)
+
+    def _on_context(self, push: rpc.ContextPush) -> None:
+        """Refresh the topology/host mirror from a full push, or lay a
+        delta over the one version it was cut against."""
+        if push.base_version < 0:
+            self.host_cache = {h.mac: h for h in push.hosts}
+        elif (push.base_version != self.device_version
+              or (push.topo is None
+                  and push.topo_version != self.topo_cache.version)):
+            # A push this one builds on never arrived (the reliable
+            # channel delivers in order or abandons): applying it would
+            # leave holes nobody knows about.  Drop it; the next
+            # heartbeat asks for the full table.
+            self.device_version = -1
+            self.context_gaps += 1
+            return
+        else:
+            for entry in push.hosts:
+                self.host_cache[entry.mac] = entry
+        if push.topo is not None:
+            self.topo_cache = push.topo
+        self.device_version = push.device_version
 
     # -- event processing -------------------------------------------------------
 

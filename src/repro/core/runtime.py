@@ -173,15 +173,18 @@ class LegoSDNRuntime:
             chaos=chaos,
             telemetry=self.controller.telemetry,
         )
-        # Retry-budget exhaustion is a *link* verdict: route it to the
-        # detector so Crash-Pad blames the channel, not the app.
-        channel.on_fault.append(
-            lambda fault, name=app.name:
-                self.proxy.note_channel_fault(name, fault))
+        self._route_faults(app.name, channel)
         self.proxy.attach_stub(stub, channel)
         self.stubs[app.name] = stub
         self.channels[app.name] = channel
         return stub
+
+    def _route_faults(self, app_name: str, channel: UdpChannel) -> None:
+        """Retry-budget exhaustion is a *link* verdict: route it to this
+        runtime's proxy, so Crash-Pad blames the channel, not the app
+        (and the proxy re-sends what the stub may have missed)."""
+        channel.on_fault.append(
+            lambda fault: self.proxy.note_channel_fault(app_name, fault))
 
     def adopt_apps(self, other: "LegoSDNRuntime") -> None:
         """Adopt ``other``'s already-running stubs after a controller
@@ -196,6 +199,7 @@ class LegoSDNRuntime:
             if name in self.stubs:
                 raise ValueError(f"app {name!r} already hosted here")
             channel = other.channels[name]
+            self._route_faults(name, channel)
             self.proxy.adopt_stub(stub, channel)
             self.stubs[name] = stub
             self.channels[name] = channel

@@ -8,13 +8,13 @@ module supplies the three mechanisms MORPH (Sakic et al.) shows make
 Byzantine tolerance affordable in an SDN control plane:
 
 1. **Authenticated shipping** (:class:`ReplicaKeyring`).  Every
-   replication frame carries an HMAC stamp computed over its canonical
-   packed encoding with a key derived per replica *pair*, so a frame
-   can neither be altered in flight nor forged on behalf of another
-   replica without detection.  Verification failures are counted
-   (``sig_rejected``) and repeated failures raise an
-   :class:`AuthFault` -- the replication-layer sibling of the
-   channel's ``ChannelFault``.
+   replication frame carries an HMAC stamp computed over its encoding
+   -- the bytes that travel, never a second serialisation -- with a key
+   derived per replica *pair*, so a frame can neither be altered in
+   flight nor forged on behalf of another replica without detection.
+   Verification failures are counted (``sig_rejected``) and repeated
+   failures raise an :class:`AuthFault` -- the replication-layer
+   sibling of the channel's ``ChannelFault``.
 
 2. **Output digests** (:func:`resolve_leaf` / :func:`chain_digest`).
    Primary and backups independently fold every committed resolve --
@@ -41,7 +41,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.openflow.serialization import encode_value
@@ -74,6 +76,11 @@ def tolerable_f(n: int) -> int:
 #: simulated adversary and keeps the per-frame overhead to one small
 #: trailing bytes field.
 MAC_BYTES = 8
+#: How a frame's encoding ends: ``auth`` is every replication frame's
+#: last field, so it is the last thing written -- empty before the
+#: stamp, ``MAC_BYTES`` long after it.
+_UNSTAMPED = encode_value(b"")
+_STAMPED = encode_value(bytes(MAC_BYTES))[:-MAC_BYTES]
 
 
 @dataclass(frozen=True)
@@ -94,54 +101,76 @@ class AuthFault:
 
 
 class ReplicaKeyring:
-    """Per replica-pair HMAC keys over the canonical packed encoding.
+    """Per replica-pair HMAC keys over a frame's encoding.
 
     Keys are derived from a set-level secret: ``key(a, b) =
     HMAC(secret, sorted pair ids)``.  Pair keys (rather than one group
     key) mean a compromised replica can forge only frames *it* is a
     party to -- it cannot fabricate traffic between two honest peers.
 
-    The canonical encoding signed is the frame's packed serialisation
-    with its ``auth`` field cleared, so the stamp covers every content
-    field (epoch included -- a replayed frame cannot be re-badged into
-    a newer epoch without the key).
+    The MAC covers the frame's encoding up to its trailing ``auth``
+    field, that is every content field (epoch included -- a replayed
+    frame cannot be re-badged into a newer epoch without the key), and
+    it is computed over bytes that already exist: :meth:`stamp` takes
+    the one encoding a channel made to send the frame, :meth:`verify`
+    the bytes that arrived.  Both also accept a frame object, which
+    they encode first.
     """
 
     def __init__(self, secret=0):
         if not isinstance(secret, bytes):
             secret = str(secret).encode()
         self._secret = secret
-        self._pair_keys: Dict[Tuple[str, str], bytes] = {}
+        #: Per pair, an HMAC already keyed: each MAC is a copy of it
+        #: fed the content (half the hashing of keying afresh).
+        self._pair_macs: Dict[Tuple[str, str], "hmac.HMAC"] = {}
         #: MACs computed / verified, for overhead accounting.
         self.stamps = 0
         self.verifies = 0
 
-    def pair_key(self, a: str, b: str) -> bytes:
+    def _mac(self, a: str, b: str, content: bytes) -> bytes:
         pair = (a, b) if a <= b else (b, a)
-        key = self._pair_keys.get(pair)
-        if key is None:
+        keyed = self._pair_macs.get(pair)
+        if keyed is None:
             key = hmac.new(self._secret, f"{pair[0]}|{pair[1]}".encode(),
                            hashlib.sha256).digest()
-            self._pair_keys[pair] = key
-        return key
-
-    def _mac(self, key: bytes, frame) -> bytes:
-        canonical = encode_value(replace(frame, auth=b""))
-        return hmac.new(key, canonical, hashlib.sha256).digest()[:MAC_BYTES]
+            keyed = self._pair_macs[pair] = hmac.new(
+                key, digestmod=hashlib.sha256)
+        mac = keyed.copy()
+        mac.update(content)
+        return mac.digest()[:MAC_BYTES]
 
     def stamp(self, frame, sender: str, receiver: str):
-        """Return ``frame`` with its ``auth`` field set to the pair MAC."""
+        """Set the pair MAC on ``frame``: given an unstamped frame's
+        encoding (what ``ChannelEndpoint.send(frame, seal=...)`` hands
+        over) return the stamped encoding; given a frame object return
+        it with its ``auth`` field set."""
         self.stamps += 1
-        return replace(
-            frame, auth=self._mac(self.pair_key(sender, receiver), frame))
+        if isinstance(frame, bytes):
+            if not frame.endswith(_UNSTAMPED):
+                raise ValueError("not the encoding of an unstamped frame")
+            content = frame[:-len(_UNSTAMPED)]
+            return content + _STAMPED + self._mac(sender, receiver, content)
+        content = encode_value(replace(frame, auth=b""))[:-len(_UNSTAMPED)]
+        return replace(frame, auth=self._mac(sender, receiver, content))
 
     def verify(self, frame, sender: str, receiver: str) -> bool:
+        """Whether ``frame`` -- the bytes a channel received, or a frame
+        object -- carries the pair's MAC over its content."""
         self.verifies += 1
-        expected = self._mac(self.pair_key(sender, receiver), frame)
-        return hmac.compare_digest(frame.auth, expected)
+        data = frame if isinstance(frame, bytes) else encode_value(frame)
+        content = data[:-len(_STAMPED) - MAC_BYTES]
+        if data[len(content):-MAC_BYTES] != _STAMPED:
+            return False    # unstamped, or an auth of the wrong length
+        return hmac.compare_digest(
+            data[-MAC_BYTES:], self._mac(sender, receiver, content))
 
 
 # -- output digests ----------------------------------------------------------
+
+_SHIP_ORDER = attrgetter("index")
+_CHAIN_LINK = struct.Struct("!QQ")
+
 
 def resolve_leaf(resolve_seq: int, outcome: str, records) -> int:
     """Digest of one resolved transaction's committed content.
@@ -152,23 +181,18 @@ def resolve_leaf(resolve_seq: int, outcome: str, records) -> int:
     backup folds into its shadow.  Deliberately excludes ``epoch``
     (resync re-stamps it) and ``auth``.
     """
-    parts = tuple(
-        (r.index, r.dpid, encode_value(r.message),
-         encode_value(tuple(r.inverses)), r.applied_at)
-        for r in sorted(records, key=lambda r: r.index)
-    )
-    blob = encode_value((resolve_seq, outcome, parts))
+    blob = encode_value((resolve_seq, outcome, [
+        (r.index, r.dpid, r.message, tuple(r.inverses), r.applied_at)
+        for r in sorted(records, key=_SHIP_ORDER)]))
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
 
 
 def chain_digest(prev: int, leaf: int) -> int:
     """Fold one resolve leaf into the running stream digest."""
-    h = hashlib.sha256()
-    h.update(prev.to_bytes(8, "big"))
-    h.update(leaf.to_bytes(8, "big"))
     # Digests travel in frame fields; keep them inside a signed 64-bit
     # int so every wire codec can carry them.
-    return int.from_bytes(h.digest()[:8], "big") >> 1
+    return int.from_bytes(
+        hashlib.sha256(_CHAIN_LINK.pack(prev, leaf)).digest()[:8], "big") >> 1
 
 
 class DigestLedger:

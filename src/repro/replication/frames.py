@@ -26,9 +26,11 @@ primary's NetLog committed, never a half-applied transaction.  Records
 of transactions still open when the primary dies are the *orphans* the
 promoted backup rolls back from their shipped inverses.
 
-Every frame carries a trailing ``auth`` stamp: a truncated HMAC over
-the frame's canonical packed encoding, keyed per replica pair
-(:class:`~repro.replication.byzantine.ReplicaKeyring`).  Heartbeats and
+Every frame ends in an ``auth`` stamp: a truncated HMAC over the
+encoding of the fields before it, keyed per replica pair
+(:class:`~repro.replication.byzantine.ReplicaKeyring`).  It must stay
+the *last* field: the keyring stamps and verifies the encoded bytes,
+and finds the stamp at their end.  Heartbeats and
 acks additionally carry a ``digest`` -- the sender's committed record
 stream chain digest at its advertised resolve floor -- which is the
 vote the Byzantine mode's 2f+1 acceptance counts.  Both are trailing
@@ -82,7 +84,7 @@ class RecordShip:
     #: produced this record (0 = untraced); lets the shipping channel's
     #: delivery/retransmission spans attach to the event's causal tree.
     trace_id: int = 0
-    #: Pair-keyed HMAC over the canonical encoding (auth cleared).
+    #: Pair-keyed HMAC over the encoding of every field before it.
     auth: bytes = b""
 
 
@@ -114,7 +116,7 @@ class TxnResolve:
     #: until a resync heals it -- so a gap can stall its vote but never
     #: poison its chain digest.
     leaf: int = 0
-    #: Pair-keyed HMAC over the canonical encoding (auth cleared).
+    #: Pair-keyed HMAC over the encoding of every field before it.
     auth: bytes = b""
 
 
@@ -139,7 +141,7 @@ class ReplHeartbeat:
     #: The primary's committed-stream chain digest at ``resolve_count``
     #: -- its own vote, which backups compare against their ledgers.
     digest: int = 0
-    #: Pair-keyed HMAC over the canonical encoding (auth cleared).
+    #: Pair-keyed HMAC over the encoding of every field before it.
     auth: bytes = b""
 
 
@@ -165,7 +167,7 @@ class ReplAck:
     #: resolve whose records it has not yet fully received.
     digest: int = 0
     digest_floor: int = 0
-    #: Pair-keyed HMAC over the canonical encoding (auth cleared).
+    #: Pair-keyed HMAC over the encoding of every field before it.
     auth: bytes = b""
 
 
@@ -191,5 +193,5 @@ class ResyncRequest:
     #: resolves with ``resolve_seq`` past this too (a partition can
     #: slice between a transaction's records and its resolve).
     from_resolve: int = 0
-    #: Pair-keyed HMAC over the canonical encoding (auth cleared).
+    #: Pair-keyed HMAC over the encoding of every field before it.
     auth: bytes = b""

@@ -473,9 +473,13 @@ class ReplicaSet:
             span_name="replication.ship",
         )
         channel.stub_end.on_frame(
-            lambda frame, r=replica: self._on_backup_frame(r, frame))
+            lambda frame, raw, r=replica:
+                self._on_backup_frame(r, frame, raw))
         channel.proxy_end.on_frame(
-            lambda frame, r=replica: self._on_primary_frame(r, frame))
+            lambda frame, raw, r=replica:
+                self._on_primary_frame(r, frame, raw))
+        # MACs are verified over the bytes that arrived.
+        channel.stub_end.raw_frames = channel.proxy_end.raw_frames = True
         replica.channel = channel
         # A fresh lease: the backup has "heard from" this primary now.
         replica.last_heartbeat = self.sim.now
@@ -564,41 +568,37 @@ class ReplicaSet:
         return self.byzantine
 
     def _send_to_backup(self, frame, replica: ControllerReplica) -> None:
-        """Stamp and transmit one primary->backup frame.
-
-        Signing happens per peer (the MAC is pair-keyed), after which a
-        compromised primary's ByzantineProfile gets its say -- it holds
-        its own keys, so its equivocated variants are re-signed through
-        ``signer`` and pass authentication; only voting can catch them.
-        """
-        sender = self._primary_id()
-        receiver = replica.replica_id
-        frame = self.keyring.stamp(frame, sender, receiver)
-        profile = self._byz_profile(sender)
-        if profile is not None:
-            def signer(f):
-                return self.keyring.stamp(f, sender, receiver)
-            frames = profile.perturb_primary(self.sim.now, frame,
-                                             receiver, signer)
-        else:
-            frames = (frame,)
-        for out in frames:
-            replica.channel.proxy_end.send(out)
+        """Stamp and transmit one primary->backup frame."""
+        self._send_stamped(frame, replica.channel.proxy_end,
+                           self._primary_id(), replica.replica_id)
 
     def _send_to_primary(self, replica: ControllerReplica, frame) -> None:
         """Stamp and transmit one backup->primary frame (acks, resyncs)."""
-        sender = replica.replica_id
-        receiver = self._primary_id()
-        frame = self.keyring.stamp(frame, sender, receiver)
+        self._send_stamped(frame, replica.channel.stub_end,
+                           replica.replica_id, self._primary_id())
+
+    def _send_stamped(self, frame, endpoint, sender: str,
+                      receiver: str) -> None:
+        """Signing happens per peer (the MAC is pair-keyed), over the
+        one encoding the channel makes to send the frame.  A compromised
+        sender's ByzantineProfile gets its say on the stamped frame --
+        it holds its own keys, so its equivocated or lying variants are
+        re-signed through ``signer`` and pass authentication; only
+        voting can catch them."""
+        def signer(f):
+            return self.keyring.stamp(f, sender, receiver)
         profile = self._byz_profile(sender)
-        if profile is not None:
-            def signer(f):
-                return self.keyring.stamp(f, sender, receiver)
-            frames = profile.perturb_backup(self.sim.now, frame, signer)
+        if profile is None:
+            endpoint.send(frame, seal=signer)
+            return
+        if sender == self._primary_id():
+            frames = profile.perturb_primary(self.sim.now, signer(frame),
+                                             receiver, signer)
         else:
-            frames = (frame,)
+            frames = profile.perturb_backup(self.sim.now, signer(frame),
+                                            signer)
         for out in frames:
-            replica.channel.stub_end.send(out)
+            endpoint.send(out)
 
     def _note_sig_rejected(self, replica: ControllerReplica, frame) -> None:
         """One frame failed HMAC verification: count it, and raise an
@@ -730,13 +730,14 @@ class ReplicaSet:
         if replica.telemetry.enabled:
             replica.telemetry.metrics.inc("replication.heartbeats")
 
-    def _on_primary_frame(self, replica: ControllerReplica, frame) -> None:
+    def _on_primary_frame(self, replica: ControllerReplica, frame,
+                          raw: Optional[bytes] = None) -> None:
         """Primary-side receive: acks and resync requests from backups.
 
         Epoch fencing first (stale traffic is stale, not hostile), then
-        HMAC verification -- a frame that fails the pair MAC was
-        tampered in flight or forged, and is counted and dropped, never
-        processed.
+        HMAC verification over ``raw``, the bytes ``frame`` was decoded
+        from -- a frame that fails the pair MAC was tampered in flight
+        or forged, and is counted and dropped, never processed.
         """
         if getattr(frame, "epoch", self.epoch) != self.epoch:
             replica.stale_frames += 1
@@ -745,7 +746,7 @@ class ReplicaSet:
             replica.stale_frames += 1
             return
         if not self.keyring.verify(
-                frame, replica.replica_id, self._primary_id()):
+                raw or frame, replica.replica_id, self._primary_id()):
             self._note_sig_rejected(replica, frame)
             return
         if isinstance(frame, ReplAck):
@@ -1031,7 +1032,8 @@ class ReplicaSet:
 
     # -- backup side: the replicated log ------------------------------------
 
-    def _on_backup_frame(self, replica: ControllerReplica, frame) -> None:
+    def _on_backup_frame(self, replica: ControllerReplica, frame,
+                         raw: Optional[bytes] = None) -> None:
         if (replica.role is not ReplicaRole.BACKUP
                 or getattr(frame, "epoch", self.epoch) < self.epoch):
             # Late traffic from a superseded epoch, or frames landing on
@@ -1042,7 +1044,7 @@ class ReplicaSet:
             replica.stale_frames += 1
             return
         if not self.keyring.verify(
-                frame, self._primary_id(), replica.replica_id):
+                raw or frame, self._primary_id(), replica.replica_id):
             # Suspicion falls on the *sender*: a primary->backup frame
             # that fails the pair MAC was tampered by (or en route from)
             # the primary side.

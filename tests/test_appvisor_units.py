@@ -5,7 +5,7 @@ import pytest
 from repro.apps import LearningSwitch
 from repro.controller.api import HostEntry, TopoView
 from repro.core.appvisor import rpc
-from repro.core.appvisor.channel import UdpChannel
+from repro.core.appvisor.channel import HEADER_SIZE, UdpChannel
 from repro.core.appvisor.isolation import (
     ProcessState,
     ResourceLimitExceeded,
@@ -120,7 +120,9 @@ class TestUdpChannel:
         channel.proxy_end.send(rpc.Heartbeat(app_name="x", stub_time=0,
                                              last_seq_done=0))
         assert channel.proxy_end.bytes_sent > 0
-        assert channel.bytes_carried == channel.proxy_end.bytes_sent
+        # The wire carries the datagram header on top of the payload.
+        assert channel.bytes_carried == \
+            HEADER_SIZE + channel.proxy_end.bytes_sent
 
 
 class TestSandbox:
@@ -145,6 +147,49 @@ class TestSandbox:
         assert "InjectedBugError" in outcome.error
         assert "Traceback" in outcome.traceback_text
         assert sandbox.state is ProcessState.CRASHED
+
+    def test_traceback_is_the_apps_and_names_no_checkout(self):
+        """The text ships in a CrashReport, so it is simulation input:
+        frames from the app's handler down, paths relative to the
+        package -- whatever wraps the handler, wherever the tree is."""
+        import functools
+        import os
+
+        class Fragile(LearningSwitch):
+            name = "fragile"
+
+            def on_packet_in(self, event):
+                try:
+                    {}["table"]
+                except KeyError as exc:
+                    raise RuntimeError("lookup failed") from exc
+
+        plain = SandboxProcess(Fragile()).deliver(pktin()).traceback_text
+        lines = plain.splitlines()
+        assert lines[0] == "Traceback (most recent call last):"
+        assert "KeyError: 'table'" in plain     # the cause rides along
+        assert lines[-1] == "RuntimeError: lookup failed"
+        files = [line.split('"')[1] for line in lines
+                 if line.startswith("  File ")]
+        assert files and not any(os.path.isabs(f) for f in files)
+        assert os.sep + "root" not in plain and __file__ not in plain
+        assert "repro/apps/base.py" in files     # SDNApp.handle ...
+        assert "isolation.py" not in plain        # ... and nothing above
+        assert ", in handle" in plain
+        # A tool wrapping the handler (wallbench's tracer does) adds a
+        # frame of its own to the stack; not to the text.
+        original = LearningSwitch.handle
+
+        @functools.wraps(original)
+        def traced(*args, **kwargs):
+            return original(*args, **kwargs)
+
+        LearningSwitch.handle = traced
+        try:
+            wrapped = SandboxProcess(Fragile()).deliver(pktin())
+        finally:
+            LearningSwitch.handle = original
+        assert wrapped.traceback_text == plain
 
     def test_dead_process_rejects_events(self):
         app = crash_on(LearningSwitch(), payload_marker="BOOM")

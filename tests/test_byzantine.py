@@ -252,6 +252,50 @@ class TestHonestRuns:
         assert not replicas.voting
 
 
+class TestCheapModeStillDetects:
+    """CRASH_FAULT mode is cheap, not blind: frames are stamped and
+    verified and the digest cross-checks run in it -- they are the
+    detector that escalates out of it."""
+
+    @pytest.mark.parametrize("repl_mode", ["crash", "adaptive"])
+    def test_tamper_and_lying_heartbeat_are_caught(self, repl_mode):
+        from dataclasses import replace
+
+        net, runtime, replicas = build(repl_mode=repl_mode)
+        drive(net, duration=1.0)
+        assert replicas.mode is ReplicationMode.CRASH_FAULT
+        assert replicas.keyring.stamps > 0 and replicas.keyring.verifies > 0
+        backup = replicas.replica("r1")
+        floor = backup.ledger.floor
+        assert floor > 0        # resolves were folded, leaf by leaf
+        assert backup.ledger.digest == replicas.primary.ledger.at(floor)
+
+        def signed(frame):
+            return replicas.keyring.stamp(frame, "r0", "r1")
+
+        # A record altered after it was signed.
+        ship = signed(RecordShip(
+            epoch=replicas.epoch, index=replicas.ship_index + 1, txn_id=10**6,
+            app_name="x", dpid=1, message=_sample_frames()[0].message,
+            inverses=(), applied_at=net.sim.now))
+        replicas._on_backup_frame(backup, replace(ship, dpid=2))
+        assert replicas.sig_rejected == 1
+        assert ship.index not in backup.seen_indices
+        # A correctly signed heartbeat whose chain digest is a lie.
+        noted = replicas.mode_policy.anomalies_noted
+        replicas._on_backup_frame(backup, signed(ReplHeartbeat(
+            epoch=replicas.epoch, log_index=replicas.ship_index,
+            sent_at=net.sim.now, resolve_count=floor,
+            digest=backup.ledger.digest ^ 1)))
+        assert replicas.mode_policy.anomalies_noted == noted + 1
+        if repl_mode == "adaptive":
+            assert replicas.mode is ReplicationMode.BYZANTINE
+            assert replicas.mode_policy.switches[-1].reason.startswith(
+                "byzantine-divergence")
+        else:                   # pinned: noted, never switched
+            assert replicas.mode is ReplicationMode.CRASH_FAULT
+
+
 # -- integration: liars -------------------------------------------------------
 
 class TestTamperingBackup:

@@ -10,8 +10,14 @@ by default at the runtime level):
   already on the wire still arrive, and nothing arrives twice.
 """
 
-from repro.core.appvisor.channel import UdpChannel
-from repro.core.appvisor.rpc import FrameBatch, Heartbeat, encode_frame
+from repro.core.appvisor.channel import (
+    HEADER_SIZE,
+    UdpChannel,
+    pack_datagram,
+    pack_records,
+    unpack_datagram,
+)
+from repro.core.appvisor.rpc import Heartbeat, decode_frame, encode_frame
 from repro.network.simulator import Simulator
 
 
@@ -69,8 +75,11 @@ class TestCoalescing:
         channel.stub_end.send(beat(7))
         sim.run()
         assert got == [7]
-        # One frame -> encoded bare, no FrameBatch framing overhead.
-        assert channel.bytes_carried == len(encode_frame(beat(7)))
+        # One frame is a batch of one: the header, one length, the
+        # frame's encoding -- no wrapper frame around it.
+        record = 4 + len(encode_frame(beat(7)))
+        assert channel.stub_end.bytes_sent == record
+        assert channel.bytes_carried == HEADER_SIZE + record
 
 
 class TestFifoAcrossFlushes:
@@ -178,7 +187,12 @@ class TestCrashPathWiring:
 
 class TestBatchWire:
     def test_frame_batch_roundtrips_through_codec(self):
-        frames = tuple(beat(i) for i in range(3))
-        batch = FrameBatch(frames=frames)
-        from repro.core.appvisor.rpc import decode_frame
-        assert decode_frame(encode_frame(batch)) == batch
+        frames = [beat(i) for i in range(3)]
+        datagram = pack_datagram(
+            1, 7, 3, pack_records([encode_frame(f) for f in frames]))
+        kind, seq, floor, records = unpack_datagram(datagram)
+        assert (kind, seq, floor) == (1, 7, 3)
+        assert [decode_frame(record) for record in records] == frames
+        # An ack is a header and nothing else.
+        assert unpack_datagram(pack_datagram(2, 9, 0)) == (2, 9, 0, [])
+        assert len(pack_datagram(2, 9, 0)) == HEADER_SIZE

@@ -129,3 +129,28 @@ class TestDeterminismUnderChaos:
         a = self._chaos_run(7, 3)
         b = self._chaos_run(7, 4)
         assert a["chaos"] != b["chaos"]
+
+
+def test_tracing_from_outside_moves_no_count():
+    """``wallbench --trace 1`` wraps every app handler; a crash's
+    traceback used to carry the wrapper's frame (and the checkout's
+    path) into the CrashReport, so bytes, channel delays and callback
+    counts depended on who was watching.  One crash is enough."""
+    import json
+    import pathlib
+    import subprocess
+    import sys
+
+    run = pathlib.Path(__file__).resolve().parent.parent / "wallbench" / "run.py"
+
+    def digest(mode):
+        done = subprocess.run(
+            [sys.executable, str(run), "--workload", "crash-recover",
+             "--seed", "0", "--seconds", "0.75", "--pass", mode],
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr[-2000:]
+        return json.loads(done.stdout.splitlines()[-1])["sim_digest"]
+
+    plain = digest("plain")
+    assert plain["crashes"] > 0
+    assert digest("traced") == plain

@@ -23,8 +23,10 @@ encoder must refuse it.
 never regenerated: the vectors the golden file held when PR 17 deleted
 the ``named`` format, the named-enum form of unregistered enums and the
 pickle state fallback -- ``<case>:named``, the three
-``edge:unregistered_*:packed`` and ``state:pickle_fallback``.  No
-encoder writes those bytes any more, and the decoder must refuse them.
+``edge:unregistered_*:packed`` and ``state:pickle_fallback`` -- and,
+from PR 18, ``schema:<name>:packed`` of the three frames the datagram
+header replaced (:data:`RETIRED_SCHEMAS`).  No encoder writes those
+bytes any more, and the decoder must refuse them.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ RETIRED_PATH = GOLDEN_PATH.with_name("wire_retired.json")
 
 #: In place of a case's decoded value: encoding it must raise.
 UNENCODABLE = object()
+#: In place of a case's value: its schema no longer exists.
+RETIRED = object()
+#: Frames the channel's datagram layout replaced (PR 18).  Their case
+#: ids stay, as refusals of the bytes they had.
+RETIRED_SCHEMAS = ("FrameBatch", "SeqEnvelope", "ChannelAck")
 
 
 def import_every_schema() -> None:
@@ -136,7 +143,7 @@ class _Populator:
         raise AssertionError(f"no rule to populate {hint!r}")
 
     def _object_tuple(self, depth: int):
-        """``Tuple[object, ...]``: FrameBatch.frames / RecordShip.inverses."""
+        """``Tuple[object, ...]``: RecordShip.inverses."""
         c = self._classes
         if depth > 0:
             return ()
@@ -243,6 +250,8 @@ def edge_cases() -> List[Tuple[str, object, object]]:
 def value_cases() -> List[Tuple[str, object, object]]:
     cases = [(f"schema:{name}", value, value)
              for name, value in schema_instances().items()]
+    cases += [(f"schema:{name}", RETIRED, RETIRED)
+              for name in RETIRED_SCHEMAS]
     cases += [(f"edge:{name}", value, decoded)
               for name, value, decoded in edge_cases()]
     return cases
@@ -273,7 +282,8 @@ def generate() -> dict:
     return {
         "value": {name: serialization.encode_value(value).hex()
                   for name, value, decoded in value_cases()
-                  if decoded is not UNENCODABLE},
+                  if decoded is not UNENCODABLE
+                  and decoded is not RETIRED},
         "message": {name: serialization.encode_message(msg).hex()
                     for name, msg in message_cases()},
         "state": {name: serialization.encode_state_value(value).hex()
