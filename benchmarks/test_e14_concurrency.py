@@ -116,10 +116,10 @@ def test_e14_concurrency_lanes(benchmark):
     # Serial drain grows ~linearly with switches; lanes stay ~flat.
     # The first event of a drain pays the chain-opening full
     # checkpoint (a constant ~10 ms), so compare marginal growth
-    # rather than the raw n=8/n=2 ratio.
+    # rather than the raw n=8/n=2 ratio -- and relative growth, not
+    # milliseconds that belong to one cost model.
     serial_growth = by_n[8]["serial"] - by_n[2]["serial"]
     lanes_growth = by_n[8]["lanes"] - by_n[2]["lanes"]
-    assert serial_growth > 0.010  # 6 extra events, >=2 ms each
     assert lanes_growth < serial_growth / 3
     assert by_n[8]["lanes"] < by_n[2]["lanes"] * 2.5
     # Attribution: the crash was pinpointed, the app recovered, and the

@@ -95,12 +95,10 @@ def test_e2_control_loop_latency(benchmark):
     assert len(r["dataplane"]) == len(r["monolithic"]) == len(r["legosdn"])
     # Paper's [11] framing: the controller on the critical path costs ~4x.
     assert mean["monolithic"] / mean["dataplane"] >= 1.5
-    # Incremental checkpoints + batched RPC cut the LegoSDN transit from
-    # ~8.6x dataplane to ~4x; it must stay well above the monolithic
-    # path (the isolation layer is not free) without re-asserting the
-    # pre-optimisation overhead.
-    assert mean["legosdn"] / mean["dataplane"] >= 2.5
-    # LegoSDN is strictly slower than monolithic (serialisation + RPC +
-    # per-event checkpoint), but the control loop still completes.
+    # The paper's shape, not one cost model's numbers: the isolation
+    # layer is not free (serialisation + RPC + per-event checkpoint put
+    # LegoSDN strictly above monolithic), and what it adds is small
+    # next to involving the controller at all (under 2x monolithic).
     assert mean["legosdn"] > mean["monolithic"]
+    assert mean["legosdn"] / mean["monolithic"] < 2
     assert r["rpc_bytes"] > 0

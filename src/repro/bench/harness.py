@@ -375,8 +375,10 @@ def check_report(baseline: Dict[str, object], candidate: BenchReport,
     """Gate a fresh run against a committed baseline document entry.
 
     Fails when throughput drops, tail latency rises, or bytes/event
-    rises by more than ``threshold`` (fractional).  Returns (ok,
-    human-readable check lines).
+    rises by more than ``threshold`` (fractional), or when the
+    candidate's latency summary contradicts itself (a quantile above a
+    higher one, or above ``max``; the frozen baseline is not judged).
+    Returns (ok, human-readable check lines).
     """
     lines: List[str] = []
     ok = True
@@ -409,4 +411,11 @@ def check_report(baseline: Dict[str, object], candidate: BenchReport,
           higher_is_better=False)
     check("bytes/event", base.get("bytes_per_event"),
           cand.get("bytes_per_event"), higher_is_better=False)
+    latency = cand.get("latency_ms") or {}
+    ladder = [latency[key] for key in ("p50", "p99", "p99_9", "max")
+              if key in latency]
+    if any(lower > upper for lower, upper in zip(ladder, ladder[1:])):
+        ok = False
+        lines.append(f"FAIL latency order p50 <= p99 <= p99.9 <= max: "
+                     f"{ladder}")
     return ok, lines

@@ -5,9 +5,10 @@ Sustained runs observe millions of samples; keeping them all (the
 memory and O(n log n) to quantile.  This histogram is O(buckets)
 forever: fixed log-spaced boundaries, one counter each, quantiles read
 off the cumulative distribution.  Quantile answers are the *upper
-bound* of the containing bucket -- deterministic, reproducible, and
-within one bucket ratio (~12%) of the true value, which is tighter
-than run-to-run noise on any real benchmark.
+bound* of the containing bucket, clamped to the exact ``max`` (no
+quantile can exceed the largest sample) -- deterministic,
+reproducible, and within one bucket ratio (~12%) of the true value,
+which is tighter than run-to-run noise on any real benchmark.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class StreamingHistogram:
 
     def quantile(self, q: float) -> float:
         """The upper bound of the bucket containing quantile ``q``
-        (q in [0, 1]); NaN when empty."""
+        (q in [0, 1]), never above ``max``; NaN when empty."""
         if not 0 <= q <= 1:
             raise ValueError("quantile must be in [0, 1]")
         if self.count == 0:
@@ -76,8 +77,9 @@ class StreamingHistogram:
         for idx, count in enumerate(self.counts):
             cumulative += count
             if cumulative >= rank:
-                return self.bounds[min(idx, len(self.bounds) - 1)]
-        return self.bounds[-1]
+                return min(self.bounds[min(idx, len(self.bounds) - 1)],
+                           self.max)
+        return self.max
 
     def summary(self, quantiles: Sequence[float] = (0.5, 0.99, 0.999),
                 ) -> Dict[str, float]:

@@ -12,11 +12,13 @@ from __future__ import annotations
 class ControlChannel:
     """One switch's session with the controller."""
 
-    def __init__(self, sim, controller, switch, delay: float = 0.0005):
+    #: One-way delay of the session, either direction.
+    DELAY = 0.0005
+
+    def __init__(self, sim, controller, switch):
         self.sim = sim
         self.controller = controller
         self.switch = switch
-        self.delay = delay
         self.connected = True
         self.to_controller_count = 0
         self.to_switch_count = 0
@@ -32,7 +34,7 @@ class ControlChannel:
             return False
         self.to_controller_count += 1
         self.sim.schedule(
-            self.delay, self._deliver_to_controller, msg
+            self.DELAY, self._deliver_to_controller, msg
         )
         return True
 
@@ -45,7 +47,7 @@ class ControlChannel:
         if not self.connected:
             return False
         self.to_switch_count += 1
-        self.sim.schedule(self.delay, self._deliver_to_switch, msg)
+        self.sim.schedule(self.DELAY, self._deliver_to_switch, msg)
         return True
 
     def _deliver_to_switch(self, msg) -> None:

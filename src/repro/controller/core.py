@@ -63,8 +63,7 @@ class CrashRecord:
 class Controller:
     """A FloodLight-style SDN controller."""
 
-    def __init__(self, sim, control_delay: float = 0.0005,
-                 discovery_interval: float = 0.5,
+    def __init__(self, sim, discovery_interval: float = 0.5,
                  telemetry: Optional[Telemetry] = None,
                  dispatch_shards: int = 8,
                  service_time: float = 0.0):
@@ -75,7 +74,6 @@ class Controller:
         self.sim = sim
         self.telemetry = telemetry or Telemetry()
         self.telemetry.bind_clock(lambda: self.sim.now)
-        self.control_delay = control_delay
         #: Replication epoch this controller believes it is serving in.
         #: Single-controller deployments stay at 0 forever; a ReplicaSet
         #: bumps it on every failover, and switches fence out writes
@@ -149,7 +147,7 @@ class Controller:
         """Attach a switch (the OpenFlow handshake, condensed)."""
         if switch.dpid in self.channels:
             raise ValueError(f"dpid {switch.dpid} already connected")
-        channel = ControlChannel(self.sim, self, switch, delay=self.control_delay)
+        channel = ControlChannel(self.sim, self, switch)
         self.channels[switch.dpid] = channel
         self.topology.switch_joined(switch.dpid)
         if self.started:

@@ -6,7 +6,7 @@ A frame is encoded exactly once, in :meth:`ChannelEndpoint.send`.  What
 travels is a *datagram*: a fixed header followed by the encodings of
 the frames aboard, each behind its length.  With ``batch=True`` every
 frame a side sends at one sim instant rides one datagram, flushed on
-the tick boundary (``batch_window`` past the first send; one
+the tick boundary (``BATCH_WINDOW`` past the first send; one
 ``base_delay`` and one loss roll for the lot); unbatched, a datagram
 carries one frame; an acknowledgement is a header and nothing else.
 The byte counters, the CRC, the retransmit buffer and the wire all use
@@ -84,6 +84,19 @@ _FIELDS = struct.Struct("!BII")
 HEADER_SIZE = _CRC.size + _FIELDS.size
 _LENGTH = struct.Struct("!I")
 _DATA, _ACK = 1, 2
+
+#: How long the first pending frame of a batch waits for company.  0.0
+#: still batches: the flush is scheduled as a fresh sim event, which
+#: fires after every same-instant send already queued.
+BATCH_WINDOW = 0.0
+#: Retransmit timer: the first timeout, doubled per attempt up to the
+#: cap -- an RTO for a sub-millisecond localhost hop, not an Internet
+#: path.
+RTO_INITIAL = 0.01
+RTO_MAX = 0.08
+#: Each backoff is stretched by a seeded uniform draw in
+#: [0, RTO_JITTER] to de-synchronise retries.
+RTO_JITTER = 0.25
 
 
 def pack_datagram(kind: int, seq: int, floor: int,
@@ -237,12 +250,9 @@ class UdpChannel:
     def __init__(self, sim, base_delay: float = 0.0002,
                  per_byte_delay: float = 2e-8, loss: float = 0.0,
                  seed: int = 0,
-                 batch: bool = False, batch_window: float = 0.0,
+                 batch: bool = False,
                  reliable: bool = False,
                  retry_budget: int = 8,
-                 rto_initial: float = 0.01,
-                 rto_max: float = 0.08,
-                 rto_jitter: float = 0.25,
                  chaos=None,
                  telemetry=None, span_name: str = "appvisor.rpc"):
         self.sim = sim
@@ -251,20 +261,11 @@ class UdpChannel:
         self.loss = loss
         self.rng = random.Random(seed)
         self.batch = batch
-        #: How long the first pending frame waits for company.  0.0
-        #: still batches: the flush is scheduled as a fresh sim event,
-        #: which fires after every same-instant send already queued.
-        self.batch_window = batch_window
         #: Reliable-delivery layer (seq/ack/retransmit/dedup/reorder).
         self.reliable = reliable
         #: Retransmissions allowed per datagram before it is abandoned
         #: and a ChannelFault raised.
         self.retry_budget = retry_budget
-        self.rto_initial = rto_initial
-        self.rto_max = rto_max
-        #: Jitter fraction: each backoff is stretched by a seeded
-        #: uniform draw in [0, rto_jitter] to de-synchronise retries.
-        self.rto_jitter = rto_jitter
         #: Optional ChaosProfile perturbing every datagram on the wire.
         self.chaos = chaos
         #: Callbacks invoked with a ChannelFault when a datagram
@@ -313,7 +314,7 @@ class UdpChannel:
         self._pending[from_side].append(sent)
         if not self._flush_scheduled[from_side]:
             self._flush_scheduled[from_side] = True
-            self.sim.schedule(self.batch_window,
+            self.sim.schedule(BATCH_WINDOW,
                               lambda: self._flush(from_side))
 
     def _flush(self, from_side: str) -> None:
@@ -383,10 +384,8 @@ class UdpChannel:
         self._put_on_wire(
             from_side, pack_datagram(_DATA, seq, state.floor, record.payload),
             kind="data")
-        rto = min(self.rto_initial * (2 ** (record.attempts - 1)),
-                  self.rto_max)
-        if self.rto_jitter > 0:
-            rto *= 1.0 + self.rng.random() * self.rto_jitter
+        rto = min(RTO_INITIAL * (2 ** (record.attempts - 1)), RTO_MAX)
+        rto *= 1.0 + self.rng.random() * RTO_JITTER
         record.next_at = self.sim.now + rto
         self._arm_timer(from_side)
 

@@ -122,11 +122,11 @@ class AppVisorProxy:
     #: Types the proxy always wants, for shadow-table upkeep and
     #: counter-cache patching, regardless of app subscriptions.
     INTERNAL_TYPES = frozenset({"FlowRemoved", "SwitchLeave", "FlowStatsReply"})
+    #: Seconds between failure-detection sweeps (and context pushes).
+    CHECK_INTERVAL = 0.05
 
     def __init__(self, controller, mode: str = "netlog",
                  crashpad: Optional[CrashPad] = None,
-                 detector: Optional[FailureDetector] = None,
-                 check_interval: float = 0.05,
                  byzantine_check: bool = False,
                  shutdown_on_critical: bool = False,
                  parallel_lanes: bool = False):
@@ -140,7 +140,7 @@ class AppVisorProxy:
         self.manager = TransactionManager(controller)
         self.buffer = DelayBuffer(self.manager)
         self.crashpad = crashpad or CrashPad()
-        self.detector = detector or FailureDetector()
+        self.detector = FailureDetector()
         # The proxy is the composition point: the decision engine and
         # the detector observe through the deployment's telemetry.
         self.crashpad.telemetry = self.telemetry
@@ -151,7 +151,7 @@ class AppVisorProxy:
         self.internal_errors: List[str] = []
         self._listener_registered = False
         self._register_listener()
-        self._stop_tick = self.sim.every(check_interval, self._tick)
+        self._stop_tick = self.sim.every(self.CHECK_INTERVAL, self._tick)
 
     # -- controller listener ------------------------------------------------
 
@@ -600,8 +600,14 @@ class AppVisorProxy:
         record.status = AppStatus.RECOVERING
         record.recovery_started_at = self.sim.now
         record.recovery_trace_id = offending_trace
-        restore_seq = (offending_inflight.seq if offending_inflight
-                       else record.last_seq + 1)
+        if offending_inflight is not None:
+            restore_seq = offending_inflight.seq
+        elif offending_seq is not None:
+            # The stub named an event this proxy never dispatched: it
+            # re-attached already dead of it.  The replay must skip it.
+            restore_seq = offending_seq
+        else:
+            restore_seq = record.last_seq + 1
         self.detector.clear(record.name, self.sim.now)
         # Collateral events are re-delivered first (their original
         # order) under their own traces, preceded by any transformation

@@ -80,7 +80,6 @@ class AppVisorStub:
                  checkpoint_interval: int = 1,
                  heartbeat_interval: float = 0.1,
                  limits: Optional[ResourceLimits] = None,
-                 journal_size: int = 256,
                  replica_factory=None,
                  telemetry=None,
                  checkpoint_policy: Optional[CheckpointPolicy] = None):
@@ -106,7 +105,7 @@ class AppVisorStub:
             False if (self.sandbox.limits.max_state_bytes is not None)
             else None)
         self.heartbeat_interval = heartbeat_interval
-        self.journal = EventJournal(max_entries=journal_size)
+        self.journal = EventJournal()
         self.endpoint = None
         self.topo_cache = TopoView()
         self.host_cache: Dict[str, HostEntry] = {}
@@ -140,6 +139,10 @@ class AppVisorStub:
         self._current_trace = 0
         self._stop_heartbeat = None
         self._last_delivered: Optional[tuple] = None  # (seq, event)
+        #: The report of the crash the sandbox is dead of (None once a
+        #: restore revived it): said again on re-attach, because the
+        #: first telling may have died with its channel or its proxy.
+        self._crash_report: Optional[rpc.CrashReport] = None
         #: Background-drain spans emitted (observability).
         self.drains_done = 0
         #: Seqs delivered but not yet processed (the checkpoint-cost
@@ -199,6 +202,8 @@ class AppVisorStub:
             supports_deep_restore=self.replica_factory is not None,
             resume_from_seq=resume,
         ))
+        if self._crash_report is not None:
+            endpoint.send(self._crash_report)
         # Promotion is a durability point: whatever follower state the
         # new primary builds from this stub must reflect a real image,
         # so deferred encodes are force-flushed -- after the Register,
@@ -382,11 +387,15 @@ class AppVisorStub:
         hears of it like any other crash."""
         if self.sandbox.alive:      # a breached cap already killed it
             self.sandbox.kill(str(exc))
-        self.policy.note_crash(self.sim.now)
-        self.endpoint.send(rpc.CrashReport(
+        self._report_crash(rpc.CrashReport(
             app_name=self.app.name, seq=seq, error=str(exc),
             trace_id=trace_id,
         ))
+
+    def _report_crash(self, report: rpc.CrashReport) -> None:
+        self.policy.note_crash(self.sim.now)
+        self._crash_report = report
+        self.endpoint.send(report)
 
     def _checkpoint_due(self, seq: int) -> bool:
         latest = self.checkpoints.latest()
@@ -431,8 +440,7 @@ class AppVisorStub:
                 trace_id=trace_id,
             ))
         elif outcome.status == "crashed":
-            self.policy.note_crash(self.sim.now)
-            self.endpoint.send(rpc.CrashReport(
+            self._report_crash(rpc.CrashReport(
                 app_name=self.app.name,
                 seq=seq,
                 error=outcome.error,
@@ -536,6 +544,7 @@ class AppVisorStub:
         """
         self.checkpoints.restore(self.app, checkpoint)
         self.sandbox.revive()
+        self._crash_report = None
         replay_entries = self.journal.events_between(
             checkpoint.before_seq, float("inf")
         )

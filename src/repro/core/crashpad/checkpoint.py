@@ -184,7 +184,8 @@ class CheckpointStore:
     bytes plus ``version_check_per_key_cost`` per key.  Deferred takes
     charge ``capture_base_cost`` + ``capture_per_key_cost`` per dirty
     key on the event path and everything else in the background drain.
-    All costs are in simulated seconds.  ``keep`` bounds retention
+    All costs are in simulated seconds; those five are constants of the
+    model (class attributes), not settings.  ``keep`` bounds retention
     (rollbacks only ever reach back a bounded number of events -- §5
     discusses reading "a history of snapshots"); ``full_every`` caps
     delta-chain length so restores stay cheap.
@@ -194,15 +195,16 @@ class CheckpointStore:
     Prometheus exposition.
     """
 
+    hash_per_byte_cost = 2e-9
+    encode_per_byte_cost = 5e-9
+    capture_base_cost = 2e-5
+    capture_per_key_cost = 1e-6
+    version_check_per_key_cost = 5e-8
+
     def __init__(self, keep: int = 16, base_cost: float = 0.010,
                  per_byte_cost: float = 1e-7,
                  full_every: int = 8,
-                 hash_per_byte_cost: float = 2e-9,
-                 encode_per_byte_cost: float = 5e-9,
                  deferred: bool = False,
-                 capture_base_cost: float = 2e-5,
-                 capture_per_key_cost: float = 1e-6,
-                 version_check_per_key_cost: float = 5e-8,
                  metrics=None):
         if keep < 1:
             raise ValueError("keep must be >= 1")
@@ -212,14 +214,9 @@ class CheckpointStore:
         self.base_cost = base_cost
         self.per_byte_cost = per_byte_cost
         self.full_every = full_every
-        self.hash_per_byte_cost = hash_per_byte_cost
-        self.encode_per_byte_cost = encode_per_byte_cost
         #: Defer encoding to :meth:`drain` (needs version tracking on
         #: the app; falls back to synchronous takes without it).
         self.deferred = deferred
-        self.capture_base_cost = capture_base_cost
-        self.capture_per_key_cost = capture_per_key_cost
-        self.version_check_per_key_cost = version_check_per_key_cost
         self.metrics = metrics
         self._checkpoints: List[Checkpoint] = []
         #: Pending (not yet encoded) entries, FIFO -- always a suffix

@@ -61,7 +61,7 @@ class FailureDetector:
 
     def __init__(self, heartbeat_timeout: float = 0.35,
                  event_timeout: float = 0.5,
-                 channel_fault_window: float = 1.0, telemetry=None):
+                 channel_fault_window: float = 1.0):
         self.heartbeat_timeout = heartbeat_timeout
         self.event_timeout = event_timeout
         #: For how long after a channel fault the app's silence is
@@ -71,8 +71,8 @@ class FailureDetector:
         self.suspicions_raised = 0
         #: Optional Telemetry; suspicions become trace events (the
         #: "detect" edge of the recovery timeline).  The AppVisor proxy
-        #: rebinds this to the deployment's telemetry at composition.
-        self.telemetry = telemetry
+        #: binds this to the deployment's telemetry at composition.
+        self.telemetry = None
 
     def register(self, app_name: str, now: float) -> None:
         self._health[app_name] = AppHealth(last_heartbeat=now)

@@ -34,18 +34,18 @@ class CheckpointPolicy:
 
     One instance per app stub (it tracks that app's crash recency).
 
-    ``health_source`` is a zero-argument callable returning a health
-    score in [0, 1] (1 = healthy), typically ``HealthWatchdog.
-    health_score``; scores below ``health_threshold`` count as elevated
-    risk.  ``risk_window`` is how long (sim seconds) after a crash the
-    policy stays tightened.
+    The health source (:meth:`attach_health`) is a zero-argument
+    callable returning a health score in [0, 1] (1 = healthy), typically
+    ``HealthWatchdog.health_score``; scores below ``HEALTH_THRESHOLD``
+    count as elevated risk.  ``RISK_WINDOW`` is how long (sim seconds)
+    after a crash the policy stays tightened.
     """
 
+    RISK_WINDOW = 2.0
+    HEALTH_THRESHOLD = 0.8
+
     def __init__(self, interval: int = 1, adaptive: bool = False,
-                 max_tail: int = 64,
-                 risk_window: float = 2.0,
-                 health_threshold: float = 0.8,
-                 health_source: Optional[Callable[[], float]] = None):
+                 max_tail: int = 64):
         if interval < 1:
             raise ValueError("checkpoint interval must be >= 1")
         if max_tail < 1:
@@ -53,15 +53,13 @@ class CheckpointPolicy:
         self.interval = interval
         self.adaptive = adaptive
         self.max_tail = max_tail
-        self.risk_window = risk_window
-        self.health_threshold = health_threshold
-        self.health_source = health_source
+        self.health_source: Optional[Callable[[], float]] = None
         self._last_crash_at: Optional[float] = None
         #: Takes forced by the tail bound (observability).
         self.tail_forced = 0
 
     def attach_health(self, source: Callable[[], float]) -> None:
-        """Wire a watchdog's health score in after construction."""
+        """Wire a watchdog's health score in."""
         self.health_source = source
 
     def note_crash(self, now: float) -> None:
@@ -76,14 +74,14 @@ class CheckpointPolicy:
     def elevated_risk(self, now: float) -> bool:
         """True when recent history or the watchdog predicts trouble."""
         if (self._last_crash_at is not None
-                and now - self._last_crash_at <= self.risk_window):
+                and now - self._last_crash_at <= self.RISK_WINDOW):
             return True
         if self.health_source is not None:
             try:
                 score = self.health_source()
             except Exception:
                 return False
-            if score is not None and score < self.health_threshold:
+            if score is not None and score < self.HEALTH_THRESHOLD:
                 return True
         return False
 

@@ -39,19 +39,15 @@ class CrashPad:
     """Failure-handling policy engine."""
 
     def __init__(self, policy_table: Optional[PolicyTable] = None,
-                 transformer: Optional[EventTransformer] = None,
-                 tickets: Optional[TicketStore] = None,
-                 critical_invariants: tuple = ("loop",),
-                 telemetry=None):
+                 tickets: Optional[TicketStore] = None):
         self.policy_table = policy_table or default_policy_table()
-        self.transformer = transformer or EventTransformer()
+        self.transformer = EventTransformer()
         self.tickets = tickets or TicketStore()
-        self.critical_invariants = critical_invariants
         self.decisions: List[RecoveryDecision] = []
         #: Optional Telemetry; decisions and byzantine checks become
-        #: trace events/spans.  The AppVisor proxy rebinds this to the
+        #: trace events/spans.  The AppVisor proxy binds this to the
         #: deployment's telemetry at composition.
-        self.telemetry = telemetry
+        self.telemetry = None
 
     # -- design question 2: how much to compromise -----------------------
 
@@ -122,8 +118,7 @@ class CrashPad:
         tracer = (self.telemetry.tracer if self.telemetry is not None
                   else NULL_TRACER)
         with tracer.span("crashpad.byzantine_check") as span:
-            checker = InvariantChecker(
-                snapshot, critical_kinds=self.critical_invariants)
+            checker = InvariantChecker(snapshot)
             probes = build_host_probes(snapshot)
             violations = []
             violations.extend(checker.check_loops(probes))

@@ -47,13 +47,15 @@ class ByzantineProfile:
     time of the first frame actually perturbed.
     """
 
+    #: Signed frames kept for the replay misbehaviour to draw from.
+    REPLAY_POOL = 32
+
     def __init__(self, seed: int = 0, *,
                  tamper: float = 0.0,
                  equivocate: float = 0.0,
                  replay: float = 0.0,
                  digest_lie: float = 0.0,
-                 start: float = 0.0,
-                 replay_pool: int = 32):
+                 start: float = 0.0):
         self.seed = seed
         self.rng = random.Random(seed)
         self.tamper = tamper
@@ -62,7 +64,6 @@ class ByzantineProfile:
         self.digest_lie = digest_lie
         self.start = start
         self._pool: List[object] = []
-        self._pool_max = replay_pool
         # Observability: what the compromise actually did.
         self.tampered = 0
         self.equivocated = 0
@@ -81,7 +82,7 @@ class ByzantineProfile:
 
     def _stash(self, frame) -> None:
         self._pool.append(frame)
-        if len(self._pool) > self._pool_max:
+        if len(self._pool) > self.REPLAY_POOL:
             self._pool.pop(0)
 
     @staticmethod

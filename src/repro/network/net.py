@@ -17,15 +17,19 @@ from repro.network.switch import Switch
 from repro.network.topology import Topology
 
 
+#: One-way propagation delay of every data-plane link.
+LINK_DELAY = 0.001
+#: How often the switches expire timed-out flow entries.
+FLOW_SWEEP_INTERVAL = 0.05
+
+
 class Network:
     """A running SDN deployment: dataplane + controller."""
 
     def __init__(self, topology: Topology, seed: int = 0,
-                 link_delay: float = 0.001, control_delay: float = 0.0005,
                  discovery_interval: float = 0.5,
-                 flow_sweep_interval: float = 0.05,
                  buffer_packets: bool = True,
-                 controller=None, telemetry=None):
+                 telemetry=None):
         # Imported here, not at module top: repro.controller.services
         # imports the packet model from this package, so a module-level
         # import would be circular.
@@ -34,12 +38,11 @@ class Network:
         topology.validate()
         self.topology = topology
         self.sim = Simulator(seed=seed)
-        self.controller = controller or Controller(
-            self.sim, control_delay=control_delay,
+        self.controller = Controller(
+            self.sim,
             discovery_interval=discovery_interval,
             telemetry=telemetry,
         )
-        self.flow_sweep_interval = flow_sweep_interval
         self.switches: Dict[int, Switch] = {}
         self.hosts: Dict[str, Host] = {}
         self.links: List[Link] = []
@@ -47,12 +50,12 @@ class Network:
         self._host_links: Dict[str, Link] = {}
         self._next_port: Dict[int, int] = {}
         self.buffer_packets = buffer_packets
-        self._build(link_delay)
+        self._build()
         self._started = False
 
     # -- construction ----------------------------------------------------
 
-    def _build(self, link_delay: float) -> None:
+    def _build(self) -> None:
         for dpid in self.topology.switches:
             self.switches[dpid] = Switch(dpid, self.sim,
                                          buffer_packets=self.buffer_packets)
@@ -61,7 +64,7 @@ class Network:
             port_a = self._alloc_port(dpid_a)
             port_b = self._alloc_port(dpid_b)
             link = Link(self.sim, self.switches[dpid_a], port_a,
-                        self.switches[dpid_b], port_b, delay=link_delay)
+                        self.switches[dpid_b], port_b, delay=LINK_DELAY)
             self.switches[dpid_a].attach_link(port_a, link)
             self.switches[dpid_b].attach_link(port_b, link)
             self.links.append(link)
@@ -70,7 +73,7 @@ class Network:
             host = Host(spec.name, spec.mac, spec.ip, self.sim)
             port = self._alloc_port(spec.dpid)
             link = Link(self.sim, self.switches[spec.dpid], port, host, 0,
-                        delay=link_delay)
+                        delay=LINK_DELAY)
             self.switches[spec.dpid].attach_link(port, link)
             host.attach_link(link)
             self.hosts[spec.name] = host
@@ -105,7 +108,7 @@ class Network:
                 started.append(controller)
         for controller in started:
             controller.start()
-        self.sim.every(self.flow_sweep_interval, self._sweep_flows)
+        self.sim.every(FLOW_SWEEP_INTERVAL, self._sweep_flows)
 
     def _sweep_flows(self) -> None:
         for switch in self.switches.values():

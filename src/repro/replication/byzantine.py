@@ -205,13 +205,15 @@ class DigestLedger:
     matter what the network did in between.
     """
 
-    def __init__(self, history: int = 1024):
+    #: Chain digests remembered (votes older than this get no verdict).
+    HISTORY_MAX = 1024
+
+    def __init__(self):
         self.floor = 0
         self.digest = 0
         self._pending: Dict[int, int] = {}
         #: resolve_seq -> chain digest after folding it (bounded).
         self.history: Dict[int, int] = {}
-        self._history_max = history
 
     def add(self, resolve_seq: int, leaf: int) -> None:
         if resolve_seq <= self.floor or resolve_seq in self._pending:
@@ -222,7 +224,7 @@ class DigestLedger:
             self.digest = chain_digest(self.digest,
                                        self._pending.pop(self.floor))
             self.history[self.floor] = self.digest
-            if len(self.history) > self._history_max:
+            if len(self.history) > self.HISTORY_MAX:
                 del self.history[min(self.history)]
 
     def at(self, resolve_seq: int) -> Optional[int]:
@@ -289,12 +291,11 @@ class ReplicationModePolicy:
     """
 
     def __init__(self, mode: ReplicationMode = ReplicationMode.CRASH_FAULT,
-                 clean_window: float = 2.0, pinned: bool = False,
-                 fence: Optional[EpochFence] = None):
+                 clean_window: float = 2.0, pinned: bool = False):
         self.mode = mode
         self.clean_window = clean_window
         self.pinned = pinned
-        self.fence = fence if fence is not None else EpochFence()
+        self.fence = EpochFence()
         self.switches: List[ModeSwitch] = []
         self.last_anomaly_at = float("-inf")
         self.anomalies_noted = 0

@@ -35,11 +35,13 @@ class EpochFence:
     deployments never install a fence, but belt-and-braces) pass.
     """
 
-    def __init__(self, epoch: int = 0, max_rejections: int = 256):
+    #: Rejections sampled in detail; the rest are only counted.
+    MAX_REJECTIONS = 256
+
+    def __init__(self, epoch: int = 0):
         self.current_epoch = epoch
         #: Total writes rejected across all switches.
         self.fenced_writes = 0
-        self.max_rejections = max_rejections
         #: Bounded sample of rejections: (dpid, frame name, stale epoch).
         self.rejections: List[Tuple[int, str, int]] = []
 
@@ -67,7 +69,7 @@ class EpochFence:
 
     def note_rejected(self, dpid: int, msg, epoch: Optional[int]) -> None:
         self.fenced_writes += 1
-        if len(self.rejections) < self.max_rejections:
+        if len(self.rejections) < self.MAX_REJECTIONS:
             self.rejections.append(
                 (dpid, type(msg).__name__, -1 if epoch is None else epoch)
             )

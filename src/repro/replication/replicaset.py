@@ -125,6 +125,10 @@ class ControllerReplica:
     #: Partial record sets awaiting a resync heal: resolve_seq ->
     #: accumulated records (bounded).
     pending_leaves: Dict[int, List[RecordShip]] = field(default_factory=dict)
+    #: The parked leaf a resync already re-delivered without healing
+    #: it (what the primary re-sends does not hash to what it
+    #: advertises): not asked for again in this epoch.
+    unhealed_leaf: int = 0
     #: Primary-side view: this backup's latest vote (ledger floor,
     #: chain digest) and the highest floor whose vote matched ours.
     vote_floor: int = 0
@@ -141,6 +145,17 @@ class ControllerReplica:
     @property
     def is_live(self) -> bool:
         return self.role is not ReplicaRole.DEAD and not self.controller.crashed
+
+    def reset_votes(self) -> None:
+        """Forget votes, conflict throttle and parked leaves: the chain
+        they refer to is gone (rebased at a failover, or wiped for a
+        rejoin)."""
+        self.vote_floor = 0
+        self.vote_digest = 0
+        self.vote_matched = 0
+        self.digest_conflict_floor = -1
+        self.pending_leaves.clear()
+        self.unhealed_leaf = 0
 
 
 @dataclass
@@ -192,6 +207,37 @@ class QuorumReadResult:
     resolve_floor: int
 
 
+@dataclass(frozen=True)
+class _Gate:
+    """One way a shipped commit waits on the cohort: pending until
+    enough replicas stand behind its resolve, stalled -- released
+    unconfirmed -- when its window closes first.  Quorum commit and
+    BYZANTINE-mode output voting are the two instances."""
+
+    #: ReplicaSet attribute holding resolve_seq -> shipped_at.
+    pending: str
+    #: ControllerReplica attribute: the highest resolve a backup
+    #: stands behind (acked, or voted a matching digest for).
+    progress: str
+    #: ReplicaSet counters; "replication." + name is the metric too.
+    confirmed: str
+    stalled: str
+    latency_metric: str
+    stall_event: str
+    #: The tag the stall event reports the threshold under.
+    needed_tag: str
+
+
+_QUORUM = _Gate("_pending_quorum", "acked_resolves",
+                "quorum_commits", "quorum_stalls",
+                "replication.quorum_latency", "replication.quorum_stall",
+                "majority")
+_VOTES = _Gate("_pending_votes", "vote_matched",
+               "votes_confirmed", "vote_stalls",
+               "replication.vote_latency", "replication.vote_stall",
+               "needed")
+
+
 class ReplicaSet:
     """Primary-backup controller HA over an existing deployment.
 
@@ -204,32 +250,34 @@ class ReplicaSet:
     which E16 asserts.
     """
 
+    #: A promoted backup re-asserts the committed FlowMods applied this
+    #: recently (seconds) on the switches.
+    REPLAY_WINDOW = 0.5
+    #: Min gap between ResyncRequests from one backup, so a slow
+    #: replay is not re-requested every heartbeat.
+    RESYNC_COOLDOWN = 0.1
+    #: Conflicting votes from one replica before it is quarantined.
+    QUARANTINE_THRESHOLD = 2
+    #: Signature rejections from one peer per AuthFault raised.
+    AUTH_FAULT_THRESHOLD = 3
+
     def __init__(self, net, runtime: LegoSDNRuntime, backups: int = 1,
                  heartbeat_interval: float = 0.05,
                  lease_timeout: float = 0.2,
                  check_interval: float = 0.025,
-                 repl_base_delay: float = 0.0002,
-                 repl_per_byte_delay: float = 2e-8,
-                 replay_window: float = 0.5,
                  stats_interval: float = 0.25,
-                 repl_reliable: bool = True,
                  repl_retry_budget: int = 6,
                  chaos=None,
                  quorum: bool = False,
                  quorum_timeout: float = 0.25,
-                 resync_cooldown: float = 0.1,
                  seed: int = 0,
                  controller=None,
                  dpids: Optional[List[int]] = None,
                  shard_id: Optional[int] = None,
                  repl_mode: str = "crash",
-                 clean_window: float = 2.0,
                  byz_f: Optional[int] = None,
                  vote_timeout: float = 0.25,
-                 quarantine_threshold: int = 2,
-                 auth_fault_threshold: int = 3,
-                 byzantine=None,
-                 secret=None):
+                 byzantine=None):
         if backups < 1:
             raise ValueError("a replica set needs at least one backup")
         if lease_timeout <= heartbeat_interval:
@@ -255,15 +303,7 @@ class ReplicaSet:
         self.heartbeat_interval = heartbeat_interval
         self.lease_timeout = lease_timeout
         self.check_interval = check_interval
-        self.repl_base_delay = repl_base_delay
-        self.repl_per_byte_delay = repl_per_byte_delay
-        self.replay_window = replay_window
         self.stats_interval = stats_interval
-        #: Reliable shipping channels (seq/ack/retransmit) so transient
-        #: loss never silently skips a log record; long partitions still
-        #: exhaust the budget and create gaps -- which the ranged
-        #: resync below repairs on heal.
-        self.repl_reliable = repl_reliable
         self.repl_retry_budget = repl_retry_budget
         #: Optional chaos: a ChaosProfile for every backup channel, or
         #: a callable ``replica_id -> profile-or-None``.
@@ -275,17 +315,13 @@ class ReplicaSet:
         #: (availability over durability), flagged in stats.
         self.quorum = quorum
         self.quorum_timeout = quorum_timeout
-        #: Min gap between ResyncRequests from one backup, so a slow
-        #: replay is not re-requested every heartbeat.
-        self.resync_cooldown = resync_cooldown
         self.seed = seed
         #: Authenticated shipping: every replication frame carries a
         #: pair-keyed HMAC stamp, verified on receipt.
-        self.keyring = ReplicaKeyring(secret if secret is not None else seed)
-        #: Byzantine *replica* fault injection: a
-        #: :class:`~repro.faults.byzfaults.ByzantineProfile` per replica
-        #: id (callable ``rid -> profile-or-None``, dict, or one
-        #: profile), mirroring the ``chaos`` idiom.
+        self.keyring = ReplicaKeyring(secret=seed)
+        #: Byzantine *replica* fault injection: a callable ``rid ->``
+        #: :class:`~repro.faults.byzfaults.ByzantineProfile` ``-or-None``,
+        #: mirroring the ``chaos`` idiom.
         self.byzantine = byzantine
         self.repl_mode = repl_mode
         #: The CRASH_FAULT <-> BYZANTINE state machine; "crash" and
@@ -294,17 +330,12 @@ class ReplicaSet:
         self.mode_policy = ReplicationModePolicy(
             mode=(ReplicationMode.BYZANTINE if repl_mode == "byzantine"
                   else ReplicationMode.CRASH_FAULT),
-            clean_window=clean_window,
             pinned=repl_mode != "adaptive")
         self.mode_policy.on_switch.append(self._on_mode_switch)
         #: Tolerated Byzantine replicas; None derives floor((n-1)/3)
         #: from the live cohort at each vote count.
         self.byz_f = byz_f
         self.vote_timeout = vote_timeout
-        #: Conflicting votes from one replica before it is quarantined.
-        self.quarantine_threshold = quarantine_threshold
-        #: Signature rejections from one peer per AuthFault raised.
-        self.auth_fault_threshold = auth_fault_threshold
         #: Byzantine accounting (set level).
         self.sig_rejected = 0
         self.votes_cast = 0
@@ -390,7 +421,6 @@ class ReplicaSet:
                                   metrics_max_samples=metrics_max_samples)
             controller = Controller(
                 self.sim,
-                control_delay=primary_controller.control_delay,
                 discovery_interval=discovery_interval,
                 telemetry=telemetry,
                 service_time=primary_controller.service_time,
@@ -460,13 +490,15 @@ class ReplicaSet:
                  else self.chaos)
         channel = UdpChannel(
             self.sim,
-            base_delay=self.repl_base_delay,
-            per_byte_delay=self.repl_per_byte_delay,
             seed=self.seed + int(replica.replica_id[1:]),
             # Batched shipping: all records/resolves committed in one
             # sim instant ride one datagram to each backup.
             batch=True,
-            reliable=self.repl_reliable,
+            # Reliable (seq/ack/retransmit), so transient loss never
+            # silently skips a log record; long partitions still exhaust
+            # the budget and create gaps -- which the ranged resync
+            # repairs on heal.
+            reliable=True,
             retry_budget=self.repl_retry_budget,
             chaos=chaos,
             telemetry=self.primary.controller.telemetry,
@@ -498,16 +530,17 @@ class ReplicaSet:
         replica.controller.epoch = self.epoch
         manager = replica.runtime.proxy.manager
 
-        def ship(txn, record, replica=replica):
-            if (replica.role is ReplicaRole.PRIMARY
+        def serving() -> bool:
+            return (replica.role is ReplicaRole.PRIMARY
                     and not replica.controller.crashed
-                    and replica is not self._partitioned_replica):
+                    and replica is not self._partitioned_replica)
+
+        def ship(txn, record):
+            if serving():
                 self._ship_record(txn, record)
 
-        def resolve(txn, outcome, replica=replica):
-            if (replica.role is ReplicaRole.PRIMARY
-                    and not replica.controller.crashed
-                    and replica is not self._partitioned_replica):
+        def resolve(txn, outcome):
+            if serving():
                 self._ship_resolve(txn, outcome)
 
         manager.on_apply.append(ship)
@@ -525,10 +558,8 @@ class ReplicaSet:
 
         replica.controller.crash_callbacks.append(on_crash)
 
-        def heartbeat(replica=replica):
-            if (replica.role is ReplicaRole.PRIMARY
-                    and not replica.controller.crashed
-                    and replica is not self._partitioned_replica):
+        def heartbeat():
+            if serving():
                 self._primary_heartbeat(replica)
 
         self._stop_heartbeat = self.sim.every(
@@ -539,10 +570,8 @@ class ReplicaSet:
         # reports the shadow's idle clocks drift from reality -- and a
         # promoted backup would inherit (and compound) that drift.  The
         # replies reconcile through TransactionManager.note_flow_stats.
-        def poll_stats(replica=replica):
-            if (replica.role is ReplicaRole.PRIMARY
-                    and not replica.controller.crashed
-                    and replica is not self._partitioned_replica):
+        def poll_stats():
+            if serving():
                 for dpid in self.dpids:
                     if self.net.switches[dpid].up:
                         replica.controller.send_to_switch(
@@ -557,15 +586,6 @@ class ReplicaSet:
     def _primary_id(self) -> str:
         primary = self.primary
         return primary.replica_id if primary is not None else "r?"
-
-    def _byz_profile(self, replica_id: str):
-        if self.byzantine is None:
-            return None
-        if callable(self.byzantine):
-            return self.byzantine(replica_id)
-        if isinstance(self.byzantine, dict):
-            return self.byzantine.get(replica_id)
-        return self.byzantine
 
     def _send_to_backup(self, frame, replica: ControllerReplica) -> None:
         """Stamp and transmit one primary->backup frame."""
@@ -587,7 +607,8 @@ class ReplicaSet:
         voting can catch them."""
         def signer(f):
             return self.keyring.stamp(f, sender, receiver)
-        profile = self._byz_profile(sender)
+        profile = (self.byzantine(sender) if self.byzantine is not None
+                   else None)
         if profile is None:
             endpoint.send(frame, seal=signer)
             return
@@ -614,7 +635,7 @@ class ReplicaSet:
             telemetry.tracer.event(
                 "replication.sig_rejected", replica=replica.replica_id,
                 frame=type(frame).__name__)
-        if replica.sig_rejected % self.auth_fault_threshold == 0:
+        if replica.sig_rejected % self.AUTH_FAULT_THRESHOLD == 0:
             fault = AuthFault(replica_id=replica.replica_id,
                               rejections=replica.sig_rejected,
                               at=self.sim.now)
@@ -699,15 +720,9 @@ class ReplicaSet:
         for replica in self.live_backups():
             self._send_to_backup(frame, replica)
         if self.quorum and outcome == "commit":
-            self._pending_quorum[frame.resolve_seq] = self.sim.now
-            self.sim.schedule(self.quorum_timeout,
-                              self._quorum_deadline, frame.resolve_seq,
-                              self.epoch)
+            self._open_window(_QUORUM, frame.resolve_seq, self.quorum_timeout)
         if self.voting and outcome == "commit":
-            self._pending_votes[frame.resolve_seq] = self.sim.now
-            self.sim.schedule(self.vote_timeout,
-                              self._vote_deadline, frame.resolve_seq,
-                              self.epoch)
+            self._open_window(_VOTES, frame.resolve_seq, self.vote_timeout)
 
     def _primary_heartbeat(self, replica: ControllerReplica) -> None:
         deltas = tuple(
@@ -756,7 +771,7 @@ class ReplicaSet:
             if frame.digest_floor > 0:
                 self._note_vote(replica, frame.digest_floor, frame.digest)
             if self.quorum and self._pending_quorum:
-                self._check_quorum()
+                self._check_confirmed(_QUORUM)
         elif isinstance(frame, ResyncRequest):
             self._serve_resync(replica, frame)
 
@@ -801,53 +816,68 @@ class ReplicaSet:
                 from_index=request.from_index,
                 to_index=request.to_index, frames=sent)
 
-    # -- quorum commit (primary side) ---------------------------------------
+    # -- commit confirmation (primary side) ----------------------------------
 
     def _majority(self) -> int:
         live = 1 + len(self.live_backups())  # primary counts itself
         return live // 2 + 1
 
-    def _check_quorum(self) -> None:
-        """Retire pending commits whose resolve a majority has acked."""
-        needed = self._majority()
-        for resolve_seq in sorted(self._pending_quorum):
-            shipped_at = self._pending_quorum[resolve_seq]
-            acks = 1 + sum(
-                1 for backup in self.live_backups()
-                if backup.acked_resolves >= resolve_seq)
-            if acks >= needed:
-                del self._pending_quorum[resolve_seq]
-                self.quorum_commits += 1
-                self.quorum_degraded = False
-                primary = self.primary
-                if primary is not None and primary.telemetry.enabled:
-                    primary.telemetry.metrics.inc(
-                        "replication.quorum_commits")
-                    primary.telemetry.metrics.observe(
-                        "replication.quorum_latency",
-                        self.sim.now - shipped_at)
+    def _needed(self, gate: _Gate) -> int:
+        return (self._majority() if gate is _QUORUM
+                else self._vote_threshold())
 
-    def _quorum_deadline(self, resolve_seq: int, epoch: int) -> None:
-        """A commit's quorum window closed: degrade it to async.
+    def _open_window(self, gate: _Gate, resolve_seq: int,
+                     timeout: float) -> None:
+        getattr(self, gate.pending)[resolve_seq] = self.sim.now
+        self.sim.schedule(timeout, self._deadline, gate, resolve_seq,
+                          self.epoch)
+
+    def _check_confirmed(self, gate: _Gate) -> None:
+        """Retire pending commits enough of the cohort stands behind:
+        a majority acked the resolve (quorum), or 2f+1 voted a matching
+        digest at or past it (voting)."""
+        pending = getattr(self, gate.pending)
+        needed = self._needed(gate)
+        for resolve_seq in sorted(pending):
+            behind = 1 + sum(
+                1 for backup in self.live_backups()
+                if getattr(backup, gate.progress) >= resolve_seq)
+            if behind < needed:
+                continue
+            shipped_at = pending.pop(resolve_seq)
+            setattr(self, gate.confirmed, getattr(self, gate.confirmed) + 1)
+            if gate is _QUORUM:
+                self.quorum_degraded = False
+            primary = self.primary
+            if primary is not None and primary.telemetry.enabled:
+                primary.telemetry.metrics.inc(
+                    f"replication.{gate.confirmed}")
+                primary.telemetry.metrics.observe(
+                    gate.latency_metric, self.sim.now - shipped_at)
+
+    def _deadline(self, gate: _Gate, resolve_seq: int, epoch: int) -> None:
+        """A commit's window closed without enough of the cohort.
 
         Graceful degradation, not blocking: the primary already applied
         the transaction (NetLog committed it); what is lost is only the
-        durability guarantee, so the commit is released as async and
-        the set flagged degraded until a later commit reaches quorum.
+        guarantee -- durability (the commit is released as async and
+        the set flagged degraded until a later commit reaches quorum),
+        or the Byzantine confirmation -- which stays visible in the
+        counters.
         """
         if epoch != self.epoch:
             return
-        entry = self._pending_quorum.pop(resolve_seq, None)
-        if entry is None:
-            return  # quorum arrived in time
-        self.quorum_stalls += 1
-        self.quorum_degraded = True
+        if getattr(self, gate.pending).pop(resolve_seq, None) is None:
+            return  # confirmed in time
+        setattr(self, gate.stalled, getattr(self, gate.stalled) + 1)
+        if gate is _QUORUM:
+            self.quorum_degraded = True
         primary = self.primary
         if primary is not None and primary.telemetry.enabled:
-            primary.telemetry.metrics.inc("replication.quorum_stalls")
+            primary.telemetry.metrics.inc(f"replication.{gate.stalled}")
             primary.telemetry.tracer.event(
-                "replication.quorum_stall", resolve_seq=resolve_seq,
-                majority=self._majority())
+                gate.stall_event, resolve_seq=resolve_seq,
+                **{gate.needed_tag: self._needed(gate)})
 
     # -- output voting (primary side, BYZANTINE mode) -------------------------
 
@@ -887,7 +917,7 @@ class ReplicaSet:
         if digest == expected:
             replica.vote_matched = max(replica.vote_matched, floor)
             if self.voting and self._pending_votes:
-                self._check_votes()
+                self._check_confirmed(_VOTES)
             return
         replica.vote_conflicts += 1
         self.vote_conflicts += 1
@@ -899,7 +929,7 @@ class ReplicaSet:
             f"{floor}, cohort digest {expected:#018x}",
             replica=replica.replica_id, floor=floor)
         if (self.voting and not replica.quarantined
-                and replica.vote_conflicts >= self.quarantine_threshold
+                and replica.vote_conflicts >= self.QUARANTINE_THRESHOLD
                 and self._quarantine_justified(floor)):
             self._quarantine(replica, floor, expected, digest)
 
@@ -912,41 +942,6 @@ class ReplicaSet:
         matching = 1 + sum(1 for backup in self.live_backups()
                            if backup.vote_matched >= floor)
         return matching >= self._vote_threshold()
-
-    def _check_votes(self) -> None:
-        """Retire pending resolves that have 2f+1 matching votes."""
-        needed = self._vote_threshold()
-        for resolve_seq in sorted(self._pending_votes):
-            votes = 1 + sum(1 for backup in self.live_backups()
-                            if backup.vote_matched >= resolve_seq)
-            if votes < needed:
-                continue
-            shipped_at = self._pending_votes.pop(resolve_seq)
-            self.votes_confirmed += 1
-            primary = self.primary
-            if primary is not None and primary.telemetry.enabled:
-                primary.telemetry.metrics.inc("replication.votes_confirmed")
-                primary.telemetry.metrics.observe(
-                    "replication.vote_latency", self.sim.now - shipped_at)
-
-    def _vote_deadline(self, resolve_seq: int, epoch: int) -> None:
-        """A resolve's voting window closed without 2f+1 agreement.
-
-        Mirrors the quorum stall: graceful degradation, not blocking --
-        the transaction is already applied; what is lost is only the
-        Byzantine confirmation, which stays visible in the counters.
-        """
-        if epoch != self.epoch:
-            return
-        if self._pending_votes.pop(resolve_seq, None) is None:
-            return  # confirmed in time
-        self.vote_stalls += 1
-        primary = self.primary
-        if primary is not None and primary.telemetry.enabled:
-            primary.telemetry.metrics.inc("replication.vote_stalls")
-            primary.telemetry.tracer.event(
-                "replication.vote_stall", resolve_seq=resolve_seq,
-                needed=self._vote_threshold())
 
     def _quarantine(self, replica: ControllerReplica, floor: int,
                     expected: int, got: int) -> None:
@@ -992,12 +987,8 @@ class ReplicaSet:
             return
         replica.quarantined = False
         replica.vote_conflicts = 0
-        replica.vote_floor = 0
-        replica.vote_digest = 0
-        replica.vote_matched = 0
-        replica.digest_conflict_floor = -1
         replica.leaf_mismatches = 0
-        replica.pending_leaves.clear()
+        replica.reset_votes()
         replica.log.clear()
         replica.open_txns.clear()
         replica.shadow.clear()
@@ -1157,6 +1148,8 @@ class ReplicaSet:
             replica.ledger.add(frame.resolve_seq, local_leaf)
             return
         replica.leaf_mismatches += 1
+        if pending is not None and frame.resolve_seq > replica.unhealed_leaf:
+            replica.unhealed_leaf = frame.resolve_seq
         if len(replica.pending_leaves) < 256:
             replica.pending_leaves[frame.resolve_seq] = list(records)
         if records and replica.contig_index >= frame.log_index:
@@ -1196,10 +1189,11 @@ class ReplicaSet:
                   # counts as lag: the replay re-delivers the gap so
                   # the merged set can heal the vote.
                   or (bool(replica.pending_leaves)
-                      and heartbeat.resolve_count > replica.ledger.floor))
+                      and heartbeat.resolve_count > replica.ledger.floor
+                      and replica.ledger.floor >= replica.unhealed_leaf))
         if not behind:
             return
-        if self.sim.now - replica.resync_requested_at < self.resync_cooldown:
+        if self.sim.now - replica.resync_requested_at < self.RESYNC_COOLDOWN:
             return  # one outstanding request at a time
         replica.resync_requested_at = self.sim.now
         replica.resync_requests += 1
@@ -1353,11 +1347,7 @@ class ReplicaSet:
         self._digest_base = self.resolve_count
         for replica in self.replicas:
             replica.ledger.rebase(self._digest_base)
-            replica.vote_floor = 0
-            replica.vote_digest = 0
-            replica.vote_matched = 0
-            replica.digest_conflict_floor = -1
-            replica.pending_leaves.clear()
+            replica.reset_votes()
 
         # 2. Take over the switch sessions (owned dpids only -- other
         # shards' switches belong to their own sets).  connect_switch
@@ -1381,13 +1371,12 @@ class ReplicaSet:
         # orphans -- transactions the old primary opened but never
         # resolved -- from their shipped inverses, newest first.
         replayed = 0
-        if self.replay_window > 0:
-            cutoff = now - self.replay_window
-            for ship in candidate.log:
-                if ship.applied_at >= cutoff:
-                    candidate.controller.send_to_switch(
-                        ship.dpid, ship.message)
-                    replayed += 1
+        cutoff = now - self.REPLAY_WINDOW
+        for ship in candidate.log:
+            if ship.applied_at >= cutoff:
+                candidate.controller.send_to_switch(
+                    ship.dpid, ship.message)
+                replayed += 1
         orphan_txns = len(candidate.open_txns)
         orphan_inverses = 0
         for txn_id in sorted(candidate.open_txns, reverse=True):
@@ -1576,15 +1565,8 @@ class ReplicaSet:
                             entry.last_hit_at = max(entry.last_hit_at,
                                                     real_entry.last_hit_at)
                 shadow.expire(now, dpid=dpid)
-            real = {
-                (repr(e.match), e.priority, repr(tuple(e.actions)))
-                for e in switch.flow_table
-            }
-            want = set() if shadow is None else {
-                (repr(e.match), e.priority, repr(tuple(e.actions)))
-                for e in shadow
-            }
-            total += len(real ^ want)
+            total += len(self._rule_identities(switch.flow_table)
+                         ^ self._rule_identities(shadow))
         return total
 
     def shadow_divergence(self, replica_id: str) -> int:
@@ -1601,11 +1583,8 @@ class ReplicaSet:
         manager = primary.runtime.proxy.manager
         total = 0
         for dpid in set(manager.shadow) | set(backup.shadow):
-            want = {(repr(e.match), e.priority, repr(tuple(e.actions)))
-                    for e in manager.shadow.get(dpid, ())}
-            got = {(repr(e.match), e.priority, repr(tuple(e.actions)))
-                   for e in backup.shadow.get(dpid, ())}
-            total += len(want ^ got)
+            total += len(self._rule_identities(manager.shadow.get(dpid))
+                         ^ self._rule_identities(backup.shadow.get(dpid)))
         return total
 
     def stats(self) -> Dict[str, object]:

@@ -100,11 +100,9 @@ class ShardCoordinator:
                  backups: int = 1,
                  service_time: float = 0.0,
                  telemetry_enabled: bool = False,
-                 quorum: bool = False,
                  chaos=None,
                  seed: int = 0,
                  runtime_kwargs: Optional[dict] = None,
-                 replica_kwargs: Optional[dict] = None,
                  telemetry_kwargs: Optional[dict] = None,
                  health_window: float = 1.0):
         self.net = net
@@ -131,7 +129,6 @@ class ShardCoordinator:
                                   **dict(telemetry_kwargs or {}))
             controller = Controller(
                 self.sim,
-                control_delay=net.controller.control_delay,
                 discovery_interval=getattr(
                     net.controller.discovery, "interval", 0.5),
                 telemetry=telemetry,
@@ -146,10 +143,8 @@ class ShardCoordinator:
                 dpids=dpids,
                 shard_id=shard_id,
                 backups=backups,
-                quorum=quorum,
                 chaos=chaos,
                 seed=seed + shard_id,
-                **dict(replica_kwargs or {}),
             )
             handle = ShardHandle(shard_id, dpids, replicas)
             self.shards[shard_id] = handle

@@ -45,14 +45,15 @@ from repro.core.netlog.transaction import TxnState
 class CrossShardTxnManager:
     """Drives two-phase commits across a ShardCoordinator's shards."""
 
-    def __init__(self, coordinator, decision_timeout: float = 0.5):
+    #: How long a prepared branch may wait for a decision before
+    #: the presumed-abort timer inverts it.  Models the
+    #: participant-side timer, so it keeps running even when the
+    #: coordinator "process" is crashed.
+    DECISION_TIMEOUT = 0.5
+
+    def __init__(self, coordinator):
         self.coordinator = coordinator
         self.sim = coordinator.sim
-        #: How long a prepared branch may wait for a decision before
-        #: the presumed-abort timer inverts it.  Models the
-        #: participant-side timer, so it keeps running even when the
-        #: coordinator "process" is crashed.
-        self.decision_timeout = decision_timeout
         self._ids = itertools.count(1)
         self.envelopes: Dict[int, CrossTxnEnvelope] = {}
         self.committed = 0
@@ -137,7 +138,7 @@ class CrossShardTxnManager:
                 return env
         env.state = CrossTxnState.PREPARED
         # The participants' presumed-abort timers: decision or death.
-        self.sim.schedule(self.decision_timeout, self._deadline,
+        self.sim.schedule(self.DECISION_TIMEOUT, self._deadline,
                           env.cross_id)
 
         if halt_after_prepare or self.crashed:

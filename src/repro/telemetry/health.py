@@ -9,7 +9,7 @@ operator's ``/healthz`` endpoint and the experiment harnesses read.
 Per sweep it:
 
 - folds freshly finished spans into rolling per-name windows and
-  maintains p50/p95/p99 over the last ``window`` seconds;
+  maintains p50/p95/p99 over the last ``WINDOW`` seconds;
 - compares each name's current p95 against an exponentially weighted
   baseline of its own history and flags a sustained blow-up as a
   ``latency-regression``;
@@ -84,25 +84,21 @@ class HealthWatchdog:
     DECAY_HALF_LIFE = 5.0
     #: Retained anomalies (ring; the payload reports the newest).
     MAX_ANOMALIES = 256
+    #: Seconds between sweeps, and the span history each one judges.
+    INTERVAL = 0.25
+    WINDOW = 2.0
+    #: EWMA weight for folding a sweep's p95 into the baseline.
+    BASELINE_ALPHA = 0.2
+    #: p95 must exceed ``LATENCY_FACTOR`` x baseline to regress.
+    LATENCY_FACTOR = 3.0
 
-    def __init__(self, telemetry, sim, interval: float = 0.25,
-                 window: float = 2.0,
-                 baseline_alpha: float = 0.2,
-                 latency_factor: float = 3.0,
+    def __init__(self, telemetry, sim,
                  min_samples: int = 8,
                  retransmit_rate_threshold: float = 40.0,
                  recovery_slo: float = 0.25,
-                 snapshot_provider: Optional[Callable[[], object]] = None,
-                 probe_pairs=None,
-                 critical_kinds: Tuple[str, ...] = ("loop",)):
+                 snapshot_provider: Optional[Callable[[], object]] = None):
         self.telemetry = telemetry
         self.sim = sim
-        self.interval = interval
-        self.window = window
-        #: EWMA weight for folding a sweep's p95 into the baseline.
-        self.baseline_alpha = baseline_alpha
-        #: p95 must exceed ``latency_factor`` x baseline to regress.
-        self.latency_factor = latency_factor
         #: Minimum samples in the window before a name is judged.
         self.min_samples = min_samples
         #: Retransmissions/second across all channels that count as a
@@ -113,8 +109,6 @@ class HealthWatchdog:
         #: Zero-arg callable returning a fresh NetSnapshot (ground
         #: truth) for invariant sweeps; None disables them.
         self.snapshot_provider = snapshot_provider
-        self.probe_pairs = probe_pairs
-        self.critical_kinds = critical_kinds
         self.anomalies: Deque[Anomaly] = deque(maxlen=self.MAX_ANOMALIES)
         self.sweeps = 0
         #: span name -> deque of (end_time, duration) within window.
@@ -128,7 +122,7 @@ class HealthWatchdog:
         self._last_retransmits = 0
         self._last_sweep_at: Optional[float] = None
         self._seen_violations: set = set()
-        self._stop = sim.every(interval, self.sweep)
+        self._stop = sim.every(self.INTERVAL, self.sweep)
 
     def stop(self) -> None:
         self._stop()
@@ -136,7 +130,7 @@ class HealthWatchdog:
     # -- sweeping ----------------------------------------------------------
 
     def sweep(self) -> None:
-        """One watchdog pass; runs every ``interval`` on the sim clock."""
+        """One watchdog pass; runs every ``INTERVAL`` on the sim clock."""
         now = self.sim.now
         self.sweeps += 1
         fresh = self._ingest_new_spans()
@@ -172,7 +166,7 @@ class HealthWatchdog:
         return fresh
 
     def _trim_windows(self, now: float) -> None:
-        cutoff = now - self.window
+        cutoff = now - self.WINDOW
         for window in self._windows.values():
             while window and window[0][0] < cutoff:
                 window.popleft()
@@ -187,7 +181,7 @@ class HealthWatchdog:
             if baseline is None:
                 self._baselines[name] = p95
                 continue
-            if (p95 > baseline * self.latency_factor
+            if (p95 > baseline * self.LATENCY_FACTOR
                     and p95 > 1e-9 and name not in self._regressed):
                 self._regressed.add(name)
                 self._emit(Anomaly(
@@ -198,15 +192,15 @@ class HealthWatchdog:
                             f"(x{p95 / max(baseline, 1e-12):.1f})"),
                     tags={"span": name, "p95": p95, "baseline": baseline},
                 ))
-            elif p95 <= baseline * self.latency_factor:
+            elif p95 <= baseline * self.LATENCY_FACTOR:
                 self._regressed.discard(name)
             # Baseline learns slowly, and only from non-anomalous
             # sweeps -- a storm must not teach the watchdog that storm
             # latency is normal.
             if name not in self._regressed:
                 self._baselines[name] = (
-                    (1 - self.baseline_alpha) * baseline
-                    + self.baseline_alpha * p95)
+                    (1 - self.BASELINE_ALPHA) * baseline
+                    + self.BASELINE_ALPHA * p95)
 
     def _check_retransmits(self, now: float) -> None:
         total = self.telemetry.metrics.counters.get("channel.retransmits", 0)
@@ -248,9 +242,7 @@ class HealthWatchdog:
         from repro.invariants.checker import InvariantChecker
 
         snapshot = self.snapshot_provider()
-        checker = InvariantChecker(snapshot,
-                                   critical_kinds=self.critical_kinds)
-        violations = checker.check_all(self.probe_pairs)
+        violations = InvariantChecker(snapshot).check_all()
         for violation in violations:
             key = (violation.kind,
                    violation.probe.pair if violation.probe is not None

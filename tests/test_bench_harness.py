@@ -103,6 +103,23 @@ def test_check_fails_on_aborted_run():
     assert not ok
 
 
+def test_check_fails_a_candidate_whose_latency_contradicts_itself():
+    report = run_scenario(TINY)
+    baseline = report.to_dict()
+    # The frozen baseline may hold the pre-clamp p50 > max; it is the
+    # candidate that is judged.
+    baseline["results"] = dict(baseline["results"])
+    baseline["results"]["latency_ms"] = dict(
+        report.results["latency_ms"], p50=1e9)
+    ok, lines = check_report(baseline, report)
+    assert ok, lines
+    report.results["latency_ms"]["p50"] = (
+        report.results["latency_ms"]["max"] * 1.01)
+    ok, lines = check_report(baseline, report)
+    assert not ok
+    assert any("latency order" in line for line in lines)
+
+
 # -- the CLI ----------------------------------------------------------
 
 def _bench_args(extra):
@@ -188,6 +205,18 @@ def test_streaming_histogram_quantiles_bounded_memory():
     summary = hist.summary()
     assert summary["count"] == 10_000
     assert summary["p50"] > 0
+
+
+def test_streaming_histogram_quantiles_never_exceed_the_exact_max():
+    hist = StreamingHistogram()
+    for value in (0.000440, 0.000431, 0.000425):    # one bucket, bound .455
+        hist.add(value)
+    assert hist.quantile(0.5) == hist.quantile(1.0) == hist.max == 0.000440
+    summary = hist.summary()
+    assert summary["p50"] <= summary["p99"] <= summary["p99_9"] \
+        <= summary["max"]
+    hist.add(120.0)                                 # the overflow bucket
+    assert hist.quantile(1.0) == hist.high < hist.max
 
 
 def test_streaming_histogram_merge():

@@ -307,7 +307,7 @@ class TestTamperingBackup:
         drive(net)
         assert profile.tampered > 0
         liar = replicas.replica("r1")
-        assert liar.sig_rejected >= replicas.auth_fault_threshold
+        assert liar.sig_rejected >= replicas.AUTH_FAULT_THRESHOLD
         assert replicas.auth_faults
         assert replicas.auth_faults[0].replica_id == "r1"
         # Repeated auth faults escalated the adaptive policy.
@@ -374,6 +374,106 @@ class TestDigestLiar:
         # The full resync rebuilt its shadow from the primary's history.
         assert replicas.shadow_divergence("r1") == 0
         assert liar in replicas.live_backups()
+
+
+def compromised(kind, repl_mode, liars=("r0",)):
+    """linear(4), three backups, a profile misbehaving at rate 0.3 on
+    ``liars`` from the moment traffic starts (t = 1 s)."""
+    profile = ByzantineProfile(seed=3, start=1.0, **{kind: 0.3})
+    net, runtime, replicas = build(
+        backups=3, switches=4, repl_mode=repl_mode,
+        byzantine=lambda rid: profile if rid in liars else None)
+    return net, replicas, profile
+
+
+MODES = pytest.mark.parametrize("repl_mode",
+                                ["crash", "byzantine", "adaptive"])
+
+
+def assert_escalated(replicas, repl_mode, reason):
+    policy = replicas.mode_policy
+    assert policy.anomalies_noted > 0
+    if repl_mode == "adaptive":
+        first = policy.switches[0]
+        assert first.mode is ReplicationMode.BYZANTINE
+        assert first.reason.startswith(reason)
+    else:                       # pinned: noted, never switched
+        assert policy.mode_switches == 0
+
+
+class TestEquivocatingPrimary:
+    """Each backup gets its own well-signed variant of a record: every
+    fold is internally consistent, only the leaf digests can tell."""
+
+    @MODES
+    def test_victims_abstain_and_nobody_honest_is_punished(self, repl_mode):
+        net, replicas, profile = compromised("equivocate", repl_mode)
+        drive(net, duration=5.0, rate=50.0)
+        assert profile.equivocated > 0
+        for victim in replicas.live_backups():
+            assert victim.leaf_mismatches > 0
+            # Abstaining stalls the vote, never the fold.
+            assert victim.ledger.floor < victim.contig_resolves \
+                == replicas.resolve_count
+            assert replicas.shadow_divergence(victim.replica_id) == 0
+        assert len(replicas.live_backups()) == 3
+        assert replicas.quarantines == 0
+        assert replicas.divergence() == 0
+        assert_escalated(replicas, repl_mode, "equivocation")
+
+    def test_a_leaf_no_replay_can_heal_is_asked_for_once(self):
+        # The honest re-delivery dedups against the variant already
+        # held, so the leaf never heals in this epoch; asking for the
+        # same range on every heartbeat only multiplied the evidence
+        # (~1 000 mismatches and ~1 300 dups per victim in 4 sim-s).
+        net, replicas, profile = compromised("equivocate", "crash")
+        drive(net, duration=5.0, rate=50.0)
+        resolves = replicas.resolve_count
+        for victim in replicas.live_backups():
+            assert victim.pending_leaves
+            assert victim.resync_requests <= 2
+            assert victim.leaf_mismatches <= 2 * resolves
+            assert victim.resync_dups <= 2 * resolves
+
+
+class TestReplayingPrimary:
+    """Captured signed frames re-sent verbatim: to the peer they were
+    signed for they are duplicates, to any other they fail the MAC."""
+
+    @MODES
+    def test_nothing_folds_twice(self, repl_mode):
+        net, replicas, profile = compromised("replay", repl_mode)
+        drive(net, duration=5.0, rate=50.0)
+        assert profile.replayed > 0
+        primary = replicas.primary
+        for backup in replicas.live_backups():
+            assert backup.resync_dups > 0
+            assert backup.ships_received == replicas.ship_index
+            assert backup.leaf_mismatches == 0
+            assert backup.ledger.digest == primary.ledger.digest
+            assert replicas.shadow_divergence(backup.replica_id) == 0
+        assert replicas.sig_rejected > 0
+        assert replicas.quarantines == 0
+        assert replicas.divergence() == 0
+        assert_escalated(replicas, repl_mode, "auth-fault")
+
+    def test_old_epoch_frames_replayed_after_a_failover_are_stale(self):
+        # r1 is compromised too: promoted, it draws on a pool of
+        # epoch-0 frames.  The survivors fence every one of them.
+        net, replicas, profile = compromised("replay", "crash",
+                                             liars=("r0", "r1"))
+        TrafficWorkload(net, rate=50.0, seed=1,
+                        selection="random").start(4.0)
+        net.run_for(2.0)
+        stale = {r.replica_id: r.stale_frames
+                 for r in replicas.replicas[2:]}
+        replicas.crash_primary()
+        net.run_for(3.0)
+        assert replicas.primary.replica_id == "r1"
+        for survivor in replicas.live_backups():
+            assert survivor.stale_frames > stale[survivor.replica_id]
+            assert replicas.shadow_divergence(survivor.replica_id) == 0
+        assert replicas.divergence() == 0
 
 
 class TestVoting:

@@ -126,8 +126,7 @@ class TestDeltaChains:
 class TestDedup:
     def test_unchanged_state_costs_only_the_hash(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8,
-                                hash_per_byte_cost=2e-9)
+        store = CheckpointStore(full_every=8)
         store.take(app, before_seq=1, now=0.0)
         repeat = store.take(app, before_seq=2, now=0.0)
         assert repeat.kind == DEDUP

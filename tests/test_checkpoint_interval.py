@@ -259,8 +259,7 @@ class TestCheckpointPolicy:
         assert policy.tail_forced == 1
 
     def test_adaptive_tightens_after_a_crash(self):
-        policy = CheckpointPolicy(interval=8, adaptive=True,
-                                  risk_window=2.0)
+        policy = CheckpointPolicy(interval=8, adaptive=True)
         assert policy.effective_interval(0.0) == 8
         policy.note_crash(10.0)
         assert policy.effective_interval(11.0) == 1
@@ -268,8 +267,7 @@ class TestCheckpointPolicy:
 
     def test_adaptive_tightens_on_low_health(self):
         score = {"value": 1.0}
-        policy = CheckpointPolicy(interval=8, adaptive=True,
-                                  health_threshold=0.8)
+        policy = CheckpointPolicy(interval=8, adaptive=True)
         policy.attach_health(lambda: score["value"])
         assert policy.effective_interval(0.0) == 8
         score["value"] = 0.5

@@ -3,8 +3,11 @@ failover, epoch fencing, orphan rollback, and stub adoption."""
 
 import pytest
 
-from repro.apps import LearningSwitch
+from repro.apps import Hub, LearningSwitch
+from repro.core.appvisor.proxy import AppStatus
 from repro.core.runtime import LegoSDNRuntime
+from repro.faults import crash_on
+from repro.faults.netfaults import ChaosProfile
 from repro.network.net import Network
 from repro.network.topology import linear_topology
 from repro.openflow.actions import Output
@@ -140,6 +143,42 @@ class TestFailover:
         inject_marker_packet(net, "h2", "h1", "flow-b")
         net.run_for(1.0)
         assert stub.last_seq_done > seq_before
+
+    def test_app_dead_of_an_unheard_crash_recovers_on_the_promoted_proxy(self):
+        # The CrashReport goes once into a cut link and is given up on
+        # (retry budget 0), then the primary dies: only the stub knows
+        # what killed the app.  Re-attaching, it says so again, and the
+        # promoted proxy's restore skips the event that did it.
+        net = Network(linear_topology(2, 1), seed=0)
+        chaos = ChaosProfile(seed=0)
+        runtime = LegoSDNRuntime(
+            net.controller, channel_retry_budget=0,
+            chaos=lambda app: chaos if app == "learning_switch" else None)
+        replicas = ReplicaSet(net, runtime, lease_timeout=0.2)
+        stub = runtime.launch_app(
+            crash_on(LearningSwitch(), payload_marker="BOOM"))
+        hub = runtime.launch_app(Hub())
+        net.start()
+        net.run_for(1.0)
+        chaos.partition(net.now, 0.15, side="stub")
+        inject_marker_packet(net, "h1", "h2", "BOOM")
+        net.run_for(0.05)
+        assert not stub.sandbox.alive
+        assert runtime.channels["learning_switch"].abandoned
+        assert runtime.record("learning_switch").crash_count == 0  # unheard
+        replicas.crash_primary()
+        net.run_for(1.0)
+        assert len(replicas.failovers) == 1
+        record = replicas.runtime.record("learning_switch")
+        assert record.status is AppStatus.UP
+        assert record.crash_count == record.recoveries == 1
+        beside = replicas.runtime.record("hub")
+        assert (beside.status, beside.crash_count) == (AppStatus.UP, 0)
+        done = (stub.last_seq_done, hub.last_seq_done)
+        inject_marker_packet(net, "h2", "h1", "after")
+        net.run_for(1.0)
+        assert stub.last_seq_done > done[0] and hub.last_seq_done > done[1]
+        assert not beside.inflights and not beside.queue
 
     def test_crash_drops_unflushed_replication_batch(self):
         # A primary dying mid-tick loses exactly the batched frames it

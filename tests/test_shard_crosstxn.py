@@ -23,7 +23,7 @@ def build(shards=2, switches=4, **kwargs):
         net, shards=shards, apps=(LearningSwitch,), **kwargs)
     coordinator.start()
     net.run_for(1.0)
-    manager = CrossShardTxnManager(coordinator, decision_timeout=0.5)
+    manager = CrossShardTxnManager(coordinator)
     return net, coordinator, manager
 
 

@@ -303,8 +303,7 @@ class TestHealthWatchdog:
 
     def test_latency_regression_against_rolling_baseline(self):
         sim, telemetry = self._sim_telemetry()
-        watchdog = HealthWatchdog(telemetry, sim, interval=0.25,
-                                  min_samples=4, latency_factor=3.0)
+        watchdog = HealthWatchdog(telemetry, sim, min_samples=4)
 
         def emit(duration):
             telemetry.tracer.record_span(
@@ -326,7 +325,7 @@ class TestHealthWatchdog:
 
     def test_anomalies_land_in_flight_recorder_and_metrics(self):
         sim, telemetry = self._sim_telemetry()
-        watchdog = HealthWatchdog(telemetry, sim, interval=0.25,
+        watchdog = HealthWatchdog(telemetry, sim,
                                   retransmit_rate_threshold=1.0)
         sim.run_for(0.3)  # first sweep sets the counter baseline
         telemetry.metrics.inc("channel.retransmits", 500)
@@ -338,7 +337,7 @@ class TestHealthWatchdog:
 
     def test_score_decays_back_toward_healthy(self):
         sim, telemetry = self._sim_telemetry()
-        watchdog = HealthWatchdog(telemetry, sim, interval=0.25,
+        watchdog = HealthWatchdog(telemetry, sim,
                                   retransmit_rate_threshold=1.0)
         sim.run_for(0.3)
         telemetry.metrics.inc("channel.retransmits", 500)
