@@ -96,10 +96,6 @@ class SDNApp:
         if self._state_versions is None:
             self._state_versions = {}
 
-    @property
-    def dirty_tracking(self) -> bool:
-        return self._state_versions is not None
-
     def mark_dirty(self, key) -> None:
         """Bump ``key``'s version: its value changed (or was created).
 

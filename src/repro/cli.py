@@ -24,9 +24,8 @@ import argparse
 import json
 import sys
 
+from repro.network.topology import TOPOLOGIES, build_topology
 from repro.version import __version__
-
-TOPOLOGIES = ("linear", "ring", "tree", "mesh", "fattree")
 
 
 def _positive_int(text: str) -> int:
@@ -34,23 +33,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
-
-
-def _build_topology(name: str, size: int):
-    from repro.network import topology as topo_mod
-
-    if name == "linear":
-        return topo_mod.linear_topology(size, 1)
-    if name == "ring":
-        return topo_mod.ring_topology(max(size, 3), 1)
-    if name == "tree":
-        return topo_mod.tree_topology(depth=2, fanout=max(size // 2, 2),
-                                      hosts_per_leaf=1)
-    if name == "mesh":
-        return topo_mod.mesh_topology(size, 1)
-    if name == "fattree":
-        return topo_mod.fat_tree_topology(size if size % 2 == 0 else size + 1)
-    raise ValueError(f"unknown topology {name!r}")
 
 
 def cmd_demo(args) -> int:
@@ -61,7 +43,7 @@ def cmd_demo(args) -> int:
     from repro.network.net import Network
     from repro.workloads.traffic import inject_marker_packet
 
-    net = Network(_build_topology(args.topology, args.size), seed=args.seed)
+    net = Network(build_topology(args.topology, args.size), seed=args.seed)
     runtime = LegoSDNRuntime(net.controller)
     runtime.launch_app(crash_on(LearningSwitch(), payload_marker="BOOM"))
     net.start()
@@ -91,7 +73,7 @@ def cmd_drill(args) -> int:
     from repro.workloads.failure import FailureSchedule
     from repro.workloads.traffic import TrafficWorkload
 
-    net = Network(_build_topology(args.topology, args.size), seed=args.seed)
+    net = Network(build_topology(args.topology, args.size), seed=args.seed)
     if args.runtime == "legosdn":
         policy_table = None
         if args.policy:
@@ -146,7 +128,7 @@ def cmd_replicate(args) -> int:
 
     telemetry = Telemetry(enabled=True,
                           flight_capacity=args.flight_capacity)
-    net = Network(_build_topology(args.topology, args.size),
+    net = Network(build_topology(args.topology, args.size),
                   seed=args.seed, telemetry=telemetry)
     runtime = LegoSDNRuntime(net.controller)
     replicas = ReplicaSet(net, runtime, backups=args.backups,
@@ -193,7 +175,7 @@ def cmd_shard(args) -> int:
     from repro.shard import ShardCoordinator, ShardReadGateway
     from repro.workloads import ChurnWorkload, TrafficWorkload
 
-    net = Network(_build_topology(args.topology, args.size),
+    net = Network(build_topology(args.topology, args.size),
                   seed=args.seed)
     coordinator = ShardCoordinator(
         net, shards=args.shards, apps=(LearningSwitch,),
@@ -275,7 +257,7 @@ def cmd_trace(args) -> int:
 
     telemetry = Telemetry(enabled=True,
                           flight_capacity=args.flight_capacity)
-    net = Network(_build_topology(args.topology, args.size),
+    net = Network(build_topology(args.topology, args.size),
                   seed=args.seed, telemetry=telemetry)
     runtime = LegoSDNRuntime(net.controller)
     app = LearningSwitch()
@@ -344,7 +326,7 @@ def _run_traced_workload(args, loss: float):
 
     telemetry = Telemetry(enabled=True,
                           flight_capacity=args.flight_capacity)
-    net = Network(_build_topology(args.topology, args.size),
+    net = Network(build_topology(args.topology, args.size),
                   seed=args.seed, telemetry=telemetry)
     chaos = None
     if loss > 0:
@@ -486,7 +468,7 @@ def cmd_serve(args) -> int:
 
     telemetry = Telemetry(enabled=True,
                           flight_capacity=args.flight_capacity)
-    net = Network(_build_topology(args.topology, args.size),
+    net = Network(build_topology(args.topology, args.size),
                   seed=args.seed, telemetry=telemetry)
     runtime = LegoSDNRuntime(net.controller)
     runtime.launch_app(crash_on(LearningSwitch(), payload_marker="BOOM"))
@@ -545,7 +527,7 @@ def _run_chaos_point(args, loss: float):
     if args.partition:
         start, duration = args.partition
         profile.partition(start, duration)
-    net = Network(_build_topology(args.topology, args.size), seed=args.seed)
+    net = Network(build_topology(args.topology, args.size), seed=args.seed)
     runtime = LegoSDNRuntime(net.controller,
                              channel_retry_budget=args.retry_budget,
                              chaos=lambda name: profile)
@@ -618,7 +600,7 @@ def _run_byzantine_point(args, tamper: float, mode: str):
         profile = ByzantineProfile(seed=args.seed, tamper=tamper,
                                    digest_lie=tamper,
                                    start=args.fault_start)
-    net = Network(_build_topology(args.topology, args.size), seed=args.seed)
+    net = Network(build_topology(args.topology, args.size), seed=args.seed)
     runtime = LegoSDNRuntime(net.controller)
     replicas = ReplicaSet(
         net, runtime,
@@ -801,7 +783,7 @@ def cmd_check_policy(args) -> int:
 
 
 def cmd_show_topology(args) -> int:
-    topo = _build_topology(args.topology, args.size)
+    topo = build_topology(args.topology, args.size)
     print(f"{topo.name}: {len(topo.switches)} switches, "
           f"{len(topo.hosts)} hosts, {len(topo.switch_links)} links")
     for a, b in topo.switch_links:

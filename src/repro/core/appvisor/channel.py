@@ -7,7 +7,7 @@ travels is a *datagram*: a fixed header followed by the encodings of
 the frames aboard, each behind its length.  With ``batch=True`` every
 frame a side sends at one sim instant rides one datagram, flushed on
 the tick boundary (``BATCH_WINDOW`` past the first send; one
-``base_delay`` and one loss roll for the lot); unbatched, a datagram
+``base_delay`` and one chaos roll for the lot); unbatched, a datagram
 carries one frame; an acknowledgement is a header and nothing else.
 The byte counters, the CRC, the retransmit buffer and the wire all use
 that one buffer of frame records.
@@ -17,10 +17,9 @@ field     bytes  meaning (network byte order)
 ========  =====  =====================================================
 crc       4      CRC-32 of every byte after it, header fields included
 kind      1      1 = data, 2 = ack
-seq       4      data: this datagram's number, per direction (0 on an
-                 unreliable channel); ack: cumulative -- every data
-                 seq at or below it was delivered, or skipped under
-                 an advanced floor
+seq       4      data: this datagram's number, per direction, from 1;
+                 ack: cumulative -- every data seq at or below it was
+                 delivered, or skipped under an advanced floor
 floor     4      data: the lowest seq the sender still guarantees to
                  deliver (it gave up on everything below); ack: 0
 records   rest   data only, once per frame: u32 length, then that many
@@ -31,21 +30,21 @@ Delivery takes ``base_delay`` plus a per-byte transmission cost (the
 paper's §3.1 caveat -- "serialization and de-serialization of
 messages, and the communication protocol overhead introduce additional
 latency into the control-loop" -- made measurable: E2 reads these costs
-off the channel).  ``loss`` drops datagrams at random, and a
-:class:`~repro.faults.netfaults.ChaosProfile` on ``channel.chaos``
-perturbs every datagram put on the wire (burst loss, duplication,
-reordering, jitter, corruption, timed partitions), identically for
-data and acks.
+off the channel).  The wire itself is faultless; a
+:class:`~repro.faults.netfaults.ChaosProfile` on ``channel.chaos`` is
+the one place a datagram is dropped or perturbed (loss, burst loss,
+duplication, reordering, jitter, corruption, timed partitions),
+identically for data and acks.
 
-With ``reliable=True`` the datagrams carry a TCP-like reliability
-layer: cumulative acks, retransmission with exponential backoff +
-seeded jitter under a ``retry_budget``, receiver-side dedup and an
-in-order reorder buffer, so loss, duplication, reordering and
-corruption degrade into latency: every frame reaches the handler
-exactly once, in send order.  A datagram that exhausts its budget is
-*abandoned*: the sender advances ``floor`` past the gap and raises a
-:class:`ChannelFault` through ``on_fault`` -- the signal the crashpad
-FailureDetector uses to tell "channel lossy" apart from "app dead".
+The datagrams carry a TCP-like reliability layer: cumulative acks,
+retransmission with exponential backoff + seeded jitter under a
+``retry_budget``, receiver-side dedup and an in-order reorder buffer,
+so loss, duplication, reordering and corruption degrade into latency:
+every frame reaches the handler exactly once, in send order.  A
+datagram that exhausts its budget is *abandoned*: the sender advances
+``floor`` past the gap and raises a :class:`ChannelFault` through
+``on_fault`` -- the signal the crashpad FailureDetector uses to tell
+"channel lossy" apart from "app dead".
 
 What a receiver refuses, and the counter it lands in:
 
@@ -154,7 +153,7 @@ class ChannelFault:
 
 @dataclass
 class _Unacked:
-    """One reliable datagram awaiting acknowledgement."""
+    """One data datagram awaiting acknowledgement."""
 
     #: The datagram's frame records: what ``bytes_sent`` counted and
     #: what every (re)transmission puts behind a fresh header.
@@ -226,9 +225,8 @@ class ChannelEndpoint:
         This is the frame's one encoding; ``seal``, when given, maps
         those bytes to the ones that travel (the replication layer
         stamps its MAC there).  There is deliberately no return value:
-        on a reliable channel a send either arrives exactly once or
-        surfaces as a :class:`ChannelFault`; on a plain channel a loss
-        is logged as a ``channel.loss`` flight-recorder event.
+        a send either arrives exactly once or surfaces as a
+        :class:`ChannelFault`.
         """
         data = encode_frame(frame)
         if seal is not None:
@@ -245,31 +243,26 @@ class ChannelEndpoint:
 
 
 class UdpChannel:
-    """A bidirectional, lossy, delayed datagram channel."""
+    """A bidirectional, delayed, reliable datagram channel."""
 
     def __init__(self, sim, base_delay: float = 0.0002,
-                 per_byte_delay: float = 2e-8, loss: float = 0.0,
-                 seed: int = 0,
+                 per_byte_delay: float = 2e-8, seed: int = 0,
                  batch: bool = False,
-                 reliable: bool = False,
                  retry_budget: int = 8,
                  chaos=None,
                  telemetry=None, span_name: str = "appvisor.rpc"):
         self.sim = sim
         self.base_delay = base_delay
         self.per_byte_delay = per_byte_delay
-        self.loss = loss
         self.rng = random.Random(seed)
         self.batch = batch
-        #: Reliable-delivery layer (seq/ack/retransmit/dedup/reorder).
-        self.reliable = reliable
         #: Retransmissions allowed per datagram before it is abandoned
         #: and a ChannelFault raised.
         self.retry_budget = retry_budget
         #: Optional ChaosProfile perturbing every datagram on the wire.
         self.chaos = chaos
         #: Callbacks invoked with a ChannelFault when a datagram
-        #: exhausts its retry budget (reliable mode only).
+        #: exhausts its retry budget.
         self.on_fault: List[Callable[[ChannelFault], None]] = []
         #: Optional Telemetry; when enabled each delivered datagram
         #: records one ``span_name`` span covering its time on the wire
@@ -284,7 +277,6 @@ class UdpChannel:
         self.bytes_carried = 0
         self.batches_flushed = 0
         self.frames_batched = 0
-        # Reliability counters (all zero when reliable=False).
         self.retransmits = 0
         self.dup_datagrams_dropped = 0
         self.corrupt_rejected = 0
@@ -340,10 +332,6 @@ class UdpChannel:
             frames = [frame for _, frame in sent]
             trace_ids = frame_trace_ids(frames)
             kinds = tuple(sorted({type(f).__name__ for f in frames}))
-        if not self.reliable:
-            self._put_on_wire(from_side, pack_datagram(_DATA, 0, 0, records),
-                              kind="data")
-            return
         state = self._send_state[from_side]
         state.next_seq += 1
         state.unacked[state.next_seq] = _Unacked(
@@ -374,7 +362,7 @@ class UdpChannel:
     # -- the wire ---------------------------------------------------------
 
     def _send_seq(self, from_side: str, seq: int) -> None:
-        """(Re)transmit one reliable datagram and arm its backoff."""
+        """(Re)transmit one datagram and arm its backoff."""
         state = self._send_state[from_side]
         record = state.unacked.get(seq)
         if record is None:
@@ -458,21 +446,6 @@ class UdpChannel:
         for callback in list(self.on_fault):
             callback(fault)
 
-    def _note_loss(self, from_side: str, kind: str) -> None:
-        """A datagram died on the wire: count it, leave a trace.
-
-        In reliable mode the retry layer recovers; in plain mode this
-        flight-recorder event is the only record a loss leaves (the
-        old silent ``return False`` told nobody).
-        """
-        self.datagrams_lost += 1
-        if (kind == "data" and self.telemetry is not None
-                and self.telemetry.enabled):
-            self.telemetry.metrics.inc("channel.datagrams_lost")
-            if not self.reliable:
-                self.telemetry.tracer.event(
-                    "channel.loss", direction=from_side)
-
     def _put_on_wire(self, from_side: str, data: bytes, kind: str) -> None:
         """Charge transmission and schedule delivery of one datagram.
 
@@ -480,22 +453,21 @@ class UdpChannel:
         receiver -- so its drops/dups/delays model the network itself,
         identically for data and acks.
         """
-        if self.loss > 0 and self.rng.random() < self.loss:
-            self._note_loss(from_side, kind)
-            return
-        deliveries = None
+        deliveries = ((0.0, data),)
         if self.chaos is not None:
             deliveries = self.chaos.perturb(self.sim.now, from_side, data)
             if not deliveries:
-                self._note_loss(from_side, kind)
+                # Died on the wire; the retry layer recovers.
+                self.datagrams_lost += 1
+                if (kind == "data" and self.telemetry is not None
+                        and self.telemetry.enabled):
+                    self.telemetry.metrics.inc("channel.datagrams_lost")
                 return
         self.bytes_carried += len(data)
         tx_start = max(self.sim.now, self._tx_free_at[from_side])
         tx_end = tx_start + len(data) * self.per_byte_delay
         self._tx_free_at[from_side] = tx_end
         sent_at = self.sim.now
-        if deliveries is None:
-            deliveries = ((0.0, data),)
         for extra_delay, payload in deliveries:
             self.sim.schedule_at(tx_end + self.base_delay + extra_delay,
                                  self._deliver, from_side, payload, sent_at)
@@ -513,15 +485,11 @@ class UdpChannel:
             # retransmission delivers a clean copy.
             self._note_corrupt(dest_side)
             return
-        nbytes = len(data) - HEADER_SIZE
-        if not self.reliable:
-            if kind == _DATA:
-                self._hand_over(dest_side, records, nbytes, sent_at)
-        elif kind == _ACK:
+        if kind == _ACK:
             self._handle_ack(dest_side, seq)
         else:
-            self._handle_data(dest_side, seq, floor, records, nbytes,
-                              sent_at)
+            self._handle_data(dest_side, seq, floor, records,
+                              len(data) - HEADER_SIZE, sent_at)
 
     def _note_corrupt(self, dest_side: str) -> None:
         self.corrupt_rejected += 1

@@ -28,7 +28,6 @@ from repro.core.appvisor.isolation import (
     SandboxProcess,
 )
 from repro.core.crashpad.checkpoint import CheckpointError, CheckpointStore
-from repro.core.crashpad.interval import CheckpointPolicy
 from repro.core.crashpad.replay import EventJournal
 
 
@@ -75,14 +74,17 @@ class AppVisorStub:
 
     #: Modelled cost of replaying one journalled event during restore.
     REPLAY_EVENT_COST = 0.0005
+    #: Hard bound on events since the last *durable* image, whatever the
+    #: interval: it caps both the replay a crash pays and the journal
+    #: kept between images.
+    MAX_TAIL = 64
 
-    def __init__(self, sim, app, checkpoint_store: Optional[CheckpointStore] = None,
+    def __init__(self, sim, app,
                  checkpoint_interval: int = 1,
                  heartbeat_interval: float = 0.1,
                  limits: Optional[ResourceLimits] = None,
                  replica_factory=None,
-                 telemetry=None,
-                 checkpoint_policy: Optional[CheckpointPolicy] = None):
+                 telemetry=None):
         if checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
         self.sim = sim
@@ -95,15 +97,12 @@ class AppVisorStub:
         self.telemetry = telemetry
         self.api = StubAPI(self)
         self.sandbox = SandboxProcess(app, limits)
-        self.checkpoints = checkpoint_store or CheckpointStore()
-        #: When (not whether) checkpoints happen; stateful per stub.
-        self.policy = checkpoint_policy or CheckpointPolicy(
-            interval=checkpoint_interval)
-        #: Deferred encodes need exact image sizes synchronously when a
-        #: state-size resource cap must be enforced per event.
-        self._defer_override = (
-            False if (self.sandbox.limits.max_state_bytes is not None)
-            else None)
+        self.checkpoints = CheckpointStore(
+            metrics=telemetry.metrics if telemetry is not None else None)
+        #: Events between checkpoints (1 = the paper's per-event mode;
+        #: more = the §5 "every few events" relaxation, the skipped span
+        #: recovered by journal replay).
+        self.checkpoint_interval = checkpoint_interval
         self.heartbeat_interval = heartbeat_interval
         self.journal = EventJournal()
         self.endpoint = None
@@ -149,17 +148,6 @@ class AppVisorStub:
         #: window).  Checkpoints are only taken at quiescence so their
         #: before_seq labelling stays exact under concurrency lanes.
         self._pending_process: set = set()
-
-    @property
-    def checkpoint_interval(self) -> int:
-        """The policy's base interval (compat accessor)."""
-        return self.policy.interval
-
-    @checkpoint_interval.setter
-    def checkpoint_interval(self, value: int) -> None:
-        if value < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
-        self.policy.interval = value
 
     # -- wiring ----------------------------------------------------------
 
@@ -338,17 +326,13 @@ class AppVisorStub:
         checkpoint_cost = 0.0
         checkpoint_kind = None
         if self._checkpoint_due(seq) and not self._pending_process:
-            defer = self._defer_override
-            if defer is not False and (
-                    # The tail bound promises bounded replay, which only
-                    # a *durable* image delivers: take synchronously
-                    # (flushing any pending encodes along the way).
-                    self.checkpoints.checkpoint_lag() >= self.policy.max_tail
-                    # Under elevated crash risk the adaptive policy
-                    # wants images that survive the crash it predicts.
-                    or (self.policy.adaptive
-                        and self.policy.elevated_risk(self.sim.now))):
-                defer = False
+            # Encode off the event path unless a durable image is needed
+            # now: a state-size cap is enforced on the exact image size,
+            # and the tail bound promises bounded replay, which only a
+            # *durable* image delivers (the synchronous take flushes any
+            # pending encodes along the way).
+            defer = (self.sandbox.limits.max_state_bytes is None
+                     and self.checkpoints.checkpoint_lag() < self.MAX_TAIL)
             drained_before = self.checkpoints.deferred_drains
             cost_before = self.checkpoints.deferred_cost
             try:
@@ -393,18 +377,18 @@ class AppVisorStub:
         ))
 
     def _report_crash(self, report: rpc.CrashReport) -> None:
-        self.policy.note_crash(self.sim.now)
         self._crash_report = report
         self.endpoint.send(report)
 
     def _checkpoint_due(self, seq: int) -> bool:
+        """Is a take due before event ``seq``?  Every
+        ``checkpoint_interval`` events since the last take (durable or
+        pending), or as soon as the un-imaged tail reaches MAX_TAIL."""
         latest = self.checkpoints.latest()
         if latest is None:
             return True
-        return self.policy.due(
-            seq - latest.before_seq, self.sim.now,
-            tail_length=self.checkpoints.checkpoint_lag(),
-        )
+        return (seq - latest.before_seq >= self.checkpoint_interval
+                or self.checkpoints.checkpoint_lag() >= self.MAX_TAIL)
 
     def _process(self, seq: int, event, freeze_start: Optional[float] = None,
                  checkpoint_kind: Optional[str] = None,

@@ -42,14 +42,15 @@ unchanged short-circuits to a dedup entry without touching a single
 value.  Apps without version tracking keep the conservative
 encode-everything path, bit-for-bit as before.
 
-**Deferred encoding** (``deferred``; the runtime ships it on, a bare
-store defaults to synchronous takes): with version tracking available,
-``take()`` only *captures* -- clean keys as references to the previous
-entry's buffers, dirty keys as one-level shallow copies -- and appends a
-*pending* entry whose encode happens later in :meth:`drain` (wired
-into the stub's heartbeat tick).  The event path pays only the capture
-cost; the encode/hash/write cost accrues to ``deferred_cost`` and a
-``crashpad.encode`` span instead of the ``appvisor.event`` span.
+**Deferred encoding** (``take(defer=True)``, what the stub asks for
+unless it needs a durable image; a bare ``take()`` is synchronous): with
+version tracking available, the take only *captures* -- clean keys as
+references to the previous entry's buffers, dirty keys as one-level
+shallow copies -- and appends a *pending* entry whose encode happens
+later in :meth:`drain` (wired into the stub's heartbeat tick).  The
+event path pays only the capture cost; the encode/hash/write cost
+accrues to ``deferred_cost`` and a ``crashpad.encode`` span instead of
+the ``appvisor.event`` span.
 Pending entries are not durable: a crash before the drain drops them
 (:meth:`drop_pending`) and recovery falls back to the previous durable
 image plus a longer NetLog tail replay; planned consumers (restore,
@@ -184,39 +185,32 @@ class CheckpointStore:
     bytes plus ``version_check_per_key_cost`` per key.  Deferred takes
     charge ``capture_base_cost`` + ``capture_per_key_cost`` per dirty
     key on the event path and everything else in the background drain.
-    All costs are in simulated seconds; those five are constants of the
-    model (class attributes), not settings.  ``keep`` bounds retention
-    (rollbacks only ever reach back a bounded number of events -- §5
-    discusses reading "a history of snapshots"); ``full_every`` caps
-    delta-chain length so restores stay cheap.
+    All costs are in simulated seconds, and all seven are constants of
+    the model (class attributes), not settings.  ``keep`` bounds
+    retention (rollbacks only ever reach back a bounded number of
+    events -- §5 discusses reading "a history of snapshots");
+    ``full_every`` caps delta-chain length so restores stay cheap.
 
     ``metrics`` (optional :class:`~repro.metrics.collector.
     MetricsCollector`) mirrors take/skip/byte counters into the
     Prometheus exposition.
     """
 
+    base_cost = 0.010
+    per_byte_cost = 1e-7
     hash_per_byte_cost = 2e-9
     encode_per_byte_cost = 5e-9
     capture_base_cost = 2e-5
     capture_per_key_cost = 1e-6
     version_check_per_key_cost = 5e-8
 
-    def __init__(self, keep: int = 16, base_cost: float = 0.010,
-                 per_byte_cost: float = 1e-7,
-                 full_every: int = 8,
-                 deferred: bool = False,
-                 metrics=None):
+    def __init__(self, keep: int = 16, full_every: int = 8, metrics=None):
         if keep < 1:
             raise ValueError("keep must be >= 1")
         if full_every < 1:
             raise ValueError("full_every must be >= 1")
         self.keep = keep
-        self.base_cost = base_cost
-        self.per_byte_cost = per_byte_cost
         self.full_every = full_every
-        #: Defer encoding to :meth:`drain` (needs version tracking on
-        #: the app; falls back to synchronous takes without it).
-        self.deferred = deferred
         self.metrics = metrics
         self._checkpoints: List[Checkpoint] = []
         #: Pending (not yet encoded) entries, FIFO -- always a suffix
@@ -340,15 +334,15 @@ class CheckpointStore:
             self._last_seq = seq
 
     def take(self, app, before_seq: int, now: float,
-             defer: Optional[bool] = None) -> Checkpoint:
+             defer: bool = False) -> Checkpoint:
         """Snapshot ``app`` prior to event ``before_seq``.
 
         Returns the checkpoint; its modelled (event-path) cost is
         available via :meth:`cost_of` and accumulated in
-        :attr:`total_cost`.  ``defer`` overrides the store's
-        :attr:`deferred` default for this take (the stub forces
-        synchronous takes when a state-size resource limit needs an
-        exact image size).
+        :attr:`total_cost`.  ``defer`` moves the encode to
+        :meth:`drain` (it needs version tracking on the app and a
+        predecessor to diff against; without them the take is
+        synchronous anyway).
         """
         self.note_seq(before_seq)
         self._app_name = app.name
@@ -362,7 +356,6 @@ class CheckpointStore:
                 f"cannot snapshot {app.name}: get_state() returned "
                 f"{type(state).__name__}, not a dict")
 
-        defer = self.deferred if defer is None else defer
         if (defer and versions is not None and self._checkpoints
                 and self._prev_versions is not None
                 and self._prev_key_blobs is not None):
@@ -487,14 +480,13 @@ class CheckpointStore:
         self.deferred_drains += 1
         return bg_cost
 
-    def drain(self, budget: Optional[int] = None,
-              ) -> Tuple[List[Checkpoint], float]:
-        """Finalise up to ``budget`` pending entries (all, by default),
-        oldest first.  Returns the finalised entries and their total
-        modelled background cost -- the ``crashpad.encode`` span."""
+    def drain(self) -> Tuple[List[Checkpoint], float]:
+        """Finalise every pending entry, oldest first.  Returns the
+        finalised entries and their total modelled background cost --
+        the ``crashpad.encode`` span."""
         finalized: List[Checkpoint] = []
         cost = 0.0
-        while self._pending and (budget is None or len(finalized) < budget):
+        while self._pending:
             entry = self._pending[0]
             cost += self._finalize(entry)
             finalized.append(entry)

@@ -14,7 +14,7 @@ Three signals feed the detector:
   (catches hangs, where the process is wedged but never reports).
 
 A fourth signal *reclassifies* the other two: **channel faults**.  A
-reliable channel that exhausts its retry budget reports the fault
+channel that exhausts its retry budget reports the fault
 here; while a fault is recent (``channel_fault_window``), silence from
 the app is attributed to the link, not the process -- the suspicion
 comes back with reason ``"channel-fault"`` and Crash-Pad must *not*

@@ -22,8 +22,6 @@ from repro.core.appvisor.channel import UdpChannel
 from repro.core.appvisor.isolation import ResourceLimits
 from repro.core.appvisor.proxy import AppVisorProxy
 from repro.core.appvisor.stub import AppVisorStub
-from repro.core.crashpad.checkpoint import CheckpointStore
-from repro.core.crashpad.interval import CheckpointPolicy
 from repro.core.crashpad.policy_lang import PolicyTable
 from repro.core.crashpad.recovery import CrashPad
 from repro.core.crashpad.ticket import TicketStore
@@ -45,9 +43,8 @@ class RuntimeConfig:
     #: Events between checkpoints (1 = the paper's per-event mode).
     checkpoint_interval: int = 1
     heartbeat_interval: float = 0.1
-    channel_loss: float = 0.0
     #: Batched RPC: coalesce same-instant proxy<->stub frames into one
-    #: datagram per tick (one base_delay, one loss roll).  Off = the
+    #: datagram per tick (one base_delay, one chaos roll).  Off = the
     #: per-frame streaming the consistency-window ablation measures.
     channel_batch: bool = True
     channel_retry_budget: int = 8
@@ -55,17 +52,6 @@ class RuntimeConfig:
     #: channel, or a callable ``app_name -> profile-or-None`` for
     #: per-app profiles.
     chaos: object = None
-    checkpoint_base_cost: float = 0.010
-    checkpoint_per_byte_cost: float = 1e-7
-    #: Move checkpoint encoding off the event path: takes capture cheap
-    #: references, the stub heartbeat drains the encodes.
-    checkpoint_deferred: bool = True
-    #: Adaptive interval policy: tighten to per-event durable
-    #: checkpoints while HealthWatchdog (when attached) or a recent
-    #: crash signals elevated risk.
-    checkpoint_adaptive: bool = False
-    #: Hard bound on events since the last durable image.
-    checkpoint_max_tail: int = 64
     parallel_lanes: bool = False
     seed: int = 0
 
@@ -112,7 +98,6 @@ class LegoSDNRuntime:
 
     def launch_app(self, app_or_factory,
                    limits: Optional[ResourceLimits] = None,
-                   checkpoint_interval: Optional[int] = None,
                    replica_factory=None) -> AppVisorStub:
         """Host an app (instance or zero-arg factory) in its own sandbox.
 
@@ -133,42 +118,21 @@ class LegoSDNRuntime:
         if app.name in self.stubs:
             raise ValueError(f"app {app.name!r} already launched")
         config = self.config
-        interval = checkpoint_interval or config.checkpoint_interval
-        store = CheckpointStore(
-            base_cost=config.checkpoint_base_cost,
-            per_byte_cost=config.checkpoint_per_byte_cost,
-            deferred=config.checkpoint_deferred,
-            metrics=self.controller.telemetry.metrics
-            if self.controller.telemetry is not None else None,
-        )
-        policy = CheckpointPolicy(
-            interval=interval,
-            adaptive=config.checkpoint_adaptive,
-            max_tail=config.checkpoint_max_tail,
-        )
         stub = AppVisorStub(
             self.sim, app,
-            checkpoint_store=store,
-            checkpoint_interval=interval,
+            checkpoint_interval=config.checkpoint_interval,
             heartbeat_interval=config.heartbeat_interval,
             limits=limits,
             replica_factory=replica_factory,
             telemetry=self.controller.telemetry,
-            checkpoint_policy=policy,
         )
         chaos = config.chaos
         if callable(chaos):
             chaos = chaos(app.name)
-        # Reliable RPC (seq/ack/retransmit/dedup) on every proxy<->stub
-        # channel, so loss, duplication and reordering degrade into
-        # latency instead of wedged event loops; at 0% loss it costs
-        # envelope bytes and ack datagrams, neither on the event path.
         channel = UdpChannel(
             self.sim,
-            loss=config.channel_loss,
             seed=config.seed + len(self.stubs),
             batch=config.channel_batch,
-            reliable=True,
             retry_budget=config.channel_retry_budget,
             chaos=chaos,
             telemetry=self.controller.telemetry,

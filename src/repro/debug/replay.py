@@ -155,14 +155,14 @@ class ReplayHarness:
 
     def build(self) -> ReplayStack:
         """A fresh deployment under this config, capture attached."""
-        from repro.cli import _build_topology
         from repro.faults.netfaults import ChaosProfile
         from repro.network.net import Network
+        from repro.network.topology import build_topology
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry(enabled=True,
                               flight_capacity=self.flight_capacity)
-        net = Network(_build_topology(self.topology, self.size),
+        net = Network(build_topology(self.topology, self.size),
                       seed=self.seed, telemetry=telemetry)
         profile = None
         if self.chaos:

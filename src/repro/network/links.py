@@ -37,13 +37,6 @@ class Link:
             return self.node_a, self.port_a
         raise ValueError(f"{node!r} is not attached to this link")
 
-    def port_of(self, node) -> int:
-        if node is self.node_a:
-            return self.port_a
-        if node is self.node_b:
-            return self.port_b
-        raise ValueError(f"{node!r} is not attached to this link")
-
     def endpoints(self):
         return (self.node_a, self.port_a), (self.node_b, self.port_b)
 

@@ -132,9 +132,6 @@ class Network:
     def switch(self, dpid: int) -> Switch:
         return self.switches[dpid]
 
-    def host_list(self) -> List[Host]:
-        return [self.hosts[spec.name] for spec in self.topology.hosts]
-
     def link_between(self, dpid_a: int, dpid_b: int) -> Link:
         key = (min(dpid_a, dpid_b), max(dpid_a, dpid_b))
         return self._switch_links[key]

@@ -199,3 +199,25 @@ def random_topology(num_switches: int = 8, extra_link_prob: float = 0.2,
         for _ in range(hosts_per_switch):
             topo.add_host(dpid)
     return topo
+
+
+#: The shapes :func:`build_topology` knows by name.
+TOPOLOGIES = ("linear", "ring", "tree", "mesh", "fattree")
+
+
+def build_topology(name: str, size: int) -> Topology:
+    """One of ``TOPOLOGIES`` from a single ``size`` knob (the CLI's
+    ``--topology/--size``, a replay config's ``topology``/``size``),
+    rounded up to the shape's minimum."""
+    if name == "linear":
+        return linear_topology(size, 1)
+    if name == "ring":
+        return ring_topology(max(size, 3), 1)
+    if name == "tree":
+        return tree_topology(depth=2, fanout=max(size // 2, 2),
+                             hosts_per_leaf=1)
+    if name == "mesh":
+        return mesh_topology(size, 1)
+    if name == "fattree":
+        return fat_tree_topology(size if size % 2 == 0 else size + 1)
+    raise ValueError(f"unknown topology {name!r}")

@@ -57,6 +57,38 @@ class ReplicaRole(enum.Enum):
     DEAD = "dead"
 
 
+class SeenNumbers:
+    """Which of the sequence numbers 1, 2, 3 ... have been seen.
+
+    Held as a contiguous ``floor`` (every n <= floor was seen) plus the
+    members ``above`` it, which are forgotten as the floor passes them:
+    the memory is the size of the gaps, not of the run.
+    """
+
+    __slots__ = ("floor", "above")
+
+    def __init__(self):
+        self.floor = 0
+        self.above: Set[int] = set()
+
+    def __contains__(self, n: int) -> bool:
+        return n <= self.floor or n in self.above
+
+    def add(self, n: int) -> bool:
+        """Note ``n``; False when it had been seen already."""
+        if n in self:
+            return False
+        self.above.add(n)
+        while self.floor + 1 in self.above:
+            self.floor += 1
+            self.above.remove(self.floor)
+        return True
+
+    def clear(self) -> None:
+        self.floor = 0
+        self.above.clear()
+
+
 @dataclass
 class ControllerReplica:
     """One controller instance in the set, plus its replication state."""
@@ -90,15 +122,10 @@ class ControllerReplica:
     #: (quorum mode counts commits durable off this).
     acked_resolves: int = 0
     #: Every ship index this backup has seen (dedup for resync replay).
-    seen_indices: Set[int] = field(default_factory=set)
-    #: Highest N such that every index 1..N has been seen -- the
-    #: high-water mark a ResyncRequest replays from.
-    contig_index: int = 0
+    seen_indices: SeenNumbers = field(default_factory=SeenNumbers)
     #: Every resolve_seq this backup has processed (dedup; txn_id is
     #: NOT usable for this -- it restarts with each promoted primary).
-    seen_resolve_seqs: Set[int] = field(default_factory=set)
-    #: Highest N with every resolve_seq 1..N processed.
-    contig_resolves: int = 0
+    seen_resolve_seqs: SeenNumbers = field(default_factory=SeenNumbers)
     #: Re-shipped frames discarded because this backup already had them.
     resync_dups: int = 0
     resync_requests: int = 0
@@ -145,6 +172,17 @@ class ControllerReplica:
     @property
     def is_live(self) -> bool:
         return self.role is not ReplicaRole.DEAD and not self.controller.crashed
+
+    @property
+    def contig_index(self) -> int:
+        """Highest N such that every index 1..N has been seen -- the
+        high-water mark a ResyncRequest replays from."""
+        return self.seen_indices.floor
+
+    @property
+    def contig_resolves(self) -> int:
+        """Highest N with every resolve_seq 1..N processed."""
+        return self.seen_resolve_seqs.floor
 
     def reset_votes(self) -> None:
         """Forget votes, conflict throttle and parked leaves: the chain
@@ -494,11 +532,10 @@ class ReplicaSet:
             # Batched shipping: all records/resolves committed in one
             # sim instant ride one datagram to each backup.
             batch=True,
-            # Reliable (seq/ack/retransmit), so transient loss never
-            # silently skips a log record; long partitions still exhaust
-            # the budget and create gaps -- which the ranged resync
-            # repairs on heal.
-            reliable=True,
+            # Transient loss never silently skips a log record (the
+            # channel retransmits); a long partition still exhausts the
+            # budget and creates gaps -- which the ranged resync repairs
+            # on heal.
             retry_budget=self.repl_retry_budget,
             chaos=chaos,
             telemetry=self.primary.controller.telemetry,
@@ -993,9 +1030,7 @@ class ReplicaSet:
         replica.open_txns.clear()
         replica.shadow.clear()
         replica.seen_indices.clear()
-        replica.contig_index = 0
         replica.seen_resolve_seqs.clear()
-        replica.contig_resolves = 0
         replica.last_ship_index = 0
         replica.acked_index = 0
         replica.acked_resolves = 0
@@ -1044,14 +1079,11 @@ class ReplicaSet:
                 suspect if suspect is not None else replica, frame)
             return
         if isinstance(frame, RecordShip):
-            if frame.index in replica.seen_indices:
+            if not replica.seen_indices.add(frame.index):
                 # Resync overlap (or a network dup the channel let by):
                 # already held, never double-counted or double-folded.
                 replica.resync_dups += 1
                 return
-            replica.seen_indices.add(frame.index)
-            while replica.contig_index + 1 in replica.seen_indices:
-                replica.contig_index += 1
             replica.ships_received += 1
             replica.last_ship_index = max(replica.last_ship_index, frame.index)
             replica.open_txns.setdefault(frame.txn_id, []).append(frame)
@@ -1079,13 +1111,8 @@ class ReplicaSet:
             # to the switches itself, and its own shadow never kept the
             # aborted writes either.
             self._fold_leaf(replica, frame, records)
-            if frame.resolve_seq in replica.seen_resolve_seqs:
+            if not replica.seen_resolve_seqs.add(frame.resolve_seq):
                 replica.resync_dups += 1
-            else:
-                replica.seen_resolve_seqs.add(frame.resolve_seq)
-                while (replica.contig_resolves + 1
-                       in replica.seen_resolve_seqs):
-                    replica.contig_resolves += 1
             if self.quorum or self.voting:
                 self._send_ack(replica)
         elif isinstance(frame, ReplHeartbeat):

@@ -315,29 +315,15 @@ class HealthWatchdog:
 
     def guard_replication(self, replicas) -> None:
         """Wire a :class:`~repro.replication.replicaset.ReplicaSet`'s
-        Byzantine suspicions through this watchdog (the
-        ``guard_checkpoints`` idiom for the replication layer): the
-        set's reports land here as ``byzantine-divergence`` anomalies,
-        and watchdog-observed invariant violations escalate the set's
-        mode policy in return -- the full adaptive loop of the paper's
+        Byzantine suspicions through this watchdog: the set's reports
+        land here as ``byzantine-divergence`` anomalies, and
+        watchdog-observed invariant violations escalate the set's mode
+        policy in return -- the full adaptive loop of the paper's
         divergence-triggered mode switch.
         """
         replicas.watchdog = self
         self._guarded_replicas = getattr(self, "_guarded_replicas", [])
         self._guarded_replicas.append(replicas)
-
-    def guard_checkpoints(self, runtime) -> int:
-        """Wire this watchdog's health score into every app stub's
-        adaptive checkpoint policy: while the score is depressed, the
-        policy tightens to per-event durable checkpoints, buying the
-        shortest possible recovery tail exactly when crashes are
-        likeliest.  Returns how many stubs were wired.
-        """
-        wired = 0
-        for stub in runtime.stubs.values():
-            stub.policy.attach_health(self.health_score)
-            wired += 1
-        return wired
 
     @staticmethod
     def status_of(score: float) -> str:

@@ -31,29 +31,6 @@ HOT_PATH_SPANS = (
 )
 
 
-def load_trace(path: str) -> List[dict]:
-    """Span dicts from a trace file.
-
-    Accepts either a full ``trace_dict`` document (``{"spans": [...]}``,
-    what ``repro trace --out`` writes), a bare span list, or a span-diff
-    capture (``{"summaries": {label: summary}}`` -- the *first* summary
-    has no raw spans, so this last form raises with a pointer to
-    :func:`load_summary`).
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if isinstance(doc, list):
-        return doc
-    if isinstance(doc, dict) and "spans" in doc:
-        return doc["spans"]
-    if isinstance(doc, dict) and "summaries" in doc:
-        raise ValueError(
-            f"{path} is a span-diff capture (no raw spans); "
-            "load it with load_summary()")
-    raise ValueError(f"{path} does not look like a trace "
-                     "(expected a span list or a 'spans' key)")
-
-
 def load_summary(path: str, which: str = "current") -> Dict[str, dict]:
     """The per-span summary stored in a span-diff capture file."""
     with open(path) as fh:

@@ -218,18 +218,21 @@ class TestStateFaults:
     """A state that cannot be checkpointed is the app's failure: it
     must end in a ticket, not in an exception out of the simulator."""
 
-    @pytest.mark.parametrize("runtime_kwargs", [
-        {"checkpoint_interval": 1, "checkpoint_deferred": False},
-        {},     # deferred encoding: the stub's heartbeat drains it
+    @pytest.mark.parametrize("limits", [
+        # A state-size cap (never reached) is measured on the exact
+        # image, so every take encodes synchronously.
+        ResourceLimits(max_state_bytes=1 << 30),
+        None,   # deferred encoding: the stub's heartbeat drains it
     ], ids=["take", "drain"])
     @pytest.mark.parametrize("bad,names", [
         (RaisingGetState, ("raising_get_state", "state went missing")),
         (ComplexInState, ("complex_in_state", "'weights'", "dict",
                           "complex")),
     ], ids=["raises", "unencodable"])
-    def test_ticketed(self, bad, names, runtime_kwargs):
-        net, runtime = build([LearningSwitch(), bad()],
-                             runtime_kwargs=runtime_kwargs)
+    def test_ticketed(self, bad, names, limits):
+        net, runtime = build([LearningSwitch()], run=0.0)
+        stub = runtime.launch_app(bad(), limits=limits)
+        net.run_for(1.0)
         healthy = runtime.record("learning_switch")
         for round_ in range(4):
             inject_marker_packet(net, "h1", "h3", f"round-{round_}")
@@ -245,6 +248,9 @@ class TestStateFaults:
         ticket = runtime.tickets.for_app(bad.name)[0]
         for name in names:
             assert name in ticket.exception
+        # Each arm took the path its id names.
+        deferred = stub.checkpoints.stats()["deferred_takes"]
+        assert (deferred == 0) if limits is not None else (deferred > 0)
 
 
     def test_pending_capture_at_failover_is_ticketed(self):

@@ -13,6 +13,7 @@ from repro.core.appvisor.isolation import (
     SandboxProcess,
 )
 from repro.faults import crash_on, BugKind
+from repro.faults.netfaults import ChaosProfile
 from repro.network.packet import tcp_packet
 from repro.network.simulator import Simulator
 from repro.openflow.match import Match
@@ -67,52 +68,66 @@ class TestRPCFrames:
 class TestUdpChannel:
     def test_frames_delivered_after_delay(self):
         sim = Simulator()
-        channel = UdpChannel(sim, base_delay=0.01, per_byte_delay=0.0)
-        got = []
-        channel.stub_end.on_frame(got.append)
+        channel = UdpChannel(sim, base_delay=0.002, per_byte_delay=0.0)
+        arrived = []
+        channel.stub_end.on_frame(lambda f: arrived.append(sim.now))
         channel.proxy_end.send(rpc.Heartbeat(app_name="x", stub_time=0,
                                              last_seq_done=0))
-        assert got == []
+        assert arrived == []
         sim.run()
-        assert len(got) == 1
-        assert sim.now == pytest.approx(0.01)
+        assert arrived == [pytest.approx(0.002)]
+        # The ack pays the same one-way delay back, and settles the
+        # send before its retransmit timer ever fires.
+        assert sim.now == pytest.approx(0.004)
+        assert (channel.acks_sent, channel.retransmits) == (1, 0)
 
     def test_per_byte_latency(self):
         sim = Simulator()
-        channel = UdpChannel(sim, base_delay=0.0, per_byte_delay=0.001)
-        got = []
-        channel.proxy_end.on_frame(got.append)
+        channel = UdpChannel(sim, base_delay=0.0, per_byte_delay=1e-5)
+        arrived = []
+        channel.proxy_end.on_frame(lambda f: arrived.append(sim.now))
         channel.stub_end.send(rpc.CrashReport(app_name="x", seq=1,
                                               error="e" * 100))
         sim.run()
-        assert sim.now > 0.1  # >100 bytes * 1ms
+        nbytes = HEADER_SIZE + channel.stub_end.bytes_sent
+        assert nbytes > 100
+        assert arrived == [pytest.approx(nbytes * 1e-5)]
+        assert arrived[0] == pytest.approx(channel.delay_for(nbytes))
 
     def test_fifo_ordering_despite_sizes(self):
         """A small frame sent after a big one must not overtake it."""
         sim = Simulator()
-        channel = UdpChannel(sim, base_delay=0.0, per_byte_delay=0.001)
+        channel = UdpChannel(sim, base_delay=0.0, per_byte_delay=1e-5)
         got = []
-        channel.proxy_end.on_frame(lambda f: got.append(type(f).__name__))
+        channel.proxy_end.on_frame(
+            lambda f: got.append((type(f).__name__, sim.now)))
         channel.stub_end.send(rpc.CrashReport(app_name="x", seq=1,
                                               error="e" * 500))
         channel.stub_end.send(rpc.Heartbeat(app_name="x", stub_time=0,
                                             last_seq_done=0))
         sim.run()
-        assert got == ["CrashReport", "Heartbeat"]
+        assert [name for name, _ in got] == ["CrashReport", "Heartbeat"]
+        # The order is the wire's (one datagram at a time at line rate),
+        # not the reorder buffer's: the small one arrived later, and
+        # nothing was ever retransmitted or duplicated.
+        assert got[0][1] < got[1][1]
+        assert channel.retransmits == channel.dup_datagrams_dropped == 0
 
     def test_loss(self):
         sim = Simulator()
-        channel = UdpChannel(sim, loss=1.0)
-        got = []
+        channel = UdpChannel(sim, chaos=ChaosProfile(loss=1.0))
+        got, faults = [], []
         channel.stub_end.on_frame(got.append)
+        channel.on_fault.append(faults.append)
         # send() has no return value: losses show up in the channel's
-        # counters (and, with telemetry on, the flight recorder), never
-        # as an ignored boolean.
+        # counters and, once the retry budget is spent, as a
+        # ChannelFault -- never as an ignored boolean.
         channel.proxy_end.send(
             rpc.Heartbeat(app_name="x", stub_time=0, last_seq_done=0))
         sim.run()
         assert got == []
-        assert channel.datagrams_lost == 1
+        assert channel.datagrams_lost == 1 + channel.retry_budget
+        assert [(f.side, f.seq) for f in faults] == [("proxy", 1)]
 
     def test_byte_accounting(self):
         sim = Simulator()
@@ -121,8 +136,13 @@ class TestUdpChannel:
                                              last_seq_done=0))
         assert channel.proxy_end.bytes_sent > 0
         # The wire carries the datagram header on top of the payload.
-        assert channel.bytes_carried == \
-            HEADER_SIZE + channel.proxy_end.bytes_sent
+        data = HEADER_SIZE + channel.proxy_end.bytes_sent
+        assert channel.bytes_carried == data
+        # The ack is wire bytes too (a bare header), but nobody's payload.
+        sim.run()
+        assert channel.bytes_carried == data + HEADER_SIZE
+        assert channel.stub_end.bytes_sent == 0
+        assert channel.stub_end.bytes_recv == channel.proxy_end.bytes_sent
 
 
 class TestSandbox:

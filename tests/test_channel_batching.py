@@ -5,7 +5,8 @@ equivalence and the NetLog rollback tests stay green with batching on
 by default at the runtime level):
 
 - frames delivered in send order, across and within batch flushes;
-- one datagram (one base_delay, one loss roll) per same-instant burst;
+- one data datagram (one base_delay, one chaos roll per transmission,
+  one ack back) per same-instant burst;
 - a sender dying mid-tick loses exactly the unflushed tail -- frames
   already on the wire still arrive, and nothing arrives twice.
 """
@@ -18,6 +19,7 @@ from repro.core.appvisor.channel import (
     unpack_datagram,
 )
 from repro.core.appvisor.rpc import Heartbeat, decode_frame, encode_frame
+from repro.faults.netfaults import ChaosProfile
 from repro.network.simulator import Simulator
 
 
@@ -45,6 +47,9 @@ class TestCoalescing:
         assert channel.batches_flushed == 1
         assert channel.frames_batched == 5
         assert channel.stub_end.frames_sent == 5
+        # ... and one ack the other way, which is not a delivery.
+        assert channel.acks_sent == 1
+        assert channel.proxy_end.frames_sent == 0
 
     def test_batch_pays_base_delay_once(self):
         sim = Simulator()
@@ -79,7 +84,9 @@ class TestCoalescing:
         # frame's encoding -- no wrapper frame around it.
         record = 4 + len(encode_frame(beat(7)))
         assert channel.stub_end.bytes_sent == record
-        assert channel.bytes_carried == HEADER_SIZE + record
+        # On the wire: that datagram, and the bare-header ack for it.
+        assert channel.acks_sent == 1
+        assert channel.bytes_carried == (HEADER_SIZE + record) + HEADER_SIZE
 
 
 class TestFifoAcrossFlushes:
@@ -138,15 +145,22 @@ class TestCrashMidBatch:
 
     def test_loss_rolls_once_per_batch(self):
         sim = Simulator()
-        channel = UdpChannel(sim, batch=True, loss=1.0, seed=1)
+        channel = UdpChannel(sim, batch=True,
+                             chaos=ChaosProfile(seed=1, loss=1.0))
         got = []
         channel.proxy_end.on_frame(lambda f: got.append(f))
         for seq in range(6):
             channel.stub_end.send(beat(seq))
         sim.run()
         assert got == []
-        # Six frames, one batch, one loss event.
-        assert channel.datagrams_lost == 1
+        # Six frames, one batch, one datagram: one loss roll per time it
+        # went on the wire (the first send plus the whole retry budget),
+        # never one per frame.
+        assert channel.batches_flushed == 1
+        assert channel.retransmits == channel.retry_budget
+        assert channel.datagrams_lost == 1 + channel.retry_budget
+        assert channel.chaos.dropped == channel.datagrams_lost
+        assert channel.abandoned == 1
 
 
 class TestCrashPathWiring:

@@ -10,8 +10,8 @@ The contracts under test:
   capture is still pending -- taken but never drained by a heartbeat
   -- must recover from the previous *durable* image, dropping the
   pending capture instead of trusting it.
-- The :class:`CheckpointPolicy` cadence/tightening rules and the
-  store-level dirty-key bookkeeping those two behaviours rely on.
+- The stub's cadence rules (interval, tail bound) and the store-level
+  dirty-key bookkeeping those two behaviours rely on.
 """
 
 import pickle
@@ -19,13 +19,14 @@ import pickle
 import pytest
 
 from repro.apps import LearningSwitch
+from repro.core.appvisor.isolation import ResourceLimits
+from repro.core.appvisor.stub import AppVisorStub
 from repro.core.crashpad.checkpoint import (
     DEDUP,
     DELTA,
     FULL,
     CheckpointStore,
 )
-from repro.core.crashpad.interval import CheckpointPolicy
 from repro.core.runtime import LegoSDNRuntime
 from repro.network.net import Network
 from repro.network.topology import linear_topology
@@ -48,16 +49,14 @@ class CrashMarkerSwitch(LearningSwitch):
         return super().on_packet_in(event)
 
 
-def run_workload(interval, crash_offset, probes=10, **runtime_kwargs):
+def run_workload(interval, crash_offset, probes=10, limits=None):
     """Drive a fixed probe stream, crashing after probe ``crash_offset``.
 
     Returns ``(final_app_state, runtime)``.
     """
     net = Network(linear_topology(3, 1), seed=0)
-    runtime = LegoSDNRuntime(net.controller,
-                             checkpoint_interval=interval,
-                             **runtime_kwargs)
-    runtime.launch_app(CrashMarkerSwitch(name="app"))
+    runtime = LegoSDNRuntime(net.controller, checkpoint_interval=interval)
+    runtime.launch_app(CrashMarkerSwitch(name="app"), limits=limits)
     net.start()
     net.run_for(1.0)
     for i in range(probes):
@@ -109,9 +108,7 @@ class TestDeferredCrashDurability:
 
     def test_crash_with_pending_capture_recovers_from_durable_image(self):
         net = Network(linear_topology(3, 1), seed=0)
-        runtime = LegoSDNRuntime(net.controller,
-                                 checkpoint_interval=1,
-                                 checkpoint_deferred=True)
+        runtime = LegoSDNRuntime(net.controller, checkpoint_interval=1)
         runtime.launch_app(CrashMarkerSwitch(name="app"))
         net.start()
         net.run_for(1.0)
@@ -133,15 +130,19 @@ class TestDeferredCrashDurability:
         # The pending (never-drained) captures died with the process.
         assert stub.checkpoints.stats()["pending_dropped"] > 0
         # ... and the recovered state still matches a run that never
-        # deferred anything.
-        reference, _ = run_workload(1, crash_offset=3, probes=4,
-                                    checkpoint_deferred=False)
+        # deferred anything: a state-size cap (far above what the app
+        # holds) makes every take synchronous, to measure the image.
+        reference, ref_runtime = run_workload(
+            1, crash_offset=3, probes=4,
+            limits=ResourceLimits(max_state_bytes=1 << 30))
+        ref_stats = ref_runtime.stubs["app"].checkpoints.stats()
+        assert ref_stats["deferred_takes"] == 0 < ref_stats["taken"]
+        assert stub.checkpoints.stats()["deferred_takes"] > 0
         assert stub.app.get_state() == reference
 
     def test_promotion_flushes_pending_captures(self):
         net = Network(linear_topology(2, 1), seed=0)
-        runtime = LegoSDNRuntime(net.controller,
-                                 checkpoint_deferred=True)
+        runtime = LegoSDNRuntime(net.controller)
         runtime.launch_app(LearningSwitch(name="app"))
         net.start()
         net.run_for(1.0)
@@ -204,7 +205,7 @@ class TestDirtyKeyStore:
         # drop_pending() invalidates the baseline; the next take must
         # re-encode everything rather than trust stale versions.
         app = DictApp()
-        store = CheckpointStore(full_every=8, deferred=True)
+        store = CheckpointStore(full_every=8)
         store.take(app, before_seq=1, now=0.0)
         app.touch("a", 1)
         cp = store.take(app, before_seq=2, now=1.0, defer=True)
@@ -218,7 +219,7 @@ class TestDirtyKeyStore:
 
     def test_deferred_roundtrip_through_drain(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, deferred=True)
+        store = CheckpointStore(full_every=8)
         store.take(app, before_seq=1, now=0.0)
         references = []
         for seq in range(2, 6):
@@ -236,7 +237,7 @@ class TestDirtyKeyStore:
 
     def test_flush_is_a_durability_barrier(self):
         app = DictApp()
-        store = CheckpointStore(full_every=8, deferred=True)
+        store = CheckpointStore(full_every=8)
         store.take(app, before_seq=1, now=0.0)
         app.touch("a", 1)
         store.take(app, before_seq=2, now=1.0, defer=True)
@@ -246,35 +247,60 @@ class TestDirtyKeyStore:
         assert store.checkpoint_lag() == 0
 
 
+def idle_stub(interval):
+    """A launched stub that has seen no event and taken no checkpoint."""
+    net = Network(linear_topology(3, 1), seed=0)
+    runtime = LegoSDNRuntime(net.controller, checkpoint_interval=interval)
+    return runtime.launch_app(CrashMarkerSwitch(name="app"))
+
+
 class TestCheckpointPolicy:
+    """When the stub takes a checkpoint (the class keeps the name the
+    cadence rules were first tested under)."""
+
     def test_fixed_interval_cadence(self):
-        policy = CheckpointPolicy(interval=4)
-        assert not policy.due(3, now=0.0)
-        assert policy.due(4, now=0.0)
+        stub = idle_stub(4)
+        assert stub._checkpoint_due(1)  # nothing taken yet
+        stub.checkpoints.take(stub.app, before_seq=1, now=0.0)
+        assert not stub._checkpoint_due(4)
+        assert stub._checkpoint_due(5)
 
     def test_tail_bound_forces_a_checkpoint(self):
-        policy = CheckpointPolicy(interval=1000, max_tail=8)
-        assert not policy.due(5, now=0.0, tail_length=7)
-        assert policy.due(5, now=0.0, tail_length=8)
-        assert policy.tail_forced == 1
+        stub = idle_stub(1000)
+        stub.checkpoints.take(stub.app, before_seq=1, now=0.0)
+        stub.checkpoints.note_seq(AppVisorStub.MAX_TAIL)
+        assert stub.checkpoints.checkpoint_lag() == AppVisorStub.MAX_TAIL - 1
+        assert not stub._checkpoint_due(AppVisorStub.MAX_TAIL)
+        stub.checkpoints.note_seq(AppVisorStub.MAX_TAIL + 1)
+        assert stub._checkpoint_due(AppVisorStub.MAX_TAIL + 1)
 
-    def test_adaptive_tightens_after_a_crash(self):
-        policy = CheckpointPolicy(interval=8, adaptive=True)
-        assert policy.effective_interval(0.0) == 8
-        policy.note_crash(10.0)
-        assert policy.effective_interval(11.0) == 1
-        assert policy.effective_interval(13.0) == 8  # window expired
-
-    def test_adaptive_tightens_on_low_health(self):
-        score = {"value": 1.0}
-        policy = CheckpointPolicy(interval=8, adaptive=True)
-        policy.attach_health(lambda: score["value"])
-        assert policy.effective_interval(0.0) == 8
-        score["value"] = 0.5
-        assert policy.effective_interval(0.0) == 1
+    def test_tail_bound_take_is_synchronous_and_durable(self):
+        """End to end: with an interval that never comes due, the only
+        takes are the first and the ones the tail bound forces -- and a
+        forced take is a durable image, not a capture waiting on a
+        drain that (here) never runs."""
+        net = Network(linear_topology(3, 1), seed=0)
+        runtime = LegoSDNRuntime(net.controller, checkpoint_interval=1000)
+        stub = runtime.launch_app(CrashMarkerSwitch(name="app"))
+        stub._drain_checkpoints = lambda: None
+        net.start()
+        net.run_for(1.0)
+        assert AppVisorStub.MAX_TAIL == 64
+        lags = []
+        while stub.checkpoints.taken_count < 2:
+            assert len(lags) < 100, "the tail bound never forced a take"
+            inject_marker_packet(net, "h1", "h3", f"probe-{len(lags)}")
+            net.run_for(0.2)
+            lags.append(stub.checkpoints.checkpoint_lag())
+        first, forced = stub.checkpoints.history()
+        assert forced.before_seq - first.before_seq == 64
+        assert max(lags) < 64  # the bound held wherever it was sampled
+        assert not forced.pending
+        assert stub.checkpoints.latest_durable() is forced
+        assert stub.checkpoints.stats()["deferred_takes"] == 0
 
     def test_validation(self):
+        net = Network(linear_topology(3, 1), seed=0)
+        runtime = LegoSDNRuntime(net.controller, checkpoint_interval=0)
         with pytest.raises(ValueError):
-            CheckpointPolicy(interval=0)
-        with pytest.raises(ValueError):
-            CheckpointPolicy(max_tail=0)
+            runtime.launch_app(CrashMarkerSwitch(name="app"))

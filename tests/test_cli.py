@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import _build_topology, build_parser, main
+from repro.cli import build_parser, main
+from repro.network.topology import TOPOLOGIES, build_topology
 
 
 class TestParser:
@@ -47,20 +48,21 @@ class TestParser:
 
 class TestTopologyBuilder:
     def test_all_names_build(self):
-        for name in ("linear", "ring", "tree", "mesh", "fattree"):
-            topo = _build_topology(name, 4)
+        assert len(TOPOLOGIES) == 5
+        for name in TOPOLOGIES:
+            topo = build_topology(name, 4)
             topo.validate()
 
     def test_ring_minimum_enforced(self):
-        assert len(_build_topology("ring", 1).switches) == 3
+        assert len(build_topology("ring", 1).switches) == 3
 
     def test_fattree_evens_odd_k(self):
-        topo = _build_topology("fattree", 3)
+        topo = build_topology("fattree", 3)
         topo.validate()  # k was bumped to 4
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            _build_topology("torus", 4)
+            build_topology("torus", 4)
 
 
 class TestCommands:

@@ -62,14 +62,18 @@ class TestCheckpointStore:
         assert store.latest().before_seq == 9
 
     def test_cost_model_scales_with_size(self):
-        store = CheckpointStore(base_cost=0.01, per_byte_cost=1e-6)
         small_app = LearningSwitch()
         big_app = LearningSwitch()
         big_app.mac_tables = {i: {f"m{j}": j for j in range(50)}
                               for i in range(50)}
+        # A store each: both takes are a first, full image.
+        store = CheckpointStore()
         small = store.take(small_app, 1, 0.0)
-        big = store.take(big_app, 1, 0.0)
-        assert store.cost_of(big) > store.cost_of(small) > 0.01
+        big = CheckpointStore().take(big_app, 1, 0.0)
+        assert (store.cost_of(big) > store.cost_of(small)
+                > CheckpointStore.base_cost)
+        assert (store.cost_of(big) - store.cost_of(small)
+                >= (big.size - small.size) * CheckpointStore.per_byte_cost)
 
     def test_restore_isolates_snapshots(self):
         """Mutating the app after restore must not corrupt the checkpoint."""

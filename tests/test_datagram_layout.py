@@ -24,6 +24,7 @@ from repro.core.appvisor.channel import (
     unpack_datagram,
 )
 from repro.core.runtime import LegoSDNRuntime
+from repro.faults.netfaults import ChaosProfile
 from repro.network.net import Network
 from repro.network.simulator import Simulator
 from repro.network.topology import linear_topology
@@ -59,7 +60,7 @@ def test_data_datagram_is_delivered_intact_or_rejected(count):
         1, 1, 1, pack_records([rpc.encode_frame(f) for f in frames]))
 
     def receive(data):
-        channel = UdpChannel(Simulator(), reliable=True)
+        channel = UdpChannel(Simulator())
         got = []
         channel.proxy_end.on_frame(got.append)
         channel._deliver("stub", data, 0.0)
@@ -81,7 +82,7 @@ def test_ack_is_honoured_intact_or_rejected():
 
     def receive(data):
         sim = Simulator()
-        channel = UdpChannel(sim, reliable=True, loss=1.0)
+        channel = UdpChannel(sim, chaos=ChaosProfile(loss=1.0))
         for seq in range(3):            # seqs 1..3 sent, none arrived
             channel.stub_end.send(frames_of(1)[0])
         channel._deliver("proxy", data, 0.0)
@@ -108,7 +109,7 @@ def test_a_record_cannot_run_past_its_datagram():
                                       + b"\x00\x00"))
     with pytest.raises(SerializationError, match="kind"):
         unpack_datagram(pack_datagram(3, 1, 1))
-    channel = UdpChannel(Simulator(), reliable=True)
+    channel = UdpChannel(Simulator())
     channel.proxy_end.on_frame(lambda frame: pytest.fail("delivered"))
     # A frame that does not decode, behind a valid header and length.
     channel._deliver("stub", pack_datagram(1, 1, 1, pack_records([b"\x63"])),

@@ -163,3 +163,23 @@ class TestLearnHosts:
         assert all(p == "AFTER-LEARN" for p in payloads(recording.events))
         hosts = recording.net.controller.devices.all()
         assert len(hosts) == len(recording.net.hosts)
+
+
+def test_debug_package_does_not_import_the_cli():
+    """Layering: the CLI sits on top of ``repro.debug``, never under
+    it -- building a replay stack included.  A fresh interpreter,
+    because this one has the CLI loaded by other tests."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; import repro.debug; "
+            "from repro.apps import LearningSwitch; "
+            "repro.debug.ReplayHarness(apps=[LearningSwitch]).build(); "
+            "sys.exit('repro.cli' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr[-2000:] or "repro.cli imported"

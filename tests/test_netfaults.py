@@ -103,8 +103,11 @@ class TestChannelComposition:
         channel.stub_end.send(beat(0))
         sim.run()
         assert got == []
-        assert profile.dropped == 1
-        assert channel.datagrams_lost == 1
+        # The profile saw, and dropped, every transmission: the send
+        # and each retry the budget allowed.
+        assert profile.dropped == 1 + channel.retry_budget
+        assert channel.datagrams_lost == profile.dropped
+        assert channel.abandoned == 1
 
     def test_runtime_chaos_param_reaches_app_channels(self):
         from repro.apps import LearningSwitch

@@ -16,10 +16,18 @@ read 60 never-passed parameters of 246 before the 47 removals of PR 19
 and 19 of 199 after -- exactly the first block of ``ALLOWED`` (the
 other two of the 21 left out of scope, ``ByzantineProfile``'s
 ``equivocate`` and ``replay``, got their first tests in that PR).
+
+The scan skips dataclasses, so the one dataclass that *is* a bag of
+options, ``RuntimeConfig``, is held to the same rule by name: every
+field is a keyword some caller passes (or is in ``ALLOWED``), and the
+field count is capped so the next one has to arrive with its caller.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from repro.core.runtime import RuntimeConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "benchmarks", "examples", "wallbench")
@@ -144,7 +152,28 @@ def test_every_option_is_passed_by_someone_or_allowed_with_a_reason():
         "constant, or list it in ALLOWED with the reason it stays")
 
 
+def runtime_config_fields():
+    return [("RuntimeConfig", field.name)
+            for field in dataclasses.fields(RuntimeConfig)]
+
+
 def test_allowed_table_names_only_parameters_that_exist():
-    stale = set(ALLOWED) - set(defaulted_init_parameters())
+    stale = (set(ALLOWED) - set(defaulted_init_parameters())
+             - set(runtime_config_fields()))
     assert not stale, f"ALLOWED lists parameters that are gone: {stale}"
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_runtime_config_field_is_set_by_someone():
+    passed = keyword_names_passed()
+    unset = [name for cls, name in runtime_config_fields()
+             if name not in passed and (cls, name) not in ALLOWED]
+    assert not unset, (
+        f"RuntimeConfig fields no caller outside tests/ ever sets: {unset}"
+        " -- make each a named constant beside the code that reads it")
+
+
+def test_runtime_config_stays_small():
+    assert len(runtime_config_fields()) <= 11, (
+        "a twelfth RuntimeConfig field needs a caller that sets it, and "
+        "this bound raised in the same change")

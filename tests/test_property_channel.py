@@ -2,8 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.appvisor.channel import UdpChannel
+import pytest
+
+from repro.core.appvisor.channel import HEADER_SIZE, UdpChannel
 from repro.core.appvisor.rpc import CrashReport, Heartbeat
+from repro.faults.netfaults import ChaosProfile
 from repro.network.simulator import Simulator
 
 
@@ -16,15 +19,24 @@ def frame_of_size(i, n):
                 min_size=1, max_size=20))
 @settings(max_examples=60, deadline=None)
 def test_fifo_regardless_of_frame_sizes(sizes):
-    """Frames arrive in send order no matter how their sizes mix."""
+    """Frames arrive in send order no matter how their sizes mix --
+    and the order is the wire's, not the reorder buffer's: each frame
+    lands the moment its own bytes, queued behind everything sent
+    before it, have drained at line rate."""
     sim = Simulator()
-    channel = UdpChannel(sim, base_delay=0.0002, per_byte_delay=1e-6)
-    got = []
-    channel.proxy_end.on_frame(lambda f: got.append(f.seq))
+    base, per_byte = 0.0002, 1e-6
+    channel = UdpChannel(sim, base_delay=base, per_byte_delay=per_byte)
+    got, arrivals, wire_bytes = [], [], []
+    channel.proxy_end.on_frame(
+        lambda f: (got.append(f.seq), arrivals.append(sim.now)))
     for i, n in enumerate(sizes):
         channel.stub_end.send(frame_of_size(i, n))
+        wire_bytes.append((i + 1) * HEADER_SIZE
+                          + channel.stub_end.bytes_sent)
     sim.run()
     assert got == list(range(len(sizes)))
+    assert arrivals == [pytest.approx(total * per_byte + base)
+                        for total in wire_bytes]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500),
@@ -78,7 +90,7 @@ def test_transmission_serialises_at_line_rate(sizes):
 
 
 # ---------------------------------------------------------------------------
-# Exactly-once delivery under adversity (reliable mode + chaos plane)
+# Exactly-once delivery under adversity (the chaos plane)
 # ---------------------------------------------------------------------------
 
 @given(st.integers(min_value=0, max_value=10_000),
@@ -91,13 +103,10 @@ def test_reliable_channel_is_exactly_once_in_order(seed, loss, dup,
                                                    reorder, count):
     """Under any mix of loss, duplication, and reordering the reliable
     channel delivers every frame exactly once, in send order."""
-    from repro.faults.netfaults import ChaosProfile
-
     sim = Simulator()
     profile = ChaosProfile(seed=seed, loss=loss, duplicate=dup,
                            reorder=reorder, jitter=0.0005)
-    channel = UdpChannel(sim, seed=seed, reliable=True, retry_budget=30,
-                         chaos=profile)
+    channel = UdpChannel(sim, seed=seed, retry_budget=30, chaos=profile)
     got = []
     channel.proxy_end.on_frame(lambda f: got.append(f.seq))
     for i in range(count):
@@ -114,12 +123,9 @@ def test_reliable_channel_is_exactly_once_in_order(seed, loss, dup,
 def test_reliable_channel_survives_corruption(seed, corrupt, count):
     """Corrupted datagrams are rejected (CRC or codec) and healed by
     retransmission -- never delivered mangled, never delivered twice."""
-    from repro.faults.netfaults import ChaosProfile
-
     sim = Simulator()
     profile = ChaosProfile(seed=seed, corrupt=corrupt)
-    channel = UdpChannel(sim, seed=seed, reliable=True, retry_budget=30,
-                         chaos=profile)
+    channel = UdpChannel(sim, seed=seed, retry_budget=30, chaos=profile)
     got = []
     channel.proxy_end.on_frame(lambda f: got.append((f.seq, f.error)))
     for i in range(count):
@@ -140,13 +146,10 @@ def test_reliable_channel_survives_corruption(seed, corrupt, count):
 def test_both_directions_exactly_once(seed, directions):
     """Sequencing is per-side: interleaved bidirectional traffic under
     chaos still lands exactly once, in order, on each side."""
-    from repro.faults.netfaults import ChaosProfile
-
     sim = Simulator()
     profile = ChaosProfile(seed=seed, loss=0.2, duplicate=0.15,
                            reorder=0.15)
-    channel = UdpChannel(sim, seed=seed, reliable=True, retry_budget=30,
-                         chaos=profile)
+    channel = UdpChannel(sim, seed=seed, retry_budget=30, chaos=profile)
     at_proxy, at_stub = [], []
     channel.proxy_end.on_frame(lambda f: at_proxy.append(f.seq))
     channel.stub_end.on_frame(lambda f: at_stub.append(f.seq))
@@ -158,3 +161,49 @@ def test_both_directions_exactly_once(seed, directions):
     sim.run()
     assert at_proxy == sent["stub"]
     assert at_stub == sent["proxy"]
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.floats(min_value=0.0, max_value=0.3),
+       st.floats(min_value=0.0, max_value=0.3),
+       st.floats(min_value=0.0, max_value=0.3),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                          st.integers(min_value=1, max_value=5)),
+                min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_batched_fifo_equals_unbatched_fifo(seed, loss, dup, reorder,
+                                            bursts):
+    """Batching changes how frames share datagrams, never what the
+    receiver is handed: under the same seeded chaos a batched and an
+    unbatched channel deliver the identical frame sequence.  (Why
+    ``batch=`` can stay an ablation lever without a second set of
+    delivery tests.)"""
+
+    def deliver(batch):
+        sim = Simulator()
+        profile = ChaosProfile(seed=seed, loss=loss, duplicate=dup,
+                               reorder=reorder, jitter=0.0005)
+        channel = UdpChannel(sim, seed=seed, batch=batch, retry_budget=30,
+                             chaos=profile)
+        got = []
+        channel.proxy_end.on_frame(lambda f: got.append((f.seq, f.error)))
+
+        def burst(first, count):
+            for i in range(first, first + count):
+                channel.stub_end.send(frame_of_size(i, i % 7))
+
+        sent = at = 0
+        for gap_ms, count in bursts:
+            at += gap_ms / 1000.0
+            sim.schedule_at(at, burst, sent, count)
+            sent += count
+        sim.run()
+        assert channel.abandoned == 0
+        return sent, got, channel
+
+    sent, batched, batched_channel = deliver(batch=True)
+    _, unbatched, unbatched_channel = deliver(batch=False)
+    assert batched == unbatched == [(i, "e" * (i % 7)) for i in range(sent)]
+    # The lever did something: same frames, no more datagrams.
+    assert batched_channel.batches_flushed <= len(bursts)
+    assert unbatched_channel.batches_flushed == 0

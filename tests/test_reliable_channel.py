@@ -1,8 +1,9 @@
 """The reliable-delivery layer: seq/ack, retransmit, dedup, reorder,
 floor advance, and retry-budget exhaustion surfacing as ChannelFault.
 
-Companion to tests/test_channel_batching.py (which pins the plain and
-batched channels): everything here runs with ``reliable=True``.
+Companion to tests/test_channel_batching.py (which pins coalescing and
+the crash-tail rules).  Loss comes from where deployments get it: a
+seeded ``ChaosProfile`` on the channel.
 """
 
 import pytest
@@ -18,7 +19,6 @@ def beat(seq):
 
 
 def make(sim, **kwargs):
-    kwargs.setdefault("reliable", True)
     channel = UdpChannel(sim, **kwargs)
     got = []
     channel.proxy_end.on_frame(lambda f: got.append(f.last_seq_done))
@@ -49,7 +49,7 @@ class TestHappyPath:
 
     def test_zero_loss_adds_no_retransmits_under_batching(self):
         sim = Simulator()
-        channel = UdpChannel(sim, reliable=True, batch=True)
+        channel = UdpChannel(sim, batch=True)
         got = []
         channel.proxy_end.on_frame(lambda f: got.append(f.last_seq_done))
         for seq in range(8):
@@ -63,7 +63,7 @@ class TestHappyPath:
 class TestLossRecovery:
     def test_lost_datagram_is_retransmitted(self):
         sim = Simulator()
-        channel, got = make(sim, loss=0.5, seed=3)
+        channel, got = make(sim, chaos=ChaosProfile(seed=3, loss=0.5))
         for seq in range(10):
             channel.stub_end.send(beat(seq))
         sim.run()
@@ -75,7 +75,8 @@ class TestLossRecovery:
     def test_heavy_loss_still_exactly_once(self):
         for seed in range(5):
             sim = Simulator()
-            channel, got = make(sim, loss=0.3, seed=seed)
+            channel, got = make(
+                sim, seed=seed, chaos=ChaosProfile(seed=seed, loss=0.3))
             for seq in range(20):
                 channel.stub_end.send(beat(seq))
             sim.run()
@@ -128,7 +129,8 @@ class TestCorruption:
 class TestRetryBudget:
     def test_exhausted_budget_raises_channel_fault(self):
         sim = Simulator()
-        channel, got = make(sim, loss=1.0, seed=0, retry_budget=3)
+        channel, got = make(sim, chaos=ChaosProfile(loss=1.0),
+                            retry_budget=3)
         faults = []
         channel.on_fault.append(faults.append)
         channel.stub_end.send(beat(0))
@@ -163,7 +165,7 @@ class TestRetryBudget:
 
     def test_dead_process_stops_retransmitting(self):
         sim = Simulator()
-        channel, got = make(sim, loss=1.0, seed=0)
+        channel, got = make(sim, chaos=ChaosProfile(loss=1.0))
         channel.stub_end.send(beat(0))
         sim.run_until(0.001)
         assert channel.unacked_count("stub") == 1
@@ -182,7 +184,7 @@ class TestTelemetryCounters:
 
         sim = Simulator()
         telemetry = Telemetry(enabled=True)
-        channel = UdpChannel(sim, reliable=True, loss=0.5, seed=3,
+        channel = UdpChannel(sim, chaos=ChaosProfile(seed=3, loss=0.5),
                              retry_budget=4, telemetry=telemetry)
         channel.proxy_end.on_frame(lambda f: None)
         for seq in range(10):

@@ -19,6 +19,7 @@ from repro.replication import (
     ReplicaRole,
     ReplicaSet,
 )
+from repro.replication.replicaset import SeenNumbers
 from repro.telemetry import Telemetry
 from repro.workloads import TrafficWorkload
 from repro.workloads.traffic import inject_marker_packet
@@ -370,6 +371,9 @@ class TestPartitionHealResync:
         assert backup.contig_index == replicas.ship_index
         assert backup.contig_resolves == replicas.resolve_count
         assert not backup.open_txns
+        # ... so the dedup state is back to two integers.
+        assert not backup.seen_indices.above
+        assert not backup.seen_resolve_seqs.above
 
     def test_resync_is_ranged_not_full_log(self):
         net, runtime, replicas, profile = self._partitioned_build()
@@ -392,6 +396,53 @@ class TestPartitionHealResync:
         untouched = replicas.replica("r2")
         assert untouched.resync_requests == 0
         assert untouched.contig_index == replicas.ship_index
+
+
+class TestSeenNumbers:
+    """The backup's dedup state: a floor plus what is above it."""
+
+    def test_memory_is_the_gap_not_the_run(self):
+        seen = SeenNumbers()
+        for n in range(1, 10_001):
+            assert seen.add(n)
+            assert not seen.above       # in order: nothing to remember
+        assert seen.floor == 10_000
+        # Everything at or below the floor still counts as seen.
+        assert not seen.add(1) and not seen.add(10_000)
+        assert 5_000 in seen and 10_001 not in seen
+        # A gap keeps exactly what arrived past it, until it fills.
+        for n in range(10_002, 10_012):
+            assert seen.add(n)
+        assert seen.floor == 10_000 and len(seen.above) == 10
+        assert 10_005 in seen and not seen.add(10_005)
+        assert seen.add(10_001)
+        assert seen.floor == 10_011 and not seen.above
+
+    def test_clear_starts_again_from_zero(self):
+        seen = SeenNumbers()
+        for n in (1, 2, 3, 7):
+            seen.add(n)
+        seen.clear()
+        assert seen.floor == 0 and not seen.above
+        assert 1 not in seen and 7 not in seen
+        assert seen.add(1) and seen.floor == 1
+
+    def test_rehabilitate_resets_a_replica_to_zero(self):
+        net, runtime, replicas = build(backups=2, repl_mode="byzantine")
+        net.reachability(wait=0.5)
+        backup = replicas.replica("r1")
+        assert backup.contig_index > 0 and backup.contig_resolves > 0
+        backup.quarantined = True           # as _quarantine() leaves it
+        replicas.rehabilitate("r1")
+        # Nothing it held is trusted, its dedup state included: the
+        # full resync replays from index 0 ...
+        assert backup.contig_index == backup.contig_resolves == 0
+        assert 1 not in backup.seen_indices
+        net.run_for(1.0)
+        # ... and lands it back level with the primary.
+        assert backup.contig_index == replicas.ship_index > 0
+        assert backup.contig_resolves == replicas.resolve_count
+        assert replicas.shadow_divergence("r1") == 0
 
 
 class TestQuorumCommit:

@@ -40,21 +40,13 @@ FIELD_SINKS = {
     "byzantine_check": (True, lambda rt, stub, ch: rt.proxy.byzantine_check),
     "shutdown_on_critical": (
         True, lambda rt, stub, ch: rt.proxy.shutdown_on_critical),
-    "checkpoint_interval": (4, lambda rt, stub, ch: stub.policy.interval),
+    "checkpoint_interval": (
+        4, lambda rt, stub, ch: stub.checkpoint_interval),
     "heartbeat_interval": (
         0.25, lambda rt, stub, ch: stub.heartbeat_interval),
-    "channel_loss": (0.125, lambda rt, stub, ch: ch.loss),
     "channel_batch": (False, lambda rt, stub, ch: ch.batch),
     "channel_retry_budget": (12, lambda rt, stub, ch: ch.retry_budget),
     "chaos": (CHAOS, lambda rt, stub, ch: ch.chaos),
-    "checkpoint_base_cost": (
-        0.02, lambda rt, stub, ch: stub.checkpoints.base_cost),
-    "checkpoint_per_byte_cost": (
-        3e-7, lambda rt, stub, ch: stub.checkpoints.per_byte_cost),
-    "checkpoint_deferred": (
-        False, lambda rt, stub, ch: stub.checkpoints.deferred),
-    "checkpoint_adaptive": (True, lambda rt, stub, ch: stub.policy.adaptive),
-    "checkpoint_max_tail": (16, lambda rt, stub, ch: stub.policy.max_tail),
     "parallel_lanes": (True, lambda rt, stub, ch: rt.proxy.parallel_lanes),
     "seed": (7, lambda rt, stub, ch: _channel_seed(ch)),
 }
@@ -116,4 +108,4 @@ def test_promoted_runtime_keeps_the_whole_config():
     channel = new_runtime.channels[stub.app.name]
     assert channel.chaos is CHAOS
     assert channel.retry_budget == 12
-    assert stub.policy.interval == 4
+    assert stub.checkpoint_interval == 4

@@ -6,8 +6,10 @@ import pytest
 
 from repro.apps import FlowMonitor, Hub, LearningSwitch
 from repro.core.appvisor.proxy import AppStatus
+from repro.core.crashpad.checkpoint import CheckpointStore
 from repro.core.runtime import LegoSDNRuntime
 from repro.faults import crash_on
+from repro.faults.netfaults import ChaosProfile
 from repro.network.net import Network
 from repro.network.topology import linear_topology
 from repro.openflow.actions import Output
@@ -59,14 +61,22 @@ class TestCheckpointCadence:
         """Bigger state -> bigger checkpoint -> later app handling."""
         big = FlowMonitor(name="big")
         big.pair_packets = {(f"s{i}", f"d{i}"): i for i in range(3000)}
-        net, runtime = build([big],
-                             checkpoint_base_cost=0.001,
-                             checkpoint_per_byte_cost=1e-6)
-        stub = runtime.stub("big")
-        inject_marker_packet(net, "h1", "h2", "x")
-        net.run_for(2.0)
-        checkpoint = stub.checkpoints.latest()
-        assert stub.checkpoints.cost_of(checkpoint) > 0.01
+        taken = {}
+        for app in (big, FlowMonitor(name="small")):
+            net, runtime = build([app])
+            stub = runtime.stub(app.name)
+            inject_marker_packet(net, "h1", "h2", "x")
+            net.run_for(2.0)
+            store = stub.checkpoints
+            taken[app.name] = (store.latest(), store.cost_of(store.latest()))
+        (big_cp, big_cost), (small_cp, small_cost) = (
+            taken["big"], taken["small"])
+        # Both paid the fixed freeze; the big one also paid for its bytes.
+        assert small_cost >= CheckpointStore.base_cost
+        extra_bytes = big_cp.state_size - small_cp.state_size
+        assert extra_bytes > 50_000
+        assert (big_cost - small_cost
+                >= extra_bytes * CheckpointStore.per_byte_cost)
 
     def test_replay_rebuilds_state_with_interval_k(self):
         """Crash with k=8: restore + journal replay reproduces the
@@ -132,7 +142,8 @@ class TestLossyChannel:
     def test_heartbeats_tolerate_loss(self):
         """Moderate datagram loss must not produce false crash verdicts
         (responses count as liveness proof too)."""
-        net, runtime = build([LearningSwitch()], channel_loss=0.05)
+        net, runtime = build([LearningSwitch()],
+                             chaos=ChaosProfile(seed=0, loss=0.05))
         net.reachability(wait=1.0)
         net.run_for(3.0)
         record = runtime.record("learning_switch")
@@ -145,7 +156,7 @@ class TestLossyChannel:
         """A fully dead channel looks exactly like a dead app."""
         net, runtime = build([LearningSwitch()])
         channel = runtime.channels["learning_switch"]
-        channel.loss = 1.0  # the link dies after startup
+        channel.chaos = ChaosProfile(loss=1.0)  # the link dies after startup
         net.run_for(2.0)
         record = runtime.record("learning_switch")
         # detector fired; recovery can't complete (restore cmd lost too)
