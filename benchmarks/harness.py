@@ -14,26 +14,17 @@ Every benchmark follows the same pattern:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.controller.monolithic import MonolithicRuntime
 from repro.core.runtime import LegoSDNRuntime
+from repro.metrics.collector import percentile  # noqa: F401 - for the experiments
 from repro.network.net import Network
 
 
 def run_once(benchmark, fn: Callable):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, iterations=1, rounds=1)
-
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Nearest-rank percentile of a non-empty sequence."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    ordered = sorted(values)
-    rank = math.ceil(pct / 100.0 * len(ordered)) - 1
-    return ordered[max(0, min(len(ordered) - 1, rank))]
 
 
 def span_durations(telemetry, name: str) -> List[float]:

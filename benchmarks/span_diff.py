@@ -30,10 +30,10 @@ import argparse
 import json
 import sys
 
+from harness import build_legosdn  # benchmarks/ is sys.path[0] for a script
 from repro.apps import FlowMonitor, Hub
 from repro.network.net import Network
 from repro.network.topology import linear_topology
-from repro.core.runtime import LegoSDNRuntime
 from repro.telemetry import Telemetry, trace_dict
 from repro.telemetry.spandiff import (
     HOT_PATH_SPANS,
@@ -72,29 +72,23 @@ def capture_config(runtime_kwargs: dict, seed: int = 0,
             runtime_kwargs=runtime_kwargs)
         coordinator.start()
         net.run_for(1.0)
-        for i in range(PROBES):
-            inject_marker_packet(net, "h1", "h2", f"probe-{i}")
-            net.run_for(0.2)
-        net.run_for(1.0)
-        spans = []
-        for handle in coordinator.shards.values():
-            spans.extend(trace_dict(handle.telemetry)["spans"])
-        return summarize_spans(spans, names=HOT_PATH_SPANS)
-    telemetry = Telemetry(enabled=True)
-    net = Network(linear_topology(2, 1), seed=seed, telemetry=telemetry)
-    runtime = LegoSDNRuntime(net.controller, **runtime_kwargs)
-    # Hub punts every unique payload through the full control loop
-    # (twice per probe on a 2-switch line); FlowMonitor rides along so
-    # dispatch fans out to more than one listener.
-    runtime.launch_app(Hub())
-    runtime.launch_app(FlowMonitor())
-    net.start()
-    net.run_for(1.0)
+        telemetries = [handle.telemetry
+                       for handle in coordinator.shards.values()]
+    else:
+        # Hub punts every unique payload through the full control loop
+        # (twice per probe on a 2-switch line); FlowMonitor rides along
+        # so dispatch fans out to more than one listener.
+        telemetries = [Telemetry(enabled=True)]
+        net, _ = build_legosdn(linear_topology(2, 1), [Hub(), FlowMonitor()],
+                               seed=seed, telemetry=telemetries[0],
+                               **runtime_kwargs)
     for i in range(PROBES):
         inject_marker_packet(net, "h1", "h2", f"probe-{i}")
         net.run_for(0.2)
     net.run_for(1.0)
-    spans = trace_dict(telemetry)["spans"]
+    spans = []
+    for telemetry in telemetries:
+        spans.extend(trace_dict(telemetry)["spans"])
     return summarize_spans(spans, names=HOT_PATH_SPANS)
 
 

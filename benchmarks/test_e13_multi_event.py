@@ -121,7 +121,7 @@ def test_e13_cumulative_bug_recovery(benchmark):
     assert sts["reach"] == 1.0
     # Recovery SLO: p95 over every recovery in both runs -- including
     # the STS deep restore -- stays within the sim-clock bound.
-    recovery_spans = plain["recovery_spans"] + sts["recovery_spans"]
+    recovery_spans = sorted(plain["recovery_spans"] + sts["recovery_spans"])
     assert recovery_spans, "no crashpad.recovery spans recorded"
     p95 = percentile(recovery_spans, 95)
     print(f"recovery spans: n={len(recovery_spans)} p95={p95 * 1000:.1f} ms")

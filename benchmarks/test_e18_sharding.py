@@ -99,7 +99,7 @@ def appvisor_p95(handle, start, end):
         durations.extend(
             span.duration for span in replica.telemetry.tracer.spans
             if span.name == "appvisor.event" and start <= span.start < end)
-    return percentile(durations, 95) if durations else None
+    return percentile(sorted(durations), 95) if durations else None
 
 
 def isolation_run() -> dict:

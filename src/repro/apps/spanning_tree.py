@@ -199,7 +199,5 @@ class SpanningTreeSwitch(LearningSwitch):
         # detects as removals without any mark.
         self.mac_tables.clear()
 
-    def get_state(self) -> dict:
-        state = super().get_state()
-        # frozensets of ints pickle fine; nothing extra to strip.
-        return state
+    # get_state is inherited unchanged: the frozensets of ints this app
+    # keeps are values the state codec has a tag for.

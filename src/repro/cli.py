@@ -35,24 +35,91 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def cmd_demo(args) -> int:
-    """The quickstart scenario: contain a crash, recover, show a ticket."""
+def _watchdog(telemetry, net):
+    """A HealthWatchdog sweeping invariants against ground truth."""
+    from repro.invariants.graph import NetSnapshot
+    from repro.telemetry import HealthWatchdog
+
+    return HealthWatchdog(
+        telemetry, net.sim,
+        snapshot_provider=lambda: NetSnapshot.from_network(net))
+
+
+def _run_quickstart(args, telemetry=None, crash=True, watchdog=False):
+    """The quickstart scenario ``demo``, ``trace`` and ``serve`` share:
+    a LearningSwitch that crashes on a ``BOOM`` payload, healthy
+    traffic first (so a trace shows complete control-loop transits),
+    then -- with ``crash`` -- the marker and the recovery.
+
+    Returns ``(net, runtime, watchdog or None, healthy reachability)``.
+    """
     from repro.apps import LearningSwitch
     from repro.core.runtime import LegoSDNRuntime
     from repro.faults import crash_on
     from repro.network.net import Network
     from repro.workloads.traffic import inject_marker_packet
 
-    net = Network(build_topology(args.topology, args.size), seed=args.seed)
+    net = Network(build_topology(args.topology, args.size),
+                  seed=args.seed, telemetry=telemetry)
     runtime = LegoSDNRuntime(net.controller)
-    runtime.launch_app(crash_on(LearningSwitch(), payload_marker="BOOM"))
+    app = LearningSwitch()
+    if crash:
+        app = crash_on(app, payload_marker="BOOM")
+    runtime.launch_app(app)
+    # Created after the launch and before the start: it is scheduling
+    # order.
+    dog = _watchdog(telemetry, net) if watchdog else None
     net.start()
     net.run_for(1.5)
-    print(f"reachability (healthy): {net.reachability():.0%}")
-    net.run_for(LearningSwitch.IDLE_TIMEOUT + 1.0)
-    hosts = sorted(net.hosts)
-    inject_marker_packet(net, hosts[0], hosts[-1], "BOOM")
-    net.run_for(2.0)
+    healthy = net.reachability()
+    if crash:
+        # Idle the reactive flows out so the marker packet punts to the
+        # controller (and the app), then crash and recover.
+        net.run_for(LearningSwitch.IDLE_TIMEOUT + 1.0)
+        hosts = sorted(net.hosts)
+        inject_marker_packet(net, hosts[0], hosts[-1], "BOOM")
+        net.run_for(2.0)
+    return net, runtime, dog, healthy
+
+
+def _run_random_traffic(args, telemetry=None, watchdog=False,
+                        replica_options=None, **runtime_options):
+    """The load scenario the causal ``trace`` commands, ``chaos`` and
+    ``byzantine`` share: a LearningSwitch, a 1 s warm-up, random
+    traffic for 0.7 x ``--duration``, the run.
+
+    ``replica_options`` puts a ReplicaSet around the runtime (before
+    the launch, which it must see); ``watchdog`` adds a HealthWatchdog
+    (after it).  Returns ``(net, runtime, replicas, watchdog)``.
+    """
+    from repro.apps import LearningSwitch
+    from repro.core.runtime import LegoSDNRuntime
+    from repro.network.net import Network
+    from repro.workloads.traffic import TrafficWorkload
+
+    net = Network(build_topology(args.topology, args.size),
+                  seed=args.seed, telemetry=telemetry)
+    runtime = LegoSDNRuntime(net.controller, **runtime_options)
+    replicas = None
+    if replica_options is not None:
+        from repro.replication.replicaset import ReplicaSet
+
+        replicas = ReplicaSet(net, runtime, seed=args.seed,
+                              **replica_options)
+    runtime.launch_app(LearningSwitch())
+    dog = _watchdog(telemetry, net) if watchdog else None
+    net.start()
+    net.run_for(1.0)
+    TrafficWorkload(net, rate=args.rate, seed=args.seed,
+                    selection="random").start(args.duration * 0.7)
+    net.run_for(args.duration)
+    return net, runtime, replicas, dog
+
+
+def cmd_demo(args) -> int:
+    """The quickstart scenario: contain a crash, recover, show a ticket."""
+    net, runtime, _, healthy = _run_quickstart(args)
+    print(f"reachability (healthy): {healthy:.0%}")
     stats = runtime.stats()["learning_switch"]
     print(f"app crashes: {stats['crashes']}, recoveries: "
           f"{stats['recoveries']}, controller up: {runtime.is_up}")
@@ -247,35 +314,12 @@ def cmd_shard(args) -> int:
 def cmd_trace(args) -> int:
     """Run the quickstart scenario with tracing enabled; print the
     per-seam span summary and optionally save the full trace."""
-    from repro.apps import LearningSwitch
-    from repro.core.runtime import LegoSDNRuntime
-    from repro.faults import crash_on
-    from repro.network.net import Network
     from repro.telemetry import Telemetry
     from repro.telemetry.export import write_trace
-    from repro.workloads.traffic import inject_marker_packet
 
     telemetry = Telemetry(enabled=True,
                           flight_capacity=args.flight_capacity)
-    net = Network(build_topology(args.topology, args.size),
-                  seed=args.seed, telemetry=telemetry)
-    runtime = LegoSDNRuntime(net.controller)
-    app = LearningSwitch()
-    if args.crash:
-        app = crash_on(app, payload_marker="BOOM")
-    runtime.launch_app(app)
-    net.start()
-    net.run_for(1.5)
-    # Healthy traffic first, so the trace shows complete control-loop
-    # transits (dispatch -> RPC -> app -> NetLog commit) ...
-    net.reachability()
-    hosts = sorted(net.hosts)
-    if args.crash and len(hosts) >= 2:
-        # Idle the reactive flows out so the marker packet punts to the
-        # controller (and the app), then crash and recover.
-        net.run_for(LearningSwitch.IDLE_TIMEOUT + 1.0)
-        inject_marker_packet(net, hosts[0], hosts[-1], "BOOM")
-        net.run_for(2.0)
+    net, runtime, _, _ = _run_quickstart(args, telemetry, crash=args.crash)
     tracer = telemetry.tracer
     print(f"trace captured over {net.now:.2f}s simulated: "
           f"{len(tracer.spans)} spans, {len(telemetry.recorder)} "
@@ -316,34 +360,19 @@ def _run_traced_workload(args, loss: float):
     random traffic, and a HealthWatchdog sweeping invariants against
     ground truth.  Returns ``(telemetry, watchdog, net)``.
     """
-    from repro.apps import LearningSwitch
-    from repro.core.runtime import LegoSDNRuntime
     from repro.faults.netfaults import ChaosProfile
-    from repro.invariants.graph import NetSnapshot
-    from repro.network.net import Network
-    from repro.telemetry import HealthWatchdog, Telemetry
-    from repro.workloads.traffic import TrafficWorkload
+    from repro.telemetry import Telemetry
 
     telemetry = Telemetry(enabled=True,
                           flight_capacity=args.flight_capacity)
-    net = Network(build_topology(args.topology, args.size),
-                  seed=args.seed, telemetry=telemetry)
     chaos = None
     if loss > 0:
         profile = ChaosProfile(seed=args.seed, loss=loss, duplicate=0.1,
                                reorder=0.1, jitter=0.0005)
         chaos = lambda name: profile  # noqa: E731 - per-app profile hook
-    runtime = LegoSDNRuntime(net.controller, channel_retry_budget=12,
-                             chaos=chaos)
-    runtime.launch_app(LearningSwitch())
-    watchdog = HealthWatchdog(
-        telemetry, net.sim,
-        snapshot_provider=lambda: NetSnapshot.from_network(net))
-    net.start()
-    net.run_for(1.0)
-    TrafficWorkload(net, rate=args.rate, seed=args.seed,
-                    selection="random").start(args.duration * 0.7)
-    net.run_for(args.duration)
+    net, _, _, watchdog = _run_random_traffic(
+        args, telemetry, watchdog=True, channel_retry_budget=12,
+        chaos=chaos)
     return telemetry, watchdog, net
 
 
@@ -457,32 +486,13 @@ def cmd_serve(args) -> int:
     its metrics over HTTP (/metrics, /healthz, /trace.json)."""
     import time
 
-    from repro.apps import LearningSwitch
-    from repro.core.runtime import LegoSDNRuntime
-    from repro.faults import crash_on
-    from repro.invariants.graph import NetSnapshot
-    from repro.network.net import Network
-    from repro.telemetry import HealthWatchdog, Telemetry
+    from repro.telemetry import Telemetry
     from repro.telemetry.serve import MetricsServer
-    from repro.workloads.traffic import inject_marker_packet
 
     telemetry = Telemetry(enabled=True,
                           flight_capacity=args.flight_capacity)
-    net = Network(build_topology(args.topology, args.size),
-                  seed=args.seed, telemetry=telemetry)
-    runtime = LegoSDNRuntime(net.controller)
-    runtime.launch_app(crash_on(LearningSwitch(), payload_marker="BOOM"))
-    watchdog = HealthWatchdog(
-        telemetry, net.sim,
-        snapshot_provider=lambda: NetSnapshot.from_network(net))
-    net.start()
-    net.run_for(1.5)
-    net.reachability()
-    hosts = sorted(net.hosts)
-    if len(hosts) >= 2:
-        net.run_for(LearningSwitch.IDLE_TIMEOUT + 1.0)
-        inject_marker_packet(net, hosts[0], hosts[-1], "BOOM")
-        net.run_for(2.0)
+    net, runtime, watchdog, _ = _run_quickstart(args, telemetry,
+                                                watchdog=True)
 
     def health() -> str:
         status = "up" if runtime.is_up else "down"
@@ -514,11 +524,7 @@ def cmd_serve(args) -> int:
 
 def _run_chaos_point(args, loss: float):
     """One chaos run at a given loss rate; returns the stats dict."""
-    from repro.apps import LearningSwitch
-    from repro.core.runtime import LegoSDNRuntime
     from repro.faults.netfaults import ChaosProfile
-    from repro.network.net import Network
-    from repro.workloads.traffic import TrafficWorkload
 
     profile = ChaosProfile(seed=args.seed, loss=loss,
                            burst_loss=args.burst, duplicate=args.dup,
@@ -527,16 +533,9 @@ def _run_chaos_point(args, loss: float):
     if args.partition:
         start, duration = args.partition
         profile.partition(start, duration)
-    net = Network(build_topology(args.topology, args.size), seed=args.seed)
-    runtime = LegoSDNRuntime(net.controller,
-                             channel_retry_budget=args.retry_budget,
-                             chaos=lambda name: profile)
-    runtime.launch_app(LearningSwitch())
-    net.start()
-    net.run_for(1.0)
-    TrafficWorkload(net, rate=args.rate, seed=args.seed,
-                    selection="random").start(args.duration * 0.7)
-    net.run_for(args.duration)
+    net, runtime, _, _ = _run_random_traffic(
+        args, channel_retry_budget=args.retry_budget,
+        chaos=lambda name: profile)
     channel = runtime.channels["learning_switch"]
     return {
         "loss": loss,
@@ -585,12 +584,7 @@ def cmd_chaos(args) -> int:
 def _run_byzantine_point(args, tamper: float, mode: str):
     """One Byzantine run: a compromised backup at ``tamper`` fault rate
     under replication mode ``mode``; returns the stats dict."""
-    from repro.apps import LearningSwitch
-    from repro.core.runtime import LegoSDNRuntime
     from repro.faults.byzfaults import ByzantineProfile
-    from repro.network.net import Network
-    from repro.replication.replicaset import ReplicaSet
-    from repro.workloads.traffic import TrafficWorkload
 
     profile = None
     if tamper > 0:
@@ -600,21 +594,9 @@ def _run_byzantine_point(args, tamper: float, mode: str):
         profile = ByzantineProfile(seed=args.seed, tamper=tamper,
                                    digest_lie=tamper,
                                    start=args.fault_start)
-    net = Network(build_topology(args.topology, args.size), seed=args.seed)
-    runtime = LegoSDNRuntime(net.controller)
-    replicas = ReplicaSet(
-        net, runtime,
-        backups=args.backups,
-        repl_mode=mode,
-        byzantine=(lambda rid: profile if rid == "r1" else None),
-        seed=args.seed,
-    )
-    runtime.launch_app(LearningSwitch())
-    net.start()
-    net.run_for(1.0)
-    TrafficWorkload(net, rate=args.rate, seed=args.seed,
-                    selection="random").start(args.duration * 0.7)
-    net.run_for(args.duration)
+    net, _, replicas, _ = _run_random_traffic(args, replica_options=dict(
+        backups=args.backups, repl_mode=mode,
+        byzantine=(lambda rid: profile if rid == "r1" else None)))
     stats = replicas.stats()
     stats["tamper"] = tamper
     stats["injected"] = profile.stats() if profile is not None else {}

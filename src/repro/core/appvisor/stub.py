@@ -29,6 +29,10 @@ from repro.core.appvisor.isolation import (
 )
 from repro.core.crashpad.checkpoint import CheckpointError, CheckpointStore
 from repro.core.crashpad.replay import EventJournal
+from repro.core.crashpad.sts import (
+    find_minimal_causal_sequence,
+    pick_rollback_checkpoint,
+)
 
 
 class StubAPI(AppAPI):
@@ -552,25 +556,18 @@ class AppVisorStub:
         """
         if self.replica_factory is None:
             return (), 0
-        from repro.core.crashpad.sts import find_minimal_causal_sequence
-
         history = [
             (entry.seq, entry.event)
             for entry in self.journal.events_between(
                 checkpoint.before_seq, failed_entry.seq)
         ]
         result = find_minimal_causal_sequence(
-            self._build_replica,
-            self.checkpoints.materialize(checkpoint),
+            self.replica_factory,
+            self.checkpoints.buffers(checkpoint),
             history=history,
             offending=(failed_entry.seq, failed_entry.event),
         )
         return result.culprit_seqs, result.probe_runs
-
-    def _build_replica(self):
-        """A scratch app instance for STS probe runs (no API attached,
-        so probe replays cannot emit anything)."""
-        return self.replica_factory()
 
     # -- deep restore: the §5 cumulative-bug path -------------------------
 
@@ -594,11 +591,6 @@ class AppVisorStub:
                                       "(no replica factory)",
                                 trace_id=frame.trace_id)
             return
-        from repro.core.crashpad.sts import (
-            find_minimal_causal_sequence,
-            pick_rollback_checkpoint,
-        )
-
         history = self.checkpoints.history()
         oldest = history[0]
         journal_events = [
@@ -621,7 +613,7 @@ class AppVisorStub:
                                 trace_id=frame.trace_id)
             return
         result = find_minimal_causal_sequence(
-            self._build_replica, self.checkpoints.materialize(oldest),
+            self.replica_factory, self.checkpoints.buffers(oldest),
             history=journal_events,
             offending=(offending, offending_entry),
         )
@@ -647,8 +639,8 @@ class AppVisorStub:
         for seq in culprits:
             self.journal.remove(seq)
         safe_before_seq = pick_rollback_checkpoint(
-            self._build_replica,
-            [(c.before_seq, self.checkpoints.materialize(c))
+            self.replica_factory,
+            [(c.before_seq, self.checkpoints.buffers(c))
              for c in history],
             journal_events,
             offending=(offending, offending_entry),

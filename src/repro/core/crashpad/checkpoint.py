@@ -11,16 +11,16 @@ Checkpoints are **incremental** (the §5 direction: "rather than
 checkpointing after every event, we can checkpoint after every few
 events" -- we go further and make each checkpoint itself cheap):
 
-- every take hashes the state; when nothing changed since the last
-  checkpoint, a zero-byte **dedup** entry is recorded and only the
-  hash cost is charged;
+- every entry is classified by diffing its per-key buffers against the
+  previous entry's: nothing changed and nothing removed is a zero-byte
+  **dedup** entry (only the verify pass is charged);
 - a **full** image is written every ``full_every`` checkpoints, with
   per-key state **deltas** in between (changed/added keys encoded
   individually, removed keys listed), the CRIU ``--track-mem``
   incremental-dump analogue;
-- restore materialises a delta entry by loading the chain's full image
-  and folding the deltas forward, so restore-equivalence with full
-  images holds for every chain prefix;
+- :meth:`CheckpointStore.buffers` reconstructs a delta entry by loading
+  the chain's full image and folding the deltas forward, so
+  restore-equivalence with full images holds for every chain prefix;
 - restore also *truncates*: entries newer than the restored checkpoint
   describe a future the rollback abandoned, and are dropped so later
   takes (dedup aliases, delta diffs) and :meth:`CheckpointStore.
@@ -28,47 +28,57 @@ events" -- we go further and make each checkpoint itself cheap):
 - eviction past ``keep`` promotes the new oldest entry to a full image
   first, so truncating a chain never strands its deltas.
 
-Two further layers move the take itself off the event critical path:
+There is **one take path**.  :meth:`CheckpointStore.take` *captures*:
+per state key either a ``_SAME`` marker (the key is clean) or the
+value.  :meth:`CheckpointStore._finalize` turns a capture into an
+image -- it is the only place a state value is encoded -- and the two
+flavours of take differ only in *when* it runs:
 
-**Dirty-key tracking**: apps that opt into
+- ``take()`` finalises at once and the whole modelled cost is the
+  event-path ``cost``;
+- ``take(defer=True)`` (what the stub asks for unless it needs a
+  durable image) shallow-copies the dirty values, appends a *pending*
+  entry and leaves the encode to :meth:`drain` (wired into the stub's
+  heartbeat tick).  The event path pays only the capture cost; the
+  encode/verify/write cost accrues to ``deferred_cost`` and a
+  ``crashpad.encode`` span instead of the ``appvisor.event`` span.
+  Deferring needs a clean/dirty baseline and a predecessor to diff
+  against; without them the take is synchronous anyway.
+
+**Dirty-key tracking** decides clean from dirty: apps that opt into
 :meth:`~repro.apps.base.SDNApp.mark_dirty` expose a per-key version
-map; a key whose version has not moved since the previous take
-is *never re-encoded* -- its previous buffer is reused and
-``encodes_skipped`` counts the skip.  The modelled hash/verify cost
-then covers only the re-encoded (dirty) bytes plus a per-key version
-compare, instead of a full-state hash pass: checkpoint cost becomes
-O(dirty state), not O(app state).  A take whose entire version map is
-unchanged short-circuits to a dedup entry without touching a single
-value.  Apps without version tracking keep the conservative
-encode-everything path, bit-for-bit as before.
+map, and a key whose version has not moved since the previous take is
+*never re-encoded* -- its previous buffer is reused and
+``encodes_skipped`` counts the skip.  The modelled verify cost then
+covers only the re-encoded (dirty) bytes plus a per-key version
+compare: checkpoint cost becomes O(dirty state), not O(app state), and
+a take whose entire version map is unchanged is an all-``_SAME``
+capture that dedups without touching a single value.  Apps without
+version tracking have every key captured dirty.
 
-**Deferred encoding** (``take(defer=True)``, what the stub asks for
-unless it needs a durable image; a bare ``take()`` is synchronous): with
-version tracking available, the take only *captures* -- clean keys as
-references to the previous entry's buffers, dirty keys as one-level
-shallow copies -- and appends a *pending* entry whose encode happens
-later in :meth:`drain` (wired into the stub's heartbeat tick).  The
-event path pays only the capture cost; the encode/hash/write cost
-accrues to ``deferred_cost`` and a ``crashpad.encode`` span instead of
-the ``appvisor.event`` span.
 Pending entries are not durable: a crash before the drain drops them
 (:meth:`drop_pending`) and recovery falls back to the previous durable
 image plus a longer NetLog tail replay; planned consumers (restore,
-failover promotion, eviction, materialisation) force a :meth:`flush`
-first.  The capture contract matches the bundled apps' state layout:
-values are at most one level of mutable container whose elements are
-immutable or replaced (never mutated) in place.
+failover promotion, eviction, :meth:`~CheckpointStore.buffers`) force a
+:meth:`flush` first.  The capture contract matches the bundled apps'
+state layout: values are at most one level of mutable container whose
+elements are immutable or replaced (never mutated) in place.
 
-Every state value is serialised **once** per take: the blake2b dedup
-hash, the delta diff, and the stored blob all read the same per-key
-encoded buffer (a full image stores the buffers themselves, keyed,
-rather than re-encoding the whole state).
+Every state value is serialised **once** per take: the diff and the
+stored blob read the same per-key encoded buffer (a full image stores
+the buffers themselves, keyed, rather than re-encoding the whole
+state), and so does everything downstream -- :meth:`restore`, the STS
+probes of :mod:`repro.core.crashpad.sts` and
+:class:`~repro.core.guard.ControllerGuard` all decode buffer maps
+through :func:`decode_state`.
 The buffers come from the wire codec in
 :mod:`repro.openflow.serialization` (schema-interned field names,
 varint ints).  That codec is the only state encoding: a state that is
 not a dict, or holds a value the codec has no tag for, breaks the
 :meth:`~repro.apps.base.SDNApp.get_state` contract and the take raises
-:class:`CheckpointError` naming the app and the key.
+:class:`CheckpointError` naming the app and the key.  ``pickle``
+appears here only as the in-process framing of ``{key: bytes}`` maps
+(the modelled cost charges its length); it never sees a state value.
 Because encoding is an in-process, per-key userspace pass -- not a
 freeze-the-world incremental dump -- delta takes charge
 ``encode_per_byte_cost`` over the *changed* bytes and no fixed freeze
@@ -81,7 +91,6 @@ it captures the state produced by events ``1 .. seq-1``.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -95,6 +104,30 @@ from repro.openflow.serialization import (
 
 class CheckpointError(RuntimeError):
     """State could not be snapshotted or restored."""
+
+
+#: What unpickling a damaged ``{key: bytes}`` frame can raise (the
+#: ``pickle`` documentation's list) or unpacking its result can.
+_FRAMING_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
+                   ImportError, IndexError, TypeError, ValueError)
+
+
+def encode_state_key(owner: str, key, value) -> bytes:
+    """One state value as the buffer every snapshot stores.  A value
+    the codec has no tag for is a typed error naming owner and key."""
+    try:
+        return encode_state_value(value)
+    except (SerializationError, UnicodeEncodeError, RecursionError) as exc:
+        raise CheckpointError(
+            f"cannot snapshot {owner}: state key {key!r} "
+            f"({type(value).__name__}) is outside the get_state "
+            f"contract: {exc}") from exc
+
+
+def decode_state(buffers: Dict[object, bytes]) -> dict:
+    """The state a per-key buffer map encodes: fresh objects on every
+    call, so no two restores (or STS probes) share a mutable value."""
+    return {key: decode_state_value(buf) for key, buf in buffers.items()}
 
 
 #: Checkpoint kinds: a self-contained image, a per-key diff against the
@@ -151,17 +184,15 @@ class Checkpoint:
     taken_at: float
     blob: bytes
     kind: str = FULL
-    #: blake2b digest of the state's per-key buffers (dedup identity).
-    state_hash: bytes = b""
-    #: Total size of the state's per-key buffers (the "image size" the
-    #: hash pass reads, and what a full dump of this state would cost).
+    #: Total size of the state's per-key buffers (what a full dump of
+    #: this state would cost; 0 while pending).
     state_size: int = 0
     #: Modelled sim-time cost charged on the event path when this
     #: checkpoint was taken (for deferred takes: the capture only).
     cost: float = 0.0
     #: True until a deferred take's encode has been drained.
     pending: bool = False
-    #: Deferred capture: key -> ``_SAME`` | shallow-copied value.
+    #: The capture until it is finalised: key -> ``_SAME`` | value.
     capture: Optional[dict] = field(default=None, repr=False)
     #: Modelled background cost of the deferred encode (0 for
     #: synchronous takes, where everything is in ``cost``).
@@ -178,11 +209,13 @@ class CheckpointStore:
 
     ``base_cost`` models CRIU's fixed freeze/dump overhead for a full
     image and ``per_byte_cost`` the image-size-proportional part;
-    ``hash_per_byte_cost`` is what the dedup hash pass charges per
-    state byte, and deltas are charged ``encode_per_byte_cost`` over
-    the changed bytes (userspace incremental encode, no freeze).
-    With version tracking the hash pass covers only the re-encoded
-    bytes plus ``version_check_per_key_cost`` per key.  Deferred takes
+    ``hash_per_byte_cost`` is what the verify pass charges per
+    (re-)encoded byte -- it stands for CRIU's check of the pages it
+    re-dumped; no host code hashes -- and deltas are charged
+    ``encode_per_byte_cost`` over the changed bytes (userspace
+    incremental encode, no freeze).  With version tracking the verify
+    pass covers only the re-encoded bytes plus
+    ``version_check_per_key_cost`` per key.  Deferred takes
     charge ``capture_base_cost`` + ``capture_per_key_cost`` per dirty
     key on the event path and everything else in the background drain.
     All costs are in simulated seconds, and all seven are constants of
@@ -220,12 +253,12 @@ class CheckpointStore:
         #: (take, drain, or restore), the diff base for the next
         #: delta/finalise.
         self._prev_key_blobs: Optional[Dict[object, bytes]] = None
-        self._prev_hash: bytes = b""
-        self._prev_size: int = 0
-        #: Version map + key set snapshot of the most recent *take*
-        #: (pending included), the clean/dirty baseline for the next.
-        self._prev_versions: Optional[Dict[object, int]] = None
-        self._prev_state_keys: Optional[frozenset] = None
+        #: (version map, key set) of the most recent *take* (pending
+        #: included), the clean/dirty baseline for the next; None when
+        #: the app tracks no versions or the take it described is gone.
+        #: Only ever set where ``_prev_key_blobs`` is (or will be, by
+        #: the drain of the pending take) set for the same keys.
+        self._baseline: Optional[Tuple[Dict[object, int], frozenset]] = None
         #: Whose state this is (learnt at :meth:`take`), so an encode
         #: that fails later, in :meth:`drain`, can still name the app.
         self._app_name = ""
@@ -267,18 +300,7 @@ class CheckpointStore:
 
     def _encode_val(self, key, value) -> bytes:
         self.value_encodes += 1
-        try:
-            return encode_state_value(value)
-        except (SerializationError, UnicodeEncodeError,
-                RecursionError) as exc:
-            raise CheckpointError(
-                f"cannot snapshot {self._app_name}: state key {key!r} "
-                f"({type(value).__name__}) is outside the get_state "
-                f"contract: {exc}") from exc
-
-    def _decode_val(self, buf: bytes):
-        self.value_decodes += 1
-        return decode_state_value(buf)
+        return encode_state_key(self._app_name, key, value)
 
     # -- snapshot --------------------------------------------------------
 
@@ -286,46 +308,14 @@ class CheckpointStore:
     def _versions_of(app) -> Optional[Dict[object, int]]:
         """The app's live version map, or None (conservative path)."""
         source = getattr(app, "state_versions", None)
-        if source is None:
-            return None
         return source() if callable(source) else None
 
-    def _key_blobs(self, state: dict,
-                   versions: Optional[Dict[object, int]],
-                   ) -> Tuple[Dict[object, bytes], int]:
-        """Encode ``state`` per key, reusing the previous take's buffer
-        for every key whose version has not moved.  Returns the buffer
-        map and the number of bytes actually (re-)encoded."""
-        prev_blobs = self._prev_key_blobs
-        prev_versions = self._prev_versions
-        if (versions is None or prev_blobs is None
-                or prev_versions is None):
-            blobs = {key: self._encode_val(key, value)
-                     for key, value in state.items()}
-            return blobs, sum(len(b) for b in blobs.values())
-        blobs: Dict[object, bytes] = {}
-        encoded_bytes = 0
-        skipped = 0
-        for key, value in state.items():
-            prev = prev_blobs.get(key)
-            if (prev is not None
-                    and versions.get(key) == prev_versions.get(key)):
-                blobs[key] = prev
-                skipped += 1
-            else:
-                blob = self._encode_val(key, value)
-                blobs[key] = blob
-                encoded_bytes += len(blob)
-        self.encodes_skipped += skipped
-        return blobs, encoded_bytes
-
     @staticmethod
-    def _hash_of(key_blobs: Dict[object, bytes]) -> bytes:
-        digest = hashlib.blake2b(digest_size=16)
-        for key in sorted(key_blobs, key=repr):
-            digest.update(repr(key).encode())
-            digest.update(key_blobs[key])
-        return digest.digest()
+    def _baseline_of(versions, state):
+        """What the next take compares versions against, as of now."""
+        if versions is None:
+            return None
+        return dict(versions), frozenset(state)
 
     def note_seq(self, seq: int) -> None:
         """The stub reports every event seq it sees, so checkpoint lag
@@ -337,94 +327,34 @@ class CheckpointStore:
              defer: bool = False) -> Checkpoint:
         """Snapshot ``app`` prior to event ``before_seq``.
 
-        Returns the checkpoint; its modelled (event-path) cost is
-        available via :meth:`cost_of` and accumulated in
-        :attr:`total_cost`.  ``defer`` moves the encode to
-        :meth:`drain` (it needs version tracking on the app and a
-        predecessor to diff against; without them the take is
-        synchronous anyway).
+        Captures the state -- per key ``_SAME`` when the app's version
+        map vouches it has not moved since the previous take, else the
+        value -- and finalises the capture at once, or with ``defer``
+        leaves that to :meth:`drain` (deferring needs version tracking
+        on the app and a predecessor to diff against; without them the
+        take is synchronous anyway).  Returns the checkpoint; its
+        modelled (event-path) cost is available via :meth:`cost_of`
+        and accumulated in :attr:`total_cost`.
         """
         self.note_seq(before_seq)
         self._app_name = app.name
         try:
             state = app.get_state()
             versions = self._versions_of(app)
-        except Exception as exc:
+        except Exception as exc:  # noqa: BLE001 - fault boundary: app code
             raise CheckpointError(f"cannot snapshot {app.name}: {exc}") from exc
         if not isinstance(state, dict):
             raise CheckpointError(
                 f"cannot snapshot {app.name}: get_state() returned "
                 f"{type(state).__name__}, not a dict")
 
-        if (defer and versions is not None and self._checkpoints
-                and self._prev_versions is not None
-                and self._prev_key_blobs is not None):
-            checkpoint = self._take_deferred(before_seq, now, state,
-                                             versions)
-        else:
+        baseline = self._baseline if versions is not None else None
+        defer = defer and baseline is not None and bool(self._checkpoints)
+        if not defer:
             self.flush()
-            checkpoint = self._take_sync(before_seq, now, state, versions)
-        self.taken_count += 1
-        self.total_cost += checkpoint.cost
-        if self.metrics is not None:
-            self.metrics.inc("checkpoint.taken")
-        return checkpoint
-
-    def _take_sync(self, before_seq: int, now: float, state: dict,
-                   versions: Optional[Dict[object, int]]) -> Checkpoint:
-        """The synchronous (encode-now) take path."""
-        version_cost = 0.0
-        if (versions is not None
-                and self._versions_unchanged(state, versions)):
-            # The whole version map is where it was: nothing to encode,
-            # nothing to hash -- record the position, share the
-            # predecessor's image, charge only the version compare.
-            version_cost = len(state) * self.version_check_per_key_cost
-            self.dedup_hits += 1
-            self.encodes_skipped += len(state)
-            return self._append(Checkpoint(
-                before_seq=before_seq, taken_at=now, blob=b"",
-                kind=DEDUP, state_hash=self._prev_hash,
-                state_size=self._prev_size, cost=version_cost,
-            ))
-        if versions is not None:
-            version_cost = len(state) * self.version_check_per_key_cost
-        # The verify pass reads what was (re-)encoded: the dirty bytes
-        # with version tracking, the whole image without it.
-        key_blobs, encoded_bytes = self._key_blobs(state, versions)
-        hash_cost = encoded_bytes * self.hash_per_byte_cost + version_cost
-        checkpoint = Checkpoint(before_seq=before_seq, taken_at=now,
-                                blob=b"")
-        checkpoint.cost = self._classify(checkpoint, key_blobs, hash_cost)
-        self._append(checkpoint)
-        self._prev_versions = dict(versions) if versions is not None else None
-        self._prev_state_keys = (frozenset(state) if versions is not None
-                                 else None)
-        return checkpoint
-
-    def _versions_unchanged(self, state: dict,
-                            versions: Dict[object, int]) -> bool:
-        """True when the version map and key set both match the
-        previous take exactly -- the state cannot have changed."""
-        return (self._prev_versions is not None
-                and self._prev_state_keys is not None
-                and self._checkpoints
-                and frozenset(state) == self._prev_state_keys
-                and versions == self._prev_versions)
-
-    # -- deferred takes ---------------------------------------------------
-
-    def _take_deferred(self, before_seq: int, now: float, state: dict,
-                       versions: Dict[object, int]) -> Checkpoint:
-        """Capture now, encode later (:meth:`drain`).
-
-        Clean keys (version unmoved) are recorded as ``_SAME`` markers
-        resolved against the predecessor's buffers at drain time;
-        dirty keys are shallow-copied so later in-place mutations by
-        the app cannot leak into this snapshot.
-        """
-        prev_versions = self._prev_versions
-        prev_keys = self._prev_state_keys or frozenset()
+        prev_versions, prev_keys = baseline or ({}, ())
+        # Dirty values are shallow-copied only when their encode waits,
+        # so later in-place mutations by the app cannot leak into it.
         capture: Dict[object, object] = {}
         dirty = 0
         for key, value in state.items():
@@ -432,23 +362,41 @@ class CheckpointStore:
                     and versions.get(key) == prev_versions.get(key)):
                 capture[key] = _SAME
             else:
-                capture[key] = _shallow_copy(value)
+                capture[key] = _shallow_copy(value) if defer else value
                 dirty += 1
-        cost = (self.capture_base_cost
-                + dirty * self.capture_per_key_cost
-                + len(state) * self.version_check_per_key_cost)
-        checkpoint = Checkpoint(
-            before_seq=before_seq, taken_at=now, blob=b"",
-            kind=DELTA, state_hash=b"", state_size=0, cost=cost,
-            pending=True, capture=capture,
-        )
-        self.deferred_takes += 1
-        self._prev_versions = dict(versions)
-        self._prev_state_keys = frozenset(state)
-        return self._append(checkpoint)
+        version_cost = (len(state) * self.version_check_per_key_cost
+                        if versions is not None else 0.0)
+        checkpoint = Checkpoint(before_seq=before_seq, taken_at=now,
+                                blob=b"", kind=DELTA, pending=defer,
+                                capture=capture)
+        if defer:
+            checkpoint.cost = (self.capture_base_cost
+                               + dirty * self.capture_per_key_cost
+                               + version_cost)
+            self.deferred_takes += 1
+            self._pending.append(checkpoint)
+        else:
+            checkpoint.cost = self._finalize(checkpoint, version_cost)
+        self._baseline = self._baseline_of(versions, state)
+        self._checkpoints.append(checkpoint)
+        if len(self._checkpoints) > self.keep:
+            # Eviction promotes the survivor through the dropped
+            # entries, which needs every image final.
+            self.flush()
+            self._evict(len(self._checkpoints) - self.keep)
+        self.taken_count += 1
+        self.total_cost += checkpoint.cost
+        if self.metrics is not None:
+            self.metrics.inc("checkpoint.taken")
+        return checkpoint
 
-    def _finalize(self, entry: Checkpoint) -> float:
-        """Encode one pending entry; returns its background cost."""
+    def _finalize(self, entry: Checkpoint,
+                  version_cost: float = 0.0) -> float:
+        """Turn ``entry``'s capture into its image: resolve ``_SAME``
+        markers against the predecessor's buffers, encode the rest
+        (the one place a state value is encoded), classify.  Returns
+        the modelled cost -- the verify pass reads what was
+        (re-)encoded, plus ``version_cost``, plus the write."""
         prev = self._prev_key_blobs or {}
         key_blobs: Dict[object, bytes] = {}
         encoded_bytes = 0
@@ -459,9 +407,9 @@ class CheckpointStore:
                     key_blobs[key] = prev[key]
                 except KeyError:
                     raise CheckpointError(
-                        f"deferred capture at before_seq="
-                        f"{entry.before_seq} references a key with no "
-                        "predecessor buffer") from None
+                        f"capture at before_seq={entry.before_seq} "
+                        "references a key with no predecessor buffer"
+                    ) from None
                 skipped += 1
             else:
                 blob = self._encode_val(key, marker)
@@ -470,15 +418,11 @@ class CheckpointStore:
         self.encodes_skipped += skipped
         entry.capture = None
         entry.pending = False
-        self._pending.remove(entry)
-        bg_cost = self._classify(
-            entry, key_blobs, encoded_bytes * self.hash_per_byte_cost)
+        cost = self._classify(
+            entry, key_blobs,
+            encoded_bytes * self.hash_per_byte_cost + version_cost)
         self._record_durable(entry)
-        entry.encode_cost = bg_cost
-        self.total_cost += bg_cost
-        self.deferred_cost += bg_cost
-        self.deferred_drains += 1
-        return bg_cost
+        return cost
 
     def drain(self) -> Tuple[List[Checkpoint], float]:
         """Finalise every pending entry, oldest first.  Returns the
@@ -488,7 +432,12 @@ class CheckpointStore:
         cost = 0.0
         while self._pending:
             entry = self._pending[0]
-            cost += self._finalize(entry)
+            entry.encode_cost = self._finalize(entry)
+            del self._pending[0]
+            self.total_cost += entry.encode_cost
+            self.deferred_cost += entry.encode_cost
+            self.deferred_drains += 1
+            cost += entry.encode_cost
             finalized.append(entry)
         return finalized, cost
 
@@ -514,8 +463,7 @@ class CheckpointStore:
         # The clean/dirty baseline described a dropped take; the next
         # take must not skip against it.  (Restore re-pairs the
         # baseline right after, on the crash path.)
-        self._prev_versions = None
-        self._prev_state_keys = None
+        self._baseline = None
         if self.metrics is not None:
             self.metrics.inc("checkpoint.pending_dropped", dropped)
         return dropped
@@ -529,33 +477,28 @@ class CheckpointStore:
     def _classify(self, entry: Checkpoint,
                   key_blobs: Dict[object, bytes],
                   hash_cost: float) -> float:
-        """Decide dedup / delta / full for ``entry`` from its per-key
-        buffers and fill in its image -- the one classification both
-        synchronous takes and drained deferred ones go through.
-        Returns the modelled cost (``hash_cost`` plus the write)."""
+        """Decide dedup / delta / full for ``entry`` by diffing its
+        per-key buffers against the previous entry's, and fill in its
+        image.  Returns the modelled cost (``hash_cost`` plus the
+        write)."""
         prev = self._prev_key_blobs
-        # A deferred entry is already in the store when it classifies.
-        has_base = (bool(self._checkpoints)
-                    and self._checkpoints[0] is not entry)
-        entry.state_hash = self._hash_of(key_blobs)
         entry.state_size = sum(len(b) for b in key_blobs.values())
-        if has_base and entry.state_hash == self._prev_hash:
+        diff = None     # (changed, removed) against the previous entry
+        if self._checkpoints and prev is not None:
+            diff = ({k: b for k, b in key_blobs.items() if prev.get(k) != b},
+                    tuple(k for k in prev if k not in key_blobs))
+        if diff == ({}, ()):
             # Unchanged since the last checkpoint: record the position,
-            # share the predecessor's image, charge only the hash pass.
+            # share the predecessor's image, charge only the verify pass.
             entry.kind = DEDUP
             self.dedup_hits += 1
             cost = hash_cost
-        elif (has_base and prev is not None
-                and self._chain_len < self.full_every):
-            changed = {k: b for k, b in key_blobs.items()
-                       if prev.get(k) != b}
-            removed = tuple(k for k in prev if k not in key_blobs)
+        elif diff is not None and self._chain_len < self.full_every:
             entry.kind = DELTA
-            entry.blob = pickle.dumps((changed, removed),
-                                      protocol=pickle.HIGHEST_PROTOCOL)
+            entry.blob = pickle.dumps(diff, protocol=pickle.HIGHEST_PROTOCOL)
             # Userspace incremental encode: pay per changed byte, no
             # freeze-the-world constant.
-            changed_bytes = sum(len(b) for b in changed.values())
+            changed_bytes = sum(len(b) for b in diff[0].values())
             cost = (hash_cost + changed_bytes * self.encode_per_byte_cost
                     + len(entry.blob) * self.per_byte_cost)
         else:
@@ -564,22 +507,7 @@ class CheckpointStore:
             cost = (hash_cost + self.base_cost
                     + len(entry.blob) * self.per_byte_cost)
         self._prev_key_blobs = key_blobs
-        self._prev_hash = entry.state_hash
-        self._prev_size = entry.state_size
         return cost
-
-    def _append(self, checkpoint: Checkpoint) -> Checkpoint:
-        if checkpoint.pending:
-            self._pending.append(checkpoint)
-        else:
-            self._record_durable(checkpoint)
-        self._checkpoints.append(checkpoint)
-        if len(self._checkpoints) > self.keep:
-            # Eviction promotes the survivor through the dropped
-            # entries, which needs every image final.
-            self.flush()
-            self._evict(len(self._checkpoints) - self.keep)
-        return checkpoint
 
     def _record_durable(self, entry: Checkpoint) -> None:
         """Chain and byte accounting for an entry whose image now
@@ -606,7 +534,7 @@ class CheckpointStore:
         """
         survivor = self._checkpoints[count]
         if survivor.kind != FULL:
-            blobs = self._materialize_blobs(survivor)
+            blobs = self.buffers(survivor)
             blob = self._keymap_blob(blobs)
             self.total_bytes += len(blob) - survivor.size
             self.bytes_written += len(blob)
@@ -625,13 +553,7 @@ class CheckpointStore:
     def restore_cost_of(self, checkpoint: Checkpoint) -> float:
         """Simulated seconds a restore from ``checkpoint`` costs: one
         full-image load plus folding in the chain's delta bytes."""
-        extra = 0
-        if checkpoint.kind != FULL:
-            idx = self._index_of(checkpoint)
-            for entry in reversed(self._checkpoints[:idx + 1]):
-                if entry.kind == FULL:
-                    break
-                extra += entry.size
+        extra = sum(entry.size for entry in self._chain(checkpoint)[:-1])
         return (self.base_cost
                 + (checkpoint.state_size + extra) * self.per_byte_cost)
 
@@ -646,6 +568,21 @@ class CheckpointStore:
         raise CheckpointError(
             f"checkpoint before_seq={checkpoint.before_seq} "
             "is not in this store")
+
+    def _chain(self, checkpoint: Checkpoint) -> List[Checkpoint]:
+        """``checkpoint`` and the entries under it, newest first, down
+        to the full image its chain starts from."""
+        if checkpoint.kind == FULL:
+            return [checkpoint]
+        chain: List[Checkpoint] = []
+        idx = self._index_of(checkpoint)
+        for entry in reversed(self._checkpoints[:idx + 1]):
+            chain.append(entry)
+            if entry.kind == FULL:
+                return chain
+        raise CheckpointError(
+            f"delta chain for before_seq={checkpoint.before_seq} "
+            "has no full image")
 
     def latest_before(self, seq: int) -> Optional[Checkpoint]:
         """Newest checkpoint with ``before_seq`` <= ``seq``.
@@ -667,32 +604,17 @@ class CheckpointStore:
                 return entry
         return None
 
-    def _materialize_blobs(self, checkpoint: Checkpoint) -> Dict[object, bytes]:
-        """The per-key encoded buffers at ``checkpoint``, reconstructing
-        delta/dedup entries by folding their chain at the buffer level
-        (no value decodes)."""
+    def buffers(self, checkpoint: Checkpoint) -> Dict[object, bytes]:
+        """The per-key encoded buffers at ``checkpoint`` -- what
+        :func:`decode_state` turns back into the state.  Delta/dedup
+        entries are reconstructed by folding their chain at the buffer
+        level (no value decodes), restore-equivalent to a full image
+        taken at the same point."""
         if checkpoint.pending:
             self.flush()
-        if checkpoint.kind == FULL:
-            return dict(pickle.loads(checkpoint.blob))
-        idx = self._index_of(checkpoint)
-        chain: List[Checkpoint] = []
-        base: Optional[Checkpoint] = None
-        for entry in reversed(self._checkpoints[:idx + 1]):
-            if entry.pending:
-                raise CheckpointError(
-                    f"delta chain for before_seq={checkpoint.before_seq} "
-                    "crosses a pending entry (flush first)")
-            if entry.kind == FULL:
-                base = entry
-                break
-            chain.append(entry)
-        if base is None:
-            raise CheckpointError(
-                f"delta chain for before_seq={checkpoint.before_seq} "
-                "has no full image")
+        chain = self._chain(checkpoint)
         try:
-            blobs = dict(pickle.loads(base.blob))
+            blobs = dict(pickle.loads(chain.pop().blob))
             for entry in reversed(chain):
                 if entry.kind != DELTA:
                     continue  # dedup: state unchanged
@@ -700,27 +622,11 @@ class CheckpointStore:
                 for key in removed:
                     blobs.pop(key, None)
                 blobs.update(changed)
-        except CheckpointError:
-            raise
-        except Exception as exc:
+        except _FRAMING_ERRORS as exc:
             raise CheckpointError(
                 f"corrupt checkpoint chain at "
                 f"before_seq={checkpoint.before_seq}: {exc}") from exc
         return blobs
-
-    def materialize(self, checkpoint: Checkpoint) -> bytes:
-        """The full pickled state at ``checkpoint``, reconstructing
-        delta/dedup entries from their chain (restore-equivalent to a
-        full image taken at the same point)."""
-        blobs = self._materialize_blobs(checkpoint)
-        try:
-            state = {key: self._decode_val(buf)
-                     for key, buf in blobs.items()}
-        except Exception as exc:
-            raise CheckpointError(
-                f"corrupt checkpoint chain at "
-                f"before_seq={checkpoint.before_seq}: {exc}") from exc
-        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore(self, app, checkpoint: Checkpoint) -> None:
         """Load ``checkpoint`` into ``app`` (the CRIU restore).
@@ -736,16 +642,14 @@ class CheckpointStore:
         picking its target, so this flush is a no-op there.)
         """
         self.flush()
+        blobs = self.buffers(checkpoint)
         try:
-            blobs = self._materialize_blobs(checkpoint)
-            state = {key: self._decode_val(buf)
-                     for key, buf in blobs.items()}
-        except CheckpointError:
-            raise
-        except Exception as exc:
+            state = decode_state(blobs)
+        except SerializationError as exc:
             raise CheckpointError(
                 f"corrupt checkpoint for {app.name}: {exc}"
             ) from exc
+        self.value_decodes += len(blobs)
         app.set_state(state)
         self.restored_count += 1
         self._truncate_after(checkpoint)
@@ -757,21 +661,13 @@ class CheckpointStore:
         # buffers *are* the encoded form of the restored state, so
         # they seed the diff base with no re-encode.
         self._prev_key_blobs = blobs
-        self._prev_hash = self._hash_of(blobs)
-        self._prev_size = sum(len(b) for b in blobs.values())
         # Re-pair the version baseline with the restored buffers: the
         # version map survives set_state untouched (it is bookkeeping
         # about the state, not state), so pairing it with the restored
         # buffers *now* absorbs any version bumped by the handler that
         # crashed mid-run.  Replay bumps versions for every key it
         # touches, forcing their re-encode at the next take.
-        versions = self._versions_of(app)
-        if versions is not None:
-            self._prev_versions = dict(versions)
-            self._prev_state_keys = frozenset(state)
-        else:
-            self._prev_versions = None
-            self._prev_state_keys = None
+        self._baseline = self._baseline_of(self._versions_of(app), state)
         # Force the next changed-state take to open a fresh chain.
         self._chain_len = self.full_every
 

@@ -11,9 +11,13 @@ This module implements that extension: given a base checkpoint, the
 journalled events delivered since it, and a final event that crashed
 the app, :func:`find_minimal_causal_sequence` delta-debugs (ddmin) the
 event history against a *scratch replica* of the app.  The replica is
-reconstructed from the checkpoint blob for every probe run, so the
-search never touches the live app or the network (probe runs suppress
-output by constructing the replica without an API).
+decoded afresh from the checkpoint's per-key buffers
+(:meth:`~repro.core.crashpad.checkpoint.CheckpointStore.buffers`) for
+every probe run, so the search never touches the live app, the network
+(probe runs suppress output by constructing the replica without an
+API) or another probe's state.  :func:`ddmin` itself lives here, once;
+:mod:`repro.debug.minimize` runs the same function over whole captured
+runs.
 
 The result tells Crash-Pad two things:
 
@@ -25,11 +29,11 @@ The result tells Crash-Pad two things:
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.controller.api import AppAPI, TopoView
+from repro.core.crashpad.checkpoint import decode_state
 
 
 class _NullAPI(AppAPI):
@@ -83,17 +87,17 @@ class CausalSequenceResult:
 
 
 class _Replica:
-    """A scratch copy of the app, rebuilt from a checkpoint blob."""
+    """A scratch copy of the app, rebuilt from a checkpoint's buffers."""
 
-    def __init__(self, app_factory: Callable, state_blob: bytes):
+    def __init__(self, app_factory: Callable, buffers: Dict[object, bytes]):
         self.app_factory = app_factory
-        self.state_blob = state_blob
+        self.buffers = buffers
 
     def crashes_on(self, events: Sequence[object]) -> bool:
         """Replay ``events`` on a fresh replica; True if any crashes it."""
         app = self.app_factory()
         app.startup(_NullAPI())
-        app.set_state(pickle.loads(self.state_blob))
+        app.set_state(decode_state(self.buffers))
         for event in events:
             try:
                 app.handle(event)
@@ -102,79 +106,103 @@ class _Replica:
         return False
 
 
+def ddmin(items: Sequence, test: Callable[[list], bool]) -> list:
+    """Zeller's ddmin: a 1-minimal sublist of ``items`` passing ``test``.
+
+    ``test`` must hold for ``items`` itself.  Subsets preserve the
+    original relative order (event sequences are order-sensitive).
+    The algorithm is fully deterministic: chunk boundaries depend only
+    on lengths, never on randomness.
+    """
+    items = list(items)
+    if not test(items):
+        raise ValueError("test must hold for the full input")
+    granularity = 2
+    while len(items) >= 2:
+        size = len(items) / granularity
+        chunks = [items[round(i * size):round((i + 1) * size)]
+                  for i in range(granularity)]
+        reduced = False
+        for chunk in chunks:
+            if len(chunk) < len(items) and chunk and test(chunk):
+                items = chunk
+                granularity = 2
+                reduced = True
+                break
+        if not reduced:
+            for i in range(granularity):
+                complement = [x for chunk in chunks[:i] for x in chunk] + \
+                             [x for chunk in chunks[i + 1:] for x in chunk]
+                if complement and len(complement) < len(items) \
+                        and test(complement):
+                    items = complement
+                    granularity = max(granularity - 1, 2)
+                    reduced = True
+                    break
+        if not reduced:
+            if granularity >= len(items):
+                break
+            granularity = min(len(items), granularity * 2)
+    return items
+
+
 def find_minimal_causal_sequence(
     app_factory: Callable,
-    checkpoint_blob: bytes,
+    buffers: Dict[object, bytes],
     history: Sequence[Tuple[int, object]],
     offending: Tuple[int, object],
     max_probes: int = 256,
 ) -> CausalSequenceResult:
     """Delta-debug the event history down to a minimal crashing subset.
 
-    ``history`` is the (seq, event) list delivered after the checkpoint
-    was taken, in order, *excluding* the offending event, which is
-    passed separately (it is always retained -- the crash happened
-    while handling it).
+    ``buffers`` is the base checkpoint's per-key buffer map and
+    ``history`` the (seq, event) list delivered after it was taken, in
+    order, *excluding* the offending event, which is passed separately
+    (it is always retained -- the crash happened while handling it).
 
     ``app_factory`` must build an app object whose ``set_state`` can
     load the checkpoint (for wrapped apps, pass the same wrapping used
-    at launch).  The classic ddmin loop then minimises the prefix.
+    at launch).  ``max_probes`` bounds the replays spent, the two
+    initial checks included: once it is reached every probe not seen
+    before answers "does not reproduce" without running, so
+    :func:`ddmin` stops reducing and returns what it has.
     """
-    replica = _Replica(app_factory, checkpoint_blob)
-    probes = 0
+    replica = _Replica(app_factory, buffers)
+    verdicts: Dict[tuple, bool] = {}    # one replay per distinct subset
 
     def crashes(prefix: Sequence[Tuple[int, object]]) -> bool:
-        nonlocal probes
-        probes += 1
-        return replica.crashes_on([e for _, e in list(prefix) + [offending]])
+        key = tuple(seq for seq, _ in prefix)
+        if key not in verdicts:
+            if len(verdicts) >= max_probes:
+                return False
+            verdicts[key] = replica.crashes_on(
+                [event for _, event in prefix] + [offending[1]])
+        return verdicts[key]
 
     # Fast path: the offending event alone reproduces the crash.
     if crashes([]):
         return CausalSequenceResult(
-            minimal_events=[offending], probe_runs=probes, single_event=True)
-
+            minimal_events=[offending], probe_runs=1, single_event=True)
     # Sanity: the full history must reproduce it, else the bug is
     # non-deterministic (or environment-dependent) and minimisation is
     # meaningless -- report the whole history.
-    remaining = list(history)
-    if not crashes(remaining):
-        return CausalSequenceResult(
-            minimal_events=remaining + [offending], probe_runs=probes)
-
-    # ddmin over the prefix events.
-    granularity = 2
-    while len(remaining) >= 2 and probes < max_probes:
-        chunk_size = max(1, len(remaining) // granularity)
-        chunks = [remaining[i:i + chunk_size]
-                  for i in range(0, len(remaining), chunk_size)]
-        reduced = False
-        # Try each complement (history minus one chunk).
-        for i in range(len(chunks)):
-            complement = [e for j, chunk in enumerate(chunks)
-                          for e in chunk if j != i]
-            if crashes(complement):
-                remaining = complement
-                granularity = max(granularity - 1, 2)
-                reduced = True
-                break
-        if not reduced:
-            if chunk_size == 1:
-                break  # 1-minimal
-            granularity = min(granularity * 2, len(remaining))
+    minimal = list(history)
+    if crashes(minimal):
+        minimal = ddmin(minimal, crashes)
     return CausalSequenceResult(
-        minimal_events=remaining + [offending], probe_runs=probes)
+        minimal_events=minimal + [offending], probe_runs=len(verdicts))
 
 
 def pick_rollback_checkpoint(
     app_factory: Callable,
-    checkpoints: Sequence[Tuple[int, bytes]],
+    checkpoints: Sequence[Tuple[int, Dict[object, bytes]]],
     journal_events: Sequence[Tuple[int, object]],
     offending: Tuple[int, object],
     culprit_seqs: Sequence[int],
 ) -> Optional[int]:
     """Which checkpoint can the app safely roll back to?
 
-    ``checkpoints`` are (before_seq, blob) pairs, oldest first;
+    ``checkpoints`` are (before_seq, buffer map) pairs, oldest first;
     ``offending`` is the (seq, event) the app last crashed on.  A
     checkpoint is *safe* when replaying the journalled events after it
     -- minus the culprits -- and then the offending event as a canary
@@ -187,11 +215,11 @@ def pick_rollback_checkpoint(
     """
     offending_seq, offending_event = offending
     excluded = set(culprit_seqs) | {offending_seq}
-    for before_seq, blob in sorted(checkpoints, key=lambda c: -c[0]):
+    for before_seq, buffers in sorted(checkpoints, key=lambda c: -c[0]):
         replay = [event for seq, event in journal_events
                   if before_seq <= seq < offending_seq
                   and seq not in excluded]
-        if not _Replica(app_factory, blob).crashes_on(
+        if not _Replica(app_factory, buffers).crashes_on(
                 replay + [offending_event]):
             return before_seq
     return None

@@ -13,13 +13,19 @@ PacketIns to relearn every host -- during which apps would route
 blindly.  The snapshot ages at most one checkpoint interval, and the
 normal discovery/learning machinery keeps running afterwards, so a
 stale entry self-corrects the same way any stale view does.
+
+A snapshot is the same thing an app checkpoint is -- a per-key map of
+state-value buffers -- so service state the codec has no tag for is
+the same :class:`~repro.core.crashpad.checkpoint.CheckpointError`,
+naming the key, that an app's state would raise.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
+
+from repro.core.crashpad.checkpoint import decode_state, encode_state_key
 
 
 @dataclass
@@ -27,11 +33,12 @@ class ServiceSnapshot:
     """One checkpoint of the controller's service state."""
 
     taken_at: float
-    blob: bytes
+    #: Service-state key -> encoded buffer.
+    buffers: Dict[str, bytes]
 
     @property
     def size(self) -> int:
-        return len(self.blob)
+        return sum(len(buf) for buf in self.buffers.values())
 
 
 class ControllerGuard:
@@ -75,7 +82,8 @@ class ControllerGuard:
         }
         self.snapshot = ServiceSnapshot(
             taken_at=self.sim.now,
-            blob=pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+            buffers={key: encode_state_key("controller services", key, value)
+                     for key, value in state.items()},
         )
         self.snapshots_taken += 1
         return self.snapshot
@@ -94,7 +102,7 @@ class ControllerGuard:
         controller.reboot()
         if self.snapshot is None:
             return False
-        state = pickle.loads(self.snapshot.blob)
+        state = decode_state(self.snapshot.buffers)
         topology = controller.topology
         # Only resurrect links whose endpoints are still connected --
         # a switch that died during the outage must stay gone.

@@ -3,7 +3,8 @@
 "Using its event logs, LegoSDN can determine the minimal causal
 sequence of events that led to the crash."  The checkpoint-level
 variant lives in :mod:`repro.core.crashpad.sts` (scratch replicas of
-one app); this module is the whole-deployment version: each probe is a
+one app), and so does :func:`ddmin`, the one minimiser both run; this
+module is the whole-deployment version: each probe is a
 full :meth:`~repro.debug.replay.ReplayHarness.replay` of an event
 subsequence, and a subsequence "causes" the failure when its replay
 reproduces the recording's :class:`FailureSignature`.
@@ -21,54 +22,15 @@ recording always minimizes to the same sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
+from repro.core.crashpad.sts import ddmin
 from repro.debug.capture import CapturedEvent
 from repro.debug.replay import Recording, ReplayHarness
 
 
 class MinimizationError(RuntimeError):
     """The full captured sequence did not reproduce the failure."""
-
-
-def ddmin(items: Sequence, test: Callable[[list], bool]) -> list:
-    """Zeller's ddmin: a 1-minimal sublist of ``items`` passing ``test``.
-
-    ``test`` must hold for ``items`` itself.  Subsets preserve the
-    original relative order (event sequences are order-sensitive).
-    The algorithm is fully deterministic: chunk boundaries depend only
-    on lengths, never on randomness.
-    """
-    items = list(items)
-    if not test(items):
-        raise ValueError("test must hold for the full input")
-    granularity = 2
-    while len(items) >= 2:
-        size = len(items) / granularity
-        chunks = [items[round(i * size):round((i + 1) * size)]
-                  for i in range(granularity)]
-        reduced = False
-        for chunk in chunks:
-            if len(chunk) < len(items) and chunk and test(chunk):
-                items = chunk
-                granularity = 2
-                reduced = True
-                break
-        if not reduced:
-            for i in range(granularity):
-                complement = [x for chunk in chunks[:i] for x in chunk] + \
-                             [x for chunk in chunks[i + 1:] for x in chunk]
-                if complement and len(complement) < len(items) \
-                        and test(complement):
-                    items = complement
-                    granularity = max(granularity - 1, 2)
-                    reduced = True
-                    break
-        if not reduced:
-            if granularity >= len(items):
-                break
-            granularity = min(len(items), granularity * 2)
-    return items
 
 
 class _Prober:

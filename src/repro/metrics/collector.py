@@ -7,14 +7,37 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
+def percentile(ordered: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile (``p`` in [0, 100]) of an ascending,
+    non-empty sequence: the smallest sample with at least ``p`` % of
+    the samples at or below it -- always a recorded value, which suits
+    control-loop experiments that record tens of samples."""
+    if not ordered:
+        raise ValueError("percentile of empty sequence")
+    if not 0 <= p <= 100:
+        raise ValueError("percentile must be in [0, 100]")
+    return ordered[max(1, math.ceil(p / 100 * len(ordered))) - 1]
+
+
+def rounded_index_percentile(ordered: Sequence[float], p: float) -> float:
+    """The sample at index ``round(p % of (n - 1))`` of an ascending
+    sequence; 0.0 when it is empty.  A second rule only because two
+    things are *defined* by it: the medians committed in
+    ``BENCH_PR8.json`` (span-diff's gate) and the EWMA baselines the
+    ``HealthWatchdog`` compares a sweep's p95 against.  New code uses
+    :func:`percentile`."""
+    if not ordered:
+        return 0.0
+    rank = int(round(p / 100.0 * (len(ordered) - 1)))
+    return ordered[max(0, min(len(ordered) - 1, rank))]
+
+
 class LatencyRecorder:
     """Collects samples; reports mean/percentiles.
 
-    Percentiles use the nearest-rank method over sorted samples --
-    small-sample-friendly, which matters because control-loop
-    experiments often record tens, not millions, of samples.  The
-    sorted order is cached between records, so a ``summary()`` (three
-    percentile reads) sorts once, not three times.
+    Percentiles are :func:`percentile` (nearest rank) over the sorted
+    samples.  The sorted order is cached between records, so a
+    ``summary()`` (three percentile reads) sorts once, not three times.
 
     With ``max_samples`` the recorder keeps only the newest N samples
     (a sliding window) while ``count``/``sum``/``mean`` stay *totals*
@@ -71,14 +94,10 @@ class LatencyRecorder:
         return max(self.samples) if self.samples else math.nan
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, p in [0, 100]."""
+        """Nearest-rank percentile, p in [0, 100]; nan with no samples."""
         if not self.samples:
             return math.nan
-        if not 0 <= p <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        ordered = self._ordered()
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
+        return percentile(self._ordered(), p)
 
     def histogram(self, buckets: Sequence[float]) -> List[Tuple[float, int]]:
         """Cumulative counts per upper bound, Prometheus ``le`` style.

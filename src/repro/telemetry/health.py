@@ -39,6 +39,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.metrics.collector import rounded_index_percentile
+
 
 @dataclass
 class Anomaly:
@@ -58,15 +60,6 @@ class Anomaly:
             "detail": self.detail,
             "tags": dict(self.tags),
         }
-
-
-def _percentile(ordered: List[float], p: float) -> float:
-    """Nearest-rank percentile over an already-sorted list."""
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(p / 100.0 * (len(ordered) - 1)))))
-    return ordered[rank]
 
 
 class HealthWatchdog:
@@ -176,7 +169,7 @@ class HealthWatchdog:
             if len(window) < self.min_samples:
                 continue
             ordered = sorted(d for _, d in window)
-            p95 = _percentile(ordered, 95)
+            p95 = rounded_index_percentile(ordered, 95)
             baseline = self._baselines.get(name)
             if baseline is None:
                 self._baselines[name] = p95
@@ -341,9 +334,9 @@ class HealthWatchdog:
             ordered = sorted(d for _, d in window)
             out[name] = {
                 "count": len(ordered),
-                "p50": _percentile(ordered, 50),
-                "p95": _percentile(ordered, 95),
-                "p99": _percentile(ordered, 99),
+                "p50": rounded_index_percentile(ordered, 50),
+                "p95": rounded_index_percentile(ordered, 95),
+                "p99": rounded_index_percentile(ordered, 99),
             }
         return out
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.metrics.collector import rounded_index_percentile
+
 #: The control-loop segments a perf PR is expected to report on.
 HOT_PATH_SPANS = (
     "appvisor.event",
@@ -50,13 +52,6 @@ def load_summary(path: str, which: str = "current") -> Dict[str, dict]:
     raise ValueError(f"{path} has neither summaries nor spans")
 
 
-def _percentile(ordered: Sequence[float], pct: float) -> float:
-    if not ordered:
-        return 0.0
-    rank = int(round(pct / 100.0 * (len(ordered) - 1)))
-    return ordered[max(0, min(len(ordered) - 1, rank))]
-
-
 def summarize_spans(spans: Iterable[dict],
                     names: Optional[Sequence[str]] = None) -> Dict[str, dict]:
     """Per-name duration statistics over span dicts.
@@ -81,8 +76,8 @@ def summarize_spans(spans: Iterable[dict],
             "count": len(durations),
             "total": sum(durations),
             "mean": sum(durations) / len(durations),
-            "median": _percentile(durations, 50),
-            "p95": _percentile(durations, 95),
+            "median": rounded_index_percentile(durations, 50),
+            "p95": rounded_index_percentile(durations, 95),
             "max": durations[-1],
         }
     return summary

@@ -7,12 +7,12 @@ diffing, *and* the stored blob; ``value_encodes``/``value_decodes``
 count codec invocations so the property is pinned, not assumed.
 
 Also covers the value codec itself: restore-equivalence with a
-reference copy of the state, the packed-with-pickle-fallback
-state-value codec, and the per-changed-byte delta cost model.
+reference copy of the state, the state-value codec (the wire codec
+behind a marker byte -- there is no fallback encoding), and the
+per-changed-byte delta cost model.
 """
 
 import copy
-import pickle
 
 import pytest
 
@@ -21,6 +21,7 @@ from repro.core.crashpad.checkpoint import (
     DELTA,
     FULL,
     CheckpointStore,
+    decode_state,
 )
 from repro.openflow.serialization import (
     SerializationError,
@@ -70,8 +71,8 @@ def test_dedup_take_still_encodes_once():
 
 
 def test_restore_equivalence_with_reference_state():
-    """materialize() yields the monolithic pickle contract and
-    restore() reinstates the same state a plain deep copy recorded."""
+    """Every entry's buffers decode to, and restore() reinstates, the
+    same state a plain deep copy recorded."""
     app = DictApp()
     store = CheckpointStore(full_every=3)
     snapshots = []
@@ -81,7 +82,7 @@ def test_restore_equivalence_with_reference_state():
         store.take(app, before_seq=seq, now=float(seq))
         snapshots.append(copy.deepcopy(app.get_state()))
     for checkpoint, expect in zip(store.history(), snapshots):
-        assert pickle.loads(store.materialize(checkpoint)) == expect
+        assert decode_state(store.buffers(checkpoint)) == expect
     # Restore the oldest, then confirm the app actually holds it.
     store.restore(app, store.history()[0])
     assert app.get_state() == snapshots[0]
@@ -143,4 +144,4 @@ def test_full_promotion_on_eviction_reuses_buffers():
     # The surviving head must still materialise correctly.
     head = store.history()[0]
     assert head.kind == FULL
-    assert pickle.loads(store.materialize(head))["count"] in range(1, 6)
+    assert decode_state(store.buffers(head))["count"] in range(1, 6)

@@ -17,6 +17,7 @@ from repro.core.crashpad.checkpoint import (
     FULL,
     CheckpointError,
     CheckpointStore,
+    decode_state,
 )
 
 
@@ -71,7 +72,7 @@ class TestDeltaChains:
         kinds = {cp.kind for cp, _ in taken}
         assert kinds == {FULL, DELTA, DEDUP}  # the chain actually mixed
         for checkpoint, reference in taken:
-            assert (pickle.loads(store.materialize(checkpoint))
+            assert (decode_state(store.buffers(checkpoint))
                     == pickle.loads(reference)), checkpoint.kind
         # Restore truncates the abandoned future, so walk newest-first:
         # each target is still retained when its turn comes.
@@ -99,7 +100,7 @@ class TestDeltaChains:
         # Entries after the restored one describe an abandoned future;
         # diffing against them would corrupt the next materialisation.
         assert after.kind == FULL
-        assert pickle.loads(store.materialize(after)) == app.get_state()
+        assert decode_state(store.buffers(after)) == app.get_state()
 
     def test_non_dict_state_is_a_checkpoint_error(self):
         class TupleApp:
@@ -207,7 +208,7 @@ class TestRetention:
         assert survivors[0].kind == FULL
         references = {id(cp): ref for cp, ref in taken}
         for survivor in survivors:
-            assert (pickle.loads(store.materialize(survivor))
+            assert (decode_state(store.buffers(survivor))
                     == pickle.loads(references[id(survivor)]))
 
     def test_retained_bytes_tracks_live_entries_only(self):
@@ -230,7 +231,7 @@ class TestRetention:
         evicted = taken[1][0]
         assert evicted not in store.history()
         assert evicted.kind == FULL
-        assert (pickle.loads(store.materialize(evicted))
+        assert (decode_state(store.buffers(evicted))
                 == pickle.loads(taken[1][1]))
 
     def test_materialize_rejects_foreign_deltas(self):
@@ -241,7 +242,7 @@ class TestRetention:
         foreign = Checkpoint(before_seq=9, taken_at=0.0,
                              blob=pickle.dumps(({}, ())), kind=DELTA)
         with pytest.raises(CheckpointError):
-            store.materialize(foreign)
+            store.buffers(foreign)
 
 
 class TestCostModel:

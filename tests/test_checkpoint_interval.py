@@ -14,8 +14,6 @@ The contracts under test:
   dirty-key bookkeeping those two behaviours rely on.
 """
 
-import pickle
-
 import pytest
 
 from repro.apps import LearningSwitch
@@ -26,6 +24,7 @@ from repro.core.crashpad.checkpoint import (
     DELTA,
     FULL,
     CheckpointStore,
+    decode_state,
 )
 from repro.core.runtime import LegoSDNRuntime
 from repro.network.net import Network
@@ -214,7 +213,7 @@ class TestDirtyKeyStore:
         app.touch("a", 2)
         after = store.take(app, before_seq=3, now=2.0)
         assert not after.pending
-        assert (pickle.loads(store.materialize(after))
+        assert (decode_state(store.buffers(after))
                 == {"a": 2, "b": {}})
 
     def test_deferred_roundtrip_through_drain(self):
@@ -233,7 +232,55 @@ class TestDirtyKeyStore:
         assert store.stats()["pending"] == 0
         for cp, reference in references:
             assert not cp.pending
-            assert pickle.loads(store.materialize(cp)) == reference
+            assert decode_state(store.buffers(cp)) == reference
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sync_and_deferred_takes_leave_the_same_entries(self, seed):
+        """One take path: for a seeded sequence of mutations (touches,
+        untouched repeats, a key added, one removed), ``take()`` and
+        ``take(defer=True)`` + ``flush()`` leave entries equal in kind,
+        image and size, and in total modelled cost (event path +
+        background) once the deferred capture charge is set aside."""
+        import random
+
+        def run(defer):
+            rng = random.Random(seed)
+            app = DictApp()
+            store = CheckpointStore(keep=64, full_every=4)
+            store.take(app, before_seq=1, now=0.0)
+            dirty = [None]              # the first take is never deferred
+            for seq in range(2, 30):
+                before = app.state_versions()
+                roll = rng.random()
+                if roll < 0.5:
+                    app.touch(rng.choice("ab"), {"v": rng.randrange(99)})
+                elif roll < 0.6:
+                    app.touch(f"k{seq}", seq)
+                elif roll < 0.7 and len(app.state) > 2:
+                    gone = min(k for k in app.state if k[0] == "k")
+                    del app.state[gone], app.versions[gone]
+                dirty.append(sum(before.get(k) != v
+                                 for k, v in app.versions.items()))
+                store.take(app, before_seq=seq, now=float(seq), defer=defer)
+                if rng.random() < 0.3:
+                    store.flush()
+            store.flush()
+            return store, dirty
+
+        (sync, dirty), (deferred, _) = run(False), run(True)
+        assert deferred.deferred_takes == 28 and sync.deferred_takes == 0
+        assert {c.kind for c in sync.history()} == {FULL, DELTA, DEDUP}
+        for a, b, n in zip(sync.history(), deferred.history(), dirty):
+            assert (a.kind, a.blob, a.state_size) \
+                == (b.kind, b.blob, b.state_size)
+            assert a.encode_cost == 0.0
+            capture = 0.0 if n is None else (
+                deferred.capture_base_cost
+                + n * deferred.capture_per_key_cost)
+            assert b.cost + b.encode_cost - capture == pytest.approx(
+                a.cost, rel=1e-12)
+        assert deferred.total_cost == pytest.approx(
+            sum(c.cost + c.encode_cost for c in deferred.history()))
 
     def test_flush_is_a_durability_barrier(self):
         app = DictApp()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import LearningSwitch, ShortestPathRouting
+from repro.core.crashpad.checkpoint import CheckpointError
 from repro.core.guard import ControllerGuard
 from repro.core.runtime import LegoSDNRuntime
 from repro.network.net import Network
@@ -37,6 +38,19 @@ class TestSnapshotting:
         net.controller.crash(RuntimeError("x"), culprit="t")
         net.run_for(2.0)
         assert guard.snapshots_taken == taken
+
+    def test_service_state_outside_the_codec_is_a_typed_error(self):
+        """Service state goes through the one state encoding: a value
+        it has no tag for is refused, naming the key -- never pickled
+        into a snapshot nobody could vouch for."""
+        net, runtime = warmed()
+        guard = ControllerGuard(net.controller)
+        before = guard.take_snapshot()
+        net.controller.counters.snapshot = lambda: {"weights": complex(1, 2)}
+        with pytest.raises(CheckpointError,
+                           match="controller services.*'counters'"):
+            guard.take_snapshot()
+        assert guard.snapshot is before and guard.snapshots_taken == 1
 
     def test_stop_halts(self):
         net, runtime = warmed()

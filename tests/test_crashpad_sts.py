@@ -1,10 +1,9 @@
 """Tests for the STS-style minimal causal sequence search (§5)."""
 
-import pickle
-
 import pytest
 
 from repro.apps.base import SDNApp
+from repro.core.crashpad.checkpoint import CheckpointStore
 from repro.core.crashpad.sts import (
     CausalSequenceResult,
     find_minimal_causal_sequence,
@@ -46,7 +45,9 @@ class AccumulatorApp(SDNApp):
 
 
 def blob_of(app):
-    return pickle.dumps(app.get_state())
+    """The app's state as STS takes it: a checkpoint's buffer map."""
+    store = CheckpointStore()
+    return store.buffers(store.take(app, before_seq=1, now=0.0))
 
 
 class TestMinimalCausalSequence:
@@ -118,6 +119,63 @@ class TestMinimalCausalSequence:
             max_probes=5,
         )
         assert result.probe_runs <= 6  # budget + the initial checks
+
+    @pytest.mark.parametrize("max_probes", [1, 2, 3, 5, 8])
+    def test_probe_budget_is_a_bound_not_a_hint(self, max_probes):
+        """Regression: the budget was tested once per ddmin round, so a
+        round in flight overshot it (8 probes under ``max_probes=5``
+        here, 4 under 3).  Every probe is a full replay on the stub."""
+        triggers = ("A", "B", "C")
+        payloads = {1: "A", 6: "B", 11: "C"}
+        history = [(i, pktin(payloads.get(i, "n"))) for i in range(16)]
+        replays = []
+
+        class Counted(AccumulatorApp):
+            def set_state(self, state):
+                replays.append(1)
+                super().set_state(state)
+
+        result = find_minimal_causal_sequence(
+            lambda: Counted(triggers, "GO"),
+            blob_of(AccumulatorApp(triggers, "GO")),
+            history=history, offending=(16, pktin("GO")),
+            max_probes=max_probes,
+        )
+        assert result.probe_runs == len(replays) <= max_probes
+        # Whatever the budget cut short, the answer still reproduces.
+        assert {1, 6, 11, 16} <= set(result.culprit_seqs)
+
+    def test_probes_do_not_share_state(self):
+        """A replica that mutates its state *in place* (appends to a
+        list inside a dict-valued key) must not leak that into the next
+        probe: every probe decodes the checkpoint's buffers afresh."""
+        starts = []
+
+        class InPlace(SDNApp):
+            name = "inplace"
+            subscriptions = ("PacketIn",)
+
+            def __init__(self):
+                super().__init__()
+                self.table = {"seen": []}
+
+            def set_state(self, state):
+                super().set_state(state)
+                starts.append(list(self.table["seen"]))
+
+            def on_packet_in(self, event):
+                self.table["seen"].append(event.packet.payload)
+                if self.table["seen"][-3:] == ["A", "B", "GO"]:
+                    raise RuntimeError("in-place state bug")
+
+        history = [(1, pktin("n")), (2, pktin("A")), (3, pktin("B"))]
+        result = find_minimal_causal_sequence(
+            InPlace, blob_of(InPlace()),
+            history=history, offending=(4, pktin("GO")),
+        )
+        assert result.culprit_seqs == [2, 3, 4]
+        assert len(starts) == result.probe_runs > 2
+        assert all(start == [] for start in starts)
 
     def test_search_never_mutates_live_state(self):
         base = AccumulatorApp(triggers=("A",), detonator="GO")

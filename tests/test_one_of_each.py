@@ -1,0 +1,89 @@
+"""One of each: the mechanisms that exist once stay single.
+
+An AST scan, names only, like the option census (a coarse net by
+design).  Each check names a *second implementation* that existed
+until PR 21 and the place the one survivor lives, so the next copy has
+to arrive by editing this file:
+
+- one delta-debugging minimiser (``ddmin`` in
+  ``core/crashpad/sts.py``; ``repro.debug`` runs the same function);
+- percentile/quantile rules defined in ``metrics/collector.py`` (exact
+  samples) and ``bench/hist.py`` (streaming buckets), nowhere else;
+- ``pickle`` only as ``checkpoint.py``'s in-process framing of
+  ``{key: bytes}`` maps -- app and service state have one encoding;
+- no hashing in ``checkpoint.py``: dedup is the buffer diff the delta
+  already computes.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+SCANNED = (SRC, ROOT / "benchmarks")
+
+STS = SRC / "core" / "crashpad" / "sts.py"
+CHECKPOINT = SRC / "core" / "crashpad" / "checkpoint.py"
+PERCENTILE_HOMES = {SRC / "metrics" / "collector.py", SRC / "bench" / "hist.py"}
+
+
+def _trees():
+    for base in SCANNED:
+        for path in sorted(base.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module.split(".")[0]
+
+
+def _names_granularity(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "granularity"
+               for n in ast.walk(node))
+
+
+def test_one_ddmin_and_no_other_granularity_loop():
+    homes = []
+    strays = []
+    for path, tree in _trees():
+        for fn in _functions(tree):
+            if fn.name == "ddmin":
+                homes.append(path)
+            elif _names_granularity(fn):
+                strays.append(f"{path.relative_to(ROOT)}:{fn.name}")
+    assert homes == [STS], homes
+    assert not strays, f"a second ddmin-style loop: {strays}"
+
+
+def test_percentile_rules_live_in_one_module_per_kind():
+    strays = [
+        f"{path.relative_to(ROOT)}:{fn.name}"
+        for path, tree in _trees() if path not in PERCENTILE_HOMES
+        for fn in _functions(tree)
+        if fn.name.endswith(("percentile", "quantile"))]
+    assert not strays, strays
+
+
+def test_pickle_is_imported_only_by_the_checkpoint_framing():
+    importers = [path for path, tree in _trees() if path.is_relative_to(SRC)
+                 and {"pickle", "cPickle", "_pickle"} & set(
+                     _imported_modules(tree))]
+    assert importers == [CHECKPOINT], importers
+
+
+def test_checkpoint_store_does_not_hash():
+    tree = ast.parse(CHECKPOINT.read_text())
+    assert "hashlib" not in set(_imported_modules(tree))
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"blake2b", "state_hash", "_prev_hash", "_hash_of"}
