@@ -13,15 +13,27 @@ as a dict of wire-encodable values (see :meth:`SDNApp.get_state`) and
 implementation snapshots ``__dict__`` (minus the API handle), which is
 the Python analogue of CRIU checkpointing a whole process image.
 
-Apps may additionally opt into **dirty-key tracking**
+Apps may additionally opt into **dirty tracking**
 (:meth:`enable_dirty_tracking` + :meth:`mark_dirty`): a per-state-key
 version counter the checkpoint store consults to skip re-encoding keys
 whose version has not moved since the previous snapshot -- the CRIU
 ``--track-mem`` soft-dirty analogue, in app space.  The contract is
 strict: once tracking is on, *every* mutation of a state value must be
-announced with ``mark_dirty(key)`` (key creation included; deletions
-are detected by key absence).  Apps that do not opt in keep the
-conservative fallback: every key is treated as dirty on every take.
+announced:
+
+- ``mark_dirty(key, entry)`` when one entry of a dict-valued state key
+  was set or deleted -- the store then checkpoints that entry, not the
+  dict it lives in;
+- ``mark_dirty(key)`` for anything else: a scalar, a list, a key just
+  created, and above all a dict-valued key that was **deleted or
+  replaced** -- its old entries are gone without having been named, so
+  the whole value is what changed, and that verdict sticks (later
+  entry marks do not narrow it) until the store next asks.
+
+Apps that do not opt in keep the conservative fallback: every key is
+treated as dirty on every take.  Tracked or not, :meth:`get_state` may
+return its live containers: the store copies what it does not encode
+at once.
 """
 
 from __future__ import annotations
@@ -47,9 +59,15 @@ class SDNApp:
     subscriptions = ()
 
     #: Attributes excluded from checkpoints (runtime wiring, not state).
-    #: ``_state_versions`` is bookkeeping *about* the state, not state:
-    #: it survives restores untouched, exactly like the API handle.
-    _NON_STATE = frozenset({"api", "_state_versions"})
+    #: ``_state_versions`` and ``_moved_entries`` are bookkeeping
+    #: *about* the state, not state: they survive restores untouched,
+    #: exactly like the API handle.
+    _NON_STATE = frozenset({"api", "_state_versions", "_moved_entries"})
+
+    #: Entries :meth:`mark_dirty` remembers per key before it gives up
+    #: and calls the whole key dirty, so an app nobody checkpoints
+    #: holds O(keys) bookkeeping however long it runs.
+    MAX_MOVED_ENTRIES = 32
 
     def __init__(self, name: Optional[str] = None):
         if name is not None:
@@ -59,6 +77,11 @@ class SDNApp:
         #: key -> version counter; ``None`` means tracking is off and
         #: the checkpoint store must assume every key dirty.
         self._state_versions = None
+        #: key -> the entries of that (dict-valued) key that moved
+        #: since :meth:`dirty_entries` was last called (a dict used as
+        #: an ordered set, so a patch's bytes do not depend on hash
+        #: seeds), or ``None`` for "all of it".
+        self._moved_entries = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -96,8 +119,9 @@ class SDNApp:
         if self._state_versions is None:
             self._state_versions = {}
 
-    def mark_dirty(self, key) -> None:
-        """Bump ``key``'s version: its value changed (or was created).
+    def mark_dirty(self, key, entry=None) -> None:
+        """Bump ``key``'s version: its value changed (or was created),
+        and only at ``entry`` if one is given (``None``: all of it).
 
         No-op while tracking is off, so shared helpers can mark
         unconditionally.  ``key`` must be the *state-dict* key the
@@ -105,8 +129,28 @@ class SDNApp:
         :class:`LearningSwitch` table entry, not ``"mac_tables"``).
         """
         versions = self._state_versions
-        if versions is not None:
-            versions[key] = versions.get(key, 0) + 1
+        if versions is None:
+            return
+        versions[key] = versions.get(key, 0) + 1
+        moved = self._moved_entries
+        if entry is None:
+            moved[key] = None
+        elif key not in moved:
+            moved[key] = {entry: None}
+        elif (entries := moved[key]) is not None:
+            if len(entries) < self.MAX_MOVED_ENTRIES:
+                entries[entry] = None
+            else:
+                moved[key] = None
+
+    def dirty_entries(self) -> dict:
+        """Hand over, and forget, which entries moved since the last
+        call: key -> its entries that moved, or ``None`` for the whole
+        value.  A key whose version moved but is missing here is
+        whole-key."""
+        moved = dict(self._moved_entries)
+        self._moved_entries.clear()
+        return moved
 
     def state_versions(self) -> Optional[dict]:
         """The live per-key version map (``None`` = no tracking).
@@ -148,12 +192,10 @@ class SDNApp:
         this call, so any version bumped by the half-run handler that
         crashed is absorbed into the new baseline.
         """
-        api = self.api
-        versions = self._state_versions
+        wiring = {name: self.__dict__[name] for name in self._NON_STATE}
         self.__dict__.clear()
         self.__dict__.update(state)
-        self.api = api
-        self._state_versions = versions
+        self.__dict__.update(wiring)
 
     @staticmethod
     def packet_out_for(event, actions) -> "PacketOut":

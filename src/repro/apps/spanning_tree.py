@@ -86,15 +86,7 @@ class SpanningTreeSwitch(LearningSwitch):
 
     def on_packet_in(self, event):
         packet = event.packet
-        table = self.mac_tables.setdefault(event.dpid, {})
-        if table.get(packet.eth_src) != event.in_port:
-            self.mark_dirty(("macs", event.dpid))
-        table[packet.eth_src] = event.in_port
-        out_port = table.get(packet.eth_dst)
-        if out_port == event.in_port:
-            table.pop(packet.eth_dst, None)  # stale: relearn via flood
-            self.mark_dirty(("macs", event.dpid))
-            out_port = None
+        out_port = self._learn(event)
         if out_port is not None and not packet.is_broadcast():
             # Unicast install (tracked so a topology change can flush it).
             from repro.openflow.match import Match
@@ -194,9 +186,11 @@ class SpanningTreeSwitch(LearningSwitch):
             ))
         self._installed_rules = []
         self.mark_dirty("_installed_rules")
-        # Cleared tables vanish from the state's key set entirely (the
-        # per-switch ("macs", dpid) keys), which the checkpoint store
-        # detects as removals without any mark.
+        # Cleared tables vanish from the state's key set (the per-switch
+        # ("macs", dpid) keys); each is marked whole so that one
+        # re-learned before the next take is not patched over its past.
+        for dpid in self.mac_tables:
+            self.mark_dirty(("macs", dpid))
         self.mac_tables.clear()
 
     # get_state is inherited unchanged: the frozensets of ints this app

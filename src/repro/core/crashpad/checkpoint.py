@@ -9,52 +9,76 @@ checkpoint-frequency experiment measures a real trade-off.
 
 Checkpoints are **incremental** (the §5 direction: "rather than
 checkpointing after every event, we can checkpoint after every few
-events" -- we go further and make each checkpoint itself cheap):
+events" -- we go further and make each checkpoint itself cheap), and
+the unit of change is the one the app reports, carried unchanged from
+``mark_dirty`` to restore:
 
-- every entry is classified by diffing its per-key buffers against the
-  previous entry's: nothing changed and nothing removed is a zero-byte
-  **dedup** entry (only the verify pass is charged);
-- a **full** image is written every ``full_every`` checkpoints, with
-  per-key state **deltas** in between (changed/added keys encoded
-  individually, removed keys listed), the CRIU ``--track-mem``
-  incremental-dump analogue;
-- :meth:`CheckpointStore.buffers` reconstructs a delta entry by loading
-  the chain's full image and folding the deltas forward, so
-  restore-equivalence with full images holds for every chain prefix;
+- **key -> base + patches.**  Every state key is stored as a tuple of
+  buffers: a *base* (the whole value, encoded) followed by zero or
+  more *patches* (``(entries set, entries gone)`` of a dict-valued
+  key, encoded the same way).  A key whose version has not moved since
+  the previous take is never touched: the new entry shares the
+  previous entry's tuple and ``encodes_skipped`` counts the skip.  A
+  key that moved at entries the app named
+  (:meth:`~repro.apps.base.SDNApp.mark_dirty` ``(key, entry)``) gets
+  one more patch holding just those entries.  Anything else -- a
+  scalar, an untracked app, a key created, deleted or replaced since
+  the previous take, a take with no baseline to trust -- is re-encoded
+  whole into a fresh base.  :func:`decode_state` decodes the base and
+  applies the patches in order.
+- **fold.**  Patches make a restore read bytes a whole image would not
+  hold, so a dirty key whose patches already outweigh
+  ``fold_fraction`` of its base is *folded*: re-encoded whole from the
+  live value, exactly like any whole-dirty key.  Restore cost stays
+  within that fraction (plus the patches still in flight) of a full
+  image, bounded by sizes the store can see rather than by a setting.
+- **an image is its buffer map.**  A finalised :class:`Checkpoint`
+  holds its resolved ``{key: buffers}`` map.  Tuples and ``bytes`` are
+  shared between neighbouring entries, so an entry costs O(keys) beyond
+  the bytes it newly wrote (``size``), and nothing downstream ever
+  reassembles anything: :meth:`CheckpointStore.buffers` hands the map
+  out, eviction past ``keep`` promotes the new oldest entry by
+  relabelling it, and :meth:`restore`, the STS probes of
+  :mod:`repro.core.crashpad.sts` and
+  :class:`~repro.core.guard.ControllerGuard` all go through
+  :func:`decode_state`.
+- The *kinds* survive as the cost model's view of the same entries:
+  nothing changed and nothing removed is a zero-byte **dedup** entry
+  (only the verify pass is charged); every ``full_every``-th changed
+  entry is charged as a **full** dump of the state (CRIU's periodic
+  base image) and counts its whole state size as written; the rest are
+  **deltas** charged over the bytes they produced, the CRIU
+  ``--track-mem`` incremental-dump analogue.
 - restore also *truncates*: entries newer than the restored checkpoint
   describe a future the rollback abandoned, and are dropped so later
-  takes (dedup aliases, delta diffs) and :meth:`CheckpointStore.
-  latest_before` can never resurrect that timeline's state;
-- eviction past ``keep`` promotes the new oldest entry to a full image
-  first, so truncating a chain never strands its deltas.
+  takes and :meth:`CheckpointStore.latest_before` can never resurrect
+  that timeline's state.
 
 There is **one take path**.  :meth:`CheckpointStore.take` *captures*:
-per state key either a ``_SAME`` marker (the key is clean) or the
-value.  :meth:`CheckpointStore._finalize` turns a capture into an
-image -- it is the only place a state value is encoded -- and the two
-flavours of take differ only in *when* it runs:
+per state key a ``_SAME`` marker (the key is clean), a ``_Patch`` (the
+named entries' current values), or the value.
+:meth:`CheckpointStore._finalize` turns a capture into an image -- it
+is the only place a state value is encoded -- and the two flavours of
+take differ only in *when* it runs:
 
 - ``take()`` finalises at once and the whole modelled cost is the
   event-path ``cost``;
 - ``take(defer=True)`` (what the stub asks for unless it needs a
-  durable image) shallow-copies the dirty values, appends a *pending*
-  entry and leaves the encode to :meth:`drain` (wired into the stub's
-  heartbeat tick).  The event path pays only the capture cost; the
+  durable image) shallow-copies the whole-dirty values (a patch is
+  already a copy of just its entries), appends a *pending* entry and
+  leaves the encode to :meth:`drain` (wired into the stub's heartbeat
+  tick).  The event path pays only the capture cost; the
   encode/verify/write cost accrues to ``deferred_cost`` and a
   ``crashpad.encode`` span instead of the ``appvisor.event`` span.
   Deferring needs a clean/dirty baseline and a predecessor to diff
   against; without them the take is synchronous anyway.
 
-**Dirty-key tracking** decides clean from dirty: apps that opt into
-:meth:`~repro.apps.base.SDNApp.mark_dirty` expose a per-key version
-map, and a key whose version has not moved since the previous take is
-*never re-encoded* -- its previous buffer is reused and
-``encodes_skipped`` counts the skip.  The modelled verify cost then
-covers only the re-encoded (dirty) bytes plus a per-key version
-compare: checkpoint cost becomes O(dirty state), not O(app state), and
-a take whose entire version map is unchanged is an all-``_SAME``
-capture that dedups without touching a single value.  Apps without
-version tracking have every key captured dirty.
+The modelled verify cost covers only the bytes the take produced plus
+a per-key version compare: checkpoint cost is O(what changed), not
+O(app state), and a take whose entire version map is unchanged is an
+all-``_SAME`` capture that dedups without touching a single value.
+Apps without version tracking have every key captured whole; apps that
+expose only ``state_versions()`` are tracked per key.
 
 Pending entries are not durable: a crash before the drain drops them
 (:meth:`drop_pending`) and recovery falls back to the previous durable
@@ -64,26 +88,17 @@ failover promotion, eviction, :meth:`~CheckpointStore.buffers`) force a
 state layout: values are at most one level of mutable container whose
 elements are immutable or replaced (never mutated) in place.
 
-Every state value is serialised **once** per take: the diff and the
-stored blob read the same per-key encoded buffer (a full image stores
-the buffers themselves, keyed, rather than re-encoding the whole
-state), and so does everything downstream -- :meth:`restore`, the STS
-probes of :mod:`repro.core.crashpad.sts` and
-:class:`~repro.core.guard.ControllerGuard` all decode buffer maps
-through :func:`decode_state`.
-The buffers come from the wire codec in
+Every buffer, patches included, comes from the wire codec in
 :mod:`repro.openflow.serialization` (schema-interned field names,
-varint ints).  That codec is the only state encoding: a state that is
-not a dict, or holds a value the codec has no tag for, breaks the
-:meth:`~repro.apps.base.SDNApp.get_state` contract and the take raises
-:class:`CheckpointError` naming the app and the key.  ``pickle``
-appears here only as the in-process framing of ``{key: bytes}`` maps
-(the modelled cost charges its length); it never sees a state value.
-Because encoding is an in-process, per-key userspace pass -- not a
-freeze-the-world incremental dump -- delta takes charge
-``encode_per_byte_cost`` over the *changed* bytes and no fixed freeze
-constant, which is what makes per-event checkpointing cheap enough for
-the E19 load envelope.
+varint ints) and is produced **once**.  That codec is the only state
+encoding: a state that is not a dict, or holds a value the codec has
+no tag for, breaks the :meth:`~repro.apps.base.SDNApp.get_state`
+contract and the take raises :class:`CheckpointError` naming the app
+and the key.  Because encoding is an in-process userspace pass over
+what changed -- not a freeze-the-world incremental dump -- delta takes
+charge ``encode_per_byte_cost`` over the bytes produced and no fixed
+freeze constant, which is what makes per-event checkpointing cheap
+enough for the E19 load envelope.
 
 A checkpoint taken *before* event ``seq`` is keyed by ``before_seq``:
 it captures the state produced by events ``1 .. seq-1``.
@@ -91,7 +106,6 @@ it captures the state produced by events ``1 .. seq-1``.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -101,15 +115,12 @@ from repro.openflow.serialization import (
     encode_state_value,
 )
 
+#: One state key's stored form: its base buffer, then its patches.
+Buffers = Tuple[bytes, ...]
+
 
 class CheckpointError(RuntimeError):
     """State could not be snapshotted or restored."""
-
-
-#: What unpickling a damaged ``{key: bytes}`` frame can raise (the
-#: ``pickle`` documentation's list) or unpacking its result can.
-_FRAMING_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
-                   ImportError, IndexError, TypeError, ValueError)
 
 
 def encode_state_key(owner: str, key, value) -> bytes:
@@ -124,14 +135,25 @@ def encode_state_key(owner: str, key, value) -> bytes:
             f"contract: {exc}") from exc
 
 
-def decode_state(buffers: Dict[object, bytes]) -> dict:
-    """The state a per-key buffer map encodes: fresh objects on every
-    call, so no two restores (or STS probes) share a mutable value."""
-    return {key: decode_state_value(buf) for key, buf in buffers.items()}
+def decode_state(buffers: Dict[object, Buffers]) -> dict:
+    """The state a per-key buffer map encodes -- each key's base with
+    its patches applied in order: fresh objects on every call, so no
+    two restores (or STS probes) share a mutable value."""
+    state = {}
+    for key, (base, *patches) in buffers.items():
+        value = decode_state_value(base)
+        for patch in patches:
+            changed, gone = decode_state_value(patch)
+            for entry in gone:
+                value.pop(entry, None)
+            value.update(changed)
+        state[key] = value
+    return state
 
 
-#: Checkpoint kinds: a self-contained image, a per-key diff against the
-#: previous entry, or a zero-byte alias for an unchanged state.
+#: Checkpoint kinds, as the cost model charges them: a dump of the
+#: whole state, the bytes that changed since the previous entry, or a
+#: zero-byte alias for an unchanged state.
 FULL = "full"
 DELTA = "delta"
 DEDUP = "dedup"
@@ -147,6 +169,17 @@ class _Same:
 
 
 _SAME = _Same()
+
+
+class _Patch:
+    """Capture marker: the previous entry's value for this dict-valued
+    key, with these entries set and these gone."""
+
+    __slots__ = ("changed", "gone")
+
+    def __init__(self, value: dict, entries):
+        self.changed = {e: value[e] for e in entries if e in value}
+        self.gone = tuple(e for e in entries if e not in value)
 
 
 def _shallow_copy(value):
@@ -169,39 +202,36 @@ def _shallow_copy(value):
 class Checkpoint:
     """One snapshot of an app's state.
 
-    ``blob`` holds the image for ``kind == "full"`` (a pickled map of
-    per-key encoded buffers), the pickled ``(changed, removed)`` diff
-    for ``"delta"``, and is empty for ``"dedup"`` entries (the state
-    equals the previous entry's).
-
+    A finalised entry *is* its ``buffers`` map (key -> base buffer and
+    patches; tuples and bytes shared with the neighbouring entries).
     A **pending** entry has not been encoded yet: ``capture`` holds the
-    per-key markers (``_SAME`` or a shallow-copied value) and ``blob``
-    is empty until :meth:`CheckpointStore.drain` finalises it.  Pending
+    per-key markers (``_SAME``, a ``_Patch``, or a shallow-copied
+    value) until :meth:`CheckpointStore.drain` finalises it.  Pending
     entries are not durable -- a crash drops them.
     """
 
     before_seq: int
     taken_at: float
-    blob: bytes
     kind: str = FULL
-    #: Total size of the state's per-key buffers (what a full dump of
-    #: this state would cost; 0 while pending).
+    #: Bytes this entry added to the store: what it newly wrote (0 for
+    #: dedup; a full image counts its whole state), or, once eviction
+    #: has made it the oldest entry, the whole image it now anchors.
+    size: int = 0
+    #: Total size of the state's per-key buffers, patches included
+    #: (what restoring this entry reads; 0 while pending).
     state_size: int = 0
     #: Modelled sim-time cost charged on the event path when this
     #: checkpoint was taken (for deferred takes: the capture only).
     cost: float = 0.0
     #: True until a deferred take's encode has been drained.
     pending: bool = False
-    #: The capture until it is finalised: key -> ``_SAME`` | value.
+    #: The capture until it is finalised: key -> marker | value.
     capture: Optional[dict] = field(default=None, repr=False)
+    #: The image once it is: key -> (base, *patches).  Read-only.
+    buffers: Optional[Dict[object, Buffers]] = field(default=None, repr=False)
     #: Modelled background cost of the deferred encode (0 for
     #: synchronous takes, where everything is in ``cost``).
     encode_cost: float = 0.0
-
-    @property
-    def size(self) -> int:
-        """Bytes this checkpoint retains on disk (0 for dedup)."""
-        return len(self.blob)
 
 
 class CheckpointStore:
@@ -212,17 +242,20 @@ class CheckpointStore:
     ``hash_per_byte_cost`` is what the verify pass charges per
     (re-)encoded byte -- it stands for CRIU's check of the pages it
     re-dumped; no host code hashes -- and deltas are charged
-    ``encode_per_byte_cost`` over the changed bytes (userspace
+    ``encode_per_byte_cost`` over the bytes they produced (userspace
     incremental encode, no freeze).  With version tracking the verify
-    pass covers only the re-encoded bytes plus
+    pass covers only those bytes plus
     ``version_check_per_key_cost`` per key.  Deferred takes
     charge ``capture_base_cost`` + ``capture_per_key_cost`` per dirty
     key on the event path and everything else in the background drain.
     All costs are in simulated seconds, and all seven are constants of
-    the model (class attributes), not settings.  ``keep`` bounds
+    the model (class attributes), not settings; so is
+    ``fold_fraction``, the share of a key's base its patches may reach
+    before the key is re-encoded whole.  ``keep`` bounds
     retention (rollbacks only ever reach back a bounded number of
     events -- §5 discusses reading "a history of snapshots");
-    ``full_every`` caps delta-chain length so restores stay cheap.
+    ``full_every`` is how often a changed entry is charged as a full
+    dump.
 
     ``metrics`` (optional :class:`~repro.metrics.collector.
     MetricsCollector`) mirrors take/skip/byte counters into the
@@ -236,6 +269,7 @@ class CheckpointStore:
     capture_base_cost = 2e-5
     capture_per_key_cost = 1e-6
     version_check_per_key_cost = 5e-8
+    fold_fraction = 1 / 32
 
     def __init__(self, keep: int = 16, full_every: int = 8, metrics=None):
         if keep < 1:
@@ -249,22 +283,23 @@ class CheckpointStore:
         #: Pending (not yet encoded) entries, FIFO -- always a suffix
         #: of ``_checkpoints``.
         self._pending: List[Checkpoint] = []
-        #: Per-key encoded buffers of the most recent *finalised* state
-        #: (take, drain, or restore), the diff base for the next
-        #: delta/finalise.
-        self._prev_key_blobs: Optional[Dict[object, bytes]] = None
+        #: Buffer map of the most recent *finalised* state (take,
+        #: drain, or restore): what the next finalise shares clean
+        #: keys with, lays patches over and diffs against.
+        self._prev_buffers: Optional[Dict[object, Buffers]] = None
         #: (version map, key set) of the most recent *take* (pending
         #: included), the clean/dirty baseline for the next; None when
         #: the app tracks no versions or the take it described is gone.
-        #: Only ever set where ``_prev_key_blobs`` is (or will be, by
+        #: Only ever set where ``_prev_buffers`` is (or will be, by
         #: the drain of the pending take) set for the same keys.
         self._baseline: Optional[Tuple[Dict[object, int], frozenset]] = None
         #: Whose state this is (learnt at :meth:`take`), so an encode
         #: that fails later, in :meth:`drain`, can still name the app.
         self._app_name = ""
-        #: Entries since (and including) the last full image; resets
-        #: the delta chain when it reaches ``full_every``.  Advanced at
-        #: finalise time so deferred entries classify in FIFO order.
+        #: Entries since (and including) the last full image; the next
+        #: changed entry is a full one when it reaches ``full_every``.
+        #: Advanced at finalise time so deferred entries classify in
+        #: FIFO order.
         self._chain_len = 0
         #: Newest event seq the owning stub has reported
         #: (:meth:`note_seq`); drives the checkpoint-lag stat.
@@ -282,8 +317,8 @@ class CheckpointStore:
         self.total_cost = 0.0
         #: Value-codec invocation counts.  ``value_encodes`` is the
         #: serialize-call count the double-serialization regression
-        #: test pins: one encode per *dirty* state key per (non-dedup'd
-        #: differing) take, no re-encodes for the stored image.
+        #: test pins: one encode per *dirty* state key per take (the
+        #: whole value or one patch), none for the stored image.
         self.value_encodes = 0
         self.value_decodes = 0
         #: Keys whose encode was skipped because their version (and so
@@ -296,18 +331,13 @@ class CheckpointStore:
         self.deferred_cost = 0.0
         self.pending_dropped = 0
 
-    # -- value codec -----------------------------------------------------
-
-    def _encode_val(self, key, value) -> bytes:
-        self.value_encodes += 1
-        return encode_state_key(self._app_name, key, value)
-
     # -- snapshot --------------------------------------------------------
 
     @staticmethod
-    def _versions_of(app) -> Optional[Dict[object, int]]:
-        """The app's live version map, or None (conservative path)."""
-        source = getattr(app, "state_versions", None)
+    def _tracking_of(app, name: str):
+        """What the app's optional ``name`` tracking method reports, or
+        None if it has none (conservative path)."""
+        source = getattr(app, name, None)
         return source() if callable(source) else None
 
     @staticmethod
@@ -323,24 +353,36 @@ class CheckpointStore:
         if seq > self._last_seq:
             self._last_seq = seq
 
+    def _fold_due(self, key) -> bool:
+        """Do ``key``'s patches already outweigh ``fold_fraction`` of
+        its base?  Judged on the last finalised image -- the sizes the
+        store can see; a pending base or patch counts once encoded."""
+        base, *patches = self._prev_buffers.get(key) or (b"",)
+        return sum(map(len, patches)) > self.fold_fraction * len(base)
+
     def take(self, app, before_seq: int, now: float,
              defer: bool = False) -> Checkpoint:
         """Snapshot ``app`` prior to event ``before_seq``.
 
         Captures the state -- per key ``_SAME`` when the app's version
-        map vouches it has not moved since the previous take, else the
-        value -- and finalises the capture at once, or with ``defer``
-        leaves that to :meth:`drain` (deferring needs version tracking
-        on the app and a predecessor to diff against; without them the
-        take is synchronous anyway).  Returns the checkpoint; its
-        modelled (event-path) cost is available via :meth:`cost_of`
-        and accumulated in :attr:`total_cost`.
+        map vouches it has not moved since the previous take, a
+        ``_Patch`` when the app named the entries that did (and the
+        key is due no fold), else the value -- and finalises the
+        capture at once, or with ``defer`` leaves that to :meth:`drain`
+        (deferring needs version tracking on the app and a predecessor
+        to diff against; without them the take is synchronous anyway).
+        Returns the checkpoint; its modelled (event-path) cost is
+        available via :meth:`cost_of` and accumulated in
+        :attr:`total_cost`.
         """
         self.note_seq(before_seq)
         self._app_name = app.name
         try:
             state = app.get_state()
-            versions = self._versions_of(app)
+            versions = self._tracking_of(app, "state_versions")
+            # Asked on every take, used or not: the marks are "since
+            # the store last asked".
+            moved = self._tracking_of(app, "dirty_entries") or {}
         except Exception as exc:  # noqa: BLE001 - fault boundary: app code
             raise CheckpointError(f"cannot snapshot {app.name}: {exc}") from exc
         if not isinstance(state, dict):
@@ -353,22 +395,26 @@ class CheckpointStore:
         if not defer:
             self.flush()
         prev_versions, prev_keys = baseline or ({}, ())
-        # Dirty values are shallow-copied only when their encode waits,
+        # Whole values are shallow-copied only when their encode waits,
         # so later in-place mutations by the app cannot leak into it.
         capture: Dict[object, object] = {}
         dirty = 0
         for key, value in state.items():
-            if (key in prev_keys
-                    and versions.get(key) == prev_versions.get(key)):
+            known = key in prev_keys
+            if known and versions.get(key) == prev_versions.get(key):
                 capture[key] = _SAME
+                continue
+            entries = moved.get(key) if known else None
+            if (entries is not None and isinstance(value, dict)
+                    and not self._fold_due(key)):
+                capture[key] = _Patch(value, entries)
             else:
                 capture[key] = _shallow_copy(value) if defer else value
-                dirty += 1
+            dirty += 1
         version_cost = (len(state) * self.version_check_per_key_cost
                         if versions is not None else 0.0)
         checkpoint = Checkpoint(before_seq=before_seq, taken_at=now,
-                                blob=b"", kind=DELTA, pending=defer,
-                                capture=capture)
+                                kind=DELTA, pending=defer, capture=capture)
         if defer:
             checkpoint.cost = (self.capture_base_cost
                                + dirty * self.capture_per_key_cost
@@ -380,8 +426,7 @@ class CheckpointStore:
         self._baseline = self._baseline_of(versions, state)
         self._checkpoints.append(checkpoint)
         if len(self._checkpoints) > self.keep:
-            # Eviction promotes the survivor through the dropped
-            # entries, which needs every image final.
+            # The survivor of an eviction must hold its image.
             self.flush()
             self._evict(len(self._checkpoints) - self.keep)
         self.taken_count += 1
@@ -392,36 +437,72 @@ class CheckpointStore:
 
     def _finalize(self, entry: Checkpoint,
                   version_cost: float = 0.0) -> float:
-        """Turn ``entry``'s capture into its image: resolve ``_SAME``
-        markers against the predecessor's buffers, encode the rest
-        (the one place a state value is encoded), classify.  Returns
-        the modelled cost -- the verify pass reads what was
-        (re-)encoded, plus ``version_cost``, plus the write."""
-        prev = self._prev_key_blobs or {}
-        key_blobs: Dict[object, bytes] = {}
-        encoded_bytes = 0
-        skipped = 0
+        """Turn ``entry``'s capture into its image: share the
+        predecessor's buffers for ``_SAME`` keys, lay an encoded patch
+        over them for ``_Patch`` keys, encode the rest whole (the one
+        place a state value is encoded), classify.  Returns the
+        modelled cost -- the verify pass reads what was encoded, plus
+        ``version_cost``, plus the write."""
+        prev = self._prev_buffers or {}
+        buffers: Dict[object, Buffers] = {}
+        encoded = written = skipped = 0
         for key, marker in entry.capture.items():
+            whole = marker is not _SAME and type(marker) is not _Patch
+            if not whole and key not in prev:
+                raise CheckpointError(
+                    f"capture at before_seq={entry.before_seq} "
+                    "references a key with no predecessor buffer")
             if marker is _SAME:
-                try:
-                    key_blobs[key] = prev[key]
-                except KeyError:
-                    raise CheckpointError(
-                        f"capture at before_seq={entry.before_seq} "
-                        "references a key with no predecessor buffer"
-                    ) from None
+                buffers[key] = prev[key]
                 skipped += 1
+                continue
+            if whole:
+                buf = encode_state_key(self._app_name, key, marker)
+                buffers[key] = (buf,)
+                if prev.get(key) != (buf,):
+                    written += len(buf)
             else:
-                blob = self._encode_val(key, marker)
-                key_blobs[key] = blob
-                encoded_bytes += len(blob)
+                buf = encode_state_key(self._app_name, key,
+                                       (marker.changed, marker.gone))
+                buffers[key] = prev[key] + (buf,)
+                written += len(buf)
+            self.value_encodes += 1
+            encoded += len(buf)
         self.encodes_skipped += skipped
         entry.capture = None
         entry.pending = False
-        cost = self._classify(
-            entry, key_blobs,
-            encoded_bytes * self.hash_per_byte_cost + version_cost)
-        self._record_durable(entry)
+        entry.buffers = buffers
+        entry.state_size = sum(len(buf) for bufs in buffers.values()
+                               for buf in bufs)
+        cost = encoded * self.hash_per_byte_cost + version_cost
+        diffable = bool(self._checkpoints) and self._prev_buffers is not None
+        if diffable and not written and len(buffers) == len(prev):
+            # Unchanged since the last checkpoint (nothing written means
+            # every key is the predecessor's; as many keys means none
+            # was removed): record the position, share the
+            # predecessor's image, charge only the verify pass.
+            entry.kind = DEDUP
+            self.dedup_hits += 1
+        elif diffable and self._chain_len < self.full_every:
+            # Userspace incremental encode: pay per changed byte, no
+            # freeze-the-world constant.
+            entry.kind = DELTA
+            entry.size = written
+            cost += written * (self.encode_per_byte_cost
+                               + self.per_byte_cost)
+            self._chain_len += 1
+            self.delta_count += 1
+        else:
+            entry.kind = FULL
+            entry.size = entry.state_size
+            cost += self.base_cost + entry.size * self.per_byte_cost
+            self._chain_len = 1
+            self.full_count += 1
+        self._prev_buffers = buffers
+        self.total_bytes += entry.size
+        self.bytes_written += entry.size
+        if self.metrics is not None and entry.size:
+            self.metrics.inc("checkpoint.bytes_written", entry.size)
         return cost
 
     def drain(self) -> Tuple[List[Checkpoint], float]:
@@ -460,86 +541,25 @@ class CheckpointStore:
                              if id(c) not in pending]
         self._pending.clear()
         self.pending_dropped += dropped
-        # The clean/dirty baseline described a dropped take; the next
-        # take must not skip against it.  (Restore re-pairs the
+        # The clean/dirty baseline described a dropped take (and the
+        # entry marks it consumed went with it); the next take must
+        # not skip or patch against it.  (Restore re-pairs the
         # baseline right after, on the crash path.)
         self._baseline = None
         if self.metrics is not None:
             self.metrics.inc("checkpoint.pending_dropped", dropped)
         return dropped
 
-    @staticmethod
-    def _keymap_blob(key_blobs: Dict[object, bytes]) -> bytes:
-        """Serialise the per-key buffer map as a FULL image, reusing
-        the already-encoded buffers (no per-value re-serialization)."""
-        return pickle.dumps(key_blobs, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _classify(self, entry: Checkpoint,
-                  key_blobs: Dict[object, bytes],
-                  hash_cost: float) -> float:
-        """Decide dedup / delta / full for ``entry`` by diffing its
-        per-key buffers against the previous entry's, and fill in its
-        image.  Returns the modelled cost (``hash_cost`` plus the
-        write)."""
-        prev = self._prev_key_blobs
-        entry.state_size = sum(len(b) for b in key_blobs.values())
-        diff = None     # (changed, removed) against the previous entry
-        if self._checkpoints and prev is not None:
-            diff = ({k: b for k, b in key_blobs.items() if prev.get(k) != b},
-                    tuple(k for k in prev if k not in key_blobs))
-        if diff == ({}, ()):
-            # Unchanged since the last checkpoint: record the position,
-            # share the predecessor's image, charge only the verify pass.
-            entry.kind = DEDUP
-            self.dedup_hits += 1
-            cost = hash_cost
-        elif diff is not None and self._chain_len < self.full_every:
-            entry.kind = DELTA
-            entry.blob = pickle.dumps(diff, protocol=pickle.HIGHEST_PROTOCOL)
-            # Userspace incremental encode: pay per changed byte, no
-            # freeze-the-world constant.
-            changed_bytes = sum(len(b) for b in diff[0].values())
-            cost = (hash_cost + changed_bytes * self.encode_per_byte_cost
-                    + len(entry.blob) * self.per_byte_cost)
-        else:
-            entry.kind = FULL
-            entry.blob = self._keymap_blob(key_blobs)
-            cost = (hash_cost + self.base_cost
-                    + len(entry.blob) * self.per_byte_cost)
-        self._prev_key_blobs = key_blobs
-        return cost
-
-    def _record_durable(self, entry: Checkpoint) -> None:
-        """Chain and byte accounting for an entry whose image now
-        exists (a synchronous take, or a deferred one just drained)."""
-        if entry.kind == FULL:
-            self._chain_len = 1
-            self.full_count += 1
-        elif entry.kind == DELTA:
-            self._chain_len += 1
-            self.delta_count += 1
-        self.total_bytes += entry.size
-        self.bytes_written += entry.size
-        if self.metrics is not None and entry.size:
-            self.metrics.inc("checkpoint.bytes_written", entry.size)
-
     def _evict(self, count: int) -> None:
-        """Drop the ``count`` oldest entries, keeping chains restorable.
-
-        If the survivor at the cut is a delta or dedup entry, it is
-        promoted to a full image first (materialised through the
-        entries about to be dropped), so truncation never strands a
-        chain's tail past its base.  Promotion folds the chain's
-        *buffers* -- values are never decoded or re-encoded.
-        """
+        """Drop the ``count`` oldest entries.  Every entry holds its
+        whole image, so nothing is stranded; the new oldest entry is
+        relabelled a full image and owns, for the retained-bytes
+        count, everything it shared with the entries just dropped.
+        Nothing is written."""
         survivor = self._checkpoints[count]
-        if survivor.kind != FULL:
-            blobs = self.buffers(survivor)
-            blob = self._keymap_blob(blobs)
-            self.total_bytes += len(blob) - survivor.size
-            self.bytes_written += len(blob)
-            survivor.blob = blob
-            survivor.kind = FULL
+        self.total_bytes += survivor.state_size - survivor.size
+        survivor.size = survivor.state_size
+        survivor.kind = FULL
         for old in self._checkpoints[:count]:
             self.total_bytes -= old.size
         self.evicted_count += count
@@ -552,10 +572,8 @@ class CheckpointStore:
 
     def restore_cost_of(self, checkpoint: Checkpoint) -> float:
         """Simulated seconds a restore from ``checkpoint`` costs: one
-        full-image load plus folding in the chain's delta bytes."""
-        extra = sum(entry.size for entry in self._chain(checkpoint)[:-1])
-        return (self.base_cost
-                + (checkpoint.state_size + extra) * self.per_byte_cost)
+        load of its image, patches included."""
+        return self.base_cost + checkpoint.state_size * self.per_byte_cost
 
     # -- restore -----------------------------------------------------------
 
@@ -568,21 +586,6 @@ class CheckpointStore:
         raise CheckpointError(
             f"checkpoint before_seq={checkpoint.before_seq} "
             "is not in this store")
-
-    def _chain(self, checkpoint: Checkpoint) -> List[Checkpoint]:
-        """``checkpoint`` and the entries under it, newest first, down
-        to the full image its chain starts from."""
-        if checkpoint.kind == FULL:
-            return [checkpoint]
-        chain: List[Checkpoint] = []
-        idx = self._index_of(checkpoint)
-        for entry in reversed(self._checkpoints[:idx + 1]):
-            chain.append(entry)
-            if entry.kind == FULL:
-                return chain
-        raise CheckpointError(
-            f"delta chain for before_seq={checkpoint.before_seq} "
-            "has no full image")
 
     def latest_before(self, seq: int) -> Optional[Checkpoint]:
         """Newest checkpoint with ``before_seq`` <= ``seq``.
@@ -604,36 +607,25 @@ class CheckpointStore:
                 return entry
         return None
 
-    def buffers(self, checkpoint: Checkpoint) -> Dict[object, bytes]:
-        """The per-key encoded buffers at ``checkpoint`` -- what
-        :func:`decode_state` turns back into the state.  Delta/dedup
-        entries are reconstructed by folding their chain at the buffer
-        level (no value decodes), restore-equivalent to a full image
-        taken at the same point."""
+    def buffers(self, checkpoint: Checkpoint) -> Dict[object, Buffers]:
+        """The image at ``checkpoint``: per key its base buffer and
+        patches -- what :func:`decode_state` turns back into the state.
+        The map is the entry's own, shared with its neighbours: read
+        it, never write it."""
         if checkpoint.pending:
             self.flush()
-        chain = self._chain(checkpoint)
-        try:
-            blobs = dict(pickle.loads(chain.pop().blob))
-            for entry in reversed(chain):
-                if entry.kind != DELTA:
-                    continue  # dedup: state unchanged
-                changed, removed = pickle.loads(entry.blob)
-                for key in removed:
-                    blobs.pop(key, None)
-                blobs.update(changed)
-        except _FRAMING_ERRORS as exc:
+        if checkpoint.buffers is None:
             raise CheckpointError(
-                f"corrupt checkpoint chain at "
-                f"before_seq={checkpoint.before_seq}: {exc}") from exc
-        return blobs
+                f"checkpoint before_seq={checkpoint.before_seq} "
+                "holds no image")
+        return checkpoint.buffers
 
     def restore(self, app, checkpoint: Checkpoint) -> None:
         """Load ``checkpoint`` into ``app`` (the CRIU restore).
 
         Entries newer than the restored one are dropped: they describe
         a future the rollback abandoned, and leaving them in place
-        would let a later dedup take alias their (stale) chain -- or a
+        would let a later dedup take alias their (stale) image -- or a
         later :meth:`latest_before` pick one -- silently restoring the
         pre-rollback timeline's state.
 
@@ -642,33 +634,34 @@ class CheckpointStore:
         picking its target, so this flush is a no-op there.)
         """
         self.flush()
-        blobs = self.buffers(checkpoint)
+        buffers = self.buffers(checkpoint)
         try:
-            state = decode_state(blobs)
+            state = decode_state(buffers)
         except SerializationError as exc:
             raise CheckpointError(
                 f"corrupt checkpoint for {app.name}: {exc}"
             ) from exc
-        self.value_decodes += len(blobs)
+        self.value_decodes += sum(map(len, buffers.values()))
         app.set_state(state)
         self.restored_count += 1
         self._truncate_after(checkpoint)
-        # The next take diffs (and dedups) against the *restored*
-        # state, not the state of the last take (which the rollback
-        # just discarded).  A dedup may alias the restored entry --
-        # truncation just made it the newest -- which is exactly the
-        # state an unchanged take would re-capture.  The materialised
-        # buffers *are* the encoded form of the restored state, so
-        # they seed the diff base with no re-encode.
-        self._prev_key_blobs = blobs
+        # The next take shares, patches and diffs (and dedups) against
+        # the *restored* image, not the image of the last take (which
+        # the rollback just discarded).  A dedup may alias the restored
+        # entry -- truncation just made it the newest -- which is
+        # exactly the state an unchanged take would re-capture.
+        self._prev_buffers = buffers
         # Re-pair the version baseline with the restored buffers: the
         # version map survives set_state untouched (it is bookkeeping
         # about the state, not state), so pairing it with the restored
         # buffers *now* absorbs any version bumped by the handler that
-        # crashed mid-run.  Replay bumps versions for every key it
-        # touches, forcing their re-encode at the next take.
-        self._baseline = self._baseline_of(self._versions_of(app), state)
-        # Force the next changed-state take to open a fresh chain.
+        # crashed mid-run.  Replay bumps versions and marks entries for
+        # everything it touches, which the next take then captures over
+        # the restored image; entry marks left from before the rollback
+        # can only widen that capture, never narrow it.
+        self._baseline = self._baseline_of(
+            self._tracking_of(app, "state_versions"), state)
+        # Charge the next changed-state take as a fresh full image.
         self._chain_len = self.full_every
 
     def _truncate_after(self, checkpoint: Checkpoint) -> None:

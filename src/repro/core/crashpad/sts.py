@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.controller.api import AppAPI, TopoView
-from repro.core.crashpad.checkpoint import decode_state
+from repro.core.crashpad.checkpoint import Buffers, decode_state
 
 
 class _NullAPI(AppAPI):
@@ -89,7 +89,7 @@ class CausalSequenceResult:
 class _Replica:
     """A scratch copy of the app, rebuilt from a checkpoint's buffers."""
 
-    def __init__(self, app_factory: Callable, buffers: Dict[object, bytes]):
+    def __init__(self, app_factory: Callable, buffers: Dict[object, Buffers]):
         self.app_factory = app_factory
         self.buffers = buffers
 
@@ -148,7 +148,7 @@ def ddmin(items: Sequence, test: Callable[[list], bool]) -> list:
 
 def find_minimal_causal_sequence(
     app_factory: Callable,
-    buffers: Dict[object, bytes],
+    buffers: Dict[object, Buffers],
     history: Sequence[Tuple[int, object]],
     offending: Tuple[int, object],
     max_probes: int = 256,
@@ -195,7 +195,7 @@ def find_minimal_causal_sequence(
 
 def pick_rollback_checkpoint(
     app_factory: Callable,
-    checkpoints: Sequence[Tuple[int, Dict[object, bytes]]],
+    checkpoints: Sequence[Tuple[int, Dict[object, Buffers]]],
     journal_events: Sequence[Tuple[int, object]],
     offending: Tuple[int, object],
     culprit_seqs: Sequence[int],

@@ -11,6 +11,14 @@ enables:
   and let it run in parallel ... only process the responses from the
   SDN-App and ignore those from its clone.  This allows for an easy
   switch-over operation to the clone, when the primary fails."
+
+Both hold *several* inner apps, nest each one's state under a key of
+their own and do no dirty tracking, so Crash-Pad checkpoints them
+whole-key: every take encodes every inner state in full,
+synchronously.  (The single-inner wrappers in
+:mod:`repro.faults.injector` forward the inner app's tracking and
+checkpoint flat; nothing here is on a benchmark or CLI hot path, so
+these stay as they are.)
 """
 
 from __future__ import annotations

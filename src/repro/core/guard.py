@@ -25,7 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.crashpad.checkpoint import decode_state, encode_state_key
+from repro.core.crashpad.checkpoint import (
+    Buffers,
+    decode_state,
+    encode_state_key,
+)
 
 
 @dataclass
@@ -33,12 +37,12 @@ class ServiceSnapshot:
     """One checkpoint of the controller's service state."""
 
     taken_at: float
-    #: Service-state key -> encoded buffer.
-    buffers: Dict[str, bytes]
+    #: Service-state key -> its encoded buffer (a base, never patched).
+    buffers: Dict[str, Buffers]
 
     @property
     def size(self) -> int:
-        return sum(len(buf) for buf in self.buffers.values())
+        return sum(len(buf) for bufs in self.buffers.values() for buf in bufs)
 
 
 class ControllerGuard:
@@ -82,7 +86,8 @@ class ControllerGuard:
         }
         self.snapshot = ServiceSnapshot(
             taken_at=self.sim.now,
-            buffers={key: encode_state_key("controller services", key, value)
+            buffers={key: (encode_state_key("controller services", key,
+                                            value),)
                      for key, value in state.items()},
         )
         self.snapshots_taken += 1

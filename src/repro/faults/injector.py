@@ -4,12 +4,18 @@ The wrapper is itself an ordinary :class:`~repro.apps.base.SDNApp`, so
 both runtimes host it without knowing it is instrumented.  Bug
 behaviours execute *before* the inner app sees the event, modelling a
 fault in the app's own handler.
+
+A wrapper checkpoints as cheaply as the app it wraps: it shares the
+inner app's dirty-tracking maps, marks what it touches itself, and
+returns the inner state *flat* with its own keys namespaced beside it
+(``("faulty", "event_count")``), so the store sees the inner app's
+keys, versions and entry marks exactly as if it ran bare.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.apps.base import SDNApp
 from repro.faults.bugs import AppHang, Bug, BugKind, InjectedBugError
@@ -18,38 +24,69 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 
 
-class FaultyApp(SDNApp):
+def _split_state(state: dict, namespace: str) -> Tuple[dict, dict]:
+    """A flat wrapper state as (the wrapper's own values by attribute
+    name, the inner app's state)."""
+    own, inner = {}, {}
+    for key, value in state.items():
+        if isinstance(key, tuple) and key and key[0] == namespace:
+            own[key[1]] = value
+        else:
+            inner[key] = value
+    return own, inner
+
+
+class _WrapperApp(SDNApp):
+    """An SDN-App around an optional inner one, tracked as one app."""
+
+    def __init__(self, inner: Optional[SDNApp], name: Optional[str] = None):
+        super().__init__(name or (inner.name if inner else None))
+        self.inner = inner
+        if inner is None:
+            self.enable_dirty_tracking()
+        else:
+            # One version map and one entry map for the pair: untracked
+            # if the inner app is, else every mark lands where the
+            # store looks.
+            self._state_versions = inner._state_versions
+            self._moved_entries = inner._moved_entries
+
+    def startup(self, api) -> None:
+        self.api = api
+        if self.inner is not None:
+            self.inner.startup(api)
+
+
+class FaultyApp(_WrapperApp):
     """An SDN-App instrumented with a list of injectable bugs."""
 
     def __init__(self, inner: SDNApp, bugs: Iterable[Bug], seed: int = 0):
-        super().__init__(name=inner.name)
+        super().__init__(inner)
         self.subscriptions = tuple(inner.subscriptions)
-        self.inner = inner
         self.bugs: List[Bug] = list(bugs)
         self.rng = random.Random(seed)
         self.event_count = 0
         self.corrupted = False
         self.fired_log: List[str] = []
 
-    # -- lifecycle -------------------------------------------------------
-
-    def startup(self, api) -> None:
-        self.api = api
-        self.inner.startup(api)
-
     # -- event handling ------------------------------------------------------
 
     def handle(self, event):
         self.events_handled += 1
+        self.mark_dirty(("faulty", "events_handled"))
         self.event_count += 1
+        self.mark_dirty(("faulty", "event_count"))
         if self.corrupted:
             # State corruption surfaces as a crash on the *next* event,
             # i.e. the offending event is not the one that crashes.
             raise InjectedBugError(f"{self.name}: corrupted state dereference")
         for bug in self.bugs:
+            if not bug.deterministic:
+                self.mark_dirty(("faulty", "rng_state"))   # fires() may draw
             if bug.fires(event, self.event_count, self.rng):
                 bug.fired_count += 1
                 self.fired_log.append(bug.bug_id)
+                self.mark_dirty(("faulty", "fired_log"))
                 self._execute(bug, event)
         return self.inner.handle(event)
 
@@ -61,6 +98,7 @@ class FaultyApp(SDNApp):
             raise AppHang(bug.bug_id)
         if kind == BugKind.STATE_CORRUPTION:
             self.corrupted = True
+            self.mark_dirty(("faulty", "corrupted"))
             return
         if kind == BugKind.BYZANTINE_LOOP:
             self._install_loop(event)
@@ -111,27 +149,22 @@ class FaultyApp(SDNApp):
 
     # -- checkpoint contract --------------------------------------------------------
 
+    _OWN_STATE = ("name", "subscriptions", "events_handled", "event_count",
+                  "corrupted", "fired_log")
+
     def get_state(self) -> dict:
-        return {
-            "name": self.name,
-            "subscriptions": self.subscriptions,
-            "events_handled": self.events_handled,
-            "event_count": self.event_count,
-            "corrupted": self.corrupted,
-            "fired_log": list(self.fired_log),
-            "rng_state": self.rng.getstate(),
-            "inner_state": self.inner.get_state(),
-        }
+        state = dict(self.inner.get_state())
+        for attr in self._OWN_STATE:
+            state["faulty", attr] = getattr(self, attr)
+        state["faulty", "rng_state"] = self.rng.getstate()
+        return state
 
     def set_state(self, state: dict) -> None:
-        self.name = state["name"]
-        self.subscriptions = state["subscriptions"]
-        self.events_handled = state["events_handled"]
-        self.event_count = state["event_count"]
-        self.corrupted = state["corrupted"]
-        self.fired_log = list(state["fired_log"])
-        self.rng.setstate(state["rng_state"])
-        self.inner.set_state(state["inner_state"])
+        own, inner_state = _split_state(state, "faulty")
+        self.rng.setstate(own.pop("rng_state"))
+        own["fired_log"] = list(own["fired_log"])
+        self.__dict__.update(own)
+        self.inner.set_state(inner_state)
 
 
 class PartialPolicyApp(SDNApp):
@@ -176,7 +209,7 @@ class PartialPolicyApp(SDNApp):
         self.policies_installed += 1
 
 
-class ArmedCrashApp(SDNApp):
+class ArmedCrashApp(_WrapperApp):
     """A planted multi-event bug: events A and B set state, C crashes.
 
     Each arming marker seen in a PacketIn payload sets a persistent
@@ -200,8 +233,7 @@ class ArmedCrashApp(SDNApp):
                  arm_markers: Iterable[str] = ("ARM-A", "ARM-B"),
                  trigger_marker: str = "TRIGGER-C",
                  name: Optional[str] = None):
-        super().__init__(name or (inner.name if inner else None))
-        self.inner = inner
+        super().__init__(inner, name)
         if inner is not None:
             self.subscriptions = tuple(
                 dict.fromkeys(tuple(inner.subscriptions) + ("PacketIn",)))
@@ -209,13 +241,9 @@ class ArmedCrashApp(SDNApp):
         self.trigger_marker = trigger_marker
         self.armed: set = set()
 
-    def startup(self, api) -> None:
-        self.api = api
-        if self.inner is not None:
-            self.inner.startup(api)
-
     def handle(self, event):
         self.events_handled += 1
+        self.mark_dirty(("armed", "events_handled"))
         if event.type_name == "PacketIn":
             packet = getattr(event, "packet", None)
             payload = getattr(packet, "payload", "") or ""
@@ -223,6 +251,7 @@ class ArmedCrashApp(SDNApp):
                 for marker in self.arm_markers:
                     if marker in payload:
                         self.armed.add(marker)
+                        self.mark_dirty(("armed", "armed"))
                 if self.trigger_marker in payload and \
                         self.armed >= set(self.arm_markers):
                     raise InjectedBugError(
@@ -234,18 +263,17 @@ class ArmedCrashApp(SDNApp):
         return None
 
     def get_state(self) -> dict:
-        return {
-            "events_handled": self.events_handled,
-            "armed": sorted(self.armed),
-            "inner_state": (self.inner.get_state()
-                            if self.inner is not None else None),
-        }
+        state = dict(self.inner.get_state()) if self.inner is not None else {}
+        state["armed", "events_handled"] = self.events_handled
+        state["armed", "armed"] = sorted(self.armed)
+        return state
 
     def set_state(self, state: dict) -> None:
-        self.events_handled = state["events_handled"]
-        self.armed = set(state["armed"])
-        if self.inner is not None and state["inner_state"] is not None:
-            self.inner.set_state(state["inner_state"])
+        own, inner_state = _split_state(state, "armed")
+        self.events_handled = own["events_handled"]
+        self.armed = set(own["armed"])
+        if self.inner is not None:
+            self.inner.set_state(inner_state)
 
 
 def arm_crash_on(inner: Optional[SDNApp] = None,

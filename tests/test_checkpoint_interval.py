@@ -27,7 +27,9 @@ from repro.core.crashpad.checkpoint import (
     decode_state,
 )
 from repro.core.runtime import LegoSDNRuntime
+from repro.faults import crash_on
 from repro.network.net import Network
+from repro.network.packet import tcp_packet
 from repro.network.topology import linear_topology
 from repro.workloads.traffic import inject_marker_packet
 
@@ -48,18 +50,38 @@ class CrashMarkerSwitch(LearningSwitch):
         return super().on_packet_in(event)
 
 
-def run_workload(interval, crash_offset, probes=10, limits=None):
+class UntrackedSwitch(LearningSwitch):
+    """The all-dirty reference: with no version map every take encodes
+    every key whole, synchronously -- no skip, no patch, no deferral."""
+
+    def enable_dirty_tracking(self):
+        pass
+
+
+def run_workload(interval, crash_offset, probes=10, limits=None,
+                 app=CrashMarkerSwitch):
     """Drive a fixed probe stream, crashing after probe ``crash_offset``.
+    ``app`` other than the default runs under ``crash_on`` and hears
+    every probe from a new source MAC, so its tables keep growing.
 
     Returns ``(final_app_state, runtime)``.
     """
     net = Network(linear_topology(3, 1), seed=0)
     runtime = LegoSDNRuntime(net.controller, checkpoint_interval=interval)
-    runtime.launch_app(CrashMarkerSwitch(name="app"), limits=limits)
+    wrapped = not issubclass(app, CrashMarkerSwitch)
+    instance = app(name="app")
+    if wrapped:
+        instance = crash_on(instance, payload_marker=MARKER)
+    runtime.launch_app(instance, limits=limits)
     net.start()
     net.run_for(1.0)
+    h1, h3 = net.hosts["h1"], net.hosts["h3"]
     for i in range(probes):
-        inject_marker_packet(net, "h1", "h3", f"probe-{i}")
+        if wrapped:
+            h1.send(tcp_packet(f"02:00:00:00:aa:{i:02x}", h3.mac, h1.ip,
+                               h3.ip, payload=f"probe-{i}"))
+        else:
+            inject_marker_packet(net, "h1", "h3", f"probe-{i}")
         net.run_for(0.4)
         if i == crash_offset:
             inject_marker_packet(net, "h1", "h3", MARKER)
@@ -85,6 +107,31 @@ class TestIntervalEquivalence:
             assert cand_stats["crashes"] == ref_stats["crashes"] >= 1
             assert cand_stats["recoveries"] == cand_stats["crashes"]
             assert cand_runtime.is_up
+
+    @pytest.mark.parametrize("interval", [1, 8])
+    def test_wrapped_app_matches_the_all_dirty_per_event_reference(
+            self, interval):
+        """``crash_on(LearningSwitch())`` through a real stub: entry
+        patches, skipped keys and deferred takes under the wrapper
+        recover exactly what whole-state per-event images recover."""
+        for offset in range(8):
+            reference, ref_runtime = run_workload(
+                1, offset, app=UntrackedSwitch)
+            candidate, cand_runtime = run_workload(
+                interval, offset, app=LearningSwitch)
+            assert candidate == reference, (
+                f"state diverged at interval={interval} offset={offset}")
+            assert any(key[0] == "macs" and value
+                       for key, value in candidate.items())
+            ref_store = ref_runtime.stubs["app"].checkpoints
+            cand_store = cand_runtime.stubs["app"].checkpoints
+            assert ref_store.encodes_skipped == 0 == ref_store.deferred_takes
+            assert cand_store.encodes_skipped > 0
+            assert any(len(buffers) > 1 for cp in cand_store.history()
+                       for buffers in cp.buffers.values())
+            crashes = cand_runtime.stats()["app"]["crashes"]
+            assert crashes == ref_runtime.stats()["app"]["crashes"] >= 1
+            assert cand_runtime.stats()["app"]["recoveries"] == crashes
 
     def test_interval_takes_fewer_checkpoints(self):
         _, per_event = run_workload(1, crash_offset=-1)
@@ -271,8 +318,8 @@ class TestDirtyKeyStore:
         assert deferred.deferred_takes == 28 and sync.deferred_takes == 0
         assert {c.kind for c in sync.history()} == {FULL, DELTA, DEDUP}
         for a, b, n in zip(sync.history(), deferred.history(), dirty):
-            assert (a.kind, a.blob, a.state_size) \
-                == (b.kind, b.blob, b.state_size)
+            assert (a.kind, a.size, a.state_size, sync.buffers(a)) \
+                == (b.kind, b.size, b.state_size, deferred.buffers(b))
             assert a.encode_cost == 0.0
             capture = 0.0 if n is None else (
                 deferred.capture_base_cost

@@ -9,8 +9,9 @@ to arrive by editing this file:
   ``core/crashpad/sts.py``; ``repro.debug`` runs the same function);
 - percentile/quantile rules defined in ``metrics/collector.py`` (exact
   samples) and ``bench/hist.py`` (streaming buckets), nowhere else;
-- ``pickle`` only as ``checkpoint.py``'s in-process framing of
-  ``{key: bytes}`` maps -- app and service state have one encoding;
+- no ``pickle`` under ``src/repro`` at all (until PR 22 it framed
+  ``checkpoint.py``'s ``{key: bytes}`` maps; an image is now its buffer
+  map) -- app and service state have one encoding;
 - no hashing in ``checkpoint.py``: dedup is the buffer diff the delta
   already computes.
 """
@@ -73,11 +74,11 @@ def test_percentile_rules_live_in_one_module_per_kind():
     assert not strays, strays
 
 
-def test_pickle_is_imported_only_by_the_checkpoint_framing():
+def test_pickle_is_imported_nowhere():
     importers = [path for path, tree in _trees() if path.is_relative_to(SRC)
                  and {"pickle", "cPickle", "_pickle"} & set(
                      _imported_modules(tree))]
-    assert importers == [CHECKPOINT], importers
+    assert not importers, importers
 
 
 def test_checkpoint_store_does_not_hash():
