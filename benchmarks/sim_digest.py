@@ -13,6 +13,11 @@ its keys) of the four workloads at ``--seed 0 --seconds 3``.  A
 host-side optimisation must leave ``check`` green; a PR that *means* to
 move simulated behaviour runs ``record`` and says so.
 
+One caveat: a ``CrashReport`` frame carries the app's traceback text,
+so ``crash-recover``'s ``app_bytes`` follows the interpreter's traceback
+format.  The file was recorded under CPython 3.11; 3.12 prints the same
+digest, 3.13 does not (240 bytes more) -- check with one of the former.
+
 Usage (stdlib only, no ``PYTHONPATH`` needed)::
 
     python3 benchmarks/sim_digest.py check

@@ -46,6 +46,29 @@ datagram that exhausts its budget is *abandoned*: the sender advances
 ``on_fault`` -- the signal the crashpad FailureDetector uses to tell
 "channel lossy" apart from "app dead".
 
+Host cost is kept off the path every lossless datagram takes, and
+nothing below is observable -- bytes, sim instants, RNG draws, counters
+and the simulator's callback count are those of the plain version
+(``tests/test_channel_equivalence.py`` replays a recording of it):
+
+* **One retransmit timer per direction, moved only when its instant
+  moves.**  After a (re)transmission or a tick the timer belongs at the
+  earliest ``next_at`` still unacked; the queue is touched only if that
+  is not where it already stands (``timer_due``), so a send behind an
+  older unacked datagram costs no cancel and no push.  A send *does*
+  re-arm a timer left at the deadline of a datagram acknowledged since
+  -- leaving it would fire a tick for nothing, and ticks are counted.
+  The last ack cancels the timer: an idle channel leaves nothing queued.
+* **A datagram that arrives in order with nothing held back** (every
+  one of a lossless run) bumps the cursor and is handed over without a
+  trip through the reorder buffer.  Everything else -- duplicate, gap,
+  floor skip -- takes the general path.  The CRC over header + records,
+  the record bounds and the frame decode are checked on every datagram
+  either way.
+* Each direction's state (pending frames, interface clock, unacked
+  buffer and timer, cursor and reorder buffer) lives on its
+  :class:`ChannelEndpoint`, which is what the scheduled callbacks carry.
+
 What a receiver refuses, and the counter it lands in:
 
 =====================================  ===========================
@@ -67,7 +90,7 @@ from __future__ import annotations
 import random
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.appvisor.rpc import (
@@ -80,7 +103,8 @@ from repro.openflow.serialization import SerializationError
 _CRC = struct.Struct("!I")
 #: The header fields the CRC covers: kind, seq, floor.
 _FIELDS = struct.Struct("!BII")
-HEADER_SIZE = _CRC.size + _FIELDS.size
+_HEADER = struct.Struct("!IBII")
+HEADER_SIZE = _HEADER.size
 _LENGTH = struct.Struct("!I")
 _DATA, _ACK = 1, 2
 
@@ -115,14 +139,15 @@ def unpack_datagram(data: bytes):
     datagram; anything else -- truncated, a flipped bit anywhere, an
     unknown kind, a record overrunning the buffer -- is a
     :class:`SerializationError`."""
-    if len(data) < HEADER_SIZE:
+    end = len(data)
+    if end < HEADER_SIZE:
         raise SerializationError("datagram shorter than its header")
-    if _CRC.unpack_from(data)[0] != zlib.crc32(memoryview(data)[_CRC.size:]):
+    crc, kind, seq, floor = _HEADER.unpack_from(data)
+    if crc != zlib.crc32(data[_CRC.size:]):
         raise SerializationError("datagram checksum mismatch")
-    kind, seq, floor = _FIELDS.unpack_from(data, _CRC.size)
     if kind not in (_DATA, _ACK):
         raise SerializationError(f"unknown datagram kind {kind}")
-    records, pos, end = [], HEADER_SIZE, len(data)
+    records, pos = [], HEADER_SIZE
     while pos < end:
         if end - pos < _LENGTH.size:
             raise SerializationError("truncated frame record")
@@ -151,55 +176,47 @@ class ChannelFault:
     at: float
 
 
-@dataclass
 class _Unacked:
     """One data datagram awaiting acknowledgement."""
 
-    #: The datagram's frame records: what ``bytes_sent`` counted and
-    #: what every (re)transmission puts behind a fresh header.
-    payload: bytes
-    attempts: int = 0
-    next_at: float = 0.0
-    #: Trace ids of the events whose frames this datagram carries --
-    #: captured at first transmit so retransmission spans attach to the
-    #: causing event's tree instead of minting fresh identities.
-    trace_ids: tuple = ()
-    #: Frame type names aboard (for retransmit-span attribution;
-    #: control frames like Register carry no trace context by design).
-    kinds: tuple = ()
-    #: When the datagram last went on the wire; a retransmit span
-    #: covers [last_sent_at, now] -- the backoff the event waited out.
-    last_sent_at: float = 0.0
+    __slots__ = ("payload", "attempts", "next_at", "trace_ids", "kinds",
+                 "last_sent_at")
 
-
-@dataclass
-class _SendState:
-    """Per-direction sender half of the reliability layer."""
-
-    next_seq: int = 0
-    #: Lowest seq this sender still guarantees (1 + highest abandoned).
-    floor: int = 1
-    unacked: Dict[int, _Unacked] = field(default_factory=dict)
-    timer_id: Optional[int] = None
-
-
-@dataclass
-class _RecvState:
-    """Per-direction receiver half: cursor + reorder buffer."""
-
-    #: Highest seq delivered (or skipped under an advanced floor).
-    cursor: int = 0
-    #: Out-of-order datagrams held until the gap below them fills:
-    #: seq -> (frame encodings, payload bytes, sent_at).
-    buffer: Dict[int, tuple] = field(default_factory=dict)
+    def __init__(self, payload: bytes, trace_ids: tuple, kinds: tuple):
+        #: The datagram's frame records: what ``bytes_sent`` counted and
+        #: what every (re)transmission puts behind a fresh header.
+        self.payload = payload
+        self.attempts = 0
+        self.next_at = 0.0
+        #: Trace ids of the events whose frames this datagram carries --
+        #: captured at first transmit so retransmission spans attach to
+        #: the causing event's tree instead of minting fresh identities.
+        self.trace_ids = trace_ids
+        #: Frame type names aboard (for retransmit-span attribution;
+        #: control frames like Register carry no trace context by
+        #: design).
+        self.kinds = kinds
+        #: When the datagram last went on the wire; a retransmit span
+        #: covers [last_sent_at, now] -- the backoff the event waited
+        #: out.
+        self.last_sent_at = 0.0
 
 
 class ChannelEndpoint:
-    """One side of the channel: send frames, receive via a handler."""
+    """One side of the channel: send frames, receive via a handler.
+
+    It also holds its direction's state: the frames waiting for the
+    flush, the sender half of the reliability layer (what it sent and
+    has not had acknowledged) and the receiver half (what it has been
+    sent by its ``peer``).
+    """
 
     def __init__(self, channel: "UdpChannel", side: str):
-        self._channel = channel
-        self._side = side
+        #: The channel this endpoint is one side of (for byte_stats).
+        self.channel = channel
+        self.side = side
+        #: The other side; the channel sets it once both exist.
+        self.peer: Optional["ChannelEndpoint"] = None
         self.handler: Optional[Callable] = None
         #: Hand the handler each frame's received encoding as well
         #: (``handler(frame, raw=...)``): the replication layer verifies
@@ -209,11 +226,30 @@ class ChannelEndpoint:
         self.bytes_sent = 0
         self.frames_recv = 0
         self.bytes_recv = 0
-
-    @property
-    def channel(self) -> "UdpChannel":
-        """The channel this endpoint is one side of (for byte_stats)."""
-        return self._channel
+        #: ``(encoding, frame)`` sent since the last flush (batching).
+        self.pending: List[tuple] = []
+        self.flush_scheduled = False
+        # Transmit serialisation: the sender's interface puts one
+        # datagram on the wire at a time, so a burst of sends drains at
+        # per_byte_delay line rate and ordering is inherent (a small
+        # datagram can never overtake a big one).
+        self.tx_free_at = 0.0
+        # -- sender half ------------------------------------------------
+        self.next_seq = 0
+        #: Lowest seq this sender still guarantees (1 + highest
+        #: abandoned).
+        self.floor = 1
+        self.unacked: Dict[int, _Unacked] = {}
+        #: The one retransmit timer and the instant it fires (both None
+        #: when nothing is unacked).
+        self.timer_id: Optional[int] = None
+        self.timer_due: Optional[float] = None
+        # -- receiver half ----------------------------------------------
+        #: Highest seq delivered (or skipped under an advanced floor).
+        self.cursor = 0
+        #: Out-of-order datagrams held until the gap below them fills:
+        #: seq -> (frame encodings, payload bytes, sent_at).
+        self.buffer: Dict[int, tuple] = {}
 
     def on_frame(self, handler: Callable) -> None:
         """Install the receive handler for this endpoint."""
@@ -232,14 +268,29 @@ class ChannelEndpoint:
         if seal is not None:
             data = seal(data)
         self.frames_sent += 1
-        if self._channel.batch:
-            self._channel._enqueue(self._side, (data, frame))
-        else:
-            self._channel._ship(self._side, [(data, frame)])
+        channel = self.channel
+        if not channel.batch:
+            channel._ship(self, [(data, frame)])
+            return
+        self.pending.append((data, frame))
+        if not self.flush_scheduled:
+            self.flush_scheduled = True
+            channel.sim.schedule(BATCH_WINDOW, channel._flush, self)
 
     def drop_pending(self) -> int:
-        """Discard this side's unflushed frames (its process died)."""
-        return self._channel.drop_pending(self._side)
+        """Discard this side's unflushed frames (its process just died).
+
+        Returns how many frames were dropped.  A crash between sends
+        and the tick-boundary flush loses exactly the unflushed tail --
+        everything already flushed is on the wire and still arrives.
+        A dead process retransmits nothing either: the side's unacked
+        buffer is cleared and its retry timer cancelled.
+        """
+        dropped = len(self.pending)
+        self.pending = []
+        self.unacked.clear()
+        self.channel._cancel_timer(self)
+        return dropped
 
 
 class UdpChannel:
@@ -272,6 +323,8 @@ class UdpChannel:
         self.span_name = span_name
         self.proxy_end = ChannelEndpoint(self, "proxy")
         self.stub_end = ChannelEndpoint(self, "stub")
+        self.proxy_end.peer = self.stub_end
+        self.stub_end.peer = self.proxy_end
         self.datagrams_delivered = 0
         self.datagrams_lost = 0
         self.bytes_carried = 0
@@ -283,15 +336,6 @@ class UdpChannel:
         self.acks_sent = 0
         self.abandoned = 0
         self.faults_raised = 0
-        # Per-direction transmit serialisation: the sender's interface
-        # puts one datagram on the wire at a time, so a burst of sends
-        # drains at per_byte_delay line rate and ordering is inherent
-        # (a small datagram can never overtake a big one).
-        self._tx_free_at = {"proxy": 0.0, "stub": 0.0}
-        self._pending: dict = {"proxy": [], "stub": []}
-        self._flush_scheduled = {"proxy": False, "stub": False}
-        self._send_state = {"proxy": _SendState(), "stub": _SendState()}
-        self._recv_state = {"proxy": _RecvState(), "stub": _RecvState()}
 
     def delay_for(self, nbytes: int) -> float:
         """One-way latency for an ``nbytes`` datagram on an idle link."""
@@ -302,99 +346,96 @@ class UdpChannel:
 
     # -- batching ---------------------------------------------------------
 
-    def _enqueue(self, from_side: str, sent: tuple) -> None:
-        self._pending[from_side].append(sent)
-        if not self._flush_scheduled[from_side]:
-            self._flush_scheduled[from_side] = True
-            self.sim.schedule(BATCH_WINDOW,
-                              lambda: self._flush(from_side))
-
-    def _flush(self, from_side: str) -> None:
+    def _flush(self, end: ChannelEndpoint) -> None:
         """Ship the side's pending frames as one datagram."""
-        self._flush_scheduled[from_side] = False
-        pending: List = self._pending[from_side]
+        end.flush_scheduled = False
+        pending = end.pending
         if not pending:
             return
-        self._pending[from_side] = []
+        end.pending = []
         self.batches_flushed += 1
         self.frames_batched += len(pending)
-        self._ship(from_side, pending)
+        self._ship(end, pending)
 
-    def _ship(self, from_side: str, sent: List[tuple]) -> None:
+    def _ship(self, end: ChannelEndpoint, sent: List[tuple]) -> None:
         """One datagram's worth of ``(encoding, frame)`` leaves."""
-        records = pack_records([data for data, _ in sent])
-        self._endpoint(from_side).bytes_sent += len(records)
+        if len(sent) == 1:
+            data = sent[0][0]
+            records = _LENGTH.pack(len(data)) + data
+        else:
+            records = pack_records([data for data, _ in sent])
+        end.bytes_sent += len(records)
         trace_ids = kinds = ()
-        if self.telemetry is not None and self.telemetry.enabled:
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
             # Only when anyone is looking: the ids and type names feed
             # retransmission and delivery spans.
-            self.telemetry.metrics.inc("channel.bytes_sent", len(records))
+            telemetry.metrics.inc("channel.bytes_sent", len(records))
             frames = [frame for _, frame in sent]
             trace_ids = frame_trace_ids(frames)
             kinds = tuple(sorted({type(f).__name__ for f in frames}))
-        state = self._send_state[from_side]
-        state.next_seq += 1
-        state.unacked[state.next_seq] = _Unacked(
-            payload=records, trace_ids=trace_ids, kinds=kinds)
-        self._send_seq(from_side, state.next_seq)
+        end.next_seq = seq = end.next_seq + 1
+        end.unacked[seq] = record = _Unacked(records, trace_ids, kinds)
+        self._transmit(end, seq, record)
 
     def drop_pending(self, side: str) -> int:
-        """Discard a side's unflushed frames (its process just died).
-
-        Returns how many frames were dropped.  A crash between sends
-        and the tick-boundary flush loses exactly the unflushed tail --
-        everything already flushed is on the wire and still arrives.
-        A dead process retransmits nothing either: the side's unacked
-        buffer is cleared and its retry timer cancelled.
-        """
-        dropped = len(self._pending[side])
-        self._pending[side] = []
-        state = self._send_state[side]
-        state.unacked.clear()
-        if state.timer_id is not None:
-            self.sim.cancel(state.timer_id)
-            state.timer_id = None
-        return dropped
+        """:meth:`ChannelEndpoint.drop_pending` of ``side``."""
+        return self._endpoint(side).drop_pending()
 
     def pending_frames(self, side: str) -> int:
-        return len(self._pending[side])
+        return len(self._endpoint(side).pending)
 
     # -- the wire ---------------------------------------------------------
 
-    def _send_seq(self, from_side: str, seq: int) -> None:
+    def _transmit(self, end: ChannelEndpoint, seq: int,
+                  record: _Unacked) -> None:
         """(Re)transmit one datagram and arm its backoff."""
-        state = self._send_state[from_side]
-        record = state.unacked.get(seq)
-        if record is None:
-            return
         record.attempts += 1
-        record.last_sent_at = self.sim.now
-        self._put_on_wire(
-            from_side, pack_datagram(_DATA, seq, state.floor, record.payload),
-            kind="data")
+        now = self.sim.now
+        record.last_sent_at = now
+        delivered = self._put_on_wire(
+            end, pack_datagram(_DATA, seq, end.floor, record.payload))
+        if not delivered and (self.telemetry is not None
+                              and self.telemetry.enabled):
+            self.telemetry.metrics.inc("channel.datagrams_lost")
         rto = min(RTO_INITIAL * (2 ** (record.attempts - 1)), RTO_MAX)
         rto *= 1.0 + self.rng.random() * RTO_JITTER
-        record.next_at = self.sim.now + rto
-        self._arm_timer(from_side)
+        record.next_at = now + rto
+        self._arm_timer(end)
 
-    def _arm_timer(self, from_side: str) -> None:
-        state = self._send_state[from_side]
-        if not state.unacked:
+    def _arm_timer(self, end: ChannelEndpoint) -> None:
+        """Keep the one timer at the earliest ``next_at`` still unacked.
+
+        Called after every (re)transmission and tick; it touches the
+        simulator's queue only when the instant the timer fires at
+        moves, which a send behind an older unacked datagram does not
+        do.
+        """
+        if not end.unacked:
             return
-        due = min(rec.next_at for rec in state.unacked.values())
-        if state.timer_id is not None:
-            self.sim.cancel(state.timer_id)
-        state.timer_id = self.sim.schedule_at(
-            due, self._retx_tick, from_side)
+        due = min([record.next_at for record in end.unacked.values()])
+        # ``schedule_at``'s own arithmetic: ``fires`` is bit for bit the
+        # instant the timer would fire at if it were pushed now.
+        now = self.sim.now
+        fires = now + (due - now)
+        if fires == end.timer_due:
+            return
+        self._cancel_timer(end)
+        end.timer_due = fires
+        end.timer_id = self.sim.schedule_at(due, self._retx_tick, end)
 
-    def _retx_tick(self, from_side: str) -> None:
+    def _cancel_timer(self, end: ChannelEndpoint) -> None:
+        if end.timer_id is not None:
+            self.sim.cancel(end.timer_id)
+            end.timer_id = end.timer_due = None
+
+    def _retx_tick(self, end: ChannelEndpoint) -> None:
         """Retransmit every overdue datagram; abandon exhausted ones."""
-        state = self._send_state[from_side]
-        state.timer_id = None
+        end.timer_id = end.timer_due = None
         now = self.sim.now
         exhausted = []
-        for seq in sorted(state.unacked):
-            record = state.unacked[seq]
+        for seq in sorted(end.unacked):
+            record = end.unacked[seq]
             if record.next_at > now + 1e-12:
                 continue
             if record.attempts > self.retry_budget:
@@ -412,15 +453,15 @@ class UdpChannel:
                     f"{self.span_name}.retransmit",
                     start=record.last_sent_at,
                     trace_id=tids[0] if tids else None,
-                    direction=from_side, seq=seq,
+                    direction=end.side, seq=seq,
                     attempt=record.attempts,
                     frames=",".join(record.kinds))
-            self._send_seq(from_side, seq)
+            self._transmit(end, seq, record)
         if exhausted:
-            self._abandon(from_side, exhausted)
-        self._arm_timer(from_side)
+            self._abandon(end, exhausted)
+        self._arm_timer(end)
 
-    def _abandon(self, from_side: str, seqs: List[int]) -> None:
+    def _abandon(self, end: ChannelEndpoint, seqs: List[int]) -> None:
         """Give up on datagrams that exhausted the retry budget.
 
         Everything at or below the highest exhausted seq is hopeless
@@ -428,54 +469,57 @@ class UdpChannel:
         permanent gap until the floor passes it): drop them all,
         advance the floor, and surface one ChannelFault.
         """
-        state = self._send_state[from_side]
         top = max(seqs)
-        attempts = state.unacked[top].attempts
-        for seq in [s for s in state.unacked if s <= top]:
-            del state.unacked[seq]
+        attempts = end.unacked[top].attempts
+        for seq in [s for s in end.unacked if s <= top]:
+            del end.unacked[seq]
             self.abandoned += 1
-        state.floor = max(state.floor, top + 1)
+        end.floor = max(end.floor, top + 1)
         self.faults_raised += 1
-        fault = ChannelFault(side=from_side, seq=top,
+        fault = ChannelFault(side=end.side, seq=top,
                              attempts=attempts, at=self.sim.now)
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.metrics.inc("channel.faults")
             self.telemetry.tracer.event(
-                "channel.fault", direction=from_side, seq=top,
+                "channel.fault", direction=end.side, seq=top,
                 attempts=attempts)
         for callback in list(self.on_fault):
             callback(fault)
 
-    def _put_on_wire(self, from_side: str, data: bytes, kind: str) -> None:
-        """Charge transmission and schedule delivery of one datagram.
+    def _put_on_wire(self, end: ChannelEndpoint, data: bytes) -> bool:
+        """Charge transmission and schedule delivery of one datagram;
+        False when it died on the wire (the retry layer recovers).
 
         The chaos hook runs here -- after the sender's NIC, before the
         receiver -- so its drops/dups/delays model the network itself,
         identically for data and acks.
         """
-        deliveries = ((0.0, data),)
-        if self.chaos is not None:
-            deliveries = self.chaos.perturb(self.sim.now, from_side, data)
+        sim = self.sim
+        now = sim.now
+        chaos = self.chaos
+        if chaos is not None:
+            deliveries = chaos.perturb(now, end.side, data)
             if not deliveries:
-                # Died on the wire; the retry layer recovers.
                 self.datagrams_lost += 1
-                if (kind == "data" and self.telemetry is not None
-                        and self.telemetry.enabled):
-                    self.telemetry.metrics.inc("channel.datagrams_lost")
-                return
+                return False
         self.bytes_carried += len(data)
-        tx_start = max(self.sim.now, self._tx_free_at[from_side])
-        tx_end = tx_start + len(data) * self.per_byte_delay
-        self._tx_free_at[from_side] = tx_end
-        sent_at = self.sim.now
-        for extra_delay, payload in deliveries:
-            self.sim.schedule_at(tx_end + self.base_delay + extra_delay,
-                                 self._deliver, from_side, payload, sent_at)
+        tx_end = end.tx_free_at
+        if tx_end < now:
+            tx_end = now
+        end.tx_free_at = tx_end = tx_end + len(data) * self.per_byte_delay
+        if chaos is None:
+            sim.schedule_at(tx_end + self.base_delay,
+                            self._deliver, end.peer, data, now)
+        else:
+            for extra_delay, payload in deliveries:
+                sim.schedule_at(tx_end + self.base_delay + extra_delay,
+                                self._deliver, end.peer, payload, now)
+        return True
 
     # -- receive path -----------------------------------------------------
 
-    def _deliver(self, from_side: str, data: bytes, sent_at: float) -> None:
-        dest_side = "stub" if from_side == "proxy" else "proxy"
+    def _deliver(self, dest: ChannelEndpoint, data: bytes,
+                 sent_at: float) -> None:
         try:
             kind, seq, floor, records = unpack_datagram(data)
         except SerializationError:
@@ -483,101 +527,109 @@ class UdpChannel:
             # length, a frame -- it is one rejected datagram, never a
             # crash in the receive path, and never an ack: the sender's
             # retransmission delivers a clean copy.
-            self._note_corrupt(dest_side)
+            self._note_corrupt()
             return
         if kind == _ACK:
-            self._handle_ack(dest_side, seq)
+            self._handle_ack(dest, seq)
         else:
-            self._handle_data(dest_side, seq, floor, records,
+            self._handle_data(dest, seq, floor, records,
                               len(data) - HEADER_SIZE, sent_at)
 
-    def _note_corrupt(self, dest_side: str) -> None:
+    def _note_corrupt(self) -> None:
         self.corrupt_rejected += 1
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.metrics.inc("channel.corrupt_rejected")
 
-    def _hand_over(self, dest_side: str, records: List[bytes], nbytes: int,
-                   sent_at: float) -> None:
+    def _hand_over(self, dest: ChannelEndpoint, records: List[bytes],
+                   nbytes: int, sent_at: float) -> None:
         """Decode a delivered datagram's frames -- each exactly once --
         and give them to the receiver's handler, in order."""
         try:
             frames = [decode_frame(record) for record in records]
         except SerializationError:
-            self._note_corrupt(dest_side)
+            self._note_corrupt()
             return
         self.datagrams_delivered += 1
-        dest = self._endpoint(dest_side)
         dest.frames_recv += len(frames)
         dest.bytes_recv += nbytes
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.metrics.inc("channel.bytes_recv", nbytes)
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
+            telemetry.metrics.inc("channel.bytes_recv", nbytes)
             tids = frame_trace_ids(frames)
-            self.telemetry.tracer.record_span(
+            telemetry.tracer.record_span(
                 self.span_name, start=sent_at,
                 trace_id=tids[0] if tids else None,
-                direction="proxy" if dest_side == "stub" else "stub",
+                direction=dest.peer.side,
                 frames=len(frames), nbytes=nbytes)
-        for frame, record in zip(frames, records):
-            if dest.handler is None:
-                break  # no receiver, or it detached mid-datagram
-            if dest.raw_frames:
+        # ``dest.handler`` is read per frame: no receiver, or one that
+        # detached mid-datagram, ends the hand-over.
+        if dest.raw_frames:
+            for frame, record in zip(frames, records):
+                if dest.handler is None:
+                    break
                 dest.handler(frame, raw=record)
-            else:
+        else:
+            for frame in frames:
+                if dest.handler is None:
+                    break
                 dest.handler(frame)
 
     # -- reliability: receiver side ---------------------------------------
 
-    def _handle_data(self, dest_side: str, seq: int, floor: int,
+    def _handle_data(self, dest: ChannelEndpoint, seq: int, floor: int,
                      records: List[bytes], nbytes: int,
                      sent_at: float) -> None:
-        recv = self._recv_state[dest_side]
-        if seq <= recv.cursor or seq in recv.buffer:
+        buffer = dest.buffer
+        if seq == dest.cursor + 1 and not buffer and floor <= seq:
+            # In order with nothing held back -- every datagram of a
+            # lossless run: no trip through the reorder buffer.
+            dest.cursor = seq
+            self._hand_over(dest, records, nbytes, sent_at)
+            self._send_ack(dest)
+            return
+        if seq <= dest.cursor or seq in buffer:
             # Duplicate (network dup, or a retransmit racing the ack).
             self.dup_datagrams_dropped += 1
             if self.telemetry is not None and self.telemetry.enabled:
                 self.telemetry.metrics.inc("channel.dups_dropped")
-            self._send_ack(dest_side)
+            self._send_ack(dest)
             return
-        recv.buffer[seq] = (records, nbytes, sent_at)
+        buffer[seq] = (records, nbytes, sent_at)
         while True:
-            nxt = recv.cursor + 1
-            if nxt in recv.buffer:
-                recv.cursor = nxt
-                self._hand_over(dest_side, *recv.buffer.pop(nxt))
+            nxt = dest.cursor + 1
+            if nxt in buffer:
+                dest.cursor = nxt
+                self._hand_over(dest, *buffer.pop(nxt))
             elif nxt < floor:
                 # The sender's floor moved past datagrams it abandoned:
                 # stop waiting for them so in-order delivery cannot
                 # wedge.
-                recv.cursor = nxt
+                dest.cursor = nxt
             else:
                 break
-        self._send_ack(dest_side)
+        self._send_ack(dest)
 
-    def _send_ack(self, dest_side: str) -> None:
+    def _send_ack(self, dest: ChannelEndpoint) -> None:
         self.acks_sent += 1
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.metrics.inc("channel.acks_sent")
-        self._put_on_wire(
-            dest_side,
-            pack_datagram(_ACK, self._recv_state[dest_side].cursor, 0),
-            kind="ack")
+        self._put_on_wire(dest, pack_datagram(_ACK, dest.cursor, 0))
 
     # -- reliability: sender side -----------------------------------------
 
-    def _handle_ack(self, sender_side: str, cumulative: int) -> None:
-        state = self._send_state[sender_side]
-        acked = [s for s in state.unacked if s <= cumulative]
-        for seq in acked:
-            del state.unacked[seq]
-        if not state.unacked and state.timer_id is not None:
-            self.sim.cancel(state.timer_id)
-            state.timer_id = None
+    def _handle_ack(self, sender: ChannelEndpoint, cumulative: int) -> None:
+        unacked = sender.unacked
+        if unacked:
+            for seq in [s for s in unacked if s <= cumulative]:
+                del unacked[seq]
+        if not unacked:
+            self._cancel_timer(sender)
 
     # -- introspection -----------------------------------------------------
 
     def unacked_count(self, side: str) -> int:
         """Datagrams this side has sent but not yet had acknowledged."""
-        return len(self._send_state[side].unacked)
+        return len(self._endpoint(side).unacked)
 
     def byte_stats(self) -> Dict[str, int]:
         """Per-endpoint wire volume (payload bytes, both directions)."""

@@ -140,13 +140,17 @@ class TransactionManager:
         table = self.shadow.get(reply.dpid)
         if table is None:
             table = self.shadow[reply.dpid] = FlowTable()
+        # (match, priority) -> the first entry in table order with it,
+        # which is the one a strict lookup finds.
+        by_rule: Dict[tuple, FlowEntry] = {}
+        for entry in table.entries:
+            by_rule.setdefault((entry.match, entry.priority), entry)
         reported_ids = set()
         for stat in reply.entries:
-            entry = next(
-                (e for e in table.entries
-                 if e.same_rule(stat.match, stat.priority)), None)
+            rule = (stat.match, stat.priority)
+            entry = by_rule.get(rule)
             if entry is None:
-                entry = FlowEntry(
+                entry = by_rule[rule] = FlowEntry(
                     match=stat.match,
                     priority=stat.priority,
                     actions=stat.actions,

@@ -9,10 +9,11 @@ simulation flows through :attr:`Simulator.rng` (a seeded
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
-from typing import Callable, Optional
+from heapq import heappop, heappush
+from math import inf
+from typing import Callable
 
 
 class CancelledEvent:
@@ -50,14 +51,24 @@ class Simulator:
         already scheduled for now).
         """
         eid = next(self._seq)
-        entry = [self.now + max(0.0, delay), eid, fn, args]
+        now = self.now
+        entry = [now + delay if delay > 0.0 else now, eid, fn, args]
         self._events[eid] = entry
-        heapq.heappush(self._queue, entry)
+        heappush(self._queue, entry)
         return eid
 
     def schedule_at(self, when: float, fn: Callable, *args) -> int:
         """Run ``fn(*args)`` at absolute simulated time ``when``."""
-        return self.schedule(when - self.now, fn, *args)
+        # ``schedule(when - now)`` spelled out, a call saved: the event
+        # fires at ``now + (when - now)``, which is not always ``when``
+        # to the last bit and is the instant every recorded run has.
+        eid = next(self._seq)
+        now = self.now
+        delay = when - now
+        entry = [now + delay if delay > 0.0 else now, eid, fn, args]
+        self._events[eid] = entry
+        heappush(self._queue, entry)
+        return eid
 
     def cancel(self, eid: int) -> bool:
         """Cancel a pending event; returns False if it already fired."""
@@ -95,16 +106,11 @@ class Simulator:
 
         ``max_events`` is a runaway-loop backstop, not a pacing knob.
         """
-        processed = 0
-        while self._queue and processed < max_events:
-            processed += self._step()
-        return processed
+        return self._run(inf, max_events)
 
     def run_until(self, when: float, max_events: int = 10_000_000) -> int:
         """Process events with time <= ``when``; clock ends at ``when``."""
-        processed = 0
-        while self._queue and self._queue[0][0] <= when and processed < max_events:
-            processed += self._step()
+        processed = self._run(when, max_events)
         self.now = max(self.now, when)
         return processed
 
@@ -112,15 +118,21 @@ class Simulator:
         """Advance the clock by ``duration`` seconds."""
         return self.run_until(self.now + duration, max_events)
 
-    def _step(self) -> int:
-        when, eid, fn, args = heapq.heappop(self._queue)
-        if fn is _CANCELLED:
-            return 0
-        self._events.pop(eid, None)
-        self.now = when
-        fn(*args)
-        self._events_processed += 1
-        return 1
+    def _run(self, when: float, max_events: int) -> int:
+        """The loop: pop and run events due by ``when``.  A cancelled
+        entry is dropped as it surfaces and counts for nothing."""
+        queue, events = self._queue, self._events
+        processed = 0
+        while queue and queue[0][0] <= when and processed < max_events:
+            at, eid, fn, args = heappop(queue)
+            if fn is _CANCELLED:
+                continue
+            del events[eid]
+            self.now = at
+            fn(*args)
+            self._events_processed += 1
+            processed += 1
+        return processed
 
     # -- introspection ---------------------------------------------------
 

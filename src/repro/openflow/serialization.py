@@ -418,10 +418,27 @@ def _dec_dict(data, pos):
     if n > len(data) - pos:
         raise SerializationError("truncated buffer")
     decoders = _decoders
+    end = len(data)
     out = {}
+    # The mirror of ``_enc_dict``'s two inlined kinds of entry: a ``str``
+    # key and a one-byte varint value are read without a call each.
     for _ in range(n):
-        k, pos = decoders[data[pos]](data, pos + 1)
-        out[k], pos = decoders[data[pos]](data, pos + 1)
+        tag = data[pos]
+        if tag == _T_STR:
+            start = pos + 5
+            pos = start + _unpack_u32(data, pos + 1)[0]
+            if pos > end:
+                raise SerializationError("truncated buffer")
+            k = data[start:pos].decode("utf-8")
+        else:
+            k, pos = decoders[tag](data, pos + 1)
+        tag = data[pos]
+        if tag == _T_VARINT and data[pos + 1] < 0x80:
+            z = data[pos + 1]
+            out[k] = -(z >> 1) - 1 if z & 1 else z >> 1
+            pos += 2
+        else:
+            out[k], pos = decoders[tag](data, pos + 1)
     return out, pos
 
 

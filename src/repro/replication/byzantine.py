@@ -225,7 +225,9 @@ class DigestLedger:
                                        self._pending.pop(self.floor))
             self.history[self.floor] = self.digest
             if len(self.history) > self.HISTORY_MAX:
-                del self.history[min(self.history)]
+                # Keys are consecutive since the last reset / rebase,
+                # so the oldest is known without looking for it.
+                del self.history[self.floor - self.HISTORY_MAX]
 
     def at(self, resolve_seq: int) -> Optional[int]:
         """Chain digest as of ``resolve_seq``, if still remembered."""

@@ -21,6 +21,7 @@ their checkpoints and journals intact.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set
 
@@ -433,8 +434,7 @@ class ReplicaSet:
         #: (sim time, resolve_count) at each shipped resolve, bounded:
         #: lets tests and operators ask "what had resolved by time T"
         #: -- the floor a freshness-bounded read must clear.
-        self.resolve_times: List[tuple] = []
-        self.resolve_times_max = 4096
+        self.resolve_times: deque = deque(maxlen=4096)
 
         primary = ControllerReplica(
             replica_id="r0",
@@ -751,9 +751,6 @@ class ReplicaSet:
             primary.ledger.add(self.resolve_count, leaf)
         self.ship_history.append(("resolve", frame))
         self.resolve_times.append((self.sim.now, self.resolve_count))
-        if len(self.resolve_times) > self.resolve_times_max:
-            del self.resolve_times[:len(self.resolve_times)
-                                   - self.resolve_times_max]
         for replica in self.live_backups():
             self._send_to_backup(frame, replica)
         if self.quorum and outcome == "commit":

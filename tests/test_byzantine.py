@@ -178,6 +178,39 @@ class TestDigestLedger:
         assert ledger.floor == 6
         assert ledger.digest == chain_digest(0, 66)
 
+    def test_history_is_bounded_without_being_searched(self):
+        """Eviction names the oldest key; it does not look for it (the
+        ``min()`` over 1 024 keys on every fold was the hottest line of
+        the replication layer)."""
+
+        class CountingDict(dict):
+            iterations = 0
+
+            def __iter__(self):
+                CountingDict.iterations += 1
+                return super().__iter__()
+
+        ledger = DigestLedger()
+        ledger.history = CountingDict()
+        limit = DigestLedger.HISTORY_MAX
+        for seq in range(1, limit + limit // 2 + 1):
+            ledger.add(seq, seq)
+        assert len(ledger.history) == limit
+        rebased = ledger.floor + 7
+        ledger.rebase(rebased)
+        for seq in range(rebased + 1, rebased + 2 * limit + 1):
+            ledger.add(seq, seq)
+        assert CountingDict.iterations == 0
+        assert len(ledger.history) == limit
+        # ``at`` answers for exactly the newest HISTORY_MAX folds.
+        top = ledger.floor
+        assert top == rebased + 2 * limit
+        assert ledger.at(top) == ledger.digest
+        assert ledger.at(top - limit + 1) is not None
+        assert ledger.at(top - limit) is None
+        assert ledger.at(rebased) is None
+        assert sorted(ledger.history) == list(range(top - limit + 1, top + 1))
+
     def test_leaf_is_order_insensitive_over_records(self):
         frames = _sample_frames()
         rec = frames[0]

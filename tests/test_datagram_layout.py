@@ -63,7 +63,7 @@ def test_data_datagram_is_delivered_intact_or_rejected(count):
         channel = UdpChannel(Simulator())
         got = []
         channel.proxy_end.on_frame(got.append)
-        channel._deliver("stub", data, 0.0)
+        channel._deliver(channel.proxy_end, data, 0.0)
         return channel, got
 
     channel, got = receive(datagram)
@@ -85,7 +85,7 @@ def test_ack_is_honoured_intact_or_rejected():
         channel = UdpChannel(sim, chaos=ChaosProfile(loss=1.0))
         for seq in range(3):            # seqs 1..3 sent, none arrived
             channel.stub_end.send(frames_of(1)[0])
-        channel._deliver("proxy", data, 0.0)
+        channel._deliver(channel.stub_end, data, 0.0)
         return channel
 
     assert receive(ack).unacked_count("stub") == 1
@@ -112,8 +112,8 @@ def test_a_record_cannot_run_past_its_datagram():
     channel = UdpChannel(Simulator())
     channel.proxy_end.on_frame(lambda frame: pytest.fail("delivered"))
     # A frame that does not decode, behind a valid header and length.
-    channel._deliver("stub", pack_datagram(1, 1, 1, pack_records([b"\x63"])),
-                     0.0)
+    channel._deliver(channel.proxy_end,
+                     pack_datagram(1, 1, 1, pack_records([b"\x63"])), 0.0)
     assert channel.corrupt_rejected == 1
 
 
@@ -157,13 +157,14 @@ def test_verify_runs_on_received_bytes(monkeypatch):
     evil = rpc.encode_frame(replace(ship, index=replicas.ship_index + 1,
                                     dpid=ship.dpid + 1))
     assert evil[-8:] == record[-8:]
-    seq = backup.channel._recv_state["stub"].cursor + 1
+    seq = backup.channel.stub_end.cursor + 1
     encodes = []
     monkeypatch.setattr(byzantine, "encode_value",
                         lambda value: encodes.append(value))
     received = backup.ships_received
     backup.channel._deliver(
-        "proxy", pack_datagram(1, seq, seq, pack_records([evil])), 0.0)
+        backup.channel.stub_end,
+        pack_datagram(1, seq, seq, pack_records([evil])), 0.0)
     assert backup.channel.corrupt_rejected == 0
     assert replicas.sig_rejected == 1 and backup.sig_rejected == 0
     assert backup.ships_received == received

@@ -235,6 +235,34 @@ class TestStatsReconcile:
         assert entry.installed_at == pytest.approx(net.sim.now - 2.0)
         assert entry.packet_count == 3
 
+    def test_first_of_two_same_rule_entries_takes_the_stats(self, net,
+                                                            manager):
+        """Two shadow entries with one (match, priority): the stats go
+        to the first in table order, as a strict lookup would find it;
+        the second is unreported and, past the grace window, pruned."""
+        txn = manager.begin("app", "t")
+        manager.apply(txn, 1, add_mod("a"))
+        manager.commit(txn)
+        table = manager.shadow[1]
+        [first] = table.entries
+        twin = first.clone()
+        table.entries.append(twin)
+        net.run_for(1.0)
+        manager.note_flow_stats(FlowStatsReply(dpid=1, entries=[
+            stats_entry("a", packet_count=4)]))
+        assert table.entries == [first] and table.entries[0] is first
+        assert first.packet_count == 4 and twin.packet_count == 0
+
+    def test_rule_reported_twice_in_one_reply_is_readopted_once(
+            self, net, manager):
+        manager.note_flow_stats(FlowStatsReply(dpid=1, entries=[
+            stats_entry("ghost", packet_count=3),
+            stats_entry("other", priority=50, packet_count=1),
+            stats_entry("ghost", packet_count=9)]))
+        entries = manager.shadow[1].entries
+        assert [(e.match.eth_dst, e.packet_count) for e in entries] == [
+            ("ghost", 9), ("other", 1)]
+
 
 class TestRollbackExecutor:
     def test_rollback_all_reverse_order(self, net, manager):

@@ -148,6 +148,36 @@ class TestValueCodec:
         value = (Match(eth_dst="d"), [Output(1), Flood()])
         assert decode_value(encode_value(value)) == value
 
+    def test_dicts_round_trip_on_and_off_the_inlined_path(self):
+        """``str`` keys and one-byte varint values are read inline; every
+        other kind of key or value goes through the decoder table."""
+        for value in (
+                {"aa:bb": 3, "": 0, "k": 63, "neg": -1, "edge": -64},
+                {"wide": 64, "wider": 4095, "big": 2**40, "low": -65},
+                {1: "int key", (1, "t"): "tuple key", b"b": b"bytes key",
+                 None: None, 2.5: 2.5, True: False},
+                {"outer": {"inner": {"x": 1}, "n": [1, {"y": -2}]}},
+                {"h\u00e9llo": 1, "\u4e16\u754c": 2},
+                {}):
+            decoded = decode_value(encode_value(value))
+            assert decoded == value
+            assert [type(k) for k in decoded] == [type(k) for k in value]
+
+    def test_truncated_dict_entries_raise_typed_errors(self):
+        data = encode_value({"key": 5})
+        # tag, count, then the key: tag + u32 length + 3 bytes.
+        key_length_at = 3
+        lying = bytearray(data)
+        lying[key_length_at:key_length_at + 4] = (200).to_bytes(4, "big")
+        with pytest.raises(SerializationError, match="truncated"):
+            decode_value(bytes(lying))
+        for cut in range(1, len(data)):
+            with pytest.raises(SerializationError):
+                decode_value(data[:cut])
+        wide = encode_value({"key": 5000})          # a two-byte varint
+        with pytest.raises(SerializationError):
+            decode_value(wide[:-1])
+
     def test_unregistered_dataclass_raises(self):
         from dataclasses import dataclass
 

@@ -177,6 +177,90 @@ class TestRetryBudget:
         assert channel.retransmits == 0
 
 
+class FixedJitter:
+    """Stands in for ``channel.rng``: the backoff draws, in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def heap_entries(sim):
+    """How many entries the queue has ever been given: an event id is a
+    running count (this call's own entry excluded)."""
+    return sim.schedule(0.0, lambda: None)
+
+
+class TestRetransmitTimer:
+    """One timer per direction, moved only when its instant moves."""
+
+    def test_sends_behind_an_unacked_datagram_leave_the_timer_alone(self):
+        sim = Simulator()
+        channel, got = make(sim)
+        channel.rng = FixedJitter(0.0, 0.5, 0.9)    # deadlines ascend
+        before = heap_entries(sim)
+        for seq in range(3):
+            channel.stub_end.send(beat(seq))
+        # Three deliveries and one timer -- not a timer per send.
+        assert heap_entries(sim) - before - 1 == 4
+        sim.run()
+        assert got == [0, 1, 2] and channel.retransmits == 0
+
+    def test_an_earlier_deadline_moves_the_timer(self):
+        sim = Simulator()
+        channel, got = make(sim, chaos=ChaosProfile(loss=1.0),
+                            retry_budget=0)
+        channel.rng = FixedJitter(0.8, 0.0)
+        channel.on_fault.append(lambda fault: None)
+        channel.stub_end.send(beat(0))      # due at 0.012
+        channel.stub_end.send(beat(1))      # due at 0.010: re-armed
+        sim.run_until(0.011)
+        # The tick at 0.010 gave up on seq 2 and everything below it.
+        assert channel.abandoned == 2 and channel.faults_raised == 1
+
+    def test_last_ack_leaves_nothing_queued(self):
+        sim = Simulator()
+        channel, got = make(sim)
+        channel.stub_end.send(beat(0))
+        assert sim.pending == 2             # the delivery and the timer
+        sim.run()
+        assert sim.pending == 0
+        # ...and the run ended when the ack landed, not at the timer.
+        assert sim.now < 0.001
+
+    def test_a_send_moves_a_stale_timer_later(self):
+        """Seq 1 is acknowledged while seq 2 (lost) still waits; the
+        timer stands at seq 1's deadline until the next send re-arms it
+        at the earliest deadline *still waiting* -- so no tick ever
+        fires on behalf of a datagram that is no longer unacked."""
+        sim = Simulator()
+        channel, got = make(sim)
+        channel.rng = FixedJitter(0.0, 1.0, 0.0, 0.0)
+
+        class LoseFirstCopyOfSeq2:
+            lost = False
+
+            def perturb(self, now, side, data):
+                if (side == "stub" and not self.lost
+                        and int.from_bytes(data[5:9], "big") == 2):
+                    self.lost = True
+                    return []
+                return [(0.0, data)]
+
+        channel.chaos = LoseFirstCopyOfSeq2()
+        channel.stub_end.send(beat(0))      # seq 1, due at 0.0100
+        channel.stub_end.send(beat(1))      # seq 2, due at 0.0125, lost
+        sim.schedule(0.005, channel.stub_end.send, beat(2))   # due 0.015
+        sim.run()
+        assert got == [0, 1, 2] and channel.retransmits == 1
+        # The scheduled send; deliveries of seq 1, seq 3, and seq 2's
+        # second copy; their three acks; one tick, at 0.0125.  A timer
+        # left at seq 1's deadline would add a ninth, at 0.0100.
+        assert sim.events_processed == 8
+
+
 class TestTelemetryCounters:
     def test_reliability_counters_reach_prometheus(self):
         from repro.telemetry import Telemetry

@@ -118,6 +118,52 @@ class TestRunBounds:
         processed = sim.run(max_events=100)
         assert processed == 100
 
+    def test_run_until_honours_max_events(self):
+        sim = Simulator()
+        fired = []
+        for name in "abcde":
+            sim.schedule(1.0, fired.append, name)
+        assert sim.run_until(2.0, max_events=3) == 3
+        assert fired == ["a", "b", "c"]
+        # The clock still ends at the boundary; the rest stay queued.
+        assert sim.now == 2.0 and sim.pending == 2
+        assert sim.run_until(2.0) == 2
+        assert fired == list("abcde")
+
+    def test_cancelled_entries_are_skipped_and_not_counted(self):
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule(0.5, fired.append, "x") for _ in range(3)]
+        sim.schedule(1.0, fired.append, "kept")
+        for eid in doomed:
+            sim.cancel(eid)
+        # Tombstones neither run, nor count, nor eat the event budget.
+        assert sim.run_until(2.0, max_events=1) == 1
+        assert fired == ["kept"]
+        assert sim.events_processed == 1 and sim.pending == 0
+
+    def test_callback_cancels_a_same_instant_sibling(self):
+        sim = Simulator()
+        fired = []
+        later = []
+
+        def first():
+            fired.append("first")
+            assert sim.cancel(later[0])
+
+        sim.schedule(1.0, first)
+        later.append(sim.schedule(1.0, fired.append, "sibling"))
+        sim.schedule(1.0, fired.append, "third")
+        assert sim.run() == 2
+        assert fired == ["first", "third"]
+
+    def test_an_event_cannot_cancel_itself_once_running(self):
+        sim = Simulator()
+        seen = []
+        eid = sim.schedule(1.0, lambda: seen.append(sim.cancel(eid)))
+        sim.run()
+        assert seen == [False] and sim.events_processed == 1
+
 
 class TestEvery:
     def test_periodic_firing(self):
