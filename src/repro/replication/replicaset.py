@@ -404,6 +404,9 @@ class ReplicaSet:
         self.ship_index = 0
         #: Total resolves shipped (the heartbeat's second lag axis).
         self.resolve_count = 0
+        #: Transactions resolved without a resolve shipped: they wrote
+        #: nothing to the WAL (see :meth:`_ship_resolve`).
+        self.resolves_elided = 0
         #: Everything shipped this epoch, in ship order, for ranged
         #: resync replay: ("record", RecordShip) | ("resolve", TxnResolve).
         self.ship_history: List[tuple] = []
@@ -734,8 +737,20 @@ class ReplicaSet:
             primary.telemetry.metrics.inc("replication.ships")
 
     def _ship_resolve(self, txn, outcome: str) -> None:
+        """Replicate writes, not events: a resolve ships iff a record
+        of its transaction shipped in this epoch.  One that appended
+        nothing to the WAL (a PacketOut-only event), commit or abort,
+        has nothing for a backup to fold, roll back, vote on or make
+        durable, so nothing leaves the primary and no sequence number,
+        leaf or window is spent on it."""
+        records = self._txn_frames.pop(txn.txn_id, None)
+        primary = self.primary
+        if records is None:
+            self.resolves_elided += 1
+            if primary is not None and primary.telemetry.enabled:
+                primary.telemetry.metrics.inc("replication.resolves_elided")
+            return
         self.resolve_count += 1
-        records = self._txn_frames.pop(txn.txn_id, [])
         leaf = resolve_leaf(self.resolve_count, outcome, records)
         frame = TxnResolve(
             epoch=self.epoch,
@@ -746,7 +761,6 @@ class ReplicaSet:
             trace_id=getattr(txn, "trace_id", None) or 0,
             leaf=leaf,
         )
-        primary = self.primary
         if primary is not None:
             primary.ledger.add(self.resolve_count, leaf)
         self.ship_history.append(("resolve", frame))
@@ -1618,6 +1632,8 @@ class ReplicaSet:
             "primary": self.primary.replica_id if self.primary else None,
             "failovers": len(self.failovers),
             "shipped": self.ship_index,
+            "resolves": self.resolve_count,
+            "resolves_elided": self.resolves_elided,
             "fenced_writes": self.fence.fenced_writes,
             "resyncs": self.resyncs_served,
             "resync_records_sent": self.resync_records_sent,
