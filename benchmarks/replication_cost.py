@@ -48,6 +48,7 @@ class Probe:
         self.replicas = (ReplicaSet(self.net, self.runtime, backups=backups)
                          if backups else None)
         self.leaves = 0
+        self._resolve_leaf = replicaset.resolve_leaf
         self.net.start()
         # Stop between timer ticks, so every window holds whole periods.
         self.net.run_for(WINDOW + 0.0125)
@@ -86,7 +87,6 @@ class Probe:
 
     def run(self, empties: int, writes: int) -> dict:
         """Per-transaction counts over an idle window's, per phase."""
-        self._resolve_leaf = replicaset.resolve_leaf
         replicaset.resolve_leaf = self.count_leaf
         try:
             idle = self.window()

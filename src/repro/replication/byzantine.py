@@ -17,12 +17,14 @@ Byzantine tolerance affordable in an SDN control plane:
    sibling of the channel's ``ChannelFault``.
 
 2. **Output digests** (:func:`resolve_leaf` / :func:`chain_digest`).
-   Primary and backups independently fold every committed resolve --
-   its sequence number, outcome, and the content of the records it
-   commits -- into a running 64-bit chain digest.  Matching digests at
-   the same resolve floor mean byte-identical committed histories;
-   votes are just these digests piggybacked on the existing ack and
-   heartbeat frames, so voting costs no extra datagrams.
+   Primary and backups independently fold every resolve that commits
+   or aborts records -- its sequence number, outcome, and the content
+   of those records -- into a running 64-bit chain digest (a
+   transaction without records ships no resolve and has no leaf).
+   Matching digests at the same resolve floor mean byte-identical
+   committed histories; votes are just these digests piggybacked on
+   the existing ack and heartbeat frames, so voting costs no extra
+   datagrams.
 
 3. **Adaptive mode** (:class:`ReplicationModePolicy`).  The set runs
    cheap CRASH_FAULT replication normally and escalates to BYZANTINE

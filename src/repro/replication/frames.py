@@ -13,7 +13,7 @@ Frame inventory (direction):
 Frame          Direction        Purpose
 =============  ===============  ==========================================
 RecordShip     primary->backup  one WAL append (message + its inverses)
-TxnResolve     primary->backup  a transaction committed or aborted
+TxnResolve     primary->backup  a transaction *with records* resolved
 ReplHeartbeat  primary->backup  lease renewal + log position + app deltas
 ReplAck        backup->primary  cumulative ack of the applied log prefix
 ResyncRequest  backup->primary  ranged replay request after partition heal
@@ -24,7 +24,10 @@ flow tables only at commit-resolve, using the shipped ``applied_at``
 timestamp -- so a backup's shadow is byte-for-byte the state the
 primary's NetLog committed, never a half-applied transaction.  Records
 of transactions still open when the primary dies are the *orphans* the
-promoted backup rolls back from their shipped inverses.
+promoted backup rolls back from their shipped inverses.  What is
+replicated is the WAL: a transaction that appended nothing to it (a
+PacketOut-only event) ships no record and therefore no resolve --
+``ReplicaSet.resolves_elided`` counts those.
 
 Every frame ends in an ``auth`` stamp: a truncated HMAC over the
 encoding of the fields before it, keyed per replica pair
@@ -93,9 +96,11 @@ class RecordShip:
 class TxnResolve:
     """A shipped transaction's fate: ``outcome`` is "commit" or "abort".
 
-    On commit the backup folds the transaction's records into its
-    shadow tables; on abort it just discards them (the primary already
-    sent the inverses to the switches itself).
+    Sent iff at least one :class:`RecordShip` of the transaction was
+    shipped in this epoch.  On commit the backup folds the
+    transaction's records into its shadow tables; on abort it just
+    discards them (the primary already sent the inverses to the
+    switches itself).
     """
 
     epoch: int
@@ -134,7 +139,8 @@ class ReplHeartbeat:
     log_index: int
     sent_at: float
     app_deltas: Tuple[AppDelta, ...] = ()
-    #: Total transaction resolves shipped so far -- the second lag
+    #: Total transaction resolves shipped so far (record-bearing
+    #: transactions only: the others ship none) -- the second lag
     #: axis: a backup can be caught up on records yet missing the
     #: resolve that folds them (partition sliced mid-transaction).
     resolve_count: int = 0

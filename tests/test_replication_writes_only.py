@@ -58,15 +58,14 @@ MODES = {
 }
 
 
-def build(mode: str, backups: int = 2, **kwargs):
+def build(mode: str):
     # Ids are varint-encoded, so their magnitude reaches wire sizes and
     # through them sim instants: start each run from the same counters.
     reset_xid_counter()
     reset_packet_ids()
     net = Network(tree_topology(2, 2), seed=0)
     runtime = LegoSDNRuntime(net.controller)
-    replicas = ReplicaSet(net, runtime, backups=backups,
-                          **MODES[mode], **kwargs)
+    replicas = ReplicaSet(net, runtime, backups=2, **MODES[mode])
     runtime.launch_app(LearningSwitch())
     net.start()
     net.run_for(1.0)
