@@ -36,7 +36,7 @@ from repro.network.topology import linear_topology
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, PacketOut
-from repro.replication import ReplicaSet, replicaset
+from repro.replication import ReplicaSet, byzantine
 
 WINDOW = 1.0        # sim-s; a multiple of every periodic timer
 
@@ -48,7 +48,7 @@ class Probe:
         self.replicas = (ReplicaSet(self.net, self.runtime, backups=backups)
                          if backups else None)
         self.leaves = 0
-        self._resolve_leaf = replicaset.resolve_leaf
+        self._resolve_leaf = byzantine.resolve_leaf
         self.net.start()
         # Stop between timer ticks, so every window holds whole periods.
         self.net.run_for(WINDOW + 0.0125)
@@ -56,6 +56,15 @@ class Probe:
     def count_leaf(self, *args):
         self.leaves += 1
         return self._resolve_leaf(*args)
+
+    @staticmethod
+    def _rebind_leaf(old, new) -> None:
+        """Point every ``repro`` module that holds ``resolve_leaf`` by
+        name (the primary's shipping, the backups' voting) at ``new``."""
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(module, "resolve_leaf", None) is old):
+                module.resolve_leaf = new
 
     def counters(self) -> dict:
         replicas = self.replicas
@@ -87,7 +96,8 @@ class Probe:
 
     def run(self, empties: int, writes: int) -> dict:
         """Per-transaction counts over an idle window's, per phase."""
-        replicaset.resolve_leaf = self.count_leaf
+        counting = self.count_leaf
+        self._rebind_leaf(self._resolve_leaf, counting)
         try:
             idle = self.window()
             empty = self.window([
@@ -98,7 +108,7 @@ class Probe:
                 FlowMod(match=Match(tp_dst=9000 + i), priority=300,
                         actions=(Output(1),)) for i in range(writes)])
         finally:
-            replicaset.resolve_leaf = self._resolve_leaf
+            self._rebind_leaf(counting, self._resolve_leaf)
         return {
             "empty": {key: (empty[key] - idle[key]) / empties
                       for key in idle},

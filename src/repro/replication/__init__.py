@@ -3,34 +3,35 @@
 LegoSDN removes the SDN-App <-> controller fate-sharing; this package
 removes the controller itself as a single point of failure, in the
 SMaRtLight style (a small primary-backup replicated control plane with
-a lease-based failure detector and fencing).
+a lease-based failure detector and fencing).  AppVisor stubs survive a
+failover and re-attach to the promoted backup's proxy with their state
+and checkpoints intact; Crash-Pad keeps handling *app* failures
+unchanged on whichever replica is primary.
 
-One :class:`~repro.replication.replicaset.ReplicaSet` runs a primary
-:class:`~repro.controller.core.Controller` (with its LegoSDN runtime)
-plus N warm backups on the same simulated clock:
+A :class:`~repro.replication.replicaset.ReplicaSet` is the composition
+root over four parts, each owning one decision and the state only it
+writes:
 
-- the primary ships every committed NetLog record and per-app progress
-  deltas to the backups over the stack's existing byte-codec UDP
-  channel (:mod:`repro.replication.frames` adds the frame inventory);
-- backups replay committed records into shadow flow tables, so each
-  holds a consistent copy of the network state the primary installed;
-- a heartbeat/lease protocol with monotonic epoch numbers detects
-  primary failure; the lowest-id live backup is promoted, the new
-  epoch fences the old one at every switch
-  (:class:`~repro.replication.fence.EpochFence` -- stale-primary
-  writes are rejected, so no split brain), orphaned open transactions
-  are rolled back from their shipped inverses, and the NetLog tail is
-  replayed to converge before dispatch resumes;
-- AppVisor stubs survive the failover and re-attach to the new
-  primary's proxy with their state and checkpoints intact -- Crash-Pad
-  keeps handling *app* failures unchanged on whichever replica is
-  primary;
-- :mod:`repro.replication.byzantine` hardens the whole conversation
-  against replicas that *lie*: pair-keyed HMAC stamps on every frame,
-  chain digests over the committed record stream voted 2f+1 in
-  BYZANTINE mode, and an adaptive, epoch-fenced mode policy that
-  escalates from cheap CRASH_FAULT replication on divergence or auth
-  anomalies and de-escalates after a clean window.
+- :mod:`~repro.replication.shipping` -- the ship rule: every NetLog
+  write travels as a record, every transaction that wrote as a resolve
+  (:mod:`~repro.replication.frames`); heartbeats, acks, the ranged
+  resync that heals a partition, and the gates quorum commit and
+  output voting wait in;
+- :mod:`~repro.replication.voting` -- the vote and quarantine policy:
+  chain digests folded leaf by leaf, 2f+1 matching votes in BYZANTINE
+  mode, liars quarantined, every suspicion escalating the adaptive
+  mode policy (:mod:`~repro.replication.byzantine` holds the keys,
+  digests and policy machine);
+- :mod:`~repro.replication.membership` -- the lease and election: the
+  replica records, the lowest-id live backup elected once the primary
+  goes silent, and the epoch that fences a superseded primary out of
+  every switch (:class:`~repro.replication.fence.EpochFence`);
+- :mod:`~repro.replication.promotion` -- the failover steps: switch
+  takeover, tail replay, orphan rollback from shipped inverses, stub
+  adoption.
+
+The root answers freshness-bounded quorum reads and measures
+divergence.
 """
 
 from repro.replication.byzantine import (
@@ -53,12 +54,9 @@ from repro.replication.frames import (
     ReplHeartbeat,
     TxnResolve,
 )
-from repro.replication.replicaset import (
-    ControllerReplica,
-    FailoverRecord,
-    ReplicaRole,
-    ReplicaSet,
-)
+from repro.replication.membership import ControllerReplica, ReplicaRole
+from repro.replication.promotion import FailoverRecord
+from repro.replication.replicaset import ReplicaSet
 
 __all__ = [
     "AppDelta",

@@ -237,12 +237,6 @@ class DigestLedger:
             return 0
         return self.history.get(resolve_seq)
 
-    def reset(self) -> None:
-        self.floor = 0
-        self.digest = 0
-        self._pending.clear()
-        self.history.clear()
-
     def rebase(self, floor: int) -> None:
         """Restart the chain at ``floor`` with digest 0.
 

@@ -36,7 +36,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.controller.core import Controller
 from repro.core.runtime import LegoSDNRuntime, RuntimeConfig
-from repro.replication.replicaset import ControllerReplica, ReplicaSet
+from repro.replication.membership import ControllerReplica
+from repro.replication.replicaset import ReplicaSet
 from repro.shard.router import ShardRouter
 from repro.telemetry import Telemetry
 from repro.telemetry.export import prometheus_text
@@ -121,16 +122,16 @@ class ShardCoordinator:
         # One config value for every shard's runtime (and, through
         # failover, for every replica promoted inside a shard).
         runtime_config = RuntimeConfig(**(runtime_kwargs or {}))
+        # Every shard's replicas are telemetry siblings of this one.
+        configured = Telemetry(enabled=telemetry_enabled,
+                               **dict(telemetry_kwargs or {}))
         assignment = self.router.partition(net.switches)
         for shard_id in sorted(assignment):
             dpids = assignment[shard_id]
-            telemetry = Telemetry(enabled=telemetry_enabled,
-                                  replica_id="r0", shard_id=shard_id,
-                                  **dict(telemetry_kwargs or {}))
+            telemetry = configured.sibling("r0", shard_id)
             controller = Controller(
                 self.sim,
-                discovery_interval=getattr(
-                    net.controller.discovery, "interval", 0.5),
+                discovery_interval=net.controller.discovery.interval,
                 telemetry=telemetry,
                 service_time=service_time,
             )

@@ -60,6 +60,10 @@ class Telemetry:
                  shard_id: Optional[int] = None,
                  metrics_max_samples: Optional[int] = None):
         self.enabled = enabled
+        #: Everything but the identity tags: what a sibling is built with.
+        self._settings = dict(flight_capacity=flight_capacity,
+                              max_spans=max_spans,
+                              metrics_max_samples=metrics_max_samples)
         #: ``metrics_max_samples`` bounds each latency recorder to a
         #: sliding window (sustained-load runs need O(1) memory).
         self.metrics = MetricsCollector(max_samples=metrics_max_samples)
@@ -74,6 +78,14 @@ class Telemetry:
             )
         else:
             self.tracer = NULL_TRACER
+
+    def sibling(self, replica_id: str,
+                shard_id: Optional[int] = None) -> "Telemetry":
+        """A fresh Telemetry configured as this one is, for another
+        replica of the same deployment (the clock is bound by the
+        Controller it is given to)."""
+        return Telemetry(enabled=self.enabled, replica_id=replica_id,
+                         shard_id=shard_id, **self._settings)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the tracer at the deployment's (simulated) clock.

@@ -13,7 +13,10 @@ to arrive by editing this file:
   ``checkpoint.py``'s ``{key: bytes}`` maps; an image is now its buffer
   map) -- app and service state have one encoding;
 - no hashing in ``checkpoint.py``: dedup is the buffer diff the delta
-  already computes.
+  already computes;
+- one ``ReplicaSet`` class split where its decisions live: no module
+  under ``replication/`` passes 600 lines, and no part (shipping,
+  voting, membership, promotion, ...) imports the composition root.
 """
 
 import ast
@@ -26,6 +29,8 @@ SCANNED = (SRC, ROOT / "benchmarks")
 STS = SRC / "core" / "crashpad" / "sts.py"
 CHECKPOINT = SRC / "core" / "crashpad" / "checkpoint.py"
 PERCENTILE_HOMES = {SRC / "metrics" / "collector.py", SRC / "bench" / "hist.py"}
+REPLICATION = SRC / "replication"
+ROOT_MODULE = "repro.replication.replicaset"
 
 
 def _trees():
@@ -88,3 +93,30 @@ def test_checkpoint_store_does_not_hash():
              for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name))}
     assert not names & {"blake2b", "state_hash", "_prev_hash", "_hash_of"}
+
+
+def _imports_root(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == ROOT_MODULE for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == ROOT_MODULE or (
+                    node.module == "repro.replication"
+                    and any(a.name == "replicaset" for a in node.names)):
+                return True
+    return False
+
+
+def test_replication_stays_cut():
+    modules = sorted(REPLICATION.glob("*.py"))
+    sizes = {path.name: len(path.read_text().splitlines())
+             for path in modules}
+    assert {"shipping.py", "voting.py", "membership.py",
+            "promotion.py", "replicaset.py"} <= set(sizes)
+    assert max(sizes.values()) <= 600, sizes
+    parts = [path for path in modules
+             if path.name not in ("replicaset.py", "__init__.py")]
+    importers = [path.name for path in parts
+                 if _imports_root(ast.parse(path.read_text()))]
+    assert not importers, importers
