@@ -14,8 +14,8 @@ Reports split into a **deterministic** part (scenario + results: every
 number is a function of the seeds alone, so two runs of one scenario
 serialise byte-identically) and an **environment** part (wall time,
 peak RSS, python version) that varies per machine.  ``check_report``
-compares a fresh run against a committed baseline document -- the
-``repro bench --check`` CI gate, sibling of ``span_diff.py check``.
+compares a fresh run's deterministic part, key for key, against a
+committed baseline document -- the ``repro bench --check`` CI gate.
 """
 
 from __future__ import annotations
@@ -370,52 +370,42 @@ def run_scenario(scenario: BenchScenario,
 # -- the regression gate ----------------------------------------------
 
 
-def check_report(baseline: Dict[str, object], candidate: BenchReport,
-                 threshold: float = 0.15) -> Tuple[bool, List[str]]:
+def _flat(results: Dict[str, object], prefix: str = "") -> Dict[str, str]:
+    """``results`` as ``{dotted.key: JSON text}`` (a NaN equals itself)."""
+    flat: Dict[str, str] = {}
+    for key, value in results.items():
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = json.dumps(value)
+    return flat
+
+
+def check_report(baseline: Dict[str, object],
+                 candidate: BenchReport) -> Tuple[bool, List[str]]:
     """Gate a fresh run against a committed baseline document entry.
 
-    Fails when throughput drops, tail latency rises, or bytes/event
-    rises by more than ``threshold`` (fractional), or when the
-    candidate's latency summary contradicts itself (a quantile above a
-    higher one, or above ``max``; the frozen baseline is not judged).
-    Returns (ok, human-readable check lines).
+    ``results`` is a function of the seeds alone, so every key must
+    equal the baseline's: one ``FAIL`` line per key that moved, or that
+    only one side has.  An aborted run fails, and so does a candidate
+    whose latency summary contradicts itself (a quantile above a higher
+    one, or above ``max``).  Returns (ok, human-readable check lines).
     """
     lines: List[str] = []
-    ok = True
-    base = baseline["results"]
-    cand = candidate.results
-
-    def check(label: str, base_v, cand_v, higher_is_better: bool):
-        nonlocal ok
-        if not base_v or base_v <= 0 or cand_v is None:
-            lines.append(f"SKIP {label}: no baseline")
-            return
-        ratio = cand_v / base_v
-        if higher_is_better:
-            good = ratio >= 1.0 - threshold
-        else:
-            good = ratio <= 1.0 + threshold
-        if not good:
-            ok = False
-        lines.append(f"{'OK  ' if good else 'FAIL'} {label}: "
-                     f"{base_v} -> {cand_v} ({ratio:.2f}x, "
-                     f"budget {threshold:.0%})")
-
     if candidate.aborted:
-        ok = False
         lines.append(f"FAIL run aborted: {candidate.aborted}")
-    check("events/sec", base.get("events_per_sim_sec"),
-          cand.get("events_per_sim_sec"), higher_is_better=True)
-    check("p99 latency", (base.get("latency_ms") or {}).get("p99"),
-          (cand.get("latency_ms") or {}).get("p99"),
-          higher_is_better=False)
-    check("bytes/event", base.get("bytes_per_event"),
-          cand.get("bytes_per_event"), higher_is_better=False)
-    latency = cand.get("latency_ms") or {}
+    base, cand = _flat(baseline["results"]), _flat(candidate.results)
+    for key in sorted(set(base) | set(cand)):
+        before, after = base.get(key, "absent"), cand.get(key, "absent")
+        if before != after:
+            lines.append(f"FAIL {key}: {before} -> {after}")
+    latency = candidate.results.get("latency_ms") or {}
     ladder = [latency[key] for key in ("p50", "p99", "p99_9", "max")
               if key in latency]
     if any(lower > upper for lower, upper in zip(ladder, ladder[1:])):
-        ok = False
         lines.append(f"FAIL latency order p50 <= p99 <= p99.9 <= max: "
                      f"{ladder}")
+    ok = not lines
+    if ok:
+        lines.append(f"OK   {len(cand)} results identical")
     return ok, lines

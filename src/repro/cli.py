@@ -458,29 +458,6 @@ def cmd_trace_critical_path(args) -> int:
     return 0
 
 
-def cmd_trace_diff(args) -> int:
-    """Diff two traces segment by segment: which hot-path span
-    (dispatch, RPC, checkpoint, NetLog commit) moved, and by how much."""
-    from repro.telemetry.spandiff import (
-        check_regression,
-        diff_summaries,
-        load_summary,
-        render_diff,
-    )
-
-    base = load_summary(args.baseline)
-    cand = load_summary(args.candidate)
-    print(render_diff(diff_summaries(base, cand),
-                      base_label=args.baseline,
-                      cand_label=args.candidate))
-    if args.check_regression is not None:
-        ok, message = check_regression(base, cand, span=args.span,
-                                       threshold=args.check_regression)
-        print(("OK   " if ok else "FAIL ") + message)
-        return 0 if ok else 1
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the quickstart scenario with tracing on, then keep serving
     its metrics over HTTP (/metrics, /healthz, /trace.json)."""
@@ -830,20 +807,15 @@ def cmd_bench(args) -> int:
     if args.check:
         with open(args.check) as fh:
             doc = json.load(fh)
-        runs = doc.get("runs", [doc])
-        # Baselines committed before the named wire format was deleted
-        # (PR 17) hold a row per codec: the packed row is this run's.
         baseline = next(
-            (run for run in runs
-             if run.get("scenario", {}).get("name") == scenario.name
-             and run.get("codec", "packed") == "packed"), None)
+            (run for run in doc.get("runs", [doc])
+             if run.get("scenario", {}).get("name") == scenario.name), None)
         if baseline is None:
             print(f"check: no baseline for {scenario.name} "
                   f"in {args.check}", file=sys.stderr)
             return 1
-        ok, lines = check_report(baseline, report,
-                                 threshold=args.threshold)
-        print(f"check vs {args.check} (budget {args.threshold:.0%}):")
+        ok, lines = check_report(baseline, report)
+        print(f"check vs {args.check}:")
         for line in lines:
             print(f"  {line}")
         if not ok:
@@ -940,19 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output format for --out (default json)")
     p_trace.set_defaults(func=cmd_trace)
     trace_sub = p_trace.add_subparsers(dest="trace_cmd")
-    p_diff = trace_sub.add_parser(
-        "diff", help=cmd_trace_diff.__doc__)
-    p_diff.add_argument("baseline", help="baseline trace JSON "
-                        "(repro trace --out, or a span-diff capture)")
-    p_diff.add_argument("candidate", help="candidate trace JSON")
-    p_diff.add_argument("--span", default="appvisor.event",
-                        help="span gated by --check-regression "
-                             "(default appvisor.event)")
-    p_diff.add_argument("--check-regression", type=float, default=None,
-                        metavar="FRACTION",
-                        help="exit non-zero if the --span median "
-                             "regressed more than FRACTION (e.g. 0.2)")
-    p_diff.set_defaults(func=cmd_trace_diff)
 
     def add_causal_args(p):
         add_topo_args(p)
@@ -1128,10 +1087,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None,
                          help="write the full report JSON here")
     p_bench.add_argument("--check", default=None, metavar="BASELINE",
-                         help="gate against a committed baseline doc "
-                              "(exit nonzero on regression)")
-    p_bench.add_argument("--threshold", type=float, default=0.15,
-                         help="fractional regression budget for --check")
+                         help="compare results with a committed baseline "
+                              "doc (exit nonzero if any key moved)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

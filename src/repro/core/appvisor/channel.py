@@ -317,8 +317,8 @@ class UdpChannel:
         self.on_fault: List[Callable[[ChannelFault], None]] = []
         #: Optional Telemetry; when enabled each delivered datagram
         #: records one ``span_name`` span covering its time on the wire
-        #: (tagged with frame and byte counts), the span-diff harness's
-        #: RPC segment.
+        #: (tagged with frame and byte counts): the RPC segment of
+        #: ``repro trace critical-path``.
         self.telemetry = telemetry
         self.span_name = span_name
         self.proxy_end = ChannelEndpoint(self, "proxy")

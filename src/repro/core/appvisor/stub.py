@@ -95,7 +95,7 @@ class AppVisorStub:
         self.app = app
         #: Optional Telemetry; when enabled the stub records one
         #: ``appvisor.checkpoint`` span per checkpoint freeze (the
-        #: span-diff harness's checkpoint segment) and one
+        #: checkpoint segment of ``repro trace critical-path``) and one
         #: ``crashpad.encode`` span per background drain of deferred
         #: checkpoint encodes.
         self.telemetry = telemetry

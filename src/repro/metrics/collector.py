@@ -19,19 +19,6 @@ def percentile(ordered: Sequence[float], p: float) -> float:
     return ordered[max(1, math.ceil(p / 100 * len(ordered))) - 1]
 
 
-def rounded_index_percentile(ordered: Sequence[float], p: float) -> float:
-    """The sample at index ``round(p % of (n - 1))`` of an ascending
-    sequence; 0.0 when it is empty.  A second rule only because two
-    things are *defined* by it: the medians committed in
-    ``BENCH_PR8.json`` (span-diff's gate) and the EWMA baselines the
-    ``HealthWatchdog`` compares a sweep's p95 against.  New code uses
-    :func:`percentile`."""
-    if not ordered:
-        return 0.0
-    rank = int(round(p / 100.0 * (len(ordered) - 1)))
-    return ordered[max(0, min(len(ordered) - 1, rank))]
-
-
 class LatencyRecorder:
     """Collects samples; reports mean/percentiles.
 

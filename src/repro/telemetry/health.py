@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.metrics.collector import rounded_index_percentile
+from repro.metrics.collector import percentile
 
 
 @dataclass
@@ -169,7 +169,7 @@ class HealthWatchdog:
             if len(window) < self.min_samples:
                 continue
             ordered = sorted(d for _, d in window)
-            p95 = rounded_index_percentile(ordered, 95)
+            p95 = percentile(ordered, 95)
             baseline = self._baselines.get(name)
             if baseline is None:
                 self._baselines[name] = p95
@@ -334,9 +334,9 @@ class HealthWatchdog:
             ordered = sorted(d for _, d in window)
             out[name] = {
                 "count": len(ordered),
-                "p50": rounded_index_percentile(ordered, 50),
-                "p95": rounded_index_percentile(ordered, 95),
-                "p99": rounded_index_percentile(ordered, 99),
+                "p50": percentile(ordered, 50),
+                "p95": percentile(ordered, 95),
+                "p99": percentile(ordered, 99),
             }
         return out
 

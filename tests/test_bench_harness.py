@@ -76,23 +76,27 @@ def _baseline_doc(report):
 
 def test_check_passes_against_itself():
     report = run_scenario(TINY)
-    ok, lines = check_report(report.to_dict(), report, threshold=0.15)
+    ok, lines = check_report(report.to_dict(), report)
     assert ok, lines
 
 
 def test_check_fails_on_planted_regression():
     report = run_scenario(TINY)
     baseline = report.to_dict()
-    # Plant a baseline that was twice as fast and half the bytes: the
-    # fresh run is then a >threshold regression on both axes.
+    # Results are exact: a planted move of one byte per event fails,
+    # and so does a metric the candidate no longer reports.
     baseline["results"] = dict(baseline["results"])
-    baseline["results"]["events_per_sim_sec"] = (
-        baseline["results"]["events_per_sim_sec"] * 2)
-    baseline["results"]["bytes_per_event"] = (
-        baseline["results"]["bytes_per_event"] / 2)
-    ok, lines = check_report(baseline, report, threshold=0.15)
+    baseline["results"]["bytes_per_event"] += 1
+    ok, lines = check_report(baseline, report)
     assert not ok
-    assert any(line.startswith("FAIL") for line in lines)
+    assert any(line.startswith("FAIL bytes_per_event:") for line in lines)
+    baseline = report.to_dict()
+    report.results = {key: value for key, value in report.results.items()
+                      if key != "hosts_churned"}
+    ok, lines = check_report(baseline, report)
+    assert not ok
+    assert lines == [f"FAIL hosts_churned: "
+                     f"{baseline['results']['hosts_churned']} -> absent"]
 
 
 def test_check_fails_on_aborted_run():
@@ -105,19 +109,13 @@ def test_check_fails_on_aborted_run():
 
 def test_check_fails_a_candidate_whose_latency_contradicts_itself():
     report = run_scenario(TINY)
-    baseline = report.to_dict()
-    # The frozen baseline may hold the pre-clamp p50 > max; it is the
-    # candidate that is judged.
-    baseline["results"] = dict(baseline["results"])
-    baseline["results"]["latency_ms"] = dict(
-        report.results["latency_ms"], p50=1e9)
-    ok, lines = check_report(baseline, report)
-    assert ok, lines
     report.results["latency_ms"]["p50"] = (
         report.results["latency_ms"]["max"] * 1.01)
-    ok, lines = check_report(baseline, report)
+    # Equal to its baseline, and still judged on its own order.
+    ok, lines = check_report(report.to_dict(), report)
     assert not ok
-    assert any("latency order" in line for line in lines)
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        line for line in lines if "latency order" in line]
 
 
 # -- the CLI ----------------------------------------------------------
@@ -148,32 +146,13 @@ def test_cli_bench_check_exits_nonzero_on_regression(tmp_path, capsys):
     baseline.write_text(json.dumps({"runs": [doc]}))
     assert cli_main(_bench_args(["--check", str(baseline)])) == 0
 
-    # Planted regression: nonzero exit.
+    # Planted regression of one byte per event: nonzero exit.
     planted = dict(doc, results=dict(
         doc["results"],
-        events_per_sim_sec=doc["results"]["events_per_sim_sec"] * 2))
+        bytes_per_event=doc["results"]["bytes_per_event"] + 1))
     baseline.write_text(json.dumps({"runs": [planted]}))
-    assert cli_main(_bench_args(["--check", str(baseline),
-                                 "--threshold", "0.1"])) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
-def test_cli_bench_check_reads_the_packed_row_of_an_old_baseline(tmp_path):
-    """Committed baselines from before the named format was deleted
-    hold a ``named`` row beside the ``packed`` one; only the latter is
-    this run's baseline (the planted ``named`` row would fail it)."""
-    out = tmp_path / "report.json"
-    assert cli_main(_bench_args(["--out", str(out)])) == 0
-    doc = json.loads(out.read_text())
-    named = dict(doc, codec="named", results=dict(
-        doc["results"],
-        events_per_sim_sec=doc["results"]["events_per_sim_sec"] * 2))
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"runs": [named, dict(doc, codec="packed")]}))
-    assert cli_main(_bench_args(["--check", str(baseline)])) == 0
-    baseline.write_text(json.dumps({"runs": [named]}))
     assert cli_main(_bench_args(["--check", str(baseline)])) == 1
+    assert "FAIL bytes_per_event:" in capsys.readouterr().out
 
 
 def test_cli_bench_check_missing_baseline_entry(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_restore_equivalence_with_reference_state():
 def test_delta_cost_is_per_changed_byte_with_no_freeze_constant():
     """A delta pays the hash pass, the changed bytes' encode and the
     blob write -- no fixed per-delta freeze -- the source of the
-    appvisor.event speedup the span-diff gate pins."""
+    appvisor.event speedup SIM_DIGEST.json pins as ``event_ms_*``."""
     app = DictApp()
     store = CheckpointStore()
     store.take(app, before_seq=1, now=1.0)

@@ -8,7 +8,9 @@ to arrive by editing this file:
 - one delta-debugging minimiser (``ddmin`` in
   ``core/crashpad/sts.py``; ``repro.debug`` runs the same function);
 - percentile/quantile rules defined in ``metrics/collector.py`` (exact
-  samples) and ``bench/hist.py`` (streaming buckets), nowhere else;
+  samples) and ``bench/hist.py`` (streaming buckets), nowhere else --
+  and exact samples have one rule, nearest rank (a rounded-index rule
+  once served the watchdog and a deleted span-diff gate);
 - no ``pickle`` under ``src/repro`` at all (until PR 22 it framed
   ``checkpoint.py``'s ``{key: bytes}`` maps; an image is now its buffer
   map) -- app and service state have one encoding;
@@ -28,7 +30,8 @@ SCANNED = (SRC, ROOT / "benchmarks")
 
 STS = SRC / "core" / "crashpad" / "sts.py"
 CHECKPOINT = SRC / "core" / "crashpad" / "checkpoint.py"
-PERCENTILE_HOMES = {SRC / "metrics" / "collector.py", SRC / "bench" / "hist.py"}
+COLLECTOR = SRC / "metrics" / "collector.py"
+PERCENTILE_HOMES = {COLLECTOR, SRC / "bench" / "hist.py"}
 REPLICATION = SRC / "replication"
 ROOT_MODULE = "repro.replication.replicaset"
 
@@ -77,6 +80,10 @@ def test_percentile_rules_live_in_one_module_per_kind():
         for fn in _functions(tree)
         if fn.name.endswith(("percentile", "quantile"))]
     assert not strays, strays
+    exact = [node.name for node in ast.parse(COLLECTOR.read_text()).body
+             if isinstance(node, ast.FunctionDef)
+             and node.name.endswith(("percentile", "quantile"))]
+    assert exact == ["percentile"], exact
 
 
 def test_pickle_is_imported_nowhere():
