@@ -1,0 +1,73 @@
+"""The CLI's exact stdout at seed 0: what rebuilding its stacks must keep.
+
+``tests/data/cli_golden.json`` was recorded on the commit *before* the
+CLI's hand-assembled stacks were replaced by ``repro.stack``.  It maps
+each command line below to the stdout of ``repro.cli.main`` run
+in-process from fresh xid and packet-id counters (ids are
+varint-encoded, so their magnitude reaches wire sizes and through them
+sim instants).  A ticket's ``--- stack trace ---`` block is cut out:
+its frames are formatted differently across CPython versions.  Never
+regenerate the golden to make a change pass.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from repro.cli import main
+from repro.network.packet import reset_packet_ids
+from repro.openflow.messages import reset_xid_counter
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+
+COMMANDS = (
+    "demo",
+    "drill --duration 4",
+    "drill --runtime monolithic --duration 4",
+    "replicate --duration 3",
+    "shard --size 6 --shards 3 --duration 3 --kill-shard 1",
+    "chaos --sweep 0,0.2 --duration 3",
+    "byzantine --size 4 --sweep 0,0.3 --duration 3",
+    "trace --size 3",
+    "trace critical-path --duration 3 --size 4",
+)
+
+
+def without_stack_traces(text: str) -> str:
+    """``text`` minus every ``--- stack trace ---`` section (up to the
+    next ``--- `` header or the end of the ticket)."""
+    kept, skipping = [], False
+    for line in text.splitlines():
+        if line.startswith("--- "):
+            skipping = line == "--- stack trace ---"
+        if not skipping:
+            kept.append(line)
+    return "\n".join(kept) + "\n"
+
+
+def run(command: str) -> dict:
+    reset_xid_counter()
+    reset_packet_ids()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    return {"exit": code, "stdout": without_stack_traces(out.getvalue())}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_covers_every_command(golden):
+    assert sorted(golden) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_stdout_is_unchanged(golden, command):
+    assert run(command) == golden[command]
