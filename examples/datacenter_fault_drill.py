@@ -17,11 +17,11 @@ Run:  python examples/datacenter_fault_drill.py
 
 from repro.apps import DenyRule, Firewall, FlowMonitor, ShortestPathRouting
 from repro.core.crashpad.policy_lang import PolicyTable
-from repro.core.runtime import LegoSDNRuntime
+from repro.core.runtime import RuntimeConfig
 from repro.faults import crash_on
-from repro.network.net import Network
 from repro.network.packet import IPPROTO_TCP
 from repro.network.topology import ring_topology
+from repro.stack import StackSpec, build_stack
 from repro.workloads.failure import FailureSchedule
 
 OPERATOR_POLICY = """
@@ -36,22 +36,21 @@ app=*         event=*            policy=absolute
 
 
 def main():
-    # A 5-switch ring gives every host a redundant path.
-    net = Network(ring_topology(5, 1), seed=7)
-    runtime = LegoSDNRuntime(
-        net.controller,
-        policy_table=PolicyTable.parse(OPERATOR_POLICY),
-    )
-
-    # The app mix: routing with a deterministic switch-down bug, a
-    # firewall blocking telnet to h2, and a monitor.
-    runtime.launch_app(crash_on(ShortestPathRouting(),
-                                event_type="SwitchLeave"))
-    runtime.launch_app(Firewall(deny_rules=(
-        DenyRule(ip_dst="10.0.0.2", ip_proto=IPPROTO_TCP, tp_dst=23),
-    )))
-    runtime.launch_app(FlowMonitor())
-    net.start()
+    # A 5-switch ring gives every host a redundant path.  The app mix:
+    # routing with a deterministic switch-down bug, a firewall blocking
+    # telnet to h2, and a monitor.
+    stack = build_stack(StackSpec(
+        topology=ring_topology(5, 1), seed=7,
+        runtime=RuntimeConfig(policy_table=PolicyTable.parse(OPERATOR_POLICY)),
+        apps=(crash_on(ShortestPathRouting(), event_type="SwitchLeave"),
+              Firewall(deny_rules=(
+                  DenyRule(ip_dst="10.0.0.2", ip_proto=IPPROTO_TCP,
+                           tp_dst=23),
+              )),
+              FlowMonitor()),
+    ))
+    net, runtime = stack.net, stack.runtime
+    stack.start()
     net.run_for(2.0)
     print(f"[{net.now:5.2f}s] deployment up, "
           f"reachability {net.reachability(wait=1.5):.0%}")

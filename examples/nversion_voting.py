@@ -12,24 +12,22 @@ Run:  python examples/nversion_voting.py
 
 from repro.apps import LearningSwitch
 from repro.core.diversity import NVersionApp
-from repro.core.runtime import LegoSDNRuntime
 from repro.faults import crash_on
-from repro.network.net import Network
 from repro.network.topology import linear_topology
+from repro.stack import StackSpec, build_stack
 from repro.workloads.traffic import TrafficWorkload, inject_marker_packet
 
 
 def main():
-    net = Network(linear_topology(2, 2), seed=11)
-    runtime = LegoSDNRuntime(net.controller)
-
     # "Team B" shipped a bug that crashes on a specific payload.
     team_a = LearningSwitch()
     team_b = crash_on(LearningSwitch(), payload_marker="POISON")
     team_c = LearningSwitch()
     voter = NVersionApp([team_a, team_b, team_c], name="ls-3version")
-    runtime.launch_app(voter)
-    net.start()
+    stack = build_stack(StackSpec(topology=linear_topology(2, 2), seed=11,
+                                  apps=(voter,)))
+    net, runtime = stack.net, stack.runtime
+    stack.start()
     net.run_for(1.5)
 
     # Background traffic plus the poison packet.

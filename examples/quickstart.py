@@ -11,27 +11,28 @@ Run:  python examples/quickstart.py
 """
 
 from repro.apps import LearningSwitch
-from repro.core.runtime import LegoSDNRuntime
 from repro.faults import crash_on
-from repro.network.net import Network
 from repro.network.topology import linear_topology
+from repro.stack import StackSpec, build_stack
 from repro.workloads.traffic import inject_marker_packet
 
 
 def main():
-    # 1. A network: three switches in a line, one host each.
-    topo = linear_topology(num_switches=3, hosts_per_switch=1)
-    net = Network(topo, seed=42)
-
-    # 2. A LegoSDN runtime on the network's controller, hosting a
+    # 1. The deployment, as one value: three switches in a line with
+    #    one host each, and a LegoSDN runtime (the default) hosting a
     #    LearningSwitch that has a deterministic crash bug: it dies
     #    whenever it processes a packet whose payload contains "BOOM".
-    runtime = LegoSDNRuntime(net.controller)
-    buggy_app = crash_on(LearningSwitch(), payload_marker="BOOM")
-    runtime.launch_app(buggy_app)
+    spec = StackSpec(
+        topology=linear_topology(num_switches=3, hosts_per_switch=1),
+        seed=42,
+        apps=(crash_on(LearningSwitch(), payload_marker="BOOM"),))
+
+    # 2. Build it: the network, the runtime, the app in its sandbox.
+    stack = build_stack(spec)
+    net, runtime = stack.net, stack.runtime
 
     # 3. Start everything and let link discovery converge.
-    net.start()
+    stack.start()
     net.run_for(1.5)
     print(f"[{net.now:5.2f}s] topology discovered: "
           f"{len(net.controller.topology.view().links)} links")

@@ -13,37 +13,28 @@ Run:  python examples/runtime_comparison.py
 
 from repro.apps import FlowMonitor, LearningSwitch
 from repro.controller.monolithic import MonolithicRuntime
-from repro.core.runtime import LegoSDNRuntime
+from repro.core.runtime import RuntimeConfig
 from repro.core.upgrade import upgrade_legosdn, upgrade_monolithic
 from repro.faults import crash_on
-from repro.network.net import Network
 from repro.network.topology import linear_topology
+from repro.stack import StackSpec, build_stack
 from repro.workloads.traffic import inject_marker_packet
 
 
-def build_monolithic():
-    net = Network(linear_topology(3, 1), seed=3)
-    runtime = MonolithicRuntime(net.controller, auto_restart=True,
-                                restart_delay=0.5)
-    runtime.launch_app(LearningSwitch)
-    runtime.launch_app(FlowMonitor)
-    runtime.launch_app(lambda: crash_on(LearningSwitch(name="buggy"),
-                                        payload_marker="BOOM"))
-    net.start()
-    net.run_for(1.5)
-    return net, runtime
+def buggy_switch():
+    return crash_on(LearningSwitch(name="buggy"), payload_marker="BOOM")
 
 
-def build_legosdn():
-    net = Network(linear_topology(3, 1), seed=3)
-    runtime = LegoSDNRuntime(net.controller)
-    runtime.launch_app(LearningSwitch())
-    runtime.launch_app(FlowMonitor())
-    runtime.launch_app(crash_on(LearningSwitch(name="buggy"),
-                                payload_marker="BOOM"))
-    net.start()
-    net.run_for(1.5)
-    return net, runtime
+def build(runtime):
+    """The same three apps on either runtime (``None``: the monolithic
+    baseline, which restarts an app from its factory, so the apps are
+    given as factories)."""
+    stack = build_stack(StackSpec(
+        topology=linear_topology(3, 1), seed=3, runtime=runtime,
+        apps=(LearningSwitch, FlowMonitor, buggy_switch)))
+    stack.start()
+    stack.net.run_for(1.5)
+    return stack.net, stack.runtime
 
 
 def drill(net, runtime, label):
@@ -80,9 +71,9 @@ def drill(net, runtime, label):
 
 
 def main():
-    mono_net, mono_rt = build_monolithic()
+    mono_net, mono_rt = build(None)
     drill(mono_net, mono_rt, "monolithic (FloodLight-style)")
-    lego_net, lego_rt = build_legosdn()
+    lego_net, lego_rt = build(RuntimeConfig())
     drill(lego_net, lego_rt, "LegoSDN")
 
     print("\n--- summary ---")

@@ -12,10 +12,9 @@ Run:  python examples/virtual_ip_service.py
 """
 
 from repro.apps import LearningSwitch, VirtualIPGateway
-from repro.core.runtime import LegoSDNRuntime
-from repro.network.net import Network
 from repro.network.packet import tcp_packet
 from repro.network.topology import linear_topology
+from repro.stack import StackSpec, build_stack
 
 VIP = "10.0.99.1"
 VMAC = "0a:0a:0a:0a:0a:0a"
@@ -23,18 +22,17 @@ VMAC = "0a:0a:0a:0a:0a:0a"
 
 def main():
     # h1 is the client; h2 and h3 are the server pool.
-    net = Network(linear_topology(3, 1), seed=21)
-    backends = (net.host("h2"), net.host("h3"))
-    for backend in backends:
-        backend.tcp_echo = True  # a trivial TCP echo "service"
-
-    runtime = LegoSDNRuntime(net.controller)
-    runtime.launch_app(VirtualIPGateway(
-        vip=VIP, vmac=VMAC,
-        backend_macs=tuple(b.mac for b in backends),
-    ))
-    runtime.launch_app(LearningSwitch())
-    net.start()
+    topo = linear_topology(3, 1)
+    pool = topo.hosts[1:]
+    stack = build_stack(StackSpec(topology=topo, seed=21, apps=(
+        VirtualIPGateway(vip=VIP, vmac=VMAC,
+                         backend_macs=tuple(h.mac for h in pool)),
+        LearningSwitch(),
+    )))
+    net, runtime = stack.net, stack.runtime
+    for host in pool:
+        net.host(host.name).tcp_echo = True  # a trivial TCP echo "service"
+    stack.start()
     net.run_for(1.5)
     net.reachability(wait=1.0)  # let the controller learn every host
 

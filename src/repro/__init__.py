@@ -22,6 +22,8 @@ The package is organised bottom-up:
   Crash-Pad, and the LegoSDN runtime that composes them.
 - :mod:`repro.metrics`, :mod:`repro.workloads` -- measurement and
   workload-generation support used by the benchmark harness.
+- :mod:`repro.stack` -- one way to assemble a deployment: a
+  ``StackSpec`` value and ``build_stack``.
 
 Quickstart::
 
@@ -45,18 +47,16 @@ def quickstart_network(app_names=("learning_switch",), seed=0):
     :class:`repro.core.runtime.LegoSDNRuntime` hosting the named apps.
 
     This is a convenience wrapper for demos and doctests; real
-    deployments should compose the pieces explicitly as shown in
-    ``examples/``.
+    deployments describe themselves as a :class:`repro.stack.StackSpec`
+    and build it with :func:`repro.stack.build_stack`, as ``examples/``
+    do.
     """
     from repro.apps import make_app
-    from repro.core.runtime import LegoSDNRuntime
-    from repro.network.net import Network
     from repro.network.topology import linear_topology
+    from repro.stack import StackSpec, build_stack
 
-    topo = linear_topology(num_switches=3, hosts_per_switch=1)
-    net = Network(topo, seed=seed)
-    runtime = LegoSDNRuntime(net.controller)
-    for name in app_names:
-        runtime.launch_app(make_app(name))
-    net.start()
-    return net, runtime
+    stack = build_stack(StackSpec(
+        topology=linear_topology(num_switches=3, hosts_per_switch=1),
+        seed=seed, apps=tuple(make_app(name) for name in app_names)))
+    stack.start()
+    return stack.net, stack.runtime

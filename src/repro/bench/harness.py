@@ -32,11 +32,11 @@ from repro.apps import LearningSwitch
 from repro.bench.hist import StreamingHistogram
 from repro.bench.loadgen import LoadGenerator
 from repro.bench.synth import HostUniverse, TrafficMix
-from repro.network.net import Network
+from repro.core.runtime import RuntimeConfig
 from repro.network.packet import reset_packet_ids, tcp_packet
 from repro.network.topology import tree_topology
 from repro.openflow.messages import PacketIn, reset_xid_counter
-from repro.shard import ShardCoordinator
+from repro.stack import StackSpec, build_stack
 
 #: Event-latency span the histogram tracks (one per app event).
 EVENT_SPAN = "appvisor.event"
@@ -232,23 +232,21 @@ def run_scenario(scenario: BenchScenario,
     reset_xid_counter()
     reset_packet_ids()
 
-    topo = tree_topology(scenario.tree_depth, scenario.tree_fanout,
-                         hosts_per_leaf=1)
-    net = Network(topo, seed=scenario.seed)
-    coordinator = ShardCoordinator(
-        net, shards=scenario.shards,
+    stack = build_stack(StackSpec(
+        topology=tree_topology(scenario.tree_depth, scenario.tree_fanout,
+                               hosts_per_leaf=1),
+        seed=scenario.seed,
         apps=(_CrashMarkerSwitch if scenario.crash_at > 0
               else LearningSwitch,),
+        runtime=RuntimeConfig(
+            checkpoint_interval=scenario.checkpoint_interval),
         backups=scenario.backups,
+        shards=scenario.shards,
         service_time=scenario.service_time,
-        telemetry_enabled=True,
-        seed=scenario.seed,
-        runtime_kwargs={
-            "checkpoint_interval": scenario.checkpoint_interval},
-        telemetry_kwargs={"metrics_max_samples": 4096,
-                          "max_spans": 60_000},
-    )
-    coordinator.start()
+        telemetry={"metrics_max_samples": 4096, "max_spans": 60_000},
+    ))
+    net, coordinator = stack.net, stack.coordinator
+    stack.start()
     universe = HostUniverse(scenario.hosts, sorted(net.switches),
                             seed=scenario.seed, skew=scenario.skew)
     mix = TrafficMix(universe, seed=scenario.seed + 1,

@@ -35,41 +35,37 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _watchdog(telemetry, net):
-    """A HealthWatchdog sweeping invariants against ground truth."""
-    from repro.invariants.graph import NetSnapshot
-    from repro.telemetry import HealthWatchdog
+def _build(args, traced=False, **spec):
+    """The deployment ``spec`` (a StackSpec's other fields) describes on
+    the command's ``--topology``/``--size``, with its one ``--seed``;
+    ``traced`` turns telemetry on with a ``--flight-records`` ring."""
+    from repro.stack import StackSpec, build_stack
 
-    return HealthWatchdog(
-        telemetry, net.sim,
-        snapshot_provider=lambda: NetSnapshot.from_network(net))
+    if traced:
+        spec["telemetry"] = {"flight_capacity": args.flight_capacity}
+    return build_stack(StackSpec(
+        topology=build_topology(args.topology, args.size), seed=args.seed,
+        **spec))
 
 
-def _run_quickstart(args, telemetry=None, crash=True, watchdog=False):
+def _run_quickstart(args, traced=False, crash=True, watchdog=False):
     """The quickstart scenario ``demo``, ``trace`` and ``serve`` share:
     a LearningSwitch that crashes on a ``BOOM`` payload, healthy
     traffic first (so a trace shows complete control-loop transits),
     then -- with ``crash`` -- the marker and the recovery.
 
-    Returns ``(net, runtime, watchdog or None, healthy reachability)``.
+    Returns ``(stack, healthy reachability)``.
     """
     from repro.apps import LearningSwitch
-    from repro.core.runtime import LegoSDNRuntime
     from repro.faults import crash_on
-    from repro.network.net import Network
     from repro.workloads.traffic import inject_marker_packet
 
-    net = Network(build_topology(args.topology, args.size),
-                  seed=args.seed, telemetry=telemetry)
-    runtime = LegoSDNRuntime(net.controller)
     app = LearningSwitch()
     if crash:
         app = crash_on(app, payload_marker="BOOM")
-    runtime.launch_app(app)
-    # Created after the launch and before the start: it is scheduling
-    # order.
-    dog = _watchdog(telemetry, net) if watchdog else None
-    net.start()
+    stack = _build(args, traced, apps=(app,), watchdog=watchdog)
+    net = stack.net
+    stack.start()
     net.run_for(1.5)
     healthy = net.reachability()
     if crash:
@@ -79,46 +75,27 @@ def _run_quickstart(args, telemetry=None, crash=True, watchdog=False):
         hosts = sorted(net.hosts)
         inject_marker_packet(net, hosts[0], hosts[-1], "BOOM")
         net.run_for(2.0)
-    return net, runtime, dog, healthy
+    return stack, healthy
 
 
-def _run_random_traffic(args, telemetry=None, watchdog=False,
-                        replica_options=None, **runtime_options):
+def _run_random_traffic(args, stack):
     """The load scenario the causal ``trace`` commands, ``chaos`` and
-    ``byzantine`` share: a LearningSwitch, a 1 s warm-up, random
-    traffic for 0.7 x ``--duration``, the run.
-
-    ``replica_options`` puts a ReplicaSet around the runtime (before
-    the launch, which it must see); ``watchdog`` adds a HealthWatchdog
-    (after it).  Returns ``(net, runtime, replicas, watchdog)``.
-    """
-    from repro.apps import LearningSwitch
-    from repro.core.runtime import LegoSDNRuntime
-    from repro.network.net import Network
+    ``byzantine`` share, on a built stack hosting a LearningSwitch: a
+    1 s warm-up, random traffic for 0.7 x ``--duration``, the run."""
     from repro.workloads.traffic import TrafficWorkload
 
-    net = Network(build_topology(args.topology, args.size),
-                  seed=args.seed, telemetry=telemetry)
-    runtime = LegoSDNRuntime(net.controller, **runtime_options)
-    replicas = None
-    if replica_options is not None:
-        from repro.replication.replicaset import ReplicaSet
-
-        replicas = ReplicaSet(net, runtime, seed=args.seed,
-                              **replica_options)
-    runtime.launch_app(LearningSwitch())
-    dog = _watchdog(telemetry, net) if watchdog else None
-    net.start()
-    net.run_for(1.0)
-    TrafficWorkload(net, rate=args.rate, seed=args.seed,
+    stack.start()
+    stack.net.run_for(1.0)
+    TrafficWorkload(stack.net, rate=args.rate, seed=args.seed,
                     selection="random").start(args.duration * 0.7)
-    net.run_for(args.duration)
-    return net, runtime, replicas, dog
+    stack.net.run_for(args.duration)
+    return stack
 
 
 def cmd_demo(args) -> int:
     """The quickstart scenario: contain a crash, recover, show a ticket."""
-    net, runtime, _, healthy = _run_quickstart(args)
+    stack, healthy = _run_quickstart(args)
+    net, runtime = stack.net, stack.runtime
     print(f"reachability (healthy): {healthy:.0%}")
     stats = runtime.stats()["learning_switch"]
     print(f"app crashes: {stats['crashes']}, recoveries: "
@@ -132,29 +109,28 @@ def cmd_demo(args) -> int:
 
 def cmd_drill(args) -> int:
     """A fault drill: traffic + scripted failures on a chosen runtime."""
+    from functools import partial
+
     from repro.apps import make_app
-    from repro.controller.monolithic import MonolithicRuntime
     from repro.core.crashpad.policy_lang import PolicyTable
-    from repro.core.runtime import LegoSDNRuntime
-    from repro.network.net import Network
+    from repro.core.runtime import RuntimeConfig
     from repro.workloads.failure import FailureSchedule
     from repro.workloads.traffic import TrafficWorkload
 
-    net = Network(build_topology(args.topology, args.size), seed=args.seed)
-    if args.runtime == "legosdn":
+    monolithic = args.runtime == "monolithic"
+    config = None       # the monolithic baseline
+    if not monolithic:
         policy_table = None
         if args.policy:
             with open(args.policy) as fh:
                 policy_table = PolicyTable.parse(fh.read())
-        runtime = LegoSDNRuntime(net.controller, policy_table=policy_table,
-                                 mode=args.mode)
-        for name in args.apps:
-            runtime.launch_app(make_app(name))
-    else:
-        runtime = MonolithicRuntime(net.controller, auto_restart=True)
-        for name in args.apps:
-            runtime.launch_app(lambda n=name: make_app(n))
-    net.start()
+        config = RuntimeConfig(policy_table=policy_table, mode=args.mode)
+    # The baseline restarts an app by re-instantiating it: factories.
+    apps = tuple(partial(make_app, name) if monolithic else make_app(name)
+                 for name in args.apps)
+    stack = _build(args, apps=apps, runtime=config)
+    net, runtime = stack.net, stack.runtime
+    stack.start()
     net.run_for(1.5)
     TrafficWorkload(net, rate=args.rate).start(args.duration * 0.8)
     schedule = FailureSchedule()
@@ -167,7 +143,7 @@ def cmd_drill(args) -> int:
     print(f"drill complete at t={net.now:.1f}s")
     print(f"  controller up:  {not net.controller.crashed}")
     print(f"  reachability:   {net.reachability(wait=1.0):.0%}")
-    if args.runtime == "legosdn":
+    if not monolithic:
         for name, stats in sorted(runtime.stats().items()):
             print(f"  {name}: {stats}")
         print(f"  tickets: {len(runtime.tickets)}")
@@ -187,21 +163,13 @@ def cmd_replicate(args) -> int:
     """Controller HA walk-through: kill the primary mid-workload and
     watch a warm backup take over without losing the apps."""
     from repro.apps import LearningSwitch
-    from repro.core.runtime import LegoSDNRuntime
-    from repro.network.net import Network
-    from repro.replication import ReplicaSet
-    from repro.telemetry import Telemetry
     from repro.workloads import ChurnWorkload, TrafficWorkload
 
-    telemetry = Telemetry(enabled=True,
-                          flight_capacity=args.flight_capacity)
-    net = Network(build_topology(args.topology, args.size),
-                  seed=args.seed, telemetry=telemetry)
-    runtime = LegoSDNRuntime(net.controller)
-    replicas = ReplicaSet(net, runtime, backups=args.backups,
-                          lease_timeout=args.lease, seed=args.seed)
-    runtime.launch_app(LearningSwitch())
-    net.start()
+    stack = _build(args, traced=True, apps=(LearningSwitch(),),
+                   backups=args.backups,
+                   replica_options={"lease_timeout": args.lease})
+    net, replicas = stack.net, stack.replicas
+    stack.start()
     net.run_for(1.5)
     TrafficWorkload(net, rate=args.rate, seed=args.seed).start(args.duration)
     churn = None
@@ -238,17 +206,14 @@ def cmd_shard(args) -> int:
     fabric, a mid-run shard-primary kill (contained to its shard), and
     freshness-bounded quorum reads served by warm backups."""
     from repro.apps import LearningSwitch
-    from repro.network.net import Network
-    from repro.shard import ShardCoordinator, ShardReadGateway
+    from repro.shard import ShardReadGateway
     from repro.workloads import ChurnWorkload, TrafficWorkload
 
-    net = Network(build_topology(args.topology, args.size),
-                  seed=args.seed)
-    coordinator = ShardCoordinator(
-        net, shards=args.shards, apps=(LearningSwitch,),
-        backups=args.backups, service_time=args.service_time,
-        telemetry_enabled=True, seed=args.seed)
-    coordinator.start()
+    stack = _build(args, apps=(LearningSwitch,), backups=args.backups,
+                   shards=args.shards, service_time=args.service_time,
+                   telemetry={})    # tracing on, default settings
+    net, coordinator = stack.net, stack.coordinator
+    stack.start()
     net.run_for(1.5)
     print(f"sharded plane up: {args.shards} shards over "
           f"{len(net.switches)} switches")
@@ -314,12 +279,10 @@ def cmd_shard(args) -> int:
 def cmd_trace(args) -> int:
     """Run the quickstart scenario with tracing enabled; print the
     per-seam span summary and optionally save the full trace."""
-    from repro.telemetry import Telemetry
     from repro.telemetry.export import write_trace
 
-    telemetry = Telemetry(enabled=True,
-                          flight_capacity=args.flight_capacity)
-    net, runtime, _, _ = _run_quickstart(args, telemetry, crash=args.crash)
+    stack, _ = _run_quickstart(args, traced=True, crash=args.crash)
+    net, runtime, telemetry = stack.net, stack.runtime, stack.telemetry
     tracer = telemetry.tracer
     print(f"trace captured over {net.now:.2f}s simulated: "
           f"{len(tracer.spans)} spans, {len(telemetry.recorder)} "
@@ -343,37 +306,31 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _load_spans(path: str) -> list:
-    """Spans from a saved trace document (or a bare span list)."""
-    import json
+def _traced_spans(args):
+    """The spans the causal commands analyze: a saved trace document
+    (``--in``; or a bare span list), or a short traced workload's.
 
-    with open(path) as fh:
-        doc = json.load(fh)
-    return doc["spans"] if isinstance(doc, dict) else doc
-
-
-def _run_traced_workload(args, loss: float):
-    """A short traced control-loop workload for the causal commands.
-
-    Mirrors the E17 adverse-network setup: reliable batched channels,
-    optional chaos at ``loss`` (with 10% dup/reorder and delay jitter),
-    random traffic, and a HealthWatchdog sweeping invariants against
-    ground truth.  Returns ``(telemetry, watchdog, net)``.
+    The workload mirrors the E17 adverse-network setup: reliable batched
+    channels, optional chaos at ``--loss`` (with 10% dup/reorder and
+    delay jitter), random traffic, and a HealthWatchdog sweeping
+    invariants against ground truth.  Returns ``(spans, stack or None)``.
     """
-    from repro.faults.netfaults import ChaosProfile
-    from repro.telemetry import Telemetry
+    from repro.apps import LearningSwitch
+    from repro.core.runtime import RuntimeConfig
 
-    telemetry = Telemetry(enabled=True,
-                          flight_capacity=args.flight_capacity)
+    if args.infile:
+        with open(args.infile) as fh:
+            doc = json.load(fh)
+        return (doc["spans"] if isinstance(doc, dict) else doc), None
     chaos = None
-    if loss > 0:
-        profile = ChaosProfile(seed=args.seed, loss=loss, duplicate=0.1,
-                               reorder=0.1, jitter=0.0005)
-        chaos = lambda name: profile  # noqa: E731 - per-app profile hook
-    net, _, _, watchdog = _run_random_traffic(
-        args, telemetry, watchdog=True, channel_retry_budget=12,
-        chaos=chaos)
-    return telemetry, watchdog, net
+    if args.loss > 0:
+        chaos = dict(loss=args.loss, duplicate=0.1, reorder=0.1,
+                     jitter=0.0005)
+    stack = _run_random_traffic(args, _build(
+        args, traced=True, apps=(LearningSwitch(),),
+        runtime=RuntimeConfig(channel_retry_budget=12), chaos=chaos,
+        watchdog=True))
+    return stack.telemetry.tracer.to_dicts(), stack
 
 
 def cmd_trace_tree(args) -> int:
@@ -385,12 +342,9 @@ def cmd_trace_tree(args) -> int:
         trace_summaries,
     )
 
-    if args.infile:
-        spans = _load_spans(args.infile)
-    else:
-        telemetry, watchdog, _net = _run_traced_workload(args, args.loss)
-        watchdog.stop()
-        spans = telemetry.tracer.to_dicts()
+    spans, stack = _traced_spans(args)
+    if stack is not None:
+        stack.watchdog.stop()
     if args.trace_id is None:
         rows = trace_summaries(spans)
         if not rows:
@@ -423,22 +377,16 @@ def cmd_trace_critical_path(args) -> int:
     checkpoint freezes, recovery)."""
     from repro.telemetry.causal import analyze
 
-    watchdog = None
-    telemetry = None
-    if args.infile:
-        spans = _load_spans(args.infile)
-    else:
-        telemetry, watchdog, _net = _run_traced_workload(args, args.loss)
-        spans = telemetry.tracer.to_dicts()
+    spans, stack = _traced_spans(args)
     analysis = analyze(spans)
     if not analysis.attribution:
         print("no traced spans to analyze")
         return 1
     print(analysis.render(args.top))
-    if telemetry is not None:
+    if stack is not None:
         from repro.telemetry.export import bytes_per_event
 
-        metrics = telemetry.metrics
+        metrics = stack.telemetry.metrics
         derived = bytes_per_event(metrics)
         if derived is not None:
             sent = metrics.counters.get("channel.bytes_sent", 0)
@@ -446,9 +394,8 @@ def cmd_trace_critical_path(args) -> int:
             events = metrics.recorders["span.appvisor.event"].count
             print(f"wire: {sent} B sent, {recv} B delivered, "
                   f"{events} events -> {derived:.1f} bytes/event")
-    if watchdog is not None:
-        payload = watchdog.healthz_payload()
-        watchdog.stop()
+        payload = stack.watchdog.healthz_payload()
+        stack.watchdog.stop()
         counts = payload["anomaly_counts"]
         summary = (", ".join(f"{kind} x{count}"
                              for kind, count in sorted(counts.items()))
@@ -463,13 +410,10 @@ def cmd_serve(args) -> int:
     its metrics over HTTP (/metrics, /healthz, /trace.json)."""
     import time
 
-    from repro.telemetry import Telemetry
     from repro.telemetry.serve import MetricsServer
 
-    telemetry = Telemetry(enabled=True,
-                          flight_capacity=args.flight_capacity)
-    net, runtime, watchdog, _ = _run_quickstart(args, telemetry,
-                                                watchdog=True)
+    stack, _ = _run_quickstart(args, traced=True, watchdog=True)
+    net, runtime, telemetry = stack.net, stack.runtime, stack.telemetry
 
     def health() -> str:
         status = "up" if runtime.is_up else "down"
@@ -477,7 +421,7 @@ def cmd_serve(args) -> int:
                 f"apps={len(runtime.live_apps())}")
 
     server = MetricsServer(telemetry, port=args.port, health=health,
-                           watchdog=watchdog,
+                           watchdog=stack.watchdog,
                            tickets=lambda: runtime.tickets.all())
     server.start()
     print(f"serving telemetry on {server.url}")
@@ -501,23 +445,25 @@ def cmd_serve(args) -> int:
 
 def _run_chaos_point(args, loss: float):
     """One chaos run at a given loss rate; returns the stats dict."""
-    from repro.faults.netfaults import ChaosProfile
+    from repro.apps import LearningSwitch
+    from repro.core.runtime import RuntimeConfig
 
-    profile = ChaosProfile(seed=args.seed, loss=loss,
-                           burst_loss=args.burst, duplicate=args.dup,
-                           reorder=args.reorder, corrupt=args.corrupt,
-                           jitter=args.jitter)
+    stack = _build(
+        args, apps=(LearningSwitch(),),
+        runtime=RuntimeConfig(channel_retry_budget=args.retry_budget),
+        chaos=dict(loss=loss, burst_loss=args.burst, duplicate=args.dup,
+                   reorder=args.reorder, corrupt=args.corrupt,
+                   jitter=args.jitter))
     if args.partition:
         start, duration = args.partition
-        profile.partition(start, duration)
-    net, runtime, _, _ = _run_random_traffic(
-        args, channel_retry_budget=args.retry_budget,
-        chaos=lambda name: profile)
+        stack.chaos.partition(start, duration)
+    _run_random_traffic(args, stack)
+    runtime = stack.runtime
     channel = runtime.channels["learning_switch"]
     return {
         "loss": loss,
-        "reachability": net.reachability(wait=1.0),
-        "chaos": profile.stats(),
+        "reachability": stack.net.reachability(wait=1.0),
+        "chaos": stack.chaos.stats(),
         "channel": channel.reliability_stats(),
         "channel_suspicions": runtime.proxy.stats()[
             "learning_switch"]["channel_suspicions"],
@@ -561,6 +507,7 @@ def cmd_chaos(args) -> int:
 def _run_byzantine_point(args, tamper: float, mode: str):
     """One Byzantine run: a compromised backup at ``tamper`` fault rate
     under replication mode ``mode``; returns the stats dict."""
+    from repro.apps import LearningSwitch
     from repro.faults.byzfaults import ByzantineProfile
 
     profile = None
@@ -571,14 +518,17 @@ def _run_byzantine_point(args, tamper: float, mode: str):
         profile = ByzantineProfile(seed=args.seed, tamper=tamper,
                                    digest_lie=tamper,
                                    start=args.fault_start)
-    net, _, replicas, _ = _run_random_traffic(args, replica_options=dict(
-        backups=args.backups, repl_mode=mode,
-        byzantine=(lambda rid: profile if rid == "r1" else None)))
+    stack = _run_random_traffic(args, _build(
+        args, apps=(LearningSwitch(),), backups=args.backups,
+        replica_options=dict(
+            repl_mode=mode,
+            byzantine=(lambda rid: profile if rid == "r1" else None))))
+    replicas = stack.replicas
     stats = replicas.stats()
     stats["tamper"] = tamper
     stats["injected"] = profile.stats() if profile is not None else {}
     stats["divergence"] = replicas.divergence()
-    stats["reachability"] = net.reachability(wait=1.0)
+    stats["reachability"] = stack.net.reachability(wait=1.0)
     return stats
 
 

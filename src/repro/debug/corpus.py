@@ -94,14 +94,13 @@ def _cell_harness(bug: Bug, cell: Dict[str, float],
     from repro.apps import LearningSwitch
     from repro.faults.injector import FaultyApp
 
-    chaos = dict(cell, seed=seed) if cell else None
     # fired_count is mutable bookkeeping; every run gets a pristine bug.
     fresh = dataclasses.replace(bug, fired_count=0)
     # learn_hosts: the byzantine invariant checker probes *learned*
     # hosts, so warmup must teach the controller the topology before
     # the bug fires (cf. E12's pre-injection reachability pass).
     return ReplayHarness(
-        topology="linear", size=3, seed=seed, chaos=chaos,
+        topology="linear", size=3, seed=seed, chaos=cell,
         runtime_opts={"byzantine_check": True},
         apps=[lambda: FaultyApp(LearningSwitch(), [fresh], seed=seed)],
         learn_hosts=True,

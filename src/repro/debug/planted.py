@@ -19,7 +19,7 @@ def planted_armed_harness(seed: int = 0, loss: float = 0.2,
                           **harness_kwargs) -> ReplayHarness:
     from repro.faults import arm_crash_on
 
-    chaos = {"seed": seed, "loss": loss} if loss > 0 else None
+    chaos = {"loss": loss} if loss > 0 else None
     return ReplayHarness(
         topology="linear", size=3, seed=seed, chaos=chaos,
         apps=[lambda: arm_crash_on(arm_markers=ARM_MARKERS,

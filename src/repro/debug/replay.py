@@ -1,9 +1,9 @@
 """Deterministic record/replay for whole LegoSDN deployments.
 
-The :class:`ReplayHarness` owns every nondeterminism source a run has:
-the topology builder, the simulator seed, the chaos profile's kwargs
-(rebuilt with a fresh seeded RNG per run), the runtime's checkpoint
-and channel knobs, and the app factories.  ``record()`` executes a
+The :class:`ReplayHarness` owns every nondeterminism source a run has
+as one :class:`~repro.stack.StackSpec`: the topology, the seed, the
+chaos profile's kwargs (rebuilt with a fresh seeded RNG per run), the
+runtime's configuration, and the app factories.  ``record()`` executes a
 scenario with an :class:`~repro.debug.capture.EventCapture` attached
 and returns a :class:`Recording`; ``replay()`` re-executes an
 arbitrary *subsequence* of captured events against a completely fresh
@@ -27,9 +27,21 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.runtime import LegoSDNRuntime, RuntimeConfig
+from repro.core.runtime import RuntimeConfig
 from repro.debug.capture import CapturedEvent, EventCapture
 from repro.debug.signature import FailureSignature
+from repro.network.topology import build_topology
+from repro.stack import StackSpec, build_stack
+
+#: Flight-recorder ring of every replay stack.
+FLIGHT_CAPACITY = 128
+#: The schedule, sim seconds: warm-up after the start, the gap between
+#: injected events, the settle after the last one, and (``learn_hosts``)
+#: the wait for the learned flows to idle out.
+WARMUP = 1.2
+GAP = 0.05
+SETTLE = 1.5
+LEARN_SETTLE = 6.0
 
 
 @dataclass
@@ -81,11 +93,11 @@ class ReplayResult:
 class ReplayHarness:
     """Builds deterministic stacks; records runs; replays subsequences.
 
-    ``chaos`` is a plain kwargs dict for
-    :class:`~repro.faults.netfaults.ChaosProfile` (seed defaulting to
-    the harness seed), kept as data rather than a live profile so every
-    build gets a fresh RNG at the same point in its sequence --
-    otherwise the second replay would continue the first one's dice.
+    The deployment is one :class:`~repro.stack.StackSpec`: ``chaos`` is
+    its plain kwargs dict for :class:`~repro.faults.netfaults.
+    ChaosProfile` (seeded by ``seed``), which every build turns into a
+    fresh profile -- otherwise the second replay would continue the
+    first one's dice.
     """
 
     def __init__(self, topology: str = "linear", size: int = 3,
@@ -93,28 +105,16 @@ class ReplayHarness:
                  chaos: Optional[dict] = None,
                  runtime_opts: Optional[dict] = None,
                  apps: Sequence[Callable] = (),
-                 flight_capacity: int = 128,
-                 warmup: float = 1.2,
-                 gap: float = 0.05,
-                 settle: float = 1.5,
-                 learn_hosts: bool = False,
-                 learn_settle: float = 6.0):
-        self.topology = topology
-        self.size = size
-        self.seed = seed
-        self.chaos = dict(chaos) if chaos else None
-        self.runtime_opts = dict(runtime_opts) if runtime_opts else {}
-        # Validated here, so a mistyped option fails where the harness
-        # is declared rather than at the first build().  ``seed`` and
-        # ``chaos`` are the harness's own: naming either in
-        # ``runtime_opts`` is a duplicate-keyword TypeError.
-        self._runtime_config = RuntimeConfig(seed=seed, chaos=None,
-                                             **self.runtime_opts)
-        self.apps = tuple(apps)
-        self.flight_capacity = flight_capacity
-        self.warmup = warmup
-        self.gap = gap
-        self.settle = settle
+                 learn_hosts: bool = False):
+        # Naming ``seed`` in ``runtime_opts`` is a duplicate-keyword
+        # TypeError here, where the harness is declared: the spec's one
+        # seed is the runtime's.
+        self.spec = StackSpec(
+            topology=build_topology(topology, size), seed=seed,
+            apps=tuple(apps),
+            runtime=RuntimeConfig(seed=seed, **(runtime_opts or {})),
+            telemetry={"flight_capacity": FLIGHT_CAPACITY},
+            chaos=dict(chaos) if chaos else None)
         #: Run all-pairs learning traffic during warmup (then wait out
         #: the learning switch's idle timeout so flows expire and later
         #: packets still punt).  The byzantine invariant checker builds
@@ -124,7 +124,6 @@ class ReplayHarness:
         #: callback.  Learning traffic is cleared from the capture: the
         #: replay stack regenerates it from its own warmup.
         self.learn_hosts = learn_hosts
-        self.learn_settle = learn_settle
         self._app_names: Optional[List[str]] = None
 
     # -- config -----------------------------------------------------------
@@ -134,67 +133,52 @@ class ReplayHarness:
 
         App factories are recorded by name (a config documents a repro;
         the live factories stay on the harness object that executes
-        it).
+        it), and the runtime by the fields it sets.
         """
+        spec = self.spec
         return {
-            "topology": self.topology,
-            "size": self.size,
-            "seed": self.seed,
-            "chaos": dict(self.chaos) if self.chaos else None,
-            "runtime": {k: v for k, v in sorted(self.runtime_opts.items())},
+            "topology": spec.topology.name,
+            "seed": spec.seed,
+            "chaos": dict(spec.chaos) if spec.chaos else None,
+            "runtime": {
+                f.name: getattr(spec.runtime, f.name)
+                for f in dataclasses.fields(spec.runtime)
+                if f.name not in ("seed", "chaos")
+                and getattr(spec.runtime, f.name) != f.default},
             "apps": list(self._app_names or []),
-            "flight_capacity": self.flight_capacity,
-            "warmup": self.warmup,
-            "gap": self.gap,
-            "settle": self.settle,
+            "flight_capacity": FLIGHT_CAPACITY,
+            "warmup": WARMUP,
+            "gap": GAP,
+            "settle": SETTLE,
             "learn_hosts": self.learn_hosts,
-            "learn_settle": self.learn_settle,
+            "learn_settle": LEARN_SETTLE,
         }
 
     # -- stack construction ----------------------------------------------
 
     def build(self) -> ReplayStack:
         """A fresh deployment under this config, capture attached."""
-        from repro.faults.netfaults import ChaosProfile
-        from repro.network.net import Network
-        from repro.network.topology import build_topology
-        from repro.telemetry import Telemetry
-
-        telemetry = Telemetry(enabled=True,
-                              flight_capacity=self.flight_capacity)
-        net = Network(build_topology(self.topology, self.size),
-                      seed=self.seed, telemetry=telemetry)
-        profile = None
-        if self.chaos:
-            kwargs = dict(self.chaos)
-            chaos_seed = kwargs.pop("seed", self.seed)
-            profile = ChaosProfile(seed=chaos_seed, **kwargs)
-        runtime = LegoSDNRuntime(net.controller, dataclasses.replace(
-            self._runtime_config, chaos=profile))
-        names = []
-        for factory in self.apps:
-            stub = runtime.launch_app(factory)
-            names.append(stub.app.name)
-        self._app_names = names
-        capture = EventCapture().attach(net.controller)
-        return ReplayStack(net=net, runtime=runtime,
-                           telemetry=telemetry, capture=capture)
+        stack = build_stack(self.spec)
+        self._app_names = list(stack.runtime.stubs)
+        capture = EventCapture().attach(stack.net.controller)
+        return ReplayStack(net=stack.net, runtime=stack.runtime,
+                           telemetry=stack.telemetry, capture=capture)
 
     def _start(self, stack: ReplayStack) -> None:
         """Start + warm a stack identically for record and replay.
 
         With ``learn_hosts`` the warmup runs all-pairs pings so the
         controller learns every host (the invariant checker's probe
-        set), then waits ``learn_settle`` so the learned flows idle out
+        set), then waits ``LEARN_SETTLE`` so the learned flows idle out
         and later packets still punt.  The learning traffic is dropped
         from the capture -- both record and replay regenerate it here,
         so it is part of the *config*, not the event sequence.
         """
         stack.net.start()
-        stack.net.run_for(self.warmup)
+        stack.net.run_for(WARMUP)
         if self.learn_hosts:
             stack.net.reachability(wait=0.5)
-            stack.net.run_for(self.learn_settle)
+            stack.net.run_for(LEARN_SETTLE)
             stack.capture.events.clear()
 
     # -- record -----------------------------------------------------------
@@ -210,7 +194,7 @@ class ReplayHarness:
         stack = self.build()
         self._start(stack)
         drive(stack.net, stack.runtime)
-        stack.net.run_for(self.settle)
+        stack.net.run_for(SETTLE)
         signature = FailureSignature.from_run(stack.runtime)
         tickets = stack.runtime.tickets.all()
         return Recording(
@@ -237,10 +221,10 @@ class ReplayHarness:
         controller = stack.net.controller
         base = sim.now
         for i, captured in enumerate(events):
-            sim.schedule_at(base + (i + 1) * self.gap,
+            sim.schedule_at(base + (i + 1) * GAP,
                             controller.handle_switch_message,
                             captured.dpid, copy.deepcopy(captured.event))
-        stack.net.run_for((len(events) + 1) * self.gap + self.settle)
+        stack.net.run_for((len(events) + 1) * GAP + SETTLE)
         return ReplayResult(
             signature=FailureSignature.from_run(stack.runtime),
             injected=len(events),

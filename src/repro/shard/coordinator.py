@@ -6,7 +6,8 @@ shard its own controller, :class:`~repro.core.runtime.LegoSDNRuntime`,
 and :class:`~repro.replication.replicaset.ReplicaSet` of warm backups,
 and owns the cross-shard concerns the shards themselves cannot see:
 
-- **spawn**: build and wire the K control stacks, then
+- **spawn**: build the K control stacks, each a controller plus
+  :func:`repro.stack.control_plane` (the unsharded stack's too), then
   :meth:`start` connects every switch to its owning shard's primary
   (one call, via ``Network.start(controller_for=...)``);
 - **routing**: each shard controller gets a ``shard_router`` hook so
@@ -39,6 +40,7 @@ from repro.core.runtime import LegoSDNRuntime, RuntimeConfig
 from repro.replication.membership import ControllerReplica
 from repro.replication.replicaset import ReplicaSet
 from repro.shard.router import ShardRouter
+from repro.stack import control_plane
 from repro.telemetry import Telemetry
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.health import HealthWatchdog
@@ -128,25 +130,16 @@ class ShardCoordinator:
         assignment = self.router.partition(net.switches)
         for shard_id in sorted(assignment):
             dpids = assignment[shard_id]
-            telemetry = configured.sibling("r0", shard_id)
             controller = Controller(
                 self.sim,
                 discovery_interval=net.controller.discovery.interval,
-                telemetry=telemetry,
+                telemetry=configured.sibling("r0", shard_id),
                 service_time=service_time,
             )
-            runtime = LegoSDNRuntime(controller, runtime_config)
-            for factory in apps:
-                runtime.launch_app(factory)
-            replicas = ReplicaSet(
-                net, runtime,
-                controller=controller,
-                dpids=dpids,
-                shard_id=shard_id,
-                backups=backups,
-                chaos=chaos,
-                seed=seed + shard_id,
-            )
+            _, replicas = control_plane(
+                net, controller, runtime_config, apps,
+                dict(dpids=dpids, shard_id=shard_id, backups=backups,
+                     chaos=chaos, seed=seed + shard_id))
             handle = ShardHandle(shard_id, dpids, replicas)
             self.shards[shard_id] = handle
             self._attach_routing(controller, shard_id)

@@ -263,3 +263,48 @@ class TestDebugCommands:
         doc = json_mod.loads(captured["tickets"])
         assert len(doc["tickets"]) >= 1
         assert doc["tickets"][0]["failure_kind"]
+
+
+# -- one seed: --seed drives the runtime's channels too ---------------
+
+#: Every CLI driver that builds a stack, at ``--seed 3`` and short.
+SEEDED_COMMANDS = (
+    "demo --size 2",
+    "trace --size 2",
+    "drill --size 2 --duration 1",
+    "replicate --size 2 --duration 1",
+    "shard --size 4 --shards 2 --duration 1",
+    "chaos --size 2 --duration 1 --sweep 0.2",
+    "byzantine --size 2 --duration 1 --sweep 0 --modes crash",
+    "trace critical-path --size 2 --duration 1 --loss 0.2",
+)
+
+
+@pytest.fixture
+def runtime_seeds(monkeypatch):
+    """The ``config.seed`` of every LegoSDNRuntime built while active."""
+    from repro.core.runtime import LegoSDNRuntime
+
+    seeds = []
+    init = LegoSDNRuntime.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seeds.append(self.config.seed)
+
+    monkeypatch.setattr(LegoSDNRuntime, "__init__", recording_init)
+    return seeds
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_cli_seed_reaches_the_runtime(command, runtime_seeds, capsys):
+    main(command.split() + ["--seed", "3"])
+    capsys.readouterr()
+    assert runtime_seeds and set(runtime_seeds) == {3}, runtime_seeds
+
+
+def test_quickstart_network_seed_reaches_the_runtime():
+    from repro import quickstart_network
+
+    _, runtime = quickstart_network(seed=3)
+    assert runtime.config.seed == 3

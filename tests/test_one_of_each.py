@@ -18,7 +18,11 @@ to arrive by editing this file:
   already computes;
 - one ``ReplicaSet`` class split where its decisions live: no module
   under ``replication/`` passes 600 lines, and no part (shipping,
-  voting, membership, promotion, ...) imports the composition root.
+  voting, membership, promotion, ...) imports the composition root;
+- one stack builder, ``repro.stack.build_stack``: the CLI, the replay
+  harness, the load harness, the shard coordinator and
+  ``quickstart_network`` once each called the constructors in
+  ``BUILDERS`` their own way.  Calls, not text: docstrings name them.
 """
 
 import ast
@@ -34,6 +38,14 @@ COLLECTOR = SRC / "metrics" / "collector.py"
 PERCENTILE_HOMES = {COLLECTOR, SRC / "bench" / "hist.py"}
 REPLICATION = SRC / "replication"
 ROOT_MODULE = "repro.replication.replicaset"
+STACK = SRC / "stack.py"
+#: Constructor -> the only modules under ``src/repro`` that call it.
+BUILDERS = {
+    "LegoSDNRuntime": {STACK, REPLICATION / "promotion.py"},
+    "Network": {STACK},
+    "ShardCoordinator": {STACK},
+    "MonolithicRuntime": {STACK},
+}
 
 
 def _trees():
@@ -127,3 +139,18 @@ def test_replication_stays_cut():
     importers = [path.name for path in parts
                  if _imports_root(ast.parse(path.read_text()))]
     assert not importers, importers
+
+
+def test_one_stack_builder():
+    strays = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", "")
+            if name in BUILDERS and path not in BUILDERS[name]:
+                strays.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                              f"{name}(...)")
+    assert not strays, f"build stacks through repro.stack: {strays}"

@@ -17,10 +17,11 @@ and 19 of 199 after -- exactly the first block of ``ALLOWED`` (the
 other two of the 21 left out of scope, ``ByzantineProfile``'s
 ``equivocate`` and ``replay``, got their first tests in that PR).
 
-The scan skips dataclasses, so the one dataclass that *is* a bag of
-options, ``RuntimeConfig``, is held to the same rule by name: every
-field is a keyword some caller passes (or is in ``ALLOWED``), and the
-field count is capped so the next one has to arrive with its caller.
+The scan skips dataclasses, so the two dataclasses that *are* bags of
+options, ``RuntimeConfig`` and ``StackSpec``, are held to the same rule
+by name: every field is a keyword some caller passes (or is in
+``ALLOWED``), and the field count is capped so the next one has to
+arrive with its caller.
 """
 
 import ast
@@ -28,6 +29,7 @@ import dataclasses
 from pathlib import Path
 
 from repro.core.runtime import RuntimeConfig
+from repro.stack import StackSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "benchmarks", "examples", "wallbench")
@@ -47,12 +49,6 @@ ALLOWED = {
     ("StreamingHistogram", "low"): "a data structure's geometry",
     ("StreamingHistogram", "high"): "a data structure's geometry",
     ("StreamingHistogram", "growth"): "a data structure's geometry",
-    ("ReplayHarness", "flight_capacity"):
-        "written into config_dict() and so into CORPUS_PR10.json",
-    ("ReplayHarness", "gap"): "in config_dict() / CORPUS_PR10.json",
-    ("ReplayHarness", "learn_settle"): "in config_dict() / CORPUS_PR10.json",
-    ("ReplayHarness", "settle"): "in config_dict() / CORPUS_PR10.json",
-    ("ReplayHarness", "warmup"): "in config_dict() / CORPUS_PR10.json",
     ("MetricsServer", "host"): "a deployment setting (bind address)",
     ("TrafficWorkload", "kind"): "workload shape (ping vs udp)",
     ("TrafficWorkload", "packet_size"): "workload shape",
@@ -152,28 +148,45 @@ def test_every_option_is_passed_by_someone_or_allowed_with_a_reason():
         "constant, or list it in ALLOWED with the reason it stays")
 
 
-def runtime_config_fields():
-    return [("RuntimeConfig", field.name)
-            for field in dataclasses.fields(RuntimeConfig)]
+def option_bag_fields(bag):
+    return [(bag.__name__, field.name) for field in dataclasses.fields(bag)]
+
+
+def unset_fields(bag):
+    """``bag``'s fields no caller outside ``tests/`` names (nor ALLOWED)."""
+    passed = keyword_names_passed()
+    return [name for cls, name in option_bag_fields(bag)
+            if name not in passed and (cls, name) not in ALLOWED]
 
 
 def test_allowed_table_names_only_parameters_that_exist():
     stale = (set(ALLOWED) - set(defaulted_init_parameters())
-             - set(runtime_config_fields()))
+             - set(option_bag_fields(RuntimeConfig))
+             - set(option_bag_fields(StackSpec)))
     assert not stale, f"ALLOWED lists parameters that are gone: {stale}"
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
 def test_every_runtime_config_field_is_set_by_someone():
-    passed = keyword_names_passed()
-    unset = [name for cls, name in runtime_config_fields()
-             if name not in passed and (cls, name) not in ALLOWED]
+    unset = unset_fields(RuntimeConfig)
     assert not unset, (
         f"RuntimeConfig fields no caller outside tests/ ever sets: {unset}"
         " -- make each a named constant beside the code that reads it")
 
 
+def test_every_stack_spec_field_is_set_by_someone():
+    unset = unset_fields(StackSpec)
+    assert not unset, (
+        f"StackSpec fields no caller outside tests/ ever sets: {unset}")
+
+
 def test_runtime_config_stays_small():
-    assert len(runtime_config_fields()) <= 11, (
+    assert len(dataclasses.fields(RuntimeConfig)) <= 11, (
         "a twelfth RuntimeConfig field needs a caller that sets it, and "
         "this bound raised in the same change")
+
+
+def test_stack_spec_stays_small():
+    assert len(dataclasses.fields(StackSpec)) <= 11, (
+        "a twelfth StackSpec field needs a caller that sets it, and this "
+        "bound raised in the same change")
