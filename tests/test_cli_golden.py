@@ -1,7 +1,9 @@
-"""The CLI's exact stdout at seed 0: what rebuilding its stacks must keep.
+"""The CLI's exact stdout: what rebuilding its stacks must keep.
 
 ``tests/data/cli_golden.json`` was recorded on the commit *before* the
-CLI's hand-assembled stacks were replaced by ``repro.stack``.  It maps
+CLI's hand-assembled stacks were replaced by ``repro.stack`` (the nine
+seed-0 commands), and the last four before its run loops were replaced
+by ``repro.scenario``.  It maps
 each command line below to the stdout of ``repro.cli.main`` run
 in-process from fresh xid and packet-id counters (ids are
 varint-encoded, so their magnitude reaches wire sizes and through them
@@ -35,6 +37,14 @@ COMMANDS = (
     "byzantine --size 4 --sweep 0,0.3 --duration 3",
     "trace --size 3",
     "trace critical-path --duration 3 --size 4",
+    # Recorded later, before the CLI's run loops became scenario steps.
+    # The first is the one run found whose stdout tells a kill applied
+    # after the events already due at its instant (the order these
+    # commands always had) from one applied before them.
+    "shard --size 6 --shards 3 --duration 5 --kill-shard 2 --seed 2",
+    "replicate --seed 3 --backups 2 --size 4",
+    "drill --seed 2 --duration 7 --topology ring --size 4",
+    "chaos --seed 2 --sweep 0.1,0.3 --partition 2.0:0.5 --duration 4",
 )
 
 
