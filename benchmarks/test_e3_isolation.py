@@ -19,7 +19,8 @@ from repro.apps import FlowMonitor, LearningSwitch
 from repro.faults import crash_on
 from repro.metrics import AvailabilityTracker
 from repro.network.topology import linear_topology
-from repro.workloads.failure import FailureSchedule
+from repro.scenario import Step, play
+from repro.stack import Stack
 
 from benchmarks.harness import build_legosdn, build_monolithic, print_table, run_once
 
@@ -27,14 +28,16 @@ WINDOW = 10.0
 CRASHY_APPS = 2
 
 
-def _storm_schedule():
-    schedule = FailureSchedule()
+def _play_storm(net):
+    """The storm's markers, from 1.0 s, then the rest of the window."""
+    steps = []
     t = 1.0
     while t < WINDOW - 1.0:
         for i in range(CRASHY_APPS):
-            schedule.marker_packet(t + 0.1 * i, "h1", "h3", f"BOOM-{i}")
+            steps.append(Step(t + 0.1 * i, "marker_packet", {
+                "src": "h1", "dst": "h3", "marker": f"BOOM-{i}"}))
         t += 2.0
-    return schedule
+    play(Stack(net=net), steps, until=net.now + WINDOW)
 
 
 def _crashy(i):
@@ -59,8 +62,7 @@ def _run_monolithic():
             tracker.mark_up("controller", net.now)
 
     net.sim.every(0.05, watch_reboot)
-    _storm_schedule().apply(net)
-    net.run_for(WINDOW)
+    _play_storm(net)
     return {
         "controller": tracker.fraction_up("controller", start, net.now),
         "crashes": runtime.crash_count,
@@ -85,8 +87,7 @@ def _run_legosdn():
             tracker.set_up(f"app:{name}", name in live, net.now)
 
     net.sim.every(0.01, watch)
-    _storm_schedule().apply(net)
-    net.run_for(WINDOW)
+    _play_storm(net)
     return {
         "controller": tracker.fraction_up("controller", start, net.now),
         "crashes": runtime.total_crashes(),

@@ -21,8 +21,8 @@ from repro.core.runtime import RuntimeConfig
 from repro.faults import crash_on
 from repro.network.packet import IPPROTO_TCP
 from repro.network.topology import ring_topology
+from repro.scenario import Step, play
 from repro.stack import StackSpec, build_stack
-from repro.workloads.failure import FailureSchedule
 
 OPERATOR_POLICY = """
 # Security first: never trade the firewall's correctness for uptime.
@@ -55,13 +55,13 @@ def main():
     print(f"[{net.now:5.2f}s] deployment up, "
           f"reachability {net.reachability(wait=1.5):.0%}")
 
-    # The fault timeline.
-    drill = (FailureSchedule()
-             .link_down(5.0, 1, 2)     # a cable gets pulled
-             .link_up(8.0, 1, 2)       # ...and replugged
-             .switch_down(10.0, 4))    # a whole ToR dies -> bug fires
-    drill.apply(net)
-    net.run_for(12.0)
+    # The fault timeline, played for the next 12 s: a cable gets pulled
+    # and replugged, then a whole ToR dies (and the bug fires).
+    cable = {"dpid_a": 1, "dpid_b": 2}
+    play(stack, [Step(5.0, "link_down", cable),
+                 Step(8.0, "link_up", cable),
+                 Step(10.0, "switch_down", {"dpid": 4})],
+         until=net.now + 12.0)
 
     # Aftermath.
     survivors = [(a, b) for a in ("h1", "h2", "h3", "h5")

@@ -23,7 +23,8 @@ The package is organised bottom-up:
 - :mod:`repro.metrics`, :mod:`repro.workloads` -- measurement and
   workload-generation support used by the benchmark harness.
 - :mod:`repro.stack` -- one way to assemble a deployment: a
-  ``StackSpec`` value and ``build_stack``.
+  ``StackSpec`` value and ``build_stack``; :mod:`repro.scenario` --
+  one way to drive it: a ``Scenario`` of timed steps and ``play``.
 
 Quickstart::
 

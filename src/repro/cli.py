@@ -25,6 +25,8 @@ import json
 import sys
 
 from repro.network.topology import TOPOLOGIES, build_topology
+from repro.scenario import Scenario, Step, play, run
+from repro.stack import StackSpec, build_stack
 from repro.version import __version__
 
 
@@ -35,66 +37,71 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build(args, traced=False, **spec):
+def _spec(args, traced=False, **spec):
     """The deployment ``spec`` (a StackSpec's other fields) describes on
     the command's ``--topology``/``--size``, with its one ``--seed``;
     ``traced`` turns telemetry on with a ``--flight-records`` ring."""
-    from repro.stack import StackSpec, build_stack
-
     if traced:
         spec["telemetry"] = {"flight_capacity": args.flight_capacity}
-    return build_stack(StackSpec(
-        topology=build_topology(args.topology, args.size), seed=args.seed,
-        **spec))
+    return StackSpec(topology=build_topology(args.topology, args.size),
+                     seed=args.seed, **spec)
 
 
-def _run_quickstart(args, traced=False, crash=True, watchdog=False):
+def _quickstart(args, traced=False, crash=True, watchdog=False):
     """The quickstart scenario ``demo``, ``trace`` and ``serve`` share:
     a LearningSwitch that crashes on a ``BOOM`` payload, healthy
-    traffic first (so a trace shows complete control-loop transits),
-    then -- with ``crash`` -- the marker and the recovery.
-
-    Returns ``(stack, healthy reachability)``.
-    """
+    traffic first (a reachability probe at 1.5 s, so a trace shows
+    complete control-loop transits), then -- with ``crash`` -- the
+    marker, once the reactive flows idled out so it punts to the
+    controller (and the app), and the recovery."""
     from repro.apps import LearningSwitch
     from repro.faults import crash_on
-    from repro.workloads.traffic import inject_marker_packet
 
     app = LearningSwitch()
     if crash:
         app = crash_on(app, payload_marker="BOOM")
-    stack = _build(args, traced, apps=(app,), watchdog=watchdog)
-    net = stack.net
-    stack.start()
-    net.run_for(1.5)
-    healthy = net.reachability()
+    spec = _spec(args, traced, apps=(app,), watchdog=watchdog)
+    steps = [Step(1.5, "reachability")]
+    until = None
     if crash:
-        # Idle the reactive flows out so the marker packet punts to the
-        # controller (and the app), then crash and recover.
-        net.run_for(LearningSwitch.IDLE_TIMEOUT + 1.0)
-        hosts = sorted(net.hosts)
-        inject_marker_packet(net, hosts[0], hosts[-1], "BOOM")
-        net.run_for(2.0)
-    return stack, healthy
+        hosts = sorted(host.name for host in spec.topology.hosts)
+        at = 1.5 + 0.5 + (LearningSwitch.IDLE_TIMEOUT + 1.0)
+        steps.append(Step(at, "marker_packet", {
+            "src": hosts[0], "dst": hosts[-1], "marker": "BOOM"}))
+        until = at + 2.0
+    return Scenario(spec=spec, steps=tuple(steps), until=until)
 
 
-def _run_random_traffic(args, stack):
+def _random_traffic(args, spec):
     """The load scenario the causal ``trace`` commands, ``chaos`` and
-    ``byzantine`` share, on a built stack hosting a LearningSwitch: a
-    1 s warm-up, random traffic for 0.7 x ``--duration``, the run."""
-    from repro.workloads.traffic import TrafficWorkload
+    ``byzantine`` share, on a stack hosting a LearningSwitch: a 1 s
+    warm-up, random traffic for 0.7 x ``--duration``, the run."""
+    traffic = Step(1.0, "traffic", dict(
+        duration=args.duration * 0.7, rate=args.rate, seed=args.seed,
+        selection="random"))
+    return Scenario(spec=spec, steps=(traffic,), until=1.0 + args.duration)
 
-    stack.start()
-    stack.net.run_for(1.0)
-    TrafficWorkload(stack.net, rate=args.rate, seed=args.seed,
-                    selection="random").start(args.duration * 0.7)
-    stack.net.run_for(args.duration)
-    return stack
+
+def _under_load(args, spec, fault=None):
+    """The scenario ``replicate`` and ``shard`` share: a 1.5 s warm-up,
+    traffic and (on more than two hosts) host churn for ``--duration``,
+    a ``fault`` step's ``(kind, args)`` (if any) 0.4 x ``--duration``
+    in, the run to 1 s past the load."""
+    load = dict(duration=args.duration, rate=args.rate, seed=args.seed)
+    steps = [Step(1.5, "traffic", load)]
+    if len(spec.topology.hosts) > 2 and args.churn > 0:
+        steps.append(Step(1.5, "churn", dict(load, rate=args.churn)))
+    fault_at = 1.5 + args.duration * 0.4
+    if fault is not None:
+        steps.append(Step(fault_at, *fault))
+    return Scenario(spec=spec, steps=tuple(steps),
+                    until=fault_at + (args.duration * 0.6 + 1.0))
 
 
 def cmd_demo(args) -> int:
     """The quickstart scenario: contain a crash, recover, show a ticket."""
-    stack, healthy = _run_quickstart(args)
+    stack, seen = run(_quickstart(args))
+    healthy = seen["reachability"][0]
     net, runtime = stack.net, stack.runtime
     print(f"reachability (healthy): {healthy:.0%}")
     stats = runtime.stats()["learning_switch"]
@@ -114,8 +121,6 @@ def cmd_drill(args) -> int:
     from repro.apps import make_app
     from repro.core.crashpad.policy_lang import PolicyTable
     from repro.core.runtime import RuntimeConfig
-    from repro.workloads.failure import FailureSchedule
-    from repro.workloads.traffic import TrafficWorkload
 
     monolithic = args.runtime == "monolithic"
     config = None       # the monolithic baseline
@@ -128,18 +133,19 @@ def cmd_drill(args) -> int:
     # The baseline restarts an app by re-instantiating it: factories.
     apps = tuple(partial(make_app, name) if monolithic else make_app(name)
                  for name in args.apps)
-    stack = _build(args, apps=apps, runtime=config)
-    net, runtime = stack.net, stack.runtime
-    stack.start()
-    net.run_for(1.5)
-    TrafficWorkload(net, rate=args.rate).start(args.duration * 0.8)
-    schedule = FailureSchedule()
-    dpids = list(net.switches)
+    spec = _spec(args, apps=apps, runtime=config)
+    # Traffic after a 1.5 s warm-up; the first link flaps at 0.3 and
+    # 0.6 x --duration (absolute: a short drill flaps it mid-warm-up).
+    steps = [Step(1.5, "traffic", dict(duration=args.duration * 0.8,
+                                       rate=args.rate))]
+    dpids = list(spec.topology.switches)
     if len(dpids) >= 2:
-        schedule.link_down(args.duration * 0.3, dpids[0], dpids[1])
-        schedule.link_up(args.duration * 0.6, dpids[0], dpids[1])
-    schedule.apply(net)
-    net.run_for(args.duration)
+        link = {"dpid_a": dpids[0], "dpid_b": dpids[1]}
+        steps += [Step(args.duration * 0.3, "link_down", link),
+                  Step(args.duration * 0.6, "link_up", link)]
+    stack, _ = run(Scenario(spec=spec, steps=tuple(steps),
+                            until=1.5 + args.duration))
+    net, runtime = stack.net, stack.runtime
     print(f"drill complete at t={net.now:.1f}s")
     print(f"  controller up:  {not net.controller.crashed}")
     print(f"  reachability:   {net.reachability(wait=1.0):.0%}")
@@ -163,31 +169,21 @@ def cmd_replicate(args) -> int:
     """Controller HA walk-through: kill the primary mid-workload and
     watch a warm backup take over without losing the apps."""
     from repro.apps import LearningSwitch
-    from repro.workloads import ChurnWorkload, TrafficWorkload
 
-    stack = _build(args, traced=True, apps=(LearningSwitch(),),
-                   backups=args.backups,
-                   replica_options={"lease_timeout": args.lease})
+    stack, seen = run(_under_load(args, _spec(
+        args, traced=True, apps=(LearningSwitch(),), backups=args.backups,
+        replica_options={"lease_timeout": args.lease}), ("kill_primary",)))
     net, replicas = stack.net, stack.replicas
-    stack.start()
-    net.run_for(1.5)
-    TrafficWorkload(net, rate=args.rate, seed=args.seed).start(args.duration)
-    churn = None
-    if len(net.hosts) > 2 and args.churn > 0:
-        churn = ChurnWorkload(net, rate=args.churn, seed=args.seed)
-        churn.start(args.duration)
-    net.run_for(args.duration * 0.4)
-    victim = replicas.primary.replica_id
-    print(f"t={net.now:.2f}s: killing primary {victim} "
-          f"(epoch {replicas.epoch}, {replicas.ship_index} records shipped)")
-    replicas.crash_primary()
-    net.run_for(args.duration * 0.6 + 1.0)
+    kill = seen["kill_primary"][0]
+    print(f"t={kill['at']:.2f}s: killing primary {kill['victim']} "
+          f"(epoch {kill['epoch']}, {kill['ship_index']} records shipped)")
     for fo in replicas.failovers:
         print(f"  failover -> epoch {fo.epoch}: {fo.from_replica} -> "
               f"{fo.to_replica} in {fo.duration * 1000:.0f} ms "
               f"(orphans rolled back: {fo.orphan_txns}, "
               f"tail replayed: {fo.replayed_records})")
     divergence = replicas.divergence()
+    churn = seen.get("churn", [None])[0]
     up = churn.up_hosts() if churn else sorted(net.hosts)
     pairs = [(a, b) for a in up for b in up if a != b]
     print(f"  primary now:    {replicas.primary.replica_id} "
@@ -207,38 +203,31 @@ def cmd_shard(args) -> int:
     freshness-bounded quorum reads served by warm backups."""
     from repro.apps import LearningSwitch
     from repro.shard import ShardReadGateway
-    from repro.workloads import ChurnWorkload, TrafficWorkload
 
-    stack = _build(args, apps=(LearningSwitch,), backups=args.backups,
-                   shards=args.shards, service_time=args.service_time,
-                   telemetry={})    # tracing on, default settings
+    victim = args.kill_shard
+    scenario = _under_load(args, _spec(
+        args, apps=(LearningSwitch,), backups=args.backups,
+        shards=args.shards, service_time=args.service_time,
+        telemetry={}),      # tracing on, default settings
+        None if victim is None else ("kill_shard_primary", {"shard": victim}))
+    stack = build_stack(scenario.spec)
     net, coordinator = stack.net, stack.coordinator
     stack.start()
-    net.run_for(1.5)
     print(f"sharded plane up: {args.shards} shards over "
           f"{len(net.switches)} switches")
     for shard_id, handle in sorted(coordinator.shards.items()):
         print(f"  shard {shard_id}: dpids {handle.dpids} "
               f"(primary {handle.primary.replica_id}, "
               f"{args.backups} backup(s))")
-
-    TrafficWorkload(net, rate=args.rate, seed=args.seed).start(args.duration)
-    churn = None
-    if len(net.hosts) > 2 and args.churn > 0:
-        churn = ChurnWorkload(net, rate=args.churn, seed=args.seed)
-        churn.start(args.duration)
-    net.run_for(args.duration * 0.4)
-
-    victim = args.kill_shard
+    if victim is not None and victim not in coordinator.shards:
+        print(f"error: no shard {victim} "
+              f"(valid: {sorted(coordinator.shards)})")
+        return 2
+    seen = play(stack, scenario.steps, scenario.until)
     if victim is not None:
-        if victim not in coordinator.shards:
-            print(f"error: no shard {victim} "
-                  f"(valid: {sorted(coordinator.shards)})")
-            return 2
-        print(f"t={net.now:.2f}s: killing shard {victim}'s primary "
-              f"{coordinator.shards[victim].primary.replica_id}")
-        coordinator.crash_shard_primary(victim)
-    net.run_for(args.duration * 0.6 + 1.0)
+        kill = seen["kill_shard_primary"][0]
+        print(f"t={kill['at']:.2f}s: killing shard {victim}'s primary "
+              f"{kill['victim']}")
 
     gateway = ShardReadGateway(coordinator, freshness=args.freshness)
     sample_dpid = sorted(net.switches)[0]
@@ -268,6 +257,7 @@ def cmd_shard(args) -> int:
           f"staleness {read.staleness * 1000:.0f} ms, "
           f"bound {args.freshness * 1000:.0f} ms)")
     ok = ok and read.staleness <= args.freshness
+    churn = seen.get("churn", [None])[0]
     up = churn.up_hosts() if churn else sorted(net.hosts)
     pairs = [(a, b) for a in up for b in up if a != b]
     reach = net.reachability(pairs=pairs, wait=1.0)
@@ -281,7 +271,7 @@ def cmd_trace(args) -> int:
     per-seam span summary and optionally save the full trace."""
     from repro.telemetry.export import write_trace
 
-    stack, _ = _run_quickstart(args, traced=True, crash=args.crash)
+    stack, _ = run(_quickstart(args, traced=True, crash=args.crash))
     net, runtime, telemetry = stack.net, stack.runtime, stack.telemetry
     tracer = telemetry.tracer
     print(f"trace captured over {net.now:.2f}s simulated: "
@@ -326,10 +316,11 @@ def _traced_spans(args):
     if args.loss > 0:
         chaos = dict(loss=args.loss, duplicate=0.1, reorder=0.1,
                      jitter=0.0005)
-    stack = _run_random_traffic(args, _build(
+    stack, _ = run(_random_traffic(args, _spec(
         args, traced=True, apps=(LearningSwitch(),),
         runtime=RuntimeConfig(channel_retry_budget=12), chaos=chaos,
-        watchdog=True))
+        watchdog=True)))
+    stack.watchdog.stop()
     return stack.telemetry.tracer.to_dicts(), stack
 
 
@@ -342,9 +333,7 @@ def cmd_trace_tree(args) -> int:
         trace_summaries,
     )
 
-    spans, stack = _traced_spans(args)
-    if stack is not None:
-        stack.watchdog.stop()
+    spans, _ = _traced_spans(args)
     if args.trace_id is None:
         rows = trace_summaries(spans)
         if not rows:
@@ -395,7 +384,6 @@ def cmd_trace_critical_path(args) -> int:
             print(f"wire: {sent} B sent, {recv} B delivered, "
                   f"{events} events -> {derived:.1f} bytes/event")
         payload = stack.watchdog.healthz_payload()
-        stack.watchdog.stop()
         counts = payload["anomaly_counts"]
         summary = (", ".join(f"{kind} x{count}"
                              for kind, count in sorted(counts.items()))
@@ -412,7 +400,7 @@ def cmd_serve(args) -> int:
 
     from repro.telemetry.serve import MetricsServer
 
-    stack, _ = _run_quickstart(args, traced=True, watchdog=True)
+    stack, _ = run(_quickstart(args, traced=True, watchdog=True))
     net, runtime, telemetry = stack.net, stack.runtime, stack.telemetry
 
     def health() -> str:
@@ -443,46 +431,34 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _run_chaos_point(args, loss: float):
-    """One chaos run at a given loss rate; returns the stats dict."""
-    from repro.apps import LearningSwitch
-    from repro.core.runtime import RuntimeConfig
-
-    stack = _build(
-        args, apps=(LearningSwitch(),),
-        runtime=RuntimeConfig(channel_retry_budget=args.retry_budget),
-        chaos=dict(loss=loss, burst_loss=args.burst, duplicate=args.dup,
-                   reorder=args.reorder, corrupt=args.corrupt,
-                   jitter=args.jitter))
-    if args.partition:
-        start, duration = args.partition
-        stack.chaos.partition(start, duration)
-    _run_random_traffic(args, stack)
-    runtime = stack.runtime
-    channel = runtime.channels["learning_switch"]
-    return {
-        "loss": loss,
-        "reachability": stack.net.reachability(wait=1.0),
-        "chaos": stack.chaos.stats(),
-        "channel": channel.reliability_stats(),
-        "channel_suspicions": runtime.proxy.stats()[
-            "learning_switch"]["channel_suspicions"],
-        "crashes": runtime.stats()["learning_switch"]["crashes"],
-    }
-
-
 def cmd_chaos(args) -> int:
     """Drive the control channel through a hostile network and report
     whether the app layer noticed: delivery stats, reachability, and a
     non-zero exit when reachability misses the --slo floor."""
+    from repro.apps import LearningSwitch
+    from repro.core.runtime import RuntimeConfig
+
     points = args.sweep if args.sweep else [args.loss]
     worst = 1.0
     for loss in points:
-        result = _run_chaos_point(args, loss)
-        chaos, chan = result["chaos"], result["channel"]
-        worst = min(worst, result["reachability"])
-        print(f"loss={loss:.0%}: reachability "
-              f"{result['reachability']:.0%}")
+        scenario = _random_traffic(args, _spec(
+            args, apps=(LearningSwitch(),),
+            runtime=RuntimeConfig(channel_retry_budget=args.retry_budget),
+            chaos=dict(loss=loss, burst_loss=args.burst, duplicate=args.dup,
+                       reorder=args.reorder, corrupt=args.corrupt,
+                       jitter=args.jitter)))
+        stack = build_stack(scenario.spec)
+        if args.partition:
+            # A loss window every datagram reads, not an event on the clock.
+            stack.chaos.partition(*args.partition)
+        stack.start()
+        play(stack, scenario.steps, scenario.until)
+        reachability = stack.net.reachability(wait=1.0)
+        chaos = stack.chaos.stats()
+        chan = stack.runtime.channels["learning_switch"].reliability_stats()
+        app = stack.runtime.stats()["learning_switch"]
+        worst = min(worst, reachability)
+        print(f"loss={loss:.0%}: reachability {reachability:.0%}")
         print(f"  injected : dropped={chaos['dropped']} "
               f"duplicated={chaos['duplicated']} "
               f"reordered={chaos['reordered']} "
@@ -493,8 +469,8 @@ def cmd_chaos(args) -> int:
               f"corrupt_rejected={chan['corrupt_rejected']} "
               f"abandoned={chan['abandoned']}")
         print(f"  verdict  : channel faults={chan['faults_raised']} "
-              f"suspicions={result['channel_suspicions']} "
-              f"app crashes={result['crashes']}")
+              f"suspicions={app['channel_suspicions']} "
+              f"app crashes={app['crashes']}")
     if worst < args.slo:
         print(f"SLO MISS: worst reachability {worst:.0%} "
               f"< floor {args.slo:.0%}")
@@ -518,11 +494,11 @@ def _run_byzantine_point(args, tamper: float, mode: str):
         profile = ByzantineProfile(seed=args.seed, tamper=tamper,
                                    digest_lie=tamper,
                                    start=args.fault_start)
-    stack = _run_random_traffic(args, _build(
+    stack, _ = run(_random_traffic(args, _spec(
         args, apps=(LearningSwitch(),), backups=args.backups,
         replica_options=dict(
             repl_mode=mode,
-            byzantine=(lambda rid: profile if rid == "r1" else None))))
+            byzantine=(lambda rid: profile if rid == "r1" else None)))))
     replicas = stack.replicas
     stats = replicas.stats()
     stats["tamper"] = tamper

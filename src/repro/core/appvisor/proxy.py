@@ -121,7 +121,8 @@ class AppVisorProxy:
     LISTENER_NAME = "appvisor-proxy"
     #: Types the proxy always wants, for shadow-table upkeep and
     #: counter-cache patching, regardless of app subscriptions.
-    INTERNAL_TYPES = frozenset({"FlowRemoved", "SwitchLeave", "FlowStatsReply"})
+    INTERNAL_TYPES = frozenset({"FlowRemoved", "SwitchLeave", "SwitchJoin",
+                                "FlowStatsReply"})
     #: Seconds between failure-detection sweeps (and context pushes).
     CHECK_INTERVAL = 0.05
 
@@ -185,6 +186,8 @@ class AppVisorProxy:
             self.manager.note_flow_removed(event.dpid, event.match, event.priority)
         elif type_name == "SwitchLeave":
             self.manager.note_switch_reset(event.dpid)
+        elif type_name == "SwitchJoin":
+            self.manager.note_switch_join(event.dpid)
         # Counter-cache patching: apps observe corrected statistics.
         if isinstance(event, FlowStatsReply):
             # Raw counters first: the shadow reconciles against what the

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.core.netlog.counter_cache import CounterCache
 from repro.core.netlog.log import NetLogRecord, WriteAheadLog
@@ -73,6 +73,8 @@ class TransactionManager:
         self.sim = controller.sim
         self.telemetry = controller.telemetry
         self.shadow: Dict[int, FlowTable] = {}
+        #: Switches seen leaving and not yet back.
+        self.switches_left: Set[int] = set()
         self.wal = WriteAheadLog(telemetry=self.telemetry)
         self.counter_cache = CounterCache()
         self._txn_ids = itertools.count(1)
@@ -112,6 +114,16 @@ class TransactionManager:
     def note_switch_reset(self, dpid: int) -> None:
         """A switch died or rebooted: its tables are empty now."""
         self.shadow[dpid] = FlowTable()
+        self.switches_left.add(dpid)
+
+    def note_switch_join(self, dpid: int) -> None:
+        """A switch is (back) up.  One this NetLog saw leave comes back
+        empty: whatever was written to it meanwhile never reached it.
+        Any other join -- start-up, a shard rebalance handing over a
+        full table -- keeps the shadow."""
+        if dpid in self.switches_left:
+            self.switches_left.discard(dpid)
+            self.shadow[dpid] = FlowTable()
 
     #: Shadow entries younger than this are never pruned by a stats
     #: reconcile: the FlowMod that created them may still be in flight

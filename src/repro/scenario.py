@@ -1,0 +1,137 @@
+"""A run as data, and :func:`play`, the one timeline driver.
+
+A :class:`Scenario` is a :class:`~repro.stack.StackSpec`, timed
+:class:`Step`\\ s with plain-value ``args``, and the instant the run
+ends.  The firing rule: in ``at`` order (ties as given), advance the
+simulator to the step's instant -- every event due by then runs first,
+one queued for that very instant included -- or stay, if the clock is
+already past it; then apply the step.  A step may record what it saw
+(a kill's victim, a probe's reachability).
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.stack import Stack, StackSpec, build_stack
+from repro.workloads.churn import ChurnWorkload
+from repro.workloads.traffic import TrafficWorkload, inject_marker_packet
+
+
+def _workload(cls):
+    def start(stack, duration, **workload):
+        started = cls(stack.net, **workload)
+        started.start(duration)
+        return started
+    return start
+
+
+def _kill_primary(stack, shard=None):
+    replicas = (stack.replicas if shard is None
+                else stack.coordinator.shards[shard].replicas)
+    seen = {"at": stack.net.now, "victim": replicas.primary.replica_id,
+            "epoch": replicas.epoch, "ship_index": replicas.ship_index}
+    if shard is None:
+        replicas.crash_primary()
+    else:
+        stack.coordinator.crash_shard_primary(shard)
+    return seen
+
+
+#: Step kind -> ``apply(stack, **args)``; what it returns, unless None,
+#: is what the step saw.
+KINDS = {
+    "link_down": lambda stack, **args: stack.net.link_down(**args),
+    "link_up": lambda stack, **args: stack.net.link_up(**args),
+    "switch_down": lambda stack, **args: stack.net.switch_down(**args),
+    "switch_up": lambda stack, **args: stack.net.switch_up(**args),
+    "marker_packet": lambda stack, src, dst, marker: inject_marker_packet(
+        stack.net, src, dst, marker),
+    "traffic": _workload(TrafficWorkload),
+    "churn": _workload(ChurnWorkload),
+    "kill_primary": _kill_primary,
+    "kill_shard_primary": _kill_primary,
+    "reachability": lambda stack, **args: stack.net.reachability(**args),
+}
+
+
+@dataclass(frozen=True)
+class Step:
+    """At sim time ``at``: ``KINDS[kind](stack, **args)``."""
+
+    at: float
+    kind: str
+    args: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown step kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A deployment and what happens to it, as one value."""
+
+    spec: StackSpec
+    steps: Tuple[Step, ...] = ()
+    #: Where the clock stops (None: where the last step left it).
+    until: Optional[float] = None
+
+
+def play(stack: Stack, steps: Sequence[Step],
+         until: Optional[float] = None) -> Dict[str, List]:
+    """Play ``steps`` on a started ``stack`` by the firing rule, then run
+    to ``until``.  Returns kind -> what each step of it saw, in order."""
+    net = stack.net
+    seen: Dict[str, List] = {}
+    for step in sorted(steps, key=lambda s: s.at):
+        if step.at > net.now:
+            net.run_until(step.at)
+        record = KINDS[step.kind](stack, **step.args)
+        if record is not None:
+            seen.setdefault(step.kind, []).append(record)
+    if until is not None:
+        net.run_until(until)
+    return seen
+
+
+def run(scenario: Scenario) -> Tuple[Stack, Dict[str, List]]:
+    """Build, start and play ``scenario``: ``(stack, what its steps saw)``."""
+    stack = build_stack(scenario.spec)
+    stack.start()
+    return stack, play(stack, scenario.steps, scenario.until)
+
+
+def random_faults(topology, start: float, duration: float,
+                  rate: float = 1.0, markers: Sequence[str] = (),
+                  seed: int = 0) -> List[Step]:
+    """A seeded random fault storm over ``[start, start + duration)``:
+    link and switch flaps and (given ``markers``) bug-trigger packets,
+    ~``rate`` a second from ``start + 0.5``.  Every flap heals before
+    the window ends: the storm tests *transient* fault handling."""
+    rng = random.Random(seed)
+    host_names = [spec.name for spec in topology.hosts]
+    end = start + duration
+    steps: List[Step] = []
+    t = start + 0.5
+    while t < end - 1.0:
+        kind = rng.choice(["link", "switch", "marker"]
+                          if markers else ["link", "switch"])
+        flap = None
+        if kind == "link" and topology.switch_links:
+            a, b = rng.choice(topology.switch_links)
+            flap = {"dpid_a": a, "dpid_b": b}
+        elif kind == "switch" and len(topology.switches) > 2:
+            flap = {"dpid": rng.choice(topology.switches)}
+        elif kind == "marker" and markers and len(host_names) >= 2:
+            src, dst = rng.sample(host_names, 2)
+            steps.append(Step(t, "marker_packet", {
+                "src": src, "dst": dst, "marker": rng.choice(markers)}))
+        if flap is not None:
+            recover = min(t + rng.uniform(0.5, 1.5), end - 0.1)
+            steps += [Step(t, f"{kind}_down", flap),
+                      Step(recover, f"{kind}_up", flap)]
+        t += rng.expovariate(rate)
+    return steps

@@ -1,13 +1,10 @@
-"""Workload generation: traffic, host churn, and failure schedules."""
+"""Workload generation: traffic and host churn."""
 
 from repro.workloads.churn import ChurnWorkload
-from repro.workloads.failure import FailureEvent, FailureSchedule
 from repro.workloads.traffic import TrafficWorkload, inject_marker_packet
 
 __all__ = [
     "ChurnWorkload",
-    "FailureEvent",
-    "FailureSchedule",
     "TrafficWorkload",
     "inject_marker_packet",
 ]

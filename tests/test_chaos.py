@@ -16,8 +16,8 @@ from repro.faults import crash_on
 from repro.invariants import InvariantChecker, NetSnapshot, build_host_probes
 from repro.network.net import Network
 from repro.network.topology import ring_topology
-from repro.workloads.failure import FailureSchedule
-from repro.workloads.traffic import TrafficWorkload
+from repro.scenario import Step, play, random_faults
+from repro.stack import Stack
 
 DURATION = 8.0
 
@@ -30,12 +30,12 @@ def run_chaos(seed):
     runtime.launch_app(crash_on(ShortestPathRouting(name="frag"),
                                 payload_marker="CHAOS"))
     net.start()
-    net.run_for(1.5)
-    TrafficWorkload(net, rate=30, selection="random",
-                    seed=seed).start(DURATION * 0.8)
-    FailureSchedule.chaos(net, DURATION, rate=1.5,
-                          markers=["CHAOS"], seed=seed).apply(net)
-    net.run_for(DURATION + 3.0)
+    traffic = Step(1.5, "traffic", {"duration": DURATION * 0.8, "rate": 30,
+                                    "selection": "random", "seed": seed})
+    storm = random_faults(net.topology, 1.5, DURATION, rate=1.5,
+                          markers=["CHAOS"], seed=seed)
+    play(Stack(net=net, runtime=runtime), [traffic, *storm],
+         until=1.5 + (DURATION + 3.0))
     return net, runtime
 
 

@@ -9,12 +9,9 @@ from repro.controller.monolithic import MonolithicRuntime
 from repro.metrics import AvailabilityTracker, LatencyRecorder, MetricsCollector
 from repro.network.net import Network
 from repro.network.topology import linear_topology
-from repro.workloads import (
-    FailureEvent,
-    FailureSchedule,
-    TrafficWorkload,
-    inject_marker_packet,
-)
+from repro.scenario import Step, play
+from repro.stack import Stack
+from repro.workloads import TrafficWorkload, inject_marker_packet
 
 
 class TestLatencyRecorder:
@@ -141,25 +138,25 @@ class TestTrafficWorkload:
 
 
 class TestFailureSchedule:
+    """Timed faults are scenario steps, played by ``repro.scenario.play``."""
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            FailureEvent(time=1.0, kind="meteor-strike")
+            Step(1.0, "meteor-strike")
 
     def test_schedule_applies_in_order(self):
         net = Network(linear_topology(3, 1), seed=0)
         net.start()
         net.run_for(1.0)
-        schedule = (FailureSchedule()
-                    .link_down(2.0, 1, 2)
-                    .link_up(3.0, 1, 2)
-                    .switch_down(4.0, 3))
-        assert schedule.apply(net) == 3
-        net.run_for(1.5)   # t=2.5
+        link = {"dpid_a": 1, "dpid_b": 2}
+        stack = Stack(net=net)
+        play(stack, [Step(2.0, "link_down", link)], until=2.5)
         assert not net.link_between(1, 2).up
-        net.run_for(1.0)   # t=3.5
-        assert net.link_between(1, 2).up
-        net.run_for(1.0)   # t=4.5
-        assert not net.switch(3).up
+        # Given out of order, played in ``at`` order: down, then up.
+        play(stack, [Step(3.5, "link_up", link), Step(3.0, "link_down", link)])
+        assert net.link_between(1, 2).up and net.now == 3.5
+        play(stack, [Step(4.0, "switch_down", {"dpid": 3})], until=4.5)
+        assert not net.switch(3).up and net.now == 4.5
 
     def test_marker_packet_event(self):
         net = Network(linear_topology(2, 1), seed=0)
@@ -167,8 +164,8 @@ class TestFailureSchedule:
         runtime.launch_app(LearningSwitch)
         net.start()
         net.run_for(1.0)
-        FailureSchedule().marker_packet(1.5, "h1", "h2", "X").apply(net)
-        net.run_for(1.0)
+        play(Stack(net=net), [Step(1.5, "marker_packet", {
+            "src": "h1", "dst": "h2", "marker": "X"})], until=2.0)
         payloads = [p.payload for _, p in net.host("h2").received
                     if not p.is_lldp()]
         assert "X" in payloads

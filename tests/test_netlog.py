@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import LearningSwitch
 from repro.controller.core import Controller
 from repro.core.netlog import (
     CounterCache,
@@ -25,6 +26,7 @@ from repro.openflow.messages import (
     FlowStatsReply,
     PacketOut,
 )
+from repro.stack import StackSpec, build_stack
 
 
 @pytest.fixture
@@ -162,6 +164,35 @@ class TestShadowTables:
         manager.commit(txn)
         manager.note_switch_reset(1)
         assert len(manager.shadow_table(1)) == 0
+
+    def test_join_clears_only_a_switch_seen_leaving(self, manager):
+        txn = manager.begin("app", "t")
+        manager.apply(txn, 1, add_mod("a"))
+        # Start-up, or a shard rebalance handing over a full table.
+        manager.note_switch_join(1)
+        assert len(manager.shadow_table(1)) == 1
+        manager.note_switch_reset(1)
+        manager.apply(txn, 1, add_mod("b"))     # written while it is away
+        manager.note_switch_join(1)
+        assert len(manager.shadow_table(1)) == 0
+
+    def test_rule_sent_to_a_down_switch_is_not_kept_after_it_rejoins(self):
+        """The FlowMod never reaches the switch, which comes back with an
+        empty table: the shadow must not hold the rule either."""
+        stack = build_stack(StackSpec(topology=linear_topology(3, 1),
+                                      apps=(LearningSwitch(),)))
+        net, manager = stack.net, stack.runtime.proxy.manager
+        stack.start()
+        net.switch_down(2)
+        net.run_for(0.5)
+        txn = manager.begin("app", "t")
+        manager.apply(txn, 2, add_mod("a", idle_timeout=30))
+        manager.commit(txn)
+        net.switch_up(2)
+        net.run_for(2.0)
+        assert len(net.switch(2).flow_table) == 0
+        assert tables_equal({2: manager.shadow_table(2)},
+                            {2: net.switch(2).flow_table})
 
     def test_preview_does_not_touch_shadow(self, manager):
         preview = manager.preview_tables([(1, add_mod("x"))])

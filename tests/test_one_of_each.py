@@ -22,7 +22,11 @@ to arrive by editing this file:
 - one stack builder, ``repro.stack.build_stack``: the CLI, the replay
   harness, the load harness, the shard coordinator and
   ``quickstart_network`` once each called the constructors in
-  ``BUILDERS`` their own way.  Calls, not text: docstrings name them.
+  ``BUILDERS`` their own way.  Calls, not text: docstrings name them;
+- one timeline driver, ``repro.scenario.play``: ``FailureSchedule``
+  once pushed timed faults onto the simulator heap while the CLI ran
+  the clock and applied its faults by hand, and the two ordered a
+  fault against the events due at its instant differently.
 """
 
 import ast
@@ -39,6 +43,12 @@ PERCENTILE_HOMES = {COLLECTOR, SRC / "bench" / "hist.py"}
 REPLICATION = SRC / "replication"
 ROOT_MODULE = "repro.replication.replicaset"
 STACK = SRC / "stack.py"
+CLI = SRC / "cli.py"
+#: What only a scenario step does: the clock, the kills, the workloads.
+TIMELINE_CALLS = {"run_for", "run_until", "crash_primary",
+                  "crash_shard_primary", "TrafficWorkload", "ChurnWorkload",
+                  "inject_marker_packet"}
+RETIRED_DRIVER = {"FailureSchedule", "FailureEvent"}
 #: Constructor -> the only modules under ``src/repro`` that call it.
 BUILDERS = {
     "LegoSDNRuntime": {STACK, REPLICATION / "promotion.py"},
@@ -141,16 +151,46 @@ def test_replication_stays_cut():
     assert not importers, importers
 
 
+def _called_name(node) -> str:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", "")
+
+
 def test_one_stack_builder():
     strays = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) \
-                else getattr(func, "id", "")
+            name = _called_name(node)
             if name in BUILDERS and path not in BUILDERS[name]:
                 strays.append(f"{path.relative_to(ROOT)}:{node.lineno} "
                               f"{name}(...)")
     assert not strays, f"build stacks through repro.stack: {strays}"
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node.name
+
+
+def test_one_timeline_driver():
+    tree = ast.parse(CLI.read_text())
+    strays = [f"cli.py:{node.lineno} {_called_name(node)}(...)"
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and _called_name(node) in TIMELINE_CALLS]
+    assert not strays, f"describe the run as repro.scenario steps: {strays}"
+    assert not (SRC / "workloads" / "failure.py").exists()
+    namers = [str(path.relative_to(ROOT))
+              for base in ("src", "benchmarks", "examples", "tests")
+              for path in sorted((ROOT / base).rglob("*.py"))
+              if RETIRED_DRIVER & set(_names(ast.parse(path.read_text())))]
+    assert not namers, namers

@@ -17,9 +17,10 @@ and 19 of 199 after -- exactly the first block of ``ALLOWED`` (the
 other two of the 21 left out of scope, ``ByzantineProfile``'s
 ``equivocate`` and ``replay``, got their first tests in that PR).
 
-The scan skips dataclasses, so the two dataclasses that *are* bags of
-options, ``RuntimeConfig`` and ``StackSpec``, are held to the same rule
-by name: every field is a keyword some caller passes (or is in
+The scan skips dataclasses, so the dataclasses that *are* bags of
+options, ``RuntimeConfig`` and ``StackSpec``, and the run described
+as data, ``Scenario`` and its ``Step``, are held to the same rule by
+name: every field is a keyword some caller passes (or is in
 ``ALLOWED``), and the field count is capped so the next one has to
 arrive with its caller.
 """
@@ -28,7 +29,10 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import pytest
+
 from repro.core.runtime import RuntimeConfig
+from repro.scenario import Scenario, Step
 from repro.stack import StackSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +59,7 @@ ALLOWED = {
     # -- passed, but positionally or only with the default -----------------
     ("LoadBalancer", "uplinks"): "the app API: which ports are uplinks",
     ("ArmedCrashApp", "inner"): "passed positionally by arm_crash_on()",
+    ("Step", "args"): "passed positionally: Step(at, kind, args)",
     ("InvariantChecker", "critical_kinds"):
         "one test names its default; Crash-Pad and the watchdog take it",
     # -- set only by tests, to reach an edge the default never meets -------
@@ -160,9 +165,9 @@ def unset_fields(bag):
 
 
 def test_allowed_table_names_only_parameters_that_exist():
-    stale = (set(ALLOWED) - set(defaulted_init_parameters())
-             - set(option_bag_fields(RuntimeConfig))
-             - set(option_bag_fields(StackSpec)))
+    stale = set(ALLOWED) - set(defaulted_init_parameters())
+    for bag in (RuntimeConfig, StackSpec, Scenario, Step):
+        stale -= set(option_bag_fields(bag))
     assert not stale, f"ALLOWED lists parameters that are gone: {stale}"
     assert all(reason.strip() for reason in ALLOWED.values())
 
@@ -184,6 +189,21 @@ def test_runtime_config_stays_small():
     assert len(dataclasses.fields(RuntimeConfig)) <= 11, (
         "a twelfth RuntimeConfig field needs a caller that sets it, and "
         "this bound raised in the same change")
+
+
+@pytest.mark.parametrize("bag", (Scenario, Step), ids=lambda b: b.__name__)
+def test_every_scenario_field_is_set_by_someone(bag):
+    unset = unset_fields(bag)
+    assert not unset, (
+        f"{bag.__name__} fields no caller outside tests/ ever sets: {unset}")
+
+
+def test_scenario_and_step_stay_small():
+    # A scenario is a spec, its steps and its end; a step is an instant,
+    # a kind and the kind's plain-value arguments.  Anything else a run
+    # needs is a StackSpec field or a step kind.
+    assert len(dataclasses.fields(Scenario)) <= 3
+    assert len(dataclasses.fields(Step)) <= 3
 
 
 def test_stack_spec_stays_small():

@@ -1,0 +1,62 @@
+"""repro.scenario: the one timeline driver, its firing rule, the storm."""
+
+import pytest
+
+from repro.apps import LearningSwitch
+from repro.network.net import Network
+from repro.network.topology import linear_topology, ring_topology
+from repro.scenario import Scenario, Step, play, random_faults, run
+from repro.stack import Stack, StackSpec
+
+LINK = {"dpid_a": 1, "dpid_b": 2}
+
+
+@pytest.fixture
+def net():
+    return Network(linear_topology(2, 1), seed=0)
+
+
+def test_a_step_applies_after_the_events_due_at_its_instant(net):
+    link = net.link_between(1, 2)
+    up_when_queued_event_ran = []
+    net.sim.schedule_at(1.0, lambda: up_when_queued_event_ran.append(link.up))
+    play(Stack(net=net), [Step(1.0, "link_down", LINK)])
+    assert up_when_queued_event_ran == [True]
+    assert not link.up and net.now == 1.0
+
+
+def test_a_past_step_applies_at_once(net):
+    link = net.link_between(1, 2)
+    net.run_until(2.0)
+    up_when_queued_event_ran = []
+    net.sim.schedule_at(2.0, lambda: up_when_queued_event_ran.append(link.up))
+    play(Stack(net=net), [Step(1.0, "link_down", LINK)])
+    assert not link.up and net.now == 2.0
+    assert up_when_queued_event_ran == []     # the step went first
+    net.run_until(2.0)
+    assert up_when_queued_event_ran == [False]
+
+
+def test_run_builds_starts_plays_and_returns_what_steps_saw():
+    stack, seen = run(Scenario(
+        spec=StackSpec(topology=linear_topology(3, 1),
+                       apps=(LearningSwitch(),)),
+        steps=(Step(1.5, "reachability"),), until=3.0))
+    assert seen == {"reachability": [1.0]}
+    assert stack.net.now == 3.0
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_random_faults_stay_in_their_window_and_every_flap_heals(seed):
+    start, duration = 1.5, 8.0
+    steps = random_faults(ring_topology(5, 1), start, duration, rate=1.5,
+                          markers=["CHAOS"], seed=seed)
+    assert steps
+    assert all(step.at >= start for step in steps)
+    for down in steps:
+        if not down.kind.endswith("_down"):
+            continue
+        up_kind = down.kind.replace("_down", "_up")
+        assert any(up.kind == up_kind and up.args == down.args
+                   and down.at < up.at < start + duration
+                   for up in steps), down
