@@ -2,8 +2,9 @@
 
 ``tests/data/cli_golden.json`` was recorded on the commit *before* the
 CLI's hand-assembled stacks were replaced by ``repro.stack`` (the nine
-seed-0 commands), and the last four before its run loops were replaced
-by ``repro.scenario``.  It maps
+seed-0 commands), the next four before its run loops were replaced
+by ``repro.scenario``, and the last three before ``repro.debug``'s
+record/replay did the same.  It maps
 each command line below to the stdout of ``repro.cli.main`` run
 in-process from fresh xid and packet-id counters (ids are
 varint-encoded, so their magnitude reaches wire sizes and through them
@@ -45,6 +46,12 @@ COMMANDS = (
     "replicate --seed 3 --backups 2 --size 4",
     "drill --seed 2 --duration 7 --topology ring --size 4",
     "chaos --seed 2 --sweep 0.1,0.3 --partition 2.0:0.5 --duration 4",
+    # Recorded before the debug loop's record/replay became scenario
+    # steps: the planted crash at two settings, and every bug kind of
+    # the corpus (hangs included) under every adversity cell.
+    "minimize",
+    "minimize --seed 3 --loss 0.3 --noise 6",
+    "corpus --preset full",
 )
 
 
