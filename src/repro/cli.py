@@ -600,6 +600,7 @@ def cmd_corpus(args) -> int:
     from repro.debug.corpus import check_corpus, corpus_json, run_corpus
 
     doc = run_corpus(args.preset, seed=args.seed, log=print)
+    unreplayed = 0
     for cell in doc["cells"]:
         outcome = cell["outcome"]
         sig = outcome["signature"]
@@ -610,6 +611,11 @@ def cmd_corpus(args) -> int:
         if "minimized_length" in outcome:
             min_note = (f", minimized {outcome['minimized_length']} "
                         f"(trigger {cell['trigger_length']})")
+        if "replayed_signature" in outcome:
+            replayed = outcome["replayed_signature"]
+            unreplayed += 1
+            min_note = (f", DOES NOT replay (replays as {replayed['kind']}/"
+                        f"{replayed['failure_kind'] or '-'})")
         print(f"  {cell['bug']} [{cell['kind']}] x {adversity}: "
               f"{sig['kind']}/{sig['failure_kind'] or '-'} "
               f"policy={outcome['recovery_policy'] or '-'}"
@@ -623,7 +629,12 @@ def cmd_corpus(args) -> int:
         ok, lines = check_corpus(doc, args.check)
         for line in lines:
             print(("OK   " if ok else "FAIL ") + line)
-        return 0 if ok else 1
+        if not ok:
+            return 1
+    if unreplayed:
+        print(f"error: {unreplayed} recorded failure(s) did not replay "
+              "to their own signature", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,11 +7,13 @@ failed; this package tells them *why*, mechanically:
   records the exact event sequence a run acted on, each event stamped
   with the trace id dispatch used -- the bridge between the causal
   trace trees (:mod:`repro.telemetry.causal`) and the event journal.
-- :mod:`repro.debug.replay` re-executes any *subsequence* of a
-  captured run against a fresh controller/AppVisor/NetLog stack under
-  the sim clock, with every nondeterminism source (seeds, chaos
-  profile, checkpoint policy) pinned by one config object, and reports
-  whether the original failure signature reproduces.
+- :mod:`repro.debug.replay` records scenario steps and re-executes any
+  *subsequence* of a captured run, as ``ingest`` steps, against a
+  fresh controller/AppVisor/NetLog stack -- both through
+  :func:`repro.scenario.play`, with every nondeterminism source
+  (seeds, chaos profile, checkpoint policy) pinned by one
+  :class:`~repro.stack.StackSpec` -- and reports whether the original
+  failure signature reproduces.
 - :mod:`repro.debug.minimize` shrinks a failing run to its minimal
   causal sequence: STS-style ddmin (§5) seeded by the failing event's
   causal trace, emitting a :class:`MinimizedRepro` that is attached to

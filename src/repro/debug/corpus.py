@@ -24,9 +24,13 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.runtime import RuntimeConfig
 from repro.debug.minimize import MinimizationError, minimize_failure
-from repro.debug.replay import ReplayHarness
+from repro.debug.replay import FLIGHT_CAPACITY, ReplayHarness
 from repro.faults.bugs import Bug, BugKind, make_bug_corpus
+from repro.network.topology import linear_topology
+from repro.scenario import Step
+from repro.stack import StackSpec
 
 #: Events a bug's failure inherently needs: the marker event, plus one
 #: follow-up for the deferred state-corruption crash.
@@ -99,46 +103,50 @@ def _cell_harness(bug: Bug, cell: Dict[str, float],
     # learn_hosts: the byzantine invariant checker probes *learned*
     # hosts, so warmup must teach the controller the topology before
     # the bug fires (cf. E12's pre-injection reachability pass).
-    return ReplayHarness(
-        topology="linear", size=3, seed=seed, chaos=cell,
-        runtime_opts={"byzantine_check": True},
-        apps=[lambda: FaultyApp(LearningSwitch(), [fresh], seed=seed)],
-        learn_hosts=True,
-    )
+    return ReplayHarness(StackSpec(
+        topology=linear_topology(3, 1), seed=seed,
+        apps=(lambda: FaultyApp(LearningSwitch(), [fresh], seed=seed),),
+        runtime=RuntimeConfig(byzantine_check=True),
+        telemetry={"flight_capacity": FLIGHT_CAPACITY},
+        chaos=cell or None), learn_hosts=True)
 
 
 def _run_cell(bug: Bug, cell: Dict[str, float], seed: int) -> dict:
-    from repro.workloads.traffic import inject_marker_packet
-
     harness = _cell_harness(bug, cell, seed)
-
-    def drive(net, runtime):
-        hosts = sorted(net.hosts)
-        # The marker event, then one plain follow-up on a distinct host
-        # pair (it must punt even if the marker's flow installed) so
-        # deferred state-corruption crashes have an event to fire on.
-        inject_marker_packet(net, hosts[0], hosts[1], bug.payload_marker)
-        net.run_for(0.4)
-        inject_marker_packet(net, hosts[-1], hosts[0], "PLAIN-FOLLOWUP")
-        net.run_for(0.4)
-
-    recording = harness.record(drive)
-    stats = recording.runtime.stats()
+    hosts = sorted(host.name for host in harness.spec.topology.hosts)
+    # The marker event, then one plain follow-up on a distinct host pair
+    # (it must punt even if the marker's flow installed) so deferred
+    # state-corruption crashes have an event to fire on.
+    b = harness.base
+    recording = harness.record([
+        Step(b, "marker_packet", {"src": hosts[0], "dst": hosts[1],
+                                  "marker": bug.payload_marker}),
+        Step(b + 0.4, "marker_packet", {"src": hosts[-1], "dst": hosts[0],
+                                        "marker": "PLAIN-FOLLOWUP"}),
+    ], until=(b + 0.4) + 0.4)
+    runtime = recording.stack.runtime
+    stats = runtime.stats()
     outcome = {
         "signature": recording.signature.to_dict(),
-        "tickets": len(recording.runtime.tickets),
+        "tickets": len(runtime.tickets),
         "recovery_policy": (recording.ticket.recovery_policy
                             if recording.ticket else ""),
         "crashes": sum(s["crashes"] for s in stats.values()),
         "recoveries": sum(s["recoveries"] for s in stats.values()),
-        "controller_up": recording.runtime.is_up,
+        "controller_up": runtime.is_up,
         "events_captured": len(recording.events),
     }
     trigger_len = TRIGGER_LENGTHS.get(bug.kind)
     if recording.signature.failed:
-        repro = minimize_failure(recording, harness, attach=True)
-        outcome["minimized_length"] = len(repro)
-        outcome["minimize_probes"] = repro.probes
+        try:
+            repro = minimize_failure(recording, harness, attach=True)
+        except MinimizationError as exc:
+            # The recording does not replay to its own signature: report
+            # both, and leave the cell unminimized.
+            outcome["replayed_signature"] = exc.replayed.to_dict()
+        else:
+            outcome["minimized_length"] = len(repro)
+            outcome["minimize_probes"] = repro.probes
     return {
         "bug": bug.bug_id,
         "kind": bug.kind.value,

@@ -27,14 +27,22 @@ from typing import List, Optional
 from repro.core.crashpad.sts import ddmin
 from repro.debug.capture import CapturedEvent
 from repro.debug.replay import Recording, ReplayHarness
+from repro.debug.signature import FailureSignature
 
 
 class MinimizationError(RuntimeError):
-    """The full captured sequence did not reproduce the failure."""
+    """There is nothing to minimize: the recording is clean, or its
+    full captured sequence replays to another signature."""
+
+    def __init__(self, message: str,
+                 replayed: Optional[FailureSignature] = None):
+        super().__init__(message)
+        #: What the full sequence replayed to (None: it was not replayed).
+        self.replayed = replayed
 
 
 class _Prober:
-    """Replays subsequences, caching verdicts by index tuple."""
+    """Replays subsequences, caching signatures by index tuple."""
 
     def __init__(self, harness: ReplayHarness, target):
         self.harness = harness
@@ -42,14 +50,15 @@ class _Prober:
         self.probes = 0
         self._cache = {}
 
-    def test(self, events: List[CapturedEvent]) -> bool:
+    def replayed(self, events: List[CapturedEvent]) -> FailureSignature:
         key = tuple(e.index for e in events)
-        if key in self._cache:
-            return self._cache[key]
-        self.probes += 1
-        verdict = self.harness.replay(events).reproduces(self.target)
-        self._cache[key] = verdict
-        return verdict
+        if key not in self._cache:
+            self.probes += 1
+            self._cache[key] = self.harness.replay(events).signature
+        return self._cache[key]
+
+    def test(self, events: List[CapturedEvent]) -> bool:
+        return self.replayed(events).matches(self.target)
 
 
 @dataclass
@@ -115,7 +124,8 @@ def _step_rows(minimal: List[CapturedEvent], result) -> List[dict]:
     because replay injects nothing else)."""
     from repro.telemetry.causal import analyze
 
-    spans = result.telemetry.tracer.to_dicts() if result.telemetry else []
+    telemetry = result.stack.telemetry
+    spans = telemetry.tracer.to_dicts() if telemetry else []
     replayed = result.capture.events if result.capture else []
     rows = []
     for i, captured in enumerate(minimal):
@@ -154,11 +164,13 @@ def minimize_failure(recording: Recording,
     harness = harness or recording.harness
     events = list(recording.events)
     prober = _Prober(harness, recording.signature)
-    if not prober.test(events):
+    replayed = prober.replayed(events)
+    if not replayed.matches(recording.signature):
         raise MinimizationError(
             "full captured sequence did not reproduce the failure "
-            f"({recording.signature.describe()}); the run is "
-            "nondeterministic beyond the replay config")
+            f"({recording.signature.describe()}; replayed: "
+            f"{replayed.describe()}); the run is nondeterministic "
+            "beyond the replay config", replayed)
     failing_trace = recording.ticket.trace_id if recording.ticket else 0
     causal = [e for e in events
               if failing_trace and e.trace_id == failing_trace]

@@ -9,51 +9,48 @@ proxy<->stub channel, the minimal causal sequence is exactly
 
 from __future__ import annotations
 
-from repro.debug.replay import Recording, ReplayHarness
+from repro.debug.replay import FLIGHT_CAPACITY, ReplayHarness
+from repro.network.topology import linear_topology
+from repro.scenario import Step
+from repro.stack import StackSpec
 
 ARM_MARKERS = ("ARM-A", "ARM-B")
 TRIGGER_MARKER = "TRIGGER-C"
 
 
-def planted_armed_harness(seed: int = 0, loss: float = 0.2,
-                          **harness_kwargs) -> ReplayHarness:
+def planted_armed_harness(seed: int = 0, loss: float = 0.2) -> ReplayHarness:
     from repro.faults import arm_crash_on
 
-    chaos = {"loss": loss} if loss > 0 else None
-    return ReplayHarness(
-        topology="linear", size=3, seed=seed, chaos=chaos,
-        apps=[lambda: arm_crash_on(arm_markers=ARM_MARKERS,
-                                   trigger_marker=TRIGGER_MARKER)],
-        **harness_kwargs,
-    )
+    return ReplayHarness(StackSpec(
+        topology=linear_topology(3, 1), seed=seed,
+        apps=(lambda: arm_crash_on(arm_markers=ARM_MARKERS,
+                                   trigger_marker=TRIGGER_MARKER),),
+        telemetry={"flight_capacity": FLIGHT_CAPACITY},
+        chaos={"loss": loss} if loss > 0 else None))
 
 
 def planted_armed_recording(seed: int = 0, loss: float = 0.2,
-                            noise: int = 4,
-                            **harness_kwargs):
+                            noise: int = 4):
     """Record the planted scenario; returns ``(harness, recording)``.
 
-    The drive injects ARM-A, ``noise`` irrelevant packets spread
-    around the arming events, ARM-B, and finally TRIGGER-C -- so the
-    capture holds ``noise + 3`` events of which exactly three are
+    The steps inject ARM-A, ``noise`` irrelevant packets spread around
+    the arming events, ARM-B, and finally TRIGGER-C, 0.15 s apart -- so
+    the capture holds ``noise + 3`` events of which exactly three are
     causal.
     """
-    from repro.workloads.traffic import inject_marker_packet
-
-    harness = planted_armed_harness(seed=seed, loss=loss, **harness_kwargs)
-
-    def drive(net, runtime):
-        hosts = sorted(net.hosts)
-        pairs = [(hosts[i % len(hosts)], hosts[(i + 1) % len(hosts)])
-                 for i in range(max(noise, 1))]
-        markers = [ARM_MARKERS[0]]
-        markers += [f"NOISE-{i}" for i in range(noise // 2)]
-        markers += [ARM_MARKERS[1]]
-        markers += [f"NOISE-{i}" for i in range(noise // 2, noise)]
-        markers += [TRIGGER_MARKER]
-        for i, marker in enumerate(markers):
-            src, dst = pairs[i % len(pairs)]
-            inject_marker_packet(net, src, dst, marker)
-            net.run_for(0.15)
-
-    return harness, harness.record(drive)
+    harness = planted_armed_harness(seed=seed, loss=loss)
+    hosts = sorted(host.name for host in harness.spec.topology.hosts)
+    pairs = [(hosts[i % len(hosts)], hosts[(i + 1) % len(hosts)])
+             for i in range(max(noise, 1))]
+    markers = [ARM_MARKERS[0]]
+    markers += [f"NOISE-{i}" for i in range(noise // 2)]
+    markers += [ARM_MARKERS[1]]
+    markers += [f"NOISE-{i}" for i in range(noise // 2, noise)]
+    markers += [TRIGGER_MARKER]
+    steps, at = [], harness.base
+    for i, marker in enumerate(markers):
+        src, dst = pairs[i % len(pairs)]
+        steps.append(Step(at, "marker_packet",
+                          {"src": src, "dst": dst, "marker": marker}))
+        at += 0.15
+    return harness, harness.record(steps, until=at)

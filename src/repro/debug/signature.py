@@ -16,6 +16,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+#: The failure detector's kinds (heartbeat loss, event timeout): no
+#: exception was raised.
+SILENT_KINDS = ("hang", "fail-stop-silent")
+
 
 @dataclass(frozen=True)
 class FailureSignature:
@@ -27,9 +31,10 @@ class FailureSignature:
     kind: str
     #: The failing app (tickets) or crash culprit (crash records).
     app: str = ""
-    #: The ticket's failure class: "fail-stop" | "hang" | "byzantine".
+    #: The ticket's failure class: "fail-stop" | "fail-stop-silent" |
+    #: "hang" | "byzantine".
     failure_kind: str = ""
-    #: Exception text ("" for silent failures like hangs).
+    #: Exception text ("" for the silent failures, ``SILENT_KINDS``).
     exception: str = ""
 
     @property
@@ -56,9 +61,13 @@ class FailureSignature:
 
     @classmethod
     def from_ticket(cls, ticket) -> "FailureSignature":
+        # A silent failure's ticket text is the detector's reason (which
+        # its failure kind already names) and how long the app was
+        # silent: a duration on the run's own clock.
+        silent = ticket.failure_kind in SILENT_KINDS
         return cls(kind="app-failure", app=ticket.app_name,
                    failure_kind=ticket.failure_kind,
-                   exception=ticket.exception)
+                   exception="" if silent else ticket.exception)
 
     @classmethod
     def from_crash_record(cls, record) -> "FailureSignature":

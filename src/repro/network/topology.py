@@ -207,8 +207,7 @@ TOPOLOGIES = ("linear", "ring", "tree", "mesh", "fattree")
 
 def build_topology(name: str, size: int) -> Topology:
     """One of ``TOPOLOGIES`` from a single ``size`` knob (the CLI's
-    ``--topology/--size``, a replay config's ``topology``/``size``),
-    rounded up to the shape's minimum."""
+    ``--topology/--size``), rounded up to the shape's minimum."""
     if name == "linear":
         return linear_topology(size, 1)
     if name == "ring":

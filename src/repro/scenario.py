@@ -1,8 +1,9 @@
 """A run as data, and :func:`play`, the one timeline driver.
 
 A :class:`Scenario` is a :class:`~repro.stack.StackSpec`, timed
-:class:`Step`\\ s with plain-value ``args``, and the instant the run
-ends.  The firing rule: in ``at`` order (ties as given), advance the
+:class:`Step`\\ s with plain-value ``args`` (an ``ingest`` step's
+captured switch message aside), and the instant the run ends.  The
+firing rule: in ``at`` order (ties as given), advance the
 simulator to the step's instant -- every event due by then runs first,
 one queued for that very instant included -- or stay, if the clock is
 already past it; then apply the step.  A step may record what it saw
@@ -11,6 +12,7 @@ already past it; then apply the step.  A step may record what it saw
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -54,6 +56,10 @@ KINDS = {
     "kill_primary": _kill_primary,
     "kill_shard_primary": _kill_primary,
     "reachability": lambda stack, **args: stack.net.reachability(**args),
+    # A copy: the debug loop replays one captured message many times.
+    "ingest": lambda stack, dpid, message: (
+        stack.net.controller.handle_switch_message(
+            dpid, copy.deepcopy(message))),
 }
 
 

@@ -15,6 +15,7 @@ import pytest
 from repro.debug import CORPUS_PRESETS, check_corpus, corpus_json, run_corpus
 from repro.debug.corpus import TRIGGER_LENGTHS
 from repro.faults.bugs import BugKind
+from test_cli_golden import run
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMMITTED = REPO_ROOT / "CORPUS_PR10.json"
@@ -86,3 +87,37 @@ class TestCheckCorpus:
         ok, notes = check_corpus(smoke_doc, str(path))
         assert not ok
         assert any("not valid JSON" in note for note in notes)
+
+
+class TestReplayDisagreements:
+    """Full-preset seeds whose hang cells once stopped ``repro corpus``
+    with a traceback (run as the CLI goldens are: fresh id counters)."""
+
+    def test_a_hang_minimizes_however_long_its_silence_lasted(self):
+        # A hang's ticket says how long the app was silent, on the
+        # recording's clock; every replay measures its own silence.
+        result = run("corpus --preset full --seed 1")
+        assert result["exit"] == 0
+        hangs = [line for line in result["stdout"].splitlines()
+                 if line.startswith("  ") and "[hang]" in line]
+        assert len(hangs) == 4
+        assert all(line.endswith("minimized 1 (trigger 1)")
+                   for line in hangs), hangs
+
+    def test_a_recording_that_replays_otherwise_is_reported(self, tmp_path):
+        out = tmp_path / "corpus.json"
+        result = run(f"corpus --preset full --seed 2 --out {out}")
+        assert result["exit"] == 1
+        assert ("  bug-009 [hang] x loss=0.2, reorder=0.1: "
+                "app-failure/fail-stop-silent policy=absolute, DOES NOT "
+                "replay (replays as app-failure/hang)\n") in result["stdout"]
+        cells = [cell for cell in json.loads(out.read_text())["cells"]
+                 if "replayed_signature" in cell["outcome"]]
+        assert [(c["bug"], c["adversity"]) for c in cells] == [
+            ("bug-009", {"loss": 0.2, "reorder": 0.1})]
+        outcome = cells[0]["outcome"]
+        assert "minimized_length" not in outcome
+        assert outcome["signature"]["failure_kind"] == "fail-stop-silent"
+        assert outcome["replayed_signature"] == {
+            "kind": "app-failure", "app": "learning_switch",
+            "failure_kind": "hang", "exception": ""}

@@ -19,6 +19,8 @@ from repro.debug import (
 )
 from repro.debug.minimize import MinimizationError
 from repro.debug.replay import ReplayHarness
+from repro.network.topology import linear_topology
+from repro.stack import StackSpec
 
 
 class TestDdminUnits:
@@ -124,12 +126,8 @@ class TestMinimizeFailure:
         assert [s["step"] for s in doc["steps"]] == [0, 1, 2]
 
     def test_clean_recording_raises(self):
-        harness = ReplayHarness()
-
-        def drive(net, runtime):
-            net.run_for(0.2)
-
-        recording = harness.record(drive)
+        harness = ReplayHarness(StackSpec(topology=linear_topology(3, 1)))
+        recording = harness.record([], until=harness.base + 0.2)
         assert not recording.signature.failed
         with pytest.raises(MinimizationError):
             minimize_failure(recording, harness)

@@ -6,11 +6,14 @@ the *byte-identical* failure signature, every time -- and a subsequence
 that omits a causal prerequisite does not reproduce.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.apps import LearningSwitch
+from repro.core.crashpad.ticket import ProblemTicket
+from repro.core.runtime import RuntimeConfig
 from repro.debug import (
     EventCapture,
     FailureSignature,
@@ -18,7 +21,12 @@ from repro.debug import (
     planted_armed_recording,
 )
 from repro.debug.planted import ARM_MARKERS, TRIGGER_MARKER
+from repro.network.topology import linear_topology, ring_topology
+from repro.scenario import Step
+from repro.stack import StackSpec, build_stack
 from repro.workloads.traffic import inject_marker_packet
+
+SWITCHING = StackSpec(topology=linear_topology(3, 1), apps=(LearningSwitch,))
 
 
 def payloads(events):
@@ -52,8 +60,8 @@ class TestCapture:
         assert len(set(ids)) == len(ids)
 
     def test_capture_deep_copies_messages(self):
-        harness = ReplayHarness(apps=[LearningSwitch])
-        stack = harness.build()
+        stack = build_stack(SWITCHING)
+        capture = EventCapture().attach(stack.net.controller)
         raw = []
         stack.net.controller.ingest_taps.append(
             lambda t, dpid, msg, tid: raw.append(msg))
@@ -61,20 +69,20 @@ class TestCapture:
         stack.net.run_for(0.5)
         inject_marker_packet(stack.net, "h1", "h2", "COPY-CHECK")
         stack.net.run_for(0.5)
-        assert raw and len(stack.capture.events) == len(raw)
-        for captured, msg in zip(stack.capture.events, raw):
+        assert raw and len(capture.events) == len(raw)
+        for captured, msg in zip(capture.events, raw):
             assert captured.event is not msg          # frozen snapshot
             assert captured.event.packet == msg.packet  # same content
 
     def test_detach_stops_capturing(self):
-        harness = ReplayHarness(apps=[LearningSwitch])
-        stack = harness.build()
-        stack.capture.detach()
+        stack = build_stack(SWITCHING)
+        capture = EventCapture().attach(stack.net.controller)
+        capture.detach()
         stack.net.start()
         stack.net.run_for(0.5)
         inject_marker_packet(stack.net, "h1", "h2", "X")
         stack.net.run_for(0.5)
-        assert len(stack.capture) == 0
+        assert len(capture) == 0
         assert stack.net.controller.ingest_taps == []
 
 
@@ -100,15 +108,74 @@ class TestRecord:
 
     def test_runtime_opts_are_validated_at_construction(self):
         with pytest.raises(TypeError):
-            ReplayHarness(runtime_opts={"checkpoint_intervall": 4})
-        # seed and chaos are the harness's own parameters.
-        with pytest.raises(TypeError):
-            ReplayHarness(runtime_opts={"seed": 3})
-        harness = ReplayHarness(runtime_opts={"checkpoint_interval": 4,
-                                              "byzantine_check": True})
+            RuntimeConfig(checkpoint_intervall=4)
+        # The spec's seed and chaos replace the runtime's own: the
+        # config documents what the runtime sets besides them.
+        harness = ReplayHarness(StackSpec(
+            topology=linear_topology(3, 1), seed=5,
+            runtime=RuntimeConfig(seed=3, checkpoint_interval=4,
+                                  byzantine_check=True)))
         assert harness.config_dict()["runtime"] == {
             "byzantine_check": True, "checkpoint_interval": 4}
-        assert harness.build().runtime.config.checkpoint_interval == 4
+        config = harness.replay([]).stack.runtime.config
+        assert (config.checkpoint_interval, config.seed) == (4, 5)
+
+
+BARE = StackSpec(topology=linear_topology(3, 1))
+#: StackSpec field -> a non-default value, and how the replay config
+#: documents it.
+SPEC_ROWS = {
+    "topology": (ring_topology(3, 1), "ring-3"),
+    "seed": (7, 7),
+    "apps": ((LearningSwitch,), ["learning_switch"]),
+    "runtime": (RuntimeConfig(checkpoint_interval=4),
+                {"checkpoint_interval": 4}),
+    "backups": (2, 2),
+    "replica_options": ({"lease_timeout": 0.4}, {"lease_timeout": 0.4}),
+    "shards": (2, 2),
+    "service_time": (0.001, 0.001),
+    "telemetry": ({"flight_capacity": 64}, {"flight_capacity": 64}),
+    "chaos": ({"loss": 0.1}, {"loss": 0.1}),
+    "watchdog": (True, True),
+}
+
+
+class TestConfig:
+    def test_every_spec_field_has_a_row(self):
+        assert {f.name for f in dataclasses.fields(StackSpec)} == \
+            set(SPEC_ROWS)
+
+    @pytest.mark.parametrize("name", sorted(SPEC_ROWS))
+    def test_no_spec_field_is_lost(self, name):
+        value, documented = SPEC_ROWS[name]
+        harness = ReplayHarness(dataclasses.replace(BARE, **{name: value}))
+        if name == "apps":      # named by the stack a run built
+            harness.replay([])
+        config = harness.config_dict()
+        assert config[name] == documented
+        assert ReplayHarness(BARE).config_dict()[name] != documented
+        assert json.loads(json.dumps(config)) == config
+
+
+class TestSignature:
+    @pytest.mark.parametrize("kind, reason", [
+        ("hang", "heartbeat-loss"), ("fail-stop-silent", "event-timeout")])
+    def test_a_silent_failures_signature_is_time_free(self, kind, reason):
+        recorded, replayed = (
+            FailureSignature.from_ticket(ProblemTicket(
+                ticket_id=1, app_name="learning_switch", time=time,
+                failure_kind=kind, offending_event="",
+                exception=f"{reason} (silent for {silent} ms)"))
+            for time, silent in ((3.1, 363), (9.7, 250)))
+        assert recorded == replayed
+        assert recorded.exception == ""
+
+    def test_a_raised_exception_stays_in_the_signature(self):
+        ticket = ProblemTicket(ticket_id=1, app_name="app", time=1.0,
+                               failure_kind="fail-stop", offending_event="",
+                               exception="KeyError: 'x'")
+        assert FailureSignature.from_ticket(ticket).exception == \
+            "KeyError: 'x'"
 
 
 class TestReplay:
@@ -135,7 +202,6 @@ class TestReplay:
     def test_empty_replay_is_clean(self, planted):
         harness, _ = planted
         result = harness.replay([])
-        assert result.injected == 0
         assert result.signature == FailureSignature.none()
 
     def test_replay_with_capture_reports_replay_trace_ids(self, planted):
@@ -148,21 +214,18 @@ class TestReplay:
 
 class TestLearnHosts:
     def test_learning_traffic_is_config_not_events(self):
-        harness = ReplayHarness(apps=[LearningSwitch], learn_hosts=True)
-
-        def drive(net, runtime):
-            inject_marker_packet(net, "h1", "h2", "AFTER-LEARN")
-            net.run_for(0.3)
-
-        recording = harness.record(drive)
-        # All-pairs pings ran during warmup, but only the drive's own
+        harness = ReplayHarness(SWITCHING, learn_hosts=True)
+        recording = harness.record([Step(harness.base, "marker_packet", {
+            "src": "h1", "dst": "h2", "marker": "AFTER-LEARN"})],
+            until=harness.base + 0.3)
+        # All-pairs pings ran during warmup, but only the step's own
         # injection is in the recording -- learning is regenerated by
         # the replay stack from the same config.
         assert recording.config["learn_hosts"] is True
         assert payloads(recording.events).count("AFTER-LEARN") >= 1
         assert all(p == "AFTER-LEARN" for p in payloads(recording.events))
-        hosts = recording.net.controller.devices.all()
-        assert len(hosts) == len(recording.net.hosts)
+        net = recording.stack.net
+        assert len(net.controller.devices.all()) == len(net.hosts)
 
 
 def test_debug_package_does_not_import_the_cli():
@@ -177,7 +240,10 @@ def test_debug_package_does_not_import_the_cli():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; import repro.debug; "
             "from repro.apps import LearningSwitch; "
-            "repro.debug.ReplayHarness(apps=[LearningSwitch]).build(); "
+            "from repro.network.topology import linear_topology; "
+            "from repro.stack import StackSpec; "
+            "repro.debug.ReplayHarness(StackSpec(linear_topology(3, 1), "
+            "apps=(LearningSwitch,))).replay([]); "
             "sys.exit('repro.cli' in sys.modules)")
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

@@ -26,7 +26,9 @@ to arrive by editing this file:
 - one timeline driver, ``repro.scenario.play``: ``FailureSchedule``
   once pushed timed faults onto the simulator heap while the CLI ran
   the clock and applied its faults by hand, and the two ordered a
-  fault against the events due at its instant differently.
+  fault against the events due at its instant differently.  The debug
+  loop's record ran the clock in Python drive closures, and its replay
+  pushed captured events onto the heap; both now play steps.
 """
 
 import ast
@@ -44,11 +46,14 @@ REPLICATION = SRC / "replication"
 ROOT_MODULE = "repro.replication.replicaset"
 STACK = SRC / "stack.py"
 CLI = SRC / "cli.py"
+DEBUG = SRC / "debug"
 #: What only a scenario step does: the clock, the kills, the workloads.
 TIMELINE_CALLS = {"run_for", "run_until", "crash_primary",
                   "crash_shard_primary", "TrafficWorkload", "ChurnWorkload",
                   "inject_marker_packet"}
 RETIRED_DRIVER = {"FailureSchedule", "FailureEvent"}
+#: ... and what the debug loop's record and replay once called.
+HEAP_CALLS = {"schedule", "schedule_at"}
 #: Constructor -> the only modules under ``src/repro`` that call it.
 BUILDERS = {
     "LegoSDNRuntime": {STACK, REPLICATION / "promotion.py"},
@@ -183,10 +188,13 @@ def _names(tree):
 
 
 def test_one_timeline_driver():
-    tree = ast.parse(CLI.read_text())
-    strays = [f"cli.py:{node.lineno} {_called_name(node)}(...)"
-              for node in ast.walk(tree) if isinstance(node, ast.Call)
-              and _called_name(node) in TIMELINE_CALLS]
+    drivers = {CLI: TIMELINE_CALLS, **{
+        path: TIMELINE_CALLS | HEAP_CALLS for path in DEBUG.rglob("*.py")}}
+    strays = [f"{path.relative_to(SRC)}:{node.lineno} "
+              f"{_called_name(node)}(...)"
+              for path, banned in sorted(drivers.items())
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and _called_name(node) in banned]
     assert not strays, f"describe the run as repro.scenario steps: {strays}"
     assert not (SRC / "workloads" / "failure.py").exists()
     namers = [str(path.relative_to(ROOT))

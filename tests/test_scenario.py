@@ -1,12 +1,15 @@
 """repro.scenario: the one timeline driver, its firing rule, the storm."""
 
+import copy
+
 import pytest
 
 from repro.apps import LearningSwitch
+from repro.debug import FailureSignature, planted_armed_recording
 from repro.network.net import Network
 from repro.network.topology import linear_topology, ring_topology
 from repro.scenario import Scenario, Step, play, random_faults, run
-from repro.stack import Stack, StackSpec
+from repro.stack import Stack, StackSpec, build_stack
 
 LINK = {"dpid_a": 1, "dpid_b": 2}
 
@@ -60,3 +63,26 @@ def test_random_faults_stay_in_their_window_and_every_flap_heals(seed):
         assert any(up.kind == up_kind and up.args == down.args
                    and down.at < up.at < start + duration
                    for up in steps), down
+
+
+def test_ingest_hands_over_a_copy_and_replays_alike():
+    harness, recording = planted_armed_recording(seed=0, loss=0.0, noise=0)
+    messages = [captured.event for captured in recording.events]
+    untouched = copy.deepcopy(messages)
+    steps = [Step(harness.base + (i + 1) * 0.05, "ingest",
+                  {"dpid": captured.dpid, "message": captured.event})
+             for i, captured in enumerate(recording.events)]
+    signatures = []
+    for _ in range(2):
+        stack = build_stack(harness.spec)
+        ingested = []
+        stack.net.controller.ingest_taps.append(
+            lambda t, dpid, msg, tid: ingested.append(msg))
+        stack.start()
+        play(stack, steps, until=harness.base + 2.0)
+        signatures.append(FailureSignature.from_run(stack.runtime))
+        assert ingested == messages
+        assert not any(a is b for a, b in zip(ingested, messages))
+    assert recording.signature.failed
+    assert signatures[0] == signatures[1] == recording.signature
+    assert messages == untouched
