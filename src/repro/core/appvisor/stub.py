@@ -18,6 +18,7 @@ The stub also implements Crash-Pad's mechanics on the app side:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.controller.api import AppAPI, HostEntry, TopoView
@@ -563,7 +564,7 @@ class AppVisorStub:
         ]
         result = find_minimal_causal_sequence(
             self.replica_factory,
-            self.checkpoints.buffers(checkpoint),
+            partial(self.checkpoints.state, checkpoint),
             history=history,
             offending=(failed_entry.seq, failed_entry.event),
         )
@@ -613,7 +614,7 @@ class AppVisorStub:
                                 trace_id=frame.trace_id)
             return
         result = find_minimal_causal_sequence(
-            self.replica_factory, self.checkpoints.buffers(oldest),
+            self.replica_factory, partial(self.checkpoints.state, oldest),
             history=journal_events,
             offending=(offending, offending_entry),
         )
@@ -640,7 +641,7 @@ class AppVisorStub:
             self.journal.remove(seq)
         safe_before_seq = pick_rollback_checkpoint(
             self.replica_factory,
-            [(c.before_seq, self.checkpoints.buffers(c))
+            [(c.before_seq, partial(self.checkpoints.state, c))
              for c in history],
             journal_events,
             offending=(offending, offending_entry),

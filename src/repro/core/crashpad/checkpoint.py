@@ -38,10 +38,10 @@ the unit of change is the one the app reports, carried unchanged from
   the bytes it newly wrote (``size``), and nothing downstream ever
   reassembles anything: :meth:`CheckpointStore.buffers` hands the map
   out, eviction past ``keep`` promotes the new oldest entry by
-  relabelling it, and :meth:`restore`, the STS probes of
-  :mod:`repro.core.crashpad.sts` and
-  :class:`~repro.core.guard.ControllerGuard` all go through
-  :func:`decode_state`.
+  relabelling it, and :class:`~repro.core.guard.ControllerGuard`
+  decodes it (:func:`decode_state`).  :meth:`CheckpointStore.state`,
+  which restores and STS probes load, copies what each buffer encoded,
+  kept beside it, where that is exact, and decodes elsewhere.
 - The *kinds* survive as the cost model's view of the same entries:
   nothing changed and nothing removed is a zero-byte **dedup** entry
   (only the verify pass is charged); every ``full_every``-th changed
@@ -55,17 +55,16 @@ the unit of change is the one the app reports, carried unchanged from
   that timeline's state.
 
 There is **one take path**.  :meth:`CheckpointStore.take` *captures*:
-per state key a ``_SAME`` marker (the key is clean), a ``_Patch`` (the
-named entries' current values), or the value.
-:meth:`CheckpointStore._finalize` turns a capture into an image -- it
-is the only place a state value is encoded -- and the two flavours of
-take differ only in *when* it runs:
+per state key a ``_SAME`` marker (the key is clean), a ``_Patch`` (a
+copy of the named entries' current values), or a shallow copy of the
+value.  :meth:`CheckpointStore._finalize` turns a capture into an
+image -- it is the only place a state value is encoded -- and the two
+flavours of take differ only in *when* it runs:
 
 - ``take()`` finalises at once and the whole modelled cost is the
   event-path ``cost``;
 - ``take(defer=True)`` (what the stub asks for unless it needs a
-  durable image) shallow-copies the whole-dirty values (a patch is
-  already a copy of just its entries), appends a *pending* entry and
+  durable image) appends a *pending* entry and
   leaves the encode to :meth:`drain` (wired into the stub's heartbeat
   tick).  The event path pays only the capture cost; the
   encode/verify/write cost accrues to ``deferred_cost`` and a
@@ -135,20 +134,43 @@ def encode_state_key(owner: str, key, value) -> bytes:
             f"contract: {exc}") from exc
 
 
+def _patched(value, patches):
+    """``value`` with each ``(changed, gone)`` patch laid over it."""
+    for changed, gone in patches:
+        for entry in gone:
+            value.pop(entry, None)
+        value.update(changed)
+    return value
+
+
 def decode_state(buffers: Dict[object, Buffers]) -> dict:
     """The state a per-key buffer map encodes -- each key's base with
     its patches applied in order: fresh objects on every call, so no
     two restores (or STS probes) share a mutable value."""
-    state = {}
-    for key, (base, *patches) in buffers.items():
-        value = decode_state_value(base)
-        for patch in patches:
-            changed, gone = decode_state_value(patch)
-            for entry in gone:
-                value.pop(entry, None)
-            value.update(changed)
-        state[key] = value
-    return state
+    return {key: _patched(decode_state_value(base),
+                          map(decode_state_value, patches))
+            for key, (base, *patches) in buffers.items()}
+
+
+#: Immutable, and decoded back as the very same type.
+_ATOMS = frozenset({type(None), bool, int, float, str, bytes})
+
+
+def _atoms(values) -> bool:
+    """Is every one of ``values`` an atom, or a tuple of atoms?"""
+    kinds = set(map(type, values))
+    return kinds <= _ATOMS or (kinds <= _ATOMS | {tuple} and all(
+        _atoms(v) for v in values if type(v) is tuple))
+
+
+def _copyable(value) -> bool:
+    """Does a one-level copy of this capture build what decoding its
+    buffer does?  Only atoms in a plain ``dict`` or ``list`` -- not a set
+    (the codec sorts it), a subclass, a dataclass, a nested container."""
+    kind = type(value)
+    if kind is dict:
+        return _atoms(value.values()) and _atoms(value)
+    return _atoms(value if kind is list else (value,))
 
 
 #: Checkpoint kinds, as the cost model charges them: a dump of the
@@ -189,12 +211,8 @@ def _shallow_copy(value):
     mutable container holding immutables / never-mutated values) and
     cheap enough to sit on the event critical path.
     """
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, list):
-        return list(value)
-    if isinstance(value, set):
-        return set(value)
+    if isinstance(value, (dict, list, set)):
+        return value.copy()     # a defaultdict stays one
     return value
 
 
@@ -229,6 +247,9 @@ class Checkpoint:
     capture: Optional[dict] = field(default=None, repr=False)
     #: The image once it is: key -> (base, *patches).  Read-only.
     buffers: Optional[Dict[object, Buffers]] = field(default=None, repr=False)
+    #: What those encode: key -> (base value, *(changed, gone)),
+    #: private; :meth:`CheckpointStore.state` copies from them.
+    captures: Optional[Dict[object, tuple]] = field(default=None, repr=False)
     #: Modelled background cost of the deferred encode (0 for
     #: synchronous takes, where everything is in ``cost``).
     encode_cost: float = 0.0
@@ -283,15 +304,15 @@ class CheckpointStore:
         #: Pending (not yet encoded) entries, FIFO -- always a suffix
         #: of ``_checkpoints``.
         self._pending: List[Checkpoint] = []
-        #: Buffer map of the most recent *finalised* state (take,
-        #: drain, or restore): what the next finalise shares clean
-        #: keys with, lays patches over and diffs against.
-        self._prev_buffers: Optional[Dict[object, Buffers]] = None
+        #: Entry of the most recent *finalised* state (take, drain, or
+        #: restore): what the next finalise shares clean keys with,
+        #: lays patches over and diffs against.
+        self._prev: Optional[Checkpoint] = None
         #: (version map, key set) of the most recent *take* (pending
         #: included), the clean/dirty baseline for the next; None when
         #: the app tracks no versions or the take it described is gone.
-        #: Only ever set where ``_prev_buffers`` is (or will be, by
-        #: the drain of the pending take) set for the same keys.
+        #: Only ever set where ``_prev`` is (or will be, by the drain
+        #: of the pending take) set for the same keys.
         self._baseline: Optional[Tuple[Dict[object, int], frozenset]] = None
         #: Whose state this is (learnt at :meth:`take`), so an encode
         #: that fails later, in :meth:`drain`, can still name the app.
@@ -357,7 +378,7 @@ class CheckpointStore:
         """Do ``key``'s patches already outweigh ``fold_fraction`` of
         its base?  Judged on the last finalised image -- the sizes the
         store can see; a pending base or patch counts once encoded."""
-        base, *patches = self._prev_buffers.get(key) or (b"",)
+        base, *patches = self._prev.buffers.get(key) or (b"",)
         return sum(map(len, patches)) > self.fold_fraction * len(base)
 
     def take(self, app, before_seq: int, now: float,
@@ -395,8 +416,8 @@ class CheckpointStore:
         if not defer:
             self.flush()
         prev_versions, prev_keys = baseline or ({}, ())
-        # Whole values are shallow-copied only when their encode waits,
-        # so later in-place mutations by the app cannot leak into it.
+        # Whole values are shallow-copied, so later in-place mutations
+        # by the app leak into neither a waiting encode nor a restore.
         capture: Dict[object, object] = {}
         dirty = 0
         for key, value in state.items():
@@ -409,7 +430,7 @@ class CheckpointStore:
                     and not self._fold_due(key)):
                 capture[key] = _Patch(value, entries)
             else:
-                capture[key] = _shallow_copy(value) if defer else value
+                capture[key] = _shallow_copy(value)
             dirty += 1
         version_cost = (len(state) * self.version_check_per_key_cost
                         if versions is not None else 0.0)
@@ -443,8 +464,10 @@ class CheckpointStore:
         place a state value is encoded), classify.  Returns the
         modelled cost -- the verify pass reads what was encoded, plus
         ``version_cost``, plus the write."""
-        prev = self._prev_buffers or {}
+        prev, kept = ((self._prev.buffers, self._prev.captures)
+                      if self._prev is not None else ({}, {}))
         buffers: Dict[object, Buffers] = {}
+        captures: Dict[object, tuple] = {}
         encoded = written = skipped = 0
         for key, marker in entry.capture.items():
             whole = marker is not _SAME and type(marker) is not _Patch
@@ -454,17 +477,20 @@ class CheckpointStore:
                     "references a key with no predecessor buffer")
             if marker is _SAME:
                 buffers[key] = prev[key]
+                captures[key] = kept[key]
                 skipped += 1
                 continue
             if whole:
                 buf = encode_state_key(self._app_name, key, marker)
                 buffers[key] = (buf,)
+                captures[key] = (marker,)
                 if prev.get(key) != (buf,):
                     written += len(buf)
             else:
-                buf = encode_state_key(self._app_name, key,
-                                       (marker.changed, marker.gone))
+                patch = (marker.changed, marker.gone)
+                buf = encode_state_key(self._app_name, key, patch)
                 buffers[key] = prev[key] + (buf,)
+                captures[key] = kept[key] + (patch,)
                 written += len(buf)
             self.value_encodes += 1
             encoded += len(buf)
@@ -472,10 +498,11 @@ class CheckpointStore:
         entry.capture = None
         entry.pending = False
         entry.buffers = buffers
+        entry.captures = captures
         entry.state_size = sum(len(buf) for bufs in buffers.values()
                                for buf in bufs)
         cost = encoded * self.hash_per_byte_cost + version_cost
-        diffable = bool(self._checkpoints) and self._prev_buffers is not None
+        diffable = bool(self._checkpoints) and self._prev is not None
         if diffable and not written and len(buffers) == len(prev):
             # Unchanged since the last checkpoint (nothing written means
             # every key is the predecessor's; as many keys means none
@@ -498,7 +525,7 @@ class CheckpointStore:
             cost += self.base_cost + entry.size * self.per_byte_cost
             self._chain_len = 1
             self.full_count += 1
-        self._prev_buffers = buffers
+        self._prev = entry
         self.total_bytes += entry.size
         self.bytes_written += entry.size
         if self.metrics is not None and entry.size:
@@ -620,6 +647,19 @@ class CheckpointStore:
                 "holds no image")
         return checkpoint.buffers
 
+    def state(self, checkpoint: Checkpoint) -> dict:
+        """:func:`decode_state` of ``checkpoint``'s buffers, copied from
+        its captures where that is exact (:func:`_copyable`)."""
+        buffers = self.buffers(checkpoint)
+        state = {}
+        for key, (base, *patches) in checkpoint.captures.items():
+            if _copyable(base) and all(_copyable(changed) and _atoms(gone)
+                                       for changed, gone in patches):
+                state[key] = _patched(_shallow_copy(base), patches)
+            else:
+                state[key] = decode_state({key: buffers[key]})[key]
+        return state
+
     def restore(self, app, checkpoint: Checkpoint) -> None:
         """Load ``checkpoint`` into ``app`` (the CRIU restore).
 
@@ -634,14 +674,14 @@ class CheckpointStore:
         picking its target, so this flush is a no-op there.)
         """
         self.flush()
-        buffers = self.buffers(checkpoint)
         try:
-            state = decode_state(buffers)
+            state = self.state(checkpoint)
         except SerializationError as exc:
             raise CheckpointError(
                 f"corrupt checkpoint for {app.name}: {exc}"
             ) from exc
-        self.value_decodes += sum(map(len, buffers.values()))
+        # The buffers this restore stands for, copied or decoded.
+        self.value_decodes += sum(map(len, checkpoint.buffers.values()))
         app.set_state(state)
         self.restored_count += 1
         self._truncate_after(checkpoint)
@@ -650,7 +690,7 @@ class CheckpointStore:
         # the rollback just discarded).  A dedup may alias the restored
         # entry -- truncation just made it the newest -- which is
         # exactly the state an unchanged take would re-capture.
-        self._prev_buffers = buffers
+        self._prev = checkpoint
         # Re-pair the version baseline with the restored buffers: the
         # version map survives set_state untouched (it is bookkeeping
         # about the state, not state), so pairing it with the restored

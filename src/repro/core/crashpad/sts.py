@@ -11,8 +11,8 @@ This module implements that extension: given a base checkpoint, the
 journalled events delivered since it, and a final event that crashed
 the app, :func:`find_minimal_causal_sequence` delta-debugs (ddmin) the
 event history against a *scratch replica* of the app.  The replica is
-decoded afresh from the checkpoint's per-key buffers
-(:meth:`~repro.core.crashpad.checkpoint.CheckpointStore.buffers`) for
+loaded with a fresh copy of the checkpoint's state
+(:meth:`~repro.core.crashpad.checkpoint.CheckpointStore.state`) for
 every probe run, so the search never touches the live app, the network
 (probe runs suppress output by constructing the replica without an
 API) or another probe's state.  :func:`ddmin` itself lives here, once;
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.controller.api import AppAPI, TopoView
-from repro.core.crashpad.checkpoint import Buffers, decode_state
 
 
 class _NullAPI(AppAPI):
@@ -87,17 +86,17 @@ class CausalSequenceResult:
 
 
 class _Replica:
-    """A scratch copy of the app, rebuilt from a checkpoint's buffers."""
+    """A scratch copy of the app, rebuilt from a checkpoint's state."""
 
-    def __init__(self, app_factory: Callable, buffers: Dict[object, Buffers]):
+    def __init__(self, app_factory: Callable, load: Callable[[], dict]):
         self.app_factory = app_factory
-        self.buffers = buffers
+        self.load = load
 
     def crashes_on(self, events: Sequence[object]) -> bool:
         """Replay ``events`` on a fresh replica; True if any crashes it."""
         app = self.app_factory()
         app.startup(_NullAPI())
-        app.set_state(decode_state(self.buffers))
+        app.set_state(self.load())
         for event in events:
             try:
                 app.handle(event)
@@ -148,15 +147,16 @@ def ddmin(items: Sequence, test: Callable[[list], bool]) -> list:
 
 def find_minimal_causal_sequence(
     app_factory: Callable,
-    buffers: Dict[object, Buffers],
+    load: Callable[[], dict],
     history: Sequence[Tuple[int, object]],
     offending: Tuple[int, object],
     max_probes: int = 256,
 ) -> CausalSequenceResult:
     """Delta-debug the event history down to a minimal crashing subset.
 
-    ``buffers`` is the base checkpoint's per-key buffer map and
-    ``history`` the (seq, event) list delivered after it was taken, in
+    ``load`` returns a fresh copy of the base checkpoint's state on
+    every call (``partial(store.state, checkpoint)``); ``history`` is
+    the (seq, event) list delivered after that checkpoint was taken, in
     order, *excluding* the offending event, which is passed separately
     (it is always retained -- the crash happened while handling it).
 
@@ -167,7 +167,7 @@ def find_minimal_causal_sequence(
     before answers "does not reproduce" without running, so
     :func:`ddmin` stops reducing and returns what it has.
     """
-    replica = _Replica(app_factory, buffers)
+    replica = _Replica(app_factory, load)
     verdicts: Dict[tuple, bool] = {}    # one replay per distinct subset
 
     def crashes(prefix: Sequence[Tuple[int, object]]) -> bool:
@@ -195,14 +195,14 @@ def find_minimal_causal_sequence(
 
 def pick_rollback_checkpoint(
     app_factory: Callable,
-    checkpoints: Sequence[Tuple[int, Dict[object, Buffers]]],
+    checkpoints: Sequence[Tuple[int, Callable[[], dict]]],
     journal_events: Sequence[Tuple[int, object]],
     offending: Tuple[int, object],
     culprit_seqs: Sequence[int],
 ) -> Optional[int]:
     """Which checkpoint can the app safely roll back to?
 
-    ``checkpoints`` are (before_seq, buffer map) pairs, oldest first;
+    ``checkpoints`` are (before_seq, state loader) pairs, oldest first;
     ``offending`` is the (seq, event) the app last crashed on.  A
     checkpoint is *safe* when replaying the journalled events after it
     -- minus the culprits -- and then the offending event as a canary
@@ -215,11 +215,11 @@ def pick_rollback_checkpoint(
     """
     offending_seq, offending_event = offending
     excluded = set(culprit_seqs) | {offending_seq}
-    for before_seq, buffers in sorted(checkpoints, key=lambda c: -c[0]):
+    for before_seq, load in sorted(checkpoints, key=lambda c: -c[0]):
         replay = [event for seq, event in journal_events
                   if before_seq <= seq < offending_seq
                   and seq not in excluded]
-        if not _Replica(app_factory, buffers).crashes_on(
+        if not _Replica(app_factory, load).crashes_on(
                 replay + [offending_event]):
             return before_seq
     return None

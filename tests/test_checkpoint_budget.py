@@ -3,10 +3,11 @@
 ``wallbench``'s ``crash-recover`` measures this on a stopwatch and
 gates nothing; these counts cannot flake and fail the moment a take
 goes back to encoding the table an entry lives in, a wrapper stops
-forwarding the inner app's dirty tracking, or patches pile up past the
-fold rule.  The stack is ``crash-recover``-shaped: one shard, one
-backup, ``crash_on(LearningSwitch())``, 2 000 hosts, a checkpoint
-before every event, 3 sim-s of load after warm-up, two marker crashes.
+forwarding the inner app's dirty tracking, patches pile up past the
+fold rule, or a restore goes back to decoding what it could copy.
+The stack is ``crash-recover``-shaped: one shard, one backup,
+``crash_on(LearningSwitch())``, 2 000 hosts, a checkpoint before every
+event, 3 sim-s of load after warm-up, two marker crashes.
 """
 
 from repro.apps import LearningSwitch
@@ -97,7 +98,8 @@ def test_crash_recover_checkpoint_budget(monkeypatch):
 
     takes = []          # (checkpoint, entries changed since the last take)
     finalised = {}      # id(checkpoint) -> bytes its finalise encoded
-    restores = []       # (bytes decoded, folded size of the restored state)
+    restores = []       # (bytes decoded, bytes the image holds,
+                        #  folded size of the restored state)
     after_restore = set()
     shadow = {}
     take, finalize, restore = (CheckpointStore.take,
@@ -127,7 +129,8 @@ def test_crash_recover_checkpoint_budget(monkeypatch):
         restore(self, app, target)
         folded = sum(len(encode_state_value(value))
                      for value in app.get_state().values())
-        restores.append((decoded["bytes"] - before, folded))
+        restores.append((decoded["bytes"] - before, target.state_size,
+                         folded))
 
     def observe(stub):
         monkeypatch.setattr(CheckpointStore, "take", watching_take)
@@ -167,14 +170,18 @@ def test_crash_recover_checkpoint_budget(monkeypatch):
     # (b) More keys are skipped than encoded.
     assert store.encodes_skipped > store.value_encodes
 
-    # (c) A restore reads the folded state plus at most the fold
-    # fraction of it -- and, per key, the one patch that crossed it.
+    # (c) A restore copies the captures the image keeps and decodes
+    # nothing; the image it stands for (what the restore is charged
+    # for, and what a decode would read) is the folded state plus at
+    # most the fold fraction of it -- and, per key, the one patch that
+    # crossed it.
     assert len(restores) >= 2
     keys = len(stub.app.get_state())
-    for read, folded in restores:
+    for decoded_bytes, image, folded in restores:
+        assert decoded_bytes == 0
         assert folded > 20_000
-        assert read <= ((1 + store.fold_fraction) * folded
-                        + keys * BYTES_PER_ENTRY)
+        assert image <= ((1 + store.fold_fraction) * folded
+                         + keys * BYTES_PER_ENTRY)
 
     # (d) What was recovered is what whole-state images recover.
     monkeypatch.undo()

@@ -1,5 +1,7 @@
 """Tests for the STS-style minimal causal sequence search (§5)."""
 
+from functools import partial
+
 import pytest
 
 from repro.apps.base import SDNApp
@@ -44,10 +46,11 @@ class AccumulatorApp(SDNApp):
             raise RuntimeError("cumulative state bug detonated")
 
 
-def blob_of(app):
-    """The app's state as STS takes it: a checkpoint's buffer map."""
+def loader_of(app):
+    """The app's state as STS takes it: a loader of a checkpoint's
+    state, fresh on every call."""
     store = CheckpointStore()
-    return store.buffers(store.take(app, before_seq=1, now=0.0))
+    return partial(store.state, store.take(app, before_seq=1, now=0.0))
 
 
 class TestMinimalCausalSequence:
@@ -60,7 +63,7 @@ class TestMinimalCausalSequence:
 
         base = InstaCrash()
         result = find_minimal_causal_sequence(
-            InstaCrash, blob_of(base),
+            InstaCrash, loader_of(base),
             history=[(1, pktin("x")), (2, pktin("y"))],
             offending=(3, pktin("z")),
         )
@@ -78,7 +81,7 @@ class TestMinimalCausalSequence:
             (6, pktin("noise-4")),
         ]
         result = find_minimal_causal_sequence(
-            lambda: AccumulatorApp(("A", "B"), "GO"), blob_of(base),
+            lambda: AccumulatorApp(("A", "B"), "GO"), loader_of(base),
             history=history, offending=(7, pktin("GO")),
         )
         assert not result.single_event
@@ -90,7 +93,7 @@ class TestMinimalCausalSequence:
         base = AccumulatorApp(triggers=("B", "A"), detonator="GO")
         history = [(1, pktin("B")), (2, pktin("A"))]
         result = find_minimal_causal_sequence(
-            lambda: AccumulatorApp(("B", "A"), "GO"), blob_of(base),
+            lambda: AccumulatorApp(("B", "A"), "GO"), loader_of(base),
             history=history, offending=(3, pktin("GO")),
         )
         assert [s for s, _ in result.minimal_events] == [1, 2, 3]
@@ -104,7 +107,7 @@ class TestMinimalCausalSequence:
         base = NeverCrash()
         history = [(1, pktin("a")), (2, pktin("b"))]
         result = find_minimal_causal_sequence(
-            NeverCrash, blob_of(base),
+            NeverCrash, loader_of(base),
             history=history, offending=(3, pktin("c")),
         )
         assert len(result.minimal_events) == 3  # whole history + offending
@@ -114,7 +117,7 @@ class TestMinimalCausalSequence:
         history = [(i, pktin("A" if i == 3 else ("B" if i == 9 else "n")))
                    for i in range(1, 15)]
         result = find_minimal_causal_sequence(
-            lambda: AccumulatorApp(("A", "B"), "GO"), blob_of(base),
+            lambda: AccumulatorApp(("A", "B"), "GO"), loader_of(base),
             history=history, offending=(15, pktin("GO")),
             max_probes=5,
         )
@@ -137,7 +140,7 @@ class TestMinimalCausalSequence:
 
         result = find_minimal_causal_sequence(
             lambda: Counted(triggers, "GO"),
-            blob_of(AccumulatorApp(triggers, "GO")),
+            loader_of(AccumulatorApp(triggers, "GO")),
             history=history, offending=(16, pktin("GO")),
             max_probes=max_probes,
         )
@@ -148,7 +151,7 @@ class TestMinimalCausalSequence:
     def test_probes_do_not_share_state(self):
         """A replica that mutates its state *in place* (appends to a
         list inside a dict-valued key) must not leak that into the next
-        probe: every probe decodes the checkpoint's buffers afresh."""
+        probe: every probe loads a fresh copy of the checkpoint."""
         starts = []
 
         class InPlace(SDNApp):
@@ -170,7 +173,7 @@ class TestMinimalCausalSequence:
 
         history = [(1, pktin("n")), (2, pktin("A")), (3, pktin("B"))]
         result = find_minimal_causal_sequence(
-            InPlace, blob_of(InPlace()),
+            InPlace, loader_of(InPlace()),
             history=history, offending=(4, pktin("GO")),
         )
         assert result.culprit_seqs == [2, 3, 4]
@@ -179,9 +182,9 @@ class TestMinimalCausalSequence:
 
     def test_search_never_mutates_live_state(self):
         base = AccumulatorApp(triggers=("A",), detonator="GO")
-        blob = blob_of(base)
+        load = loader_of(base)
         find_minimal_causal_sequence(
-            lambda: AccumulatorApp(("A",), "GO"), blob,
+            lambda: AccumulatorApp(("A",), "GO"), load,
             history=[(1, pktin("A"))], offending=(2, pktin("GO")),
         )
         assert base.seen == []  # the live app was untouched
@@ -193,7 +196,7 @@ class TestRollbackCheckpointSelection:
         clean = AccumulatorApp(triggers=("A",), detonator="GO")
         poisoned = AccumulatorApp(triggers=("A",), detonator="GO")
         poisoned.seen = ["A"]
-        checkpoints = [(1, blob_of(clean)), (6, blob_of(poisoned))]
+        checkpoints = [(1, loader_of(clean)), (6, loader_of(poisoned))]
         journal = [
             (1, pktin("n1")), (2, pktin("n2")), (3, pktin("n3")),
             (4, pktin("A")), (5, pktin("n4")), (6, pktin("n5")),
@@ -237,7 +240,7 @@ class TestRollbackCheckpointSelection:
                     raise RuntimeError("boom")
 
         clean = ReplayCrash()
-        checkpoints = [(1, blob_of(clean)), (3, blob_of(clean))]
+        checkpoints = [(1, loader_of(clean)), (3, loader_of(clean))]
         journal = [(1, pktin("n")), (2, pktin("n")),
                    (3, pktin("X")), (4, pktin("n"))]
         # Culprit seq 3 excluded: both checkpoints replay clean; the
@@ -248,7 +251,7 @@ class TestRollbackCheckpointSelection:
         # Culprit NOT excluded and only the old checkpoint available:
         # its replay hits the crashing event -> nothing is safe.
         assert pick_rollback_checkpoint(
-            ReplayCrash, [(1, blob_of(clean))], journal,
+            ReplayCrash, [(1, loader_of(clean))], journal,
             offending=(5, pktin("n")), culprit_seqs=[]) is None
 
     def test_none_when_everything_poisoned(self):
@@ -260,6 +263,6 @@ class TestRollbackCheckpointSelection:
 
         base = AlwaysCrash()
         assert pick_rollback_checkpoint(
-            AlwaysCrash, [(1, blob_of(base))],
+            AlwaysCrash, [(1, loader_of(base))],
             [(1, pktin("n"))], offending=(2, pktin("n")),
             culprit_seqs=[]) is None
