@@ -106,9 +106,8 @@ class TransactionManager:
         """
         table = self.shadow.get(dpid)
         if table is not None:
-            table.entries = [
-                e for e in table.entries if not e.same_rule(match, priority)
-            ]
+            for entry in table.find(match, priority):
+                table.remove(entry)
         self.counter_cache.forget(dpid, match, priority)
 
     def note_switch_reset(self, dpid: int) -> None:
@@ -152,17 +151,13 @@ class TransactionManager:
         table = self.shadow.get(reply.dpid)
         if table is None:
             table = self.shadow[reply.dpid] = FlowTable()
-        # (match, priority) -> the first entry in table order with it,
-        # which is the one a strict lookup finds.
-        by_rule: Dict[tuple, FlowEntry] = {}
-        for entry in table.entries:
-            by_rule.setdefault((entry.match, entry.priority), entry)
         reported_ids = set()
         for stat in reply.entries:
-            rule = (stat.match, stat.priority)
-            entry = by_rule.get(rule)
+            # The first entry in table order with the rule, which is the
+            # one a strict lookup finds.
+            entry = next(iter(table.find(stat.match, stat.priority)), None)
             if entry is None:
-                entry = by_rule[rule] = FlowEntry(
+                entry = FlowEntry(
                     match=stat.match,
                     priority=stat.priority,
                     actions=stat.actions,
@@ -174,7 +169,7 @@ class TransactionManager:
                     packet_count=stat.packet_count,
                     byte_count=stat.byte_count,
                 )
-                table._insert_sorted(entry)
+                table.insert(entry)
             else:
                 if stat.packet_count > entry.packet_count:
                     entry.last_hit_at = now
@@ -182,10 +177,9 @@ class TransactionManager:
                 entry.byte_count = stat.byte_count
             reported_ids.add(id(entry))
         cutoff = now - self.STATS_GRACE
-        table.entries = [
-            e for e in table.entries
-            if id(e) in reported_ids or e.installed_at >= cutoff
-        ]
+        for entry in [e for e in table.entries
+                      if id(e) not in reported_ids and e.installed_at < cutoff]:
+            table.remove(entry)
 
     def adopt_shadow(self, tables: Dict[int, FlowTable]) -> None:
         """Seed the shadow from a replicated copy (controller failover).

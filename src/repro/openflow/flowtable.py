@@ -10,11 +10,16 @@ provides (:mod:`repro.core.netlog.counter_cache`).
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from itertools import compress, count
+from operator import attrgetter, is_not
+from typing import Dict, List, Optional, Tuple
 
 from repro.openflow.actions import Action
-from repro.openflow.match import Match
+from repro.openflow.match import MATCH_FIELDS, Match
 from repro.openflow.messages import (
     FlowMod,
     FlowModCommand,
@@ -90,16 +95,72 @@ class FlowEntry:
         )
 
 
+def _deadline(entry: FlowEntry) -> Optional[float]:
+    """A lower bound on the first instant ``entry.is_expired`` holds
+    (None for a permanent entry).  ``is_expired`` subtracts where this
+    adds, so the bound leaves room for the two roundings."""
+    due = math.inf
+    if entry.hard_timeout > 0:
+        due = entry.installed_at + entry.hard_timeout
+    if entry.idle_timeout > 0:
+        due = min(due, entry.last_hit_at + entry.idle_timeout)
+    return due - 1e-9 * (1.0 + abs(due)) if due < math.inf else None
+
+
+_MATCH_ROW = attrgetter(*MATCH_FIELDS)
+_PACKET_ROW = attrgetter(*MATCH_FIELDS[1:])
+_NONES = (None,) * len(MATCH_FIELDS)
+
+
+def _classify(match: Match) -> tuple:
+    """``(shape, key)``: which of ``MATCH_FIELDS`` ``match`` constrains
+    (a tuple of bools) and its values there."""
+    row = _MATCH_ROW(match)
+    shape = tuple(map(is_not, row, _NONES))
+    return shape, tuple(compress(row, shape))
+
+
+def _packet_row(packet, in_port: Optional[int]) -> tuple:
+    """``packet``'s value for every match field; a missing attribute
+    reads as None, as in :meth:`Match.matches`."""
+    try:
+        return (in_port, *_PACKET_ROW(packet))
+    except AttributeError:
+        return (in_port, *[getattr(packet, f, None) for f in MATCH_FIELDS[1:]])
+
+
 @dataclass
 class FlowTable:
     """A single OpenFlow table: priority-ordered lookup plus mutation.
 
     Entries are kept sorted by descending priority (ties broken by
     insertion order, matching hardware behaviour closely enough for the
-    invariant checker to be deterministic).
+    invariant checker to be deterministic).  ``entries`` is that order,
+    for reading: only this class's methods change it.  No operation on
+    one rule or one packet scans it; three structures stand beside it:
+
+    - a tuple-space index (Srinivasan et al., SIGCOMM '99),
+      ``(-priority, shape) -> {key: (entries, in table order)}``: a
+      shape is the fields a match constrains, its key their values;
+    - a heap of expiry deadlines.  A deadline only ever moves later (a
+      hit, a stats refresh), so a popped one is checked exactly and
+      pushed back if its entry is still live;
+    - ``(-priority, rank)`` per entry, parallel to ``entries``, where
+      ``rank`` counts insertions: ``bisect`` finds any entry's place.
     """
 
     entries: List[FlowEntry] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        given, self.entries = self.entries, []
+        self._groups: List[tuple] = []       # (-priority, shape), sorted
+        self._index: Dict[tuple, Dict[tuple, tuple]] = {}
+        self._places: List[tuple] = []
+        self._ranks_of: Dict[int, int] = {}  # id(entry) -> rank
+        self._heap: List[tuple] = []         # (deadline, rank, entry)
+        self._ranks = count()
+        for entry in sorted(given, key=lambda e: -e.priority):
+            self.insert(entry)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -110,11 +171,21 @@ class FlowTable:
     # -- lookup --------------------------------------------------------
 
     def lookup(self, packet, in_port: int) -> Optional[FlowEntry]:
-        """Highest-priority entry matching ``packet`` on ``in_port``."""
-        for entry in self.entries:
-            if entry.match.matches(packet, in_port):
-                return entry
-        return None
+        """Highest-priority entry matching ``packet`` on ``in_port``
+        (between shapes at one priority, the earlier in table order)."""
+        if not self._groups:
+            return None
+        row = _packet_row(packet, in_port)
+        best = best_rank = None
+        for group in self._groups:
+            if best is not None and -group[0] < best.priority:
+                break
+            bucket = self._index[group].get(tuple(compress(row, group[1])))
+            if bucket:
+                rank = self._ranks_of[id(bucket[0])]
+                if best is None or rank < best_rank:
+                    best, best_rank = bucket[0], rank
+        return best
 
     def find(self, match: Match, priority: Optional[int] = None) -> List[FlowEntry]:
         """Entries whose match is a subset of ``match`` (non-strict select).
@@ -123,8 +194,12 @@ class FlowTable:
         identity -- the OFPFC_*_STRICT selection rule.
         """
         if priority is not None:
-            return [e for e in self.entries if e.same_rule(match, priority)]
+            return list(self._rule(_classify(match), priority))
         return [e for e in self.entries if e.match.is_subset_of(match)]
+
+    def _rule(self, shape_key: tuple, priority: int) -> tuple:
+        shape, key = shape_key
+        return self._index.get((-priority, shape), {}).get(key, ())
 
     # -- mutation (FlowMod semantics) ----------------------------------
 
@@ -145,11 +220,10 @@ class FlowTable:
         raise ValueError(f"unknown FlowMod command: {cmd!r}")
 
     def _add(self, mod: FlowMod, now: float) -> List[FlowEntry]:
-        displaced = [
-            e for e in self.entries if e.same_rule(mod.match, mod.priority)
-        ]
+        shape_key = _classify(mod.match)
+        displaced = self._rule(shape_key, mod.priority)
         for entry in displaced:
-            self.entries.remove(entry)
+            self.remove(entry, shape_key)
         entry = FlowEntry(
             match=mod.match,
             priority=mod.priority,
@@ -161,7 +235,7 @@ class FlowTable:
             installed_at=now,
             last_hit_at=now,
         )
-        self._insert_sorted(entry)
+        self.insert(entry, shape_key)
         return [e.clone() for e in displaced]
 
     def _modify(self, mod: FlowMod, now: float, strict: bool) -> List[FlowEntry]:
@@ -190,32 +264,80 @@ class FlowTable:
             targets = [e for e in targets if forwards_to(e)]
         snapshots = [e.clone() for e in targets]
         for entry in targets:
-            self.entries.remove(entry)
+            self.remove(entry)
         return snapshots
 
-    def _insert_sorted(self, entry: FlowEntry) -> None:
-        idx = len(self.entries)
-        for i, existing in enumerate(self.entries):
-            if existing.priority < entry.priority:
-                idx = i
-                break
-        self.entries.insert(idx, entry)
+    def insert(self, entry: FlowEntry, shape_key: Optional[tuple] = None) -> None:
+        """Place ``entry`` after every entry of its priority or higher."""
+        rank = next(self._ranks)
+        shape, key = shape_key or _classify(entry.match)
+        group = (-entry.priority, shape)
+        if group not in self._index:
+            self._index[group] = {}
+            insort(self._groups, group)
+        keyed = self._index[group]
+        keyed[key] = keyed.get(key, ()) + (entry,)
+        at = bisect_right(self._places, (group[0], rank))
+        self._places.insert(at, (group[0], rank))
+        self.entries.insert(at, entry)
+        self._ranks_of[id(entry)] = rank
+        due = _deadline(entry)
+        if due is not None:
+            heapq.heappush(self._heap, (due, rank, entry))
+
+    def remove(self, entry: FlowEntry, shape_key: Optional[tuple] = None) -> None:
+        """Take ``entry`` -- this object, not an equal one -- out."""
+        rank = self._ranks_of.pop(id(entry))
+        at = bisect_left(self._places, (-entry.priority, rank))
+        del self._places[at], self.entries[at]
+        shape, key = shape_key or _classify(entry.match)
+        group = (-entry.priority, shape)
+        keyed = self._index[group]
+        bucket = keyed.pop(key)
+        if len(bucket) > 1:
+            keyed[key] = tuple(e for e in bucket if e is not entry)
+        elif not keyed:
+            del self._index[group]
+            self._groups.remove(group)
+        # Deadlines of removed entries linger until popped; a table that
+        # is never swept (a backup's shadow) drops them here instead.
+        if len(self._heap) > 2 * len(self.entries) + 64:
+            self._heap = [item for item in self._heap if self._holds(item)]
+            heapq.heapify(self._heap)
+
+    def _holds(self, item: tuple) -> bool:
+        """Is this heap item's entry still in the table, as inserted?"""
+        return self._ranks_of.get(id(item[2])) == item[1]
 
     # -- timeouts --------------------------------------------------------
 
     def expire(self, now: float, dpid: int = 0) -> List[FlowRemoved]:
-        """Remove expired entries; return FlowRemoved messages to emit.
+        """Remove expired entries; return FlowRemoved messages to emit,
+        in table order.
 
         FlowRemoved is only generated for entries installed with
         ``send_flow_removed`` (the OFPFF_SEND_FLOW_REM flag).
         """
-        removed_msgs = []
-        survivors = []
-        for entry in self.entries:
+        heap = self._heap
+        if not heap or heap[0][0] > now:
+            return []
+        due, live = [], []
+        while heap and heap[0][0] <= now:
+            item = heapq.heappop(heap)
+            if not self._holds(item):
+                continue
+            _, rank, entry = item
             reason = entry.is_expired(now)
             if reason is None:
-                survivors.append(entry)
-                continue
+                live.append((rank, entry))
+            else:
+                due.append((-entry.priority, rank, entry, reason))
+        for rank, entry in live:
+            heapq.heappush(heap, (_deadline(entry), rank, entry))
+        removed_msgs = []
+        # Table order; ranks are unique, so no two entries are compared.
+        for _, _, entry, reason in sorted(due):
+            self.remove(entry)
             if entry.send_flow_removed:
                 removed_msgs.append(
                     FlowRemoved(
@@ -230,7 +352,6 @@ class FlowTable:
                         idle_timeout=entry.idle_timeout,
                     )
                 )
-        self.entries = survivors
         return removed_msgs
 
     # -- snapshots -------------------------------------------------------

@@ -372,10 +372,10 @@ class ReplicaSet:
             shadow = manager.shadow.get(dpid)
             if shadow is not None:
                 for entry in shadow.entries:
-                    for real_entry in switch.flow_table.entries:
-                        if real_entry.same_rule(entry.match, entry.priority):
-                            entry.last_hit_at = max(entry.last_hit_at,
-                                                    real_entry.last_hit_at)
+                    for real_entry in switch.flow_table.find(
+                            entry.match, entry.priority):
+                        entry.last_hit_at = max(entry.last_hit_at,
+                                                real_entry.last_hit_at)
                 shadow.expire(now, dpid=dpid)
             total += len(self._rule_identities(switch.flow_table)
                          ^ self._rule_identities(shadow))

@@ -17,6 +17,7 @@ from repro.core.netlog.rollback import fingerprint_tables, tables_equal
 from repro.network.net import Network
 from repro.network.topology import linear_topology
 from repro.openflow.actions import Drop, Output
+from repro.openflow.flowtable import FlowTable
 from repro.openflow.inversion import CounterRecord
 from repro.openflow.match import Match
 from repro.openflow.messages import (
@@ -274,10 +275,9 @@ class TestStatsReconcile:
         txn = manager.begin("app", "t")
         manager.apply(txn, 1, add_mod("a"))
         manager.commit(txn)
-        table = manager.shadow[1]
-        [first] = table.entries
+        [first] = manager.shadow[1].entries
         twin = first.clone()
-        table.entries.append(twin)
+        table = manager.shadow[1] = FlowTable(entries=[first, twin])
         net.run_for(1.0)
         manager.note_flow_stats(FlowStatsReply(dpid=1, entries=[
             stats_entry("a", packet_count=4)]))
@@ -329,8 +329,6 @@ class TestRollbackExecutor:
         assert fingerprint_tables({1: net.switch(1).flow_table}) == fp
 
     def test_tables_equal_helper(self):
-        from repro.openflow.flowtable import FlowTable
-
         a, b = FlowTable(), FlowTable()
         assert tables_equal({1: a}, {1: b})
         a.apply_flow_mod(add_mod("x"), 0.0)

@@ -28,7 +28,13 @@ to arrive by editing this file:
   the clock and applied its faults by hand, and the two ordered a
   fault against the events due at its instant differently.  The debug
   loop's record ran the clock in Python drive closures, and its replay
-  pushed captured events onto the heap; both now play steps.
+  pushed captured events onto the heap; both now play steps;
+- one owner of a flow table's ``entries``, ``FlowTable`` itself: its
+  rule index, deadline heap and positions stand beside the list, so a
+  caller that reassigns or edits it (``note_flow_stats`` and
+  ``note_flow_removed`` once did) desynchronises them.  Only
+  ``flowtable.py`` and the linear oracle it replaced
+  (``tests/flowtable_oracle.py``) write it.
 """
 
 import ast
@@ -52,6 +58,11 @@ TIMELINE_CALLS = {"run_for", "run_until", "crash_primary",
                   "crash_shard_primary", "TrafficWorkload", "ChurnWorkload",
                   "inject_marker_packet"}
 RETIRED_DRIVER = {"FailureSchedule", "FailureEvent"}
+#: The one writer of ``.entries``, and the old class kept as its oracle.
+ENTRIES_OWNERS = {SRC / "openflow" / "flowtable.py",
+                  ROOT / "tests" / "flowtable_oracle.py"}
+LIST_MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear",
+                 "sort", "reverse"}
 #: ... and what the debug loop's record and replay once called.
 HEAP_CALLS = {"schedule", "schedule_at"}
 #: Constructor -> the only modules under ``src/repro`` that call it.
@@ -202,3 +213,38 @@ def test_one_timeline_driver():
               for path in sorted((ROOT / base).rglob("*.py"))
               if RETIRED_DRIVER & set(_names(ast.parse(path.read_text())))]
     assert not namers, namers
+
+
+def _is_entries(node) -> bool:
+    """``x.entries`` or ``x.entries[...]``."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "entries"
+
+
+def _entries_writes(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in LIST_MUTATORS):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            unpacked = target.elts if isinstance(
+                target, (ast.Tuple, ast.List)) else [target]
+            if any(_is_entries(t) for t in unpacked):
+                yield node.lineno
+
+
+def test_only_the_flow_table_writes_its_entries():
+    strays = [f"{path.relative_to(ROOT)}:{line}"
+              for base in ("src", "benchmarks", "examples", "tests")
+              for path in sorted((ROOT / base).rglob("*.py"))
+              if path not in ENTRIES_OWNERS
+              for line in _entries_writes(ast.parse(path.read_text()))]
+    assert not strays, f"go through FlowTable's methods: {strays}"
