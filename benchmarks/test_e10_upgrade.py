@@ -6,9 +6,11 @@ and lose state ... this state recreation process can result in network
 outages lasting as long as 10 seconds [32].  The isolation provided by
 LegoSDN shields the SDN-Apps from such controller reboots."
 
-Both runtimes take a 1-second controller upgrade.  Measured: app state
-across the upgrade (the monitor app's observation tally), the control
-outage, and the time for the network to regain full reachability.
+Both runtimes take a 1-second controller upgrade: a ``controller_down``
+step and a ``controller_up`` step one second later.  Measured: app
+state across the upgrade (the monitor app's observation tally), the
+control outage between the two steps, and the time for the network to
+regain full reachability.
 
 Expected shape: LegoSDN retains app state bit-for-bit, monolithic
 resets to zero; both suffer the upgrade outage itself, but monolithic
@@ -16,10 +18,12 @@ additionally pays the state-recreation period.
 """
 
 from repro.apps import FlowMonitor, LearningSwitch
-from repro.core.upgrade import upgrade_legosdn, upgrade_monolithic
+from repro.core.runtime import RuntimeConfig
 from repro.network.topology import linear_topology
+from repro.scenario import Step, play
+from repro.stack import StackSpec, build_stack
 
-from benchmarks.harness import build_legosdn, build_monolithic, print_table, run_once
+from benchmarks.harness import print_table, run_once
 
 UPGRADE_DURATION = 1.0
 
@@ -36,45 +40,45 @@ def _time_to_full_reach(net, limit=10.0, step=0.5):
     return float("inf")
 
 
-def _run_monolithic():
-    net, runtime = build_monolithic(linear_topology(2, 1),
-                                    [FlowMonitor, LearningSwitch])
+def _upgrade(runtime, apps, settle):
+    """Warm up, upgrade, wait for reach: ``(state before, state after,
+    outage, reach recovery)``."""
+    stack = build_stack(StackSpec(topology=linear_topology(2, 1),
+                                  runtime=runtime, apps=apps))
+    stack.start()
+    net = stack.net
+    play(stack, [], until=1.0)
     net.ping("h1", "h2")
-    report = upgrade_monolithic(net, runtime, UPGRADE_DURATION,
-                                _monitor_state)
-    recover = _time_to_full_reach(net)
-    return report, recover
-
-
-def _run_legosdn():
-    net, runtime = build_legosdn(linear_topology(2, 1),
-                                 [FlowMonitor(), LearningSwitch()])
-    net.ping("h1", "h2")
-    net.run_for(0.5)
-    report = upgrade_legosdn(net, runtime, UPGRADE_DURATION, _monitor_state)
-    recover = _time_to_full_reach(net)
-    return report, recover
+    if settle:
+        play(stack, [], until=net.now + settle)
+    before = _monitor_state(stack.runtime)
+    seen = play(stack, [Step(net.now, "controller_down"),
+                        Step(net.now + UPGRADE_DURATION, "controller_up")])
+    outage = seen["controller_up"][0] - seen["controller_down"][0]
+    return (before, _monitor_state(stack.runtime), outage,
+            _time_to_full_reach(net))
 
 
 def test_e10_controller_upgrade(benchmark):
     def experiment():
-        mono_report, mono_recover = _run_monolithic()
-        lego_report, lego_recover = _run_legosdn()
         return {
-            "monolithic": (mono_report, mono_recover),
-            "legosdn": (lego_report, lego_recover),
+            "monolithic": _upgrade(None, (FlowMonitor, LearningSwitch),
+                                   settle=0.0),
+            "legosdn": _upgrade(RuntimeConfig(),
+                                (FlowMonitor(), LearningSwitch()),
+                                settle=0.5),
         }
 
     r = run_once(benchmark, experiment)
     rows = []
     for kind in ("monolithic", "legosdn"):
-        report, recover = r[kind]
+        before, after, outage, recover = r[kind]
         rows.append([
             kind,
-            report.state_before,
-            report.state_after,
-            "retained" if report.state_retained else "LOST",
-            f"{report.outage:.2f}s",
+            before,
+            after,
+            "retained" if before == after else "LOST",
+            f"{outage:.2f}s",
             f"{recover:.2f}s",
         ])
     print_table(
@@ -85,11 +89,9 @@ def test_e10_controller_upgrade(benchmark):
     )
     benchmark.extra_info["rows"] = [[str(c) for c in row] for row in rows]
 
-    mono_report, _ = r["monolithic"]
-    lego_report, lego_recover = r["legosdn"]
-    assert not mono_report.state_retained
-    assert mono_report.state_after == 0
-    assert lego_report.state_retained
-    assert lego_report.state_before > 0
+    mono_before, mono_after, _, _ = r["monolithic"]
+    lego_before, lego_after, _, lego_recover = r["legosdn"]
+    assert mono_after == 0 != mono_before
+    assert lego_before == lego_after > 0
     # both recover service eventually
     assert lego_recover < 10.0

@@ -12,11 +12,10 @@ Run:  python examples/runtime_comparison.py
 """
 
 from repro.apps import FlowMonitor, LearningSwitch
-from repro.controller.monolithic import MonolithicRuntime
 from repro.core.runtime import RuntimeConfig
-from repro.core.upgrade import upgrade_legosdn, upgrade_monolithic
 from repro.faults import crash_on
 from repro.network.topology import linear_topology
+from repro.scenario import Step, play
 from repro.stack import StackSpec, build_stack
 from repro.workloads.traffic import inject_marker_packet
 
@@ -34,10 +33,11 @@ def build(runtime):
         apps=(LearningSwitch, FlowMonitor, buggy_switch)))
     stack.start()
     stack.net.run_for(1.5)
-    return stack.net, stack.runtime
+    return stack
 
 
-def drill(net, runtime, label):
+def drill(stack, label):
+    net, runtime = stack.net, stack.runtime
     print(f"\n--- {label} ---")
     print(f"healthy reachability: {net.reachability(wait=1.5):.0%}")
     monitor = runtime.app("monitor")
@@ -60,21 +60,23 @@ def drill(net, runtime, label):
     print(f"reachability after recovery: {net.reachability(wait=1.0):.0%}")
 
     # A scheduled controller upgrade (1 second).
-    probe = lambda rt: rt.app("monitor").total_observations()
-    if isinstance(runtime, MonolithicRuntime):
-        report = upgrade_monolithic(net, runtime, 1.0, probe)
-    else:
-        report = upgrade_legosdn(net, runtime, 1.0, probe)
-    verdict = "retained" if report.state_retained else "LOST"
-    print(f"upgrade: outage {report.outage:.2f}s, app state {verdict} "
-          f"({report.state_before} -> {report.state_after})")
+    before = runtime.app("monitor").total_observations()
+    seen = play(stack, [Step(net.now, "controller_down"),
+                        Step(net.now + 1.0, "controller_up")])
+    after = runtime.app("monitor").total_observations()
+    outage = seen["controller_up"][0] - seen["controller_down"][0]
+    verdict = "retained" if before == after else "LOST"
+    print(f"upgrade: outage {outage:.2f}s, app state {verdict} "
+          f"({before} -> {after})")
 
 
 def main():
-    mono_net, mono_rt = build(None)
-    drill(mono_net, mono_rt, "monolithic (FloodLight-style)")
-    lego_net, lego_rt = build(RuntimeConfig())
-    drill(lego_net, lego_rt, "LegoSDN")
+    mono = build(None)
+    drill(mono, "monolithic (FloodLight-style)")
+    lego = build(RuntimeConfig())
+    drill(lego, "LegoSDN")
+    mono_net, mono_rt = mono.net, mono.runtime
+    lego_net, lego_rt = lego.net, lego.runtime
 
     print("\n--- summary ---")
     mono_bug_crashes = sum(1 for r in mono_net.controller.crash_records

@@ -3,8 +3,10 @@
 ``run_scenario`` drives the full sharded control stack (controller +
 AppVisor + replication + shards, via :class:`~repro.shard.
 ShardCoordinator`) under a :class:`~repro.bench.loadgen.LoadGenerator`
-for a configured stretch of simulated time, in *chunks*: after every
-chunk it drains finished spans out of each replica's tracer ring into
+for a configured stretch of simulated time.  The run is a
+:mod:`repro.scenario` timeline (a ``load`` step, and a ``load_marker``
+step for the crash row) played in *chunks*: after every chunk it
+drains finished spans out of each replica's tracer ring into
 a :class:`~repro.bench.hist.StreamingHistogram` (bounded memory, no
 matter how long the run) and checks peak RSS against the scenario's
 memory ceiling.  A breach stops injection and returns a clean partial
@@ -30,12 +32,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps import LearningSwitch
 from repro.bench.hist import StreamingHistogram
-from repro.bench.loadgen import LoadGenerator
-from repro.bench.synth import HostUniverse, TrafficMix
 from repro.core.runtime import RuntimeConfig
-from repro.network.packet import reset_packet_ids, tcp_packet
+from repro.network.packet import reset_packet_ids
 from repro.network.topology import tree_topology
-from repro.openflow.messages import PacketIn, reset_xid_counter
+from repro.openflow.messages import reset_xid_counter
+from repro.scenario import Step, play
 from repro.stack import StackSpec, build_stack
 
 #: Event-latency span the histogram tracks (one per app event).
@@ -44,6 +45,13 @@ EVENT_SPAN = "appvisor.event"
 #: Payload sentinel the crash row's app dies on (the offending event
 #: is excluded from replay by Crash-Pad, so exactly one crash happens).
 CRASH_MARKER = "BENCH-CRASH-MARKER"
+
+#: Warm backups per shard.
+BACKUPS = 1
+#: Per-event ingest capacity model (sim seconds per event).
+SERVICE_TIME = 0.0008
+#: Sim seconds of topology discovery before the load starts.
+SETTLE = 0.5
 
 
 class _CrashMarkerSwitch(LearningSwitch):
@@ -71,17 +79,10 @@ class BenchScenario:
     sim_seconds: float           # measured window (after warmup)
     warmup_seconds: float = 2.0
     shards: int = 1
-    backups: int = 1
-    tree_depth: int = 1
-    tree_fanout: int = 4
-    skew: float = 1.0            # switch-mass Zipf exponent (gravity)
-    hot_fraction: float = 0.15   # flows aimed at the hotspot set
-    hot_set: int = 32
+    tree_fanout: int = 4         # leaf switches under the one root
     churn_per_sec: float = 2.0   # hosts re-addressed per sim second
-    service_time: float = 0.0008  # per-event ingest capacity model
     ceiling_mb: float = 1024.0   # peak-RSS ceiling (abort above)
     chunk_seconds: float = 0.5   # drain/ceiling-check cadence
-    tick: float = 0.05           # load generator tick
     #: Events between checkpoints (interval/fuzzy checkpointing with
     #: NetLog tail replay on recovery); 1 = the paper's per-event mode.
     checkpoint_interval: int = 8
@@ -233,29 +234,19 @@ def run_scenario(scenario: BenchScenario,
     reset_packet_ids()
 
     stack = build_stack(StackSpec(
-        topology=tree_topology(scenario.tree_depth, scenario.tree_fanout,
-                               hosts_per_leaf=1),
+        topology=tree_topology(1, scenario.tree_fanout, hosts_per_leaf=1),
         seed=scenario.seed,
         apps=(_CrashMarkerSwitch if scenario.crash_at > 0
               else LearningSwitch,),
         runtime=RuntimeConfig(
             checkpoint_interval=scenario.checkpoint_interval),
-        backups=scenario.backups,
+        backups=BACKUPS,
         shards=scenario.shards,
-        service_time=scenario.service_time,
+        service_time=SERVICE_TIME,
         telemetry={"metrics_max_samples": 4096, "max_spans": 60_000},
     ))
     net, coordinator = stack.net, stack.coordinator
     stack.start()
-    universe = HostUniverse(scenario.hosts, sorted(net.switches),
-                            seed=scenario.seed, skew=scenario.skew)
-    mix = TrafficMix(universe, seed=scenario.seed + 1,
-                     hot_fraction=scenario.hot_fraction,
-                     hot_set=scenario.hot_set,
-                     churn_per_sec=scenario.churn_per_sec)
-    generator = LoadGenerator(net.sim, coordinator.owner_controller,
-                              mix, rate=scenario.rate,
-                              tick=scenario.tick)
     telemetries = [coordinator.telemetry]
     for handle in coordinator.shards.values():
         telemetries.extend(r.telemetry
@@ -264,14 +255,19 @@ def run_scenario(scenario: BenchScenario,
     aborted: Optional[str] = None
     hist = StreamingHistogram()
 
-    def run_chunks(total: float, hist_arg) -> float:
-        """Run ``total`` sim seconds in drain/probe chunks;
-        returns how much actually ran before any abort."""
+    def run_chunks(total: float, hist_arg, steps=()) -> float:
+        """Play ``steps`` over the next ``total`` sim seconds in
+        drain/probe chunks; returns how much actually ran before any
+        abort."""
         nonlocal aborted
+        pending = sorted(steps, key=lambda s: s.at)
         ran = 0.0
         while ran < total - 1e-9:
             step = min(scenario.chunk_seconds, total - ran)
-            net.run_for(step)
+            end = net.now + step
+            due = [s for s in pending if s.at <= end]
+            pending = pending[len(due):]
+            play(stack, due, end)
             ran += step
             _drain_spans(telemetries, hist_arg)
             used = probe()
@@ -285,36 +281,26 @@ def run_scenario(scenario: BenchScenario,
 
     # Settle discovery, then warm up with injection running; the
     # warmup's spans and byte counts are discarded.
-    net.run_for(0.5)
-    generator.start()
+    play(stack, [Step(net.now + SETTLE, "load", {
+        "hosts": scenario.hosts, "rate": scenario.rate,
+        "seed": scenario.seed, "churn_per_sec": scenario.churn_per_sec})])
+    generator = stack.load
     run_chunks(scenario.warmup_seconds, hist_arg=None)
     _drain_spans(telemetries, None)
     warm_offered = generator.events_offered
     warm_ingested = coordinator.total_events_ingested()
     warm_sent, warm_recv = _bytes_counters(telemetries)
 
-    def inject_crash_marker() -> None:
-        """One poisoned PacketIn through the normal punt path: the
-        hosting app crashes and Crash-Pad recovers it mid-run."""
-        src, dst = mix.sample()
-        controller = coordinator.owner_controller(src.dpid)
-        if controller is None:
-            return
-        packet = tcp_packet(src.mac, dst.mac, src.ip, dst.ip,
-                            src_port=10000 + src.idx % 5000,
-                            dst_port=80, size=64,
-                            payload=CRASH_MARKER)
-        controller.handle_switch_message(
-            src.dpid,
-            PacketIn(dpid=src.dpid, in_port=src.port, packet=packet))
-
     measured = 0.0
     if aborted is None:
         emit(f"  warmup done ({scenario.warmup_seconds:.0f}s sim); "
              f"measuring {scenario.sim_seconds:.0f}s sim")
-        if scenario.crash_at > 0:
-            net.sim.schedule(scenario.crash_at, inject_crash_marker)
-        measured = run_chunks(scenario.sim_seconds, hist)
+        # One poisoned PacketIn through the normal punt path: the
+        # hosting app crashes and Crash-Pad recovers it mid-run.
+        marker = [Step(net.now + scenario.crash_at, "load_marker",
+                       {"payload": CRASH_MARKER})
+                  ] if scenario.crash_at > 0 else []
+        measured = run_chunks(scenario.sim_seconds, hist, marker)
     generator.stop()
     _drain_spans(telemetries, hist if measured > 0 else None)
 
@@ -343,7 +329,7 @@ def run_scenario(scenario: BenchScenario,
         "bytes_recv": bytes_recv,
         "bytes_per_event": (round(bytes_sent / events, 2)
                             if events else None),
-        "hosts_churned": mix.churned,
+        "hosts_churned": generator.mix.churned,
         "spans_dropped": spans_dropped,
         "checkpoint": _checkpoint_stats(coordinator),
     }

@@ -17,7 +17,7 @@ reproducible event-for-event.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.bench.synth import TrafficMix
 from repro.network.packet import tcp_packet
@@ -27,15 +27,17 @@ from repro.openflow.messages import PacketIn
 class LoadGenerator:
     """Injects ``rate`` flows per simulated second until stopped."""
 
+    #: Simulated seconds between ticks.
+    TICK = 0.05
+
     def __init__(self, sim, controller_for: Callable[[int], object],
-                 mix: TrafficMix, rate: float, tick: float = 0.05):
-        if rate <= 0 or tick <= 0:
-            raise ValueError("rate and tick must be positive")
+                 mix: TrafficMix, rate: float):
+        if rate <= 0:
+            raise ValueError("rate must be positive")
         self.sim = sim
         self.controller_for = controller_for
         self.mix = mix
         self.rate = rate
-        self.tick = tick
         self.events_offered = 0
         self.events_dropped = 0
         self._credit = 0.0
@@ -45,32 +47,44 @@ class LoadGenerator:
         if self._running:
             return
         self._running = True
-        self.sim.schedule(self.tick, self._tick)
+        self.sim.schedule(self.TICK, self._tick)
 
     def stop(self) -> None:
         """Stop injecting (the pending tick becomes a no-op)."""
         self._running = False
 
+    def inject(self, payload: str) -> None:
+        """One extra flow carrying ``payload``, drawn from the mix as it
+        stands now; it is not counted as offered load."""
+        self._punt(64, payload)
+
+    def _punt(self, size: int, payload: str = "") -> bool:
+        """Draw a flow and punt it as its source switch would; False if
+        no controller serves that switch."""
+        src, dst = self.mix.sample()
+        controller = self.controller_for(src.dpid)
+        if controller is None:
+            return False
+        packet = tcp_packet(src.mac, dst.mac, src.ip, dst.ip,
+                            src_port=10000 + src.idx % 5000,
+                            dst_port=80, size=size, payload=payload)
+        controller.handle_switch_message(
+            src.dpid,
+            PacketIn(dpid=src.dpid, in_port=src.port, packet=packet))
+        return True
+
     def _tick(self) -> None:
         if not self._running:
             return
-        self.mix.advance(self.tick)
-        self._credit += self.rate * self.tick
+        self.mix.advance(self.TICK)
+        self._credit += self.rate * self.TICK
         n = int(self._credit)
         self._credit -= n
         for _ in range(n):
-            src, dst = self.mix.sample()
-            controller = self.controller_for(src.dpid)
-            if controller is None:
+            if self._punt(512):
+                self.events_offered += 1
+            else:
                 # The owning shard is between primaries: a real switch's
                 # punt would be lost too.
                 self.events_dropped += 1
-                continue
-            packet = tcp_packet(src.mac, dst.mac, src.ip, dst.ip,
-                                src_port=10000 + src.idx % 5000,
-                                dst_port=80, size=512)
-            controller.handle_switch_message(
-                src.dpid,
-                PacketIn(dpid=src.dpid, in_port=src.port, packet=packet))
-            self.events_offered += 1
-        self.sim.schedule(self.tick, self._tick)
+        self.sim.schedule(self.TICK, self._tick)

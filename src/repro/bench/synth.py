@@ -39,24 +39,27 @@ class HostRef:
     port: int
 
 
+#: The switch-mass Zipf exponent (the gravity model's skew).
+SKEW = 1.0
+
+
 class HostUniverse:
     """``hosts`` synthetic hosts spread over ``dpids`` by Zipf mass.
 
-    Switch *masses* follow 1/rank^skew over a seed-shuffled rank order;
+    Switch *masses* follow 1/rank^SKEW over a seed-shuffled rank order;
     each switch owns a contiguous index range sized proportionally to
     its mass, so ``dpid_of`` is a bisect and mass-weighted sampling is
     one uniform draw + a bisect.
     """
 
-    def __init__(self, hosts: int, dpids: Sequence[int],
-                 seed: int = 0, skew: float = 1.0):
+    def __init__(self, hosts: int, dpids: Sequence[int], seed: int = 0):
         if hosts < 1 or not dpids:
             raise ValueError("need at least one host and one switch")
         self.hosts = hosts
         self.dpids: List[int] = list(dpids)
         rng = random.Random(seed)
         rng.shuffle(self.dpids)
-        masses = [1.0 / (rank + 1) ** skew
+        masses = [1.0 / (rank + 1) ** SKEW
                   for rank in range(len(self.dpids))]
         total = sum(masses)
         #: Cumulative mass per switch, in shuffled order (for sampling).

@@ -56,7 +56,8 @@ class MonolithicRuntime:
     ``launch_app`` takes a zero-argument factory so that a restart can
     re-instantiate the app (with fresh, empty state).  Pass
     ``auto_restart=True`` to model an operator-scripted watchdog that
-    reboots the whole stack ``restart_delay`` seconds after a crash.
+    reboots the whole stack ``restart_delay`` seconds after a crash --
+    any crash but an operator's upgrade, which ends with its own restart.
     """
 
     def __init__(self, controller, auto_restart: bool = False,
@@ -104,7 +105,7 @@ class MonolithicRuntime:
 
     def _on_controller_crash(self, exc: Exception, culprit: str) -> None:
         self.crash_count += 1
-        if self.auto_restart:
+        if self.auto_restart and culprit != "operator":
             self.controller.sim.schedule(self.restart_delay, self.restart)
 
     def restart(self) -> None:

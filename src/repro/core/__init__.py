@@ -7,8 +7,8 @@
 - :mod:`repro.core.crashpad` -- failure detection and recovery:
   checkpoints, compromise policies, event transformations, tickets.
 - :mod:`repro.core.runtime` -- the LegoSDN runtime composing the three.
-- :mod:`repro.core.diversity`, :mod:`repro.core.upgrade` -- the §3.4
-  use cases: N-version execution and controller upgrade survival.
+- :mod:`repro.core.diversity` -- the §3.4 N-version use case (its
+  controller upgrade is two :mod:`repro.scenario` steps).
 """
 
 from repro.core.runtime import LegoSDNRuntime, RuntimeConfig

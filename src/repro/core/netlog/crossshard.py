@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class CrossTxnState(enum.Enum):
@@ -94,16 +94,3 @@ class CrossTxnEnvelope:
             if part.shard_id == shard_id:
                 return part
         return None
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "cross_id": self.cross_id,
-            "app": self.app_name,
-            "state": self.state.value,
-            "shards": self.shard_ids,
-            "committed": [p.shard_id for p in self.participants
-                          if p.committed],
-            "compensated": [p.shard_id for p in self.participants
-                            if p.compensated],
-            "abort_reason": self.abort_reason,
-        }

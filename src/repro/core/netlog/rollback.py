@@ -31,16 +31,6 @@ class RollbackExecutor:
     def __init__(self, manager: TransactionManager):
         self.manager = manager
 
-    def rollback(self, txn: Transaction) -> RollbackReport:
-        """Abort a single open transaction."""
-        cached_before = len(self.manager.counter_cache)
-        sent = self.manager.abort(txn)
-        return RollbackReport(
-            transactions_rolled_back=1 if sent or txn.state is TxnState.ABORTED else 0,
-            inverse_messages_sent=sent,
-            counters_cached=len(self.manager.counter_cache) - cached_before,
-        )
-
     def rollback_all(self, txns: Iterable[Transaction]) -> RollbackReport:
         """Abort several transactions, newest first.
 

@@ -94,6 +94,12 @@ class LegoSDNRuntime:
         for channel in self.channels.values():
             channel.drop_pending("proxy")
 
+    def restart(self) -> None:
+        """Reboot a crashed controller.  The apps live in their stubs'
+        processes, so they keep their state (§3.4)."""
+        if self.controller.crashed:
+            self.controller.reboot()
+
     # -- app lifecycle ----------------------------------------------------
 
     def launch_app(self, app_or_factory,

@@ -7,7 +7,7 @@ firing rule: in ``at`` order (ties as given), advance the
 simulator to the step's instant -- every event due by then runs first,
 one queued for that very instant included -- or stay, if the clock is
 already past it; then apply the step.  A step may record what it saw
-(a kill's victim, a probe's reachability).
+(a kill's victim, a probe's reachability, an upgrade's instants).
 """
 
 from __future__ import annotations
@@ -42,6 +42,51 @@ def _kill_primary(stack, shard=None):
     return seen
 
 
+class UpgradeReboot(Exception):
+    """Marker for a deliberate, operator-initiated controller restart."""
+
+
+def _controller_down(stack):
+    """§3.4's upgrade begins: the controller process goes down."""
+    stack.net.controller.crash(UpgradeReboot("scheduled upgrade"),
+                               culprit="operator")
+    return stack.net.now
+
+
+def _controller_up(stack):
+    """The upgraded controller comes back: a monolithic runtime
+    re-creates its apps (their state is lost), LegoSDN's stubs keep
+    theirs."""
+    stack.runtime.restart()
+    return stack.net.now
+
+
+#: The ``load`` kind's traffic shape: the share of flows aimed at a
+#: fixed hotspot set, and that set's size.
+LOAD_HOT_FRACTION = 0.15
+LOAD_HOT_SET = 32
+
+
+def _load(stack, hosts, rate, seed, churn_per_sec):
+    """Start a :class:`~repro.bench.loadgen.LoadGenerator` over a
+    synthetic ``hosts``-host universe, punting to the controller that
+    serves each source switch; it runs on as ``stack.load``."""
+    # Imported here: repro.bench's harness plays scenarios.
+    from repro.bench.loadgen import LoadGenerator
+    from repro.bench.synth import HostUniverse, TrafficMix
+
+    net = stack.net
+    universe = HostUniverse(hosts, sorted(net.switches), seed=seed)
+    mix = TrafficMix(universe, seed=seed + 1,
+                     hot_fraction=LOAD_HOT_FRACTION, hot_set=LOAD_HOT_SET,
+                     churn_per_sec=churn_per_sec)
+    controller_for = (stack.coordinator.owner_controller
+                      if stack.coordinator is not None
+                      else lambda dpid: net.controller)
+    stack.load = LoadGenerator(net.sim, controller_for, mix, rate=rate)
+    stack.load.start()
+
+
 #: Step kind -> ``apply(stack, **args)``; what it returns, unless None,
 #: is what the step saw.
 KINDS = {
@@ -60,6 +105,11 @@ KINDS = {
     "ingest": lambda stack, dpid, message: (
         stack.net.controller.handle_switch_message(
             dpid, copy.deepcopy(message))),
+    "controller_down": _controller_down,
+    "controller_up": _controller_up,
+    "load": _load,
+    # The flow is drawn from the running mix when the step fires.
+    "load_marker": lambda stack, payload: stack.load.inject(payload),
 }
 
 

@@ -166,19 +166,6 @@ class ShardCoordinator:
         while that shard is between primaries)."""
         return self.shards[self.router.shard_of(dpid)].controller
 
-    def inject(self, event) -> None:
-        """Dispatch a controller-level event into the owning shard's
-        lanes (events without a dpid go to the lowest live shard)."""
-        dpid = getattr(event, "dpid", None)
-        if dpid is not None:
-            controller = self.owner_controller(dpid)
-        else:
-            controller = next(
-                (h.controller for _, h in sorted(self.shards.items())
-                 if h.controller is not None), None)
-        if controller is not None:
-            controller.dispatch(event)
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:

@@ -68,6 +68,8 @@ class Stack:
     telemetry: Optional[Telemetry] = None
     watchdog: Optional[HealthWatchdog] = None
     chaos: Optional[ChaosProfile] = None
+    #: The ``LoadGenerator`` a ``load`` step started.
+    load: object = None
 
     def start(self) -> None:
         """Connect every switch (to its shard's primary, when sharded)."""

@@ -119,9 +119,3 @@ class Telemetry:
     def flight_dump(self) -> list:
         """The flight recorder's retained events (empty when disabled)."""
         return self.recorder.dump()
-
-    def to_dict(self) -> dict:
-        return trace_dict(self)
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return trace_json(self, indent=indent)

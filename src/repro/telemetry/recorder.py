@@ -66,8 +66,5 @@ class FlightRecorder:
     def dump_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.dump(), indent=indent)
 
-    def clear(self) -> None:
-        self._events.clear()
-
     def __len__(self) -> int:
         return len(self._events)

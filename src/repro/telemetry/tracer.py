@@ -242,11 +242,6 @@ class Tracer:
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
 
-    @property
-    def dropped_spans(self) -> int:
-        """Alias for :attr:`dropped` (the exported counter's name)."""
-        return self.dropped
-
     # -- trace context -----------------------------------------------------
 
     def mint_trace(self) -> int:

@@ -28,7 +28,11 @@ to arrive by editing this file:
   the clock and applied its faults by hand, and the two ordered a
   fault against the events due at its instant differently.  The debug
   loop's record ran the clock in Python drive closures, and its replay
-  pushed captured events onto the heap; both now play steps;
+  pushed captured events onto the heap; both now play steps.  So do
+  the load harness (a chunked ``run_for`` loop and a crash marker on
+  the heap) and controller upgrades (``core/upgrade.py`` ran the clock
+  across one): outside ``scenario.py`` and ``network/``'s probe waits,
+  nothing under ``src/repro`` runs the clock;
 - one owner of a flow table's ``entries``, ``FlowTable`` itself: its
   rule index, deadline heap and positions stand beside the list, so a
   caller that reassigns or edits it (``note_flow_stats`` and
@@ -53,17 +57,23 @@ ROOT_MODULE = "repro.replication.replicaset"
 STACK = SRC / "stack.py"
 CLI = SRC / "cli.py"
 DEBUG = SRC / "debug"
+SCENARIO = SRC / "scenario.py"
+HARNESS = SRC / "bench" / "harness.py"
+#: The clock: only ``play`` and the network's own probe waits run it.
+CLOCK_CALLS = {"run_for", "run_until"}
 #: What only a scenario step does: the clock, the kills, the workloads.
-TIMELINE_CALLS = {"run_for", "run_until", "crash_primary",
-                  "crash_shard_primary", "TrafficWorkload", "ChurnWorkload",
-                  "inject_marker_packet"}
-RETIRED_DRIVER = {"FailureSchedule", "FailureEvent"}
+TIMELINE_CALLS = CLOCK_CALLS | {
+    "crash_primary", "crash_shard_primary", "TrafficWorkload",
+    "ChurnWorkload", "inject_marker_packet"}
+RETIRED_DRIVER = {"FailureSchedule", "FailureEvent", "upgrade_monolithic",
+                  "upgrade_legosdn", "UpgradeReport"}
 #: The one writer of ``.entries``, and the old class kept as its oracle.
 ENTRIES_OWNERS = {SRC / "openflow" / "flowtable.py",
                   ROOT / "tests" / "flowtable_oracle.py"}
 LIST_MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear",
                  "sort", "reverse"}
-#: ... and what the debug loop's record and replay once called.
+#: ... and what the debug loop's record and replay, and the load
+#: harness's crash marker, once called.
 HEAP_CALLS = {"schedule", "schedule_at"}
 #: Constructor -> the only modules under ``src/repro`` that call it.
 BUILDERS = {
@@ -198,16 +208,29 @@ def _names(tree):
             yield node.name
 
 
+def _banned_calls(path):
+    banned = set()
+    if path != SCENARIO and not path.is_relative_to(SRC / "network"):
+        banned |= CLOCK_CALLS
+    if path == CLI:
+        banned |= TIMELINE_CALLS
+    if path.is_relative_to(DEBUG):
+        banned |= TIMELINE_CALLS | HEAP_CALLS
+    if path == HARNESS:
+        banned |= HEAP_CALLS
+    return banned
+
+
 def test_one_timeline_driver():
-    drivers = {CLI: TIMELINE_CALLS, **{
-        path: TIMELINE_CALLS | HEAP_CALLS for path in DEBUG.rglob("*.py")}}
     strays = [f"{path.relative_to(SRC)}:{node.lineno} "
               f"{_called_name(node)}(...)"
-              for path, banned in sorted(drivers.items())
+              for path in sorted(SRC.rglob("*.py"))
               for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, ast.Call) and _called_name(node) in banned]
+              if isinstance(node, ast.Call)
+              and _called_name(node) in _banned_calls(path)]
     assert not strays, f"describe the run as repro.scenario steps: {strays}"
     assert not (SRC / "workloads" / "failure.py").exists()
+    assert not (SRC / "core" / "upgrade.py").exists()
     namers = [str(path.relative_to(ROOT))
               for base in ("src", "benchmarks", "examples", "tests")
               for path in sorted((ROOT / base).rglob("*.py"))

@@ -18,11 +18,11 @@ other two of the 21 left out of scope, ``ByzantineProfile``'s
 ``equivocate`` and ``replay``, got their first tests in that PR).
 
 The scan skips dataclasses, so the dataclasses that *are* bags of
-options, ``RuntimeConfig`` and ``StackSpec``, and the run described
-as data, ``Scenario`` and its ``Step``, are held to the same rule by
-name: every field is a keyword some caller passes (or is in
-``ALLOWED``), and the field count is capped so the next one has to
-arrive with its caller.
+options, ``RuntimeConfig``, ``StackSpec`` and the load harness's
+``BenchScenario``, and the run described as data, ``Scenario`` and
+its ``Step``, are held to the same rule by name: every field is a
+keyword some caller passes (or is in ``ALLOWED``), and the field count
+is capped so the next one has to arrive with its caller.
 """
 
 import ast
@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import BenchScenario
 from repro.core.runtime import RuntimeConfig
 from repro.scenario import Scenario, Step
 from repro.stack import StackSpec
@@ -92,6 +93,8 @@ ALLOWED = {
     ("MetricsServer", "metrics_text"): "tests substitute the exposition",
     ("MetricsServer", "shard_health"): "tests substitute the health source",
     ("ChurnWorkload", "fresh_mac"): "tests pin the MAC generator",
+    ("BenchScenario", "chunk_seconds"):
+        "tests shorten it to probe the memory ceiling mid-run",
 }
 
 
@@ -166,7 +169,7 @@ def unset_fields(bag):
 
 def test_allowed_table_names_only_parameters_that_exist():
     stale = set(ALLOWED) - set(defaulted_init_parameters())
-    for bag in (RuntimeConfig, StackSpec, Scenario, Step):
+    for bag in (RuntimeConfig, StackSpec, Scenario, Step, BenchScenario):
         stale -= set(option_bag_fields(bag))
     assert not stale, f"ALLOWED lists parameters that are gone: {stale}"
     assert all(reason.strip() for reason in ALLOWED.values())
@@ -189,6 +192,19 @@ def test_runtime_config_stays_small():
     assert len(dataclasses.fields(RuntimeConfig)) <= 11, (
         "a twelfth RuntimeConfig field needs a caller that sets it, and "
         "this bound raised in the same change")
+
+
+def test_every_bench_scenario_field_is_set_by_someone():
+    unset = unset_fields(BenchScenario)
+    assert not unset, (
+        f"BenchScenario fields no preset or CLI flag sets: {unset} -- make "
+        "each a constant of the harness or of the load step kind")
+
+
+def test_bench_scenario_stays_small():
+    assert len(dataclasses.fields(BenchScenario)) <= 13, (
+        "a fourteenth BenchScenario field needs a preset or flag that "
+        "sets it, and this bound raised in the same change")
 
 
 @pytest.mark.parametrize("bag", (Scenario, Step), ids=lambda b: b.__name__)

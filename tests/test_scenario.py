@@ -5,9 +5,10 @@ import copy
 import pytest
 
 from repro.apps import LearningSwitch
+from repro.core.runtime import RuntimeConfig
 from repro.debug import FailureSignature, planted_armed_recording
 from repro.network.net import Network
-from repro.network.topology import linear_topology, ring_topology
+from repro.network.topology import linear_topology, ring_topology, tree_topology
 from repro.scenario import Scenario, Step, play, random_faults, run
 from repro.stack import Stack, StackSpec, build_stack
 
@@ -63,6 +64,62 @@ def test_random_faults_stay_in_their_window_and_every_flap_heals(seed):
         assert any(up.kind == up_kind and up.args == down.args
                    and down.at < up.at < start + duration
                    for up in steps), down
+
+
+def _marker_punt(marker_at):
+    """Run a K=2 stack under load with one ``load_marker`` step; returns
+    ``(stack, [(receiving controller, dpid, packet, instant)])`` for
+    every punt of the marked flow."""
+    stack = build_stack(StackSpec(
+        topology=tree_topology(1, 4, hosts_per_leaf=1), seed=3,
+        apps=(LearningSwitch,), shards=2, backups=1))
+    punts = []
+    for handle in stack.coordinator.shards.values():
+        controller = handle.controller
+
+        def handle_switch_message(dpid, msg, controller=controller,
+                                  original=controller.handle_switch_message):
+            packet = getattr(msg, "packet", None)
+            if packet is not None and packet.payload == "MARK":
+                punts.append((controller, dpid, packet, stack.net.now))
+            original(dpid, msg)
+        controller.handle_switch_message = handle_switch_message
+    stack.start()
+    play(stack, [
+        Step(0.5, "load", {"hosts": 500, "rate": 40.0, "seed": 3,
+                           "churn_per_sec": 1.0}),
+        Step(marker_at, "load_marker", {"payload": "MARK"})], until=2.5)
+    return stack, punts
+
+
+def test_load_marker_draws_at_its_instant_and_punts_to_the_owner():
+    draws = {}
+    for marker_at in (1.0, 1.0, 1.5):
+        stack, punts = _marker_punt(marker_at)
+        # The first is the step's; the switches' own punts of the flood
+        # the app answers with follow.
+        controller, dpid, packet, at = punts[0]
+        assert at == marker_at
+        assert controller is stack.coordinator.owner_controller(dpid)
+        draws.setdefault(marker_at, set()).add(
+            (packet.eth_src, packet.eth_dst))
+        assert stack.load.events_offered > 0
+    assert len(draws[1.0]) == 1                  # seeded: the same flow
+    assert draws[1.0] != draws[1.5]              # later: a later draw
+
+
+@pytest.mark.parametrize("runtime", [None, RuntimeConfig()],
+                         ids=["monolithic", "legosdn"])
+def test_controller_up_on_a_live_controller_is_a_no_op(runtime):
+    stack = build_stack(StackSpec(topology=linear_topology(2, 1),
+                                  runtime=runtime, apps=(LearningSwitch,)))
+    stack.start()
+    app = stack.runtime.app("learning_switch")
+    seen = play(stack, [Step(1.0, "controller_up")], until=1.5)
+    assert seen == {"controller_up": [1.0]}
+    assert stack.net.controller.reboot_times == []
+    assert stack.runtime.app("learning_switch") is app
+    assert stack.runtime.is_up
 
 
 def test_ingest_hands_over_a_copy_and_replays_alike():
