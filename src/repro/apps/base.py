@@ -50,6 +50,17 @@ def _snake(name: str) -> str:
     return _CAMEL_RE.sub("_", name).lower()
 
 
+class _Hooks(dict):
+    """Event type name -> its ``on_<snake_case>`` hook, named once."""
+
+    def __missing__(self, type_name: str) -> str:
+        self[type_name] = hook = "on_" + _snake(type_name)
+        return hook
+
+
+_HOOKS = _Hooks()
+
+
 class SDNApp:
     """Base class for every SDN application."""
 
@@ -106,7 +117,7 @@ class SDNApp:
         self.events_handled += 1
         if self._state_versions is not None:
             self.mark_dirty("events_handled")
-        handler = getattr(self, "on_" + _snake(event.type_name), None)
+        handler = getattr(self, _HOOKS[event.type_name], None)
         if handler is None:
             return None
         return handler(event)

@@ -28,8 +28,8 @@ the unit of change is the one the app reports, carried unchanged from
   applies the patches in order.
 - **fold.**  Patches make a restore read bytes a whole image would not
   hold, so a dirty key whose patches already outweigh
-  ``fold_fraction`` of its base is *folded*: re-encoded whole from the
-  live value, exactly like any whole-dirty key.  Restore cost stays
+  ``fold_fraction`` of its base is *folded*: spliced from the kept
+  entry encodings, whole only on a failed check.  Restore cost stays
   within that fraction (plus the patches still in flight) of a full
   image, bounded by sizes the store can see rather than by a setting.
 - **an image is its buffer map.**  A finalised :class:`Checkpoint`
@@ -56,8 +56,9 @@ the unit of change is the one the app reports, carried unchanged from
 
 There is **one take path**.  :meth:`CheckpointStore.take` *captures*:
 per state key a ``_SAME`` marker (the key is clean), a ``_Patch`` (a
-copy of the named entries' current values), or a shallow copy of the
-value.  :meth:`CheckpointStore._finalize` turns a capture into an
+copy of the named entries' current values, and of the whole value if
+the key is due a fold), or a shallow copy of the value.
+:meth:`CheckpointStore._finalize` turns a capture into an
 image -- it is the only place a state value is encoded -- and the two
 flavours of take differ only in *when* it runs:
 
@@ -83,8 +84,10 @@ Pending entries are not durable: a crash before the drain drops them
 (:meth:`drop_pending`) and recovery falls back to the previous durable
 image plus a longer NetLog tail replay; planned consumers (restore,
 failover promotion, eviction, :meth:`~CheckpointStore.buffers`) force a
-:meth:`flush` first.  The capture contract matches the bundled apps'
-state layout: values are at most one level of mutable container whose
+:meth:`flush` first -- and once a store holds ``keep`` entries every
+take evicts, so in the steady state no entry stays pending past the
+take after it.  The capture contract matches the bundled apps' state
+layout: values are at most one level of mutable container whose
 elements are immutable or replaced (never mutated) in place.
 
 Every buffer, patches included, comes from the wire codec in
@@ -106,12 +109,15 @@ it captures the state produced by events ``1 .. seq-1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Dict, List, Optional, Tuple
 
 from repro.openflow.serialization import (
     SerializationError,
     decode_state_value,
+    encode_state_entries,
     encode_state_value,
+    splice_state_dict,
 )
 
 #: One state key's stored form: its base buffer, then its patches.
@@ -195,13 +201,52 @@ _SAME = _Same()
 
 class _Patch:
     """Capture marker: the previous entry's value for this dict-valued
-    key, with these entries set and these gone."""
+    key, with these entries set and these gone -- and for a key due a
+    fold, ``value``: a copy of the whole value, its next base."""
 
-    __slots__ = ("changed", "gone")
+    __slots__ = ("changed", "gone", "value")
 
-    def __init__(self, value: dict, entries):
+    def __init__(self, value: dict, entries, fold: bool):
+        self.value = value.copy() if fold else None  # a defaultdict stays one
         self.changed = {e: value[e] for e in entries if e in value}
         self.gone = tuple(e for e in entries if e not in value)
+
+
+def _mirror(value: dict):
+    """(values, encodings) of ``value``'s entries in its order, if all
+    are atoms -- the same objects then mean the same bytes -- else None."""
+    if _atoms(value.values()) and _atoms(value):
+        return dict(value), encode_state_entries(value)
+    return None
+
+
+def _laid(mirror, patch: _Patch):
+    """``mirror`` with ``patch`` laid over it, or None if it cannot be."""
+    changed = patch.changed
+    if not (_atoms(changed.values()) and _atoms(changed)):
+        return None
+    try:
+        codes = encode_state_entries(changed)
+    except UnicodeEncodeError:      # the whole encode names the key
+        return None
+    values, kept = mirror
+    for entry in patch.gone:
+        values.pop(entry, None)
+        kept.pop(entry, None)
+    values.update(changed)
+    kept.update(codes)
+    return mirror
+
+
+def _splice(mirror, value: dict) -> Optional[bytes]:
+    """``encode_state_value(value)`` joined from ``mirror`` if ``value``
+    holds its very objects in its order (by identity: ``1 == True`` and
+    ``0.0 == -0.0`` encode apart), else None."""
+    values, codes = mirror
+    if (len(values) == len(value) and all(map(is_, values, value))
+            and all(map(is_, values.values(), value.values()))):
+        return splice_state_dict(codes.values())
+    return None
 
 
 def _shallow_copy(value):
@@ -308,6 +353,10 @@ class CheckpointStore:
         #: restore): what the next finalise shares clean keys with,
         #: lays patches over and diffs against.
         self._prev: Optional[Checkpoint] = None
+        #: As of ``_prev``: per key, its buffers' bytes and its
+        #: :func:`_mirror` (None, or missing, if it has none).
+        self._sizes: Dict[object, int] = {}
+        self._mirrors: Dict[object, tuple] = {}
         #: (version map, key set) of the most recent *take* (pending
         #: included), the clean/dirty baseline for the next; None when
         #: the app tracks no versions or the take it described is gone.
@@ -378,8 +427,8 @@ class CheckpointStore:
         """Do ``key``'s patches already outweigh ``fold_fraction`` of
         its base?  Judged on the last finalised image -- the sizes the
         store can see; a pending base or patch counts once encoded."""
-        base, *patches = self._prev.buffers.get(key) or (b"",)
-        return sum(map(len, patches)) > self.fold_fraction * len(base)
+        base = len((self._prev.buffers.get(key) or (b"",))[0])
+        return self._sizes.get(key, 0) - base > self.fold_fraction * base
 
     def take(self, app, before_seq: int, now: float,
              defer: bool = False) -> Checkpoint:
@@ -426,9 +475,8 @@ class CheckpointStore:
                 capture[key] = _SAME
                 continue
             entries = moved.get(key) if known else None
-            if (entries is not None and isinstance(value, dict)
-                    and not self._fold_due(key)):
-                capture[key] = _Patch(value, entries)
+            if entries is not None and isinstance(value, dict):
+                capture[key] = _Patch(value, entries, self._fold_due(key))
             else:
                 capture[key] = _shallow_copy(value)
             dirty += 1
@@ -460,18 +508,20 @@ class CheckpointStore:
                   version_cost: float = 0.0) -> float:
         """Turn ``entry``'s capture into its image: share the
         predecessor's buffers for ``_SAME`` keys, lay an encoded patch
-        over them for ``_Patch`` keys, encode the rest whole (the one
-        place a state value is encoded), classify.  Returns the
+        over them for ``_Patch`` keys, splice or encode the rest whole
+        (the one place a state value is encoded), classify.  Returns the
         modelled cost -- the verify pass reads what was encoded, plus
         ``version_cost``, plus the write."""
         prev, kept = ((self._prev.buffers, self._prev.captures)
                       if self._prev is not None else ({}, {}))
         buffers: Dict[object, Buffers] = {}
         captures: Dict[object, tuple] = {}
+        sizes, resized = self._sizes, {}
         encoded = written = skipped = 0
         for key, marker in entry.capture.items():
+            fold = type(marker) is _Patch and marker.value is not None
             whole = marker is not _SAME and type(marker) is not _Patch
-            if not whole and key not in prev:
+            if not (whole or fold) and key not in prev:
                 raise CheckpointError(
                     f"capture at before_seq={entry.before_seq} "
                     "references a key with no predecessor buffer")
@@ -480,18 +530,28 @@ class CheckpointStore:
                 captures[key] = kept[key]
                 skipped += 1
                 continue
-            if whole:
-                buf = encode_state_key(self._app_name, key, marker)
+            mirror = self._mirrors.get(key)
+            if whole or fold:
+                value = marker.value if fold else marker
+                mirror = _laid(mirror, marker) if fold and mirror else None
+                buf = _splice(mirror, value) if mirror else None
+                if buf is None:
+                    buf = encode_state_key(self._app_name, key, value)
+                    mirror = _mirror(value) if fold else None
                 buffers[key] = (buf,)
-                captures[key] = (marker,)
+                captures[key] = (value,)
                 if prev.get(key) != (buf,):
                     written += len(buf)
+                resized[key] = len(buf)
             else:
                 patch = (marker.changed, marker.gone)
                 buf = encode_state_key(self._app_name, key, patch)
                 buffers[key] = prev[key] + (buf,)
                 captures[key] = kept[key] + (patch,)
                 written += len(buf)
+                resized[key] = sizes[key] + len(buf)
+                mirror = _laid(mirror, marker) if mirror else None
+            self._mirrors[key] = mirror
             self.value_encodes += 1
             encoded += len(buf)
         self.encodes_skipped += skipped
@@ -499,8 +559,15 @@ class CheckpointStore:
         entry.pending = False
         entry.buffers = buffers
         entry.captures = captures
-        entry.state_size = sum(len(buf) for bufs in buffers.values()
-                               for buf in bufs)
+        # The predecessor's size, adjusted for the keys that moved.
+        state_size = self._prev.state_size if self._prev is not None else 0
+        for key in prev.keys() - buffers.keys():      # keys removed
+            state_size -= sizes.pop(key)
+            self._mirrors.pop(key, None)
+        for key, size in resized.items():
+            state_size += size - sizes.get(key, 0)
+        sizes.update(resized)
+        entry.state_size = state_size
         cost = encoded * self.hash_per_byte_cost + version_cost
         diffable = bool(self._checkpoints) and self._prev is not None
         if diffable and not written and len(buffers) == len(prev):
@@ -690,6 +757,10 @@ class CheckpointStore:
         # the rollback just discarded).  A dedup may alias the restored
         # entry -- truncation just made it the newest -- which is
         # exactly the state an unchanged take would re-capture.
+        if checkpoint is not self._prev:    # mirrors, sizes: the newest's
+            self._mirrors = {}
+            self._sizes = {key: sum(map(len, buffers))
+                           for key, buffers in checkpoint.buffers.items()}
         self._prev = checkpoint
         # Re-pair the version baseline with the restored buffers: the
         # version map survives set_state untouched (it is bookkeeping

@@ -83,6 +83,7 @@ class FaultyApp(_WrapperApp):
         for bug in self.bugs:
             if not bug.deterministic:
                 self.mark_dirty(("faulty", "rng_state"))   # fires() may draw
+                self._rng_state = None
             if bug.fires(event, self.event_count, self.rng):
                 bug.fired_count += 1
                 self.fired_log.append(bug.bug_id)
@@ -152,16 +153,23 @@ class FaultyApp(_WrapperApp):
     _OWN_STATE = ("name", "subscriptions", "events_handled", "event_count",
                   "corrupted", "fired_log")
 
+    #: What ``rng.getstate()`` returned, kept until the RNG may have
+    #: moved (then None: read it again).
+    _rng_state = None
+
     def get_state(self) -> dict:
         state = dict(self.inner.get_state())
         for attr in self._OWN_STATE:
             state["faulty", attr] = getattr(self, attr)
-        state["faulty", "rng_state"] = self.rng.getstate()
+        if self._rng_state is None:
+            self._rng_state = self.rng.getstate()
+        state["faulty", "rng_state"] = self._rng_state
         return state
 
     def set_state(self, state: dict) -> None:
         own, inner_state = _split_state(state, "faulty")
         self.rng.setstate(own.pop("rng_state"))
+        self._rng_state = None
         own["fired_log"] = list(own["fired_log"])
         self.__dict__.update(own)
         self.inner.set_state(inner_state)

@@ -663,6 +663,25 @@ def encode_state_value(value) -> bytes:
     return bytes(buf)
 
 
+def encode_state_entries(value: dict) -> dict:
+    """Each entry of a dict, key -> the bytes ``_enc_dict`` writes for
+    it: :func:`splice_state_dict` of them is ``encode_state_value``."""
+    codes = {}
+    for k, v in value.items():
+        buf = bytearray()
+        _encoders[type(k)](buf, k)
+        _encoders[type(v)](buf, v)
+        codes[k] = bytes(buf)
+    return codes
+
+
+def splice_state_dict(codes) -> bytes:
+    """:func:`encode_state_value` of a dict whose entries encode to
+    ``codes`` (a sized collection of bytes, in order), joined in C."""
+    head = _B_PACKED + bytes((_T_DICT,)) + _varint(len(codes))
+    return head + b"".join(codes)
+
+
 @_typed_errors
 def decode_state_value(buf: bytes):
     """Inverse of :func:`encode_state_value`."""

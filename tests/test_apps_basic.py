@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import Flooder, Hub, LearningSwitch, make_app, APP_REGISTRY
+from repro.apps import base
 from repro.apps.base import SDNApp, _snake
 from repro.controller.monolithic import MonolithicRuntime
 from repro.network.net import Network
@@ -32,6 +33,30 @@ class TestBaseContract:
 
         assert app.handle(Weird()) is None
         assert app.events_handled == 1
+
+    def test_hook_names_are_looked_up_once_and_resolve_per_class(self):
+        """The ``on_<snake>`` name is cached per event type; which method
+        it finds is still each instance's own."""
+        class Event:
+            type_name = "PortStatus"
+
+        class Base(SDNApp):
+            def on_port_status(self, event):
+                return "base"
+
+        class Override(Base):
+            def on_port_status(self, event):
+                return "override"
+
+        class Missing(SDNApp):
+            pass
+
+        first = [Base().handle(Event()), Override().handle(Event()),
+                 Missing().handle(Event())]
+        assert base._HOOKS["PortStatus"] == "on_port_status"
+        again = [Base().handle(Event()), Override().handle(Event()),
+                 Missing().handle(Event())]
+        assert first == again == ["base", "override", None]
 
     def test_state_roundtrip_excludes_api(self):
         app = LearningSwitch()

@@ -330,6 +330,37 @@ class TestWrappersCheckpointFlat:
         assert store.encodes_skipped - skipped >= 5
         assert cp.size < 100
 
+    def test_the_rng_is_snapshotted_only_when_it_may_have_moved(self):
+        """``get_state`` re-reads ``rng.getstate()`` only after a
+        non-deterministic bug's ``fires()`` or a ``set_state``; the
+        value it hands out is always the RNG's own state."""
+        app, calls = self.make_faulty(), []
+        original = app.rng.getstate
+
+        def counting():
+            calls.append(1)
+            return original()
+        app.rng.getstate = counting
+        app.startup(NullAPI())
+        snapshot = app.get_state()["faulty", "rng_state"]
+        assert (snapshot, len(calls)) == (original(), 1)
+        assert app.get_state()["faulty", "rng_state"] is snapshot
+        assert len(calls) == 1
+        for i in range(6):      # the "flaky" bug draws on each event
+            app.handle(pktin(f"m{i}", payload="MAYBE"))
+            assert app.get_state()["faulty", "rng_state"] == original()
+        assert len(calls) == 7
+        app.set_state(self.make_faulty().get_state())
+        assert app.get_state()["faulty", "rng_state"] == original()
+        assert len(calls) == 8
+
+        steady = crash_on(LearningSwitch(), payload_marker="BOOM")
+        steady.startup(NullAPI())
+        snapshot = steady.get_state()["faulty", "rng_state"]
+        for i in range(5):      # a deterministic bug never draws
+            steady.handle(pktin(f"m{i}"))
+            assert steady.get_state()["faulty", "rng_state"] is snapshot
+
     def test_an_untracked_inner_app_leaves_the_wrapper_untracked(self):
         class Plain(SDNApp):
             name = "plain"
