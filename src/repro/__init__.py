@@ -26,38 +26,9 @@ The package is organised bottom-up:
   ``StackSpec`` value and ``build_stack``; :mod:`repro.scenario` --
   one way to drive it: a ``Scenario`` of timed steps and ``play``.
 
-Quickstart::
-
-    from repro import quickstart_network
-    net, runtime = quickstart_network()
-    net.run_for(1.0)
-
 See ``examples/quickstart.py`` for a complete walk-through.
 """
 
 from repro.version import __version__
 
-__all__ = ["__version__", "quickstart_network"]
-
-
-def quickstart_network(app_names=("learning_switch",), seed=0):
-    """Build a small LegoSDN deployment on a linear topology.
-
-    Returns a ``(network, runtime)`` pair: ``network`` is a running
-    :class:`repro.network.net.Network` and ``runtime`` the
-    :class:`repro.core.runtime.LegoSDNRuntime` hosting the named apps.
-
-    This is a convenience wrapper for demos and doctests; real
-    deployments describe themselves as a :class:`repro.stack.StackSpec`
-    and build it with :func:`repro.stack.build_stack`, as ``examples/``
-    do.
-    """
-    from repro.apps import make_app
-    from repro.network.topology import linear_topology
-    from repro.stack import StackSpec, build_stack
-
-    stack = build_stack(StackSpec(
-        topology=linear_topology(num_switches=3, hosts_per_switch=1),
-        seed=seed, apps=tuple(make_app(name) for name in app_names)))
-    stack.start()
-    return stack.net, stack.runtime
+__all__ = ["__version__"]

@@ -91,14 +91,3 @@ class StreamingHistogram:
             label = ("p" + f"{q * 100:g}".replace(".", "_"))
             out[label] = self.quantile(q)
         return out
-
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Fold another histogram (same geometry) into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for idx, count in enumerate(other.counts):
-            self.counts[idx] += count
-        self.count += other.count
-        self.sum += other.sum
-        if other.max > self.max:
-            self.max = other.max

@@ -13,9 +13,7 @@ Gives operators the common workflows without writing a script:
   minimal causal sequence and replay the repro standalone
 - ``corpus``        -- run the chaos-correlated bug corpus grid;
   regenerate or verify CORPUS_PR10.json
-- ``bug-study``     -- replay a synthetic bug corpus (the E1 experiment)
 - ``check-policy``  -- validate a compromise-policy file
-- ``show-topology`` -- describe a builder topology
 """
 
 from __future__ import annotations
@@ -153,12 +151,6 @@ def cmd_drill(args) -> int:
         for name, stats in sorted(runtime.stats().items()):
             print(f"  {name}: {stats}")
         print(f"  tickets: {len(runtime.tickets)}")
-        if args.report:
-            from repro.report import write_report
-
-            write_report(args.report, net, runtime,
-                         title="LegoSDN fault-drill report")
-            print(f"  report written to {args.report}")
     else:
         print(f"  controller crashes: {runtime.crash_count}, "
               f"restarts: {runtime.restart_count}")
@@ -297,7 +289,7 @@ def cmd_trace(args) -> int:
 
 
 def _traced_spans(args):
-    """The spans the causal commands analyze: a saved trace document
+    """The spans ``trace critical-path`` analyzes: a saved trace document
     (``--in``; or a bare span list), or a short traced workload's.
 
     The workload mirrors the E17 adverse-network setup: reliable batched
@@ -322,41 +314,6 @@ def _traced_spans(args):
         watchdog=True)))
     stack.watchdog.stop()
     return stack.telemetry.tracer.to_dicts(), stack
-
-
-def cmd_trace_tree(args) -> int:
-    """Render one trace's causal span tree; without a TRACE_ID, list
-    every captured trace (id, root span, duration, span count)."""
-    from repro.telemetry.causal import (
-        build_trace_tree,
-        render_tree,
-        trace_summaries,
-    )
-
-    spans, _ = _traced_spans(args)
-    if args.trace_id is None:
-        rows = trace_summaries(spans)
-        if not rows:
-            print("no traced spans captured")
-            return 1
-        print(f"{len(rows)} trace(s) captured "
-              "(repro trace tree <TRACE_ID> for one tree)")
-        print(f"{'trace':>8} {'root':<22} {'event':<16} "
-              f"{'spans':>5} {'ms':>9}")
-        for row in rows[:40]:
-            print(f"{row['trace_id']:>8} {row['root']:<22} "
-                  f"{str(row['event']):<16} {row['spans']:>5} "
-                  f"{row['duration'] * 1000:>9.3f}")
-        if len(rows) > 40:
-            print(f"... and {len(rows) - 40} more")
-        return 0
-    roots = build_trace_tree(spans, trace_id=args.trace_id)
-    if not roots:
-        print(f"trace {args.trace_id} not found")
-        return 1
-    print(f"trace {args.trace_id}:")
-    print(render_tree(roots))
-    return 0
 
 
 def cmd_trace_critical_path(args) -> int:
@@ -638,27 +595,6 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def cmd_bug_study(args) -> int:
-    """Replay a synthetic bug corpus and report the catastrophic rate."""
-    from repro.faults import make_bug_corpus
-
-    corpus = make_bug_corpus(n=args.count,
-                             catastrophic_fraction=args.catastrophic,
-                             seed=args.seed)
-    by_kind = {}
-    for bug in corpus:
-        by_kind[bug.kind.value] = by_kind.get(bug.kind.value, 0) + 1
-    print(f"corpus: {args.count} bugs, seed {args.seed}")
-    for kind, count in sorted(by_kind.items()):
-        print(f"  {kind:<18} {count}")
-    catastrophic = sum(1 for b in corpus if b.is_catastrophic())
-    deterministic = sum(1 for b in corpus if b.deterministic)
-    print(f"catastrophic: {catastrophic}/{args.count} "
-          f"({catastrophic / args.count:.0%}) -- paper reports 16%")
-    print(f"deterministic: {deterministic}/{args.count}")
-    return 0
-
-
 def cmd_check_policy(args) -> int:
     """Parse a compromise-policy file; print the effective table."""
     from repro.core.crashpad.policy_lang import PolicyParseError, PolicyTable
@@ -675,17 +611,6 @@ def cmd_check_policy(args) -> int:
                        ("anything", "PacketIn")):
         print(f"  lookup({app}, {event}) -> "
               f"{table.lookup(app, event).value}")
-    return 0
-
-
-def cmd_show_topology(args) -> int:
-    topo = build_topology(args.topology, args.size)
-    print(f"{topo.name}: {len(topo.switches)} switches, "
-          f"{len(topo.hosts)} hosts, {len(topo.switch_links)} links")
-    for a, b in topo.switch_links:
-        print(f"  s{a} -- s{b}")
-    for host in topo.hosts:
-        print(f"  {host.name} ({host.ip}) @ s{host.dpid}")
     return 0
 
 
@@ -795,9 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_drill.add_argument("--policy", help="compromise-policy file")
     p_drill.add_argument("--duration", type=float, default=10.0)
     p_drill.add_argument("--rate", type=float, default=50.0)
-    p_drill.add_argument("--report",
-                         help="write a markdown incident report here "
-                              "(legosdn runtime only)")
     p_drill.set_defaults(func=cmd_drill)
 
     p_repl = sub.add_parser("replicate", help=cmd_replicate.__doc__)
@@ -850,29 +772,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
     trace_sub = p_trace.add_subparsers(dest="trace_cmd")
 
-    def add_causal_args(p):
-        add_topo_args(p)
-        add_flight_args(p)
-        p.add_argument("--in", dest="infile", default=None, metavar="FILE",
-                       help="analyze a saved trace JSON instead of "
-                            "running the built-in workload")
-        p.add_argument("--loss", type=float, default=0.0,
-                       help="chaos loss rate for the built-in workload "
-                            "(default 0; E17 uses 0.3)")
-        p.add_argument("--duration", type=float, default=4.0,
-                       help="workload duration, sim seconds (default 4)")
-        p.add_argument("--rate", type=float, default=50.0,
-                       help="traffic rate, packets/s (default 50)")
-
-    p_tree = trace_sub.add_parser("tree", help=cmd_trace_tree.__doc__)
-    add_causal_args(p_tree)
-    p_tree.add_argument("trace_id", nargs="?", type=int, default=None,
-                        help="trace to render (omit to list traces)")
-    p_tree.set_defaults(func=cmd_trace_tree)
-
     p_cp = trace_sub.add_parser("critical-path",
                                 help=cmd_trace_critical_path.__doc__)
-    add_causal_args(p_cp)
+    add_topo_args(p_cp)
+    add_flight_args(p_cp)
+    p_cp.add_argument("--in", dest="infile", default=None, metavar="FILE",
+                      help="analyze a saved trace JSON instead of "
+                           "running the built-in workload")
+    p_cp.add_argument("--loss", type=float, default=0.0,
+                      help="chaos loss rate for the built-in workload "
+                           "(default 0; E17 uses 0.3)")
+    p_cp.add_argument("--duration", type=float, default=4.0,
+                      help="workload duration, sim seconds (default 4)")
+    p_cp.add_argument("--rate", type=float, default=50.0,
+                      help="traffic rate, packets/s (default 50)")
     p_cp.add_argument("--top", type=_positive_int, default=10,
                       help="attribution rows to print (default 10)")
     p_cp.set_defaults(func=cmd_trace_critical_path)
@@ -979,19 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "document (exit non-zero on drift)")
     p_corpus.set_defaults(func=cmd_corpus)
 
-    p_bugs = sub.add_parser("bug-study", help=cmd_bug_study.__doc__)
-    p_bugs.add_argument("--count", type=int, default=100)
-    p_bugs.add_argument("--catastrophic", type=float, default=0.16)
-    p_bugs.add_argument("--seed", type=int, default=0)
-    p_bugs.set_defaults(func=cmd_bug_study)
-
     p_policy = sub.add_parser("check-policy", help=cmd_check_policy.__doc__)
     p_policy.add_argument("file")
     p_policy.set_defaults(func=cmd_check_policy)
-
-    p_topo = sub.add_parser("show-topology", help=cmd_show_topology.__doc__)
-    add_topo_args(p_topo)
-    p_topo.set_defaults(func=cmd_show_topology)
 
     from repro.bench import PRESETS as _bench_presets
     p_bench = sub.add_parser("bench", help=cmd_bench.__doc__)

@@ -24,10 +24,6 @@ class ControlChannel:
         self.to_switch_count = 0
         switch.channel = self
 
-    @property
-    def dpid(self) -> int:
-        return self.switch.dpid
-
     def to_controller(self, msg) -> bool:
         """Switch -> controller, after the channel delay."""
         if not self.connected or self.controller.crashed:

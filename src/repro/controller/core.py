@@ -42,9 +42,6 @@ class ListenerReg:
     types: FrozenSet[str]
     callback: Callable
 
-    def wants(self, type_name: str) -> bool:
-        return type_name in self.types
-
 
 @dataclass
 class CrashRecord:
@@ -427,39 +424,3 @@ class Controller:
                 self.topology.switch_joined(dpid)
         for dpid in self.connected_dpids():
             self.dispatch(SwitchJoin(dpid))
-
-    # -- availability -------------------------------------------------------------
-
-    def uptime_fraction(self, window_start: float, window_end: float) -> float:
-        """Fraction of [window_start, window_end] the controller was up.
-
-        Computed from crash records; a crash with no subsequent reboot
-        counts as down through ``window_end``.  Reboots are detected by
-        interleaving crash times with the current state.  Two crashes
-        sharing one reboot yield overlapping [crash, reboot) windows;
-        the intervals are merged before summing so the shared downtime
-        is counted once.
-        """
-        if window_end <= window_start:
-            return 1.0
-        intervals = []
-        for record in self.crash_records:
-            recoveries = [t for t in self.reboot_times if t >= record.time]
-            recovered_at = min(recoveries) if recoveries else window_end
-            start = max(record.time, window_start)
-            end = min(recovered_at, window_end)
-            if end > start:
-                intervals.append((start, end))
-        down_total = 0.0
-        merged_start = merged_end = None
-        for start, end in sorted(intervals):
-            if merged_end is None or start > merged_end:
-                if merged_end is not None:
-                    down_total += merged_end - merged_start
-                merged_start, merged_end = start, end
-            else:
-                merged_end = max(merged_end, end)
-        if merged_end is not None:
-            down_total += merged_end - merged_start
-        span = window_end - window_start
-        return max(0.0, 1.0 - down_total / span)

@@ -11,7 +11,6 @@ for its links, and vice versa -- §3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.openflow.serialization import register_dataclass
 
@@ -51,12 +50,6 @@ class LinkDiscovered(ControllerEvent):
     dpid_b: int
     port_b: int
 
-    def canonical(self) -> Tuple[int, int, int, int]:
-        """Direction-independent identity for this link."""
-        if (self.dpid_a, self.port_a) <= (self.dpid_b, self.port_b):
-            return (self.dpid_a, self.port_a, self.dpid_b, self.port_b)
-        return (self.dpid_b, self.port_b, self.dpid_a, self.port_a)
-
 
 @register_dataclass
 @dataclass(frozen=True)
@@ -67,11 +60,6 @@ class LinkRemoved(ControllerEvent):
     port_a: int
     dpid_b: int
     port_b: int
-
-    def canonical(self) -> Tuple[int, int, int, int]:
-        if (self.dpid_a, self.port_a) <= (self.dpid_b, self.port_b):
-            return (self.dpid_a, self.port_a, self.dpid_b, self.port_b)
-        return (self.dpid_b, self.port_b, self.dpid_a, self.port_a)
 
 
 @register_dataclass

@@ -115,7 +115,11 @@ class SandboxProcess:
         and below ``app.handle`` (not this sandbox's, nor any wrapper a
         tool patched around the handler), file names relative to the
         package root.  The text ships in a CrashReport, and what the
-        simulation does must not depend on where the checkout lives."""
+        simulation does must not depend on where the checkout lives.
+        App-frame line numbers and source text are part of the
+        simulated bytes: an edit in ``apps/``, ``faults/`` or
+        ``core/diversity.py`` that changes a crashing frame's line
+        number by a digit, or its source line, moves ``sim_digest``."""
         handle = getattr(inspect.unwrap(self.app.handle), "__code__", None)
         above, tb = 0, exc.__traceback__
         while tb is not None and tb.tb_frame.f_code is not handle:

@@ -66,7 +66,8 @@ class StubAPI(AppAPI):
         return self.stub.topo_cache.switches
 
     def log(self, text: str) -> None:
-        self.stub._app_log(text)
+        self.stub.app_log.append(text)
+        self.stub.pending_logs.append(text)
 
     def counter_inc(self, name: str, delta: int = 1) -> None:
         self.stub.pending_counters[name] = (
@@ -453,10 +454,6 @@ class AppVisorStub:
             trace_id=self._current_trace,
         ))
         self._output_index += 1
-
-    def _app_log(self, text: str) -> None:
-        self.app_log.append(text)
-        self.pending_logs.append(text)
 
     # -- restore -----------------------------------------------------------------
 

@@ -20,10 +20,6 @@ class NetLogRecord:
     counter_records: List[CounterRecord]
     applied_at: float
 
-    @property
-    def invertible(self) -> bool:
-        return bool(self.inverse_messages) or not self.counter_records
-
 
 @dataclass
 class WriteAheadLog:

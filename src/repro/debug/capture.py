@@ -31,13 +31,6 @@ class CapturedEvent:
     event: object
     trace_id: int
 
-    def describe(self) -> str:
-        packet = getattr(self.event, "packet", None)
-        payload = getattr(packet, "payload", "") or ""
-        tail = f" payload={payload!r}" if payload else ""
-        return (f"[{self.index}] t={self.time:.3f} s{self.dpid} "
-                f"{self.event.type_name} trace={self.trace_id}{tail}")
-
 
 class EventCapture:
     """A tap on the controller's ingestion point."""

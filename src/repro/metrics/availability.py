@@ -46,15 +46,3 @@ class AvailabilityTracker:
             if up and seg_end > seg_start:
                 up_time += seg_end - seg_start
         return up_time / (end - start)
-
-    def downtime(self, entity: str, start: float, end: float) -> float:
-        return (end - start) * (1.0 - self.fraction_up(entity, start, end))
-
-    def entities(self) -> List[str]:
-        return sorted(self._transitions)
-
-    def summary(self, start: float, end: float) -> Dict[str, float]:
-        return {
-            entity: self.fraction_up(entity, start, end)
-            for entity in self.entities()
-        }

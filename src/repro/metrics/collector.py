@@ -139,9 +139,6 @@ class MetricsCollector:
                 name, max_samples=self.max_samples)
         recorder.record(value)
 
-    def recorder(self, name: str) -> Optional[LatencyRecorder]:
-        return self.recorders.get(name)
-
     def snapshot(self) -> Dict[str, object]:
         doc = {
             "counters": dict(self.counters),

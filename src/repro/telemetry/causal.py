@@ -91,21 +91,12 @@ class SpanNode:
         return self.end - self.start
 
 
-def build_trace_tree(spans: Iterable,
-                     trace_id: Optional[int] = None) -> List[SpanNode]:
+def build_trace_tree(spans: Iterable) -> List[SpanNode]:
     """Assemble one trace's spans into a forest of causal trees.
 
-    With ``trace_id`` given, only that trace's spans are used;
-    otherwise ``spans`` is assumed to be a single trace already.
     Returns the roots, each with ``children`` ordered by start time.
     """
-    selected: List[dict] = []
-    for span in spans:
-        d = _as_dict(span)
-        if trace_id is not None and d.get("trace_id") != trace_id:
-            continue
-        selected.append(d)
-    nodes = [SpanNode(d) for d in selected]
+    nodes = [SpanNode(_as_dict(span)) for span in spans]
     by_span_id = {n.span["span_id"]: n for n in nodes
                   if n.span.get("span_id") is not None}
     # Pass 1: explicit parent links (same trace only -- the span_id map
@@ -241,50 +232,3 @@ def analyze(spans: Iterable,
         for entry in attribution.values():
             entry["fraction"] = entry["total"] / total_time
     return CriticalPathAnalysis(attribution, len(traces), total_time)
-
-
-def trace_summaries(spans: Iterable) -> List[dict]:
-    """One summary row per trace (for ``repro trace tree`` listings)."""
-    rows = []
-    for tid, trace_spans in sorted(group_by_trace(spans).items()):
-        start = min(d["start"] for d in trace_spans)
-        end = max(d["end"] for d in trace_spans)
-        roots = build_trace_tree(trace_spans)
-        label = roots[0].name if roots else "?"
-        tags = roots[0].span.get("tags", {}) if roots else {}
-        rows.append({
-            "trace_id": tid,
-            "spans": len(trace_spans),
-            "start": start,
-            "duration": end - start,
-            "root": label,
-            "event": tags.get("event") or tags.get("frame") or "",
-        })
-    return rows
-
-
-def render_tree(roots: List[SpanNode], indent: str = "") -> str:
-    """An indented text rendering of a causal forest."""
-    lines: List[str] = []
-    for root in roots:
-        _render_node(root, indent, lines)
-    return "\n".join(lines)
-
-
-def _render_node(node: SpanNode, indent: str, lines: List[str]) -> None:
-    tags = node.span.get("tags", {})
-    extras = []
-    for key in ("app", "event", "seq", "direction", "attempt", "outcome",
-                "kind", "status", "replica"):
-        if key in tags and tags[key] not in (None, ""):
-            extras.append(f"{key}={tags[key]}")
-    status = node.span.get("status", "ok")
-    if status != "ok":
-        extras.append(f"status={status}")
-    suffix = f"  [{' '.join(extras)}]" if extras else ""
-    lines.append(
-        f"{indent}{node.name}  {node.duration * 1000:.3f} ms "
-        f"(@{node.start * 1000:.3f} ms){suffix}"
-    )
-    for child in node.children:
-        _render_node(child, indent + "  ", lines)

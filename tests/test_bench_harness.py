@@ -198,17 +198,6 @@ def test_streaming_histogram_quantiles_never_exceed_the_exact_max():
     assert hist.quantile(1.0) == hist.high < hist.max
 
 
-def test_streaming_histogram_merge():
-    a, b = StreamingHistogram(), StreamingHistogram()
-    for v in (0.001, 0.002, 0.004):
-        a.add(v)
-    for v in (0.008, 0.016):
-        b.add(v)
-    a.merge(b)
-    assert a.count == 5
-    assert a.max == 0.016
-
-
 def test_host_universe_is_o1_and_deterministic():
     universe = HostUniverse(1_000_000, dpids=[1, 2, 3, 4, 5], seed=7)
     host = universe.host(123_456)

@@ -66,17 +66,6 @@ class TestTopologyBuilder:
 
 
 class TestCommands:
-    def test_show_topology(self, capsys):
-        assert main(["show-topology", "--topology", "ring", "--size", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "4 switches" in out
-        assert "s1 -- s2" in out
-
-    def test_bug_study(self, capsys):
-        assert main(["bug-study", "--count", "25", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "catastrophic: 4/25" in out
-
     def test_demo_runs_to_recovery(self, capsys):
         assert main(["demo", "--size", "2"]) == 0
         out = capsys.readouterr().out
@@ -301,10 +290,3 @@ def test_cli_seed_reaches_the_runtime(command, runtime_seeds, capsys):
     main(command.split() + ["--seed", "3"])
     capsys.readouterr()
     assert runtime_seeds and set(runtime_seeds) == {3}, runtime_seeds
-
-
-def test_quickstart_network_seed_reaches_the_runtime():
-    from repro import quickstart_network
-
-    _, runtime = quickstart_network(seed=3)
-    assert runtime.config.seed == 3

@@ -133,64 +133,6 @@ class TestRebootAndUptime:
         # reboot re-announces connected switches
         assert len([e for e in r.seen if isinstance(e, SwitchJoin)]) == 2
 
-    def test_uptime_fraction_accounts_downtime(self):
-        net = Network(linear_topology(2, 1), seed=0)
-        net.start()
-        net.run_for(1.0)
-        net.controller.crash(RuntimeError("x"), culprit="t")
-        net.run_for(1.0)
-        net.controller.reboot()
-        net.run_for(2.0)
-        frac = net.controller.uptime_fraction(0.0, 4.0)
-        assert frac == pytest.approx(0.75, abs=0.01)
-
-    def test_uptime_still_down(self):
-        net = Network(linear_topology(2, 1), seed=0)
-        net.start()
-        net.run_for(1.0)
-        net.controller.crash(RuntimeError("x"), culprit="t")
-        net.run_for(3.0)
-        frac = net.controller.uptime_fraction(0.0, 4.0)
-        assert frac == pytest.approx(0.25, abs=0.01)
-
-    def test_no_crashes_full_uptime(self, controller):
-        assert controller.uptime_fraction(0.0, 10.0) == 1.0
-
-    def test_overlapping_crash_windows_not_double_counted(self, controller):
-        # Two crash records sharing one reboot: both [crash, reboot)
-        # windows cover [2, 5); the shared downtime must count once.
-        from repro.controller.core import CrashRecord
-
-        controller.crash_records.append(
-            CrashRecord(time=1.0, culprit="a", exception="X"))
-        controller.crash_records.append(
-            CrashRecord(time=2.0, culprit="b", exception="Y"))
-        controller.reboot_times.append(5.0)
-        # down [1, 5) merged => 4s of a 10s window
-        assert controller.uptime_fraction(0.0, 10.0) == pytest.approx(0.6)
-
-    def test_unrecovered_crashes_merge_to_window_end(self, controller):
-        from repro.controller.core import CrashRecord
-
-        controller.crash_records.append(
-            CrashRecord(time=2.0, culprit="a", exception="X"))
-        controller.crash_records.append(
-            CrashRecord(time=6.0, culprit="b", exception="Y"))
-        # no reboot: both windows run to window_end and overlap
-        assert controller.uptime_fraction(0.0, 10.0) == pytest.approx(0.2)
-
-    def test_disjoint_crash_windows_still_sum(self, controller):
-        from repro.controller.core import CrashRecord
-
-        controller.crash_records.append(
-            CrashRecord(time=1.0, culprit="a", exception="X"))
-        controller.reboot_times.append(2.0)
-        controller.crash_records.append(
-            CrashRecord(time=5.0, culprit="b", exception="Y"))
-        controller.reboot_times.append(7.0)
-        # down [1, 2) + [5, 7) = 3s of 10s
-        assert controller.uptime_fraction(0.0, 10.0) == pytest.approx(0.7)
-
 
 class TestSwitchLifecycle:
     def test_switch_leave_event_on_disconnect(self):

@@ -3,11 +3,11 @@
 Every ``python -m repro ...`` command inside a fenced block of
 README.md is handed to ``cli.build_parser()`` -- parse only, nothing
 runs -- so a renamed flag, a dropped subcommand or a changed choice
-cannot rot the docs unnoticed.  (Running the blocks is the expensive
-half of ROADMAP item 8(f); this is the cheap one.)
+cannot rot the docs unnoticed.  This is the cheap half; the census,
+``benchmarks/reach.py``, executes every one that finishes in seconds.
 """
 
-import re
+import importlib.util
 import shlex
 from pathlib import Path
 
@@ -15,42 +15,20 @@ import pytest
 
 from repro.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-PREFIX = "python -m repro"
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "reach", ROOT / "benchmarks" / "reach.py")
+reach = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reach)
 
-
-def readme_commands():
-    """``python -m repro`` command lines from README's fenced blocks:
-    ``\\`` continuations joined, ``$ `` prompts and trailing ``# ...``
-    comments stripped."""
-    commands = []
-    fenced = False
-    pending = ""
-    for raw in README.read_text().splitlines():
-        if raw.lstrip().startswith("```"):
-            fenced = not fenced
-            pending = ""
-            continue
-        if not fenced:
-            continue
-        line = pending + raw.strip()
-        pending = ""
-        if line.endswith("\\"):
-            pending = line[:-1].rstrip() + " "
-            continue
-        line = re.sub(r"^\$\s+", "", line)
-        line = re.sub(r"\s+#.*$", "", line)
-        if line.startswith(PREFIX):
-            commands.append(line)
-    return commands
-
-
-COMMANDS = readme_commands()
+PREFIX = reach.README_PREFIX
+COMMANDS = reach.readme_commands()
 
 
 def test_readme_still_has_its_cli_blocks():
-    # 20 since ``repro trace diff`` (two of the 22 examples) was deleted.
-    assert len(COMMANDS) >= 20, COMMANDS
+    # 16 since ``bug-study``, ``show-topology`` and ``trace tree`` (four
+    # of the 20 examples) were deleted.
+    assert len(COMMANDS) >= 16, COMMANDS
 
 
 @pytest.mark.parametrize("command", COMMANDS)

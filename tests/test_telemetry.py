@@ -13,7 +13,6 @@ from repro.faults import crash_on
 from repro.metrics.collector import LatencyRecorder
 from repro.network.net import Network
 from repro.network.topology import linear_topology
-from repro.report import render_report
 from repro.telemetry import Telemetry
 from repro.telemetry.export import prometheus_text, trace_json
 from repro.telemetry.recorder import FlightRecorder
@@ -250,11 +249,9 @@ class TestInstrumentationSeams:
     def test_per_app_latency_recorded(self):
         telemetry = Telemetry(enabled=True)
         _run_crash_scenario(telemetry)
-        recorder = telemetry.metrics.recorder(
-            "app.learning_switch.event_latency")
-        assert recorder is not None and recorder.count > 0
-        assert telemetry.metrics.recorder(
-            "app.learning_switch.recovery_time").count == 1
+        recorders = telemetry.metrics.recorders
+        assert recorders["app.learning_switch.event_latency"].count > 0
+        assert recorders["app.learning_switch.recovery_time"].count == 1
 
     def test_disabled_by_default_records_nothing(self):
         net, runtime = _run_crash_scenario()
@@ -321,23 +318,6 @@ class TestTicketsWithFlightRecorder:
         ticket = store.create(app_name="fw", time=0.0, failure_kind="hang",
                               offending_event="PacketIn()")
         assert "flight recorder" not in ticket.render()
-
-
-class TestReportTelemetrySection:
-    def test_report_surfaces_histograms_when_enabled(self):
-        telemetry = Telemetry(enabled=True)
-        net, runtime = _run_crash_scenario(telemetry)
-        text = render_report(net, runtime)
-        assert "## Telemetry" in text
-        assert "Per-app event latency" in text
-        assert "latency histogram" in text
-        assert "| learning_switch |" in text
-        assert "### Trace spans" in text
-        assert "flight recorder:" in text
-
-    def test_report_omits_section_when_disabled(self):
-        net, runtime = _run_crash_scenario()
-        assert "## Telemetry" not in render_report(net, runtime)
 
 
 class TestTraceCli:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.apps import ShortestPathRouting
 from repro.controller.events import LinkRemoved, SwitchLeave
+from repro.controller.services import _canonical
 from repro.core.appvisor.proxy import AppStatus
 from repro.core.crashpad.policy_lang import PolicyTable
 from repro.core.crashpad.transformer import EventTransformer
@@ -80,7 +81,8 @@ class TestPortStatusEquivalence:
         net.run_for(3.0)
         inner = runtime.app("routing").inner
         removed = inner.link_removed_events[0]
-        assert removed.canonical()[0::2] == (2, 3)
+        assert _canonical(removed.dpid_a, removed.port_a, removed.dpid_b,
+                          removed.port_b)[0::2] == (2, 3)
 
 
 class TestLinkEscalation:
