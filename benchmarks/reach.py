@@ -81,7 +81,7 @@ ENTRY_POINTS = (
                 "sharded-failover")),
     *((f"probe {name}", ["py", f"benchmarks/{name}.py"])
       for name in ("transport_cost", "replication_cost", "recovery_cost",
-                   "flowtable_cost", "checkpoint_cost")),
+                   "flowtable_cost", "checkpoint_cost", "codec_cost")),
     *((f"example {name}", ["py", f"examples/{name}.py"])
       for name in ("quickstart", "datacenter_fault_drill",
                    "runtime_comparison", "nversion_voting",

@@ -35,20 +35,25 @@ representation.
 
 The codec is *compiled*: nothing walks a value generically.
 
-- **Encode** appends to one ``bytearray`` through a ``type -> encoder``
-  table keyed on each value's exact runtime class (never on field
-  annotations -- nothing enforces those).  :func:`register_dataclass`
-  builds a schema's encoder once: its ``tag + schema id + field count``
-  prefix as ready bytes and an ``attrgetter`` over the declared field
-  names.  A class met for the first time (a ``defaultdict``, a
-  namedtuple, a ``str`` subclass) is resolved once through the
-  precedence ladder -- ``bool`` before ``int`` ... -- and cached in the
-  table.
-- **Decode** is one table of ``(data, pos) -> (value, pos)`` readers
-  indexed by tag byte, with one reader per registered schema behind
-  ``_T_SCHEMA``.  Lengths are checked against the bytes that remain
-  before anything loops over them, and any undecodable buffer raises
-  :class:`SerializationError` and nothing else.
+- **Generic values** go through two tables: encoders by exact runtime
+  class (a class met first -- a namedtuple, a ``str`` subclass -- is
+  resolved once through the ladder, ``bool`` before ``int`` ...) and
+  ``(data, pos) -> (value, pos)`` readers by tag byte.  Lengths and ids
+  are checked, negative ones too, before anything loops or indexes, and
+  an undecodable buffer raises :class:`SerializationError`, nothing else.
+- **Each schema** gets straight-line source, generated at registration
+  and compiled as ``<codec Name>`` (``<codec Name body>`` for a message
+  body, ``<codec dict>`` for each dict entry): the ``tag + id + count``
+  prefix, then each field in order, small ints, None, str and ``()``
+  written in line, one- and two-byte varints, None, str, ``()`` and
+  one-byte schema and enum ids read in line, the rest through the
+  tables (field annotations never choose: nothing enforces them).
+- **Construction** is bare -- ``object.__new__``, then a store per
+  field, all a dataclass-made ``__init__`` does -- for a full field count
+  of a class with no ``__post_init__`` and every field ``init=True``;
+  else a keyword call, so defaults run.  Never ``o.__dict__.update``: it
+  gives each object its own dict, nearly doubling a decoded event, and
+  the journal keeps decoded events.
 
 Checkpointed app state uses the same value encoding behind a one-byte
 marker (:func:`encode_state_value`).
@@ -60,7 +65,6 @@ import dataclasses
 import enum
 import functools
 import struct
-from operator import attrgetter
 from typing import Callable, Dict, List, Tuple, Type
 
 from repro.openflow import actions as _actions
@@ -165,8 +169,8 @@ def register_dataclass(cls: type) -> type:
         prefix = (bytes((_T_SCHEMA,)) + _varint(len(_schema_classes))
                   + bytes((len(names),)))
         _schema_classes.append(cls)
-        _encoders[cls] = _fields_encoder(prefix, names)
-        _schema_decoders.append(_fields_decoder(cls, names))
+        _encoders[cls], decode = _coders(cls, names, prefix, cls.__name__)
+        _schema_decoders.append(decode)
     return cls
 
 
@@ -284,27 +288,6 @@ def _enc_tuple(buf, value):
     _put_items(buf, value)
 
 
-def _enc_dict(buf, value):
-    buf.append(_T_DICT)
-    buf += _varint(len(value))
-    encoders = _encoders
-    small = _SMALL_INTS
-    # Checkpointed state is mostly ``{mac: port}`` tables of thousands
-    # of entries: write those two kinds of entry without a call each.
-    for k, v in value.items():
-        if type(k) is str:
-            raw = k.encode("utf-8")
-            buf.append(_T_STR)
-            buf += _pack_u32(len(raw))
-            buf += raw
-        else:
-            encoders[type(k)](buf, k)
-        if type(v) is int and 0 <= v < 4096:
-            buf += small[v]
-        else:
-            encoders[type(v)](buf, v)
-
-
 def _enc_set(buf, value):
     buf.append(_T_SET)
     buf += _varint(len(value))
@@ -315,37 +298,6 @@ def _enc_frozenset(buf, value):
     buf.append(_T_FROZENSET)
     buf += _varint(len(value))
     _put_items(buf, _sorted_members(value))
-
-
-#: Subclass precedence, first match wins: ``bool`` is an ``int``, so the
-#: order is part of the wire format.
-_LADDER: Tuple[Tuple[type, _Encoder], ...] = (
-    (type(None), _enc_none),
-    (bool, _enc_bool),
-    (int, _enc_int),
-    (float, _enc_float),
-    (str, _enc_str),
-    (bytes, _enc_bytes),
-    (list, _enc_list),
-    (tuple, _enc_tuple),
-    (dict, _enc_dict),
-    (frozenset, _enc_frozenset),
-    (set, _enc_set),
-)
-
-
-def _fields_encoder(prefix: bytes, names: Tuple[str, ...]) -> _Encoder:
-    """Compile an encoder: ``prefix``, then the named attributes."""
-    if len(names) > 1:
-        get = attrgetter(*names)
-    else:       # attrgetter gives a tuple only for two names or more
-        def get(value):
-            return tuple(getattr(value, name) for name in names)
-
-    def encode(buf: bytearray, value) -> None:
-        buf += prefix
-        _put_items(buf, get(value))
-    return encode
 
 
 # -- decoders ---------------------------------------------------------
@@ -368,9 +320,10 @@ def _read_varint(data, pos):
 def _read_items(data, pos, n):
     """``n`` values in a row.  Every value is at least its tag byte, so
     a length beyond the remaining bytes is forged or truncated: reject
-    it before looping (a flipped bit must not buy a 2^63-step loop)."""
-    if n > len(data) - pos:
-        raise SerializationError("truncated buffer")
+    it before looping (a flipped bit must not buy a 2^63-step loop),
+    and a negative one with it (it is no empty container)."""
+    if not 0 <= n <= len(data) - pos:
+        raise SerializationError(f"forged or truncated length: {n}")
     decoders = _decoders
     items = []
     for _ in range(n):
@@ -413,35 +366,6 @@ def _dec_tuple(data, pos):
     return tuple(items), pos
 
 
-def _dec_dict(data, pos):
-    n, pos = _read_varint(data, pos)
-    if n > len(data) - pos:
-        raise SerializationError("truncated buffer")
-    decoders = _decoders
-    end = len(data)
-    out = {}
-    # The mirror of ``_enc_dict``'s two inlined kinds of entry: a ``str``
-    # key and a one-byte varint value are read without a call each.
-    for _ in range(n):
-        tag = data[pos]
-        if tag == _T_STR:
-            start = pos + 5
-            pos = start + _unpack_u32(data, pos + 1)[0]
-            if pos > end:
-                raise SerializationError("truncated buffer")
-            k = data[start:pos].decode("utf-8")
-        else:
-            k, pos = decoders[tag](data, pos + 1)
-        tag = data[pos]
-        if tag == _T_VARINT and data[pos + 1] < 0x80:
-            z = data[pos + 1]
-            out[k] = -(z >> 1) - 1 if z & 1 else z >> 1
-            pos += 2
-        else:
-            out[k], pos = decoders[tag](data, pos + 1)
-    return out, pos
-
-
 def _dec_set(data, pos):
     n, pos = _read_varint(data, pos)
     items, pos = _read_items(data, pos, n)
@@ -457,38 +381,16 @@ def _dec_frozenset(data, pos):
 def _dec_enum_id(data, pos):
     eid, pos = _read_varint(data, pos)
     value, pos = _read_varint(data, pos)
-    if eid >= len(_enum_classes):
+    if not 0 <= eid < len(_enum_classes):
         raise SerializationError(f"unknown enum id on wire: {eid}")
     return _enum_classes[eid](value), pos
 
 
 def _dec_schema(data, pos):
     sid, pos = _read_varint(data, pos)
-    if sid >= len(_schema_decoders):
+    if not 0 <= sid < len(_schema_decoders):
         raise SerializationError(f"unknown schema id on wire: {sid}")
     return _schema_decoders[sid](data, pos)
-
-
-def _fields_decoder(cls: type, names: Tuple[str, ...]) -> _Decoder:
-    """Compile a reader: ``count``, then that many of ``names``' values
-    in order, built into ``cls`` by keyword (messages have keyword-only
-    fields).  Trailing fields absent on the wire take their declared
-    defaults -- adding a defaulted field is a compatible change."""
-    known = len(names)
-
-    def decode(data, pos):
-        n = data[pos]
-        if n > known:
-            raise SerializationError(
-                f"schema {cls.__name__}: wire has {n} fields, "
-                f"decoder knows {known}")
-        pos += 1
-        decoders = _decoders
-        values = {}
-        for name in names if n == known else names[:n]:
-            values[name], pos = decoders[data[pos]](data, pos + 1)
-        return cls(**values), pos
-    return decode
 
 
 def _dec_unknown(data, pos):
@@ -504,12 +406,70 @@ _decoders[_T_STR] = _dec_str
 _decoders[_T_BYTES] = _dec_bytes
 _decoders[_T_LIST] = _dec_list
 _decoders[_T_TUPLE] = _dec_tuple
-_decoders[_T_DICT] = _dec_dict
 _decoders[_T_SET] = _dec_set
 _decoders[_T_FROZENSET] = _dec_frozenset
 _decoders[_T_SCHEMA] = _dec_schema
 _decoders[_T_ENUM_ID] = _dec_enum_id
 _decoders[_T_VARINT] = _read_varint
+
+
+# -- generated coders -------------------------------------------------
+
+#: One value of an encoder: ``_enc_int``'s, ``_enc_none``'s, ``_enc_str``'s
+#: and ``_enc_tuple``'s bytes for a small int, None, a str and (), written
+#: in line; the rest through ``_encoders`` (``bool`` is not ``int`` here).
+_ENCODE_VALUE = """
+    v = {value}
+    t = type(v)
+    if t is int and 0 <= v < 4096:
+        buf += small[v]
+    elif v is None:
+        buf.append(0)
+    elif t is str:
+        raw = v.encode("utf-8")
+        buf.append(4)
+        buf += pack_u32(len(raw))
+        buf += raw
+    elif t is tuple and not v:
+        buf += empty_tuple
+    else:
+        encoders[t](buf, v)"""
+
+#: One value of a reader: one- and two-byte varints, None, str, (), and
+#: a schema or enum member with a one-byte id, read in line; the rest
+#: (negative ids among it) through ``_decoders``.
+_DECODE_VALUE = """
+    tag = data[pos]
+    if tag == 15 and data[pos + 1] < 128:
+        {v} = data[pos + 1] >> 1 ^ -(data[pos + 1] & 1)
+        pos += 2
+    elif tag == 15 and data[pos + 2] < 128:
+        z = data[pos + 1] & 127 | data[pos + 2] << 7
+        {v} = z >> 1 ^ -(z & 1)
+        pos += 3
+    elif tag == 0:
+        {v} = None
+        pos += 1
+    elif tag == 4:
+        start = pos + 5
+        pos = start + unpack_u32(data, pos + 1)[0]
+        if pos > end:
+            raise SerializationError("truncated buffer")
+        {v} = data[start:pos].decode("utf-8")
+    elif tag == 13 and not data[pos + 1] & 129:
+        {v}, pos = schema_decoders[data[pos + 1] >> 1](data, pos + 2)
+    elif tag == 14 and not data[pos + 1] & 129 and not data[pos + 2] & 129:
+        {v} = enum_classes[data[pos + 1] >> 1]._value2member_map_.get(
+            data[pos + 2] >> 1)
+        if {v} is None:
+            {v}, pos = decoders[14](data, pos + 1)
+        else:
+            pos += 3
+    elif tag == 7 and data[pos + 1:pos + 9] == no_items:
+        {v} = ()
+        pos += 9
+    else:
+        {v}, pos = decoders[tag](data, pos + 1)"""
 
 #: What a malformed buffer can make the readers or a constructor raise:
 #: running off the end (``IndexError``, ``struct.error``), bad UTF-8 or
@@ -532,6 +492,107 @@ def _typed_errors(decode):
             raise SerializationError(
                 f"undecodable buffer: {exc!r}") from exc
     return guarded
+
+
+#: What generated code sees.
+_ENV = dict(
+    __name__=__name__, small=_SMALL_INTS, pack_u32=_pack_u32,
+    unpack_u32=_unpack_u32, varint=_varint, read_varint=_read_varint,
+    empty_tuple=b"\x07" + _pack_i64(0), no_items=_pack_i64(0),
+    encoders=_encoders, decoders=_decoders,
+    schema_decoders=_schema_decoders, enum_classes=_enum_classes,
+    new=object.__new__, set_attr=object.__setattr__,
+    SerializationError=SerializationError)
+
+
+def _generate(label: str, source: str, env: dict):
+    """Compile ``source``, one ``def``, as ``<codec label>`` in ``env``
+    (its globals) and return the function."""
+    exec(compile(source, f"<codec {label}>", "exec"), env)
+    return env.pop(source[4:source.index("(")])
+
+
+def _indented(source: str) -> str:
+    return source.replace("\n", "\n    ")
+
+
+# Checkpointed state is mostly ``{mac: port}`` tables of thousands of
+# entries: every key and every value takes the in-line paths.
+_enc_dict = _generate("dict", """\
+def encode(buf, value):
+    buf.append(10)
+    buf += varint(len(value))
+    for key, item in value.items():""" + _indented(
+    _ENCODE_VALUE.format(value="key") + _ENCODE_VALUE.format(value="item")),
+    _ENV)
+_decoders[_T_DICT] = _generate("dict", """\
+def decode(data, pos):
+    n, pos = read_varint(data, pos)
+    if not 0 <= n <= len(data) - pos:
+        raise SerializationError(f"forged or truncated length: {n}")
+    end = len(data)
+    out = {}
+    for _ in range(n):""" + _indented(
+    _DECODE_VALUE.format(v="key") + _DECODE_VALUE.format(v="out[key]"))
+    + "\n    return out, pos", _ENV)
+
+#: Subclass precedence, first match wins: ``bool`` is an ``int``, so the
+#: order is part of the wire format.
+_LADDER: Tuple[Tuple[type, _Encoder], ...] = (
+    (type(None), _enc_none),
+    (bool, _enc_bool),
+    (int, _enc_int),
+    (float, _enc_float),
+    (str, _enc_str),
+    (bytes, _enc_bytes),
+    (list, _enc_list),
+    (tuple, _enc_tuple),
+    (dict, _enc_dict),
+    (frozenset, _enc_frozenset),
+    (set, _enc_set),
+)
+
+
+def _coders(cls: type, names: Tuple[str, ...], prefix: bytes,
+            label: str) -> Tuple[_Encoder, _Decoder]:
+    """Generate the encoder of ``cls`` laid out as ``prefix``, then
+    ``names``' values in order, and its reader."""
+    env = dict(_ENV, cls=cls, names=names, prefix=prefix, label=label,
+               readers={})
+    env["read"] = functools.partial(_reader, env)
+    encode = _generate(label, "def encode(buf, value):\n    buf += prefix"
+                       + "".join(_ENCODE_VALUE.format(value=f"value.{name}")
+                                 for name in names), env)
+    return encode, _reader(env, len(names))
+
+
+def _reader(env: dict, n: int) -> _Decoder:
+    """Compile the reader of ``n`` fields: all of the schema's, or fewer
+    on first sight of such a count (see "Construction" above)."""
+    cls, names = env["cls"], env["names"]
+    if n > len(names):
+        raise SerializationError(f"schema {cls.__name__}: wire has {n} "
+                                 f"fields, decoder knows {len(names)}")
+    names, values = names[:n], [f"v{i}" for i in range(n)]
+    fields = dataclasses.fields(cls)
+    init = getattr(cls.__init__, "__code__", None)     # dataclass-made?
+    if (len(fields) == n and all(f.init for f in fields)
+            and not hasattr(cls, "__post_init__")
+            and getattr(init, "co_filename", "") == "<string>"):
+        store = ("set_attr(o, {!r}, {})" if cls.__dataclass_params__.frozen
+                 else "o.{} = {}")
+        build = ["o = new(cls)", *map(store.format, names, values),
+                 "return o, pos"]
+    else:
+        build = ["return cls({}), pos".format(
+            ", ".join(map("{}={}".format, names, values)))]
+    reader = env["readers"][n] = _generate(env["label"], (
+        f"def decode(data, pos):\n    if data[pos] != {n}:\n        return "
+        "(readers.get(data[pos]) or read(data[pos]))(data, pos)\n"
+        "    pos += 1\n    end = len(data)"
+        + "".join(_DECODE_VALUE.format(v=v) for v in values)
+        + "".join(f"\n    {line}" for line in build)), env)
+    return reader
 
 
 # -- message registry -------------------------------------------------
@@ -589,10 +650,9 @@ _type_to_id = {cls: i for i, cls in enumerate(_MESSAGE_TYPES)}
 #: and reader.
 _body_names = [tuple(f.name for f in dataclasses.fields(cls)
                      if f.name != "xid") for cls in _MESSAGE_TYPES]
-_body_encoders = [_fields_encoder(bytes((len(names),)), names)
-                  for names in _body_names]
-_body_decoders = [_fields_decoder(cls, names)
-                  for cls, names in zip(_MESSAGE_TYPES, _body_names)]
+_body_encoders, _body_decoders = zip(*(
+    _coders(cls, names, bytes((len(names),)), f"{cls.__name__} body")
+    for cls, names in zip(_MESSAGE_TYPES, _body_names)))
 
 
 def encode_message(msg: _messages.Message) -> bytes:

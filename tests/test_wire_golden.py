@@ -280,6 +280,14 @@ MALFORMED = {
     "forged_list_length": b"\x06\x7f" + b"\xff" * 7 + b"\x00",
     "forged_dict_length": b"\x0a" + b"\xfe" * 9 + b"\x01",
     "varint_too_long": b"\x0f" + b"\x80" * 12 + b"\x00",
+    # Negative ids and counts: a zigzag-odd id once indexed the table
+    # from its end (``Output(port=1)`` with its id byte set to 0x01 read
+    # as ``SetIpDst(ip_dst=1)``), and a count of -1 read as empty.
+    "negative_schema_id": b"\x0d\x01\x01\x0f\x02",
+    "negative_enum_id": b"\x0e\x01\x00",
+    "negative_list_length": b"\x06" + b"\xff" * 8,
+    "negative_dict_count": b"\x0a\x01",
+    "negative_set_count": b"\x0b\x01",
 }
 
 
@@ -289,6 +297,17 @@ def test_malformed_buffers_raise_serialization_error(data):
         decode_value(data)
     with pytest.raises(SerializationError):
         decode_state_value(b"\x01" + data)
+
+
+def test_a_negative_schema_id_never_indexes_from_the_end():
+    """Id -1 in front of the last schema's own fields: they would fit,
+    so only the id check stands between these bytes and a value."""
+    instances = wire_cases.schema_instances()
+    table = schema_table()
+    data = bytearray(encode_value(instances[max(table, key=table.get)]))
+    data[1] = 0x01                      # zigzag -1, one byte
+    with pytest.raises(SerializationError, match="unknown schema id"):
+        decode_value(bytes(data))
 
 
 def test_malformed_message_bodies_raise_serialization_error():
