@@ -43,11 +43,12 @@ The codec is *compiled*: nothing walks a value generically.
   an undecodable buffer raises :class:`SerializationError`, nothing else.
 - **Each schema** gets straight-line source, generated at registration
   and compiled as ``<codec Name>`` (``<codec Name body>`` for a message
-  body, ``<codec dict>`` for each dict entry): the ``tag + id + count``
-  prefix, then each field in order, small ints, None, str and ``()``
-  written in line, one- and two-byte varints, None, str, ``()`` and
-  one-byte schema and enum ids read in line, the rest through the
-  tables (field annotations never choose: nothing enforces them).
+  body): the ``tag + id + count`` prefix, then each field in order,
+  small ints, None, str and ``()`` written in line, varints of up to
+  three bytes, None, str, ``()`` and one-byte schema and enum ids read
+  in line, the rest through the tables (field annotations never
+  choose: nothing enforces them).  The list, tuple, set, frozenset and
+  dict coders (``<codec list>`` ...) run the same source per item.
 - **Construction** is bare -- ``object.__new__``, then a store per
   field, all a dataclass-made ``__init__`` does -- for a full field count
   of a class with no ``__post_init__`` and every field ``init=True``;
@@ -227,13 +228,6 @@ def _sorted_members(value):
 
 # -- encoders ---------------------------------------------------------
 
-def _put_items(buf: bytearray, items) -> None:
-    """Append each item through its class's encoder."""
-    encoders = _encoders
-    for item in items:
-        encoders[type(item)](buf, item)
-
-
 def _enc_none(buf, value):
     buf.append(_T_NONE)
 
@@ -276,30 +270,6 @@ def _enc_bytes(buf, value):
     buf += value
 
 
-def _enc_list(buf, value):
-    buf.append(_T_LIST)
-    buf += _pack_i64(len(value))
-    _put_items(buf, value)
-
-
-def _enc_tuple(buf, value):
-    buf.append(_T_TUPLE)
-    buf += _pack_i64(len(value))
-    _put_items(buf, value)
-
-
-def _enc_set(buf, value):
-    buf.append(_T_SET)
-    buf += _varint(len(value))
-    _put_items(buf, _sorted_members(value))
-
-
-def _enc_frozenset(buf, value):
-    buf.append(_T_FROZENSET)
-    buf += _varint(len(value))
-    _put_items(buf, _sorted_members(value))
-
-
 # -- decoders ---------------------------------------------------------
 
 def _read_varint(data, pos):
@@ -315,21 +285,6 @@ def _read_varint(data, pos):
         z |= (b & 0x7F) << shift
         shift += 7
     return (-(z >> 1) - 1 if z & 1 else z >> 1), pos
-
-
-def _read_items(data, pos, n):
-    """``n`` values in a row.  Every value is at least its tag byte, so
-    a length beyond the remaining bytes is forged or truncated: reject
-    it before looping (a flipped bit must not buy a 2^63-step loop),
-    and a negative one with it (it is no empty container)."""
-    if not 0 <= n <= len(data) - pos:
-        raise SerializationError(f"forged or truncated length: {n}")
-    decoders = _decoders
-    items = []
-    for _ in range(n):
-        item, pos = decoders[data[pos]](data, pos + 1)
-        items.append(item)
-    return items, pos
 
 
 def _dec_none(data, pos):
@@ -357,27 +312,6 @@ def _dec_str(data, pos):
     return raw.decode("utf-8"), pos
 
 
-def _dec_list(data, pos):
-    return _read_items(data, pos + 8, _unpack_i64(data, pos)[0])
-
-
-def _dec_tuple(data, pos):
-    items, pos = _read_items(data, pos + 8, _unpack_i64(data, pos)[0])
-    return tuple(items), pos
-
-
-def _dec_set(data, pos):
-    n, pos = _read_varint(data, pos)
-    items, pos = _read_items(data, pos, n)
-    return set(items), pos
-
-
-def _dec_frozenset(data, pos):
-    n, pos = _read_varint(data, pos)
-    items, pos = _read_items(data, pos, n)
-    return frozenset(items), pos
-
-
 def _dec_enum_id(data, pos):
     eid, pos = _read_varint(data, pos)
     value, pos = _read_varint(data, pos)
@@ -387,6 +321,8 @@ def _dec_enum_id(data, pos):
 
 
 def _dec_schema(data, pos):
+    if not data[pos] & 0x81:        # a one-byte id, not negative
+        return _schema_decoders[data[pos] >> 1](data, pos + 1)
     sid, pos = _read_varint(data, pos)
     if not 0 <= sid < len(_schema_decoders):
         raise SerializationError(f"unknown schema id on wire: {sid}")
@@ -397,17 +333,13 @@ def _dec_unknown(data, pos):
     raise SerializationError(f"unknown value tag: {data[pos - 1]}")
 
 
-#: The reader for each tag byte.
+#: The reader for each tag byte (the containers' are generated below).
 _decoders: List[_Decoder] = [_dec_unknown] * 256
 _decoders[_T_NONE] = _dec_none
 _decoders[_T_BOOL] = _dec_bool
 _decoders[_T_FLOAT] = _dec_float
 _decoders[_T_STR] = _dec_str
 _decoders[_T_BYTES] = _dec_bytes
-_decoders[_T_LIST] = _dec_list
-_decoders[_T_TUPLE] = _dec_tuple
-_decoders[_T_SET] = _dec_set
-_decoders[_T_FROZENSET] = _dec_frozenset
 _decoders[_T_SCHEMA] = _dec_schema
 _decoders[_T_ENUM_ID] = _dec_enum_id
 _decoders[_T_VARINT] = _read_varint
@@ -435,9 +367,9 @@ _ENCODE_VALUE = """
     else:
         encoders[t](buf, v)"""
 
-#: One value of a reader: one- and two-byte varints, None, str, (), and
-#: a schema or enum member with a one-byte id, read in line; the rest
-#: (negative ids among it) through ``_decoders``.
+#: One value of a reader: varints of up to three bytes, None, str, (),
+#: and a schema or enum member with a one-byte id, read in line; the
+#: rest (negative ids among it) through ``_decoders``.
 _DECODE_VALUE = """
     tag = data[pos]
     if tag == 15 and data[pos + 1] < 128:
@@ -447,6 +379,11 @@ _DECODE_VALUE = """
         z = data[pos + 1] & 127 | data[pos + 2] << 7
         {v} = z >> 1 ^ -(z & 1)
         pos += 3
+    elif tag == 15 and data[pos + 3] < 128:
+        z = (data[pos + 1] & 127 | (data[pos + 2] & 127) << 7
+             | data[pos + 3] << 14)
+        {v} = z >> 1 ^ -(z & 1)
+        pos += 4
     elif tag == 0:
         {v} = None
         pos += 1
@@ -498,6 +435,8 @@ def _typed_errors(decode):
 _ENV = dict(
     __name__=__name__, small=_SMALL_INTS, pack_u32=_pack_u32,
     unpack_u32=_unpack_u32, varint=_varint, read_varint=_read_varint,
+    pack_i64=_pack_i64, unpack_i64=_unpack_i64,
+    sorted_members=_sorted_members,
     empty_tuple=b"\x07" + _pack_i64(0), no_items=_pack_i64(0),
     encoders=_encoders, decoders=_decoders,
     schema_decoders=_schema_decoders, enum_classes=_enum_classes,
@@ -515,6 +454,40 @@ def _generate(label: str, source: str, env: dict):
 def _indented(source: str) -> str:
     return source.replace("\n", "\n    ")
 
+
+def _container_coders(tag: int, make: str) -> Tuple[_Encoder, _Decoder]:
+    """Generate the coders of a list or tuple (an ``!q`` count) or a set
+    or frozenset (a varint count, members sorted): ``tag``, the count,
+    then each item.  A count beyond the bytes that remain is forged or
+    truncated (an item is at least its tag byte) and a negative one is
+    no empty container: both are refused before the loop, so a flipped
+    bit cannot buy a 2^63-step one."""
+    sequence = tag in (_T_LIST, _T_TUPLE)
+    encode = _generate(make, f"""\
+def encode(buf, value):
+    buf.append({tag})
+    buf += {"pack_i64" if sequence else "varint"}(len(value))
+    for item in {"" if sequence else "sorted_members"}(value):""" + _indented(
+        _ENCODE_VALUE.format(value="item")), _ENV)
+    decode = _generate(make, f"""\
+def decode(data, pos):
+    {"n = unpack_i64(data, pos)[0]; pos += 8" if sequence
+     else "n, pos = read_varint(data, pos)"}
+    if not 0 <= n <= len(data) - pos:
+        raise SerializationError("forged or truncated length: %d" % n)
+    end = len(data)
+    items = []
+    for _ in range(n):""" + _indented(
+        _DECODE_VALUE.format(v="item") + "\n    items.append(item)")
+        + f"\n    return {make}(items), pos", _ENV)
+    return encode, decode
+
+
+_enc_list, _decoders[_T_LIST] = _container_coders(_T_LIST, "list")
+_enc_tuple, _decoders[_T_TUPLE] = _container_coders(_T_TUPLE, "tuple")
+_enc_set, _decoders[_T_SET] = _container_coders(_T_SET, "set")
+_enc_frozenset, _decoders[_T_FROZENSET] = _container_coders(
+    _T_FROZENSET, "frozenset")
 
 # Checkpointed state is mostly ``{mac: port}`` tables of thousands of
 # entries: every key and every value takes the in-line paths.

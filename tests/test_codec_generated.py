@@ -2,12 +2,12 @@
 
 Every schema's encoder and reader is source generated at registration,
 with the hot tags written in line (``serialization._ENCODE_VALUE`` /
-``_DECODE_VALUE``); the dict coder is generated from the same source.
-Three contracts hold them to the generic layout:
+``_DECODE_VALUE``); the container coders are generated from the same
+source.  Three contracts hold them to the generic layout:
 
 1. **bytes** -- ``encode_value`` writes what ``wire_reference.encode``
    (plain recursion over the docstring's layout) writes, for schema
-   fields and dicts drawn across every fast path's edges, and the
+   fields and containers drawn across every fast path's edges, and the
    value round-trips; bytes no current encoder writes (non-canonical
    varints, short field counts) decode through the fallbacks to the
    same values;
@@ -45,8 +45,10 @@ INSTANCES = wire_cases.schema_instances()
 SCHEMAS = sorted(INSTANCES)
 
 #: Each side of every inline boundary: one-byte varints end at 63 /
-#: -64, two-byte ones at 8191, the ready-made tag+varint table at 4095.
-EDGE_INTS = (-1, 0, 63, 64, 127, 128, 4095, 4096, 16383, 16384, 2**40)
+#: -64, two-byte ones at 8191, three-byte ones at 2**20 - 1, the
+#: ready-made tag+varint table at 4095.
+EDGE_INTS = (-1, 0, 63, 64, 127, 128, 4095, 4096, 16383, 16384,
+             2**20 - 1, 2**20, -2**20 - 1, 2**40)
 ENUM_MEMBERS = [m for cls in serialization._enum_classes for m in cls]
 
 leaves = st.one_of(
@@ -97,12 +99,20 @@ def test_generated_bytes_equal_the_reference(name, data):
         assert decode_message(wire) == msg
 
 
-@settings(max_examples=200, deadline=None)
-@given(value=st.dictionaries(
-    st.one_of(st.sampled_from(EDGE_INTS), st.text(max_size=6), st.none(),
-              st.sampled_from(ENUM_MEMBERS)), leaves, max_size=6))
-def test_generated_dict_coder_equals_the_reference(value):
-    """The dict coder is generated from the same per-value source."""
+hashables = st.one_of(st.sampled_from(EDGE_INTS), st.text(max_size=6),
+                      st.none(), st.sampled_from(ENUM_MEMBERS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(
+    st.dictionaries(hashables, leaves, max_size=6),
+    st.lists(leaves, max_size=6),
+    st.lists(leaves, max_size=6).map(tuple),
+    st.sets(hashables, max_size=6),
+    st.frozensets(hashables, max_size=6)))
+def test_generated_container_coders_equal_the_reference(value):
+    """Dict, list, tuple and set coders are generated from the same
+    per-value source as the schemas'."""
     encoded = encode_value(value)
     assert encoded == wire_reference.encode(value)
     assert decode_value(encoded) == value
@@ -113,13 +123,15 @@ def _packet_in():
 
 
 def test_non_canonical_varints_decode_through_the_fallback():
-    """A padded varint is still the value: the two-byte inline path,
-    the multi-byte fallback and a two-byte schema id all read it."""
+    """A padded varint is still the value: the two- and three-byte
+    inline paths, the multi-byte fallback and a two-byte schema id all
+    read it."""
     frame = EventComplete(app_name="a", seq=5, output_count=1)
     data = encode_value(frame)
     canonical = wire_reference.encode(5)
     at = data.index(canonical)
-    for padded in (b"\x0f\x8a\x00", b"\x0f\x8a\x80\x00"):
+    for padded in (b"\x0f\x8a\x00", b"\x0f\x8a\x80\x00",
+                   b"\x0f\x8a\x80\x80\x00"):
         forged = data[:at] + padded + data[at + len(canonical):]
         assert decode_value(forged) == frame
     event = EventDeliver(app_name="a", seq=1, event=_packet_in())
