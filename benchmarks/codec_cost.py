@@ -74,9 +74,7 @@ FRAMES = {
 #: send_flow_removed; AppOutput(PacketOut): pkt_id, tp_src, the actions
 #: tuple, xid.  Decode -- only the tuples, floats and bools: ints up
 #: to three varint bytes and enums read in line, and a tuple's own
-#: coder is generated too, so its action is read in line.  (The parent
-#: of generated coders made 21/23, 25/28, 22/25 and 6/6: every field
-#: went through a table.)
+#: coder is generated too, so its action is read in line.
 EXPECTED = {
     "EventDeliver(PacketIn(Packet))": {"encode": 4, "decode": 0},
     "AppOutput(FlowMod)": {"encode": 6, "decode": 4},
