@@ -9,7 +9,6 @@ security property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.apps.base import SDNApp
@@ -17,10 +16,11 @@ from repro.openflow.actions import Drop
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.serialization import register_dataclass
+from repro.record import record
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class DenyRule:
     """One deny-list entry (any field None = wildcard)."""
 

@@ -36,6 +36,7 @@ from repro.core.runtime import RuntimeConfig
 from repro.network.packet import reset_packet_ids
 from repro.network.topology import tree_topology
 from repro.openflow.messages import reset_xid_counter
+from repro.record import record
 from repro.scenario import Step, play
 from repro.stack import StackSpec, build_stack
 
@@ -69,7 +70,7 @@ class _CrashMarkerSwitch(LearningSwitch):
         return super().on_packet_in(event)
 
 
-@dataclass(frozen=True)
+@record
 class BenchScenario:
     """One load-harness configuration, fully seed-determined."""
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.record import record
 
-@dataclass(frozen=True)
+
+@record
 class HostRef:
     """One synthetic host, fully determined by (index, generation)."""
 

@@ -23,6 +23,7 @@ import json
 import sys
 
 from repro.network.topology import TOPOLOGIES, build_topology
+from repro.record import replace
 from repro.scenario import Scenario, Step, play, run
 from repro.stack import StackSpec, build_stack
 from repro.version import __version__
@@ -617,8 +618,6 @@ def cmd_check_policy(args) -> int:
 def cmd_bench(args) -> int:
     """Sustained-load harness: synthetic 10^5-10^6 host universes
     driven through the full sharded stack on the sim clock."""
-    import dataclasses as _dc
-
     from repro.bench import PRESETS, check_report, run_scenario
 
     scenario = PRESETS[args.preset]
@@ -630,7 +629,7 @@ def cmd_bench(args) -> int:
         if value is not None:
             overrides[name] = value
     if overrides:
-        scenario = _dc.replace(scenario, **overrides)
+        scenario = replace(scenario, **overrides)
     print(f"bench {scenario.name}: {scenario.hosts:,} hosts, "
           f"rate {scenario.rate:g}/s, {scenario.sim_seconds:g}s sim, "
           f"K={scenario.shards}, "

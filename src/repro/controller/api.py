@@ -16,12 +16,12 @@ Keeping the interface identical is how LegoSDN runs unmodified apps
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import networkx as nx
 
 from repro.openflow.serialization import register_dataclass
+from repro.record import record
 
 
 class Command(enum.Enum):
@@ -32,7 +32,7 @@ class Command(enum.Enum):
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class HostEntry:
     """A learned host location (device-manager row)."""
 
@@ -43,7 +43,7 @@ class HostEntry:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class TopoView:
     """An immutable snapshot of the discovered topology.
 

@@ -10,12 +10,12 @@ for its links, and vice versa -- §3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.openflow.serialization import register_dataclass
+from repro.record import record
 
 
-@dataclass(frozen=True)
+@record
 class ControllerEvent:
     """Base class for controller-generated (non-OpenFlow) events."""
 
@@ -25,7 +25,7 @@ class ControllerEvent:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class SwitchJoin(ControllerEvent):
     """A switch connected (or reconnected) to the controller."""
 
@@ -33,7 +33,7 @@ class SwitchJoin(ControllerEvent):
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class SwitchLeave(ControllerEvent):
     """A switch disconnected -- the paper's "switch down event"."""
 
@@ -41,7 +41,7 @@ class SwitchLeave(ControllerEvent):
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class LinkDiscovered(ControllerEvent):
     """An inter-switch link observed by LLDP discovery."""
 
@@ -52,7 +52,7 @@ class LinkDiscovered(ControllerEvent):
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class LinkRemoved(ControllerEvent):
     """An inter-switch link went away -- the paper's "link down event"."""
 
@@ -63,7 +63,7 @@ class LinkRemoved(ControllerEvent):
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class AppCrashed(ControllerEvent):
     """Informational event: an app crashed (LegoSDN runtimes emit this
     so monitoring apps and the metrics collector can observe failures

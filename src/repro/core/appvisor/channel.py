@@ -90,7 +90,6 @@ from __future__ import annotations
 import random
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.appvisor.rpc import (
@@ -99,6 +98,7 @@ from repro.core.appvisor.rpc import (
     frame_trace_ids,
 )
 from repro.openflow.serialization import SerializationError
+from repro.record import record
 
 _CRC = struct.Struct("!I")
 #: The header fields the CRC covers: kind, seq, floor.
@@ -159,7 +159,7 @@ def unpack_datagram(data: bytes):
     return kind, seq, floor, records
 
 
-@dataclass(frozen=True)
+@record
 class ChannelFault:
     """A reliability failure on one direction of a channel.
 

@@ -24,6 +24,7 @@ from typing import Optional
 
 import repro
 from repro.faults.bugs import AppHang
+from repro.record import record
 
 #: Directory the ``repro`` package sits in: file names in a crash
 #: report are written relative to it.
@@ -42,7 +43,7 @@ class ProcessState(enum.Enum):
     STOPPED = "stopped"
 
 
-@dataclass(frozen=True)
+@record
 class ResourceLimits:
     """Operator-set caps for one app (§3.4).
 

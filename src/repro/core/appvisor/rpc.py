@@ -44,7 +44,6 @@ sequence/ack/CRC header) is the channel's business:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from repro.controller.api import HostEntry, TopoView
@@ -53,10 +52,11 @@ from repro.openflow.serialization import (
     encode_value,
     register_dataclass,
 )
+from repro.record import record
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class Register:
     app_name: str
     subscriptions: Tuple[str, ...]
@@ -72,7 +72,7 @@ class Register:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class EventDeliver:
     app_name: str
     seq: int
@@ -81,7 +81,7 @@ class EventDeliver:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class AppOutput:
     """One emission, streamed as the app produces it.
 
@@ -100,7 +100,7 @@ class AppOutput:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class EventComplete:
     app_name: str
     seq: int
@@ -111,7 +111,7 @@ class EventComplete:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class CrashReport:
     app_name: str
     seq: int
@@ -122,7 +122,7 @@ class CrashReport:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class Heartbeat:
     app_name: str
     stub_time: float
@@ -134,7 +134,7 @@ class Heartbeat:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class RestoreCommand:
     """Restore the app to its state before ``offending_seq``.
 
@@ -150,7 +150,7 @@ class RestoreCommand:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class DeepRestoreCommand:
     """Escalated recovery for cumulative bugs (§5).
 
@@ -168,7 +168,7 @@ class DeepRestoreCommand:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class RestoreAck:
     app_name: str
     restored_before_seq: int
@@ -184,7 +184,7 @@ class RestoreAck:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class ContextPush:
     """The controller's host table and topology, as of ``device_version``
     / ``topo_version`` -- in full, or as what changed.

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.record import record
+
 
 @dataclass
 class AppHealth:
@@ -46,7 +48,7 @@ class AppHealth:
     channel_faults: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Suspicion:
     """One failure suspicion raised by the detector."""
 

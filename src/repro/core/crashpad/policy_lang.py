@@ -20,17 +20,17 @@ Patterns are shell globs (fnmatch).
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.crashpad.policies import CompromisePolicy
+from repro.record import record
 
 
 class PolicyParseError(ValueError):
     """A policy text line could not be parsed."""
 
 
-@dataclass(frozen=True)
+@record
 class PolicyRule:
     """One rule: app glob + event-type glob -> policy."""
 

@@ -17,12 +17,13 @@ observe counters as if the delete/re-add round trip never happened.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.openflow.inversion import CounterRecord
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowStatsReply
+from repro.record import replace
 
 CacheKey = Tuple[int, Match, int]
 
@@ -81,7 +82,7 @@ class CounterCache:
             patched_any = True
             self.patches_applied += 1
             patched_entries.append(
-                replace(
+                dataclasses.replace(
                     entry,
                     packet_count=entry.packet_count + record.packet_count,
                     byte_count=entry.byte_count + record.byte_count,

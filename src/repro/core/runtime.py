@@ -14,7 +14,6 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.apps.base import SDNApp
@@ -25,9 +24,10 @@ from repro.core.appvisor.stub import AppVisorStub
 from repro.core.crashpad.policy_lang import PolicyTable
 from repro.core.crashpad.recovery import CrashPad
 from repro.core.crashpad.ticket import TicketStore
+from repro.record import record
 
 
-@dataclass(frozen=True)
+@record
 class RuntimeConfig:
     """Everything that configures a :class:`LegoSDNRuntime`, as one value.
 

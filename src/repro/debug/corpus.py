@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.runtime import RuntimeConfig
@@ -29,6 +28,7 @@ from repro.debug.minimize import MinimizationError, minimize_failure
 from repro.debug.replay import FLIGHT_CAPACITY, ReplayHarness
 from repro.faults.bugs import Bug, BugKind, make_bug_corpus
 from repro.network.topology import linear_topology
+from repro.record import record
 from repro.scenario import Step
 from repro.stack import StackSpec
 
@@ -43,7 +43,7 @@ TRIGGER_LENGTHS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CorpusPreset:
     """One corpus configuration: which bug kinds, which adversity grid."""
 

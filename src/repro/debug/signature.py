@@ -14,14 +14,16 @@ equality.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+
+from repro.record import record
 
 #: The failure detector's kinds (heartbeat loss, event timeout): no
 #: exception was raised.
 SILENT_KINDS = ("hang", "fail-stop-silent")
 
 
-@dataclass(frozen=True)
+@record
 class FailureSignature:
     """One run's failure outcome, time-free and comparable."""
 

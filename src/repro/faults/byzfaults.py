@@ -34,8 +34,9 @@ bit-reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import List, Optional
+
+from repro.record import replace
 
 
 class ByzantineProfile:

@@ -18,14 +18,14 @@ flag on violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.invariants.graph import NetSnapshot, TraceResult, trace
 from repro.network.packet import IPPROTO_TCP, Packet
+from repro.record import record
 
 
-@dataclass(frozen=True)
+@record
 class Probe:
     """One probe: a packet injected at a host's attachment point."""
 
@@ -39,7 +39,7 @@ class Probe:
         return (self.src_mac, self.dst_mac)
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One detected invariant violation."""
 

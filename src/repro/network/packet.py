@@ -9,10 +9,11 @@ objects, so a packet buffered in one switch is never mutated by another.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import field
 from typing import Optional
 
 from repro.openflow.serialization import register_dataclass
+from repro.record import record, replace
 
 #: EtherTypes used by the simulator.
 ETH_TYPE_IP = 0x0800
@@ -42,12 +43,12 @@ def reset_packet_ids() -> None:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class Packet:
     """An Ethernet/IPv4 packet with symbolic addresses.
 
-    ``pkt_id`` survives header rewrites (``dataclasses.replace`` copies
-    it), letting experiments trace one packet across the dataplane.
+    ``pkt_id`` survives header rewrites (``replace`` copies it), letting
+    experiments trace one packet across the dataplane.
     """
 
     eth_src: str = "00:00:00:00:00:00"

@@ -85,10 +85,9 @@ class Simulator:
         holder = [None]
 
         def tick():
-            if stopped[0]:
-                return
             fn(*args)
-            holder[0] = self.schedule(interval, tick)
+            if not stopped[0]:      # ``fn`` may have stopped it
+                holder[0] = self.schedule(interval, tick)
 
         holder[0] = self.schedule(interval, tick)
 

@@ -8,7 +8,6 @@ stats).  Flow expiry runs on a periodic sweep scheduled by the network.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.network.links import Link
@@ -39,6 +38,7 @@ from repro.openflow.messages import (
     PortStatus,
     PortStatusReason,
 )
+from repro.record import replace
 
 
 class PortCounters:

@@ -13,8 +13,10 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.record import record
 
-@dataclass(frozen=True)
+
+@record
 class HostSpec:
     """One host and the switch it attaches to."""
 

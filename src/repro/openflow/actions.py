@@ -8,10 +8,10 @@ interpreted by the datapath (:mod:`repro.network.switch`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from repro.record import record, replace
 
 
-@dataclass(frozen=True)
+@record
 class Action:
     """Base class for all actions."""
 
@@ -20,24 +20,24 @@ class Action:
         return packet
 
 
-@dataclass(frozen=True)
+@record
 class Output(Action):
     """Forward the packet out of a specific port."""
 
     port: int
 
 
-@dataclass(frozen=True)
+@record
 class Flood(Action):
     """Forward out of every port except the ingress port."""
 
 
-@dataclass(frozen=True)
+@record
 class ToController(Action):
     """Punt the packet to the controller as a PacketIn."""
 
 
-@dataclass(frozen=True)
+@record
 class Drop(Action):
     """Explicitly drop the packet.
 
@@ -47,7 +47,7 @@ class Drop(Action):
     """
 
 
-@dataclass(frozen=True)
+@record
 class Enqueue(Action):
     """Forward out of ``port`` via queue ``queue_id`` (QoS modelling)."""
 
@@ -55,7 +55,7 @@ class Enqueue(Action):
     queue_id: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class SetEthSrc(Action):
     """Rewrite the Ethernet source address."""
 
@@ -65,7 +65,7 @@ class SetEthSrc(Action):
         return replace(packet, eth_src=self.eth_src)
 
 
-@dataclass(frozen=True)
+@record
 class SetEthDst(Action):
     """Rewrite the Ethernet destination address."""
 
@@ -75,7 +75,7 @@ class SetEthDst(Action):
         return replace(packet, eth_dst=self.eth_dst)
 
 
-@dataclass(frozen=True)
+@record
 class SetIpSrc(Action):
     """Rewrite the IPv4 source address (load balancers, NAT)."""
 
@@ -85,7 +85,7 @@ class SetIpSrc(Action):
         return replace(packet, ip_src=self.ip_src)
 
 
-@dataclass(frozen=True)
+@record
 class SetIpDst(Action):
     """Rewrite the IPv4 destination address (load balancers, NAT)."""
 

@@ -22,9 +22,10 @@ from typing import List
 from repro.openflow.flowtable import FlowEntry
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, Message
+from repro.record import record
 
 
-@dataclass(frozen=True)
+@record
 class CounterRecord:
     """Preserved counter/timeout state for one restored flow entry.
 

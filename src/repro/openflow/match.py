@@ -13,8 +13,10 @@ three relations the rest of the system needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Optional
+
+from repro.record import record
 
 #: Header fields a match may constrain, in canonical order.  The order
 #: is part of the wire format (see :mod:`repro.openflow.serialization`).
@@ -32,7 +34,7 @@ MATCH_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Match:
     """An immutable OpenFlow-style flow match.
 

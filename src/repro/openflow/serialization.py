@@ -50,11 +50,11 @@ The codec is *compiled*: nothing walks a value generically.
   choose: nothing enforces them).  The list, tuple, set, frozenset and
   dict coders (``<codec list>`` ...) run the same source per item.
 - **Construction** is bare -- ``object.__new__``, then a store per
-  field, all a dataclass-made ``__init__`` does -- for a full field count
-  of a class with no ``__post_init__`` and every field ``init=True``;
-  else a keyword call, so defaults run.  Never ``o.__dict__.update``: it
-  gives each object its own dict, nearly doubling a decoded event, and
-  the journal keeps decoded events.
+  field -- for a full count of a class with no ``__post_init__`` whose
+  ``__init__`` only stores: a :mod:`repro.record` through its slots'
+  ``__set__``, a mutable dataclass-made one by ``o.name = v``; else a
+  keyword call.  Never ``o.__dict__.update``: a record has no dict, and
+  a mutable object would get its own, nearly doubling a decoded event.
 
 Checkpointed app state uses the same value encoding behind a one-byte
 marker (:func:`encode_state_value`).
@@ -71,6 +71,7 @@ from typing import Callable, Dict, List, Tuple, Type
 from repro.openflow import actions as _actions
 from repro.openflow import messages as _messages
 from repro.openflow.match import Match
+from repro.record import REGISTRY as RECORDS
 
 # -- value tags -------------------------------------------------------
 
@@ -440,7 +441,7 @@ _ENV = dict(
     empty_tuple=b"\x07" + _pack_i64(0), no_items=_pack_i64(0),
     encoders=_encoders, decoders=_decoders,
     schema_decoders=_schema_decoders, enum_classes=_enum_classes,
-    new=object.__new__, set_attr=object.__setattr__,
+    new=object.__new__,
     SerializationError=SerializationError)
 
 
@@ -549,11 +550,14 @@ def _reader(env: dict, n: int) -> _Decoder:
     names, values = names[:n], [f"v{i}" for i in range(n)]
     fields = dataclasses.fields(cls)
     init = getattr(cls.__init__, "__code__", None)     # dataclass-made?
-    if (len(fields) == n and all(f.init for f in fields)
-            and not hasattr(cls, "__post_init__")
-            and getattr(init, "co_filename", "") == "<string>"):
-        store = ("set_attr(o, {!r}, {})" if cls.__dataclass_params__.frozen
-                 else "o.{} = {}")
+    store = "o.{} = {}" if (getattr(init, "co_filename", "") == "<string>"
+                            and all(f.init for f in fields)
+                            and not cls.__dataclass_params__.frozen) else None
+    if cls in RECORDS:                  # a generated __init__: slot stores
+        env.update(("set_" + f.name, getattr(cls, f.name).__set__)
+                   for f in fields)
+        store = "set_{}(o, {})"
+    if store and len(fields) == n and not hasattr(cls, "__post_init__"):
         build = ["o = new(cls)", *map(store.format, names, values),
                  "return o, pos"]
     else:

@@ -44,11 +44,12 @@ import enum
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.openflow.serialization import encode_value
+from repro.record import record, replace
 from repro.replication.fence import EpochFence
 
 
@@ -85,7 +86,7 @@ _UNSTAMPED = encode_value(b"")
 _STAMPED = encode_value(bytes(MAC_BYTES))[:-MAC_BYTES]
 
 
-@dataclass(frozen=True)
+@record
 class AuthFault:
     """Repeated signature failures from one peer -- the replication
     layer's :class:`~repro.core.appvisor.channel.ChannelFault` sibling.

@@ -43,14 +43,14 @@ old captures decodable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.openflow.serialization import register_dataclass
+from repro.record import record
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class AppDelta:
     """Per-app progress snapshot piggybacked on heartbeats.
 
@@ -65,7 +65,7 @@ class AppDelta:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class RecordShip:
     """One NetLog WAL append, shipped as it happens.
 
@@ -92,7 +92,7 @@ class RecordShip:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class TxnResolve:
     """A shipped transaction's fate: ``outcome`` is "commit" or "abort".
 
@@ -126,7 +126,7 @@ class TxnResolve:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class ReplHeartbeat:
     """Lease renewal from the primary.
 
@@ -152,7 +152,7 @@ class ReplHeartbeat:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class ReplAck:
     """Backup's cumulative acknowledgement.
 
@@ -178,7 +178,7 @@ class ReplAck:
 
 
 @register_dataclass
-@dataclass(frozen=True)
+@record
 class ResyncRequest:
     """A healed backup asking for a *ranged* NetLog replay.
 

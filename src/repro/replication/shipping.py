@@ -9,12 +9,12 @@ stamp, verified over the bytes that arrived.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.openflow.flowtable import FlowTable
 from repro.openflow.messages import FlowStatsRequest
+from repro.record import replace
 from repro.replication.byzantine import ReplicationMode, resolve_leaf
 from repro.replication.frames import (
     AppDelta, RecordShip, ReplAck, ReplHeartbeat, ResyncRequest, TxnResolve)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.record import record
 from repro.stack import Stack, StackSpec, build_stack
 from repro.workloads.churn import ChurnWorkload
 from repro.workloads.traffic import TrafficWorkload, inject_marker_packet
@@ -113,7 +114,7 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Step:
     """At sim time ``at``: ``KINDS[kind](stack, **args)``."""
 
@@ -126,7 +127,7 @@ class Step:
             raise ValueError(f"unknown step kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """A deployment and what happens to it, as one value."""
 

@@ -9,8 +9,7 @@ stack comes back unstarted.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Tuple
 
 from repro.controller.monolithic import MonolithicRuntime
@@ -19,11 +18,12 @@ from repro.faults.netfaults import ChaosProfile
 from repro.invariants.graph import NetSnapshot
 from repro.network.net import Network
 from repro.network.topology import Topology
+from repro.record import record, replace
 from repro.replication.replicaset import ReplicaSet
 from repro.telemetry import HealthWatchdog, Telemetry
 
 
-@dataclass(frozen=True)
+@record
 class StackSpec:
     """Everything that configures a deployment, as one value.
 
@@ -101,7 +101,7 @@ def build_stack(spec: StackSpec) -> Stack:
     stack = Stack(net=net, telemetry=telemetry)
     if spec.chaos is not None:
         stack.chaos = ChaosProfile(seed=spec.seed, **spec.chaos)
-    config = None if spec.runtime is None else dataclasses.replace(
+    config = None if spec.runtime is None else replace(
         spec.runtime, seed=spec.seed, chaos=stack.chaos)
     if config is None:
         stack.runtime = MonolithicRuntime(net.controller, auto_restart=True)
@@ -115,7 +115,8 @@ def build_stack(spec: StackSpec) -> Stack:
             net, shards=spec.shards, apps=spec.apps, backups=spec.backups,
             service_time=spec.service_time,
             telemetry_enabled=spec.telemetry is not None, seed=spec.seed,
-            runtime_kwargs=vars(config), telemetry_kwargs=spec.telemetry)
+            telemetry_kwargs=spec.telemetry, runtime_kwargs={
+                f.name: getattr(config, f.name) for f in fields(config)})
     else:
         replica_options = None
         if spec.backups:

@@ -13,6 +13,7 @@ source.  Three contracts hold them to the generic layout:
    same values;
 2. **construction** -- a decoded instance is the constructed one: same
    type, ``==`` and ``hash``, ``__post_init__`` run where there is one;
+   a record is built bare, through its slots, not by a keyword call;
 3. **memory** -- a decoded object costs what a constructed one does
    (no per-instance dict materialised by the reader).
 """
@@ -199,6 +200,21 @@ def test_post_init_still_runs_on_decode(cls):
     decoded = decode_value(encode_value(msg))
     assert decoded.actions == (Output(port=1), Output(port=2))
     assert type(decoded.actions) is tuple
+
+
+def test_records_decode_without_their_init(monkeypatch):
+    """A record's reader stores through its slots: were the marker that
+    says its ``__init__`` only stores lost, decoding would still work,
+    through a keyword call per record."""
+    wire = encode_value(EventDeliver(app_name="a", seq=1, event=PacketIn(
+        dpid=1, in_port=2, packet=Packet(eth_src="x"))))
+    calls = []
+    for cls in (EventDeliver, Packet):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, **k: (
+            calls.append(type(self))))
+    decoded = decode_value(wire)
+    assert calls == []
+    assert decoded.event.packet.eth_src == "x"
 
 
 def _events(n: int):

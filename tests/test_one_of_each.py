@@ -38,7 +38,11 @@ to arrive by editing this file:
   caller that reassigns or edits it (``note_flow_stats`` and
   ``note_flow_removed`` once did) desynchronises them.  Only
   ``flowtable.py`` and the linear oracle it replaced
-  (``tests/flowtable_oracle.py``) write it.
+  (``tests/flowtable_oracle.py``) write it;
+- one way to build a frozen value type, ``repro.record.record``: every
+  ``@dataclass(frozen=True)`` under ``src/repro`` stored its fields
+  through ``object.__setattr__`` at three times the cost of a slot
+  store (``tests/test_records.py`` holds each record to that twin).
 """
 
 import ast
@@ -181,6 +185,23 @@ def _called_name(node) -> str:
     func = node.func
     return func.attr if isinstance(func, ast.Attribute) \
         else getattr(func, "id", "")
+
+
+def _frozen_dataclass(decorator) -> bool:
+    return (isinstance(decorator, ast.Call)
+            and _called_name(decorator) == "dataclass"
+            and any(k.arg == "frozen" and not (
+                isinstance(k.value, ast.Constant) and not k.value.value)
+                for k in decorator.keywords))
+
+
+def test_one_way_to_build_a_frozen_record():
+    strays = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+              for path in sorted(SRC.rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef)
+              and any(map(_frozen_dataclass, node.decorator_list))]
+    assert not strays, f"a frozen value type is a @record: {strays}"
 
 
 def test_one_stack_builder():

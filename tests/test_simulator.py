@@ -182,6 +182,21 @@ class TestEvery:
         sim.run_until(10.0)
         assert ticks == [1.0, 2.0]
 
+    def test_stop_from_inside_the_callback_schedules_no_more_ticks(self):
+        sim = Simulator()
+        calls = []
+
+        def fn():
+            calls.append(sim.now)
+            if len(calls) == 2:
+                stop()
+
+        stop = sim.every(1.0, fn)
+        sim.run_until(10.0)
+        assert calls == [1.0, 2.0]
+        assert sim.events_processed == len(calls)
+        assert sim.pending == 0
+
 
 class TestDeterminism:
     def test_rng_seeded(self):
