@@ -15,14 +15,21 @@ line is its *first decorator's*: that is what ``co_firstlineno``
 reports (3.8+), so keying on the ``def`` line would make every
 property and decorated function look unreached.
 
+``repro serve`` runs with ``--port 0 --linger 2`` while this script
+GETs each of its endpoints, each expecting 200.
+
 Tier-1 (``pytest tests``) runs under its own tag, so the report has
-two lists: functions no entry point reaches (most are test-only), and
-functions nothing reaches, tier-1 included.  The gate fails on any
-function of the second list that ``benchmarks/reach_allow.txt`` does
-not cover.  Each allowlist line is ``pattern  # reason``; the pattern
-is a qualified name (``repro.pkg.mod.Class.method``) or an
+two lists: functions only tier-1 reaches, and functions nothing
+reaches, tier-1 included.  The gate fails on a function of the second
+list that ``benchmarks/reach_allow.txt`` does not cover, and on one of
+the first list that neither it nor ``benchmarks/reach_owed.txt``
+covers.  Each allowlist line is ``pattern  # reason``; the pattern is
+a qualified name (``repro.pkg.mod.Class.method``) or an
 :func:`fnmatch.fnmatchcase` glob, and also covers what is nested in
-what it names.  A line without a reason is an error.
+what it names.  A line without a reason is an error.  An owed line is
+``pattern  # item N: reason``, code an open ROADMAP item owns; one
+without ``item N:`` is an error, and so is one that covers no function
+only tier-1 reaches (its item has landed, or its code is gone).
 
 Stdlib only; about eleven minutes on two cores::
 
@@ -45,11 +52,13 @@ import sys
 import tempfile
 import threading
 import time
+import urllib.request
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 ALLOWLIST = ROOT / "benchmarks" / "reach_allow.txt"
+OWED = ROOT / "benchmarks" / "reach_owed.txt"
 README = ROOT / "README.md"
 README_PREFIX = "python -m repro"
 
@@ -99,11 +108,27 @@ ENTRY_POINTS = (
         "byzantine --seed 0 --size 4 --sweep 0,0.3 --duration 4",
         "replicate --backups 2 --size 4 --duration 6",
     )),
+    # Product surface neither CI nor README runs: a mesh drill, a
+    # channel blackout longer than the retry budget, and a load report
+    # written to disk.
+    *((f"repro {cmd}", ["py", "-m", "repro", *cmd.split()]) for cmd in (
+        "drill --topology mesh --size 3 --duration 1",
+        "chaos --seed 0 --partition 1.0:0.8 --duration 4 --slo 0",
+        f"bench --preset smoke --out {os.devnull}",
+    )),
 )
+
+#: ``repro serve`` on an ephemeral port, and the paths GET while it
+#: lingers.  ``-u``: the served URL is read from its first line.
+SERVE = ("repro serve --port 0 --linger 2",
+         ["py", "-u", "-m", "repro", "serve", "--port", "0",
+          "--linger", "2"])
+SERVE_PATHS = ("/metrics", "/healthz", "/trace.json", "/tickets.json")
+SERVING = "serving telemetry on "
 
 #: README commands not executed, each with its reason.
 README_SKIPS = (
-    ("serve", "serves /metrics until interrupted"),
+    ("serve", "serves until interrupted; SERVE drives it on port 0"),
     ("bench --preset e19-", "a full E19 load run: 30-50 s plain, "
                             "minutes under the profiler"),
 )
@@ -229,23 +254,36 @@ def unreached(funcs: Dict[Tuple[str, int], Function],
                   key=lambda f: (f.path, f.line))
 
 
-# --- allowlist and gate ------------------------------------------------
+# --- allowlist, owed list and gate -----------------------------------
 
-def read_allowlist(lines: Iterable[str]) -> List[Tuple[str, str]]:
-    """``(pattern, reason)`` per entry; blank lines and whole-line
-    comments are skipped.  Raises ``ValueError`` on an entry with no
-    reason."""
+def _read_entries(lines: Iterable[str], kind: str, form: str,
+                  reason_re: str) -> List[Tuple[str, str]]:
     entries = []
     for number, raw in enumerate(lines, 1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         pattern, _, reason = text.partition("#")
-        if not reason.strip():
-            raise ValueError(f"allowlist line {number} has no "
-                             f"'# reason': {text}")
-        entries.append((pattern.strip(), reason.strip()))
+        reason = reason.strip()
+        if not re.match(reason_re, reason):
+            raise ValueError(f"{kind} line {number} has no "
+                             f"'# {form}': {text}")
+        entries.append((pattern.strip(), reason))
     return entries
+
+
+def read_allowlist(lines: Iterable[str]) -> List[Tuple[str, str]]:
+    """``(pattern, reason)`` per entry; blank lines and whole-line
+    comments are skipped.  Raises ``ValueError`` on an entry with no
+    reason."""
+    return _read_entries(lines, "allowlist", "reason", r"\S")
+
+
+def read_owed(lines: Iterable[str]) -> List[Tuple[str, str]]:
+    """As :func:`read_allowlist`, but each reason must start ``item
+    N:`` (the open ROADMAP item that owns the code)."""
+    return _read_entries(lines, "owed", "item N: reason",
+                         r"item \d+:\s*\S")
 
 
 def covers(pattern: str, name: str) -> bool:
@@ -258,50 +296,86 @@ def covers(pattern: str, name: str) -> bool:
 def gate(funcs: Dict[Tuple[str, int], Function],
          entry_hits: Set[Tuple[str, int]],
          all_hits: Set[Tuple[str, int]],
-         allow: Sequence[Tuple[str, str]], out=None) -> int:
+         allow: Sequence[Tuple[str, str]],
+         owed: Sequence[Tuple[str, str]] = (), out=None) -> int:
     """Print both lists; return 1 if a function nothing reaches is not
-    covered by ``allow``, else 0."""
+    covered by ``allow``, one only tier-1 reaches by neither ``allow``
+    nor ``owed``, or an ``owed`` entry covers no function only tier-1
+    reaches; else 0."""
     def total(fs):
         return sum(f.lines for f in fs)
 
-    untested = unreached(funcs, entry_hits)
+    def first(entries, f):
+        return next((p for p, _ in entries if covers(p, f.name)), None)
+
+    def show(f, tag, pattern):
+        print(f"  {f.path}:{f.line}  {f.name}  ({f.lines} lines)"
+              f"{'' if pattern is None else f'  [{tag}: {pattern}]'}",
+              file=out)
+
     dead = unreached(funcs, all_hits)
+    dead_set = set(dead)
+    tier1_only = [f for f in unreached(funcs, entry_hits)
+                  if f not in dead_set]
     print(f"{len(funcs)} functions under src/repro "
           f"({total(funcs.values())} lines)", file=out)
-    print(f"reached by no entry point: {len(untested)} functions, "
-          f"{total(untested)} lines", file=out)
+    print(f"reached only by tier-1: {len(tier1_only)} functions, "
+          f"{total(tier1_only)} lines", file=out)
     print(f"reached by nothing (tier-1 included): {len(dead)} functions, "
           f"{total(dead)} lines", file=out)
+
+    used = set()
     print("\n-- reached only by tier-1 --", file=out)
-    dead_set = set(dead)
-    for f in untested:
-        if f not in dead_set:
-            print(f"  {f.path}:{f.line}  {f.name}  ({f.lines} lines)",
-                  file=out)
-    print("\n-- reached by nothing --", file=out)
-    failing, used = [], set()
-    for f in dead:
-        pattern = next((p for p, _ in allow if covers(p, f.name)), None)
+    uncovered = []
+    for f in tier1_only:
+        tag, pattern = "allowed", first(allow, f)
         if pattern is None:
-            failing.append(f)
-        else:
-            used.add(pattern)
-        print(f"  {f.path}:{f.line}  {f.name}  ({f.lines} lines)"
-              f"{'' if pattern is None else '  [allowed: ' + pattern + ']'}",
-              file=out)
+            tag, pattern = "owed", first(owed, f)
+        if pattern is None:
+            uncovered.append(f)
+        used.add(pattern)
+        show(f, tag, pattern)
+    print("\n-- reached by nothing --", file=out)
+    unallowed = []
+    for f in dead:
+        pattern = first(allow, f)
+        if pattern is None:
+            unallowed.append(f)
+        used.add(pattern)
+        show(f, "allowed", pattern)
     for pattern, _ in allow:
         if pattern not in used:
             print(f"note: allowlist entry covers nothing: {pattern}",
                   file=out)
-    if failing:
-        print(f"\nFAIL: {len(failing)} function(s) nothing runs, not in "
+    stale = [(p, why) for p, why in owed
+             if not any(covers(p, f.name) for f in tier1_only)]
+
+    if unallowed:
+        print(f"\nFAIL: {len(unallowed)} function(s) nothing runs, not in "
               f"{ALLOWLIST.relative_to(ROOT)}:", file=out)
-        for f in failing:
+        for f in unallowed:
             print(f"  {f.name}  ({f.path}:{f.line})", file=out)
         print("delete each, or allow it with a one-line reason", file=out)
+    if uncovered:
+        print(f"\nFAIL: {len(uncovered)} function(s) only tier-1 runs, in "
+              f"neither {ALLOWLIST.relative_to(ROOT)} nor "
+              f"{OWED.relative_to(ROOT)}:", file=out)
+        for f in uncovered:
+            print(f"  {f.name}  ({f.path}:{f.line})", file=out)
+        print("give each a run, delete it, or allow or owe it with a "
+              "one-line reason", file=out)
+    if stale:
+        print(f"\nFAIL: {len(stale)} owed entry(ies) cover no function "
+              f"only tier-1 runs:", file=out)
+        for pattern, why in stale:
+            print(f"  {pattern}  # {why}", file=out)
+        print("drop each: its item has landed or its code is gone",
+              file=out)
+    if unallowed or uncovered or stale:
         return 1
-    print(f"\nOK: every function nothing runs is allowed "
-          f"({len(allow)} allowlist entries)", file=out)
+    print(f"\nOK: every function only tier-1 runs is allowed or owed, and "
+          f"every function nothing runs is allowed ({len(allow)} allowlist, "
+          f"{len(owed)} owed entries)", file=out)
     return 0
 
 
@@ -328,20 +402,46 @@ def readme_commands() -> List[str]:
     return commands
 
 
+def get_endpoints(stdout: Iterable[str]) -> str:
+    """Read the URL from ``repro serve``'s ``serving telemetry on``
+    line, then GET each of :data:`SERVE_PATHS`; return what failed
+    ('' if every one answered 200)."""
+    url = next((line[len(SERVING):].strip() for line in stdout
+                if line.startswith(SERVING)), None)
+    if url is None:
+        return f"no '{SERVING.strip()}' line"
+    failed = []
+    for path in SERVE_PATHS:
+        try:
+            with urllib.request.urlopen(url + path, timeout=30) as resp:
+                status = resp.status
+        except OSError as exc:          # HTTPError and URLError too
+            status = getattr(exc, "code", exc)
+        if status != 200:
+            failed.append(f"GET {path}: {status}")
+    return "; ".join(failed)
+
+
 def run(label: str, argv: List[str], out_dir: pathlib.Path, env: dict,
-        cwd: pathlib.Path) -> bool:
+        cwd: pathlib.Path, drive=None) -> bool:
+    """Run ``argv`` to completion; with ``drive``, hand it the child's
+    stdout while it runs (a non-empty answer fails the run)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     argv = [sys.executable if a == "py" else a for a in argv]
     started = time.monotonic()
-    done = subprocess.run(
-        argv, cwd=cwd, env=dict(env, REACH_OUT=str(out_dir)),
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    with subprocess.Popen(
+            argv, cwd=cwd, env=dict(env, REACH_OUT=str(out_dir)),
+            stdout=subprocess.DEVNULL if drive is None else subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True) as child:
+        problem = drive(child.stdout) if drive is not None else ""
+        _, stderr = child.communicate()
+    ok = child.returncode == 0 and not problem
     print(f"  {time.monotonic() - started:6.1f}s  {label}"
-          f"{'' if done.returncode == 0 else f'  EXIT {done.returncode}'}",
-          flush=True)
-    if done.returncode != 0:
-        print(done.stderr[-2000:], file=sys.stderr)
-    return done.returncode == 0
+          f"{'' if child.returncode == 0 else f'  EXIT {child.returncode}'}"
+          f"{'  ' + problem if problem else ''}", flush=True)
+    if not ok:
+        print(stderr[-2000:], file=sys.stderr)
+    return ok
 
 
 def collect(out_dir: pathlib.Path) -> Set[Tuple[str, int]]:
@@ -371,6 +471,9 @@ def census(scratch: pathlib.Path) -> Tuple[Set, Set, List[str]]:
     for label, argv in ENTRY_POINTS:
         if not run(label, argv, scratch / "entry", env, ROOT):
             failed.append(label)
+    if not run(*SERVE, scratch / "entry", env, readme_cwd,
+               drive=get_endpoints):
+        failed.append(SERVE[0])
     for line in readme_commands():
         args = line[len(README_PREFIX):].strip()
         label = "README: repro " + args
@@ -391,6 +494,7 @@ def census(scratch: pathlib.Path) -> Tuple[Set, Set, List[str]]:
 def main() -> int:
     try:
         allow = read_allowlist(ALLOWLIST.read_text().splitlines())
+        owed = read_owed(OWED.read_text().splitlines())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -400,7 +504,7 @@ def main() -> int:
         print(f"error: {len(failed)} run(s) failed, census incomplete: "
               f"{failed}", file=sys.stderr)
         return 1
-    return gate(functions(PACKAGE), entry, everything, allow)
+    return gate(functions(PACKAGE), entry, everything, allow, owed)
 
 
 if __name__ == "__main__":

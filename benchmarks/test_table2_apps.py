@@ -7,6 +7,12 @@ controller.  This bench runs our analogue of every surveyed app on
 both runtimes, injects a deterministic crash into each one in turn,
 and records whether the platform survives.
 
+Before the crash each app handles ordinary traffic and an uplink
+flap at s2 (the switch the load balancer balances): a ping from h2 to
+h1, then the s2-s3 link down and up.  Nothing is sent towards h3, so
+the marker packet still misses every installed rule and reaches the
+apps as a PacketIn.
+
 Expected shape: every app runs on both runtimes (unmodified -- the
 LegoSDN column is not a port); under the monolithic runtime EVERY
 app's crash kills the controller; under LegoSDN NONE does.
@@ -35,9 +41,19 @@ def _crashy(name):
                     event_type="PacketIn", payload_marker="BOOM")
 
 
+def _exercise(net):
+    """Ordinary traffic and an uplink flap at s2, before the crash."""
+    net.ping("h2", "h1")
+    net.link_down(2, 3)
+    net.run_for(0.2)
+    net.link_up(2, 3)
+    net.run_for(0.5)
+
+
 def _survives_crash_monolithic(name):
     net, runtime = build_monolithic(
         linear_topology(3, 1), [lambda: _crashy(name)])
+    _exercise(net)
     inject_marker_packet(net, "h1", "h3", "BOOM")
     net.run_for(2.0)
     return not net.controller.crashed
@@ -45,6 +61,7 @@ def _survives_crash_monolithic(name):
 
 def _survives_crash_legosdn(name):
     net, runtime = build_legosdn(linear_topology(3, 1), [_crashy(name)])
+    _exercise(net)
     inject_marker_packet(net, "h1", "h3", "BOOM")
     net.run_for(2.0)
     recovered = runtime.stats()[name]["recoveries"] >= \

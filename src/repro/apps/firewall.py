@@ -61,16 +61,3 @@ class Firewall(SDNApp):
         if event.dpid not in self.protected_switches:
             self.protected_switches.append(event.dpid)
             self.mark_dirty("protected_switches")
-
-    def add_rule(self, rule: DenyRule) -> None:
-        """Add a deny rule at runtime and push it to protected switches."""
-        self.deny_rules = self.deny_rules + (rule,)
-        self.mark_dirty("deny_rules")
-        for dpid in self.protected_switches:
-            self.api.emit(
-                dpid,
-                FlowMod(match=rule.to_match(), command=FlowModCommand.ADD,
-                        priority=self.PRIORITY, actions=(Drop(),)),
-            )
-            self.rules_installed += 1
-            self.mark_dirty("rules_installed")

@@ -89,9 +89,6 @@ class LearningSwitch(SDNApp):
         if self.mac_tables.pop(event.dpid, None) is not None:
             self.mark_dirty(("macs", event.dpid))
 
-    def learned_macs(self, dpid: int) -> Dict[str, int]:
-        return dict(self.mac_tables.get(dpid, {}))
-
     # -- checkpoint state layout ----------------------------------------
     #
     # The incremental checkpoint store diffs state per top-level key, so

@@ -107,13 +107,6 @@ class LoadBalancer(SDNApp):
                         out_port=event.port),
             )
 
-    def imbalance(self) -> float:
-        """Max/min assignment ratio across uplinks (1.0 = perfectly even)."""
-        counts = [c for c in self.assignments.values() if c > 0]
-        if len(counts) < 2:
-            return 1.0
-        return max(counts) / min(counts)
-
 
 def hash_stable(value) -> int:
     """Deterministic, process-independent hash for balancing keys."""

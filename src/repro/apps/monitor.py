@@ -44,9 +44,3 @@ class FlowMonitor(SDNApp):
 
     def total_observations(self) -> int:
         return sum(self.pair_packets.values())
-
-    def top_talkers(self, n: int = 5):
-        """The ``n`` busiest (src, dst) pairs, busiest first."""
-        ranked = sorted(self.pair_packets.items(),
-                        key=lambda item: (-item[1], item[0]))
-        return ranked[:n]

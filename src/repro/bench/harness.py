@@ -152,10 +152,6 @@ class BenchReport:
             "aborted": self.aborted,
         }
 
-    def deterministic_json(self) -> str:
-        return json.dumps(self.deterministic_dict(), sort_keys=True,
-                          indent=2)
-
     def to_dict(self) -> Dict[str, object]:
         doc = self.deterministic_dict()
         doc["completed"] = self.completed

@@ -353,7 +353,8 @@ def cmd_trace_critical_path(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the quickstart scenario with tracing on, then keep serving
-    its metrics over HTTP (/metrics, /healthz, /trace.json)."""
+    its metrics over HTTP (/metrics, /healthz, /trace.json,
+    /tickets.json)."""
     import time
 
     from repro.telemetry.serve import MetricsServer
@@ -366,26 +367,24 @@ def cmd_serve(args) -> int:
         return (f"controller={status} sim_time={net.now:.2f}s "
                 f"apps={len(runtime.live_apps())}")
 
-    server = MetricsServer(telemetry, port=args.port, health=health,
-                           watchdog=stack.watchdog,
-                           tickets=lambda: runtime.tickets.all())
-    server.start()
-    print(f"serving telemetry on {server.url}")
-    print(f"  {server.url}/metrics      (Prometheus text)")
-    print(f"  {server.url}/healthz      (health score + anomalies)")
-    print(f"  {server.url}/trace.json   (spans + critical-path)")
-    print(f"  {server.url}/tickets.json (problem tickets + minimized repros)")
-    try:
-        if args.linger is not None:
-            time.sleep(args.linger)
-        else:
-            print("press Ctrl-C to stop")
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
+    with MetricsServer(telemetry, port=args.port, health=health,
+                       watchdog=stack.watchdog,
+                       tickets=lambda: runtime.tickets.all()) as server:
+        print(f"serving telemetry on {server.url}")
+        print(f"  {server.url}/metrics      (Prometheus text)")
+        print(f"  {server.url}/healthz      (health score + anomalies)")
+        print(f"  {server.url}/trace.json   (spans + critical-path)")
+        print(f"  {server.url}/tickets.json (problem tickets + minimized "
+              f"repros)")
+        try:
+            if args.linger is not None:
+                time.sleep(args.linger)
+            else:
+                print("press Ctrl-C to stop")
+                while True:
+                    time.sleep(3600)
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

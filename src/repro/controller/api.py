@@ -85,15 +85,6 @@ class TopoView:
                 return pb
         return None
 
-    def neighbors(self, dpid: int) -> Tuple[int, ...]:
-        out = []
-        for a, _, b, _ in self.links:
-            if a == dpid:
-                out.append(b)
-            elif b == dpid:
-                out.append(a)
-        return tuple(sorted(out))
-
 
 class AppAPI:
     """Abstract controller interface handed to every SDN-App.

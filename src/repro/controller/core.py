@@ -119,9 +119,9 @@ class Controller:
         #: Sharded deployments: this controller's shard id, and a
         #: callable ``dpid -> Controller`` resolving the current owner
         #: of a dpid.  A message arriving for a dpid another shard owns
-        #: (rebalance, operator repinning) is forwarded rather than
-        #: dropped.  Both stay None when unsharded -- the hot path then
-        #: pays one attribute check.
+        #: (a switch connected to the wrong shard's controller) is
+        #: forwarded rather than dropped.  Both stay None when unsharded
+        #: -- the hot path then pays one attribute check.
         self.shard_id: Optional[int] = None
         self.shard_router: Optional[Callable[[int], "Controller"]] = None
         self.events_forwarded = 0
@@ -418,6 +418,7 @@ class Controller:
         self.reboot_times.append(self.sim.now)
         self.topology.reset()
         self.devices.reset()
+        self.counters.reset()
         for dpid, channel in self.channels.items():
             if channel.switch.up:
                 channel.connected = True

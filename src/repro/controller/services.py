@@ -265,9 +265,6 @@ class CounterStore:
         self._counters[name] = self._counters.get(name, 0) + delta
         return self._counters[name]
 
-    def get(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
     def snapshot(self) -> Dict[str, int]:
         return dict(self._counters)
 

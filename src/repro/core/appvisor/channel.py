@@ -382,9 +382,6 @@ class UdpChannel:
         """:meth:`ChannelEndpoint.drop_pending` of ``side``."""
         return self._endpoint(side).drop_pending()
 
-    def pending_frames(self, side: str) -> int:
-        return len(self._endpoint(side).pending)
-
     # -- the wire ---------------------------------------------------------
 
     def _transmit(self, end: ChannelEndpoint, seq: int,
@@ -626,10 +623,6 @@ class UdpChannel:
             self._cancel_timer(sender)
 
     # -- introspection -----------------------------------------------------
-
-    def unacked_count(self, side: str) -> int:
-        """Datagrams this side has sent but not yet had acknowledged."""
-        return len(self._endpoint(side).unacked)
 
     def byte_stats(self) -> Dict[str, int]:
         """Per-endpoint wire volume (payload bytes, both directions)."""

@@ -160,6 +160,3 @@ class FailureDetector:
                     silent_for=suspicion.silent_for,
                 )
         return suspicions
-
-    def health_of(self, app_name: str) -> Optional[AppHealth]:
-        return self._health.get(app_name)

@@ -56,8 +56,3 @@ class RecoveryDecision:
     @property
     def lets_app_die(self) -> bool:
         return self.policy is CompromisePolicy.NO_COMPROMISE
-
-    @property
-    def skips_event(self) -> bool:
-        return (self.policy is not CompromisePolicy.NO_COMPROMISE
-                and not self.replacement_events)

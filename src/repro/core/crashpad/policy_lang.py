@@ -61,10 +61,6 @@ class PolicyTable:
                 return rule.policy
         return self.default
 
-    def add(self, app_pattern: str, event_pattern: str,
-            policy: CompromisePolicy) -> None:
-        self.rules.append(PolicyRule(app_pattern, event_pattern, policy))
-
     # -- text form ---------------------------------------------------------
 
     @classmethod

@@ -47,8 +47,5 @@ class EventJournal:
         """Drop entries older than ``seq`` (superseded by a checkpoint)."""
         self._entries = [e for e in self._entries if e.seq >= seq]
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def last_seq(self) -> int:
         return self._entries[-1].seq if self._entries else 0

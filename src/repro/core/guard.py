@@ -40,10 +40,6 @@ class ServiceSnapshot:
     #: Service-state key -> its encoded buffer (a base, never patched).
     buffers: Dict[str, Buffers]
 
-    @property
-    def size(self) -> int:
-        return sum(len(buf) for bufs in self.buffers.values() for buf in bufs)
-
 
 class ControllerGuard:
     """Periodic service-state checkpoints + restore-on-reboot."""
@@ -65,11 +61,6 @@ class ControllerGuard:
         self.take_snapshot()
         self._stop = self.sim.every(self.checkpoint_interval,
                                     self.take_snapshot)
-
-    def stop(self) -> None:
-        if self._stop is not None:
-            self._stop()
-            self._stop = None
 
     # -- checkpointing -------------------------------------------------------
 

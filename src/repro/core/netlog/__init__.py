@@ -20,14 +20,12 @@ Two implementations are provided, mirroring the paper:
 from repro.core.netlog.buffer import DelayBuffer
 from repro.core.netlog.counter_cache import CounterCache
 from repro.core.netlog.log import NetLogRecord, WriteAheadLog
-from repro.core.netlog.rollback import RollbackExecutor
 from repro.core.netlog.transaction import Transaction, TransactionManager, TxnState
 
 __all__ = [
     "CounterCache",
     "DelayBuffer",
     "NetLogRecord",
-    "RollbackExecutor",
     "Transaction",
     "TransactionManager",
     "TxnState",

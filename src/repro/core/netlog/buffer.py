@@ -63,6 +63,3 @@ class DelayBuffer:
         if ops:
             self.discarded += 1
         return len(ops)
-
-    def outstanding(self) -> int:
-        return len(self._buffers)

@@ -35,9 +35,6 @@ class CounterCache:
         self._cache: Dict[CacheKey, CounterRecord] = {}
         self.patches_applied = 0
 
-    def __len__(self) -> int:
-        return len(self._cache)
-
     @staticmethod
     def _key(dpid: int, match: Match, priority: int) -> CacheKey:
         return (dpid, match, priority)

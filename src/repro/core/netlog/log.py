@@ -23,7 +23,7 @@ class NetLogRecord:
 
 @dataclass
 class WriteAheadLog:
-    """Append-only log, queryable per transaction.
+    """Append-only log, trimmed at the head past ``max_records``.
 
     The log is the audit trail problem tickets reference ("the rules
     installed" -- §2.2) and the source of truth for rollback.
@@ -48,15 +48,3 @@ class WriteAheadLog:
             if self.telemetry is not None and self.telemetry.enabled:
                 self.telemetry.tracer.event("netlog.wal.trim",
                                             dropped=excess)
-
-    def for_transaction(self, txn_id: int) -> List[NetLogRecord]:
-        return [r for r in self.records if r.txn_id == txn_id]
-
-    def drop_transaction(self, txn_id: int) -> int:
-        """Remove a rolled-back transaction's records; returns count."""
-        before = len(self.records)
-        self.records = [r for r in self.records if r.txn_id != txn_id]
-        return before - len(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)

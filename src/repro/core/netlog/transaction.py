@@ -118,8 +118,8 @@ class TransactionManager:
     def note_switch_join(self, dpid: int) -> None:
         """A switch is (back) up.  One this NetLog saw leave comes back
         empty: whatever was written to it meanwhile never reached it.
-        Any other join -- start-up, a shard rebalance handing over a
-        full table -- keeps the shadow."""
+        Any other join -- start-up, a controller reboot re-announcing a
+        switch -- keeps the shadow."""
         if dpid in self.switches_left:
             self.switches_left.discard(dpid)
             self.shadow[dpid] = FlowTable()

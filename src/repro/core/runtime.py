@@ -192,15 +192,6 @@ class LegoSDNRuntime:
         """Controller liveness -- stays True through app crashes."""
         return not self.controller.crashed
 
-    @property
-    def telemetry(self):
-        """The deployment's telemetry (tracer/flight recorder/metrics).
-
-        Owned by the controller so that every layer -- dispatch, proxy,
-        NetLog, Crash-Pad -- reports into the same trace.
-        """
-        return self.controller.telemetry
-
     def live_apps(self) -> List[str]:
         return self.proxy.live_apps()
 

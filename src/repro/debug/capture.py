@@ -44,14 +44,6 @@ class EventCapture:
         self._controller = controller
         return self
 
-    def detach(self) -> None:
-        if self._controller is not None:
-            try:
-                self._controller.ingest_taps.remove(self._tap)
-            except ValueError:
-                pass
-            self._controller = None
-
     def _tap(self, time: float, dpid: int, msg, trace_id: int) -> None:
         self.events.append(CapturedEvent(
             index=len(self.events),

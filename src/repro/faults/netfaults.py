@@ -171,13 +171,3 @@ class ChaosProfile:
             "corrupted": self.corrupted,
             "partition_drops": self.partition_drops,
         }
-
-
-def install(channel, profile: ChaosProfile) -> ChaosProfile:
-    """Attach ``profile`` to ``channel`` and return it.
-
-    Sugar for ``channel.chaos = profile`` that reads like what it is in
-    experiment scripts.
-    """
-    channel.chaos = profile
-    return profile

@@ -174,9 +174,6 @@ class InvariantChecker:
         violations.extend(self.check_reachability(probes))
         return violations
 
-    def has_critical(self, violations: Iterable[Violation]) -> bool:
-        return any(v.critical for v in violations)
-
     def _mk(self, kind: str, detail: str, probe: Optional[Probe]) -> Violation:
         return Violation(kind=kind, detail=detail, probe=probe,
                          critical=kind in self.critical_kinds)

@@ -13,7 +13,6 @@ from repro.network.topology import (
     fat_tree_topology,
     linear_topology,
     mesh_topology,
-    random_topology,
     ring_topology,
     tree_topology,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "fat_tree_topology",
     "linear_topology",
     "mesh_topology",
-    "random_topology",
     "ring_topology",
     "tree_topology",
 ]

@@ -108,10 +108,6 @@ class Host:
         )
         return seq
 
-    def packets_from(self, src: "Host") -> List[Packet]:
-        """Every packet this host received from ``src`` (by MAC)."""
-        return [p for _, p in self.received if p.eth_src == src.mac]
-
     def clear_history(self) -> None:
         self.received.clear()
         self.ping_rtts.clear()

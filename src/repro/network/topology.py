@@ -3,13 +3,12 @@
 A :class:`Topology` is a pure description -- switches, hosts, and the
 links between them -- that :class:`repro.network.net.Network`
 materialises into live simulator objects.  Builders cover the shapes
-used by the benchmark harness: linear, ring, tree, fat-tree, full mesh,
-and seeded random graphs (always connected).
+used by the benchmark harness: linear, ring, tree, fat-tree and full
+mesh.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -81,11 +80,6 @@ class Topology:
             if pair in seen:
                 raise ValueError(f"duplicate link {pair}")
             seen.add(pair)
-
-    def degree(self, dpid: int) -> int:
-        return sum(1 for a, b in self.switch_links if dpid in (a, b)) + sum(
-            1 for h in self.hosts if h.dpid == dpid
-        )
 
 
 def linear_topology(num_switches: int = 3, hosts_per_switch: int = 1) -> Topology:
@@ -168,35 +162,6 @@ def mesh_topology(num_switches: int = 4, hosts_per_switch: int = 1) -> Topology:
     for a in range(1, num_switches + 1):
         for b in range(a + 1, num_switches + 1):
             topo.add_link(a, b)
-    for dpid in list(topo.switches):
-        for _ in range(hosts_per_switch):
-            topo.add_host(dpid)
-    return topo
-
-
-def random_topology(num_switches: int = 8, extra_link_prob: float = 0.2,
-                    hosts_per_switch: int = 1, seed: int = 0) -> Topology:
-    """A connected random graph: random spanning tree + extra edges.
-
-    Deterministic for a given seed; used by property-based tests and
-    scale sweeps.
-    """
-    rng = random.Random(seed)
-    topo = Topology(name=f"random-{num_switches}-s{seed}")
-    for i in range(num_switches):
-        topo.add_switch(i + 1)
-    # Random spanning tree guarantees connectivity.
-    nodes = list(topo.switches)
-    rng.shuffle(nodes)
-    for i in range(1, len(nodes)):
-        topo.add_link(nodes[i], rng.choice(nodes[:i]))
-    # Sprinkle extra edges.
-    existing = {tuple(sorted(l)) for l in topo.switch_links}
-    for a in range(1, num_switches + 1):
-        for b in range(a + 1, num_switches + 1):
-            if (a, b) not in existing and rng.random() < extra_link_prob:
-                topo.add_link(a, b)
-                existing.add((a, b))
     for dpid in list(topo.switches):
         for _ in range(hosts_per_switch):
             topo.add_host(dpid)

@@ -93,24 +93,3 @@ class SetIpDst(Action):
 
     def apply(self, packet):
         return replace(packet, ip_dst=self.ip_dst)
-
-
-def output_ports(actions, in_port, all_ports):
-    """Resolve an action list to the set of egress ports for a packet.
-
-    ``all_ports`` is the switch's live port set; ``in_port`` is the
-    packet's ingress port (excluded by :class:`Flood`).  Rewrites are
-    *not* applied here -- this helper is used by the invariant checker,
-    which only needs forwarding behaviour.
-    """
-    ports = set()
-    for action in actions:
-        if isinstance(action, Output):
-            ports.add(action.port)
-        elif isinstance(action, Enqueue):
-            ports.add(action.port)
-        elif isinstance(action, Flood):
-            ports.update(p for p in all_ports if p != in_port)
-        elif isinstance(action, Drop):
-            return set()
-    return ports

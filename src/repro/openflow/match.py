@@ -2,13 +2,11 @@
 
 A :class:`Match` selects packets by exact values on a subset of header
 fields; unset fields (``None``) are wildcards.  The class supports the
-three relations the rest of the system needs:
+two relations the rest of the system needs:
 
 - ``matches(packet, in_port)`` -- does a concrete packet hit this match?
 - ``is_subset_of(other)`` -- strict-match comparison used by
   ``DELETE_STRICT`` / non-strict ``DELETE`` flow-mod semantics.
-- ``overlaps(other)`` -- can any packet hit both?  Used by the
-  invariant checker and by overlap-checking flow installation.
 """
 
 from __future__ import annotations
@@ -81,28 +79,7 @@ class Match:
                 return False
         return True
 
-    def overlaps(self, other: "Match") -> bool:
-        """True if some packet could match both ``self`` and ``other``."""
-        for field in MATCH_FIELDS:
-            mine = getattr(self, field)
-            theirs = getattr(other, field)
-            if mine is not None and theirs is not None and mine != theirs:
-                return False
-        return True
-
     # -- introspection -----------------------------------------------
-
-    def wildcard_count(self) -> int:
-        """Number of wildcarded fields (10 = match-all)."""
-        return sum(1 for f in MATCH_FIELDS if getattr(self, f) is None)
-
-    def is_exact(self) -> bool:
-        """True when no field is wildcarded."""
-        return self.wildcard_count() == 0
-
-    def specificity(self) -> int:
-        """Number of constrained fields; higher is more specific."""
-        return len(MATCH_FIELDS) - self.wildcard_count()
 
     @classmethod
     def from_packet(cls, packet, in_port: Optional[int] = None) -> "Match":

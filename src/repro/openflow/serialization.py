@@ -202,11 +202,6 @@ def _claim_name(registry: Dict[str, type], cls: type) -> bool:
     return False
 
 
-def schema_table() -> Dict[str, int]:
-    """The interned schema ids (class name -> id), for diagnostics."""
-    return {cls.__name__: sid for sid, cls in enumerate(_schema_classes)}
-
-
 # -- shared pieces ----------------------------------------------------
 
 def _varint(v: int) -> bytes:

@@ -241,7 +241,7 @@ class Membership:
         self.sink = Sink(self.primary.telemetry)
         self.epoch = 0
         self.fence = EpochFence(epoch=0)
-        #: The primary partition_primary() cut off: alive, unheard.
+        #: A primary cut off from the backups: alive, unheard.
         self.partitioned: Optional[ControllerReplica] = None
         #: When the primary died, if it was seen to (None: not yet).
         self.down_at: Optional[float] = None

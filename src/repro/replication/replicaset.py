@@ -199,16 +199,6 @@ class ReplicaSet:
         self._serve_from(self.primary)
         self._stop_monitor = self.sim.every(check_interval, self._monitor)
 
-    @property
-    def watchdog(self):
-        """The HealthWatchdog suspicions are reported to (None: the
-        mode policy alone escalates)."""
-        return self.votes.watchdog
-
-    @watchdog.setter
-    def watchdog(self, watchdog) -> None:
-        self.votes.watchdog = watchdog
-
     def _serve_from(self, primary: ControllerReplica) -> None:
         """Make ``primary`` the source every backup is wired to: at
         construction and after each promotion."""
@@ -258,14 +248,6 @@ class ReplicaSet:
         """Kill the primary's controller process (E16's fault)."""
         self.primary.controller.crash(RuntimeError(reason),
                                       culprit="fault-injection")
-
-    def partition_primary(self) -> None:
-        """Cut the primary off from the backups without killing it: it
-        keeps running, and believing it is primary, but nobody hears
-        it, so the lease expires and a backup takes over.  The split
-        brain the epoch fence exists for: its writes to the switches
-        carry a superseded epoch and are rejected."""
-        self.members.partitioned = self.primary
 
     def resolve_floor(self, before: float) -> int:
         """How many resolves the primary had shipped by sim time

@@ -6,11 +6,11 @@ the switch space across K primary shards -- each a full LegoSDN stack
 serving a disjoint dpid subset -- while keeping the single-controller
 guarantees where they matter:
 
-- :class:`~repro.shard.router.ShardRouter` -- deterministic,
-  rebalance-friendly dpid placement (rendezvous hashing + pins);
+- :class:`~repro.shard.router.ShardRouter` -- deterministic dpid
+  placement (rendezvous hashing + pins), fixed for the deployment;
 - :class:`~repro.shard.coordinator.ShardCoordinator` -- shard
-  lifecycle: spawn, routing, per-shard failover containment,
-  membership/rebalance, merged observability;
+  lifecycle: spawn, routing, per-shard failover containment, merged
+  health;
 - :class:`~repro.shard.crosstxn.CrossShardTxnManager` -- two-phase
   NetLog transactions spanning shards, presumed abort, epoch-fenced
   compensation;

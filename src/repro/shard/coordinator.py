@@ -11,22 +11,19 @@ and owns the cross-shard concerns the shards themselves cannot see:
   :meth:`start` connects every switch to its owning shard's primary
   (one call, via ``Network.start(controller_for=...)``);
 - **routing**: each shard controller gets a ``shard_router`` hook so
-  an event arriving at the wrong shard (rebalance in flight, operator
-  repin) hops once to its owner's dispatch lanes;
+  an event arriving at the wrong shard hops once to its owner's
+  dispatch lanes;
 - **failover**: each shard's ReplicaSet detects and heals its own
   primary's death exactly as the unsharded one does; the coordinator
   merely re-attaches the routing hook to the promoted controller (the
   ``on_promote`` callback) -- shard failure stays *contained*, which
   is the E18 isolation claim;
-- **membership**: :meth:`rebalance` moves dpids to their new owners
-  after a router change, reconnecting only the switches whose owner
-  actually changed (rendezvous hashing keeps that set minimal);
-- **observability**: merged per-shard Prometheus exposition
-  (``shard`` labels), a per-shard health document whose overall score
+- **observability**: a per-shard health document whose overall score
   is the *minimum* across shards, and per-shard trace/metric tags via
   each replica set's shard-aware telemetry.
 
-Cross-shard transactions and quorum reads layer on top:
+The assignment is fixed once the coordinator is built.  Cross-shard
+transactions and quorum reads layer on top:
 :class:`~repro.shard.crosstxn.CrossShardTxnManager` and
 :class:`~repro.shard.reads.ShardReadGateway`.
 """
@@ -42,7 +39,6 @@ from repro.replication.replicaset import ReplicaSet
 from repro.shard.router import ShardRouter
 from repro.stack import control_plane
 from repro.telemetry import Telemetry
-from repro.telemetry.export import prometheus_text
 from repro.telemetry.health import HealthWatchdog
 
 
@@ -70,11 +66,6 @@ class ShardHandle:
     @property
     def runtime(self) -> Optional[LegoSDNRuntime]:
         return self.replicas.runtime
-
-    @property
-    def telemetry(self) -> Optional[Telemetry]:
-        primary = self.replicas.primary
-        return primary.telemetry if primary is not None else None
 
     def events_ingested(self) -> int:
         """Messages fully ingested by any of this shard's replicas
@@ -119,8 +110,6 @@ class ShardCoordinator:
                                    replica_id="coord")
         self.telemetry.bind_clock(lambda: self.sim.now)
         self.shards: Dict[int, ShardHandle] = {}
-        self.rebalances = 0
-        self.dpids_moved = 0
         # One config value for every shard's runtime (and, through
         # failover, for every replica promoted inside a shard).
         runtime_config = RuntimeConfig(**(runtime_kwargs or {}))
@@ -180,56 +169,6 @@ class ShardCoordinator:
         """Kill one shard's serving primary (the E18 isolation fault)."""
         self.shards[shard_id].replicas.crash_primary(reason)
 
-    def rebalance(self) -> List[int]:
-        """Re-derive ownership from the router and move what changed.
-
-        Call after mutating the router (add/remove/pin).  Only dpids
-        whose owner actually changed are touched: each is disconnected
-        from its old shard's controller (a dispatch-visible
-        SwitchLeave there) and connected to the new owner (SwitchJoin).
-        The moved switch's fence is re-pointed at the new shard's
-        epoch fence; replication state for it follows on the new
-        shard's next stats poll and subsequent NetLog traffic.
-        Returns the moved dpids.
-        """
-        assignment = self.router.partition(self.net.switches)
-        moved: List[int] = []
-        for shard_id, dpids in sorted(assignment.items()):
-            handle = self.shards.get(shard_id)
-            if handle is None:
-                raise ValueError(
-                    f"router names shard {shard_id} but the coordinator "
-                    "never spawned it")
-            for dpid in dpids:
-                if dpid in handle.dpids:
-                    continue
-                old = next(h for h in self.shards.values()
-                           if dpid in h.dpids)
-                switch = self.net.switches[dpid]
-                old_controller = old.controller
-                if (old_controller is not None
-                        and dpid in old_controller.channels):
-                    old_controller.channels.pop(dpid)
-                    old_controller.switch_disconnected(dpid)
-                old.dpids.remove(dpid)
-                old.replicas.dpids.remove(dpid)
-                handle.dpids.append(dpid)
-                handle.replicas.dpids.append(dpid)
-                handle.replicas.dpids.sort()
-                handle.dpids.sort()
-                switch.fence = handle.replicas.fence
-                new_controller = handle.controller
-                if self._started and new_controller is not None:
-                    new_controller.connect_switch(switch)
-                moved.append(dpid)
-        if moved:
-            self.rebalances += 1
-            self.dpids_moved += len(moved)
-            if self.telemetry.enabled:
-                self.telemetry.tracer.event(
-                    "shard.rebalance", moved=len(moved))
-        return moved
-
     # -- observability -----------------------------------------------------
 
     def shard_health(self) -> Dict[str, object]:
@@ -274,78 +213,5 @@ class ShardCoordinator:
             "shards": shards,
         }
 
-    def prometheus_text(self, prefix: str = "repro") -> str:
-        """Merged exposition: every shard's collector rendered with a
-        ``shard`` label, plus coordinator-level per-shard gauges
-        (election count, epoch, quorum commits, resyncs).  Duplicate
-        ``# TYPE`` headers from the per-shard renders are folded."""
-        parts: List[str] = []
-        for shard_id, handle in sorted(self.shards.items()):
-            telemetry = handle.telemetry
-            if telemetry is None:
-                continue
-            parts.append(prometheus_text(
-                telemetry.metrics, prefix=prefix,
-                labels={"shard": str(shard_id)}))
-        lines: List[str] = []
-        seen_types = set()
-        for part in parts:
-            for line in part.splitlines():
-                if line.startswith("# TYPE"):
-                    if line in seen_types:
-                        continue
-                    seen_types.add(line)
-                lines.append(line)
-        gauges = [
-            ("shard_elections_total", lambda rs, h: len(rs.failovers)),
-            ("shard_epoch", lambda rs, h: rs.epoch),
-            ("shard_quorum_commits_total", lambda rs, h: rs.quorum_commits),
-            ("shard_resyncs_total", lambda rs, h: rs.resyncs_served),
-            ("shard_quorum_reads_total", lambda rs, h: rs.quorum_reads),
-            ("shard_events_ingested_total",
-             lambda rs, h: h.events_ingested()),
-            ("shard_events_forwarded_total",
-             lambda rs, h: sum(r.controller.events_forwarded
-                               for r in rs.replicas)),
-        ]
-        for name, value_of in gauges:
-            metric = f"{prefix}_{name}"
-            kind = "counter" if name.endswith("_total") else "gauge"
-            lines.append(f"# TYPE {metric} {kind}")
-            for shard_id, handle in sorted(self.shards.items()):
-                value = value_of(handle.replicas, handle)
-                lines.append(f'{metric}{{shard="{shard_id}"}} {value}')
-        return "\n".join(lines) + "\n"
-
     def total_events_ingested(self) -> int:
         return sum(h.events_ingested() for h in self.shards.values())
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "shards": {
-                shard_id: handle.replicas.stats()
-                for shard_id, handle in sorted(self.shards.items())
-            },
-            "assignment": {
-                shard_id: list(handle.dpids)
-                for shard_id, handle in sorted(self.shards.items())
-            },
-            "rebalances": self.rebalances,
-            "dpids_moved": self.dpids_moved,
-            "events_ingested": self.total_events_ingested(),
-            # Byzantine-tolerance rollup: each shard's set escalates
-            # independently (suspicion in one shard does not tax the
-            # others with voting), so the mode is reported per shard.
-            "modes": {
-                shard_id: handle.replicas.mode.value
-                for shard_id, handle in sorted(self.shards.items())
-            },
-            "sig_rejected": sum(h.replicas.sig_rejected
-                                for h in self.shards.values()),
-            "vote_conflicts": sum(h.replicas.vote_conflicts
-                                  for h in self.shards.values()),
-            "quarantines": sum(h.replicas.quarantines
-                               for h in self.shards.values()),
-            "mode_switches": sum(h.replicas.mode_policy.mode_switches
-                                 for h in self.shards.values()),
-        }

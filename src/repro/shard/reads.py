@@ -15,15 +15,11 @@ shipping.  The gateway lets operators and apps read that state
   the bound itself;
 - ``quorum_met`` reports whether a majority-sized live cohort stood
   behind the answer.
-
-Topology reads merge the per-shard primaries' link-discovery views;
-their freshness is governed by the discovery interval (every view is
-at most one LLDP round old), so no replica machinery is needed there.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.replication.replicaset import QuorumReadResult
 
@@ -37,8 +33,6 @@ class ShardReadGateway:
         #: do not pass their own.
         self.freshness = freshness
 
-    # -- flow state --------------------------------------------------------
-
     def flow_rules(self, dpid: int,
                    freshness: Optional[float] = None) -> QuorumReadResult:
         """The committed flow rules for one switch, served by the
@@ -47,50 +41,3 @@ class ShardReadGateway:
         shard_id = self.coordinator.shard_of_dpid(dpid)
         return self.coordinator.shard(shard_id).replicas.quorum_read(
             dpid, freshness=bound)
-
-    def rule_counts(self, freshness: Optional[float] = None) -> Dict[int, int]:
-        """Rules per dpid across every shard, one quorum read each."""
-        return {
-            dpid: len(self.flow_rules(dpid, freshness=freshness).rules)
-            for dpid in sorted(self.coordinator.net.switches)
-        }
-
-    # -- topology ----------------------------------------------------------
-
-    def topology_view(self) -> Dict[str, object]:
-        """The fabric as the K shards currently understand it, merged.
-
-        Each shard's primary discovers its own switches' links (LLDP
-        probes crossing a shard boundary are recorded by the receiving
-        shard, so boundary links appear in at least one view).  The
-        merge unions switches and links and reports each shard's view
-        version for cache invalidation.
-        """
-        switches: set = set()
-        links: set = set()
-        versions: Dict[str, int] = {}
-        for shard_id, handle in sorted(self.coordinator.shards.items()):
-            controller = handle.controller
-            if controller is None:
-                continue
-            view = controller.topology.view()
-            switches.update(view.switches)
-            links.update(view.links)
-            versions[str(shard_id)] = view.version
-        return {
-            "switches": sorted(switches),
-            "links": sorted(links),
-            "shard_versions": versions,
-        }
-
-    # -- reporting ---------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for shard_id, handle in sorted(self.coordinator.shards.items()):
-            rs = handle.replicas
-            out[str(shard_id)] = {
-                "quorum_reads": rs.quorum_reads,
-                "fallbacks": rs.quorum_read_fallbacks,
-            }
-        return out

@@ -5,19 +5,14 @@ else must agree on: the coordinator uses it to partition the switch
 space, each shard's controller uses it to forward mis-routed events,
 and the read gateway uses it to find the replica set that owns a dpid.
 
-Rendezvous (highest-random-weight) hashing instead of a modulo ring:
-for every dpid each candidate shard gets a pseudo-random weight from a
-seeded crc32 of ``(seed, shard, dpid)`` and the highest weight wins.
-The payoff is *minimal movement*: removing a shard remaps only the
-dpids that shard owned (each to its runner-up), and adding it back
-restores exactly the original placement -- no cascading reshuffle of
-switches that never touched the changed shard.  That is the
-"rebalance-friendly" property the membership operations lean on.
+Rendezvous (highest-random-weight) hashing: for every dpid each shard
+gets a pseudo-random weight from a seeded crc32 of ``(seed, shard,
+dpid)`` and the highest weight wins, so placement is a pure function
+of the seed, the shard count and the dpid.  The membership is fixed
+for the router's life.
 
 ``pins`` override the hash for individual dpids (operator placement:
-keep a pod's switches on one shard, drain a shard before maintenance).
-Pinned dpids never move unless the pin itself changes or the pinned
-shard leaves the ring.
+keep a pod's switches on one shard); E18 pins contiguous blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ class ShardRouter:
         if shards < 1:
             raise ValueError("need at least one shard")
         self.seed = seed
-        #: Live shard ids, sorted.  Initially 0..shards-1.
+        #: Shard ids, 0..shards-1.
         self.active: List[int] = list(range(shards))
         self.pins: Dict[int, int] = dict(pins or {})
         for dpid, shard in self.pins.items():
@@ -53,7 +48,7 @@ class ShardRouter:
         return weight
 
     def shard_of(self, dpid: int) -> int:
-        """The shard owning ``dpid`` under the current membership."""
+        """The shard owning ``dpid``."""
         if not self.active:
             raise ValueError("no active shards")
         pinned = self.pins.get(dpid)
@@ -71,46 +66,3 @@ class ShardRouter:
         for dpid in sorted(dpids):
             out[self.shard_of(dpid)].append(dpid)
         return out
-
-    # -- membership --------------------------------------------------------
-
-    def add_shard(self, shard: int) -> None:
-        if shard in self.active:
-            raise ValueError(f"shard {shard} already active")
-        self.active.append(shard)
-        self.active.sort()
-
-    def remove_shard(self, shard: int) -> None:
-        if shard not in self.active:
-            raise ValueError(f"shard {shard} not active")
-        if len(self.active) == 1:
-            raise ValueError("cannot remove the last shard")
-        self.active.remove(shard)
-
-    def pin(self, dpid: int, shard: int) -> None:
-        """Pin ``dpid`` to ``shard`` regardless of the hash."""
-        if shard not in self.active:
-            raise ValueError(f"shard {shard} not active")
-        self.pins[dpid] = shard
-
-    def unpin(self, dpid: int) -> None:
-        self.pins.pop(dpid, None)
-
-    # -- introspection -----------------------------------------------------
-
-    def moved_by(self, change, dpids: Iterable[int]) -> List[int]:
-        """Which of ``dpids`` would change owner if ``change`` (a
-        callable mutating this router, e.g. ``lambda r:
-        r.remove_shard(2)``) were applied?  The router is restored
-        before returning; useful for planning a rebalance."""
-        dpids = list(dpids)
-        before = {dpid: self.shard_of(dpid) for dpid in dpids}
-        saved_active = list(self.active)
-        saved_pins = dict(self.pins)
-        try:
-            change(self)
-            return [dpid for dpid in dpids
-                    if self.shard_of(dpid) != before[dpid]]
-        finally:
-            self.active = saved_active
-            self.pins = saved_pins

@@ -23,7 +23,7 @@ per deployment::
     telemetry = Telemetry(enabled=True)
     net = Network(topo, telemetry=telemetry)
     ...
-    print(telemetry.tracer.span_names())
+    print(telemetry.tracer.to_dicts())
 """
 
 from __future__ import annotations

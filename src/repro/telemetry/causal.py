@@ -186,10 +186,6 @@ class CriticalPathAnalysis:
                         key=lambda kv: kv[1]["total"], reverse=True)
         return ranked[:n]
 
-    def fraction_of(self, name: str) -> float:
-        entry = self.attribution.get(name)
-        return entry["fraction"] if entry else 0.0
-
     def render(self, top: int = 10) -> str:
         """A fixed-width attribution table for the CLI."""
         lines = [

@@ -314,7 +314,7 @@ class HealthWatchdog:
         policy in return -- the full adaptive loop of the paper's
         divergence-triggered mode switch.
         """
-        replicas.watchdog = self
+        replicas.votes.watchdog = self
         self._guarded_replicas = getattr(self, "_guarded_replicas", [])
         self._guarded_replicas.append(replicas)
 

@@ -11,7 +11,6 @@ deployment runs, and a dump is at most ``capacity`` events.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
@@ -62,9 +61,6 @@ class FlightRecorder:
                 "tags": {"truncated": dropped},
             })
         return out
-
-    def dump_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.dump(), indent=indent)
 
     def __len__(self) -> int:
         return len(self._events)

@@ -43,23 +43,12 @@ class MetricsServer:
     def __init__(self, telemetry, host: str = "127.0.0.1", port: int = 0,
                  health: Optional[Callable[[], str]] = None,
                  watchdog=None,
-                 shard_health: Optional[Callable[[], dict]] = None,
-                 metrics_text: Optional[Callable[[], str]] = None,
                  tickets: Optional[Callable[[], list]] = None):
         self.telemetry = telemetry
         self.host = host
         self.port = port
         self.health = health or (lambda: "ok")
         self.watchdog = watchdog
-        #: Optional zero-arg callable returning a per-shard health
-        #: document (:meth:`~repro.shard.coordinator.ShardCoordinator.
-        #: shard_health`).  Folded into ``/healthz`` with a *min*, not
-        #: an average: one sick shard caps the whole score.
-        self.shard_health = shard_health
-        #: Optional zero-arg callable rendering the whole ``/metrics``
-        #: body (a sharded deployment concatenates per-shard labelled
-        #: exports); defaults to rendering ``telemetry.metrics``.
-        self.metrics_text = metrics_text
         #: Optional zero-arg callable returning the deployment's
         #: problem tickets (:meth:`~repro.core.crashpad.ticket.
         #: TicketStore.all`); serves ``/tickets.json`` with each
@@ -79,10 +68,7 @@ class MetricsServer:
             def do_GET(self):  # noqa: N802 - http.server API
                 try:
                     if self.path in ("/metrics", "/"):
-                        if server.metrics_text is not None:
-                            body = server.metrics_text()
-                        else:
-                            body = prometheus_text(server.telemetry.metrics)
+                        body = prometheus_text(server.telemetry.metrics)
                         ctype = "text/plain; version=0.0.4"
                     elif self.path == "/healthz":
                         if server.watchdog is not None:
@@ -90,13 +76,6 @@ class MetricsServer:
                             # The liveness line keeps its place as a
                             # human-readable field inside the document.
                             payload["detail"] = server.health()
-                        elif server.shard_health is not None:
-                            payload = {"detail": server.health()}
-                        else:
-                            payload = None
-                        if payload is not None:
-                            if server.shard_health is not None:
-                                payload = server._fold_shards(payload)
                             body = json.dumps(payload, indent=2)
                             ctype = "application/json"
                         else:
@@ -135,24 +114,6 @@ class MetricsServer:
                                         daemon=True)
         self._thread.start()
         return self
-
-    def _fold_shards(self, payload: dict) -> dict:
-        """Merge per-shard health into a /healthz document.
-
-        The combined score is ``min(watchdog score, min over shards)``:
-        a deployment is only as healthy as its sickest shard.  Averaging
-        would let K-1 healthy shards mask one dead one -- exactly the
-        failure a sharded control plane must surface.
-        """
-        from repro.telemetry.health import HealthWatchdog
-
-        doc = self.shard_health()
-        payload["shards"] = doc.get("shards", {})
-        score = min(float(payload.get("score", 1.0)),
-                    float(doc.get("score", 1.0)))
-        payload["score"] = round(score, 4)
-        payload["status"] = HealthWatchdog.status_of(score)
-        return payload
 
     def stop(self) -> None:
         if self._httpd is None:

@@ -336,12 +336,5 @@ class Tracer:
 
     # -- consuming ------------------------------------------------------------
 
-    def spans_named(self, name: str) -> List[SpanRecord]:
-        return [s for s in self.spans if s.name == name]
-
-    def span_names(self) -> List[str]:
-        """Distinct span names seen, sorted (the covered seams)."""
-        return sorted({s.name for s in self.spans})
-
     def to_dicts(self) -> List[dict]:
         return [s.to_dict() for s in self.spans]

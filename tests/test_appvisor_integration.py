@@ -74,7 +74,7 @@ class TestDispatchPath:
         net, runtime = build([CountingApp()])
         net.ping("h1", "h2")
         net.run_for(0.5)
-        assert net.controller.counters.get("counting.seen") > 0
+        assert net.controller.counters.snapshot()["counting.seen"] > 0
 
     def test_context_pushed_on_topology_change(self):
         net, runtime = build([LearningSwitch()])

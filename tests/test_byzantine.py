@@ -574,7 +574,7 @@ class TestWatchdogWiring:
             byzantine=lambda rid: profile if rid == "r1" else None)
         watchdog = HealthWatchdog(telemetry, net.sim)
         watchdog.guard_replication(replicas)
-        assert replicas.watchdog is watchdog
+        assert replicas.votes.watchdog is watchdog
         runtime.launch_app(LearningSwitch())
         net.start()
         net.run_for(1.0)

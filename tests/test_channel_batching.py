@@ -126,19 +126,19 @@ class TestCrashMidBatch:
         # flush event fires (same instant, later in the event queue).
         channel.stub_end.send(beat(3))
         channel.stub_end.send(beat(4))
-        assert channel.pending_frames("stub") == 2
+        assert len(channel.stub_end.pending) == 2
         assert channel.drop_pending("stub") == 2
         sim.run()
         # Only the unflushed tail is gone; no duplicates of the head.
         assert got == [0, 1, 2]
-        assert channel.pending_frames("stub") == 0
+        assert len(channel.stub_end.pending) == 0
 
     def test_flushed_frames_survive_a_late_crash(self):
         sim = Simulator()
         channel, got = make_channel(sim)
         channel.stub_end.send(beat(0))
         sim.run_until(0.0001)  # flush fired; datagram is in flight
-        assert channel.pending_frames("stub") == 0
+        assert len(channel.stub_end.pending) == 0
         channel.drop_pending("stub")  # crash now: nothing left to drop
         sim.run()
         assert got == [0]
@@ -183,20 +183,20 @@ class TestCrashPathWiring:
         channel = runtime.channels["learning_switch"]
         channel.proxy_end.send(beat(1))
         channel.stub_end.send(beat(2))
-        assert channel.pending_frames("proxy") == 1
+        assert len(channel.proxy_end.pending) == 1
         controller.crash(RuntimeError("die"), culprit="fault-injection")
         # The proxy died mid-tick: its tail is gone, the surviving
         # stub's pending frames are not.
-        assert channel.pending_frames("proxy") == 0
-        assert channel.pending_frames("stub") == 1
+        assert len(channel.proxy_end.pending) == 0
+        assert len(channel.stub_end.pending) == 1
 
     def test_proxy_shutdown_drops_proxy_side_pending(self):
         sim, controller, runtime = self._runtime()
         channel = runtime.channels["learning_switch"]
         channel.proxy_end.send(beat(2))
-        assert channel.pending_frames("proxy") == 1
+        assert len(channel.proxy_end.pending) == 1
         runtime.proxy.shutdown()
-        assert channel.pending_frames("proxy") == 0
+        assert len(channel.proxy_end.pending) == 0
 
 
 class TestBatchWire:

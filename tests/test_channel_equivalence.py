@@ -164,8 +164,8 @@ def run_scenario(batch: bool, profile: str, seed: int) -> dict:
 
     sim.run_until(0.5)
     midway = [sim.events_processed, sim.pending,
-              channel.unacked_count("proxy"), channel.unacked_count("stub"),
-              channel.pending_frames("proxy"), channel.pending_frames("stub")]
+              len(channel.proxy_end.unacked), len(channel.stub_end.unacked),
+              len(channel.proxy_end.pending), len(channel.stub_end.pending)]
     sim.run()
 
     recorded = {
@@ -182,10 +182,10 @@ def run_scenario(batch: bool, profile: str, seed: int) -> dict:
             "frames_batched": channel.frames_batched,
             "proxy_frames": [proxy.frames_sent, proxy.frames_recv],
             "stub_frames": [stub.frames_sent, stub.frames_recv],
-            "unacked": [channel.unacked_count("proxy"),
-                        channel.unacked_count("stub")],
-            "pending_frames": [channel.pending_frames("proxy"),
-                               channel.pending_frames("stub")],
+            "unacked": [len(channel.proxy_end.unacked),
+                        len(channel.stub_end.unacked)],
+            "pending_frames": [len(channel.proxy_end.pending),
+                               len(channel.stub_end.pending)],
         },
         "midway": midway,
         "sim": {"events_processed": sim.events_processed, "now": sim.now,

@@ -137,7 +137,7 @@ def test_non_canonical_varints_decode_through_the_fallback():
         assert decode_value(forged) == frame
     event = EventDeliver(app_name="a", seq=1, event=_packet_in())
     data = encode_value(event)
-    sid = serialization.schema_table()["PacketIn"]
+    sid = wire_reference.schema_table()["PacketIn"]
     nested = b"\x0d" + wire_reference.varint(sid)
     at = data.index(nested, 1)
     forged = (data[:at] + b"\x0d" + bytes((data[at + 1] | 0x80, 0))

@@ -27,7 +27,8 @@ class TestSnapshotting:
         guard.start()
         net.run_for(2.0)
         assert guard.snapshots_taken >= 4
-        assert guard.snapshot.size > 0
+        assert any(buf for bufs in guard.snapshot.buffers.values()
+                   for buf in bufs)
 
     def test_snapshot_skipped_while_crashed(self):
         net, runtime = warmed()
@@ -51,16 +52,6 @@ class TestSnapshotting:
                            match="controller services.*'counters'"):
             guard.take_snapshot()
         assert guard.snapshot is before and guard.snapshots_taken == 1
-
-    def test_stop_halts(self):
-        net, runtime = warmed()
-        guard = ControllerGuard(net.controller, checkpoint_interval=0.5)
-        guard.start()
-        net.run_for(0.6)
-        guard.stop()
-        taken = guard.snapshots_taken
-        net.run_for(2.0)
-        assert guard.snapshots_taken == taken
 
 
 class TestRestore:
@@ -115,9 +106,8 @@ class TestRestore:
         guard = ControllerGuard(net.controller)
         guard.take_snapshot()
         net.controller.crash(RuntimeError("x"), culprit="t")
-        net.controller.counters.reset()
         guard.reboot_with_restore()
-        assert net.controller.counters.get("app.flows") == 42
+        assert net.controller.counters.snapshot() == {"app.flows": 42}
 
 
 class TestRecoverySpeed:

@@ -107,14 +107,14 @@ class TestEventJournal:
         for seq in range(1, 6):
             journal.record(seq, seq)
         journal.truncate_before(3)
-        assert len(journal) == 3
+        assert len(journal.events_between(0, 10)) == 3
         assert journal.last_seq() == 5
 
     def test_bounded(self):
         journal = EventJournal(max_entries=4)
         for seq in range(20):
             journal.record(seq, seq)
-        assert len(journal) == 4
+        assert len(journal.events_between(0, 20)) == 4
 
 
 class TestPolicies:
@@ -129,12 +129,12 @@ class TestPolicies:
         from repro.core.crashpad.policies import RecoveryDecision
 
         dead = RecoveryDecision(policy=CompromisePolicy.NO_COMPROMISE)
-        assert dead.lets_app_die and not dead.skips_event
+        assert dead.lets_app_die
         skip = RecoveryDecision(policy=CompromisePolicy.ABSOLUTE)
-        assert skip.skips_event and not skip.lets_app_die
+        assert not skip.lets_app_die and not skip.replacement_events
         transform = RecoveryDecision(policy=CompromisePolicy.EQUIVALENCE,
                                      replacement_events=[object()])
-        assert not transform.skips_event
+        assert not transform.lets_app_die and transform.replacement_events
 
 
 class TestPolicyLanguage:
@@ -308,7 +308,7 @@ class TestChannelFaultSuspicion:
         detector.register("app", 0.0)
         detector.record_channel_fault("app", 1.0)
         detector.record_channel_fault("app", 2.0)
-        health = detector.health_of("app")
+        health = detector._health["app"]
         assert health.channel_faults == 2
         assert health.channel_fault_at == 2.0
         # Unknown apps are ignored, not crashed on.
@@ -381,7 +381,8 @@ class TestCrashPadDecisions:
         crashpad = CrashPad(policy_table=PolicyTable.parse(
             "app=* event=* policy=absolute"))
         decision = crashpad.decide("app", PacketIn(), RING_TOPO)
-        assert decision.skips_event
+        assert decision.policy is CompromisePolicy.ABSOLUTE
+        assert not decision.replacement_events
 
     def test_equivalence_transforms_switch_leave(self):
         crashpad = CrashPad(policy_table=PolicyTable.parse(
@@ -400,7 +401,7 @@ class TestCrashPadDecisions:
     def test_none_event_restore_only(self):
         crashpad = CrashPad()
         decision = crashpad.decide("app", None, RING_TOPO)
-        assert decision.skips_event is True or decision.replacement_events == []
+        assert decision.replacement_events == []
         assert "restore only" in decision.note
 
     def test_decisions_recorded(self):

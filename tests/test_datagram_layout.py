@@ -88,12 +88,12 @@ def test_ack_is_honoured_intact_or_rejected():
         channel._deliver(channel.stub_end, data, 0.0)
         return channel
 
-    assert receive(ack).unacked_count("stub") == 1
+    assert len(receive(ack).stub_end.unacked) == 1
     for mutated in mutations(ack, "ack"):
         channel = receive(mutated)
         # Nothing is acknowledged on the word of a damaged ack -- least
         # of all seq 3, which the receiver never claimed.
-        assert channel.unacked_count("stub") == 3
+        assert len(channel.stub_end.unacked) == 3
         assert channel.corrupt_rejected == 1
 
 

@@ -74,17 +74,6 @@ class TestCapture:
             assert captured.event is not msg          # frozen snapshot
             assert captured.event.packet == msg.packet  # same content
 
-    def test_detach_stops_capturing(self):
-        stack = build_stack(SWITCHING)
-        capture = EventCapture().attach(stack.net.controller)
-        capture.detach()
-        stack.net.start()
-        stack.net.run_for(0.5)
-        inject_marker_packet(stack.net, "h1", "h2", "X")
-        stack.net.run_for(0.5)
-        assert len(capture) == 0
-        assert stack.net.controller.ingest_taps == []
-
 
 class TestRecord:
     def test_signature_identifies_planted_crash(self, planted):

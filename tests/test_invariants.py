@@ -202,7 +202,6 @@ class TestChecker:
         violations = checker.check_all()
         loops = [v for v in violations if v.kind == "loop"]
         assert loops and all(v.critical for v in loops)
-        assert checker.has_critical(violations)
 
     def test_blackhole_violation(self):
         snap = snapshot_2sw(

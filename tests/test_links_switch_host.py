@@ -273,7 +273,7 @@ class TestHost:
     def test_packets_from(self, rig):
         sim, s1, s2, h1, h2, trunk, c1, c2 = rig
         h1._link_deliver(tcp_packet(h2.mac, h1.mac, "2", "1"), 0)
-        assert len(h1.packets_from(h2)) == 1
+        assert [p.eth_src for _, p in h1.received] == [h2.mac]
 
     def test_clear_history(self, rig):
         sim, s1, s2, h1, h2, trunk, c1, c2 = rig

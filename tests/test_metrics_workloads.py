@@ -108,7 +108,8 @@ class TestTrafficWorkload:
         workload.start(1.0)
         net.run_for(2.0)
         h1, h2 = net.host("h1"), net.host("h2")
-        assert h1.packets_from(h2) and h2.packets_from(h1)
+        assert any(p.eth_src == h2.mac for _, p in h1.received)
+        assert any(p.eth_src == h1.mac for _, p in h2.received)
 
     def test_random_selection_seeded(self, net):
         a = TrafficWorkload(net, rate=10, selection="random", seed=3)

@@ -4,7 +4,7 @@ corruption -- and its composition with channels and the runtime.
 
 from repro.core.appvisor.channel import UdpChannel
 from repro.core.appvisor.rpc import Heartbeat
-from repro.faults.netfaults import ChaosProfile, PartitionWindow, install
+from repro.faults.netfaults import ChaosProfile, PartitionWindow
 from repro.network.simulator import Simulator
 
 
@@ -97,7 +97,7 @@ class TestChannelComposition:
     def test_install_on_plain_channel_drops_frames(self):
         sim = Simulator()
         channel = UdpChannel(sim)
-        profile = install(channel, ChaosProfile(seed=0, loss=1.0))
+        profile = channel.chaos = ChaosProfile(seed=0, loss=1.0)
         got = []
         channel.proxy_end.on_frame(got.append)
         channel.stub_end.send(beat(0))

@@ -8,7 +8,6 @@ from repro.core.netlog import (
     CounterCache,
     DelayBuffer,
     NetLogRecord,
-    RollbackExecutor,
     TransactionManager,
     TxnState,
     WriteAheadLog,
@@ -169,7 +168,7 @@ class TestShadowTables:
     def test_join_clears_only_a_switch_seen_leaving(self, manager):
         txn = manager.begin("app", "t")
         manager.apply(txn, 1, add_mod("a"))
-        # Start-up, or a shard rebalance handing over a full table.
+        # Start-up, or a controller reboot re-announcing the switch.
         manager.note_switch_join(1)
         assert len(manager.shadow_table(1)) == 1
         manager.note_switch_reset(1)
@@ -295,25 +294,25 @@ class TestStatsReconcile:
             ("ghost", 9), ("other", 1)]
 
 
-class TestRollbackExecutor:
-    def test_rollback_all_reverse_order(self, net, manager):
-        executor = RollbackExecutor(manager)
+class TestMultiTransactionRollback:
+    def test_abort_newest_first_restores_tables(self, net, manager):
         fp = fingerprint_tables({d: s.flow_table for d, s in net.switches.items()})
         txns = []
         for i in range(3):
             txn = manager.begin("app", f"t{i}")
             manager.apply(txn, 1, add_mod(f"dst{i}", priority=10 + i))
             txns.append(txn)
-        report = executor.rollback_all(txns)
+        # Newest first: each inverse assumes the later transactions'
+        # effects are already undone.
+        sent = [manager.abort(txn) for txn in reversed(txns)]
         net.run_for(0.1)
-        assert report.transactions_rolled_back == 3
-        assert report.inverse_messages_sent == 3
+        assert sent == [1, 1, 1]
+        assert all(txn.state is TxnState.ABORTED for txn in txns)
         assert fingerprint_tables(
             {d: s.flow_table for d, s in net.switches.items()}) == fp
 
     def test_interleaved_rollback_restores_exactly(self, net, manager):
         """Overlapping rules across transactions still restore cleanly."""
-        executor = RollbackExecutor(manager)
         base = manager.begin("app", "base")
         manager.apply(base, 1, add_mod("a", actions=(Output(1),)))
         manager.commit(base)
@@ -324,7 +323,8 @@ class TestRollbackExecutor:
         t2 = manager.begin("app", "t2")
         manager.apply(t2, 1, FlowMod(match=Match(eth_dst="a"),
                                      command=FlowModCommand.DELETE))
-        executor.rollback_all([t1, t2])
+        manager.abort(t2)
+        manager.abort(t1)
         net.run_for(0.1)
         assert fingerprint_tables({1: net.switch(1).flow_table}) == fp
 
@@ -396,24 +396,15 @@ class TestCounterCache:
 
 
 class TestWAL:
-    def test_per_transaction_query(self):
-        wal = WriteAheadLog()
-        for txn_id in (1, 1, 2):
-            wal.append(NetLogRecord(txn_id=txn_id, dpid=1, message=add_mod(),
-                                    inverse_messages=[], counter_records=[],
-                                    applied_at=0.0))
-        assert len(wal.for_transaction(1)) == 2
-        assert len(wal) == 3
-        assert wal.drop_transaction(1) == 2
-        assert len(wal) == 1
-
     def test_bounded_retention(self):
         wal = WriteAheadLog(max_records=5)
         for i in range(10):
             wal.append(NetLogRecord(txn_id=i, dpid=1, message=add_mod(),
                                     inverse_messages=[], counter_records=[],
                                     applied_at=0.0))
-        assert len(wal) == 5
+            if i == 2:
+                assert len(wal.records) == 3    # under the bound: nothing trimmed
+        assert len(wal.records) == 5
         assert wal.records[0].txn_id == 5
 
 
@@ -436,7 +427,7 @@ class TestDelayBuffer:
         assert buffer.discard("app", 1) == 1
         net.run_for(0.2)
         assert net.total_flow_entries() == 0
-        assert buffer.outstanding() == 0
+        assert not buffer._buffers
 
     def test_flush_without_commit_leaves_txn_open(self, net, manager):
         buffer = DelayBuffer(manager)

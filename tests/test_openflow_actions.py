@@ -1,6 +1,8 @@
 """Unit tests for OpenFlow actions."""
 
 from repro.network.packet import Packet
+from repro.network.simulator import Simulator
+from repro.network.switch import Switch
 from repro.openflow.actions import (
     Drop,
     Enqueue,
@@ -10,7 +12,6 @@ from repro.openflow.actions import (
     SetEthSrc,
     SetIpDst,
     SetIpSrc,
-    output_ports,
 )
 
 
@@ -36,25 +37,36 @@ def test_forwarding_actions_do_not_rewrite():
 
 
 class TestOutputPorts:
+    """Where :meth:`Switch.apply_actions` sends a packet."""
+
     ALL = {1, 2, 3}
 
+    def egress(self, actions, in_port):
+        switch = Switch(1, Simulator())
+        sent = []
+        switch.live_ports = lambda: self.ALL
+        switch.send_out = lambda packet, port: sent.append(port)
+        switch.apply_actions(actions, Packet(), in_port)
+        return set(sent)
+
     def test_single_output(self):
-        assert output_ports([Output(2)], in_port=1, all_ports=self.ALL) == {2}
+        assert self.egress([Output(2)], in_port=1) == {2}
 
     def test_enqueue_counts_as_output(self):
-        assert output_ports([Enqueue(3, 0)], 1, self.ALL) == {3}
+        assert self.egress([Enqueue(3, 0)], 1) == {3}
 
     def test_flood_excludes_ingress(self):
-        assert output_ports([Flood()], in_port=2, all_ports=self.ALL) == {1, 3}
+        assert self.egress([Flood()], in_port=2) == {1, 3}
 
     def test_drop_wins(self):
-        assert output_ports([Output(2), Drop()], 1, self.ALL) == set()
+        # A Drop ends the list: nothing after it is sent.
+        assert self.egress([Drop(), Output(2)], 1) == set()
 
     def test_multiple_outputs_accumulate(self):
-        assert output_ports([Output(2), Output(3)], 1, self.ALL) == {2, 3}
+        assert self.egress([Output(2), Output(3)], 1) == {2, 3}
 
     def test_empty_action_list_is_drop(self):
-        assert output_ports([], 1, self.ALL) == set()
+        assert self.egress([], 1) == set()
 
     def test_actions_are_hashable(self):
         assert Output(1) == Output(1)

@@ -62,28 +62,14 @@ class TestSubset:
         assert not Match(eth_dst="x").is_subset_of(Match(eth_dst="y"))
 
 
-class TestOverlap:
-    def test_wildcard_overlaps_all(self):
-        assert MATCH_ALL.overlaps(Match(eth_dst="x"))
-
-    def test_same_field_different_value_disjoint(self):
-        assert not Match(eth_dst="x").overlaps(Match(eth_dst="y"))
-
-    def test_different_fields_overlap(self):
-        assert Match(eth_src="a").overlaps(Match(eth_dst="b"))
-
-    def test_overlap_is_symmetric(self):
-        a, b = Match(tp_dst=80), Match(ip_proto=6)
-        assert a.overlaps(b) == b.overlaps(a)
-
-
 class TestIntrospection:
     def test_wildcard_count_full(self):
-        assert MATCH_ALL.wildcard_count() == len(MATCH_FIELDS)
-        assert not MATCH_ALL.is_exact()
+        assert all(getattr(MATCH_ALL, f) is None for f in MATCH_FIELDS)
+        assert MATCH_ALL.to_dict() == {}
 
     def test_specificity_counts_constrained_fields(self):
-        assert Match(eth_dst="x", tp_dst=80).specificity() == 2
+        assert Match(eth_dst="x", tp_dst=80).to_dict() == {
+            "eth_dst": "x", "tp_dst": 80}
 
     def test_from_packet_is_exact(self):
         pkt = tcp_packet("a", "b", "1.1.1.1", "2.2.2.2")

@@ -90,8 +90,6 @@ ALLOWED = {
     ("HealthWatchdog", "retransmit_rate_threshold"):
         "tests lower it to raise a storm",
     ("HealthWatchdog", "recovery_slo"): "tests lower it to burn the SLO",
-    ("MetricsServer", "metrics_text"): "tests substitute the exposition",
-    ("MetricsServer", "shard_health"): "tests substitute the health source",
     ("ChurnWorkload", "fresh_mac"): "tests pin the MAC generator",
     ("BenchScenario", "chunk_seconds"):
         "tests shorten it to probe the memory ceiling mid-run",

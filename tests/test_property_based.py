@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import LearningSwitch
 from repro.core.crashpad.checkpoint import CheckpointStore
 from repro.core.crashpad.policies import CompromisePolicy
-from repro.core.crashpad.policy_lang import PolicyTable
+from repro.core.crashpad.policy_lang import PolicyRule, PolicyTable
 from repro.network.packet import Packet
 from repro.openflow.actions import Drop, Flood, Output
 from repro.openflow.flowtable import FlowTable
@@ -86,18 +86,6 @@ def test_everything_subset_of_wildcard(m):
     assert m.is_subset_of(Match())
 
 
-@given(matches(), matches())
-def test_subset_implies_overlap_or_empty(a, b):
-    # if a ⊆ b then any packet matching a matches b, so they overlap
-    if a.is_subset_of(b):
-        assert a.overlaps(b)
-
-
-@given(matches(), matches())
-def test_overlap_symmetric(a, b):
-    assert a.overlaps(b) == b.overlaps(a)
-
-
 @given(matches(), packets(), st.sampled_from([1, 2, 3]))
 def test_subset_semantics_agree_with_matching(a, pkt, in_port):
     """If a ⊆ wildcard-b and a matches a packet, b must match it too."""
@@ -113,7 +101,8 @@ def test_from_packet_always_matches_its_packet(pkt, in_port):
 
 @given(matches())
 def test_specificity_plus_wildcards_is_field_count(m):
-    assert m.specificity() + m.wildcard_count() == len(MATCH_FIELDS)
+    wildcards = sum(getattr(m, f) is None for f in MATCH_FIELDS)
+    assert len(m.to_dict()) + wildcards == len(MATCH_FIELDS)
 
 
 # -- flow table invariants -----------------------------------------------
@@ -243,9 +232,7 @@ policies = st.sampled_from(list(CompromisePolicy))
 @given(st.lists(st.tuples(app_patterns, event_patterns, policies),
                 min_size=0, max_size=6))
 def test_policy_table_render_parse_round_trip(rules):
-    table = PolicyTable()
-    for app_pattern, event_pattern, policy in rules:
-        table.add(app_pattern, event_pattern, policy)
+    table = PolicyTable([PolicyRule(*rule) for rule in rules])
     reparsed = PolicyTable.parse(table.render())
     assert [(r.app_pattern, r.event_pattern, r.policy)
             for r in reparsed.rules] == \
@@ -258,7 +245,5 @@ def test_policy_table_render_parse_round_trip(rules):
        st.sampled_from(["PacketIn", "SwitchLeave", "LinkRemoved"]))
 def test_policy_lookup_total(rules, app_name, event_type):
     """Lookup never fails and always returns a CompromisePolicy."""
-    table = PolicyTable()
-    for app_pattern, event_pattern, policy in rules:
-        table.add(app_pattern, event_pattern, policy)
+    table = PolicyTable([PolicyRule(*rule) for rule in rules])
     assert isinstance(table.lookup(app_name, event_type), CompromisePolicy)

@@ -118,15 +118,101 @@ def test_allowlist_patterns_cover_names_and_what_they_nest():
 def test_gate_fails_naming_the_function_nothing_reaches(package):
     funcs, hits = census(package)
     out = io.StringIO()
-    assert reach.gate(funcs, set(), hits, [], out=out) == 1
+    assert reach.gate(funcs, hits, hits, [], out=out) == 1
     failure = out.getvalue().split("FAIL")[1]
     assert "synth.mod.planted" in failure
     assert "synth.mod.outer" not in failure
 
     out = io.StringIO()
     allow = [("synth.mod.planted", "kept for the test")]
-    assert reach.gate(funcs, set(), hits, allow, out=out) == 0
-    # No entry point ran, so all nine are "reached by no entry point".
-    assert "reached by no entry point: 9 functions" in out.getvalue()
+    assert reach.gate(funcs, hits, hits, allow, out=out) == 0
+    assert "reached only by tier-1: 0 functions" in out.getvalue()
     assert "reached by nothing (tier-1 included): 1 functions" \
         in out.getvalue()
+
+
+def entry_and_tier1(package):
+    """The package's functions, what an "entry point" run reached (all
+    but ``Square.grow`` and ``planted``), and what it and a "tier-1"
+    run that also grows the square reached together."""
+    with reach.Recorder() as entry:
+        from synth import mod
+
+        mod.decorated(1)
+        mod.outer()
+        square = mod.Square(2)
+        assert square.area == 4
+    with reach.Recorder() as tier1:
+        square.grow()
+    entry_hits = entry.hits(package)
+    return (reach.functions(package), entry_hits,
+            entry_hits | tier1.hits(package))
+
+
+PLANTED_ALLOWED = [("synth.mod.planted", "kept for the test")]
+
+
+def test_gate_fails_naming_a_tier1_only_function_no_file_covers(package):
+    funcs, entry, everything = entry_and_tier1(package)
+    out = io.StringIO()
+    assert reach.gate(funcs, entry, everything, PLANTED_ALLOWED,
+                      out=out) == 1
+    text = out.getvalue()
+    assert "reached only by tier-1: 1 functions" in text
+    failure = text.split("FAIL")[1]
+    assert "only tier-1 runs" in failure
+    assert "synth.mod.Square.grow" in failure
+    assert "synth.mod.planted" not in failure
+
+    for allow, owed, tag in (
+            (PLANTED_ALLOWED + [("synth.mod.Square.grow", "kept")], [],
+             "allowed"),
+            (PLANTED_ALLOWED, [("synth.mod.Square.*", "item 4: owed")],
+             "owed")):
+        out = io.StringIO()
+        assert reach.gate(funcs, entry, everything, allow, owed,
+                          out=out) == 0
+        assert "FAIL" not in out.getvalue()
+        assert f"synth.mod.Square.grow  (2 lines)  [{tag}: " \
+            in out.getvalue()
+
+
+def test_owed_line_without_an_item_is_rejected():
+    assert reach.read_owed(
+        ["# a comment", "", "repro.a.f  # item 4: the fuzzer runs it"]) == [
+        ("repro.a.f", "item 4: the fuzzer runs it")]
+    with pytest.raises(ValueError, match="line 2"):
+        reach.read_owed(["repro.a.f  # item 4: why", "repro.b.g  # why"])
+    with pytest.raises(ValueError, match="line 1"):
+        reach.read_owed(["repro.b.g"])
+    with pytest.raises(ValueError, match="line 1"):
+        reach.read_owed(["repro.b.g  # item 4:"])
+
+
+def test_owed_line_covering_nothing_only_tier1_reaches_fails(package):
+    funcs, entry, everything = entry_and_tier1(package)
+    owed = [("synth.mod.Square.grow", "item 4: owed"),
+            ("synth.mod.outer", "item 6: landed, now an entry point runs it"),
+            ("synth.mod.planted", "item 7: nothing runs it at all")]
+    out = io.StringIO()
+    assert reach.gate(funcs, entry, everything, PLANTED_ALLOWED, owed,
+                      out=out) == 1
+    failure = out.getvalue().split("FAIL")[1]
+    assert "cover no function only tier-1 runs" in failure
+    assert "synth.mod.outer  # item 6" in failure
+    assert "synth.mod.planted  # item 7" in failure
+    assert "synth.mod.Square.grow" not in failure
+
+
+def test_get_endpoints_reads_the_url_and_expects_200(monkeypatch):
+    from repro.telemetry import Telemetry
+    from repro.telemetry.serve import MetricsServer
+
+    with MetricsServer(Telemetry(enabled=True)) as server:
+        served = f"{reach.SERVING}{server.url}\n"
+        assert reach.get_endpoints(iter(["some preamble\n", served])) == ""
+        monkeypatch.setattr(reach, "SERVE_PATHS",
+                            reach.SERVE_PATHS + ("/nope",))
+        assert reach.get_endpoints(iter([served])) == "GET /nope: 404"
+    assert "no 'serving telemetry on' line" in reach.get_endpoints(
+        iter(["usage: repro serve\n"]))

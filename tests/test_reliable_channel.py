@@ -36,7 +36,7 @@ class TestHappyPath:
         assert channel.datagrams_delivered == 5
         assert channel.acks_sent == 5
         assert channel.retransmits == 0
-        assert channel.unacked_count("stub") == 0
+        assert len(channel.stub_end.unacked) == 0
 
     def test_acks_do_not_inflate_data_counters(self):
         sim = Simulator()
@@ -70,7 +70,7 @@ class TestLossRecovery:
         # Exactly once, in order, despite the coin flips.
         assert got == list(range(10))
         assert channel.retransmits > 0
-        assert channel.unacked_count("stub") == 0
+        assert len(channel.stub_end.unacked) == 0
 
     def test_heavy_loss_still_exactly_once(self):
         for seed in range(5):
@@ -144,7 +144,7 @@ class TestRetryBudget:
         # Initial transmit + retry_budget retransmissions.
         assert channel.retransmits == 3
         assert channel.abandoned == 1
-        assert channel.unacked_count("stub") == 0
+        assert len(channel.stub_end.unacked) == 0
 
     def test_floor_advance_unwedges_receiver_after_partition(self):
         sim = Simulator()
@@ -168,9 +168,9 @@ class TestRetryBudget:
         channel, got = make(sim, chaos=ChaosProfile(loss=1.0))
         channel.stub_end.send(beat(0))
         sim.run_until(0.001)
-        assert channel.unacked_count("stub") == 1
+        assert len(channel.stub_end.unacked) == 1
         channel.drop_pending("stub")
-        assert channel.unacked_count("stub") == 0
+        assert len(channel.stub_end.unacked) == 0
         events_before = sim.events_processed
         sim.run()
         # No retransmit storm from beyond the grave.

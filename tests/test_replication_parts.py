@@ -231,12 +231,12 @@ def test_a_promoted_shard_primary_keeps_the_telemetry_configuration():
         telemetry_enabled=True, telemetry_kwargs={"max_spans": 60_000})
     coordinator.start()
     net.run_for(1.0)
-    assert coordinator.shards[0].telemetry.tracer.max_spans == 60_000
+    assert coordinator.shards[0].primary.telemetry.tracer.max_spans == 60_000
     coordinator.crash_shard_primary(0)
     net.run_for(1.0)
     shard = coordinator.shards[0]
     assert shard.primary.replica_id == "r1"
-    assert shard.telemetry.tracer.max_spans == 60_000
+    assert shard.primary.telemetry.tracer.max_spans == 60_000
 
 
 # -- promotion: the orphan rollback -------------------------------------------

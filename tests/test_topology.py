@@ -7,7 +7,6 @@ from repro.network.topology import (
     fat_tree_topology,
     linear_topology,
     mesh_topology,
-    random_topology,
     ring_topology,
     tree_topology,
 )
@@ -58,8 +57,13 @@ class TestTopologyAPI:
 
     def test_degree(self):
         topo = linear_topology(3, 1)
-        assert topo.degree(2) == 3  # two trunks + one host
-        assert topo.degree(1) == 2
+
+        def degree(dpid):
+            return (sum(dpid in link for link in topo.switch_links)
+                    + sum(h.dpid == dpid for h in topo.hosts))
+
+        assert degree(2) == 3  # two trunks + one host
+        assert degree(1) == 2
 
 
 class TestBuilders:
@@ -102,19 +106,3 @@ class TestBuilders:
         topo = mesh_topology(4, 1)
         assert len(topo.switch_links) == 6
         topo.validate()
-
-    def test_random_is_connected_and_deterministic(self):
-        import networkx as nx
-
-        topo_a = random_topology(10, extra_link_prob=0.1, seed=3)
-        topo_b = random_topology(10, extra_link_prob=0.1, seed=3)
-        assert topo_a.switch_links == topo_b.switch_links
-        g = nx.Graph(topo_a.switch_links)
-        g.add_nodes_from(topo_a.switches)
-        assert nx.is_connected(g)
-        topo_a.validate()
-
-    def test_random_different_seeds_differ(self):
-        a = random_topology(10, extra_link_prob=0.3, seed=1)
-        b = random_topology(10, extra_link_prob=0.3, seed=2)
-        assert a.switch_links != b.switch_links

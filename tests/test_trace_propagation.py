@@ -34,6 +34,10 @@ REORDER = 0.1
 RETRY_BUDGET = 12
 
 
+def spans_named(telemetry, name):
+    return [s for s in telemetry.tracer.spans if s.name == name]
+
+
 def _chaotic_deployment(seed=0, loss=LOSS, duration=4.0):
     """E17-style adverse-network run with tracing on."""
     telemetry = Telemetry(enabled=True)
@@ -63,12 +67,12 @@ class TestChaosPropagation:
     def test_chaos_actually_exercised_retransmit_path(self, chaotic):
         telemetry, _, _ = chaotic
         assert telemetry.metrics.counters.get("channel.retransmits", 0) > 0
-        retx = list(telemetry.tracer.spans_named("appvisor.rpc.retransmit"))
+        retx = spans_named(telemetry, "appvisor.rpc.retransmit")
         assert retx, "30% loss must produce retransmit spans"
 
     def test_every_delivered_event_has_exactly_one_trace_id(self, chaotic):
         telemetry, _, _ = chaotic
-        events = list(telemetry.tracer.spans_named("appvisor.event"))
+        events = spans_named(telemetry, "appvisor.event")
         assert events
         by_key = {}
         for span in events:
@@ -92,10 +96,10 @@ class TestChaosPropagation:
         # of which surface on the event/txn spans they cause.
         minted = set()
         for name in ("controller.dispatch", "appvisor.event", "netlog.txn"):
-            for span in telemetry.tracer.spans_named(name):
+            for span in spans_named(telemetry, name):
                 if span.trace_id:
                     minted.add(span.trace_id)
-        retx = list(telemetry.tracer.spans_named("appvisor.rpc.retransmit"))
+        retx = spans_named(telemetry, "appvisor.rpc.retransmit")
         assert retx
         traced = 0
         for span in retx:
@@ -114,8 +118,8 @@ class TestChaosPropagation:
         every netlog.txn shares its trace id with some event span."""
         telemetry, _, _ = chaotic
         event_ids = {s.trace_id
-                     for s in telemetry.tracer.spans_named("appvisor.event")}
-        txns = [s for s in telemetry.tracer.spans_named("netlog.txn")
+                     for s in spans_named(telemetry, "appvisor.event")}
+        txns = [s for s in spans_named(telemetry, "netlog.txn")
                 if s.trace_id]
         assert txns
         foreign = [s.trace_id for s in txns if s.trace_id not in event_ids]
@@ -124,8 +128,8 @@ class TestChaosPropagation:
     def test_checkpoint_spans_inherit_event_trace(self, chaotic):
         telemetry, _, _ = chaotic
         event_ids = {s.trace_id
-                     for s in telemetry.tracer.spans_named("appvisor.event")}
-        ckpts = [s for s in telemetry.tracer.spans_named("appvisor.checkpoint")
+                     for s in spans_named(telemetry, "appvisor.event")}
+        ckpts = [s for s in spans_named(telemetry, "appvisor.checkpoint")
                  if s.trace_id]
         assert ckpts
         assert all(s.trace_id in event_ids for s in ckpts)
@@ -146,9 +150,9 @@ class TestRecoveryTracePropagation:
         inject_marker_packet(net, hosts[0], hosts[-1], "BOOM")
         net.run_for(2.0)
         assert runtime.total_recoveries() == 1
-        recovery, = telemetry.tracer.spans_named("crashpad.recovery")
+        recovery, = spans_named(telemetry, "crashpad.recovery")
         assert recovery.trace_id, "recovery span must carry a trace id"
-        rollbacks = [s for s in telemetry.tracer.spans_named("netlog.txn")
+        rollbacks = [s for s in spans_named(telemetry, "netlog.txn")
                      if s.tags.get("outcome") == "rollback"]
         assert rollbacks
         # The recovery is attributed to the event whose transaction
@@ -215,7 +219,7 @@ class TestCausalTree:
         total_fraction = sum(entry["fraction"]
                              for _, entry in analysis.top(10))
         assert total_fraction == pytest.approx(1.0)
-        assert analysis.fraction_of("a") == pytest.approx(3.0 / 12.0)
+        assert analysis.attribution["a"]["fraction"] == pytest.approx(3.0 / 12.0)
 
     def test_group_and_summaries_skip_untraced_spans(self):
         spans = [

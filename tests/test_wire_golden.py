@@ -43,8 +43,8 @@ from repro.openflow.serialization import (
     encode_value,
     register_dataclass,
     register_enum,
-    schema_table,
 )
+from wire_reference import schema_table
 from wire_cases import RETIRED as RETIRED_SCHEMA, UNENCODABLE
 
 GOLDEN = json.loads(wire_cases.GOLDEN_PATH.read_text())

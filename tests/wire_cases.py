@@ -45,6 +45,7 @@ from typing import Dict, List, Tuple
 
 import repro
 from repro.openflow import serialization
+import wire_reference
 from repro.openflow.actions import Drop, Flood, Output, SetEthDst
 from repro.openflow.messages import FlowModCommand, Message, PacketInReason
 
@@ -163,11 +164,11 @@ def schema_instances() -> Dict[str, object]:
             continue
         for obj in list(vars(module).values()):
             if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
-                    and obj.__name__ in serialization.schema_table()):
+                    and obj.__name__ in wire_reference.schema_table()):
                 classes[obj.__name__] = obj
     populate = _Populator(classes)
     return {name: populate.instance(classes[name])
-            for name in serialization.schema_table()}
+            for name in wire_reference.schema_table()}
 
 
 # -- container and precedence edge cases ------------------------------

@@ -17,6 +17,12 @@ import struct
 from repro.openflow import serialization
 
 
+def schema_table():
+    """The codec's interned schema ids (class name -> id)."""
+    return {cls.__name__: sid
+            for sid, cls in enumerate(serialization._schema_classes)}
+
+
 def varint(value: int) -> bytes:
     """Zigzag, then LEB128: seven bits a byte, low first, high bit set
     on every byte but the last."""
@@ -74,7 +80,7 @@ def encode(value) -> bytes:
     if isinstance(value, set):
         return b"\x0b" + varint(len(value)) + _items(_sorted(value))
     if dataclasses.is_dataclass(value):
-        sid = serialization.schema_table()[type(value).__name__]
+        sid = schema_table()[type(value).__name__]
         fields = dataclasses.fields(value)
         return (b"\x0d" + varint(sid) + bytes((len(fields),))
                 + _items(getattr(value, f.name) for f in fields))
