@@ -396,6 +396,21 @@ class TestCounterCache:
 
 
 class TestWAL:
+    def test_per_transaction_query(self, manager):
+        first = manager.begin("app", "first")
+        second = manager.begin("app", "second")
+        manager.apply(first, 1, add_mod("a"))
+        manager.apply(second, 2, add_mod("b"))
+        manager.apply(first, 3, add_mod("a"))
+        # The WAL keeps interleaved writes in append order; each
+        # transaction's own records are exactly its WAL entries.
+        assert [r.txn_id for r in manager.wal.records] == [
+            first.txn_id, second.txn_id, first.txn_id]
+        assert first.records == [r for r in manager.wal.records
+                                 if r.txn_id == first.txn_id]
+        assert [r.dpid for r in first.records] == [1, 3]
+        assert [r.dpid for r in second.records] == [2]
+
     def test_bounded_retention(self):
         wal = WriteAheadLog(max_records=5)
         for i in range(10):

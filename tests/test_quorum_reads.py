@@ -148,14 +148,29 @@ class TestShardGateway:
             shard = coordinator.shards[coordinator.shard_of_dpid(dpid)]
             replica_ids = {r.replica_id for r in shard.replicas.replicas}
             assert result.served_by in replica_ids
-            assert result.rules, f"s{dpid} read back no rules"
             if result.from_backup:
                 assert result.staleness <= 0.5
+
+    def test_rule_counts_cover_every_switch(self):
+        net, coordinator = self.build_sharded()
+        gateway = ShardReadGateway(coordinator)
+        counts = {dpid: len(gateway.flow_rules(dpid).rules)
+                  for dpid in net.switches}
+        assert sorted(counts) == sorted(net.switches)
+        assert all(count > 0 for count in counts.values())
+
+    def test_gateway_stats_track_per_shard_reads(self):
+        net, coordinator = self.build_sharded()
+        gateway = ShardReadGateway(coordinator)
+        for dpid in net.switches:
+            gateway.flow_rules(dpid)
         # One quorum read per switch, each counted by its own shard.
         reads = {shard_id: handle.replicas.quorum_reads
                  for shard_id, handle in coordinator.shards.items()}
+        assert sorted(reads) == [0, 1, 2]
         assert reads == {shard_id: len(handle.dpids)
                          for shard_id, handle in coordinator.shards.items()}
+        assert sum(reads.values()) == len(net.switches)
 
     def test_shard_views_cover_every_trunk(self):
         net, coordinator = self.build_sharded()
