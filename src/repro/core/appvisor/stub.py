@@ -337,8 +337,7 @@ class AppVisorStub:
             # and the tail bound promises bounded replay, which only a
             # *durable* image delivers (the synchronous take flushes any
             # pending encodes along the way).
-            defer = (self.sandbox.limits.max_state_bytes is None
-                     and self.checkpoints.checkpoint_lag() < self.MAX_TAIL)
+            defer = False
             drained_before = self.checkpoints.deferred_drains
             cost_before = self.checkpoints.deferred_cost
             try:

@@ -181,7 +181,7 @@ class TestCrashContainment:
 
 
 class _Tally(SDNApp):
-    """Counts PacketIns, with dirty tracking (so takes can defer)."""
+    """Counts PacketIns, with dirty tracking."""
 
     subscriptions = ("PacketIn",)
 
@@ -219,11 +219,9 @@ class TestStateFaults:
     must end in a ticket, not in an exception out of the simulator."""
 
     @pytest.mark.parametrize("limits", [
-        # A state-size cap (never reached) is measured on the exact
-        # image, so every take encodes synchronously.
+        # A state-size cap (never reached) is checked on every image.
         ResourceLimits(max_state_bytes=1 << 30),
-        None,   # deferred encoding: the stub's heartbeat drains it
-    ], ids=["take", "drain"])
+    ], ids=["take"])
     @pytest.mark.parametrize("bad,names", [
         (RaisingGetState, ("raising_get_state", "state went missing")),
         (ComplexInState, ("complex_in_state", "'weights'", "dict",
@@ -231,7 +229,7 @@ class TestStateFaults:
     ], ids=["raises", "unencodable"])
     def test_ticketed(self, bad, names, limits):
         net, runtime = build([LearningSwitch()], run=0.0)
-        stub = runtime.launch_app(bad(), limits=limits)
+        runtime.launch_app(bad(), limits=limits)
         net.run_for(1.0)
         healthy = runtime.record("learning_switch")
         for round_ in range(4):
@@ -248,69 +246,6 @@ class TestStateFaults:
         ticket = runtime.tickets.for_app(bad.name)[0]
         for name in names:
             assert name in ticket.exception
-        # Each arm took the path its id names.
-        deferred = stub.checkpoints.stats()["deferred_takes"]
-        assert (deferred == 0) if limits is not None else (deferred > 0)
-
-
-    def test_pending_capture_at_failover_is_ticketed(self):
-        """The capture that cannot be encoded is still pending when the
-        stub re-attaches to a promoted backup: the forced flush there
-        reports a crash to the new proxy instead of raising out of the
-        failover."""
-        from repro.replication import ReplicaSet
-
-        net = Network(linear_topology(3, 1), seed=0)
-        runtime = LegoSDNRuntime(net.controller)
-        # Failover well inside one stub heartbeat (0.1 s), so no drain
-        # gets to the bad capture first.
-        replicas = ReplicaSet(net, runtime, backups=1,
-                              heartbeat_interval=0.01, lease_timeout=0.03,
-                              check_interval=0.005)
-        runtime.launch_app(LearningSwitch())
-        runtime.launch_app(ComplexInState())
-        net.start()
-        net.run_for(1.0)            # a stub heartbeat has just fired
-        stub = runtime.stub("complex_in_state")
-        inject_marker_packet(net, "h1", "h3", "three PacketIns")
-        net.run_for(0.02)
-        assert stub.app.seen == 3   # the state now holds a complex
-        inject_marker_packet(net, "h2", "h3", "the next take captures it")
-        while stub.app.seen < 4:
-            net.run_for(0.001)
-        assert stub.checkpoints.pending_count > 0
-        beats = stub.heartbeats_sent
-        replicas.crash_primary()
-        net.run_for(0.05)
-        assert len(replicas.failovers) == 1
-        assert stub.heartbeats_sent == beats    # inside the window
-        promoted = replicas.runtime
-        net.run_for(1.0)
-        ticket = promoted.tickets.for_app("complex_in_state")[0]
-        assert "complex" in ticket.exception
-        assert promoted.record("complex_in_state").recoveries > 0
-        healthy = promoted.record("learning_switch")
-        before = healthy.events_completed
-        inject_marker_packet(net, "h1", "h2", "after")
-        net.run_for(1.0)
-        assert healthy.events_completed > before
-        assert healthy.crash_count == 0
-        assert not replicas.primary.controller.crashed
-
-    def test_pending_capture_at_shutdown_is_reported(self):
-        net, runtime = build([LearningSwitch(), ComplexInState()])
-        stub = runtime.stub("complex_in_state")
-        net.run_for(0.005)          # just past a stub heartbeat
-        inject_marker_packet(net, "h1", "h3", "three PacketIns")
-        net.run_for(0.02)
-        inject_marker_packet(net, "h2", "h3", "the next take captures it")
-        while stub.app.seen < 4:
-            net.run_for(0.001)
-        assert stub.checkpoints.pending_count > 0
-        stub.shutdown()             # must not raise CheckpointError
-        net.run_for(0.5)
-        ticket = runtime.tickets.for_app("complex_in_state")[0]
-        assert "complex" in ticket.exception
 
 
 class TestResourceLimits:

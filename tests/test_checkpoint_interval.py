@@ -6,10 +6,6 @@ The contracts under test:
   crash offset within a checkpoint interval, restoring the last
   durable image and replaying the journal tail reconstructs exactly
   the state that per-event checkpointing would have reconstructed.
-- **Durability** (the deferred-encoding hazard): a crash while a
-  capture is still pending -- taken but never drained by a heartbeat
-  -- must recover from the previous *durable* image, dropping the
-  pending capture instead of trusting it.
 - The stub's cadence rules (interval, tail bound) and the store-level
   dirty-key bookkeeping those two behaviours rely on.
 """
@@ -17,7 +13,6 @@ The contracts under test:
 import pytest
 
 from repro.apps import LearningSwitch
-from repro.core.appvisor.isolation import ResourceLimits
 from repro.core.appvisor.stub import AppVisorStub
 from repro.core.crashpad.checkpoint import (
     DEDUP,
@@ -58,8 +53,7 @@ class UntrackedSwitch(LearningSwitch):
         pass
 
 
-def run_workload(interval, crash_offset, probes=10, limits=None,
-                 app=CrashMarkerSwitch):
+def run_workload(interval, crash_offset, probes=10, app=CrashMarkerSwitch):
     """Drive a fixed probe stream, crashing after probe ``crash_offset``.
     ``app`` other than the default runs under ``crash_on`` and hears
     every probe from a new source MAC, so its tables keep growing.
@@ -72,7 +66,7 @@ def run_workload(interval, crash_offset, probes=10, limits=None,
     instance = app(name="app")
     if wrapped:
         instance = crash_on(instance, payload_marker=MARKER)
-    runtime.launch_app(instance, limits=limits)
+    runtime.launch_app(instance)
     net.start()
     net.run_for(1.0)
     h1, h3 = net.hosts["h1"], net.hosts["h3"]
@@ -146,63 +140,6 @@ class TestIntervalEquivalence:
         assert stub.restores_done >= 1
         # After recovery, lag never exceeds the configured interval.
         assert stub.checkpoints.checkpoint_lag() <= 8
-
-
-class TestDeferredCrashDurability:
-    """Regression: a crash before the heartbeat drains a deferred
-    capture recovers from the previous durable image."""
-
-    def test_crash_with_pending_capture_recovers_from_durable_image(self):
-        net = Network(linear_topology(3, 1), seed=0)
-        runtime = LegoSDNRuntime(net.controller, checkpoint_interval=1)
-        runtime.launch_app(CrashMarkerSwitch(name="app"))
-        net.start()
-        net.run_for(1.0)
-        stub = runtime.stubs["app"]
-        # Model the race the regression is about: the crash arrives
-        # inside the window before the next heartbeat drain runs.
-        # (Heartbeats must keep flowing -- the failure detector reads
-        # silence as a hang -- so only the drain hook is disabled.)
-        stub._drain_checkpoints = lambda: None
-        for i in range(4):
-            inject_marker_packet(net, "h1", "h3", f"probe-{i}")
-            net.run_for(0.4)
-        assert stub.checkpoints.stats()["pending"] > 0
-        inject_marker_packet(net, "h1", "h3", MARKER)
-        net.run_for(3.0)
-        stats = runtime.stats()["app"]
-        assert stats["crashes"] >= 1
-        assert stats["recoveries"] == stats["crashes"]
-        # The pending (never-drained) captures died with the process.
-        assert stub.checkpoints.stats()["pending_dropped"] > 0
-        # ... and the recovered state still matches a run that never
-        # deferred anything: a state-size cap (far above what the app
-        # holds) makes every take synchronous, to measure the image.
-        reference, ref_runtime = run_workload(
-            1, crash_offset=3, probes=4,
-            limits=ResourceLimits(max_state_bytes=1 << 30))
-        ref_stats = ref_runtime.stubs["app"].checkpoints.stats()
-        assert ref_stats["deferred_takes"] == 0 < ref_stats["taken"]
-        assert stub.checkpoints.stats()["deferred_takes"] > 0
-        assert stub.app.get_state() == reference
-
-    def test_promotion_flushes_pending_captures(self):
-        net = Network(linear_topology(2, 1), seed=0)
-        runtime = LegoSDNRuntime(net.controller)
-        runtime.launch_app(LearningSwitch(name="app"))
-        net.start()
-        net.run_for(1.0)
-        stub = runtime.stubs["app"]
-        stub._drain_checkpoints = lambda: None
-        for i in range(3):
-            inject_marker_packet(net, "h1", "h2", f"p-{i}")
-            net.run_for(0.3)
-        assert stub.checkpoints.stats()["pending"] > 0
-        # Re-attach (what failover promotion does) is a durability
-        # point: every pending capture must be encoded first.
-        stub.reattach(stub.endpoint)
-        assert stub.checkpoints.stats()["pending"] == 0
-        assert stub.checkpoints.checkpoint_lag() == 0
 
 
 class DictApp:

@@ -106,15 +106,15 @@ class TestReplayDisagreements:
 
     def test_a_recording_that_replays_otherwise_is_reported(self, tmp_path):
         out = tmp_path / "corpus.json"
-        result = run(f"corpus --preset full --seed 2 --out {out}")
+        result = run(f"corpus --preset full --seed 46 --out {out}")
         assert result["exit"] == 1
-        assert ("  bug-009 [hang] x loss=0.2, reorder=0.1: "
+        assert ("  bug-009 [hang] x corrupt=0.01, loss=0.2, reorder=0.1: "
                 "app-failure/fail-stop-silent policy=absolute, DOES NOT "
                 "replay (replays as app-failure/hang)\n") in result["stdout"]
         cells = [cell for cell in json.loads(out.read_text())["cells"]
                  if "replayed_signature" in cell["outcome"]]
         assert [(c["bug"], c["adversity"]) for c in cells] == [
-            ("bug-009", {"loss": 0.2, "reorder": 0.1})]
+            ("bug-009", {"corrupt": 0.01, "loss": 0.2, "reorder": 0.1})]
         outcome = cells[0]["outcome"]
         assert "minimized_length" not in outcome
         assert outcome["signature"]["failure_kind"] == "fail-stop-silent"
