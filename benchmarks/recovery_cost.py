@@ -2,10 +2,9 @@
 """What a Crash-Pad restore and an STS probe cost the host, in decodes.
 
 A ``crash_on(LearningSwitch())`` learns ``MACS`` MACs on each of four
-switches, one PacketIn per event, with a deferred checkpoint before
-every event and a drain every ``DRAIN_EVERY`` events (the stub's
-heartbeat tick), so every table is folded many times over.  Then, from
-the newest checkpoint, it runs
+switches, one PacketIn per event, with a checkpoint before every event,
+so every table is folded many times over.  Then, from the newest
+checkpoint, it runs
 
 * ``restore``, ``REPEATS`` times, and
 * one STS fast-path probe: ``find_minimal_causal_sequence`` with an
@@ -49,7 +48,6 @@ from repro.openflow.messages import PacketIn
 
 SWITCHES = (1, 2, 3, 4)
 MACS = 800
-DRAIN_EVERY = 8
 REPEATS = 21
 MARKER = "RECOVERY-COST-CRASH"
 
@@ -132,18 +130,16 @@ class DecodeCounter:
 
 def learn(app, learn_one):
     """``app``'s store after ``MACS`` learns per switch, and the folds
-    seen at the drains."""
+    its takes made."""
     store = CheckpointStore()
     folds, patched = 0, {}
     for seq, index in enumerate(range(len(SWITCHES) * MACS), start=1):
-        store.take(app, before_seq=seq, now=float(seq), defer=True)
+        entry = store.take(app, before_seq=seq, now=float(seq))
+        for key, buffers in entry.buffers.items():
+            if len(buffers) == 1 and patched.get(key):
+                folds += 1
+            patched[key] = len(buffers) > 1
         learn_one(SWITCHES[index % len(SWITCHES)], index // len(SWITCHES))
-        if seq % DRAIN_EVERY == 0:
-            store.drain()
-            for key, buffers in store.latest().buffers.items():
-                if len(buffers) == 1 and patched.get(key):
-                    folds += 1
-                patched[key] = len(buffers) > 1
     store.take(app, before_seq=seq + 1, now=float(seq + 1))
     assert folds >= 2 * len(SWITCHES), folds
     return store, folds

@@ -186,11 +186,9 @@ def _bytes_counters(telemetries) -> Tuple[int, int]:
 def _checkpoint_stats(coordinator) -> Dict[str, object]:
     keys = ("taken", "full", "delta", "dedup_hits", "bytes_written",
             "value_encodes", "value_decodes", "encodes_skipped",
-            "pending", "pending_dropped", "deferred_takes",
-            "deferred_drains", "checkpoint_lag")
+            "checkpoint_lag")
     agg: Dict[str, object] = {k: 0 for k in keys}
     total_cost = 0.0
-    deferred_cost = 0.0
     for handle in coordinator.shards.values():
         runtime = handle.runtime
         if runtime is None:
@@ -200,9 +198,7 @@ def _checkpoint_stats(coordinator) -> Dict[str, object]:
             for k in keys:
                 agg[k] += stats.get(k, 0)
             total_cost += stats.get("total_cost", 0.0)
-            deferred_cost += stats.get("deferred_cost", 0.0)
     agg["total_cost"] = round(total_cost, 9)
-    agg["deferred_cost"] = round(deferred_cost, 9)
     return agg
 
 

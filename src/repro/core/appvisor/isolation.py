@@ -40,7 +40,6 @@ class ProcessState(enum.Enum):
     RUNNING = "running"
     CRASHED = "crashed"
     HUNG = "hung"
-    STOPPED = "stopped"
 
 
 @record
@@ -157,6 +156,3 @@ class SandboxProcess:
     def revive(self) -> None:
         """Bring the process back after a checkpoint restore."""
         self.state = ProcessState.RUNNING
-
-    def stop(self) -> None:
-        self.state = ProcessState.STOPPED

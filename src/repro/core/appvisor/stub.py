@@ -80,7 +80,7 @@ class AppVisorStub:
 
     #: Modelled cost of replaying one journalled event during restore.
     REPLAY_EVENT_COST = 0.0005
-    #: Hard bound on events since the last *durable* image, whatever the
+    #: Hard bound on events since the last image, whatever the
     #: interval: it caps both the replay a crash pays and the journal
     #: kept between images.
     MAX_TAIL = 64
@@ -97,9 +97,8 @@ class AppVisorStub:
         self.app = app
         #: Optional Telemetry; when enabled the stub records one
         #: ``appvisor.checkpoint`` span per checkpoint freeze (the
-        #: checkpoint segment of ``repro trace critical-path``) and one
-        #: ``crashpad.encode`` span per background drain of deferred
-        #: checkpoint encodes.
+        #: checkpoint segment of ``repro trace critical-path``) and
+        #: refreshes the ``checkpoint.lag.<app>`` gauge every heartbeat.
         self.telemetry = telemetry
         self.api = StubAPI(self)
         self.sandbox = SandboxProcess(app, limits)
@@ -142,14 +141,11 @@ class AppVisorStub:
         #: Trace id of the event currently in the sandbox; everything
         #: the app emits while handling it echoes this id back.
         self._current_trace = 0
-        self._stop_heartbeat = None
         self._last_delivered: Optional[tuple] = None  # (seq, event)
         #: The report of the crash the sandbox is dead of (None once a
         #: restore revived it): said again on re-attach, because the
         #: first telling may have died with its channel or its proxy.
         self._crash_report: Optional[rpc.CrashReport] = None
-        #: Background-drain spans emitted (observability).
-        self.drains_done = 0
         #: Seqs delivered but not yet processed (the checkpoint-cost
         #: window).  Checkpoints are only taken at quiescence so their
         #: before_seq labelling stays exact under concurrency lanes.
@@ -167,9 +163,7 @@ class AppVisorStub:
             subscriptions=tuple(self.app.subscriptions),
             supports_deep_restore=self.replica_factory is not None,
         ))
-        self._stop_heartbeat = self.sim.every(
-            self.heartbeat_interval, self._heartbeat
-        )
+        self.sim.every(self.heartbeat_interval, self._heartbeat)
 
     def reattach(self, endpoint) -> None:
         """Re-register with a new proxy after a controller failover.
@@ -198,40 +192,13 @@ class AppVisorStub:
         ))
         if self._crash_report is not None:
             endpoint.send(self._crash_report)
-        # Promotion is a durability point: whatever follower state the
-        # new primary builds from this stub must reflect a real image,
-        # so deferred encodes are force-flushed -- after the Register,
-        # so a state that will not encode is reported to a proxy that
-        # knows the app.
-        self._flush_checkpoints()
-
-    def shutdown(self) -> None:
-        if self._stop_heartbeat is not None:
-            self._stop_heartbeat()
-            self._stop_heartbeat = None
-        if self.sandbox.alive:
-            self._flush_checkpoints()
-        self.sandbox.stop()
-
-    def _flush_checkpoints(self) -> None:
-        """Force pending encodes durable; a capture that cannot be
-        encoded is the app's failure, exactly as in the heartbeat drain."""
-        try:
-            self.checkpoints.flush()
-        except CheckpointError as exc:
-            self._snapshot_failed(self.last_seq_done, exc,
-                                  self._current_trace)
 
     def _heartbeat(self) -> None:
         """Periodic liveness beacon -- stops the moment the process dies.
-
-        Also the idle slot where deferred checkpoint encodes drain: a
-        dead process cannot drain (its captures died with it), which is
-        exactly the alive-check ordering below.
-        """
+        Each beat also refreshes the checkpoint-lag gauge."""
         if not self.sandbox.alive or self.endpoint is None:
             return
-        self._drain_checkpoints()
+        self._update_lag_gauge()
         self.heartbeats_sent += 1
         self.endpoint.send(rpc.Heartbeat(
             app_name=self.app.name,
@@ -239,44 +206,6 @@ class AppVisorStub:
             last_seq_done=self.last_seq_done,
             needs_context=self.device_version < 0,
         ))
-
-    def _drain_checkpoints(self) -> None:
-        """Finalise deferred checkpoint encodes off the event path.
-
-        The modelled encode cost lands in a ``crashpad.encode`` span --
-        visible in ``repro trace critical-path`` as moved-off-path work,
-        not vanished work -- instead of inside ``appvisor.event``.
-        """
-        if self.checkpoints.pending_count == 0:
-            self._update_lag_gauge()
-            return
-        try:
-            entries, cost = self.checkpoints.drain()
-        except CheckpointError as exc:
-            # No event is in the sandbox; the state that would not
-            # encode is the one the last completed event left behind.
-            self._snapshot_failed(self.last_seq_done, exc,
-                                  self._current_trace)
-            return
-        self.drains_done += 1
-        self._record_encode_span(len(entries), cost)
-        self._update_lag_gauge()
-
-    def _record_encode_span(self, entries: int, cost: float) -> None:
-        """Emit the background-encode work as a ``crashpad.encode``
-        span (scheduled ``cost`` ahead: record_span stamps end=now at
-        call time, so the span gets its modelled duration)."""
-        if (entries <= 0 or self.telemetry is None
-                or not self.telemetry.enabled):
-            return
-        start = self.sim.now
-        tracer = self.telemetry.tracer
-        self.sim.schedule(
-            cost,
-            lambda: tracer.record_span(
-                "crashpad.encode", start,
-                app=self.app.name, entries=entries),
-        )
 
     def _update_lag_gauge(self) -> None:
         """Export this app's checkpoint lag (events a crash right now
@@ -332,30 +261,14 @@ class AppVisorStub:
         checkpoint_cost = 0.0
         checkpoint_kind = None
         if self._checkpoint_due(seq) and not self._pending_process:
-            # Encode off the event path unless a durable image is needed
-            # now: a state-size cap is enforced on the exact image size,
-            # and the tail bound promises bounded replay, which only a
-            # *durable* image delivers (the synchronous take flushes any
-            # pending encodes along the way).
-            defer = False
-            drained_before = self.checkpoints.deferred_drains
-            cost_before = self.checkpoints.deferred_cost
             try:
-                checkpoint = self.checkpoints.take(
-                    self.app, seq, self.sim.now, defer=defer)
+                checkpoint = self.checkpoints.take(self.app, seq, self.sim.now)
                 self.sandbox.check_state_size(checkpoint.state_size)
             except (CheckpointError, ResourceLimitExceeded) as exc:
                 self._snapshot_failed(seq, exc, frame.trace_id)
                 return
             checkpoint_cost = self.checkpoints.cost_of(checkpoint)
             checkpoint_kind = checkpoint.kind
-            # A sync take or eviction may have flushed pending encodes
-            # inside take(); that work is background-priced (it never
-            # delays this event) but must still show up in the trace
-            # as a crashpad.encode span, not vanish.
-            self._record_encode_span(
-                self.checkpoints.deferred_drains - drained_before,
-                self.checkpoints.deferred_cost - cost_before)
             # Keep journal entries back to the OLDEST retained
             # checkpoint: deep (STS-guided) recovery may roll that far.
             oldest = self.checkpoints.oldest()
@@ -387,8 +300,8 @@ class AppVisorStub:
 
     def _checkpoint_due(self, seq: int) -> bool:
         """Is a take due before event ``seq``?  Every
-        ``checkpoint_interval`` events since the last take (durable or
-        pending), or as soon as the un-imaged tail reaches MAX_TAIL."""
+        ``checkpoint_interval`` events since the last take, or as soon
+        as the un-imaged tail reaches MAX_TAIL."""
         latest = self.checkpoints.latest()
         if latest is None:
             return True
@@ -458,10 +371,6 @@ class AppVisorStub:
 
     def _on_restore(self, frame: rpc.RestoreCommand) -> None:
         offending = frame.offending_seq
-        # Deferred captures that never drained died with the crashed
-        # process: recovery starts from the newest *durable* image and
-        # replays the correspondingly longer journal tail.
-        self.checkpoints.drop_pending()
         checkpoint = self.checkpoints.latest_before(offending)
         if checkpoint is None:
             self.endpoint.send(rpc.RestoreAck(
@@ -577,7 +486,6 @@ class AppVisorStub:
         checkpoint that replays clean without them.
         """
         offending = frame.offending_seq
-        self.checkpoints.drop_pending()
         self.journal.remove(offending)
         for seq in frame.drop_seqs:
             self.journal.remove(seq)

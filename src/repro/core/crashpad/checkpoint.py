@@ -32,7 +32,7 @@ the unit of change is the one the app reports, carried unchanged from
   entry encodings, whole only on a failed check.  Restore cost stays
   within that fraction (plus the patches still in flight) of a full
   image, bounded by sizes the store can see rather than by a setting.
-- **an image is its buffer map.**  A finalised :class:`Checkpoint`
+- **an image is its buffer map.**  A :class:`Checkpoint`
   holds its resolved ``{key: buffers}`` map.  Tuples and ``bytes`` are
   shared between neighbouring entries, so an entry costs O(keys) beyond
   the bytes it newly wrote (``size``), and nothing downstream ever
@@ -54,39 +54,21 @@ the unit of change is the one the app reports, carried unchanged from
   takes and :meth:`CheckpointStore.latest_before` can never resurrect
   that timeline's state.
 
-There is **one take path**.  :meth:`CheckpointStore.take` *captures*:
-per state key a ``_SAME`` marker (the key is clean), a ``_Patch`` (a
-copy of the named entries' current values, and of the whole value if
-the key is due a fold), or a shallow copy of the value.
-:meth:`CheckpointStore._finalize` turns a capture into an
-image -- it is the only place a state value is encoded -- and the two
-flavours of take differ only in *when* it runs:
-
-- ``take()`` finalises at once and the whole modelled cost is the
-  event-path ``cost``;
-- ``take(defer=True)`` (what the stub asks for unless it needs a
-  durable image) appends a *pending* entry and
-  leaves the encode to :meth:`drain` (wired into the stub's heartbeat
-  tick).  The event path pays only the capture cost; the
-  encode/verify/write cost accrues to ``deferred_cost`` and a
-  ``crashpad.encode`` span instead of the ``appvisor.event`` span.
-  Deferring needs a clean/dirty baseline and a predecessor to diff
-  against; without them the take is synchronous anyway.
+There is **one take path**, and it is synchronous, as the paper's
+checkpoint before every message is: :meth:`CheckpointStore.take` walks
+the state once -- sharing a clean key's buffers, encoding a patch over
+a named entry's key, splicing or encoding the rest whole (the one
+place a state value is encoded) -- and charges the whole modelled cost
+to the event path.  The §5 relaxation, checkpointing every few events
+and replaying the rest, is the stub's ``checkpoint_interval``.
 
 The modelled verify cost covers only the bytes the take produced plus
 a per-key version compare: checkpoint cost is O(what changed), not
-O(app state), and a take whose entire version map is unchanged is an
-all-``_SAME`` capture that dedups without touching a single value.
-Apps without version tracking have every key captured whole; apps that
-expose only ``state_versions()`` are tracked per key.
-
-Pending entries are not durable: a crash before the drain drops them
-(:meth:`drop_pending`) and recovery falls back to the previous durable
-image plus a longer NetLog tail replay; planned consumers (restore,
-failover promotion, eviction, :meth:`~CheckpointStore.buffers`) force a
-:meth:`flush` first -- and once a store holds ``keep`` entries every
-take evicts, so in the steady state no entry stays pending past the
-take after it.  The capture contract matches the bundled apps' state
+O(app state), and a take whose entire version map is unchanged shares
+every buffer and dedups without touching a single value.  Apps without
+version tracking have every key encoded whole; apps that expose only
+``state_versions()`` are tracked per key.  What a take keeps of a
+value is a one-level copy, which matches the bundled apps' state
 layout: values are at most one level of mutable container whose
 elements are immutable or replaced (never mutated) in place.
 
@@ -187,31 +169,6 @@ DELTA = "delta"
 DEDUP = "dedup"
 
 
-class _Same:
-    """Capture marker: this key's value is the previous entry's."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<same>"
-
-
-_SAME = _Same()
-
-
-class _Patch:
-    """Capture marker: the previous entry's value for this dict-valued
-    key, with these entries set and these gone -- and for a key due a
-    fold, ``value``: a copy of the whole value, its next base."""
-
-    __slots__ = ("changed", "gone", "value")
-
-    def __init__(self, value: dict, entries, fold: bool):
-        self.value = value.copy() if fold else None  # a defaultdict stays one
-        self.changed = {e: value[e] for e in entries if e in value}
-        self.gone = tuple(e for e in entries if e not in value)
-
-
 def _mirror(value: dict):
     """(values, encodings) of ``value``'s entries in its order, if all
     are atoms -- the same objects then mean the same bytes -- else None."""
@@ -220,9 +177,9 @@ def _mirror(value: dict):
     return None
 
 
-def _laid(mirror, patch: _Patch):
-    """``mirror`` with ``patch`` laid over it, or None if it cannot be."""
-    changed = patch.changed
+def _laid(mirror, changed: dict, gone: tuple):
+    """``mirror`` with the patch ``(changed, gone)`` laid over it, or
+    None if it cannot be."""
     if not (_atoms(changed.values()) and _atoms(changed)):
         return None
     try:
@@ -230,7 +187,7 @@ def _laid(mirror, patch: _Patch):
     except UnicodeEncodeError:      # the whole encode names the key
         return None
     values, kept = mirror
-    for entry in patch.gone:
+    for entry in gone:
         values.pop(entry, None)
         kept.pop(entry, None)
     values.update(changed)
@@ -250,7 +207,7 @@ def _splice(mirror, value: dict) -> Optional[bytes]:
 
 
 def _shallow_copy(value):
-    """One-level copy of a captured state value.
+    """One-level copy of a state value a take keeps.
 
     Deep enough for the bundled apps' state contract (one level of
     mutable container holding immutables / never-mutated values) and
@@ -265,12 +222,8 @@ def _shallow_copy(value):
 class Checkpoint:
     """One snapshot of an app's state.
 
-    A finalised entry *is* its ``buffers`` map (key -> base buffer and
-    patches; tuples and bytes shared with the neighbouring entries).
-    A **pending** entry has not been encoded yet: ``capture`` holds the
-    per-key markers (``_SAME``, a ``_Patch``, or a shallow-copied
-    value) until :meth:`CheckpointStore.drain` finalises it.  Pending
-    entries are not durable -- a crash drops them.
+    An entry *is* its ``buffers`` map (key -> base buffer and patches;
+    tuples and bytes shared with the neighbouring entries).
     """
 
     before_seq: int
@@ -281,23 +234,16 @@ class Checkpoint:
     #: has made it the oldest entry, the whole image it now anchors.
     size: int = 0
     #: Total size of the state's per-key buffers, patches included
-    #: (what restoring this entry reads; 0 while pending).
+    #: (what restoring this entry reads).
     state_size: int = 0
     #: Modelled sim-time cost charged on the event path when this
-    #: checkpoint was taken (for deferred takes: the capture only).
+    #: checkpoint was taken.
     cost: float = 0.0
-    #: True until a deferred take's encode has been drained.
-    pending: bool = False
-    #: The capture until it is finalised: key -> marker | value.
-    capture: Optional[dict] = field(default=None, repr=False)
-    #: The image once it is: key -> (base, *patches).  Read-only.
+    #: The image: key -> (base, *patches).  Read-only.
     buffers: Optional[Dict[object, Buffers]] = field(default=None, repr=False)
     #: What those encode: key -> (base value, *(changed, gone)),
     #: private; :meth:`CheckpointStore.state` copies from them.
     captures: Optional[Dict[object, tuple]] = field(default=None, repr=False)
-    #: Modelled background cost of the deferred encode (0 for
-    #: synchronous takes, where everything is in ``cost``).
-    encode_cost: float = 0.0
 
 
 class CheckpointStore:
@@ -311,10 +257,8 @@ class CheckpointStore:
     ``encode_per_byte_cost`` over the bytes they produced (userspace
     incremental encode, no freeze).  With version tracking the verify
     pass covers only those bytes plus
-    ``version_check_per_key_cost`` per key.  Deferred takes
-    charge ``capture_base_cost`` + ``capture_per_key_cost`` per dirty
-    key on the event path and everything else in the background drain.
-    All costs are in simulated seconds, and all seven are constants of
+    ``version_check_per_key_cost`` per key.
+    All costs are in simulated seconds, and all five are constants of
     the model (class attributes), not settings; so is
     ``fold_fraction``, the share of a key's base its patches may reach
     before the key is re-encoded whole.  ``keep`` bounds
@@ -332,8 +276,6 @@ class CheckpointStore:
     per_byte_cost = 1e-7
     hash_per_byte_cost = 2e-9
     encode_per_byte_cost = 5e-9
-    capture_base_cost = 2e-5
-    capture_per_key_cost = 1e-6
     version_check_per_key_cost = 5e-8
     fold_fraction = 1 / 32
 
@@ -346,30 +288,20 @@ class CheckpointStore:
         self.full_every = full_every
         self.metrics = metrics
         self._checkpoints: List[Checkpoint] = []
-        #: Pending (not yet encoded) entries, FIFO -- always a suffix
-        #: of ``_checkpoints``.
-        self._pending: List[Checkpoint] = []
-        #: Entry of the most recent *finalised* state (take, drain, or
-        #: restore): what the next finalise shares clean keys with,
-        #: lays patches over and diffs against.
+        #: Entry of the most recent state (take or restore): what the
+        #: next take shares clean keys with, lays patches over and
+        #: diffs against.
         self._prev: Optional[Checkpoint] = None
         #: As of ``_prev``: per key, its buffers' bytes and its
         #: :func:`_mirror` (None, or missing, if it has none).
         self._sizes: Dict[object, int] = {}
         self._mirrors: Dict[object, tuple] = {}
-        #: (version map, key set) of the most recent *take* (pending
-        #: included), the clean/dirty baseline for the next; None when
-        #: the app tracks no versions or the take it described is gone.
-        #: Only ever set where ``_prev`` is (or will be, by the drain
-        #: of the pending take) set for the same keys.
+        #: (version map, key set) of the most recent take or restore,
+        #: the clean/dirty baseline for the next; None when the app
+        #: tracks no versions.  Always paired with ``_prev``'s keys.
         self._baseline: Optional[Tuple[Dict[object, int], frozenset]] = None
-        #: Whose state this is (learnt at :meth:`take`), so an encode
-        #: that fails later, in :meth:`drain`, can still name the app.
-        self._app_name = ""
         #: Entries since (and including) the last full image; the next
         #: changed entry is a full one when it reaches ``full_every``.
-        #: Advanced at finalise time so deferred entries classify in
-        #: FIFO order.
         self._chain_len = 0
         #: Newest event seq the owning stub has reported
         #: (:meth:`note_seq`); drives the checkpoint-lag stat.
@@ -394,12 +326,6 @@ class CheckpointStore:
         #: Keys whose encode was skipped because their version (and so
         #: their value) had not moved since the previous take.
         self.encodes_skipped = 0
-        #: Deferred-encoding accounting: entries finalised in drains,
-        #: their background cost, and entries lost to a crash.
-        self.deferred_takes = 0
-        self.deferred_drains = 0
-        self.deferred_cost = 0.0
-        self.pending_dropped = 0
 
     # -- snapshot --------------------------------------------------------
 
@@ -419,34 +345,30 @@ class CheckpointStore:
 
     def note_seq(self, seq: int) -> None:
         """The stub reports every event seq it sees, so checkpoint lag
-        (events since the last durable image) is computable here."""
+        (events since the last image) is computable here."""
         if seq > self._last_seq:
             self._last_seq = seq
 
     def _fold_due(self, key) -> bool:
         """Do ``key``'s patches already outweigh ``fold_fraction`` of
-        its base?  Judged on the last finalised image -- the sizes the
-        store can see; a pending base or patch counts once encoded."""
+        its base, as of the previous image?"""
         base = len((self._prev.buffers.get(key) or (b"",))[0])
         return self._sizes.get(key, 0) - base > self.fold_fraction * base
 
-    def take(self, app, before_seq: int, now: float,
-             defer: bool = False) -> Checkpoint:
+    def take(self, app, before_seq: int, now: float) -> Checkpoint:
         """Snapshot ``app`` prior to event ``before_seq``.
 
-        Captures the state -- per key ``_SAME`` when the app's version
-        map vouches it has not moved since the previous take, a
-        ``_Patch`` when the app named the entries that did (and the
-        key is due no fold), else the value -- and finalises the
-        capture at once, or with ``defer`` leaves that to :meth:`drain`
-        (deferring needs version tracking on the app and a predecessor
-        to diff against; without them the take is synchronous anyway).
-        Returns the checkpoint; its modelled (event-path) cost is
-        available via :meth:`cost_of` and accumulated in
-        :attr:`total_cost`.
+        One pass over the state: a key whose version the app's version
+        map vouches has not moved since the previous take shares that
+        take's buffers; a dict-valued key whose moved entries the app
+        named gets one more patch holding just those entries, unless
+        it is due a fold; the rest is spliced from the kept entry
+        encodings or encoded whole.  Returns the checkpoint; its
+        modelled cost -- the verify pass over what was encoded, plus
+        the version compare, plus the write -- is available via
+        :meth:`cost_of` and accumulated in :attr:`total_cost`.
         """
         self.note_seq(before_seq)
-        self._app_name = app.name
         try:
             state = app.get_state()
             versions = self._tracking_of(app, "state_versions")
@@ -461,104 +383,56 @@ class CheckpointStore:
                 f"{type(state).__name__}, not a dict")
 
         baseline = self._baseline if versions is not None else None
-        defer = defer and baseline is not None and bool(self._checkpoints)
-        if not defer:
-            self.flush()
         prev_versions, prev_keys = baseline or ({}, ())
-        # Whole values are shallow-copied, so later in-place mutations
-        # by the app leak into neither a waiting encode nor a restore.
-        capture: Dict[object, object] = {}
-        dirty = 0
-        for key, value in state.items():
-            known = key in prev_keys
-            if known and versions.get(key) == prev_versions.get(key):
-                capture[key] = _SAME
-                continue
-            entries = moved.get(key) if known else None
-            if entries is not None and isinstance(value, dict):
-                capture[key] = _Patch(value, entries, self._fold_due(key))
-            else:
-                capture[key] = _shallow_copy(value)
-            dirty += 1
-        version_cost = (len(state) * self.version_check_per_key_cost
-                        if versions is not None else 0.0)
-        checkpoint = Checkpoint(before_seq=before_seq, taken_at=now,
-                                kind=DELTA, pending=defer, capture=capture)
-        if defer:
-            checkpoint.cost = (self.capture_base_cost
-                               + dirty * self.capture_per_key_cost
-                               + version_cost)
-            self.deferred_takes += 1
-            self._pending.append(checkpoint)
-        else:
-            checkpoint.cost = self._finalize(checkpoint, version_cost)
-        self._baseline = self._baseline_of(versions, state)
-        self._checkpoints.append(checkpoint)
-        if len(self._checkpoints) > self.keep:
-            # The survivor of an eviction must hold its image.
-            self.flush()
-            self._evict(len(self._checkpoints) - self.keep)
-        self.taken_count += 1
-        self.total_cost += checkpoint.cost
-        if self.metrics is not None:
-            self.metrics.inc("checkpoint.taken")
-        return checkpoint
-
-    def _finalize(self, entry: Checkpoint,
-                  version_cost: float = 0.0) -> float:
-        """Turn ``entry``'s capture into its image: share the
-        predecessor's buffers for ``_SAME`` keys, lay an encoded patch
-        over them for ``_Patch`` keys, splice or encode the rest whole
-        (the one place a state value is encoded), classify.  Returns the
-        modelled cost -- the verify pass reads what was encoded, plus
-        ``version_cost``, plus the write."""
         prev, kept = ((self._prev.buffers, self._prev.captures)
                       if self._prev is not None else ({}, {}))
         buffers: Dict[object, Buffers] = {}
         captures: Dict[object, tuple] = {}
         sizes, resized = self._sizes, {}
         encoded = written = skipped = 0
-        for key, marker in entry.capture.items():
-            fold = type(marker) is _Patch and marker.value is not None
-            whole = marker is not _SAME and type(marker) is not _Patch
-            if not (whole or fold) and key not in prev:
-                raise CheckpointError(
-                    f"capture at before_seq={entry.before_seq} "
-                    "references a key with no predecessor buffer")
-            if marker is _SAME:
+        for key, value in state.items():
+            known = key in prev_keys
+            if known and versions.get(key) == prev_versions.get(key):
                 buffers[key] = prev[key]
                 captures[key] = kept[key]
                 skipped += 1
                 continue
+            entries = moved.get(key) if known else None
             mirror = self._mirrors.get(key)
-            if whole or fold:
-                value = marker.value if fold else marker
-                mirror = _laid(mirror, marker) if fold and mirror else None
+            patched = entries is not None and isinstance(value, dict)
+            if patched:
+                changed = {e: value[e] for e in entries if e in value}
+                gone = tuple(e for e in entries if e not in value)
+            fold = patched and self._fold_due(key)
+            if patched and not fold:
+                patch = (changed, gone)
+                buf = encode_state_key(app.name, key, patch)
+                buffers[key] = prev[key] + (buf,)
+                captures[key] = kept[key] + (patch,)
+                written += len(buf)
+                resized[key] = sizes[key] + len(buf)
+                mirror = _laid(mirror, changed, gone) if mirror else None
+            else:
+                # A copy, so later in-place mutations by the app leak
+                # into no restore (a defaultdict stays one).
+                value = _shallow_copy(value)
+                mirror = (_laid(mirror, changed, gone)
+                          if fold and mirror else None)
                 buf = _splice(mirror, value) if mirror else None
                 if buf is None:
-                    buf = encode_state_key(self._app_name, key, value)
+                    buf = encode_state_key(app.name, key, value)
                     mirror = _mirror(value) if fold else None
                 buffers[key] = (buf,)
                 captures[key] = (value,)
                 if prev.get(key) != (buf,):
                     written += len(buf)
                 resized[key] = len(buf)
-            else:
-                patch = (marker.changed, marker.gone)
-                buf = encode_state_key(self._app_name, key, patch)
-                buffers[key] = prev[key] + (buf,)
-                captures[key] = kept[key] + (patch,)
-                written += len(buf)
-                resized[key] = sizes[key] + len(buf)
-                mirror = _laid(mirror, marker) if mirror else None
             self._mirrors[key] = mirror
             self.value_encodes += 1
             encoded += len(buf)
         self.encodes_skipped += skipped
-        entry.capture = None
-        entry.pending = False
-        entry.buffers = buffers
-        entry.captures = captures
+        entry = Checkpoint(before_seq=before_seq, taken_at=now, kind=DELTA,
+                           buffers=buffers, captures=captures)
         # The predecessor's size, adjusted for the keys that moved.
         state_size = self._prev.state_size if self._prev is not None else 0
         for key in prev.keys() - buffers.keys():      # keys removed
@@ -568,6 +442,8 @@ class CheckpointStore:
             state_size += size - sizes.get(key, 0)
         sizes.update(resized)
         entry.state_size = state_size
+        version_cost = (len(state) * self.version_check_per_key_cost
+                        if versions is not None else 0.0)
         cost = encoded * self.hash_per_byte_cost + version_cost
         diffable = bool(self._checkpoints) and self._prev is not None
         if diffable and not written and len(buffers) == len(prev):
@@ -580,7 +456,6 @@ class CheckpointStore:
         elif diffable and self._chain_len < self.full_every:
             # Userspace incremental encode: pay per changed byte, no
             # freeze-the-world constant.
-            entry.kind = DELTA
             entry.size = written
             cost += written * (self.encode_per_byte_cost
                                + self.per_byte_cost)
@@ -592,57 +467,31 @@ class CheckpointStore:
             cost += self.base_cost + entry.size * self.per_byte_cost
             self._chain_len = 1
             self.full_count += 1
+        entry.cost = cost
         self._prev = entry
         self.total_bytes += entry.size
         self.bytes_written += entry.size
         if self.metrics is not None and entry.size:
             self.metrics.inc("checkpoint.bytes_written", entry.size)
-        return cost
+        self._baseline = self._baseline_of(versions, state)
+        self._checkpoints.append(entry)
+        if len(self._checkpoints) > self.keep:
+            self._evict(len(self._checkpoints) - self.keep)
+        self.taken_count += 1
+        self.total_cost += entry.cost
+        if self.metrics is not None:
+            self.metrics.inc("checkpoint.taken")
+        return entry
 
     def drain(self) -> Tuple[List[Checkpoint], float]:
-        """Finalise every pending entry, oldest first.  Returns the
-        finalised entries and their total modelled background cost --
-        the ``crashpad.encode`` span."""
-        finalized: List[Checkpoint] = []
-        cost = 0.0
-        while self._pending:
-            entry = self._pending[0]
-            entry.encode_cost = self._finalize(entry)
-            del self._pending[0]
-            self.total_cost += entry.encode_cost
-            self.deferred_cost += entry.encode_cost
-            self.deferred_drains += 1
-            cost += entry.encode_cost
-            finalized.append(entry)
-        return finalized, cost
+        """A no-op kept as a public name: every take is encoded when it
+        is taken, so nothing waits to be drained.  Returns ``([], 0.0)``."""
+        return [], 0.0
 
     def flush(self) -> float:
-        """Force every pending entry durable now (restore, failover
-        promotion, eviction, or any consumer that needs the image)."""
-        _, cost = self.drain()
-        return cost
-
-    def drop_pending(self) -> int:
-        """Crash semantics: deferred captures that never drained die
-        with the process.  Recovery then starts from the newest
-        *durable* entry and replays the correspondingly longer NetLog
-        tail.  Returns how many entries were dropped."""
-        if not self._pending:
-            return 0
-        dropped = len(self._pending)
-        pending = set(map(id, self._pending))
-        self._checkpoints = [c for c in self._checkpoints
-                             if id(c) not in pending]
-        self._pending.clear()
-        self.pending_dropped += dropped
-        # The clean/dirty baseline described a dropped take (and the
-        # entry marks it consumed went with it); the next take must
-        # not skip or patch against it.  (Restore re-pairs the
-        # baseline right after, on the crash path.)
-        self._baseline = None
-        if self.metrics is not None:
-            self.metrics.inc("checkpoint.pending_dropped", dropped)
-        return dropped
+        """A no-op kept as a public name: every entry holds its image
+        from the take on.  Returns 0.0."""
+        return 0.0
 
     def _evict(self, count: int) -> None:
         """Drop the ``count`` oldest entries.  Every entry holds its
@@ -660,8 +509,7 @@ class CheckpointStore:
         del self._checkpoints[:count]
 
     def cost_of(self, checkpoint: Checkpoint) -> float:
-        """Simulated seconds this checkpoint cost to take (the event-
-        path share; a deferred take's encode cost is background)."""
+        """Simulated seconds this checkpoint cost to take."""
         return checkpoint.cost
 
     def restore_cost_of(self, checkpoint: Checkpoint) -> float:
@@ -694,20 +542,11 @@ class CheckpointStore:
                 return entry
         return None
 
-    def latest_durable(self) -> Optional[Checkpoint]:
-        """Newest entry whose image exists (pending entries do not)."""
-        for entry in reversed(self._checkpoints):
-            if not entry.pending:
-                return entry
-        return None
-
     def buffers(self, checkpoint: Checkpoint) -> Dict[object, Buffers]:
         """The image at ``checkpoint``: per key its base buffer and
         patches -- what :func:`decode_state` turns back into the state.
         The map is the entry's own, shared with its neighbours: read
         it, never write it."""
-        if checkpoint.pending:
-            self.flush()
         if checkpoint.buffers is None:
             raise CheckpointError(
                 f"checkpoint before_seq={checkpoint.before_seq} "
@@ -735,12 +574,7 @@ class CheckpointStore:
         would let a later dedup take alias their (stale) image -- or a
         later :meth:`latest_before` pick one -- silently restoring the
         pre-rollback timeline's state.
-
-        Pending entries are flushed first: a *planned* restore needs
-        the image.  (Crash recovery calls :meth:`drop_pending` before
-        picking its target, so this flush is a no-op there.)
         """
-        self.flush()
         try:
             state = self.state(checkpoint)
         except SerializationError as exc:
@@ -797,10 +631,6 @@ class CheckpointStore:
     def count(self) -> int:
         return len(self._checkpoints)
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def latest(self) -> Optional[Checkpoint]:
         return self._checkpoints[-1] if self._checkpoints else None
 
@@ -813,12 +643,12 @@ class CheckpointStore:
         return list(self._checkpoints)
 
     def checkpoint_lag(self) -> int:
-        """Events since the last *durable* image -- the NetLog tail a
-        crash right now would have to replay."""
-        durable = self.latest_durable()
-        if durable is None:
+        """Events since the last image -- the NetLog tail a crash right
+        now would have to replay."""
+        latest = self.latest()
+        if latest is None:
             return self._last_seq
-        return max(0, self._last_seq - durable.before_seq)
+        return max(0, self._last_seq - latest.before_seq)
 
     def stats(self) -> Dict[str, object]:
         """Counters for experiment reporting (E7's cost columns)."""
@@ -834,10 +664,5 @@ class CheckpointStore:
             "value_encodes": self.value_encodes,
             "value_decodes": self.value_decodes,
             "encodes_skipped": self.encodes_skipped,
-            "pending": len(self._pending),
-            "pending_dropped": self.pending_dropped,
-            "deferred_takes": self.deferred_takes,
-            "deferred_drains": self.deferred_drains,
-            "deferred_cost": self.deferred_cost,
             "checkpoint_lag": self.checkpoint_lag(),
         }

@@ -96,33 +96,26 @@ def test_crash_recover_checkpoint_budget(monkeypatch):
     monkeypatch.setattr(checkpoint, "encode_state_value", counting_encode)
     monkeypatch.setattr(checkpoint, "decode_state_value", counting_decode)
 
-    takes = []          # (checkpoint, entries changed since the last take)
-    finalised = {}      # id(checkpoint) -> bytes its finalise encoded
+    takes = []          # (checkpoint, entries changed since the last
+                        #  take, bytes the take encoded)
     restores = []       # (bytes decoded, bytes the image holds,
                         #  folded size of the restored state)
     after_restore = set()
     shadow = {}
-    take, finalize, restore = (CheckpointStore.take,
-                               CheckpointStore._finalize,
-                               CheckpointStore.restore)
+    take, restore = CheckpointStore.take, CheckpointStore.restore
 
-    def watching_take(self, app, before_seq, now, defer=False):
+    def watching_take(self, app, before_seq, now):
         tables = app.inner.mac_tables
         changed = sum(len(table.items() ^ shadow.get(dpid, {}).items())
                       for dpid, table in tables.items())
         shadow.clear()
         shadow.update((dpid, dict(table)) for dpid, table in tables.items())
-        entry = take(self, app, before_seq, now, defer)
-        takes.append((entry, changed))
+        before = encoded["bytes"]
+        entry = take(self, app, before_seq, now)
+        takes.append((entry, changed, encoded["bytes"] - before))
         if restores and len(after_restore) < len(restores):
             after_restore.add(id(entry))
         return entry
-
-    def watching_finalize(self, entry, version_cost=0.0):
-        before = encoded["bytes"]
-        cost = finalize(self, entry, version_cost)
-        finalised[id(entry)] = encoded["bytes"] - before
-        return cost
 
     def watching_restore(self, app, target):
         before = decoded["bytes"]
@@ -134,7 +127,6 @@ def test_crash_recover_checkpoint_budget(monkeypatch):
 
     def observe(stub):
         monkeypatch.setattr(CheckpointStore, "take", watching_take)
-        monkeypatch.setattr(CheckpointStore, "_finalize", watching_finalize)
         monkeypatch.setattr(CheckpointStore, "restore", watching_restore)
 
     stub = run_stack(LearningSwitch, observe)
@@ -146,10 +138,7 @@ def test_crash_recover_checkpoint_budget(monkeypatch):
     # entries that changed, not the tables they live in.
     folds = budgeted = 0
     previous = None
-    for entry, changed in takes:
-        if id(entry) not in finalised:
-            previous = None         # dropped by a crash while pending
-            continue
+    for entry, changed, encoded_bytes in takes:
         rewritten = previous is None or any(
             len(buffers) == 1 and key[0] == "macs"
             and previous.buffers.get(key) != buffers
@@ -159,9 +148,9 @@ def test_crash_recover_checkpoint_budget(monkeypatch):
             folds += 1
         elif id(entry) not in after_restore:
             budgeted += 1
-            assert finalised[id(entry)] <= (BYTES_PER_ENTRY * changed
-                                            + BYTES_PER_TAKE), (
-                entry.before_seq, changed, finalised[id(entry)])
+            assert encoded_bytes <= (BYTES_PER_ENTRY * changed
+                                     + BYTES_PER_TAKE), (
+                entry.before_seq, changed, encoded_bytes)
     # Tables of ~350 MACs fold about every seventh learn (1/32 of
     # 8 KB is six patches); whole-key encoding would make every
     # learning take a rewrite and leave next to nothing budgeted.

@@ -13,7 +13,7 @@ The contracts under test:
 - the fault-injection wrappers checkpoint flat, forward the inner
   app's tracking and round-trip through buffers;
 - **equivalence** (hypothesis): whatever the interleaving of
-  mutations, takes, drains, drops, restores, evictions and folds, a
+  mutations, takes, restores, evictions and folds, a
   tracked app's store and an untracked twin's decode to the same
   states -- the ones recorded when each take was made.
 """
@@ -166,16 +166,19 @@ class TestPatches:
         assert decode_state(store.buffers(cp)) == app.get_state()
 
     def test_a_deferred_patch_captures_entries_not_the_table(self):
+        """The patch a take keeps is the named entries' values at the
+        take, not the live table: a later write reaches no image."""
         store = CheckpointStore()
         app = self.big_table(store)
         app.set_entry("t", "e001", -1)
-        cp = store.take(app, before_seq=2, now=1.0, defer=True)
-        patch = cp.capture["t"]
-        assert (patch.changed, patch.gone) == ({"e001": -1}, ())
+        cp = store.take(app, before_seq=2, now=1.0)
+        patch = cp.captures["t"][-1]
+        assert patch == ({"e001": -1}, ())
         reference = copy.deepcopy(app.get_state())
-        app.set_entry("t", "e001", -2)             # after the capture
-        store.drain()
+        app.set_entry("t", "e001", -2)             # after the take
+        assert patch == ({"e001": -1}, ())
         assert decode_state(store.buffers(cp)) == reference
+        assert store.state(cp) == reference
 
     def test_a_replaced_value_is_re_encoded_whole(self):
         store = CheckpointStore()
@@ -395,8 +398,7 @@ VALUES = st.integers(min_value=-5, max_value=5)
 
 class TrackedEqualsUntracked(RuleBasedStateMachine):
     """Two stores over the same history: one sees a tracked app (entry
-    patches, deferral, folds), the other an untracked twin (every key
-    whole, every take synchronous).  ``keep=5`` and 12-entry tables
+    patches, folds), the other an untracked twin (every key whole).  ``keep=5`` and 12-entry tables
     make evictions and folds routine rather than rare."""
 
     @initialize()
@@ -406,7 +408,7 @@ class TrackedEqualsUntracked(RuleBasedStateMachine):
                        CheckpointStore(keep=5, full_every=3))
         self.references = {}        # before_seq -> state at that take
         self.seq = 0
-        self.take(defer=False)
+        self.take()
 
     def both(self, mutate):
         for app in self.apps:
@@ -432,28 +434,19 @@ class TrackedEqualsUntracked(RuleBasedStateMachine):
     def bump_scalar(self):
         self.both(TableApp.bump)
 
-    @rule(defer=st.booleans())
-    def take(self, defer):
+    @rule()
+    def take(self):
         self.seq += 1
         self.references[self.seq] = copy.deepcopy(self.apps[0].get_state())
         assert self.apps[1].get_state() == self.references[self.seq]
         for app, store in zip(self.apps, self.stores):
-            store.take(app, before_seq=self.seq, now=float(self.seq),
-                       defer=defer)
+            store.take(app, before_seq=self.seq, now=float(self.seq))
 
     @rule(entry=st.integers(min_value=100, max_value=10 ** 6))
     def enough_takes_to_evict_and_fold(self, entry):
         for i in range(6):
             self.both(lambda app: app.set_entry("t0", entry + i, i))
-            self.take(defer=bool(i % 2))
-
-    @rule()
-    def drain(self):
-        self.stores[0].drain()
-
-    @rule()
-    def drop_pending(self):
-        self.stores[0].drop_pending()
+            self.take()
 
     @precondition(lambda self: self.common_seqs())
     @rule(data=st.data())
@@ -466,8 +459,7 @@ class TrackedEqualsUntracked(RuleBasedStateMachine):
             assert app.get_state() == self.references[seq]
 
     def common_seqs(self):
-        """Takes both stores still hold (a drop removes only the
-        tracked store's pending ones)."""
+        """Takes both stores still hold."""
         held = [{cp.before_seq for cp in store.history()}
                 for store in self.stores]
         return sorted(held[0] & held[1])
@@ -478,8 +470,8 @@ class TrackedEqualsUntracked(RuleBasedStateMachine):
         unchanged or with one patch appended -- never a patch over a
         base the store does not hold.  (The untracked twin never
         patches at all.)"""
-        finalised = [cp for cp in self.stores[0].history() if not cp.pending]
-        for previous, cp in zip(finalised, finalised[1:]):
+        history = self.stores[0].history()
+        for previous, cp in zip(history, history[1:]):
             for key, buffers in cp.buffers.items():
                 assert len(buffers) == 1 or previous.buffers.get(key) in (
                     buffers, buffers[:-1])

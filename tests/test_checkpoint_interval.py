@@ -1,23 +1,41 @@
-"""Interval (fuzzy) checkpoints, dirty-key tracking, deferred encoding.
+"""Interval (fuzzy) checkpoints and dirty-key tracking.
 
 The contracts under test:
 
 - **Equivalence** (the property the whole feature rests on): for every
-  crash offset within a checkpoint interval, restoring the last
-  durable image and replaying the journal tail reconstructs exactly
-  the state that per-event checkpointing would have reconstructed.
+  crash offset, restoring the last image and replaying the journal
+  tail reconstructs exactly the state that per-event checkpointing
+  would have reconstructed, and the app goes on to emit what it would
+  have -- for every bundled app, and failing on a planted store bug.
 - The stub's cadence rules (interval, tail bound) and the store-level
   dirty-key bookkeeping those two behaviours rely on.
 """
 
+import copy
+import random
+import re
+
 import pytest
 
-from repro.apps import LearningSwitch
+from repro.apps import (
+    DenyRule,
+    Firewall,
+    Flooder,
+    FlowMonitor,
+    Hub,
+    LearningSwitch,
+    LoadBalancer,
+    ShortestPathRouting,
+    SpanningTreeSwitch,
+    VirtualIPGateway,
+)
+from repro.controller.api import HostEntry
+from repro.controller.events import LinkRemoved, SwitchJoin, SwitchLeave
+from repro.core.appvisor import rpc
 from repro.core.appvisor.stub import AppVisorStub
 from repro.core.crashpad.checkpoint import (
     DEDUP,
     DELTA,
-    FULL,
     CheckpointStore,
     decode_state,
 )
@@ -25,7 +43,9 @@ from repro.core.runtime import LegoSDNRuntime
 from repro.faults import crash_on
 from repro.network.net import Network
 from repro.network.packet import tcp_packet
+from repro.network.simulator import Simulator
 from repro.network.topology import linear_topology
+from repro.openflow.messages import FlowRemoved, PacketIn, PortStatus
 from repro.workloads.traffic import inject_marker_packet
 
 MARKER = "BOOM"
@@ -47,7 +67,7 @@ class CrashMarkerSwitch(LearningSwitch):
 
 class UntrackedSwitch(LearningSwitch):
     """The all-dirty reference: with no version map every take encodes
-    every key whole, synchronously -- no skip, no patch, no deferral."""
+    every key whole -- no skip, no patch."""
 
     def enable_dirty_tracking(self):
         pass
@@ -83,6 +103,152 @@ def run_workload(interval, crash_offset, probes=10, app=CrashMarkerSwitch):
     net.run_for(3.0)
     return runtime.stubs["app"].app.get_state(), runtime
 
+# -- every bundled app, a crash at every event ------------------------------
+
+HOSTS = {entry.mac: entry for entry in (
+    HostEntry(mac=f"02:00:00:00:00:{i:02x}", ip=f"10.0.0.{i}",
+              dpid=1 + i % 3, port=3 + i % 2) for i in range(1, 7))}
+VIP = "10.0.99.1"
+
+#: Every bundled app, each as it is built to run; all of them change
+#: their state on the events they subscribe to.
+APPS = {
+    "firewall": lambda: Firewall(deny_rules=(DenyRule(tp_dst=23),
+                                             DenyRule(ip_src="10.0.0.9"))),
+    "flooder": Flooder,
+    "gateway": lambda: VirtualIPGateway(vip=VIP,
+                                        backend_macs=tuple(HOSTS)[3:]),
+    "hub": Hub,
+    "learning_switch": LearningSwitch,
+    "load_balancer": LoadBalancer,
+    "monitor": FlowMonitor,
+    "routing": ShortestPathRouting,
+    "stp_switch": SpanningTreeSwitch,
+}
+TRACE_LENGTH = 64
+
+
+def seeded_trace(app, length=TRACE_LENGTH, seed=0):
+    """``length`` events of the kinds ``app`` subscribes to, drawn
+    from one seeded mix of switch joins and leaves, link and port
+    changes, flow removals and PacketIns between the ``HOSTS`` (some
+    to the gateway's VIP, some to unknown MACs)."""
+    rng = random.Random(f"{app.name}-{seed}")
+    macs = list(HOSTS)
+
+    def packet_in():
+        src = HOSTS[rng.choice(macs)]
+        dst = rng.choice(macs + ["02:00:00:00:00:99"])
+        ip_dst = VIP if rng.random() < 0.3 else f"10.0.0.{rng.randrange(9)}"
+        return PacketIn(dpid=src.dpid if rng.random() < 0.8 else 1,
+                        in_port=src.port,
+                        packet=tcp_packet(src.mac, dst, src.ip, ip_dst,
+                                          src_port=rng.randrange(4000, 4008),
+                                          dst_port=rng.choice((23, 80))))
+
+    makers = {
+        "PacketIn": packet_in,
+        "SwitchJoin": lambda: SwitchJoin(dpid=rng.randrange(1, 5)),
+        "SwitchLeave": lambda: SwitchLeave(dpid=rng.randrange(1, 5)),
+        "LinkRemoved": lambda: LinkRemoved(dpid_a=1, port_a=1, dpid_b=2,
+                                           port_b=2),
+        "FlowRemoved": lambda: FlowRemoved(dpid=rng.randrange(1, 4),
+                                           byte_count=rng.randrange(999)),
+        "PortStatus": lambda: PortStatus(dpid=1, port=rng.choice((1, 2)),
+                                         link_up=rng.random() < 0.5),
+    }
+    kinds = [kind for kind in app.subscriptions if kind in makers]
+    weights = [4 if kind == "PacketIn" else 1 for kind in kinds]
+    return [makers[rng.choices(kinds, weights)[0]]() for _ in range(length)]
+
+
+class ProxyEnd:
+    """The proxy's end of a stub's channel: it keeps what it is sent."""
+
+    def __init__(self):
+        self.frames = []
+
+    def on_frame(self, handler):
+        pass
+
+    def send(self, frame):
+        self.frames.append(frame)
+
+
+def crashing(app_class):
+    """``app_class`` whose handler crashes, after it has run, on the
+    one event held in the class's ``offending`` (not in any state)."""
+
+    class Crashing(app_class):
+        offending = None
+
+        def handle(self, event):
+            result = super().handle(event)
+            if event is type(self).offending:
+                raise RuntimeError("planted crash")
+            return result
+
+    return Crashing
+
+
+def drive(make_app, trace, interval, crash_seq=0):
+    """Deliver ``trace`` to a stub over a fresh ``make_app()``, one
+    event at a time; with ``crash_seq``, the app crashes on that event
+    and the stub restores it as Crash-Pad orders.  Returns the states
+    before each event and, for a crash, the state restored and what the
+    app emitted from then on (xids left out: replays draw their own)."""
+    sim = Simulator()
+    app = make_app()
+    app.__class__ = crashing(type(app))
+    stub = AppVisorStub(sim, app, checkpoint_interval=interval)
+    stub.host_cache = dict(HOSTS)
+    end = ProxyEnd()
+    stub.connect(end)
+    befores, restored, mark = [], None, None
+    for seq, event in enumerate(trace, start=1):
+        befores.append(copy.deepcopy(app.get_state()))
+        if seq == crash_seq:
+            type(app).offending = event
+        stub._on_frame(rpc.EventDeliver(app_name=app.name, seq=seq,
+                                        event=event))
+        sim.run_for(0.05)
+        if seq == crash_seq:
+            assert isinstance(end.frames[-1], rpc.CrashReport)
+            mark = len(end.frames)
+            stub._on_frame(rpc.RestoreCommand(app_name=app.name,
+                                              offending_seq=seq))
+            restored = copy.deepcopy(app.get_state())
+            sim.run_for(0.05)
+            assert stub.sandbox.alive and stub.restores_done == 1
+    outputs = [(f.seq, f.index, f.dpid,
+                re.sub(r"xid=\d+", "xid=", repr(f.message)))
+               for f in end.frames[mark:] if isinstance(f, rpc.AppOutput)]
+    return befores, restored, outputs
+
+
+def divergences(make_app, length=TRACE_LENGTH):
+    """Every (interval, crash seq) at which recovery differs from the
+    per-event run: a restored state that is not the state before the
+    crash event, or outputs after recovery that are not the interval-1
+    run's."""
+    trace = seeded_trace(make_app(), length)
+    befores, _, _ = drive(make_app, trace, 1)
+    first, last = (dict(state, events_handled=0)
+                   for state in (befores[0], befores[-1]))
+    assert first != last, "the trace moved nothing but the event count"
+    found = []
+    for seq in range(1, length + 1):
+        reference = None
+        for interval in (1, 8):
+            _, restored, outputs = drive(make_app, trace, interval, seq)
+            if restored != befores[seq - 1]:
+                found.append((interval, seq, "state"))
+            if reference is None:
+                reference = outputs
+            elif outputs != reference:
+                found.append((interval, seq, "outputs"))
+    return found
+
 
 class TestIntervalEquivalence:
     """Restore + tail replay == per-event checkpointing, at every
@@ -106,8 +272,8 @@ class TestIntervalEquivalence:
     def test_wrapped_app_matches_the_all_dirty_per_event_reference(
             self, interval):
         """``crash_on(LearningSwitch())`` through a real stub: entry
-        patches, skipped keys and deferred takes under the wrapper
-        recover exactly what whole-state per-event images recover."""
+        patches and skipped keys under the wrapper recover exactly
+        what whole-state per-event images recover."""
         for offset in range(8):
             reference, ref_runtime = run_workload(
                 1, offset, app=UntrackedSwitch)
@@ -119,7 +285,7 @@ class TestIntervalEquivalence:
                        for key, value in candidate.items())
             ref_store = ref_runtime.stubs["app"].checkpoints
             cand_store = cand_runtime.stubs["app"].checkpoints
-            assert ref_store.encodes_skipped == 0 == ref_store.deferred_takes
+            assert ref_store.encodes_skipped == 0
             assert cand_store.encodes_skipped > 0
             assert any(len(buffers) > 1 for cp in cand_store.history()
                        for buffers in cp.buffers.values())
@@ -140,6 +306,32 @@ class TestIntervalEquivalence:
         assert stub.restores_done >= 1
         # After recovery, lag never exceeds the configured interval.
         assert stub.checkpoints.checkpoint_lag() <= 8
+
+    @pytest.mark.parametrize("name", sorted(APPS))
+    def test_each_app_recovers_per_event_state_at_every_crash(self, name):
+        """Crash at every event of a seeded trace, at intervals 1 and
+        8: the restored state is the state before that event, and what
+        the app emits afterwards is what the per-event run emits."""
+        assert divergences(APPS[name]) == []
+
+
+
+def test_a_restore_that_skips_the_newest_patch_is_caught(monkeypatch):
+    def skipping(self, checkpoint):
+        return decode_state({key: buffers[:-1] if len(buffers) > 1
+                             else buffers
+                             for key, buffers in checkpoint.buffers.items()})
+    monkeypatch.setattr(CheckpointStore, "state", skipping)
+    assert divergences(LearningSwitch, length=16)
+
+
+def test_a_take_that_shares_a_dirty_keys_buffers_is_caught(monkeypatch):
+    """The baseline aliases the live version map, so every key the app
+    moved looks clean and the take shares its previous buffers."""
+    monkeypatch.setattr(CheckpointStore, "_baseline_of", staticmethod(
+        lambda versions, state: None if versions is None
+        else (versions, frozenset(state))))
+    assert divergences(LearningSwitch, length=16)
 
 
 class DictApp:
@@ -185,97 +377,19 @@ class TestDirtyKeyStore:
         assert store.dedup_hits == 1
 
     def test_stale_version_baseline_is_conservative(self):
-        # drop_pending() invalidates the baseline; the next take must
-        # re-encode everything rather than trust stale versions.
+        # A restore re-pairs the version baseline with the restored
+        # image; the next take must not trust the versions of the take
+        # the rollback abandoned.
         app = DictApp()
         store = CheckpointStore(full_every=8)
-        store.take(app, before_seq=1, now=0.0)
+        first = store.take(app, before_seq=1, now=0.0)
         app.touch("a", 1)
-        cp = store.take(app, before_seq=2, now=1.0, defer=True)
-        assert cp.pending
-        assert store.drop_pending() == 1
-        app.touch("a", 2)
+        store.take(app, before_seq=2, now=1.0)
+        store.restore(app, first)       # every version back to 0
+        app.touch("a", 2)               # "a" at version 1 again
         after = store.take(app, before_seq=3, now=2.0)
-        assert not after.pending
         assert (decode_state(store.buffers(after))
                 == {"a": 2, "b": {}})
-
-    def test_deferred_roundtrip_through_drain(self):
-        app = DictApp()
-        store = CheckpointStore(full_every=8)
-        store.take(app, before_seq=1, now=0.0)
-        references = []
-        for seq in range(2, 6):
-            app.touch("a", seq)
-            cp = store.take(app, before_seq=seq, now=float(seq),
-                            defer=True)
-            assert cp.pending
-            references.append((cp, app.get_state()))
-        entries, cost = store.drain()
-        assert len(entries) == 4 and cost > 0
-        assert store.stats()["pending"] == 0
-        for cp, reference in references:
-            assert not cp.pending
-            assert decode_state(store.buffers(cp)) == reference
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sync_and_deferred_takes_leave_the_same_entries(self, seed):
-        """One take path: for a seeded sequence of mutations (touches,
-        untouched repeats, a key added, one removed), ``take()`` and
-        ``take(defer=True)`` + ``flush()`` leave entries equal in kind,
-        image and size, and in total modelled cost (event path +
-        background) once the deferred capture charge is set aside."""
-        import random
-
-        def run(defer):
-            rng = random.Random(seed)
-            app = DictApp()
-            store = CheckpointStore(keep=64, full_every=4)
-            store.take(app, before_seq=1, now=0.0)
-            dirty = [None]              # the first take is never deferred
-            for seq in range(2, 30):
-                before = app.state_versions()
-                roll = rng.random()
-                if roll < 0.5:
-                    app.touch(rng.choice("ab"), {"v": rng.randrange(99)})
-                elif roll < 0.6:
-                    app.touch(f"k{seq}", seq)
-                elif roll < 0.7 and len(app.state) > 2:
-                    gone = min(k for k in app.state if k[0] == "k")
-                    del app.state[gone], app.versions[gone]
-                dirty.append(sum(before.get(k) != v
-                                 for k, v in app.versions.items()))
-                store.take(app, before_seq=seq, now=float(seq), defer=defer)
-                if rng.random() < 0.3:
-                    store.flush()
-            store.flush()
-            return store, dirty
-
-        (sync, dirty), (deferred, _) = run(False), run(True)
-        assert deferred.deferred_takes == 28 and sync.deferred_takes == 0
-        assert {c.kind for c in sync.history()} == {FULL, DELTA, DEDUP}
-        for a, b, n in zip(sync.history(), deferred.history(), dirty):
-            assert (a.kind, a.size, a.state_size, sync.buffers(a)) \
-                == (b.kind, b.size, b.state_size, deferred.buffers(b))
-            assert a.encode_cost == 0.0
-            capture = 0.0 if n is None else (
-                deferred.capture_base_cost
-                + n * deferred.capture_per_key_cost)
-            assert b.cost + b.encode_cost - capture == pytest.approx(
-                a.cost, rel=1e-12)
-        assert deferred.total_cost == pytest.approx(
-            sum(c.cost + c.encode_cost for c in deferred.history()))
-
-    def test_flush_is_a_durability_barrier(self):
-        app = DictApp()
-        store = CheckpointStore(full_every=8)
-        store.take(app, before_seq=1, now=0.0)
-        app.touch("a", 1)
-        store.take(app, before_seq=2, now=1.0, defer=True)
-        assert store.latest_durable().before_seq == 1
-        store.flush()
-        assert store.latest_durable().before_seq == 2
-        assert store.checkpoint_lag() == 0
 
 
 def idle_stub(interval):
@@ -308,12 +422,10 @@ class TestCheckpointPolicy:
     def test_tail_bound_take_is_synchronous_and_durable(self):
         """End to end: with an interval that never comes due, the only
         takes are the first and the ones the tail bound forces -- and a
-        forced take is a durable image, not a capture waiting on a
-        drain that (here) never runs."""
+        forced take is an image the lag is measured from."""
         net = Network(linear_topology(3, 1), seed=0)
         runtime = LegoSDNRuntime(net.controller, checkpoint_interval=1000)
         stub = runtime.launch_app(CrashMarkerSwitch(name="app"))
-        stub._drain_checkpoints = lambda: None
         net.start()
         net.run_for(1.0)
         assert AppVisorStub.MAX_TAIL == 64
@@ -326,9 +438,8 @@ class TestCheckpointPolicy:
         first, forced = stub.checkpoints.history()
         assert forced.before_seq - first.before_seq == 64
         assert max(lags) < 64  # the bound held wherever it was sampled
-        assert not forced.pending
-        assert stub.checkpoints.latest_durable() is forced
-        assert stub.checkpoints.stats()["deferred_takes"] == 0
+        assert stub.checkpoints.latest() is forced
+        assert forced.buffers is not None
 
     def test_validation(self):
         net = Network(linear_topology(3, 1), seed=0)

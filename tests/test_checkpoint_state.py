@@ -4,8 +4,8 @@
 values its buffers encoded wherever a key's values are all atoms
 (``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes`` and tuples
 of them) in a plain ``dict`` or ``list``, and decodes the key's buffers
-otherwise.  Driven through whole takes, patches, folds, dedups,
-deferral, ``drop_pending`` and restores (hypothesis), it must build
+otherwise.  Driven through whole takes, patches, folds, dedups and
+restores (hypothesis), it must build
 exactly what :func:`decode_state` of the buffers builds -- equal in
 value, in exact type and in dict and list order, all the way down --
 share no mutable object between two calls, and decode every key that
@@ -174,16 +174,21 @@ NON_ATOMS = {
 }
 
 
-@pytest.mark.parametrize("defer", [False, True])
+@pytest.mark.parametrize("in_base", [False, True])
 @pytest.mark.parametrize("kind", sorted(NON_ATOMS))
-def test_each_non_atom_is_decoded(kind, defer):
+def test_each_non_atom_is_decoded(kind, in_base):
+    """Whether the value arrives in a delta take or is already in the
+    first, full one."""
     app, store = ValuesApp(), CheckpointStore()
     app.values["p0"] = {"plain": (1, ("nested", 2.5))}
-    store.take(app, before_seq=1, now=0.0)
-    app.values["x0"] = copy.deepcopy(NON_ATOMS[kind])
-    app.mark_dirty("x0")
-    cp = store.take(app, before_seq=2, now=1.0, defer=defer)
-    store.drain()
+    if in_base:
+        app.values["x0"] = copy.deepcopy(NON_ATOMS[kind])
+    first = store.take(app, before_seq=1, now=0.0)
+    if not in_base:
+        app.values["x0"] = copy.deepcopy(NON_ATOMS[kind])
+        app.mark_dirty("x0")
+    cp = store.take(app, before_seq=2, now=1.0)
+    assert cp is not first and ("x0" in first.buffers) == in_base
     assert_copies_exactly(store, cp)
 
 
@@ -197,9 +202,7 @@ def test_a_patched_table_is_copied_with_its_patches_in_order():
         del table[f"m{seq}"]
         for entry in (f"new{seq}", "m7", f"m{seq}"):
             app.mark_dirty("p0", entry)
-        cp = store.take(app, before_seq=seq, now=float(seq),
-                        defer=bool(seq % 2))
-        store.drain()
+        cp = store.take(app, before_seq=seq, now=float(seq))
         assert len(cp.buffers["p0"]) == seq     # the base, then patches
         assert_copies_exactly(store, cp)
         assert store.state(cp)["p0"] == table
@@ -212,7 +215,7 @@ class CopiedEqualsDecoded(RuleBasedStateMachine):
         self.store = CheckpointStore(keep=5, full_every=3)
         self.references = {}        # before_seq -> state at that take
         self.seq = 0
-        self.take(defer=False)
+        self.take()
 
     def mark(self, key, value):
         self.app.values[key] = value
@@ -259,20 +262,11 @@ class CopiedEqualsDecoded(RuleBasedStateMachine):
         self.app.values["xd"][entry] = value
         self.app.mark_dirty("xd", entry)
 
-    @rule(defer=st.booleans())
-    def take(self, defer):
+    @rule()
+    def take(self):
         self.seq += 1
         self.references[self.seq] = copy.deepcopy(self.app.get_state())
-        self.store.take(self.app, before_seq=self.seq, now=float(self.seq),
-                        defer=defer)
-
-    @rule()
-    def drain(self):
-        self.store.drain()
-
-    @rule()
-    def drop_pending(self):
-        self.store.drop_pending()
+        self.store.take(self.app, before_seq=self.seq, now=float(self.seq))
 
     @precondition(lambda self: self.store.count)
     @rule(data=st.data())
@@ -284,10 +278,9 @@ class CopiedEqualsDecoded(RuleBasedStateMachine):
     @invariant()
     def every_image_copies_exactly_what_it_decodes(self):
         for cp in self.store.history():
-            if not cp.pending:
-                assert_copies_exactly(self.store, cp)
-                assert (decode_state(self.store.buffers(cp))
-                        == self.references[cp.before_seq])
+            assert_copies_exactly(self.store, cp)
+            assert (decode_state(self.store.buffers(cp))
+                    == self.references[cp.before_seq])
 
 
 CopiedEqualsDecoded.TestCase.settings = settings(

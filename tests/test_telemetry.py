@@ -339,3 +339,19 @@ class TestTraceCli:
         text = out_path.read_text()
         assert "# TYPE" in text
         assert "repro_span_controller_dispatch_seconds_count" in text
+
+
+class TestCheckpointLagGauge:
+    def test_the_heartbeat_exports_each_apps_checkpoint_lag(self):
+        telemetry = Telemetry(enabled=True)
+        net = Network(linear_topology(3, 1), seed=0, telemetry=telemetry)
+        runtime = LegoSDNRuntime(net.controller, checkpoint_interval=1000)
+        stub = runtime.launch_app(LearningSwitch())
+        net.start()
+        net.run_for(1.0)
+        for i in range(3):
+            inject_marker_packet(net, "h1", "h3", f"probe-{i}")
+            net.run_for(0.3)
+        lag = stub.checkpoints.checkpoint_lag()
+        assert lag > 0
+        assert telemetry.metrics.gauges["checkpoint.lag.learning_switch"] == lag
