@@ -14,12 +14,12 @@ implementation snapshots ``__dict__`` (minus the API handle), which is
 the Python analogue of CRIU checkpointing a whole process image.
 
 Apps may additionally opt into **dirty tracking**
-(:meth:`enable_dirty_tracking` + :meth:`mark_dirty`): a per-state-key
-version counter the checkpoint store consults to skip re-encoding keys
-whose version has not moved since the previous snapshot -- the CRIU
-``--track-mem`` soft-dirty analogue, in app space.  The contract is
-strict: once tracking is on, *every* mutation of a state value must be
-announced:
+(:meth:`enable_dirty_tracking` + :meth:`mark_dirty`): marks on the
+state keys (and dict entries) that moved, which the one checkpoint
+store per app consumes at each snapshot (:meth:`dirty_entries`) to
+skip re-encoding unmarked keys -- the CRIU ``--track-mem`` soft-dirty
+bit, cleared at each dump, in app space.  The contract is strict: once
+tracking is on, *every* mutation of a state value must be announced:
 
 - ``mark_dirty(key, entry)`` when one entry of a dict-valued state key
   was set or deleted -- the store then checkpoints that entry, not the
@@ -70,10 +70,9 @@ class SDNApp:
     subscriptions = ()
 
     #: Attributes excluded from checkpoints (runtime wiring, not state).
-    #: ``_state_versions`` and ``_moved_entries`` are bookkeeping
-    #: *about* the state, not state: they survive restores untouched,
-    #: exactly like the API handle.
-    _NON_STATE = frozenset({"api", "_state_versions", "_moved_entries"})
+    #: ``_moved_entries`` is bookkeeping *about* the state, not state:
+    #: it survives restores untouched, exactly like the API handle.
+    _NON_STATE = frozenset({"api", "_moved_entries"})
 
     #: Entries :meth:`mark_dirty` remembers per key before it gives up
     #: and calls the whole key dirty, so an app nobody checkpoints
@@ -85,14 +84,13 @@ class SDNApp:
             self.name = name
         self.api = None
         self.events_handled = 0
-        #: key -> version counter; ``None`` means tracking is off and
-        #: the checkpoint store must assume every key dirty.
-        self._state_versions = None
         #: key -> the entries of that (dict-valued) key that moved
         #: since :meth:`dirty_entries` was last called (a dict used as
         #: an ordered set, so a patch's bytes do not depend on hash
-        #: seeds), or ``None`` for "all of it".
-        self._moved_entries = {}
+        #: seeds), or ``None`` for "all of it".  The map itself is
+        #: ``None`` while tracking is off: the checkpoint store must
+        #: then assume every key dirty.
+        self._moved_entries = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -115,7 +113,7 @@ class SDNApp:
         point of the paper.
         """
         self.events_handled += 1
-        if self._state_versions is not None:
+        if self._moved_entries is not None:
             self.mark_dirty("events_handled")
         handler = getattr(self, _HOOKS[event.type_name], None)
         if handler is None:
@@ -125,52 +123,45 @@ class SDNApp:
     # -- dirty-key tracking ----------------------------------------------------
 
     def enable_dirty_tracking(self) -> None:
-        """Opt into versioned state: from here on, every state mutation
+        """Opt into tracked state: from here on, every state mutation
         must be announced via :meth:`mark_dirty`."""
-        if self._state_versions is None:
-            self._state_versions = {}
+        if self._moved_entries is None:
+            self._moved_entries = {}
 
     def mark_dirty(self, key, entry=None) -> None:
-        """Bump ``key``'s version: its value changed (or was created),
-        and only at ``entry`` if one is given (``None``: all of it).
+        """Mark ``key`` moved: its value changed (or was created), and
+        only at ``entry`` if one is given (``None``: all of it).
 
         No-op while tracking is off, so shared helpers can mark
         unconditionally.  ``key`` must be the *state-dict* key the
         mutation lands under (e.g. ``("macs", dpid)`` for a
         :class:`LearningSwitch` table entry, not ``"mac_tables"``).
         """
-        versions = self._state_versions
-        if versions is None:
-            return
-        versions[key] = versions.get(key, 0) + 1
         moved = self._moved_entries
+        if moved is None:
+            return
         if entry is None:
             moved[key] = None
         elif key not in moved:
             moved[key] = {entry: None}
         elif (entries := moved[key]) is not None:
-            if len(entries) < self.MAX_MOVED_ENTRIES:
+            if entry in entries or len(entries) < self.MAX_MOVED_ENTRIES:
                 entries[entry] = None
             else:
                 moved[key] = None
 
-    def dirty_entries(self) -> dict:
-        """Hand over, and forget, which entries moved since the last
-        call: key -> its entries that moved, or ``None`` for the whole
-        value.  A key whose version moved but is missing here is
-        whole-key."""
-        moved = dict(self._moved_entries)
-        self._moved_entries.clear()
-        return moved
-
-    def state_versions(self) -> Optional[dict]:
-        """The live per-key version map (``None`` = no tracking).
-
-        The checkpoint store snapshots this at take time; a key whose
-        version matches the previous snapshot is guaranteed unchanged
-        and is never re-encoded.
-        """
-        return self._state_versions
+    def dirty_entries(self) -> Optional[dict]:
+        """Hand over, and forget, which keys moved since the last call:
+        key -> its entries that moved, or ``None`` for the whole value;
+        a key missing here has not moved.  ``None`` while tracking is
+        off.  The map is cleared in place, never replaced: a wrapper
+        app shares it with the app it wraps."""
+        moved = self._moved_entries
+        if moved is None:
+            return None
+        handed = dict(moved)
+        moved.clear()
+        return handed
 
     # -- checkpoint contract ---------------------------------------------------
 
@@ -198,10 +189,9 @@ class SDNApp:
     def set_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`get_state`.
 
-        The version map is *kept*, not rolled back: the store re-pairs
-        the restored buffers with the live versions immediately after
-        this call, so any version bumped by the half-run handler that
-        crashed is absorbed into the new baseline.
+        The marks are *kept*, not rolled back: the store drains them
+        right after this call, so whatever the half-run handler that
+        crashed marked is dropped with the state it described.
         """
         wiring = {name: self.__dict__[name] for name in self._NON_STATE}
         self.__dict__.clear()

@@ -16,15 +16,16 @@ the unit of change is the one the app reports, carried unchanged from
 - **key -> base + patches.**  Every state key is stored as a tuple of
   buffers: a *base* (the whole value, encoded) followed by zero or
   more *patches* (``(entries set, entries gone)`` of a dict-valued
-  key, encoded the same way).  A key whose version has not moved since
-  the previous take is never touched: the new entry shares the
-  previous entry's tuple and ``encodes_skipped`` counts the skip.  A
-  key that moved at entries the app named
-  (:meth:`~repro.apps.base.SDNApp.mark_dirty` ``(key, entry)``) gets
-  one more patch holding just those entries.  Anything else -- a
-  scalar, an untracked app, a key created, deleted or replaced since
-  the previous take, a take with no baseline to trust -- is re-encoded
-  whole into a fresh base.  :func:`decode_state` decodes the base and
+  key, encoded the same way).  A key the previous image holds and the
+  app's marks (:meth:`~repro.apps.base.SDNApp.dirty_entries`) do not
+  name is never touched: the new entry shares the previous entry's
+  tuple and ``encodes_skipped`` counts the skip.  A key that moved at
+  entries the app named (:meth:`~repro.apps.base.SDNApp.mark_dirty`
+  ``(key, entry)``) gets one more patch holding just those entries.
+  Anything else -- a scalar, an untracked app, a key created, deleted
+  or replaced since the previous take, a take whose marks do not
+  cover everything since the previous image -- is re-encoded whole
+  into a fresh base.  :func:`decode_state` decodes the base and
   applies the patches in order.
 - **fold.**  Patches make a restore read bytes a whole image would not
   hold, so a dirty key whose patches already outweigh
@@ -63,11 +64,10 @@ to the event path.  The §5 relaxation, checkpointing every few events
 and replaying the rest, is the stub's ``checkpoint_interval``.
 
 The modelled verify cost covers only the bytes the take produced plus
-a per-key version compare: checkpoint cost is O(what changed), not
-O(app state), and a take whose entire version map is unchanged shares
-every buffer and dedups without touching a single value.  Apps without
-version tracking have every key encoded whole; apps that expose only
-``state_versions()`` are tracked per key.  What a take keeps of a
+a per-key check of the marks: checkpoint cost is O(what changed), not
+O(app state), and a take the app marked nothing for shares every
+buffer and dedups without touching a single value.  Apps without
+dirty tracking have every key encoded whole.  What a take keeps of a
 value is a one-level copy, which matches the bundled apps' state
 layout: values are at most one level of mutable container whose
 elements are immutable or replaced (never mutated) in place.
@@ -255,9 +255,9 @@ class CheckpointStore:
     (re-)encoded byte -- it stands for CRIU's check of the pages it
     re-dumped; no host code hashes -- and deltas are charged
     ``encode_per_byte_cost`` over the bytes they produced (userspace
-    incremental encode, no freeze).  With version tracking the verify
+    incremental encode, no freeze).  With dirty tracking the verify
     pass covers only those bytes plus
-    ``version_check_per_key_cost`` per key.
+    ``version_check_per_key_cost`` per key (the check of the marks).
     All costs are in simulated seconds, and all five are constants of
     the model (class attributes), not settings; so is
     ``fold_fraction``, the share of a key's base its patches may reach
@@ -296,10 +296,11 @@ class CheckpointStore:
         #: :func:`_mirror` (None, or missing, if it has none).
         self._sizes: Dict[object, int] = {}
         self._mirrors: Dict[object, tuple] = {}
-        #: (version map, key set) of the most recent take or restore,
-        #: the clean/dirty baseline for the next; None when the app
-        #: tracks no versions.  Always paired with ``_prev``'s keys.
-        self._baseline: Optional[Tuple[Dict[object, int], frozenset]] = None
+        #: Do the app's marks cover every change since ``_prev``?  True
+        #: only after a take or restore that received marks; a take
+        #: clears it before asking for them, so one that dies after
+        #: consuming them leaves the next take encoding every key whole.
+        self._marks_whole = False
         #: Entries since (and including) the last full image; the next
         #: changed entry is a full one when it reaches ``full_every``.
         self._chain_len = 0
@@ -330,18 +331,11 @@ class CheckpointStore:
     # -- snapshot --------------------------------------------------------
 
     @staticmethod
-    def _tracking_of(app, name: str):
-        """What the app's optional ``name`` tracking method reports, or
+    def _marks_of(app):
+        """What the app's optional ``dirty_entries()`` hands over, or
         None if it has none (conservative path)."""
-        source = getattr(app, name, None)
+        source = getattr(app, "dirty_entries", None)
         return source() if callable(source) else None
-
-    @staticmethod
-    def _baseline_of(versions, state):
-        """What the next take compares versions against, as of now."""
-        if versions is None:
-            return None
-        return dict(versions), frozenset(state)
 
     def note_seq(self, seq: int) -> None:
         """The stub reports every event seq it sees, so checkpoint lag
@@ -358,23 +352,23 @@ class CheckpointStore:
     def take(self, app, before_seq: int, now: float) -> Checkpoint:
         """Snapshot ``app`` prior to event ``before_seq``.
 
-        One pass over the state: a key whose version the app's version
-        map vouches has not moved since the previous take shares that
-        take's buffers; a dict-valued key whose moved entries the app
+        One pass over the state: a key of the previous image that the
+        app's marks (``dirty_entries()``) do not name shares that
+        image's buffers; a dict-valued key whose moved entries the app
         named gets one more patch holding just those entries, unless
         it is due a fold; the rest is spliced from the kept entry
         encodings or encoded whole.  Returns the checkpoint; its
         modelled cost -- the verify pass over what was encoded, plus
-        the version compare, plus the write -- is available via
+        the check of the marks, plus the write -- is available via
         :meth:`cost_of` and accumulated in :attr:`total_cost`.
         """
         self.note_seq(before_seq)
+        trusted, self._marks_whole = self._marks_whole, False
         try:
             state = app.get_state()
-            versions = self._tracking_of(app, "state_versions")
             # Asked on every take, used or not: the marks are "since
             # the store last asked".
-            moved = self._tracking_of(app, "dirty_entries") or {}
+            moved = self._marks_of(app)
         except Exception as exc:  # noqa: BLE001 - fault boundary: app code
             raise CheckpointError(f"cannot snapshot {app.name}: {exc}") from exc
         if not isinstance(state, dict):
@@ -382,17 +376,18 @@ class CheckpointStore:
                 f"cannot snapshot {app.name}: get_state() returned "
                 f"{type(state).__name__}, not a dict")
 
-        baseline = self._baseline if versions is not None else None
-        prev_versions, prev_keys = baseline or ({}, ())
         prev, kept = ((self._prev.buffers, self._prev.captures)
                       if self._prev is not None else ({}, {}))
+        # Keys the marks can vouch for: none unless they cover every
+        # change since the previous image.
+        prev_keys = prev if trusted and moved is not None else ()
         buffers: Dict[object, Buffers] = {}
         captures: Dict[object, tuple] = {}
         sizes, resized = self._sizes, {}
         encoded = written = skipped = 0
         for key, value in state.items():
             known = key in prev_keys
-            if known and versions.get(key) == prev_versions.get(key):
+            if known and key not in moved:
                 buffers[key] = prev[key]
                 captures[key] = kept[key]
                 skipped += 1
@@ -443,7 +438,7 @@ class CheckpointStore:
         sizes.update(resized)
         entry.state_size = state_size
         version_cost = (len(state) * self.version_check_per_key_cost
-                        if versions is not None else 0.0)
+                        if moved is not None else 0.0)
         cost = encoded * self.hash_per_byte_cost + version_cost
         diffable = bool(self._checkpoints) and self._prev is not None
         if diffable and not written and len(buffers) == len(prev):
@@ -473,7 +468,7 @@ class CheckpointStore:
         self.bytes_written += entry.size
         if self.metrics is not None and entry.size:
             self.metrics.inc("checkpoint.bytes_written", entry.size)
-        self._baseline = self._baseline_of(versions, state)
+        self._marks_whole = moved is not None
         self._checkpoints.append(entry)
         if len(self._checkpoints) > self.keep:
             self._evict(len(self._checkpoints) - self.keep)
@@ -596,16 +591,10 @@ class CheckpointStore:
             self._sizes = {key: sum(map(len, buffers))
                            for key, buffers in checkpoint.buffers.items()}
         self._prev = checkpoint
-        # Re-pair the version baseline with the restored buffers: the
-        # version map survives set_state untouched (it is bookkeeping
-        # about the state, not state), so pairing it with the restored
-        # buffers *now* absorbs any version bumped by the handler that
-        # crashed mid-run.  Replay bumps versions and marks entries for
-        # everything it touches, which the next take then captures over
-        # the restored image; entry marks left from before the rollback
-        # can only widen that capture, never narrow it.
-        self._baseline = self._baseline_of(
-            self._tracking_of(app, "state_versions"), state)
+        # Drain the marks: the app holds exactly the restored image, so
+        # what the crashed handler marked goes, and the next take
+        # encodes what replay marks over that image.
+        self._marks_whole = self._marks_of(app) is not None
         # Charge the next changed-state take as a fresh full image.
         self._chain_len = self.full_every
 

@@ -6,10 +6,10 @@ behaviours execute *before* the inner app sees the event, modelling a
 fault in the app's own handler.
 
 A wrapper checkpoints as cheaply as the app it wraps: it shares the
-inner app's dirty-tracking maps, marks what it touches itself, and
+inner app's mark map, marks what it touches itself, and
 returns the inner state *flat* with its own keys namespaced beside it
 (``("faulty", "event_count")``), so the store sees the inner app's
-keys, versions and entry marks exactly as if it ran bare.
+keys and marks exactly as if it ran bare.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ class _WrapperApp(SDNApp):
         if inner is None:
             self.enable_dirty_tracking()
         else:
-            # One version map and one entry map for the pair: untracked
-            # if the inner app is, else every mark lands where the
-            # store looks.
-            self._state_versions = inner._state_versions
+            # One mark map for the pair: untracked if the inner app
+            # is, else every mark lands where the store looks.
             self._moved_entries = inner._moved_entries
 
     def startup(self, api) -> None:

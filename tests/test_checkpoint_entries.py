@@ -21,6 +21,7 @@ The contracts under test:
 import copy
 import random
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -34,6 +35,7 @@ from repro.apps import LearningSwitch, SDNApp, SpanningTreeSwitch
 from repro.controller.events import SwitchLeave
 from repro.core.crashpad.checkpoint import (
     DELTA,
+    CheckpointError,
     CheckpointStore,
     decode_state,
 )
@@ -53,7 +55,7 @@ from repro.openflow.serialization import decode_state_value
 class TableApp(SDNApp):
     """Dict-valued state keys plus a scalar, mutated through the
     tracking contract (``tracked=False`` is the untracked twin: same
-    mutations, no version map, every key whole on every take)."""
+    mutations, no marks, every key whole on every take)."""
 
     name = "tables"
 
@@ -116,7 +118,6 @@ class TestMarks:
         app.mark_dirty("t", "a")
         app.mark_dirty("t", "b")
         app.mark_dirty("t", "a")
-        assert app.state_versions()["t"] == 3
         assert list(app.dirty_entries()["t"]) == ["a", "b"]
         assert app.dirty_entries() == {}          # handed over, forgotten
 
@@ -136,11 +137,16 @@ class TestMarks:
         app.dirty_entries()
         app.mark_dirty("t", 1)                    # starts over once asked
         assert list(app.dirty_entries()["t"]) == [1]
+        full = range(SDNApp.MAX_MOVED_ENTRIES)
+        for entry in full:
+            app.mark_dirty("t", entry)
+        app.mark_dirty("t", 5)                    # a re-mark adds nothing
+        assert list(app.dirty_entries()["t"]) == list(full)
 
     def test_marks_are_a_no_op_while_tracking_is_off(self):
         app = TableApp(tracked=False)
         app.set_entry("t", "a", 1)
-        assert app.state_versions() is None and app.dirty_entries() == {}
+        assert app.dirty_entries() is None
 
 
 class TestPatches:
@@ -188,22 +194,19 @@ class TestPatches:
         assert len(cp.buffers["t"]) == 1
         assert decode_state(store.buffers(cp))["t"] == {"only": 1}
 
-    def test_an_app_with_only_a_version_map_is_whole_key(self):
-        class VersionsOnly:
-            name = "versions-only"
+    def test_an_app_without_dirty_entries_is_whole_key(self):
+        class StateOnly:
+            name = "state-only"
 
             def __init__(self):
-                self.table, self.version = {"a": 1}, 0
+                self.table = {"a": 1}
 
             def get_state(self):
                 return {"t": self.table}
 
-            def state_versions(self):
-                return {"t": self.version}
-
-        app, store = VersionsOnly(), CheckpointStore()
+        app, store = StateOnly(), CheckpointStore()
         store.take(app, before_seq=1, now=0.0)
-        app.table["b"], app.version = 2, 1
+        app.table["b"] = 2
         cp = store.take(app, before_seq=2, now=1.0)
         assert len(cp.buffers["t"]) == 1
         assert decode_state(store.buffers(cp)) == {"t": {"a": 1, "b": 2}}
@@ -228,15 +231,32 @@ class TestPatches:
 
     def test_a_failed_take_loses_no_change(self):
         """Marks are consumed by the take that asked; if that take
-        dies the version baseline still shows the key moved, and a
-        moved key with no entry record is whole."""
+        dies, the next one trusts no mark and encodes every key whole."""
         store = CheckpointStore()
         app = self.big_table(store)
         app.set_entry("t", "e001", -1)
-        app.dirty_entries()                        # as a dead take would
-        cp = store.take(app, before_seq=2, now=1.0)
+        app.replace("u", {"x": object()})          # outside the contract
+        with pytest.raises(CheckpointError):
+            store.take(app, before_seq=2, now=1.0)
+        app.replace("u", {"x": 1})
+        cp = store.take(app, before_seq=3, now=2.0)
         assert len(cp.buffers["t"]) == 1
+        assert decode_state(store.buffers(cp))["t"]["e001"] == -1
         assert decode_state(store.buffers(cp)) == app.get_state()
+
+    def test_a_restore_drops_the_crashed_handlers_marks(self):
+        """What the handler that crashed marked is rolled back with
+        the state it described: the next take patches only what the
+        replay marked over the restored image."""
+        store = CheckpointStore()
+        app = self.big_table(store)
+        first = store.latest()
+        app.set_entry("t", "e005", -5)             # the crashed handler
+        store.restore(app, first)
+        app.set_entry("t", "e007", 77)             # the replay
+        cp = store.take(app, before_seq=2, now=1.0)
+        assert decode_state_value(cp.buffers["t"][-1]) == ({"e007": 77}, ())
+        assert store.state(cp) == app.get_state()
 
 
 class TestDeletedTablesAreWholeKey:
@@ -317,7 +337,7 @@ class TestWrappersCheckpointFlat:
         app = crash_on(LearningSwitch(), payload_marker="BOOM")
         store = CheckpointStore()
         app.startup(NullAPI())
-        assert app.state_versions() is app.inner.state_versions()
+        assert app._moved_entries is app.inner._moved_entries
         app.handle(pktin("a"))
         store.take(app, before_seq=1, now=0.0)
         skipped = store.encodes_skipped
@@ -370,7 +390,7 @@ class TestWrappersCheckpointFlat:
 
         app = crash_on(Plain(), payload_marker="BOOM")
         app.handle(pktin("a"))
-        assert app.state_versions() is None and app.dirty_entries() == {}
+        assert app.dirty_entries() is None
 
     def test_armed_crash_app_round_trips_with_and_without_inner(self):
         for inner in (LearningSwitch, lambda: None):

@@ -25,6 +25,7 @@ from repro.apps import (
     Hub,
     LearningSwitch,
     LoadBalancer,
+    SDNApp,
     ShortestPathRouting,
     SpanningTreeSwitch,
     VirtualIPGateway,
@@ -66,8 +67,8 @@ class CrashMarkerSwitch(LearningSwitch):
 
 
 class UntrackedSwitch(LearningSwitch):
-    """The all-dirty reference: with no version map every take encodes
-    every key whole -- no skip, no patch."""
+    """The all-dirty reference: with no marks every take encodes every
+    key whole -- no skip, no patch."""
 
     def enable_dirty_tracking(self):
         pass
@@ -326,34 +327,30 @@ def test_a_restore_that_skips_the_newest_patch_is_caught(monkeypatch):
 
 
 def test_a_take_that_shares_a_dirty_keys_buffers_is_caught(monkeypatch):
-    """The baseline aliases the live version map, so every key the app
-    moved looks clean and the take shares its previous buffers."""
-    monkeypatch.setattr(CheckpointStore, "_baseline_of", staticmethod(
-        lambda versions, state: None if versions is None
-        else (versions, frozenset(state))))
+    """A tracked app hands over no mark, so every key the app moved
+    looks clean and the take shares its previous buffers."""
+    monkeypatch.setattr(SDNApp, "dirty_entries", lambda self: (
+        None if self._moved_entries is None else {}))
     assert divergences(LearningSwitch, length=16)
 
 
-class DictApp:
+class DictApp(SDNApp):
     name = "dictapp"
 
     def __init__(self):
+        super().__init__()
         self.state = {"a": 0, "b": {}}
-        self.versions = {"a": 0, "b": 0}
+        self.enable_dirty_tracking()
 
     def get_state(self):
         return dict(self.state)
 
     def set_state(self, state):
         self.state = dict(state)
-        self.versions = {k: 0 for k in self.state}
-
-    def state_versions(self):
-        return dict(self.versions)
 
     def touch(self, key, value):
         self.state[key] = value
-        self.versions[key] = self.versions.get(key, 0) + 1
+        self.mark_dirty(key)
 
 
 class TestDirtyKeyStore:
@@ -377,16 +374,16 @@ class TestDirtyKeyStore:
         assert store.dedup_hits == 1
 
     def test_stale_version_baseline_is_conservative(self):
-        # A restore re-pairs the version baseline with the restored
-        # image; the next take must not trust the versions of the take
-        # the rollback abandoned.
+        # A restore makes the restored image the one the next take
+        # shares with; it must not share the image of the take the
+        # rollback abandoned.
         app = DictApp()
         store = CheckpointStore(full_every=8)
         first = store.take(app, before_seq=1, now=0.0)
         app.touch("a", 1)
         store.take(app, before_seq=2, now=1.0)
-        store.restore(app, first)       # every version back to 0
-        app.touch("a", 2)               # "a" at version 1 again
+        store.restore(app, first)
+        app.touch("a", 2)
         after = store.take(app, before_seq=3, now=2.0)
         assert (decode_state(store.buffers(after))
                 == {"a": 2, "b": {}})
