@@ -11,11 +11,20 @@ of the frame aboard, which is timed by itself and subtracted.
 Prints host microseconds per data datagram (total, codec, transport;
 and transport as a multiple of codec, which does not move with the
 box's speed), and the simulator's heap entries and callbacks per data
-datagram.  It
-asserts the *counts* only -- three callbacks per batched datagram (the
-flush, the delivery, the ack's delivery; the retransmit timer is
-cancelled unfired), every frame delivered once, no retransmit -- never
-a time: compare times between two commits with alternated runs,
+datagram, for two arms of the same loop:
+
+* the *faultless* wire (no chaos object, as every deployment without a
+  ``ChaosProfile`` runs): 2 callbacks and 2 heap entries per batched
+  datagram -- the flush and the delivery; the ack is accounted, not
+  delivered, and no retransmit timer is armed;
+* a *pass-through* ``ChaosProfile`` (all rates 0), which engages the
+  reliability layer: 3 callbacks (the flush, the delivery, the ack's
+  delivery) and 4 heap entries (the retransmit timer too, cancelled
+  unfired).
+
+It asserts those *counts* only -- with every frame delivered once and
+no retransmit -- never a time: compare times between two commits with
+alternated runs,
 
     PYTHONPATH=src python3 benchmarks/transport_cost.py
     PYTHONPATH=/path/to/other/src python3 benchmarks/transport_cost.py
@@ -31,6 +40,7 @@ from time import perf_counter
 
 from repro.core.appvisor.channel import UdpChannel
 from repro.core.appvisor.rpc import EventComplete, decode_frame, encode_frame
+from repro.faults.netfaults import ChaosProfile
 from repro.network.simulator import Simulator
 
 
@@ -46,10 +56,16 @@ def _noop() -> None:
     pass
 
 
-def probe(round_trips: int) -> dict:
+#: Arm -> (chaos object factory, callbacks, heap entries per datagram).
+ARMS = {"faultless": (lambda: None, 2, 2),
+        "pass_through": (ChaosProfile, 3, 4)}
+
+
+def probe(round_trips: int, arm: str) -> dict:
     """One timed conversation of ``round_trips`` requests + replies."""
+    make_chaos, callbacks_each, entries_each = ARMS[arm]
     sim = Simulator()
-    channel = UdpChannel(sim, batch=True)
+    channel = UdpChannel(sim, batch=True, chaos=make_chaos())
     proxy, stub = channel.proxy_end, channel.stub_end
     left = [round_trips]
 
@@ -80,7 +96,8 @@ def probe(round_trips: int) -> dict:
     assert proxy.frames_recv == stub.frames_recv == round_trips
     assert channel.reliability_stats()["retransmits"] == 0
     assert channel.reliability_stats()["acks_sent"] == datagrams
-    assert callbacks == 3 * datagrams, (callbacks, datagrams)
+    assert callbacks == callbacks_each * datagrams, (callbacks, datagrams)
+    assert pushed == entries_each * datagrams, (pushed, datagrams)
     assert sim.pending == 0
     return {"us_per_datagram": wall / datagrams * 1e6,
             "heap_entries_per_datagram": pushed / datagrams,
@@ -100,24 +117,30 @@ def main() -> int:
     parser.add_argument("--round-trips", type=int, default=5_000)
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
-    probe(200)                                  # warm caches and code
+    for arm in ARMS:                            # warm caches and code
+        probe(200, arm)
     codec_us_per_frame(200)
-    runs, codecs = [], []
+    runs = {arm: [] for arm in ARMS}
+    codecs = []
     for _ in range(args.repeats):               # interleaved, same minute
         codecs.append(codec_us_per_frame(2 * args.round_trips))
-        runs.append(probe(args.round_trips))
-    total = statistics.median(run["us_per_datagram"] for run in runs)
+        for arm in ARMS:
+            runs[arm].append(probe(args.round_trips, arm))
     codec = statistics.median(codecs)
-    print(json.dumps({
-        "round_trips": args.round_trips, "repeats": args.repeats,
-        "us_per_datagram": round(total, 2),
-        "codec_us_per_frame": round(codec, 2),
-        "transport_us_per_datagram": round(total - codec, 2),
-        # Dimensionless, so a slow minute on the box cancels out.
-        "transport_over_codec": round((total - codec) / codec, 2),
-        "heap_entries_per_datagram": runs[0]["heap_entries_per_datagram"],
-        "callbacks_per_datagram": runs[0]["callbacks_per_datagram"],
-    }))
+    report = {"round_trips": args.round_trips, "repeats": args.repeats,
+              "codec_us_per_frame": round(codec, 2)}
+    for arm, arm_runs in runs.items():
+        total = statistics.median(run["us_per_datagram"] for run in arm_runs)
+        report[arm] = {
+            "us_per_datagram": round(total, 2),
+            "transport_us_per_datagram": round(total - codec, 2),
+            # Dimensionless, so a slow minute on the box cancels out.
+            "transport_over_codec": round((total - codec) / codec, 2),
+            "heap_entries_per_datagram":
+                arm_runs[0]["heap_entries_per_datagram"],
+            "callbacks_per_datagram": arm_runs[0]["callbacks_per_datagram"],
+        }
+    print(json.dumps(report))
     return 0
 
 

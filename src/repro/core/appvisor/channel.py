@@ -46,11 +46,22 @@ datagram that exhausts its budget is *abandoned*: the sender advances
 ``on_fault`` -- the signal the crashpad FailureDetector uses to tell
 "channel lossy" apart from "app dead".
 
-Host cost is kept off the path every lossless datagram takes, and
-nothing below is observable -- bytes, sim instants, RNG draws, counters
-and the simulator's callback count are those of the plain version
-(``tests/test_channel_equivalence.py`` replays a recording of it):
+Host cost is kept off the path every lossless datagram takes.  Handler
+instants, bytes, counters and spans are those of the plain version
+(``tests/test_channel_equivalence.py`` replays a recording of it); only
+the first rule below changes anything else, and only on a channel with
+no chaos object:
 
+* **A faultless wire keeps no reliability state.**  With ``chaos`` None
+  at the moment of a send, nothing can be lost, duplicated, reordered
+  or corrupted, so nothing is ever retransmitted: a data datagram goes
+  on the wire with no unacked record, RTO draw or timer, and an ack is
+  *accounted* -- ``acks_sent``, its header in ``bytes_carried``, the
+  receiver's interface time -- but not delivered, since no sender waits
+  on it.  The simulator runs one callback fewer per datagram, and a
+  drained ``sim.run()`` ends at the last delivery instead of the last
+  ack.  Any chaos object, a pass-through that drops nothing included,
+  keeps the full path below.
 * **One retransmit timer per direction, moved only when its instant
   moves.**  After a (re)transmission or a tick the timer belongs at the
   earliest ``next_at`` still unacked; the queue is touched only if that
@@ -365,16 +376,23 @@ class UdpChannel:
         else:
             records = pack_records([data for data, _ in sent])
         end.bytes_sent += len(records)
-        trace_ids = kinds = ()
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            # Only when anyone is looking: the ids and type names feed
-            # retransmission and delivery spans.
+        traced = telemetry is not None and telemetry.enabled
+        if traced:
             telemetry.metrics.inc("channel.bytes_sent", len(records))
+        end.next_seq = seq = end.next_seq + 1
+        if self.chaos is None:
+            # A faultless wire: nothing to keep for a retransmission.
+            self._put_on_wire(
+                end, pack_datagram(_DATA, seq, end.floor, records))
+            return
+        trace_ids = kinds = ()
+        if traced:
+            # Only when anyone is looking: the ids and type names feed
+            # retransmission spans.
             frames = [frame for _, frame in sent]
             trace_ids = frame_trace_ids(frames)
             kinds = tuple(sorted({type(f).__name__ for f in frames}))
-        end.next_seq = seq = end.next_seq + 1
         end.unacked[seq] = record = _Unacked(records, trace_ids, kinds)
         self._transmit(end, seq, record)
 
@@ -499,11 +517,7 @@ class UdpChannel:
             if not deliveries:
                 self.datagrams_lost += 1
                 return False
-        self.bytes_carried += len(data)
-        tx_end = end.tx_free_at
-        if tx_end < now:
-            tx_end = now
-        end.tx_free_at = tx_end = tx_end + len(data) * self.per_byte_delay
+        tx_end = self._charge(end, len(data))
         if chaos is None:
             sim.schedule_at(tx_end + self.base_delay,
                             self._deliver, end.peer, data, now)
@@ -512,6 +526,17 @@ class UdpChannel:
                 sim.schedule_at(tx_end + self.base_delay + extra_delay,
                                 self._deliver, end.peer, payload, now)
         return True
+
+    def _charge(self, end: ChannelEndpoint, nbytes: int) -> float:
+        """Count ``nbytes`` on the wire and hold ``end``'s interface for
+        their serialisation; the instant the last byte leaves."""
+        self.bytes_carried += nbytes
+        now = self.sim.now
+        tx_end = end.tx_free_at
+        if tx_end < now:
+            tx_end = now
+        end.tx_free_at = tx_end = tx_end + nbytes * self.per_byte_delay
+        return tx_end
 
     # -- receive path -----------------------------------------------------
 
@@ -610,6 +635,12 @@ class UdpChannel:
         self.acks_sent += 1
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.metrics.inc("channel.acks_sent")
+        if self.chaos is None and not dest.peer.unacked:
+            # No sender waits on it (records are kept only while a
+            # profile is attached): the header costs its bytes and the
+            # receiver's interface time, and nothing is delivered.
+            self._charge(dest, HEADER_SIZE)
+            return
         self._put_on_wire(dest, pack_datagram(_ACK, dest.cursor, 0))
 
     # -- reliability: sender side -----------------------------------------

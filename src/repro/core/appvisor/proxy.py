@@ -321,48 +321,51 @@ class AppVisorProxy:
 
     # -- dispatch -------------------------------------------------------------------
 
-    def _lane_of(self, event) -> object:
-        """Which lane an event travels in.
+    def _pump(self, record: AppRecord) -> None:
+        """Dispatch queued events into every free lane, in queue order.
 
-        Serial mode collapses everything to one lane (FIFO per app, the
-        FloodLight pipeline).  With §5 concurrency lanes, events key by
+        Serial mode has one lane (FIFO per app, the FloodLight
+        pipeline), so only the queue's head can go, and only when
+        nothing is in flight.  With §5 concurrency lanes, events key by
         the originating switch -- "these events are often handled by
         different threads" -- and controller-level events share a
         dedicated lane.
         """
-        if not self.parallel_lanes:
-            return 0
-        return getattr(event, "dpid", "controller")
-
-    def _pump(self, record: AppRecord) -> None:
-        """Dispatch queued events into every free lane, in queue order."""
         if record.status is not AppStatus.UP or not record.queue:
+            return
+        if not self.parallel_lanes:
+            if not record.inflights:
+                self._dispatch(record, 0, *record.queue.popleft())
             return
         busy = set(record.inflights)
         remaining: Deque = deque()
         for event, tid in record.queue:
-            lane = self._lane_of(event)
+            lane = getattr(event, "dpid", "controller")
             if lane in busy:
                 remaining.append((event, tid))
                 continue
             busy.add(lane)
-            record.last_seq += 1
-            seq = record.last_seq
-            txn = None
-            if self.mode == "netlog":
-                txn = self.manager.begin(record.name, event.type_name,
-                                         trace_id=tid or None)
-            record.inflights[lane] = Inflight(
-                seq=seq, event=event, txn=txn, dispatched_at=self.sim.now,
-                trace_id=tid)
-            record.events_dispatched += 1
-            self.detector.record_dispatch(record.name, seq, self.sim.now)
-            deliver = rpc.EventDeliver(
-                app_name=record.name, seq=seq, event=event, trace_id=tid,
-            )
-            rpc.trace_frame(self.telemetry, "send", deliver)
-            record.endpoint.send(deliver)
+            self._dispatch(record, lane, event, tid)
         record.queue = remaining
+
+    def _dispatch(self, record: AppRecord, lane, event, tid: int) -> None:
+        """Send one event to the app's stub as in flight in ``lane``."""
+        record.last_seq += 1
+        seq = record.last_seq
+        txn = None
+        if self.mode == "netlog":
+            txn = self.manager.begin(record.name, event.type_name,
+                                     trace_id=tid or None)
+        record.inflights[lane] = Inflight(
+            seq=seq, event=event, txn=txn, dispatched_at=self.sim.now,
+            trace_id=tid)
+        record.events_dispatched += 1
+        self.detector.record_dispatch(record.name, seq, self.sim.now)
+        deliver = rpc.EventDeliver(
+            app_name=record.name, seq=seq, event=event, trace_id=tid,
+        )
+        rpc.trace_frame(self.telemetry, "send", deliver)
+        record.endpoint.send(deliver)
 
     @staticmethod
     def _inflight_by_seq(record: AppRecord, seq: int):

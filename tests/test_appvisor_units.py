@@ -68,7 +68,10 @@ class TestRPCFrames:
 class TestUdpChannel:
     def test_frames_delivered_after_delay(self):
         sim = Simulator()
-        channel = UdpChannel(sim, base_delay=0.002, per_byte_delay=0.0)
+        # A pass-through profile engages reliability: without one the
+        # ack is accounted but never delivered.
+        channel = UdpChannel(sim, base_delay=0.002, per_byte_delay=0.0,
+                             chaos=ChaosProfile())
         arrived = []
         channel.stub_end.on_frame(lambda f: arrived.append(sim.now))
         channel.proxy_end.send(rpc.Heartbeat(app_name="x", stub_time=0,

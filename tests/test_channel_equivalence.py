@@ -21,6 +21,11 @@ the golden holds
   ``sim.now`` / ``sim.pending`` after ``sim.run()`` -- an idle channel
   must leave nothing in the queue.
 
+The four ``clean`` scenarios were re-recorded once, on purpose, when a
+channel with no chaos object stopped keeping retransmit state and
+delivering acks: their callback counts and final ``sim.now`` moved,
+nothing else in any scenario did.
+
 Seed-2 scenarios run with telemetry on and pin the channel's spans and
 metric counters as well.  The script uses public names only, so the
 same file runs against either implementation.  Never regenerate the

@@ -198,7 +198,7 @@ class TestRetransmitTimer:
 
     def test_sends_behind_an_unacked_datagram_leave_the_timer_alone(self):
         sim = Simulator()
-        channel, got = make(sim)
+        channel, got = make(sim, chaos=ChaosProfile())  # drops nothing
         channel.rng = FixedJitter(0.0, 0.5, 0.9)    # deadlines ascend
         before = heap_entries(sim)
         for seq in range(3):
@@ -222,7 +222,7 @@ class TestRetransmitTimer:
 
     def test_last_ack_leaves_nothing_queued(self):
         sim = Simulator()
-        channel, got = make(sim)
+        channel, got = make(sim, chaos=ChaosProfile())  # drops nothing
         channel.stub_end.send(beat(0))
         assert sim.pending == 2             # the delivery and the timer
         sim.run()
@@ -259,6 +259,67 @@ class TestRetransmitTimer:
         # second copy; their three acks; one tick, at 0.0125.  A timer
         # left at seq 1's deadline would add a ninth, at 0.0100.
         assert sim.events_processed == 8
+
+
+class TestFaultlessWire:
+    """With no chaos object nothing can be lost, so the channel keeps no
+    reliability state and delivers no ack; what handlers, counters and
+    interfaces see is what a pass-through profile (which engages the
+    full reliability path) gives."""
+
+    @staticmethod
+    def converse(chaos, batch):
+        sim = Simulator()
+        channel = UdpChannel(sim, batch=batch, chaos=chaos)
+        proxy, stub = channel.proxy_end, channel.stub_end
+        calls, held = [], []
+
+        def on_stub(frame):
+            calls.append((sim.now, "stub", frame.last_seq_done))
+            stub.send(beat(frame.last_seq_done + 100))
+
+        proxy.on_frame(
+            lambda f: calls.append((sim.now, "proxy", f.last_seq_done)))
+        stub.on_frame(on_stub)
+        for seq in range(6):
+            # Two frames per instant: one datagram batched, two not.
+            sim.schedule(seq * 0.0003, proxy.send, beat(seq))
+            sim.schedule(seq * 0.0003, proxy.send, beat(seq + 50))
+        sim.schedule(0.0008, lambda: held.append(
+            [(len(end.unacked), end.timer_id) for end in (proxy, stub)]))
+        sim.run()
+        return channel, calls, held
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_matches_a_pass_through_profile(self, batch):
+        clean, calls, held = self.converse(None, batch)
+        tapped, tapped_calls, tapped_held = self.converse(
+            ChaosProfile(), batch)
+        assert calls == tapped_calls and len(calls) == 24
+        assert clean.byte_stats() == tapped.byte_stats()
+        assert clean.reliability_stats() == tapped.reliability_stats()
+        assert clean.acks_sent == clean.datagrams_delivered
+        for end in ("proxy_end", "stub_end"):
+            assert (getattr(clean, end).tx_free_at
+                    == getattr(tapped, end).tx_free_at)
+        # Mid-conversation the profiled channel waits on acks; the
+        # faultless one holds nothing.
+        assert tapped_held[0][0][0] > 0
+        assert held == [[(0, None), (0, None)]]
+
+    def test_a_detached_profile_leaves_its_datagrams_acknowledged(self):
+        """Datagrams sent under a profile still wait for acks after it
+        is removed, so those acks are delivered, not just accounted."""
+        sim = Simulator()
+        channel, got = make(sim, chaos=ChaosProfile(loss=1.0))
+        faults = []
+        channel.on_fault.append(faults.append)
+        channel.stub_end.send(beat(0))
+        sim.run_until(0.001)
+        channel.chaos = None
+        sim.run()
+        assert got == [0] and channel.retransmits == 1
+        assert faults == [] and not channel.stub_end.unacked
 
 
 class TestTelemetryCounters:
