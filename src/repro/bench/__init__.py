@@ -8,7 +8,6 @@ events/sec, latency percentiles, bytes/event, and peak RSS -- with a
 
 - :mod:`repro.bench.synth` -- O(1)-memory host universes + traffic mixes;
 - :mod:`repro.bench.loadgen` -- the sim-clock PacketIn injector;
-- :mod:`repro.bench.hist` -- bounded-memory streaming latency histogram;
 - :mod:`repro.bench.harness` -- scenarios, presets, the run loop,
   reports, and the regression gate.
 
@@ -23,7 +22,6 @@ from repro.bench.harness import (
     default_memory_probe,
     run_scenario,
 )
-from repro.bench.hist import StreamingHistogram
 from repro.bench.loadgen import LoadGenerator
 from repro.bench.synth import HostRef, HostUniverse, TrafficMix
 
@@ -34,7 +32,6 @@ __all__ = [
     "HostRef",
     "HostUniverse",
     "LoadGenerator",
-    "StreamingHistogram",
     "TrafficMix",
     "check_report",
     "default_memory_probe",

@@ -6,11 +6,14 @@ ShardCoordinator`) under a :class:`~repro.bench.loadgen.LoadGenerator`
 for a configured stretch of simulated time.  The run is a
 :mod:`repro.scenario` timeline (a ``load`` step, and a ``load_marker``
 step for the crash row) played in *chunks*: after every chunk it
-drains finished spans out of each replica's tracer ring into
-a :class:`~repro.bench.hist.StreamingHistogram` (bounded memory, no
-matter how long the run) and checks peak RSS against the scenario's
-memory ceiling.  A breach stops injection and returns a clean partial
-report (``aborted = "memory-ceiling"``) instead of an OOM kill.
+drains finished spans out of each replica's tracer ring -- the
+measured window's event latencies into one
+:class:`~repro.metrics.collector.LatencyRecorder`, whose quantiles are
+exact nearest ranks -- empties each telemetry's own recorders (nothing
+in a bench run reads them, so memory stays flat) and checks peak RSS
+against the scenario's memory ceiling.  A breach stops injection and
+returns a clean partial report (``aborted = "memory-ceiling"``)
+instead of an OOM kill.
 
 Reports split into a **deterministic** part (scenario + results: every
 number is a function of the seeds alone, so two runs of one scenario
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps import LearningSwitch
-from repro.bench.hist import StreamingHistogram
 from repro.core.runtime import RuntimeConfig
+from repro.metrics.collector import LatencyRecorder
 from repro.network.packet import reset_packet_ids
 from repro.network.topology import tree_topology
 from repro.openflow.messages import reset_xid_counter
@@ -40,7 +43,7 @@ from repro.record import record
 from repro.scenario import Step, play
 from repro.stack import StackSpec, build_stack
 
-#: Event-latency span the histogram tracks (one per app event).
+#: Event-latency span the recorder tracks (one per app event).
 EVENT_SPAN = "appvisor.event"
 
 #: Payload sentinel the crash row's app dies on (the offending event
@@ -159,20 +162,33 @@ class BenchReport:
         return doc
 
 
-def _drain_spans(telemetries, hist: Optional[StreamingHistogram]) -> int:
-    """Move finished spans out of every tracer ring; histogram the
-    event-latency ones.  Returns how many event spans were seen."""
-    seen = 0
+def _drain_spans(telemetries, latency: Optional[LatencyRecorder]) -> None:
+    """Move finished spans out of every tracer ring, recording the
+    event-latency ones into ``latency``, and empty each telemetry's
+    per-span recorders."""
     for telemetry in telemetries:
         if not telemetry.enabled:
             continue
-        for span in telemetry.tracer.spans:
-            if span.name == EVENT_SPAN:
-                seen += 1
-                if hist is not None:
-                    hist.add(span.duration)
+        if latency is not None:
+            for span in telemetry.tracer.spans:
+                if span.name == EVENT_SPAN:
+                    latency.record(span.duration)
         telemetry.tracer.spans.clear()
-    return seen
+        telemetry.metrics.recorders.clear()
+
+
+def _latency_ms(latency: LatencyRecorder) -> Dict[str, object]:
+    """The report's ``latency_ms`` block: nearest-rank quantiles in ms
+    (NaN over an empty window, which has no ``mean`` or ``max``)."""
+    seconds: Dict[str, float] = {}
+    if latency.count:
+        seconds.update(mean=latency.mean, max=latency.maximum)
+    for label, p in (("p50", 50), ("p99", 99), ("p99_9", 99.9)):
+        seconds[label] = latency.percentile(p)
+    doc: Dict[str, object] = {"count": latency.count}
+    doc.update((key, round(value * 1000.0, 6))
+               for key, value in seconds.items())
+    return doc
 
 
 def _bytes_counters(telemetries) -> Tuple[int, int]:
@@ -236,7 +252,7 @@ def run_scenario(scenario: BenchScenario,
         backups=BACKUPS,
         shards=scenario.shards,
         service_time=SERVICE_TIME,
-        telemetry={"metrics_max_samples": 4096, "max_spans": 60_000},
+        telemetry={"max_spans": 60_000},
     ))
     net, coordinator = stack.net, stack.coordinator
     stack.start()
@@ -246,9 +262,10 @@ def run_scenario(scenario: BenchScenario,
                            for r in handle.replicas.replicas)
 
     aborted: Optional[str] = None
-    hist = StreamingHistogram()
+    latency = LatencyRecorder(EVENT_SPAN)
 
-    def run_chunks(total: float, hist_arg, steps=()) -> float:
+    def run_chunks(total: float, into: Optional[LatencyRecorder],
+                   steps=()) -> float:
         """Play ``steps`` over the next ``total`` sim seconds in
         drain/probe chunks; returns how much actually ran before any
         abort."""
@@ -262,7 +279,7 @@ def run_scenario(scenario: BenchScenario,
             pending = pending[len(due):]
             play(stack, due, end)
             ran += step
-            _drain_spans(telemetries, hist_arg)
+            _drain_spans(telemetries, into)
             used = probe()
             if used > scenario.ceiling_mb:
                 aborted = "memory-ceiling"
@@ -278,7 +295,7 @@ def run_scenario(scenario: BenchScenario,
         "hosts": scenario.hosts, "rate": scenario.rate,
         "seed": scenario.seed, "churn_per_sec": scenario.churn_per_sec})])
     generator = stack.load
-    run_chunks(scenario.warmup_seconds, hist_arg=None)
+    run_chunks(scenario.warmup_seconds, None)
     _drain_spans(telemetries, None)
     warm_offered = generator.events_offered
     warm_ingested = coordinator.total_events_ingested()
@@ -293,19 +310,14 @@ def run_scenario(scenario: BenchScenario,
         marker = [Step(net.now + scenario.crash_at, "load_marker",
                        {"payload": CRASH_MARKER})
                   ] if scenario.crash_at > 0 else []
-        measured = run_chunks(scenario.sim_seconds, hist, marker)
+        measured = run_chunks(scenario.sim_seconds, latency, marker)
     generator.stop()
-    _drain_spans(telemetries, hist if measured > 0 else None)
+    _drain_spans(telemetries, latency if measured > 0 else None)
 
     sent, recv = _bytes_counters(telemetries)
     bytes_sent = sent - warm_sent
     bytes_recv = recv - warm_recv
-    events = hist.count
-    latency = {
-        key: (round(value * 1000.0, 6)
-              if key not in ("count",) else value)
-        for key, value in hist.summary().items()
-    }
+    events = latency.count
     spans_dropped = sum(getattr(t.tracer, "dropped", 0)
                         for t in telemetries if t.enabled)
     results: Dict[str, object] = {
@@ -317,7 +329,7 @@ def run_scenario(scenario: BenchScenario,
         "events_completed": events,
         "events_per_sim_sec": (round(events / measured, 3)
                                if measured > 0 else 0.0),
-        "latency_ms": latency,
+        "latency_ms": _latency_ms(latency),
         "bytes_sent": bytes_sent,
         "bytes_recv": bytes_recv,
         "bytes_per_event": (round(bytes_sent / events, 2)

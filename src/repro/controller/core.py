@@ -62,10 +62,7 @@ class Controller:
 
     def __init__(self, sim, discovery_interval: float = 0.5,
                  telemetry: Optional[Telemetry] = None,
-                 dispatch_shards: int = 8,
                  service_time: float = 0.0):
-        if dispatch_shards < 1:
-            raise ValueError("dispatch_shards must be >= 1")
         if service_time < 0:
             raise ValueError("service_time must be >= 0")
         self.sim = sim
@@ -79,23 +76,14 @@ class Controller:
         self.channels: Dict[int, ControlChannel] = {}
         self.listeners: List[ListenerReg] = []
         #: type name -> listeners subscribed to it, in registration
-        #: order.  Rebuilt only when the registration set changes (see
-        #: ``listener_version``), so dispatch never copies or scans the
-        #: full listener list per event.
+        #: order.  Rebuilt only when the registration set changes, so
+        #: dispatch never copies or scans the full listener list per
+        #: event.
         self._listener_index: Dict[str, Tuple[ListenerReg, ...]] = {}
-        #: Bumped on every (un)register; consumers caching dispatch
-        #: plans compare against it instead of re-snapshotting.
-        self.listener_version = 0
-        #: Dispatch fan-out lanes: events for independent switches
-        #: traverse disjoint FIFO lanes (dpid % shards; controller-level
-        #: events ride lane 0), the crashpad per-dpid-lane idea
-        #: generalised to the controller.  Each lane preserves FIFO
-        #: across re-entrant dispatches.
-        self.dispatch_shards = dispatch_shards
-        self._lanes: Tuple[Deque, ...] = tuple(
-            deque() for _ in range(dispatch_shards))
-        self._lane_busy: List[bool] = [False] * dispatch_shards
-        self.dispatches_by_lane: List[int] = [0] * dispatch_shards
+        #: Dispatch queue: ``(event, trace_id)`` pairs delivered FIFO,
+        #: re-entrant dispatches included (see :meth:`dispatch`).
+        self._queue: Deque = deque()
+        self._draining = False
         self.crashed = False
         self.crash_records: List[CrashRecord] = []
         self.reboot_times: List[float] = []
@@ -250,13 +238,9 @@ class Controller:
     def dispatch(self, event) -> None:
         """Deliver ``event`` to subscribed listeners, in order.
 
-        Events are routed onto a dispatch lane by dpid (events without
-        a dpid ride lane 0) and each lane drains FIFO: a re-entrant
-        dispatch from inside a listener enqueues behind the event being
-        delivered rather than preempting it.  With the simulator being
-        single-threaded the lanes are a fairness/ordering structure,
-        not true parallelism -- but they keep independent switches'
-        event streams disjoint, the unit a parallel drain would use.
+        Events drain through one FIFO queue: a re-entrant dispatch
+        from inside a listener, whatever its dpid, enqueues behind the
+        event being delivered rather than preempting it.
 
         An exception from a listener is an unhandled exception in the
         controller process: the controller crashes (the fate-sharing
@@ -267,7 +251,7 @@ class Controller:
         ambient (a re-entrant dispatch from inside a traced handler,
         e.g. the AppCrashed event Crash-Pad raises while recovering a
         traced failure), which the new event inherits so the causal
-        chain stays connected.  The id rides the lane queue beside the
+        chain stays connected.  The id rides the queue beside the
         event (events are frozen dataclasses) and every downstream
         layer propagates it instead of minting again.
         """
@@ -277,38 +261,28 @@ class Controller:
         trace_id = 0
         if tracer.enabled:
             trace_id = tracer.current_trace or tracer.mint_trace()
-        lane = self._lane_of(event)
-        queue = self._lanes[lane]
+        queue = self._queue
         queue.append((event, trace_id))
-        if self._lane_busy[lane]:
+        if self._draining:
             return  # the active drain below delivers it, FIFO
-        self._lane_busy[lane] = True
+        self._draining = True
         try:
             while queue:
                 if self.crashed:
                     queue.clear()
                     return
                 queued, queued_trace = queue.popleft()
-                self._dispatch_one(queued, queued_trace, lane)
+                self._dispatch_one(queued, queued_trace)
         finally:
-            self._lane_busy[lane] = False
+            self._draining = False
 
-    def _lane_of(self, event) -> int:
-        if self.dispatch_shards == 1:
-            return 0
-        dpid = getattr(event, "dpid", None)
-        if dpid is None:
-            return 0
-        return int(dpid) % self.dispatch_shards
-
-    def _dispatch_one(self, event, trace_id: int, lane: int) -> None:
+    def _dispatch_one(self, event, trace_id: int) -> None:
         type_name = event.type_name
-        self.dispatches_by_lane[lane] += 1
         tracer = self.telemetry.tracer
         if tracer.enabled:
             with tracer.span("controller.dispatch",
                              trace_id=trace_id or None, event=type_name,
-                             epoch=self.epoch, lane=lane):
+                             epoch=self.epoch):
                 self._deliver(event, type_name)
         else:
             self._deliver(event, type_name)
@@ -369,7 +343,6 @@ class Controller:
         self._listener_index = {
             type_name: tuple(regs) for type_name, regs in index.items()
         }
-        self.listener_version += 1
 
     # -- crash / reboot ---------------------------------------------------------
 
@@ -394,8 +367,7 @@ class Controller:
                 flight_records=self.telemetry.flight_dump(),
             )
         )
-        for queue in self._lanes:
-            queue.clear()  # queued events die with the process
+        self._queue.clear()  # queued events die with the process
         # The ingestion backlog dies too: scheduled service completions
         # from this incarnation no-op on the generation check.
         self._ingest_gen += 1

@@ -22,33 +22,21 @@ def percentile(ordered: Sequence[float], p: float) -> float:
 class LatencyRecorder:
     """Collects samples; reports mean/percentiles.
 
-    Percentiles are :func:`percentile` (nearest rank) over the sorted
-    samples.  The sorted order is cached between records, so a
-    ``summary()`` (three percentile reads) sorts once, not three times.
-
-    With ``max_samples`` the recorder keeps only the newest N samples
-    (a sliding window) while ``count``/``sum``/``mean`` stay *totals*
-    over everything ever recorded -- sustained load runs (hours of sim
-    time, millions of events) need bounded memory, and percentiles
-    over a recent window are what a live dashboard wants anyway.
+    Every sample is kept, so each figure it reports -- percentiles
+    (:func:`percentile`, nearest rank), ``minimum``, ``maximum`` and
+    the histogram's counts -- is over the same samples as ``count``.
+    The sorted order is cached between records, so a ``summary()``
+    (three percentile reads) sorts once, not three times.
     """
 
-    def __init__(self, name: str = "", max_samples: Optional[int] = None):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.max_samples = max_samples
-        if max_samples is None:
-            self.samples: Sequence[float] = []
-        else:
-            from collections import deque
-
-            self.samples = deque(maxlen=max_samples)
-        self._count = 0
+        self.samples: List[float] = []
         self._total = 0.0
         self._sorted: Optional[List[float]] = None
 
     def record(self, value: float) -> None:
         self.samples.append(value)
-        self._count += 1
         self._total += value
         self._sorted = None
 
@@ -59,8 +47,7 @@ class LatencyRecorder:
 
     @property
     def count(self) -> int:
-        """Total samples ever recorded (not just the retained window)."""
-        return self._count
+        return len(self.samples)
 
     @property
     def sum(self) -> float:
@@ -68,9 +55,9 @@ class LatencyRecorder:
 
     @property
     def mean(self) -> float:
-        if not self._count:
+        if not self.samples:
             return math.nan
-        return self._total / self._count
+        return self._total / len(self.samples)
 
     @property
     def minimum(self) -> float:
@@ -111,15 +98,9 @@ class LatencyRecorder:
 
 
 class MetricsCollector:
-    """A named bag of counters and latency recorders.
+    """A named bag of counters and latency recorders."""
 
-    ``max_samples`` bounds every recorder to a sliding window of that
-    many samples (see :class:`LatencyRecorder`); the default keeps
-    everything, as before.
-    """
-
-    def __init__(self, max_samples: Optional[int] = None):
-        self.max_samples = max_samples
+    def __init__(self):
         self.counters: Dict[str, int] = {}
         self.recorders: Dict[str, LatencyRecorder] = {}
         #: Last-write-wins instantaneous values (e.g. checkpoint lag:
@@ -135,8 +116,7 @@ class MetricsCollector:
     def observe(self, name: str, value: float) -> None:
         recorder = self.recorders.get(name)
         if recorder is None:
-            recorder = self.recorders[name] = LatencyRecorder(
-                name, max_samples=self.max_samples)
+            recorder = self.recorders[name] = LatencyRecorder(name)
         recorder.record(value)
 
     def snapshot(self) -> Dict[str, object]:

@@ -229,11 +229,10 @@ class Membership:
         self.replicas: List[ControllerReplica] = [self.primary]
         for rid in (f"r{i}" for i in range(1, backups + 1)):
             # Configured as the primary is: telemetry settings (tagged
-            # with its own id), service model, lanes, discovery cadence.
+            # with its own id), service model, discovery cadence.
             backup = Controller(
                 sim, discovery_interval=controller.discovery.interval,
                 telemetry=controller.telemetry.sibling(rid, shard_id),
-                dispatch_shards=controller.dispatch_shards,
                 service_time=controller.service_time)
             backup.shard_id = shard_id
             self.replicas.append(ControllerReplica(

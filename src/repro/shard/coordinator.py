@@ -12,7 +12,7 @@ and owns the cross-shard concerns the shards themselves cannot see:
   (one call, via ``Network.start(controller_for=...)``);
 - **routing**: each shard controller gets a ``shard_router`` hook so
   an event arriving at the wrong shard hops once to its owner's
-  dispatch lanes;
+  dispatch queue;
 - **failover**: each shard's ReplicaSet detects and heals its own
   primary's death exactly as the unsharded one does; the coordinator
   merely re-attaches the routing hook to the promoted controller (the

@@ -57,16 +57,12 @@ class Telemetry:
                  clock: Optional[Callable[[], float]] = None,
                  flight_capacity: int = 128, max_spans: int = 20_000,
                  replica_id: Optional[str] = None,
-                 shard_id: Optional[int] = None,
-                 metrics_max_samples: Optional[int] = None):
+                 shard_id: Optional[int] = None):
         self.enabled = enabled
         #: Everything but the identity tags: what a sibling is built with.
         self._settings = dict(flight_capacity=flight_capacity,
-                              max_spans=max_spans,
-                              metrics_max_samples=metrics_max_samples)
-        #: ``metrics_max_samples`` bounds each latency recorder to a
-        #: sliding window (sustained-load runs need O(1) memory).
-        self.metrics = MetricsCollector(max_samples=metrics_max_samples)
+                              max_spans=max_spans)
+        self.metrics = MetricsCollector()
         self.recorder = FlightRecorder(capacity=flight_capacity)
         self.replica_id = replica_id
         self.shard_id = shard_id

@@ -12,11 +12,11 @@ from repro.bench import (
     PRESETS,
     BenchScenario,
     HostUniverse,
-    StreamingHistogram,
     TrafficMix,
     check_report,
     run_scenario,
 )
+from repro.bench import harness
 from repro.cli import main as cli_main
 
 TINY = BenchScenario(
@@ -174,29 +174,26 @@ def test_presets_cover_e19_matrix():
 
 # -- building blocks --------------------------------------------------
 
-def test_streaming_histogram_quantiles_bounded_memory():
-    hist = StreamingHistogram()
-    for i in range(10_000):
-        hist.add(0.001 * (1 + i % 100))
-    assert hist.count == 10_000
-    assert hist.quantile(0.5) <= hist.quantile(0.99) <= hist.quantile(1.0)
-    # Memory is the bucket array, not the samples.
-    assert len(hist.counts) < 200
-    summary = hist.summary()
-    assert summary["count"] == 10_000
-    assert summary["p50"] > 0
+def test_latency_quantiles_are_measured_event_latencies(monkeypatch):
+    """Every reported quantile is a nearest rank: one of the measured
+    window's ``appvisor.event`` latencies, not a bucket bound."""
+    measured = []
+    drain = harness._drain_spans
 
+    def spy(telemetries, into):
+        if into is not None:
+            measured.extend(
+                round(span.duration * 1000.0, 6)
+                for telemetry in telemetries if telemetry.enabled
+                for span in telemetry.tracer.spans
+                if span.name == harness.EVENT_SPAN)
+        return drain(telemetries, into)
 
-def test_streaming_histogram_quantiles_never_exceed_the_exact_max():
-    hist = StreamingHistogram()
-    for value in (0.000440, 0.000431, 0.000425):    # one bucket, bound .455
-        hist.add(value)
-    assert hist.quantile(0.5) == hist.quantile(1.0) == hist.max == 0.000440
-    summary = hist.summary()
-    assert summary["p50"] <= summary["p99"] <= summary["p99_9"] \
-        <= summary["max"]
-    hist.add(120.0)                                 # the overflow bucket
-    assert hist.quantile(1.0) == hist.high < hist.max
+    monkeypatch.setattr(harness, "_drain_spans", spy)
+    latency = run_scenario(TINY).results["latency_ms"]
+    assert latency["count"] == len(measured) > 0
+    for key in ("p50", "p99", "p99_9", "max"):
+        assert latency[key] in measured, (key, latency[key])
 
 
 def test_host_universe_is_o1_and_deterministic():

@@ -1,9 +1,9 @@
-"""Indexed, sharded controller dispatch.
+"""Indexed, queued controller dispatch.
 
 The O(listeners) scan and per-event list copy in ``_deliver`` are
 replaced by a type->listener index rebuilt only on (un)registration,
-and events fan out over per-dpid lanes that preserve FIFO under
-re-entrant dispatch.
+and events drain through one FIFO queue that re-entrant dispatches,
+whatever their dpid, join at the back.
 """
 
 import pytest
@@ -36,21 +36,6 @@ def controller():
 
 
 class TestListenerIndex:
-    def test_version_bumps_only_on_registration_change(self, controller):
-        v0 = controller.listener_version
-        controller.register_listener("a", ["Ev"], lambda e: None)
-        v1 = controller.listener_version
-        assert v1 > v0
-        controller.dispatch(Event())
-        controller.dispatch(Event())
-        assert controller.listener_version == v1
-        assert controller.unregister_listener("a")
-        assert controller.listener_version > v1
-        # A miss does not invalidate anyone's cached plan.
-        version = controller.listener_version
-        assert not controller.unregister_listener("ghost")
-        assert controller.listener_version == version
-
     def test_index_routes_by_type(self, controller):
         seen = []
         controller.register_listener("a", ["Ev"],
@@ -88,16 +73,7 @@ class TestListenerIndex:
 
 
 class TestShardedLanes:
-    def test_events_route_to_dpid_lanes(self, controller):
-        controller.register_listener("a", ["Ev"], lambda e: None)
-        for dpid in (1, 2, 9, 10):
-            controller.dispatch(Event(dpid=dpid))
-        controller.dispatch(Event())  # no dpid -> controller lane 0
-        shards = controller.dispatch_shards
-        by_lane = controller.dispatches_by_lane
-        assert sum(by_lane) == 5
-        assert by_lane[1 % shards] >= 1
-        assert by_lane[0] >= 1  # the no-dpid event
+    """The dispatch queue (once one FIFO lane per dpid residue)."""
 
     def test_reentrant_dispatch_same_lane_is_fifo(self, controller):
         seen = []
@@ -105,7 +81,7 @@ class TestShardedLanes:
         def listener(event):
             seen.append(event.tag)
             if event.tag == "outer":
-                # Re-entrant dispatch to the SAME lane: must queue
+                # Re-entrant dispatch for the same dpid: must queue
                 # behind the in-flight event, not preempt it.
                 controller.dispatch(Event(dpid=1, tag="inner"))
                 seen.append("outer-done")
@@ -114,13 +90,20 @@ class TestShardedLanes:
         controller.dispatch(Event(dpid=1, tag="outer"))
         assert seen == ["outer", "outer-done", "inner"]
 
-    def test_single_shard_still_works(self):
-        controller = Controller(Simulator(seed=0), dispatch_shards=1)
+    def test_reentrant_dispatch_other_dpid_is_fifo(self, controller):
         seen = []
-        controller.register_listener("a", ["Ev"], lambda e: seen.append(1))
-        controller.dispatch(Event(dpid=5))
-        assert seen == [1]
-        assert controller.dispatches_by_lane == [1]
+
+        def listener(event):
+            seen.append(event.tag)
+            if event.tag == "outer":
+                # Another switch's event queues behind the in-flight
+                # one too: there is one queue, not one per dpid.
+                controller.dispatch(Event(dpid=2, tag="inner"))
+                seen.append("outer-done")
+
+        controller.register_listener("a", ["Ev"], listener)
+        controller.dispatch(Event(dpid=1, tag="outer"))
+        assert seen == ["outer", "outer-done", "inner"]
 
     def test_crash_clears_queued_events(self, controller):
         delivered = []
@@ -135,7 +118,3 @@ class TestShardedLanes:
         controller.dispatch(Event(dpid=1, tag="outer"))
         assert controller.crashed
         assert delivered == []  # the queued event died with the process
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            Controller(Simulator(seed=0), dispatch_shards=0)

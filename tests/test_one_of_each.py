@@ -7,10 +7,11 @@ to arrive by editing this file:
 
 - one delta-debugging minimiser (``ddmin`` in
   ``core/crashpad/sts.py``; ``repro.debug`` runs the same function);
-- percentile/quantile rules defined in ``metrics/collector.py`` (exact
-  samples) and ``bench/hist.py`` (streaming buckets), nowhere else --
-  and exact samples have one rule, nearest rank (a rounded-index rule
-  once served the watchdog and a deleted span-diff gate);
+- percentile/quantile rules defined in ``metrics/collector.py``,
+  nowhere else, and there exactly one, nearest rank over every sample
+  (a rounded-index rule once served the watchdog and a deleted
+  span-diff gate; a log-bucket streaming histogram once served the
+  load harness, and its bucket bounds read as quantiles);
 - no ``pickle`` under ``src/repro`` at all (until PR 22 it framed
   ``checkpoint.py``'s ``{key: bytes}`` maps; an image is now its buffer
   map) -- app and service state have one encoding;
@@ -55,7 +56,6 @@ SCANNED = (SRC, ROOT / "benchmarks")
 STS = SRC / "core" / "crashpad" / "sts.py"
 CHECKPOINT = SRC / "core" / "crashpad" / "checkpoint.py"
 COLLECTOR = SRC / "metrics" / "collector.py"
-PERCENTILE_HOMES = {COLLECTOR, SRC / "bench" / "hist.py"}
 REPLICATION = SRC / "replication"
 ROOT_MODULE = "repro.replication.replicaset"
 STACK = SRC / "stack.py"
@@ -128,7 +128,7 @@ def test_one_ddmin_and_no_other_granularity_loop():
 def test_percentile_rules_live_in_one_module_per_kind():
     strays = [
         f"{path.relative_to(ROOT)}:{fn.name}"
-        for path, tree in _trees() if path not in PERCENTILE_HOMES
+        for path, tree in _trees() if path != COLLECTOR
         for fn in _functions(tree)
         if fn.name.endswith(("percentile", "quantile"))]
     assert not strays, strays

@@ -4,9 +4,12 @@ An AST scan, names only (a coarse net by design): for every
 non-dataclass class under ``src/repro``, each defaulted ``__init__``
 parameter name must occur as a keyword argument in at least one call
 in ``src/``, ``benchmarks/``, ``examples/`` or ``wallbench/`` -- or be
-listed in ``ALLOWED`` with the reason it is kept.  A parameter nobody
-passes is a constant wearing a parameter's clothes: name it beside the
-code that uses it and delete the branch that served it.
+listed in ``ALLOWED`` with the reason it is kept.  ``name=self.name``
+does not count: an object forwarding its own attribute chooses no
+value (it hid ``buffer_packets``, which only a test sets).  A
+parameter nobody passes is a constant wearing a parameter's clothes:
+name it beside the code that uses it and delete the branch that
+served it.
 
 The finer instrument is a runtime probe (wrap ``builtins.
 __build_class__``, record per ``(class, parameter)`` who passed it and
@@ -51,9 +54,6 @@ ALLOWED = {
     ("SpanningTreeSwitch", "name"): "the app API",
     ("PartialPolicyApp", "name"): "the app API",
     ("PartialPolicyApp", "priority"): "the app API: a rule priority",
-    ("StreamingHistogram", "low"): "a data structure's geometry",
-    ("StreamingHistogram", "high"): "a data structure's geometry",
-    ("StreamingHistogram", "growth"): "a data structure's geometry",
     ("MetricsServer", "host"): "a deployment setting (bind address)",
     ("TrafficWorkload", "kind"): "workload shape (ping vs udp)",
     ("TrafficWorkload", "packet_size"): "workload shape",
@@ -68,7 +68,10 @@ ALLOWED = {
         "an adversary only tests/test_byzantine.py switches on",
     ("ByzantineProfile", "replay"):
         "an adversary only tests/test_byzantine.py switches on",
-    ("Controller", "dispatch_shards"): "tests vary the lane count",
+    ("Network", "buffer_packets"):
+        "tests compare PacketIns with the switch buffer off",
+    ("Switch", "buffer_packets"):
+        "tests compare PacketIns with the switch buffer off",
     ("UdpChannel", "base_delay"): "tests zero it to time the payload alone",
     ("UdpChannel", "per_byte_delay"): "tests scale it to order deliveries",
     ("EventTransformer", "escalate_link_to_switch"):
@@ -93,6 +96,10 @@ ALLOWED = {
     ("ChurnWorkload", "fresh_mac"): "tests pin the MAC generator",
     ("BenchScenario", "chunk_seconds"):
         "tests shorten it to probe the memory ceiling mid-run",
+    # -- handed over by the composing object, its own part -----------------
+    ("AppVisorProxy", "crashpad"):
+        "the runtime hands over its own Crash-Pad",
+    ("Tracer", "recorder"): "Telemetry hands over its own flight recorder",
 }
 
 
@@ -132,15 +139,26 @@ def defaulted_init_parameters():
     return found
 
 
+def _forwards_own_attribute(keyword: ast.keyword) -> bool:
+    """``name=self.name``: a constructor passing on what it was given
+    (or built itself), which is not a caller choosing a value."""
+    value = keyword.value
+    return (isinstance(value, ast.Attribute) and value.attr == keyword.arg
+            and isinstance(value.value, ast.Name)
+            and value.value.id == "self")
+
+
 def keyword_names_passed():
     """Every name used as a keyword argument in any call under
-    ``CALLER_DIRS``."""
+    ``CALLER_DIRS``, except as ``name=self.name``."""
     names = set()
     for directory in CALLER_DIRS:
         for path in (ROOT / directory).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
-                    names.update(kw.arg for kw in node.keywords if kw.arg)
+                    names.update(
+                        kw.arg for kw in node.keywords
+                        if kw.arg and not _forwards_own_attribute(kw))
     return names
 
 

@@ -206,9 +206,9 @@ def test_a_rebase_resets_only_the_vote_fields():
 def test_a_backup_is_configured_as_the_primary_is():
     sim = Simulator(seed=0)
     telemetry = Telemetry(enabled=True, flight_capacity=16,
-                          max_spans=60_000, metrics_max_samples=99)
+                          max_spans=60_000)
     primary = Controller(sim, discovery_interval=0.3, telemetry=telemetry,
-                         dispatch_shards=3, service_time=0.001)
+                         service_time=0.001)
     _, members, _, _ = cohort(backups=2, controller=primary)
     for backup in members.replicas[1:]:
         controller, tel = backup.controller, backup.telemetry
@@ -216,9 +216,7 @@ def test_a_backup_is_configured_as_the_primary_is():
         assert tel.enabled and tel.replica_id == backup.replica_id
         assert tel.tracer.max_spans == 60_000
         assert tel.recorder.capacity == 16
-        assert tel.metrics.max_samples == 99
         assert controller.discovery.interval == 0.3
-        assert controller.dispatch_shards == 3
         assert controller.service_time == 0.001
 
 
