@@ -42,6 +42,7 @@ import re
 from typing import Optional
 
 from repro.controller.api import Command
+from repro.openflow.messages import PacketOut
 
 _CAMEL_RE = re.compile(r"(?<!^)(?=[A-Z])")
 
@@ -199,15 +200,13 @@ class SDNApp:
         self.__dict__.update(wiring)
 
     @staticmethod
-    def packet_out_for(event, actions) -> "PacketOut":
+    def packet_out_for(event, actions) -> PacketOut:
         """Build the PacketOut that answers a PacketIn.
 
         Prefers the switch-side buffer (``event.buffer_id``) so the
         packet body never rides the control channel again; falls back
         to inlining the packet when the switch did not buffer it.
         """
-        from repro.openflow.messages import PacketOut
-
         buffer_id = getattr(event, "buffer_id", None)
         return PacketOut(
             packet=None if buffer_id is not None else event.packet,

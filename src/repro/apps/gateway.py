@@ -25,9 +25,10 @@ from repro.openflow.actions import (
     SetEthSrc,
     SetIpDst,
     SetIpSrc,
+    ToController,
 )
 from repro.openflow.match import Match
-from repro.openflow.messages import FlowMod, FlowModCommand
+from repro.openflow.messages import FlowMod, FlowModCommand, PacketOut
 
 
 class VirtualIPGateway(SDNApp):
@@ -64,8 +65,6 @@ class VirtualIPGateway(SDNApp):
     def on_switch_join(self, event):
         """Claim the VIP on every switch: un-admitted service traffic
         always punts to the gateway, whatever L2 rules exist."""
-        from repro.openflow.actions import ToController
-
         self.api.emit(event.dpid, FlowMod(
             match=Match(ip_dst=self.vip),
             command=FlowModCommand.ADD,
@@ -99,8 +98,6 @@ class VirtualIPGateway(SDNApp):
         # Forward the triggering packet itself, rewritten.  Inline (not
         # via buffer_id): a co-resident switching app may flood the
         # same PacketIn and consume the shared buffer first.
-        from repro.openflow.messages import PacketOut
-
         self.api.emit(event.dpid, PacketOut(
             packet=packet, in_port=event.in_port,
             actions=self._forward_actions(event.dpid, backend),

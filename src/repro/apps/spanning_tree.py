@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.apps.learning_switch import LearningSwitch
 from repro.openflow.actions import Output
-from repro.openflow.messages import PacketOut
+from repro.openflow.match import Match
+from repro.openflow.messages import FlowMod, FlowModCommand
 
 
 class SpanningTreeSwitch(LearningSwitch):
@@ -53,25 +52,11 @@ class SpanningTreeSwitch(LearningSwitch):
     def _recompute_tree(self, topo) -> None:
         self._tree_version = topo.version
         self.mark_dirty("_tree_version")
-        self._tree_ports = {}
+        # A deterministic spanning forest: Kruskal in a stable link order.
+        self._tree_ports = topo.tree_ports()
         self.mark_dirty("_tree_ports")
         self.tree_recomputations += 1
         self.mark_dirty("tree_recomputations")
-        graph = topo.graph()
-        if not graph.nodes:
-            return
-        # A deterministic spanning forest: minimum spanning edges with
-        # stable ordering (edge data carries the port numbers).
-        forest = nx.minimum_spanning_edges(graph, data=True, keys=False) \
-            if graph.is_multigraph() else \
-            nx.minimum_spanning_edges(graph, data=True)
-        ports: Dict[int, Set[int]] = {dpid: set() for dpid in graph.nodes}
-        for edge in forest:
-            a, b, data = edge
-            dpid_a, port_a, dpid_b, port_b = data["endpoints"]
-            ports[dpid_a].add(port_a)
-            ports[dpid_b].add(port_b)
-        self._tree_ports = {dpid: frozenset(p) for dpid, p in ports.items()}
 
     def _interswitch_ports(self, dpid: int, topo) -> Set[int]:
         out = set()
@@ -89,9 +74,6 @@ class SpanningTreeSwitch(LearningSwitch):
         out_port = self._learn(event)
         if out_port is not None and not packet.is_broadcast():
             # Unicast install (tracked so a topology change can flush it).
-            from repro.openflow.match import Match
-            from repro.openflow.messages import FlowMod, FlowModCommand
-
             self.flows_installed += 1
             self.mark_dirty("flows_installed")
             match = Match(in_port=event.in_port,
@@ -177,8 +159,6 @@ class SpanningTreeSwitch(LearningSwitch):
         (strict, so other apps\' rules are untouched) and all MAC
         tables are cleared; traffic re-floods along the fresh tree and
         relearns true locations."""
-        from repro.openflow.messages import FlowMod, FlowModCommand
-
         for dpid, match in self._installed_rules:
             self.api.emit(dpid, FlowMod(
                 match=match, command=FlowModCommand.DELETE_STRICT,

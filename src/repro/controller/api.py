@@ -16,9 +16,7 @@ Keeping the interface identical is how LegoSDN runs unmodified apps
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.openflow.serialization import register_dataclass
 from repro.record import record
@@ -42,6 +40,9 @@ class HostEntry:
     port: int
 
 
+Link = Tuple[int, int, int, int]
+
+
 @register_dataclass
 @record
 class TopoView:
@@ -57,24 +58,58 @@ class TopoView:
     links: Tuple[Tuple[int, int, int, int], ...] = ()
     version: int = 0
 
-    def graph(self) -> "nx.Graph":
-        """Build a networkx graph (nodes=dpids, edges carry port attrs)."""
-        g = nx.Graph()
-        g.add_nodes_from(self.switches)
-        for dpid_a, port_a, dpid_b, port_b in self.links:
-            g.add_edge(dpid_a, dpid_b, port_a=port_a, port_b=port_b,
-                       endpoints=(dpid_a, port_a, dpid_b, port_b))
-        return g
+    def _adjacency(self) -> Dict[int, Dict[int, Link]]:
+        """dpid -> {neighbour dpid: the link's endpoints}.
+
+        Nodes enter in ``networkx.Graph`` insertion order (``switches``,
+        then link endpoints as they appear); a repeated pair keeps its
+        first position and the last link's endpoints.
+        """
+        adjacency: Dict[int, Dict[int, Link]] = {
+            dpid: {} for dpid in self.switches}
+        for link in self.links:
+            dpid_a, _, dpid_b, _ = link
+            adjacency.setdefault(dpid_a, {})[dpid_b] = link
+            adjacency.setdefault(dpid_b, {})[dpid_a] = link
+        return adjacency
 
     def shortest_path(self, src: int, dst: int) -> Optional[list]:
-        """Dpid path from src to dst, or None if unreachable."""
-        g = self.graph()
-        if src not in g or dst not in g:
+        """Dpid path from src to dst, or None if unreachable.
+
+        networkx's bidirectional BFS and path assembly, step for step,
+        so ties break (and paths come out) as they did there.
+        """
+        adjacency = self._adjacency()
+        if src not in adjacency or dst not in adjacency:
             return None
-        try:
-            return nx.shortest_path(g, src, dst)
-        except nx.NetworkXNoPath:
+        met = _bidirectional_pred_succ(adjacency, src, dst)
+        if met is None:
             return None
+        pred, succ, w = met
+        path = []
+        while w is not None:
+            path.append(w)
+            w = pred[w]
+        path.reverse()
+        w = succ[path[-1]]
+        while w is not None:
+            path.append(w)
+            w = succ[w]
+        return path
+
+    def tree_ports(self) -> Dict[int, FrozenSet[int]]:
+        """Each dpid's ports on a spanning forest of this view.
+
+        Kruskal at unit weight: links in ``networkx.Graph.edges`` order
+        (which its stable sort keeps), each taken when it joins two
+        trees.  Every node is a key, an isolated one with no ports.
+        """
+        adjacency = self._adjacency()
+        ports = {dpid: set() for dpid in adjacency}
+        for dpid_a, port_a, dpid_b, port_b in _spanning_links(adjacency):
+            ports[dpid_a].add(port_a)
+            ports[dpid_b].add(port_b)
+        return {dpid: frozenset(p) for dpid, p in ports.items()}
 
     def egress_port(self, dpid_from: int, dpid_to: int) -> Optional[int]:
         """The port on ``dpid_from`` facing its neighbour ``dpid_to``."""
@@ -84,6 +119,71 @@ class TopoView:
             if (b, a) == (dpid_from, dpid_to):
                 return pb
         return None
+
+
+def _bidirectional_pred_succ(adjacency, source, target):
+    """Meet-in-the-middle BFS: ``(pred, succ, w)``, or None.
+
+    ``networkx.algorithms.shortest_paths.unweighted.
+    _bidirectional_pred_succ`` (3.6) on an undirected adjacency map:
+    the smaller fringe expands, neighbours in adjacency order.
+    """
+    if target == source:
+        return ({target: None}, {source: None}, source)
+    pred = {source: None}
+    succ = {target: None}
+    forward_fringe = [source]
+    reverse_fringe = [target]
+    while forward_fringe and reverse_fringe:
+        if len(forward_fringe) <= len(reverse_fringe):
+            this_level = forward_fringe
+            forward_fringe = []
+            for v in this_level:
+                for w in adjacency[v]:
+                    if w not in pred:
+                        forward_fringe.append(w)
+                        pred[w] = v
+                    if w in succ:
+                        return pred, succ, w
+        else:
+            this_level = reverse_fringe
+            reverse_fringe = []
+            for v in this_level:
+                for w in adjacency[v]:
+                    if w not in succ:
+                        succ[w] = v
+                        reverse_fringe.append(w)
+                    if w in pred:
+                        return pred, succ, w
+    return None
+
+
+def _spanning_links(adjacency) -> List[Link]:
+    """The links a unit-weight Kruskal takes, in the order it takes them.
+
+    Edges are walked once each, as ``networkx.Graph.edges`` yields
+    them: node by node, a neighbour not yet visited as a node.
+    """
+    parent = {dpid: dpid for dpid in adjacency}
+
+    def root(dpid):
+        while parent[dpid] != dpid:
+            parent[dpid] = parent[parent[dpid]]
+            dpid = parent[dpid]
+        return dpid
+
+    taken: List[Link] = []
+    visited = set()
+    for u, neighbours in adjacency.items():
+        for v, link in neighbours.items():
+            if v in visited:
+                continue
+            root_u, root_v = root(u), root(v)
+            if root_u != root_v:
+                parent[root_u] = root_v
+                taken.append(link)
+        visited.add(u)
+    return taken
 
 
 class AppAPI:

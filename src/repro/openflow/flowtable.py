@@ -18,7 +18,7 @@ from itertools import compress, count
 from operator import attrgetter, is_not
 from typing import Dict, List, Optional, Tuple
 
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, Enqueue, Output
 from repro.openflow.match import MATCH_FIELDS, Match
 from repro.openflow.messages import (
     FlowMod,
@@ -253,8 +253,6 @@ class FlowTable:
     def _delete(self, mod: FlowMod, strict: bool) -> List[FlowEntry]:
         targets = self.find(mod.match, mod.priority if strict else None)
         if mod.out_port is not None:
-            from repro.openflow.actions import Enqueue, Output
-
             def forwards_to(entry):
                 return any(
                     isinstance(a, (Output, Enqueue)) and a.port == mod.out_port

@@ -35,29 +35,23 @@ class ShardRouter:
         for dpid, shard in self.pins.items():
             if shard not in self.active:
                 raise ValueError(f"pin {dpid}->{shard}: no such shard")
-        self._weights: Dict[tuple, int] = {}
+        #: dpid -> owning shard, pins first and each hashed dpid once
+        #: (``active`` and ``pins`` are fixed for the router's life).
+        self._owners: Dict[int, int] = dict(self.pins)
 
     # -- the hash ----------------------------------------------------------
 
-    def _weight(self, dpid: int, shard: int) -> int:
-        key = (dpid, shard)
-        weight = self._weights.get(key)
-        if weight is None:
-            token = f"{self.seed}:{shard}:{dpid}".encode("utf-8")
-            weight = self._weights[key] = zlib.crc32(token)
-        return weight
-
     def shard_of(self, dpid: int) -> int:
         """The shard owning ``dpid``."""
-        if not self.active:
-            raise ValueError("no active shards")
-        pinned = self.pins.get(dpid)
-        if pinned is not None and pinned in self.active:
-            return pinned
-        # Highest weight wins; ties (crc32 collisions) break towards
-        # the lower shard id so the answer stays total-ordered.
-        return max(self.active,
-                   key=lambda shard: (self._weight(dpid, shard), -shard))
+        owner = self._owners.get(dpid)
+        if owner is None:
+            # Highest weight wins; ties (crc32 collisions) break towards
+            # the lower shard id so the answer stays total-ordered.
+            owner = self._owners[dpid] = max(
+                self.active,
+                key=lambda shard: (zlib.crc32(
+                    f"{self.seed}:{shard}:{dpid}".encode("utf-8")), -shard))
+        return owner
 
     def partition(self, dpids: Iterable[int]) -> Dict[int, List[int]]:
         """Split ``dpids`` into per-shard sorted lists (every active
