@@ -41,9 +41,8 @@ Byzantine tolerance affordable in an SDN control plane:
 from __future__ import annotations
 
 import enum
-import hashlib
-import hmac
 import struct
+from _operator import _compare_digest
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -51,6 +50,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.openflow.serialization import encode_value
 from repro.record import record, replace
 from repro.replication.fence import EpochFence
+
+# SHA-256 from CPython's own module, not OpenSSL's: ``import hashlib``
+# (and ``hmac``, which imports it) loads libcrypto, about 3.6 MB resident
+# in every process that imports the runtime.  Same API, same bytes.
+try:
+    from _sha2 import sha256               # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256         # CPython 3.9-3.11
+    except ImportError:
+        from hashlib import sha256         # a build with neither
 
 
 # -- quorum math -------------------------------------------------------------
@@ -84,6 +94,32 @@ MAC_BYTES = 8
 #: stamp, ``MAC_BYTES`` long after it.
 _UNSTAMPED = encode_value(b"")
 _STAMPED = encode_value(bytes(MAC_BYTES))[:-MAC_BYTES]
+
+#: SHA-256's block size, and RFC 2104's inner / outer key pads as
+#: ``bytes.translate`` tables (what the stdlib ``hmac`` uses).
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def _hmac_states(key: bytes):
+    """The RFC 2104 inner and outer SHA-256 states keyed with ``key``:
+    HMAC-SHA256 over some content is a copy of each, the content fed to
+    the inner and the inner's digest to the outer (:func:`_hmac`)."""
+    if len(key) > _BLOCK:
+        key = sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return sha256(key.translate(_IPAD)), sha256(key.translate(_OPAD))
+
+
+def _hmac(states, content: bytes) -> bytes:
+    """HMAC-SHA256 of ``content`` under the key ``states`` were made for."""
+    inner, outer = states
+    inner = inner.copy()
+    inner.update(content)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 @record
@@ -123,25 +159,22 @@ class ReplicaKeyring:
     def __init__(self, secret=0):
         if not isinstance(secret, bytes):
             secret = str(secret).encode()
-        self._secret = secret
-        #: Per pair, an HMAC already keyed: each MAC is a copy of it
-        #: fed the content (half the hashing of keying afresh).
-        self._pair_macs: Dict[Tuple[str, str], "hmac.HMAC"] = {}
+        self._secret_states = _hmac_states(secret)
+        #: Per pair, the HMAC's inner and outer states already keyed:
+        #: each MAC copies them (half the hashing of keying afresh).
+        self._pair_macs: Dict[Tuple[str, str], tuple] = {}
         #: MACs computed / verified, for overhead accounting.
         self.stamps = 0
         self.verifies = 0
 
     def _mac(self, a: str, b: str, content: bytes) -> bytes:
         pair = (a, b) if a <= b else (b, a)
-        keyed = self._pair_macs.get(pair)
-        if keyed is None:
-            key = hmac.new(self._secret, f"{pair[0]}|{pair[1]}".encode(),
-                           hashlib.sha256).digest()
-            keyed = self._pair_macs[pair] = hmac.new(
-                key, digestmod=hashlib.sha256)
-        mac = keyed.copy()
-        mac.update(content)
-        return mac.digest()[:MAC_BYTES]
+        states = self._pair_macs.get(pair)
+        if states is None:
+            key = _hmac(self._secret_states,
+                        f"{pair[0]}|{pair[1]}".encode())
+            states = self._pair_macs[pair] = _hmac_states(key)
+        return _hmac(states, content)[:MAC_BYTES]
 
     def stamp(self, frame, sender: str, receiver: str):
         """Set the pair MAC on ``frame``: given an unstamped frame's
@@ -165,7 +198,7 @@ class ReplicaKeyring:
         content = data[:-len(_STAMPED) - MAC_BYTES]
         if data[len(content):-MAC_BYTES] != _STAMPED:
             return False    # unstamped, or an auth of the wrong length
-        return hmac.compare_digest(
+        return _compare_digest(
             data[-MAC_BYTES:], self._mac(sender, receiver, content))
 
 
@@ -187,7 +220,7 @@ def resolve_leaf(resolve_seq: int, outcome: str, records) -> int:
     blob = encode_value((resolve_seq, outcome, [
         (r.index, r.dpid, r.message, tuple(r.inverses), r.applied_at)
         for r in sorted(records, key=_SHIP_ORDER)]))
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
+    return int.from_bytes(sha256(blob).digest()[:8], "big") >> 1
 
 
 def chain_digest(prev: int, leaf: int) -> int:
@@ -195,7 +228,7 @@ def chain_digest(prev: int, leaf: int) -> int:
     # Digests travel in frame fields; keep them inside a signed 64-bit
     # int so every wire codec can carry them.
     return int.from_bytes(
-        hashlib.sha256(_CHAIN_LINK.pack(prev, leaf)).digest()[:8], "big") >> 1
+        sha256(_CHAIN_LINK.pack(prev, leaf)).digest()[:8], "big") >> 1
 
 
 class DigestLedger:

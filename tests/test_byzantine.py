@@ -1,6 +1,20 @@
 """Tests for the Byzantine-tolerance layer: HMAC-authenticated
 shipping, chain-digest output voting, quarantine/rejoin, and the
-adaptive, epoch-fenced replication-mode policy."""
+adaptive, epoch-fenced replication-mode policy.
+
+The layer computes HMAC-SHA256 and SHA-256 with CPython's built-in
+``_sha2`` / ``_sha256``; ``hmac`` and ``hashlib`` are imported here
+only, as the oracle its stamps and digests are held to."""
+
+import hashlib
+import hmac
+import json
+import random
+import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +28,7 @@ from repro.network.topology import linear_topology
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.actions import Output
+from repro.openflow.serialization import decode_value, encode_value
 from repro.replication import (
     DigestLedger,
     RecordShip,
@@ -29,6 +44,7 @@ from repro.replication import (
     tolerable_f,
     vote_threshold,
 )
+from repro.replication.byzantine import MAC_BYTES
 from repro.replication.frames import ResyncRequest
 from repro.telemetry import HealthWatchdog, Telemetry
 from repro.workloads import TrafficWorkload
@@ -142,6 +158,128 @@ class TestKeyring:
         stamped = ring.stamp(_sample_frames()[0], "r0", "r1")
         rebadged = replace(stamped, epoch=stamped.epoch + 1)
         assert not ring.verify(rebadged, "r0", "r1")
+
+
+# -- HMAC-SHA256 and SHA-256 against the stdlib oracle -------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: How an unstamped / stamped frame encoding ends (``auth`` is last).
+UNSTAMPED = encode_value(b"")
+STAMPED = encode_value(bytes(MAC_BYTES))[:-MAC_BYTES]
+CONTENT_LENGTHS = (0, 1, 63, 64, 65, 1000)
+
+
+def _secrets(rng):
+    """Seeded secrets of every kind the keyring takes, keys up to and
+    past SHA-256's 64-byte block (hashed first) among them."""
+    return [b"", bytes(64), bytes(65),
+            rng.randbytes(rng.randint(1, 64)),
+            rng.randbytes(rng.randint(65, 300)),
+            rng.randint(-(1 << 80), 1 << 80),
+            "".join(rng.choice("ab|\u00e9\u4e2d") for _ in range(40)),
+            "k" * 100]
+
+
+def _oracle_mac(secret, a, b, content):
+    key = secret if isinstance(secret, bytes) else str(secret).encode()
+    low, high = sorted((a, b))
+    pair_key = hmac.new(key, f"{low}|{high}".encode(),
+                        hashlib.sha256).digest()
+    return hmac.new(pair_key, content, hashlib.sha256).digest()[:MAC_BYTES]
+
+
+def _oracle_digest(blob):
+    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
+
+
+def _random_records(rng, seq):
+    mod = _sample_frames()[0].message
+    indices = rng.sample(range(1 << 20), rng.randint(0, 5))
+    return [RecordShip(epoch=1, index=index, txn_id=seq, app_name="x",
+                       dpid=rng.randint(1, 8), message=mod,
+                       inverses=(mod,) * rng.randint(0, 2),
+                       applied_at=rng.random())
+            for index in indices]
+
+
+class TestBuiltinSha256:
+    def test_macs_match_the_stdlib_hmac(self):
+        rng = random.Random(47)
+        for secret in _secrets(rng):
+            ring = ReplicaKeyring(secret=secret)
+            for n in CONTENT_LENGTHS:
+                content = rng.randbytes(n)
+                a = f"r{rng.randint(0, 9)}"
+                b = f"replica-{rng.randint(0, 99)}"
+                mac = _oracle_mac(secret, a, b, content)
+                for sender, receiver in ((a, b), (b, a)):
+                    assert ring.stamp(content + UNSTAMPED, sender,
+                                      receiver) == content + STAMPED + mac
+                    assert ring.verify(content + STAMPED + mac, sender,
+                                       receiver)
+
+    def test_leaves_and_chain_digests_match_hashlib(self):
+        rng = random.Random(470)
+        chain = 0
+        for seq in range(1, 200):
+            outcome = rng.choice(("commit", "abort"))
+            records = _random_records(rng, seq)
+            blob = encode_value((seq, outcome, [
+                (r.index, r.dpid, r.message, tuple(r.inverses), r.applied_at)
+                for r in sorted(records, key=lambda r: r.index)]))
+            leaf = resolve_leaf(seq, outcome, records)
+            assert leaf == _oracle_digest(blob)
+            assert chain_digest(chain, leaf) == _oracle_digest(
+                struct.pack("!QQ", chain, leaf))
+            chain = chain_digest(chain, leaf)
+
+    def test_stamp_verify_roundtrip_on_bytes_and_objects(self):
+        ring = ReplicaKeyring(secret=b"s" * 100)
+        for frame in _sample_frames():
+            unstamped = encode_value(frame)
+            stamped = ring.stamp(unstamped, "r0", "r1")
+            stamped_frame = ring.stamp(frame, "r1", "r0")
+            assert encode_value(stamped_frame) == stamped
+            assert decode_value(stamped) == stamped_frame
+            for sender, receiver in (("r0", "r1"), ("r1", "r0")):
+                assert ring.verify(stamped, sender, receiver)
+                assert ring.verify(stamped_frame, sender, receiver)
+            assert not ring.verify(unstamped, "r0", "r1")
+            for i in range(len(stamped)):
+                flipped = (stamped[:i] + bytes([stamped[i] ^ 1])
+                           + stamped[i + 1:])
+                assert not ring.verify(flipped, "r0", "r1")
+
+    def test_hashlib_fallback_gives_the_same_bytes(self):
+        """A CPython built without ``_sha2`` and ``_sha256`` takes
+        ``hashlib.sha256``: same stamps, leaves and chain digests."""
+        script = textwrap.dedent("""
+            import hashlib, json, sys
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
+            from repro.replication import byzantine
+            assert byzantine.sha256 is hashlib.sha256
+            cases = json.loads(sys.argv[1])
+            ring = byzantine.ReplicaKeyring(secret=cases["secret"])
+            print(json.dumps(
+                [ring.stamp(bytes.fromhex(c) + byzantine.encode_value(b""),
+                            "r1", "r0").hex() for c in cases["contents"]]
+                + [byzantine.resolve_leaf(7, "commit", []),
+                   byzantine.chain_digest(12345, 67890)]))
+        """)
+        rng = random.Random(4700)
+        contents = [rng.randbytes(n).hex() for n in CONTENT_LENGTHS]
+        secret = rng.randbytes(80).hex()
+        done = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps({"secret": secret, "contents": contents})],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(SRC), "PATH": ""})
+        assert done.returncode == 0, done.stderr[-2000:]
+        ring = ReplicaKeyring(secret=secret)
+        assert json.loads(done.stdout) == [
+            ring.stamp(bytes.fromhex(c) + UNSTAMPED, "r0", "r1").hex()
+            for c in contents] + [resolve_leaf(7, "commit", []),
+                                  chain_digest(12345, 67890)]
 
 
 # -- digests ------------------------------------------------------------------

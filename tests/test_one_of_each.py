@@ -17,6 +17,11 @@ to arrive by editing this file:
   map) -- app and service state have one encoding;
 - no hashing in ``checkpoint.py``: dedup is the buffer diff the delta
   already computes;
+- one SHA-256 under ``src/repro``, CPython's built-in ``_sha2`` /
+  ``_sha256`` in ``replication/byzantine.py``: it once imported
+  ``hashlib`` and ``hmac``, which load OpenSSL's libcrypto into every
+  process that imports the runtime.  ``from hashlib import sha256``
+  stays only as that module's fallback for a build with neither;
 - one ``ReplicaSet`` class split where its decisions live: no module
   under ``replication/`` passes 600 lines, and no part (shipping,
   voting, membership, promotion, ...) imports the composition root;
@@ -152,6 +157,48 @@ def test_checkpoint_store_does_not_hash():
              for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name))}
     assert not names & {"blake2b", "state_hash", "_prev_hash", "_hash_of"}
+
+
+OPENSSL_HASHING = {"hashlib", "hmac", "_hashlib"}
+DIGESTS = REPLICATION / "byzantine.py"
+
+
+def _fallback_imports(tree):
+    """Import nodes inside an ``except ImportError`` handler."""
+    return {id(inner) for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler)
+            and isinstance(node.type, ast.Name)
+            and node.type.id == "ImportError"
+            for inner in ast.walk(node)}
+
+
+def _hashing_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in OPENSSL_HASHING for name in names):
+            yield node
+
+
+def test_nothing_imports_openssl_hashing():
+    offenders, fallbacks = [], []
+    for path, tree in _trees():
+        if not path.is_relative_to(SRC):
+            continue
+        allowed = _fallback_imports(tree) if path == DIGESTS else set()
+        for node in _hashing_imports(tree):
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            if (id(node) in allowed and isinstance(node, ast.ImportFrom)
+                    and [a.name for a in node.names] == ["sha256"]):
+                fallbacks.append(where)
+            else:
+                offenders.append(where)
+    assert not offenders, offenders
+    assert len(fallbacks) == 1, fallbacks
 
 
 def _imports_root(tree) -> bool:
