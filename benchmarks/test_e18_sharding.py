@@ -16,16 +16,21 @@ measures the three claims the subsystem makes:
 - **quorum reads stay honest under loss**: with 30% replication-
   channel loss, backup-served reads never exceed the freshness bound
   -- loss shifts reads to the primary instead of serving stale state.
+- **a shard writes only the switches it owns**: a routing app that
+  installs whole paths has its writes to other shards' switches
+  refused and counted, and no shard's shadow holds a table for a
+  switch it does not own.
 
 The scaling runs pin equal contiguous switch segments to shards so
 the capacity arithmetic is exact (rendezvous balance is statistics;
 a saturation measurement wants a deterministic K-way split).
 """
 
-from repro.apps import LearningSwitch
+from repro.apps import LearningSwitch, ShortestPathRouting
 from repro.faults.netfaults import ChaosProfile
+from repro.invariants import check_shadow_ownership
 from repro.network.net import Network
-from repro.network.topology import linear_topology
+from repro.network.topology import linear_topology, tree_topology
 from repro.shard import ShardCoordinator, ShardReadGateway, ShardRouter
 from repro.workloads import ChurnWorkload, TrafficWorkload
 
@@ -180,12 +185,32 @@ def staleness_run() -> dict:
     }
 
 
+def routing_run(shards: int) -> dict:
+    """ShortestPathRouting on a depth-3 tree: whole-path installs that
+    cross shard boundaries."""
+    net = Network(tree_topology(3), seed=0)
+    coordinator = ShardCoordinator(
+        net, shards=shards, apps=(ShortestPathRouting,), backups=1)
+    coordinator.start()
+    net.run_for(2.0)
+    reach = net.reachability(wait=1.0)
+    net.run_for(0.5)
+    return {
+        "shards": shards,
+        "reach": reach,
+        "refused": sum(handle.runtime.proxy.manager.refused
+                       for handle in coordinator.shards.values()),
+        "foreign": len(check_shadow_ownership(coordinator.shards)),
+    }
+
+
 def test_e18_sharded_control_plane(benchmark):
     def experiment():
         return {
             "throughput": [throughput_run(k) for k in (1, 2, 4)],
             "isolation": isolation_run(),
             "staleness": staleness_run(),
+            "routing": [routing_run(k) for k in (2, 3)],
         }
 
     r = run_once(benchmark, experiment)
@@ -222,6 +247,13 @@ def test_e18_sharded_control_plane(benchmark):
           f"{stale['max_staleness'] * 1000:.0f} ms",
           stale["violations"]]])
 
+    print_table(
+        "E18d: ShortestPathRouting across shards (tree depth 3, 1 backup)",
+        ["config", "reachability", "writes refused",
+         "foreign shadow tables"],
+        [[f"K={row['shards']}", f"{row['reach']:.3f}", row["refused"],
+          row["foreign"]] for row in r["routing"]])
+
     benchmark.extra_info["results"] = {
         "scaling_2": runs[2]["throughput"] / base,
         "scaling_4": runs[4]["throughput"] / base,
@@ -250,3 +282,8 @@ def test_e18_sharded_control_plane(benchmark):
     assert stale["violations"] == 0
     assert stale["max_staleness"] <= FRESHNESS
     assert stale["backup_served"] > 0
+
+    # Acceptance: a shard's NetLog holds only what it can send.
+    for row in r["routing"]:
+        assert row["foreign"] == 0, f"K={row['shards']}"
+        assert row["refused"] > 0, f"K={row['shards']}"

@@ -256,10 +256,8 @@ def run_scenario(scenario: BenchScenario,
     ))
     net, coordinator = stack.net, stack.coordinator
     stack.start()
-    telemetries = [coordinator.telemetry]
-    for handle in coordinator.shards.values():
-        telemetries.extend(r.telemetry
-                           for r in handle.replicas.replicas)
+    telemetries = [r.telemetry for handle in coordinator.shards.values()
+                   for r in handle.replicas.replicas]
 
     aborted: Optional[str] = None
     latency = LatencyRecorder(EVENT_SPAN)

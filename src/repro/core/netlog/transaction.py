@@ -12,6 +12,10 @@ state-altering message an app emits it:
 3. appends a :class:`~repro.core.netlog.log.NetLogRecord` to the WAL;
 4. forwards the message to the real switch.
 
+A message for a switch the controller has no control channel to
+(under sharding, a switch another shard owns) is refused and counted
+in ``refused`` before any of that: NetLog holds only what it can send.
+
 Aborting a transaction replays the inverses in reverse order (to both
 the shadow and the real switches) and parks the lost counters in the
 counter-cache.  The shadow tables double as the input to the byzantine
@@ -54,11 +58,6 @@ class Transaction:
     #: Causal identity of the event whose handling opened this txn;
     #: carried onto commit/rollback spans and replication ship frames.
     trace_id: Optional[int] = None
-    #: Cross-shard transaction this local txn is a participant branch
-    #: of (None for ordinary single-shard transactions).  Set by the
-    #: CrossShardTxnManager so a shard's open-txn rollback and the
-    #: coordinator's compensation can recognise each other's work.
-    cross_id: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -81,6 +80,8 @@ class TransactionManager:
         self.open_txns: Dict[int, Transaction] = {}
         self.committed = 0
         self.aborted = 0
+        #: Messages for a switch this controller has no channel to.
+        self.refused = 0
         #: Replication hooks.  ``on_apply(txn, record)`` fires for every
         #: WAL append; ``on_resolve(txn, outcome)`` fires at commit
         #: ("commit") or abort ("abort").  The ReplicaSet's log shipper
@@ -197,8 +198,7 @@ class TransactionManager:
     # -- transaction lifecycle ------------------------------------------------
 
     def begin(self, app_name: str, event_desc: str = "",
-              trace_id: Optional[int] = None,
-              cross_id: Optional[int] = None) -> Transaction:
+              trace_id: Optional[int] = None) -> Transaction:
         if trace_id is None and self.telemetry.enabled:
             trace_id = self.telemetry.tracer.current_trace
         txn = Transaction(
@@ -207,7 +207,6 @@ class TransactionManager:
             event_desc=event_desc,
             opened_at=self.sim.now,
             trace_id=trace_id,
-            cross_id=cross_id,
         )
         self.open_txns[txn.txn_id] = txn
         if self.telemetry.enabled:
@@ -218,7 +217,19 @@ class TransactionManager:
         return txn
 
     def apply(self, txn: Transaction, dpid: int, msg: Message) -> None:
-        """Apply one app-emitted message under ``txn``."""
+        """Apply one app-emitted message under ``txn``.
+
+        A message for a switch this controller never connected is
+        refused: it could not reach the switch, so it must not reach
+        the shadow, the WAL or the ship stream either.  The rest of the
+        transaction goes on -- under sharding, a path's owned hops carry
+        the packet to the next shard, which routes it from there.  A
+        known switch that is only down still takes the write (its
+        shadow is reset when it rejoins).
+        """
+        if dpid not in self.controller.channels:
+            self.refused += 1
+            return
         if txn.state is not TxnState.OPEN:
             raise ValueError(f"transaction {txn.txn_id} is {txn.state.value}")
         if not msg.alters_network_state():

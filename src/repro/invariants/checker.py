@@ -10,6 +10,11 @@ and reports :class:`Violation` records for:
 - **waypoints** -- traffic required to traverse a middlebox switch
   does not.
 
+One control-plane property sits beside them, checked over a sharded
+deployment rather than a snapshot: :func:`check_shadow_ownership`
+(**foreign shadow** -- a shard keeps a shadow table for a switch it
+does not own).
+
 Crash-Pad consults :meth:`InvariantChecker.check_all` after an app's
 transaction to decide whether the output was byzantine (§3.3), and the
 "No-Compromise invariants" of §5 are expressed as the ``critical``
@@ -43,7 +48,8 @@ class Probe:
 class Violation:
     """One detected invariant violation."""
 
-    kind: str  # "loop" | "blackhole" | "reachability" | "waypoint"
+    #: "loop" | "blackhole" | "reachability" | "waypoint" | "foreign-shadow"
+    kind: str
     detail: str
     probe: Optional[Probe] = None
     critical: bool = False
@@ -177,3 +183,29 @@ class InvariantChecker:
     def _mk(self, kind: str, detail: str, probe: Optional[Probe]) -> Violation:
         return Violation(kind=kind, detail=detail, probe=probe,
                          critical=kind in self.critical_kinds)
+
+
+def check_shadow_ownership(shards) -> List[Violation]:
+    """No shard's shadow holds a table for a switch it does not own.
+
+    ``shards`` is a coordinator's ``{shard_id: ShardHandle}``.  Checks
+    the serving primary's NetLog shadow and every replica's replicated
+    shadow: a table for a foreign dpid is a write the shard could not
+    send, and so a rollback it could not perform.
+    """
+    violations = []
+    for shard_id, handle in sorted(shards.items()):
+        owned = set(handle.dpids)
+        replicas = handle.replicas
+        shadows = [(replica.replica_id, replica.shadow)
+                   for replica in replicas.replicas]
+        if replicas.runtime is not None:
+            shadows.append(("netlog", replicas.runtime.proxy.manager.shadow))
+        for holder, shadow in shadows:
+            for dpid in sorted(set(shadow) - owned):
+                violations.append(Violation(
+                    kind="foreign-shadow",
+                    detail=(f"shard {shard_id} ({holder}) shadows "
+                            f"switch {dpid}, which it does not own"),
+                ))
+    return violations

@@ -22,9 +22,9 @@ and owns the cross-shard concerns the shards themselves cannot see:
   is the *minimum* across shards, and per-shard trace/metric tags via
   each replica set's shard-aware telemetry.
 
-The assignment is fixed once the coordinator is built.  Cross-shard
-transactions and quorum reads layer on top:
-:class:`~repro.shard.crosstxn.CrossShardTxnManager` and
+The assignment is fixed once the coordinator is built.  Each shard's
+NetLog writes only the switches that shard owns (a write to another
+shard's switch is refused and counted); quorum reads layer on top:
 :class:`~repro.shard.reads.ShardReadGateway`.
 """
 
@@ -104,11 +104,6 @@ class ShardCoordinator:
         self.router = router or ShardRouter(shards, seed=seed)
         self.seed = seed
         self.health_window = health_window
-        #: Coordinator-level telemetry: cross-shard transaction spans
-        #: and coordinator counters live here, not on any one shard.
-        self.telemetry = Telemetry(enabled=telemetry_enabled,
-                                   replica_id="coord")
-        self.telemetry.bind_clock(lambda: self.sim.now)
         self.shards: Dict[int, ShardHandle] = {}
         # One config value for every shard's runtime (and, through
         # failover, for every replica promoted inside a shard).

@@ -194,6 +194,23 @@ class TestShadowTables:
         assert tables_equal({2: manager.shadow_table(2)},
                             {2: net.switch(2).flow_table})
 
+    def test_write_to_a_switch_that_left_is_still_logged(self):
+        """A known switch that is only down keeps its channel: a write
+        to it is shadowed and logged as before, not refused."""
+        stack = build_stack(StackSpec(topology=linear_topology(3, 1),
+                                      apps=(LearningSwitch(),)))
+        net, manager = stack.net, stack.runtime.proxy.manager
+        stack.start()
+        net.switch_down(2)
+        net.run_for(0.5)
+        assert 2 in manager.switches_left
+        txn = manager.begin("app", "t")
+        manager.apply(txn, 2, add_mod("a", idle_timeout=30))
+        assert manager.refused == 0
+        assert [r.dpid for r in txn.records] == [2]
+        assert manager.wal.records[-1] is txn.records[0]
+        assert len(manager.shadow_table(2)) == 1
+
     def test_preview_does_not_touch_shadow(self, manager):
         preview = manager.preview_tables([(1, add_mod("x"))])
         assert len(preview[1]) == 1
@@ -205,6 +222,46 @@ class TestShadowTables:
         manager.commit(txn)
         net.run_for(1.0)
         assert len(manager.shadow_table(1)) == 0
+
+
+class TestRefusedWrites:
+    """NetLog admits only what its controller can send: a message for
+    a dpid with no control channel never reaches the shadow, the WAL,
+    the transaction, the ship hooks or the wire."""
+
+    UNKNOWN = 99
+
+    def test_flowmod_and_packetout_to_unknown_switch_are_refused(
+            self, net, manager):
+        shipped = []
+        manager.on_apply.append(lambda txn, record: shipped.append(record))
+        sent = net.controller.messages_sent
+        txn = manager.begin("app", "t")
+        manager.apply(txn, self.UNKNOWN, add_mod("a"))
+        manager.apply(txn, self.UNKNOWN, PacketOut())
+        assert manager.refused == 2
+        assert self.UNKNOWN not in manager.shadow
+        assert manager.wal.records == []
+        assert txn.records == []
+        assert txn.passthrough_count == 0
+        assert shipped == []
+        assert net.controller.messages_sent == sent
+
+    def test_connected_write_in_the_same_txn_lands(self, net, manager):
+        shipped = []
+        manager.on_apply.append(lambda txn, record: shipped.append(record))
+        txn = manager.begin("app", "t")
+        manager.apply(txn, self.UNKNOWN, add_mod("a"))
+        manager.apply(txn, 1, add_mod("a"))
+        manager.commit(txn)
+        net.run_for(0.05)
+        assert manager.refused == 1
+        assert txn.state is TxnState.COMMITTED
+        assert [r.dpid for r in txn.records] == [1]
+        assert shipped == txn.records == manager.wal.records
+        assert sorted(manager.shadow) == [1]
+        assert tables_equal({1: manager.shadow_table(1)},
+                            {1: net.switch(1).flow_table})
 
 
 def stats_entry(dst="a", priority=100, packet_count=0, duration=0.0,

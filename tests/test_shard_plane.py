@@ -1,9 +1,12 @@
 """Tests for the sharded control plane: coordinator wiring, routing,
-failover containment, health and stats."""
+failover containment, health, stats and shard-local writes."""
 
-from repro.apps import LearningSwitch
+import pytest
+
+from repro.apps import LearningSwitch, ShortestPathRouting
+from repro.invariants import check_shadow_ownership
 from repro.network.net import Network
-from repro.network.topology import linear_topology
+from repro.network.topology import linear_topology, tree_topology
 from repro.openflow.messages import Hello
 from repro.shard import ShardCoordinator, ShardRouter
 from repro.telemetry import Telemetry
@@ -198,3 +201,35 @@ class TestStats:
             net, shards=2, apps=(LearningSwitch,), router=router)
         assert coordinator.shards[0].dpids == [1, 2]
         assert coordinator.shards[1].dpids == [3, 4]
+
+
+class TestShardLocalWrites:
+    """A routing app installs whole paths, so at K >= 2 it writes to
+    switches its shard does not own.  Those writes are refused and
+    counted; what a shard's NetLog holds is exactly what reached its
+    own switches."""
+
+    @pytest.mark.parametrize("shards,seed", [(2, 0), (2, 8), (3, 0), (3, 9)])
+    def test_routing_app_writes_only_owned_switches(self, shards, seed):
+        net = Network(tree_topology(3), seed=seed)
+        coordinator = ShardCoordinator(
+            net, shards=shards, apps=(ShortestPathRouting,), backups=1,
+            seed=seed)
+        coordinator.start()
+        net.run_for(2.0)
+        net.reachability(wait=1.0)
+        net.run_for(0.5)
+        assert check_shadow_ownership(coordinator.shards) == []
+        refused = 0
+        for handle in coordinator.shards.values():
+            manager = handle.runtime.proxy.manager
+            refused += manager.refused
+            assert set(manager.shadow) <= set(handle.dpids)
+            for dpid, table in manager.shadow.items():
+                real = {(e.match, e.priority, e.actions)
+                        for e in net.switches[dpid].flow_table.entries}
+                for entry in table.entries:
+                    assert (entry.match, entry.priority,
+                            entry.actions) in real, (dpid, entry)
+            assert handle.replicas.divergence() == 0
+        assert refused > 0
