@@ -20,15 +20,12 @@ class ControlChannel:
         self.controller = controller
         self.switch = switch
         self.connected = True
-        self.to_controller_count = 0
-        self.to_switch_count = 0
         switch.channel = self
 
     def to_controller(self, msg) -> bool:
         """Switch -> controller, after the channel delay."""
         if not self.connected or self.controller.crashed:
             return False
-        self.to_controller_count += 1
         self.sim.schedule(
             self.DELAY, self._deliver_to_controller, msg
         )
@@ -42,7 +39,6 @@ class ControlChannel:
         """Controller -> switch, after the channel delay."""
         if not self.connected:
             return False
-        self.to_switch_count += 1
         self.sim.schedule(self.DELAY, self._deliver_to_switch, msg)
         return True
 

@@ -90,7 +90,9 @@ class AppRecord:
     byzantine_count: int = 0
     deep_restores: int = 0
     supports_deep_restore: bool = False
-    crash_times: List[float] = field(default_factory=list)
+    #: The last DEEP_RESTORE_THRESHOLD crash instants, oldest first.
+    crash_times: Deque[float] = field(default_factory=lambda: deque(
+        maxlen=AppVisorProxy.DEEP_RESTORE_THRESHOLD))
     #: Suspicions the detector attributed to a lossy channel rather
     #: than the app -- silence Crash-Pad deliberately did NOT treat as
     #: a crash (no restore of a healthy app over a bad link).
@@ -655,9 +657,11 @@ class AppVisorProxy:
     DEEP_RESTORE_WINDOW = 2.0
 
     def _recovery_is_futile(self, record: AppRecord) -> bool:
-        cutoff = self.sim.now - self.DEEP_RESTORE_WINDOW
-        recent = [t for t in record.crash_times if t >= cutoff]
-        return len(recent) >= self.DEEP_RESTORE_THRESHOLD
+        # Crash instants never decrease, so the window holds the
+        # threshold's worth exactly when the oldest one kept is in it.
+        times = record.crash_times
+        return (len(times) == times.maxlen
+                and times[0] >= self.sim.now - self.DEEP_RESTORE_WINDOW)
 
     @staticmethod
     def _stub_has_replica(record: AppRecord) -> bool:

@@ -66,7 +66,6 @@ class StubAPI(AppAPI):
         return self.stub.topo_cache.switches
 
     def log(self, text: str) -> None:
-        self.stub.app_log.append(text)
         self.stub.pending_logs.append(text)
 
     def counter_inc(self, name: str, delta: int = 1) -> None:
@@ -124,11 +123,9 @@ class AppVisorStub:
         self.context_gaps = 0
         self.pending_counters: Dict[str, int] = {}
         self.pending_logs: List[str] = []
-        self.app_log: List[str] = []
         self.suppress_output = False
         self.current_seq = 0
         self.last_seq_done = 0
-        self.heartbeats_sent = 0
         self.events_processed = 0
         self.restores_done = 0
         #: Zero-arg factory building a scratch replica of the app for
@@ -199,7 +196,6 @@ class AppVisorStub:
         if not self.sandbox.alive or self.endpoint is None:
             return
         self._update_lag_gauge()
-        self.heartbeats_sent += 1
         self.endpoint.send(rpc.Heartbeat(
             app_name=self.app.name,
             stub_time=self.sim.now,

@@ -70,7 +70,6 @@ class FailureDetector:
         #: blamed on the link rather than the process.
         self.channel_fault_window = channel_fault_window
         self._health: Dict[str, AppHealth] = {}
-        self.suspicions_raised = 0
         #: Optional Telemetry; suspicions become trace events (the
         #: "detect" edge of the recovery timeline).  The AppVisor proxy
         #: binds this to the deployment's telemetry at composition.
@@ -151,7 +150,6 @@ class FailureDetector:
                     inflight_seq=oldest,
                     silent_for=now - health.last_heartbeat,
                 ))
-        self.suspicions_raised += len(suspicions)
         if suspicions and self.telemetry is not None and self.telemetry.enabled:
             for suspicion in suspicions:
                 self.telemetry.tracer.event(

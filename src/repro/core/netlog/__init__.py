@@ -19,8 +19,8 @@ Two implementations are provided, mirroring the paper:
 
 from repro.core.netlog.buffer import DelayBuffer
 from repro.core.netlog.counter_cache import CounterCache
-from repro.core.netlog.log import NetLogRecord, WriteAheadLog
-from repro.core.netlog.transaction import Transaction, TransactionManager, TxnState
+from repro.core.netlog.transaction import (
+    NetLogRecord, Transaction, TransactionManager, TxnState)
 
 __all__ = [
     "CounterCache",
@@ -29,5 +29,4 @@ __all__ = [
     "Transaction",
     "TransactionManager",
     "TxnState",
-    "WriteAheadLog",
 ]

@@ -29,7 +29,6 @@ class DelayBuffer:
     def __init__(self, manager: TransactionManager):
         self.manager = manager
         self._buffers: Dict[BufferKey, List[Tuple[int, Message]]] = {}
-        self.flushed = 0
         self.discarded = 0
 
     def hold(self, app_name: str, seq: int, dpid: int, msg: Message) -> None:
@@ -43,10 +42,11 @@ class DelayBuffer:
               commit: bool = True) -> Transaction:
         """The event completed: apply the whole batch as one transaction.
 
-        Routing through the TransactionManager keeps the shadow tables
-        and WAL accurate.  Pass ``commit=False`` to leave the
-        transaction open so a byzantine verdict can still abort it;
-        the caller must then commit or abort explicitly.
+        Routing through the TransactionManager keeps the shadow tables,
+        the transaction's records and the ship stream accurate.  Pass
+        ``commit=False`` to leave the transaction open so a byzantine
+        verdict can still abort it; the caller must then commit or
+        abort explicitly.
         """
         ops = self._buffers.pop((app_name, seq), [])
         txn = self.manager.begin(app_name, event_desc or f"seq={seq}")
@@ -54,7 +54,6 @@ class DelayBuffer:
             self.manager.apply(txn, dpid, msg)
         if commit:
             self.manager.commit(txn)
-        self.flushed += 1
         return txn
 
     def discard(self, app_name: str, seq: int) -> int:

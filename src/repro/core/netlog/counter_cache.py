@@ -33,7 +33,6 @@ class CounterCache:
 
     def __init__(self):
         self._cache: Dict[CacheKey, CounterRecord] = {}
-        self.patches_applied = 0
 
     @staticmethod
     def _key(dpid: int, match: Match, priority: int) -> CacheKey:
@@ -77,7 +76,6 @@ class CounterCache:
                 patched_entries.append(entry)
                 continue
             patched_any = True
-            self.patches_applied += 1
             patched_entries.append(
                 dataclasses.replace(
                     entry,

@@ -9,7 +9,7 @@ state-altering message an app emits it:
    pre-state;
 2. computes the inverse via the inversion algebra
    (:mod:`repro.openflow.inversion`);
-3. appends a :class:`~repro.core.netlog.log.NetLogRecord` to the WAL;
+3. appends a :class:`NetLogRecord` to the transaction's records;
 4. forwards the message to the real switch.
 
 A message for a switch the controller has no control channel to
@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.netlog.counter_cache import CounterCache
-from repro.core.netlog.log import NetLogRecord, WriteAheadLog
 from repro.openflow.flowtable import FlowEntry, FlowTable
-from repro.openflow.inversion import invert
+from repro.openflow.inversion import CounterRecord, invert
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, Message
 
@@ -42,6 +41,18 @@ class TxnState(enum.Enum):
     OPEN = "open"
     COMMITTED = "committed"
     ABORTED = "aborted"
+
+
+@dataclass
+class NetLogRecord:
+    """One logged operation: the message, and what undoes it."""
+
+    txn_id: int
+    dpid: int
+    message: Message
+    inverse_messages: List[Message]
+    counter_records: List[CounterRecord]
+    applied_at: float
 
 
 @dataclass
@@ -74,7 +85,6 @@ class TransactionManager:
         self.shadow: Dict[int, FlowTable] = {}
         #: Switches seen leaving and not yet back.
         self.switches_left: Set[int] = set()
-        self.wal = WriteAheadLog(telemetry=self.telemetry)
         self.counter_cache = CounterCache()
         self._txn_ids = itertools.count(1)
         self.open_txns: Dict[int, Transaction] = {}
@@ -83,9 +93,10 @@ class TransactionManager:
         #: Messages for a switch this controller has no channel to.
         self.refused = 0
         #: Replication hooks.  ``on_apply(txn, record)`` fires for every
-        #: WAL append; ``on_resolve(txn, outcome)`` fires at commit
-        #: ("commit") or abort ("abort").  The ReplicaSet's log shipper
-        #: subscribes here so backups shadow the NetLog as it grows.
+        #: record a transaction logs; ``on_resolve(txn, outcome)`` fires
+        #: at commit ("commit") or abort ("abort").  The ReplicaSet's log
+        #: shipper subscribes here so backups shadow the NetLog as it
+        #: grows.
         self.on_apply: List = []
         self.on_resolve: List = []
 
@@ -221,11 +232,11 @@ class TransactionManager:
 
         A message for a switch this controller never connected is
         refused: it could not reach the switch, so it must not reach
-        the shadow, the WAL or the ship stream either.  The rest of the
-        transaction goes on -- under sharding, a path's owned hops carry
-        the packet to the next shard, which routes it from there.  A
-        known switch that is only down still takes the write (its
-        shadow is reset when it rejoins).
+        the shadow, the transaction's records or the ship stream
+        either.  The rest of the transaction goes on -- under sharding,
+        a path's owned hops carry the packet to the next shard, which
+        routes it from there.  A known switch that is only down still
+        takes the write (its shadow is reset when it rejoins).
         """
         if dpid not in self.controller.channels:
             self.refused += 1
@@ -248,7 +259,6 @@ class TransactionManager:
             counter_records=inversion.counter_records,
             applied_at=now,
         )
-        self.wal.append(record)
         txn.records.append(record)
         self.controller.send_to_switch(dpid, msg)
         for callback in self.on_apply:

@@ -37,11 +37,9 @@ class EventCapture:
 
     def __init__(self):
         self.events: List[CapturedEvent] = []
-        self._controller = None
 
     def attach(self, controller) -> "EventCapture":
         controller.ingest_taps.append(self._tap)
-        self._controller = controller
         return self
 
     def _tap(self, time: float, dpid: int, msg, trace_id: int) -> None:

@@ -17,7 +17,6 @@ from repro.record import record, replace
 
 #: EtherTypes used by the simulator.
 ETH_TYPE_IP = 0x0800
-ETH_TYPE_ARP = 0x0806
 ETH_TYPE_LLDP = 0x88CC
 
 #: IP protocol numbers.

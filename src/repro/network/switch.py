@@ -77,8 +77,6 @@ class Switch:
         #: planes.  None (the default) accepts every write.
         self.fence = None
         self.fenced_writes = 0
-        self.packet_ins_sent = 0
-        self.messages_handled = 0
         self.buffer_packets = buffer_packets
         self._packet_buffer: Dict[int, tuple] = {}  # id -> (packet, in_port)
         self._next_buffer_id = 1
@@ -159,7 +157,6 @@ class Switch:
         link.transmit(packet, self)
 
     def _packet_in(self, packet, in_port: int, reason) -> None:
-        self.packet_ins_sent += 1
         buffer_id = None
         if self.buffer_packets and not packet.is_lldp():
             buffer_id = self._next_buffer_id
@@ -190,7 +187,6 @@ class Switch:
             self.fenced_writes += 1
             self.fence.note_rejected(self.dpid, msg, epoch)
             return
-        self.messages_handled += 1
         if isinstance(msg, FlowMod):
             self.flow_table.apply_flow_mod(msg, self.sim.now)
         elif isinstance(msg, PacketOut):

@@ -262,11 +262,3 @@ class PortStatsEntry:
 class PortStatsReply(Message):
     dpid: int = 0
     entries: List[PortStatsEntry] = field(default_factory=list)
-
-
-#: Messages that represent *network events* delivered to SDN-Apps.
-#: Crash-Pad's event-transformation policies operate on these.
-EVENT_MESSAGE_TYPES = (PacketIn, PortStatus, FlowRemoved, ErrorMsg)
-
-#: Messages that a switch treats as state-altering (NetLog scope).
-STATE_ALTERING_TYPES = (FlowMod,)

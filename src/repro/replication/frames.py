@@ -12,21 +12,21 @@ Frame inventory (direction):
 =============  ===============  ==========================================
 Frame          Direction        Purpose
 =============  ===============  ==========================================
-RecordShip     primary->backup  one WAL append (message + its inverses)
+RecordShip     primary->backup  one NetLog record (message + its inverses)
 TxnResolve     primary->backup  a transaction *with records* resolved
 ReplHeartbeat  primary->backup  lease renewal + log position + app deltas
 ReplAck        backup->primary  cumulative ack of the applied log prefix
 ResyncRequest  backup->primary  ranged replay request after partition heal
 =============  ===============  ==========================================
 
-Records ship on WAL *apply* but backups fold them into their shadow
+Records ship on NetLog *apply* but backups fold them into their shadow
 flow tables only at commit-resolve, using the shipped ``applied_at``
 timestamp -- so a backup's shadow is byte-for-byte the state the
 primary's NetLog committed, never a half-applied transaction.  Records
 of transactions still open when the primary dies are the *orphans* the
 promoted backup rolls back from their shipped inverses.  What is
-replicated is the WAL: a transaction that appended nothing to it (a
-PacketOut-only event) ships no record and therefore no resolve --
+replicated is each transaction's records: a transaction that logged
+none (a PacketOut-only event) ships no record and therefore no resolve --
 ``ReplicaSet.resolves_elided`` counts those.
 
 Every frame ends in an ``auth`` stamp: a truncated HMAC over the
@@ -67,7 +67,7 @@ class AppDelta:
 @register_dataclass
 @record
 class RecordShip:
-    """One NetLog WAL append, shipped as it happens.
+    """One NetLog record, shipped as it is applied.
 
     ``index`` is the primary's monotonically increasing shipping
     sequence (gap detection); ``inverses`` ride along so a backup can

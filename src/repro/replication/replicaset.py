@@ -26,10 +26,9 @@ from repro.replication.byzantine import (
     ReplicaKeyring, ReplicationMode, ReplicationModePolicy)
 from repro.replication.membership import (  # noqa: F401 (SeenNumbers)
     ControllerReplica, Membership, ReplicaRole, SeenNumbers)
-from repro.replication.promotion import REPLAY_WINDOW, FailoverRecord, promote
-from repro.replication.shipping import RESYNC_COOLDOWN, Shipping
-from repro.replication.voting import (
-    AUTH_FAULT_THRESHOLD, QUARANTINE_THRESHOLD, Voting)
+from repro.replication.promotion import FailoverRecord, promote
+from repro.replication.shipping import Shipping
+from repro.replication.voting import Voting
 
 
 @dataclass
@@ -71,11 +70,6 @@ class ReplicaSet:
     which E16 asserts.
     """
 
-    REPLAY_WINDOW = REPLAY_WINDOW
-    RESYNC_COOLDOWN = RESYNC_COOLDOWN
-    QUARANTINE_THRESHOLD = QUARANTINE_THRESHOLD
-    AUTH_FAULT_THRESHOLD = AUTH_FAULT_THRESHOLD
-
     # The set's names for what its parts own.
     primary = property(attrgetter("members.primary"))
     runtime = property(attrgetter("members.primary.runtime"))
@@ -100,7 +94,6 @@ class ReplicaSet:
     quarantines = property(attrgetter("votes.quarantines"))
     rejoins = property(attrgetter("votes.rejoins"))
     tail_unverified = property(attrgetter("votes.tail_unverified"))
-    _digest_base = property(attrgetter("votes.digest_base"))
 
     def __init__(self, net, runtime: LegoSDNRuntime, backups: int = 1,
                  heartbeat_interval: float = 0.05,
@@ -137,20 +130,6 @@ class ReplicaSet:
         if unknown:
             raise ValueError(f"unknown dpids {unknown}")
         self.shard_id = shard_id
-        # The options as given; each part keeps the ones it uses.
-        self.heartbeat_interval = heartbeat_interval
-        self.lease_timeout = lease_timeout
-        self.check_interval = check_interval
-        self.stats_interval = stats_interval
-        self.repl_retry_budget = repl_retry_budget
-        self.chaos = chaos
-        self.quorum = quorum
-        self.quorum_timeout = quorum_timeout
-        self.seed = seed
-        self.byzantine = byzantine
-        self.repl_mode = repl_mode
-        self.byz_f = byz_f
-        self.vote_timeout = vote_timeout
         #: Authenticated shipping: every replication frame carries a
         #: pair-keyed HMAC stamp, verified on receipt.
         self.keyring = ReplicaKeyring(secret=seed)
@@ -175,16 +154,11 @@ class ReplicaSet:
         self.fence = self.members.fence
         self.failovers: List[FailoverRecord] = []
         self.auth_faults = self.votes.auth_faults
-        self.on_auth_fault = self.votes.on_auth_fault
         self.ship_history = self.shipping.ship_history
         self.resolve_times = self.shipping.resolve_times
         self.replica = self.members.replica
         self.live_backups = self.members.live_backups
         self.backup_lag = self.shipping.backup_lag
-        self._vote_threshold = self.votes.threshold
-        #: The gate windows: resolve_seq -> shipped_at.
-        self._pending_quorum = self.shipping.quorum_gate.pending
-        self._pending_votes = self.shipping.vote_gate.pending
         #: The channel callback every backup's frames arrive through.
         self._on_backup_frame = self.shipping.receive
         #: Called with the promoted replica after every failover (the
@@ -197,7 +171,7 @@ class ReplicaSet:
         for dpid in self.dpids:
             net.switches[dpid].fence = self.fence
         self._serve_from(self.primary)
-        self._stop_monitor = self.sim.every(check_interval, self._monitor)
+        self.sim.every(check_interval, self._monitor)
 
     def _serve_from(self, primary: ControllerReplica) -> None:
         """Make ``primary`` the source every backup is wired to: at

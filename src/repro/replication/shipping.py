@@ -128,8 +128,8 @@ class Shipping:
         self.ship_index = 0
         #: Total resolves shipped (the heartbeat's second lag axis).
         self.resolve_count = 0
-        #: Transactions resolved without a resolve shipped: they wrote
-        #: nothing to the WAL (see :meth:`ship_resolve`).
+        #: Transactions resolved without a resolve shipped: they logged
+        #: no record (see :meth:`ship_resolve`).
         self.resolves_elided = 0
         #: Every frame shipped since the set was built, across
         #: failovers, in ship order: ("record", RecordShip) |
@@ -259,8 +259,8 @@ class Shipping:
 
     def ship_resolve(self, txn, outcome: str) -> None:
         """Replicate writes, not events: a resolve ships iff a record
-        of its transaction shipped in this epoch.  One that appended
-        nothing to the WAL (a PacketOut-only event), commit or abort,
+        of its transaction shipped in this epoch.  One that logged no
+        record (a PacketOut-only event), commit or abort,
         has nothing for a backup to fold, roll back, vote on or make
         durable, so nothing leaves the primary and no sequence number,
         leaf or window is spent on it."""

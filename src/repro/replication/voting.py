@@ -41,9 +41,6 @@ class Voting:
         self.rejoins = 0
         self.tail_unverified = 0
         self.auth_faults: List[AuthFault] = []
-        #: Called with each AuthFault (the replication-layer sibling of
-        #: the channel's on_fault).
-        self.on_auth_fault: List = []
         #: Chain-digest rebase point: ledgers restart here after each
         #: failover (the view-change's agreed floor).
         self.digest_base = 0
@@ -74,8 +71,6 @@ class Voting:
                               rejections=replica.sig_rejected,
                               at=self.sim.now)
             self.auth_faults.append(fault)
-            for callback in list(self.on_auth_fault):
-                callback(fault)
             self.suspect("auth-fault",
                          f"{replica.replica_id}: {replica.sig_rejected} "
                          f"signature rejections",

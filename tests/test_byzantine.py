@@ -46,6 +46,7 @@ from repro.replication import (
 )
 from repro.replication.byzantine import MAC_BYTES
 from repro.replication.frames import ResyncRequest
+from repro.replication.voting import AUTH_FAULT_THRESHOLD
 from repro.telemetry import HealthWatchdog, Telemetry
 from repro.workloads import TrafficWorkload
 
@@ -89,7 +90,7 @@ class TestQuorumMath:
     def test_set_threshold_clamps_to_cohort(self):
         net, runtime, replicas = build(backups=1, byz_f=2)
         # 2f+1 = 5 but the cohort is only 2: clamp keeps it live.
-        assert replicas._vote_threshold() == 2
+        assert replicas.votes.threshold() == 2
 
 
 # -- authenticated shipping ---------------------------------------------------
@@ -478,7 +479,7 @@ class TestTamperingBackup:
         drive(net)
         assert profile.tampered > 0
         liar = replicas.replica("r1")
-        assert liar.sig_rejected >= replicas.AUTH_FAULT_THRESHOLD
+        assert liar.sig_rejected >= AUTH_FAULT_THRESHOLD
         assert replicas.auth_faults
         assert replicas.auth_faults[0].replica_id == "r1"
         # Repeated auth faults escalated the adaptive policy.
@@ -690,7 +691,7 @@ class TestFailoverMidEscalation:
         drive(net, duration=1.0)
         replicas.crash_primary()
         net.run_for(1.0)
-        base = replicas._digest_base
+        base = replicas.votes.digest_base
         for replica in replicas.replicas:
             assert replica.ledger.floor >= base
         drive(net, duration=2.0)

@@ -11,7 +11,7 @@ it, and rolls back to a clean checkpoint.
 import pytest
 
 from repro.apps import LearningSwitch
-from repro.core.appvisor.proxy import AppStatus
+from repro.core.appvisor.proxy import AppRecord, AppStatus, AppVisorProxy
 from repro.core.runtime import LegoSDNRuntime
 from repro.faults import BugKind, crash_on
 from repro.network.net import Network
@@ -112,3 +112,42 @@ class TestDeepRestore:
         assert record.crash_count == 4
         assert record.deep_restores == 0
         assert record.status is AppStatus.UP
+
+
+class TestFutileRecoveryBoundary:
+    """The escalation verdict at its edges: DEEP_RESTORE_THRESHOLD
+    crashes within DEEP_RESTORE_WINDOW of now escalate; one fewer, or
+    the oldest of them just outside the window, does not."""
+
+    THRESHOLD = AppVisorProxy.DEEP_RESTORE_THRESHOLD
+    WINDOW = AppVisorProxy.DEEP_RESTORE_WINDOW
+
+    @staticmethod
+    def futile(crash_ages):
+        """The proxy's verdict on crashes ``crash_ages`` seconds ago
+        (oldest first, as crashes happen)."""
+        net = Network(linear_topology(2, 1), seed=0)
+        proxy = LegoSDNRuntime(net.controller).proxy
+        net.run_for(10.0)
+        record = AppRecord(name="app", subscriptions=frozenset(),
+                           endpoint=None)
+        for age in crash_ages:
+            record.crash_times.append(net.sim.now - age)
+        return proxy._recovery_is_futile(record)
+
+    def test_one_crash_short_of_the_threshold_does_not_escalate(self):
+        recent = [0.0] * (self.THRESHOLD - 1)
+        assert not self.futile(recent)
+        assert not self.futile([self.WINDOW + 5.0] * 4 + recent)
+
+    def test_threshold_crashes_inside_the_window_escalate(self):
+        # The window is closed at its far edge: a crash exactly
+        # DEEP_RESTORE_WINDOW ago is inside it.
+        assert self.futile([self.WINDOW] + [0.0] * (self.THRESHOLD - 1))
+        assert self.futile([self.WINDOW + 5.0] * 4
+                           + [self.WINDOW / 2] * self.THRESHOLD)
+
+    def test_threshold_crashes_with_the_oldest_outside_do_not_escalate(self):
+        outside = [self.WINDOW + 1e-6] + [0.0] * (self.THRESHOLD - 1)
+        assert not self.futile(outside)
+        assert not self.futile([self.WINDOW + 5.0] * 4 + outside)

@@ -7,10 +7,8 @@ from repro.controller.core import Controller
 from repro.core.netlog import (
     CounterCache,
     DelayBuffer,
-    NetLogRecord,
     TransactionManager,
     TxnState,
-    WriteAheadLog,
 )
 from repro.core.netlog.rollback import fingerprint_tables, tables_equal
 from repro.network.net import Network
@@ -208,7 +206,6 @@ class TestShadowTables:
         manager.apply(txn, 2, add_mod("a", idle_timeout=30))
         assert manager.refused == 0
         assert [r.dpid for r in txn.records] == [2]
-        assert manager.wal.records[-1] is txn.records[0]
         assert len(manager.shadow_table(2)) == 1
 
     def test_preview_does_not_touch_shadow(self, manager):
@@ -226,8 +223,8 @@ class TestShadowTables:
 
 class TestRefusedWrites:
     """NetLog admits only what its controller can send: a message for
-    a dpid with no control channel never reaches the shadow, the WAL,
-    the transaction, the ship hooks or the wire."""
+    a dpid with no control channel never reaches the shadow, the
+    transaction, the ship hooks or the wire."""
 
     UNKNOWN = 99
 
@@ -241,7 +238,6 @@ class TestRefusedWrites:
         manager.apply(txn, self.UNKNOWN, PacketOut())
         assert manager.refused == 2
         assert self.UNKNOWN not in manager.shadow
-        assert manager.wal.records == []
         assert txn.records == []
         assert txn.passthrough_count == 0
         assert shipped == []
@@ -258,7 +254,7 @@ class TestRefusedWrites:
         assert manager.refused == 1
         assert txn.state is TxnState.COMMITTED
         assert [r.dpid for r in txn.records] == [1]
-        assert shipped == txn.records == manager.wal.records
+        assert shipped == txn.records
         assert sorted(manager.shadow) == [1]
         assert tables_equal({1: manager.shadow_table(1)},
                             {1: net.switch(1).flow_table})
@@ -453,31 +449,27 @@ class TestCounterCache:
 
 
 class TestWAL:
+    """NetLog's log is each transaction's own record list; the
+    ``on_apply`` ship stream sees every record in apply order."""
+
     def test_per_transaction_query(self, manager):
+        shipped = []
+        manager.on_apply.append(lambda txn, record: shipped.append(record))
         first = manager.begin("app", "first")
         second = manager.begin("app", "second")
         manager.apply(first, 1, add_mod("a"))
         manager.apply(second, 2, add_mod("b"))
         manager.apply(first, 3, add_mod("a"))
-        # The WAL keeps interleaved writes in append order; each
-        # transaction's own records are exactly its WAL entries.
-        assert [r.txn_id for r in manager.wal.records] == [
+        # Interleaved writes ship in apply order; each transaction
+        # keeps exactly its own records, in the same order.
+        assert [r.txn_id for r in shipped] == [
             first.txn_id, second.txn_id, first.txn_id]
-        assert first.records == [r for r in manager.wal.records
+        assert first.records == [r for r in shipped
                                  if r.txn_id == first.txn_id]
+        assert second.records == [r for r in shipped
+                                  if r.txn_id == second.txn_id]
         assert [r.dpid for r in first.records] == [1, 3]
         assert [r.dpid for r in second.records] == [2]
-
-    def test_bounded_retention(self):
-        wal = WriteAheadLog(max_records=5)
-        for i in range(10):
-            wal.append(NetLogRecord(txn_id=i, dpid=1, message=add_mod(),
-                                    inverse_messages=[], counter_records=[],
-                                    applied_at=0.0))
-            if i == 2:
-                assert len(wal.records) == 3    # under the bound: nothing trimmed
-        assert len(wal.records) == 5
-        assert wal.records[0].txn_id == 5
 
 
 class TestDelayBuffer:

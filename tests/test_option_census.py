@@ -30,17 +30,14 @@ is capped so the next one has to arrive with its caller.
 
 import ast
 import dataclasses
-from pathlib import Path
 
 import pytest
 
+from census import CALLER_DIRS, modules
 from repro.bench import BenchScenario
 from repro.core.runtime import RuntimeConfig
 from repro.scenario import Scenario, Step
 from repro.stack import StackSpec
-
-ROOT = Path(__file__).resolve().parent.parent
-CALLER_DIRS = ("src", "benchmarks", "examples", "wallbench")
 
 #: (class, parameter) -> why it stays a parameter though no caller in
 #: ``CALLER_DIRS`` names it.
@@ -118,8 +115,8 @@ def defaulted_init_parameters():
     """``(class name, parameter name)`` for every defaulted ``__init__``
     parameter of a non-dataclass class under ``src/repro``."""
     found = []
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for _, tree in modules("src/repro"):
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef) or _is_dataclass(node):
                 continue
             for item in node.body:
@@ -152,13 +149,12 @@ def keyword_names_passed():
     """Every name used as a keyword argument in any call under
     ``CALLER_DIRS``, except as ``name=self.name``."""
     names = set()
-    for directory in CALLER_DIRS:
-        for path in (ROOT / directory).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    names.update(
-                        kw.arg for kw in node.keywords
-                        if kw.arg and not _forwards_own_attribute(kw))
+    for _, tree in modules(*CALLER_DIRS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                names.update(
+                    kw.arg for kw in node.keywords
+                    if kw.arg and not _forwards_own_attribute(kw))
     return names
 
 

@@ -94,7 +94,8 @@ class TestShipping:
 
 class TestFailover:
     def test_crash_promotes_lowest_backup(self):
-        net, runtime, replicas = build(backups=2, lease_timeout=0.2)
+        net, runtime, replicas = build(backups=2, lease_timeout=0.2,
+                                       check_interval=0.025)
         inject_marker_packet(net, "h1", "h2", "flow-a")
         net.run_for(0.5)
         replicas.crash_primary()
@@ -106,7 +107,7 @@ class TestFailover:
         assert replicas.epoch == 1
         assert replicas.replica("r0").role is ReplicaRole.DEAD
         # Detection is lease-bounded.
-        assert fo.duration <= 0.2 + 3 * replicas.check_interval
+        assert fo.duration <= 0.2 + 3 * 0.025
 
     def test_second_failover_promotes_next_backup(self):
         net, runtime, replicas = build(backups=2, lease_timeout=0.2)
@@ -463,7 +464,7 @@ class TestQuorumCommit:
         assert replicas.quorum_commits > 0
         assert replicas.quorum_stalls == 0
         assert not replicas.quorum_degraded
-        assert not replicas._pending_quorum
+        assert not replicas.shipping.quorum_gate.pending
 
     def test_quorum_needs_majority_not_all(self):
         # 1 primary + 2 backups: majority is 2, so one dead backup
@@ -502,7 +503,7 @@ class TestQuorumCommit:
         # flagged as degraded and the stalls are counted.
         assert replicas.quorum_stalls > 0
         assert replicas.quorum_degraded
-        assert not replicas._pending_quorum
+        assert not replicas.shipping.quorum_gate.pending
         assert runtime.proxy.manager.committed > 0
 
     def test_async_mode_never_tracks_quorum(self):
@@ -510,7 +511,7 @@ class TestQuorumCommit:
         net.reachability(wait=0.5)
         net.run_for(1.0)
         assert replicas.quorum_commits == 0
-        assert not replicas._pending_quorum
+        assert not replicas.shipping.quorum_gate.pending
 
 
 class TestReplicationTelemetryExport:

@@ -267,8 +267,8 @@ def shipping_state(replicas) -> dict:
         "ship_history": len(replicas.ship_history),
         "resolve_times": len(replicas.resolve_times),
         "floors": [r.ledger.floor for r in replicas.replicas],
-        "windows": (dict(replicas._pending_quorum),
-                    dict(replicas._pending_votes)),
+        "windows": (dict(replicas.shipping.quorum_gate.pending),
+                    dict(replicas.shipping.vote_gate.pending)),
     }
 
 
@@ -314,7 +314,8 @@ def test_resolve_seqs_are_consecutive_over_the_writes(mode):
         assert backup.resync_requests == 0
         assert replicas.shadow_divergence(backup.replica_id) == 0
     # The windows count write commits: two of the three resolves.
-    assert not replicas._pending_quorum and not replicas._pending_votes
+    assert not replicas.shipping.quorum_gate.pending
+    assert not replicas.shipping.vote_gate.pending
     assert replicas.quorum_commits == (2 if mode == "quorum" else 0)
     assert replicas.votes_confirmed == (2 if mode == "byzantine" else 0)
     assert replicas.quorum_stalls == replicas.vote_stalls == 0

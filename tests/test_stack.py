@@ -38,7 +38,7 @@ def test_backups_wrap_the_runtime_with_the_replica_options():
     replicas = stack.replicas
     assert replicas.runtime is stack.runtime
     assert list(stack.runtime.stubs) == ["learning_switch"]
-    assert (len(replicas.replicas), replicas.lease_timeout) == (3, 0.3)
+    assert (len(replicas.replicas), replicas.members.lease_timeout) == (3, 0.3)
     stack.start()
     stack.net.run_for(1.0)
     assert stack.net.reachability() == 1.0
